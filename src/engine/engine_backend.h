@@ -87,6 +87,21 @@ struct EngineCounters
     std::array<std::uint64_t, 8> densityOctiles{};
 };
 
+/**
+ * Active density of a run with counters @p c over @p states states:
+ * states enabled per symbol per state, in [0, 1] (0 when nothing ran).
+ * The workload signal of the Auto heuristic (kDenseAutoMinDensity).
+ */
+inline double
+activeDensity(const EngineCounters &c, std::size_t states)
+{
+    return c.symbols && states
+               ? static_cast<double>(c.enables) /
+                     (static_cast<double>(c.symbols) *
+                      static_cast<double>(states))
+               : 0.0;
+}
+
 /** Octile index (0..7) for @p active_states of @p total states. */
 inline std::size_t
 densityOctile(std::size_t active_states, std::size_t total)

@@ -209,6 +209,11 @@ orAvx512(std::uint64_t *dst, const std::uint64_t *src, std::size_t n)
         dst[i] |= src[i];
 }
 
+// GCC 12's _mm512_andnot_si512 and _mm512_reduce_add_epi64 seed a
+// masked builtin with _mm512_undefined_*(), which -O3 reports as an
+// uninitialized read; the kernels below use plain AND/XOR and a lane
+// store instead, so Release builds stay warning-free.
+
 __attribute__((target("avx512f"))) void
 andNotOrAvx512(std::uint64_t *dst, const std::uint64_t *drop,
                const std::uint64_t *set, std::size_t n)
@@ -218,9 +223,10 @@ andNotOrAvx512(std::uint64_t *dst, const std::uint64_t *drop,
         const __m512i vd = _mm512_loadu_si512(dst + i);
         const __m512i vm = _mm512_loadu_si512(drop + i);
         const __m512i vs = _mm512_loadu_si512(set + i);
-        _mm512_storeu_si512(
-            dst + i,
-            _mm512_or_si512(_mm512_andnot_si512(vm, vd), vs));
+        // vd & ~vm == vd ^ (vd & vm)
+        const __m512i kept =
+            _mm512_xor_si512(vd, _mm512_and_si512(vd, vm));
+        _mm512_storeu_si512(dst + i, _mm512_or_si512(kept, vs));
     }
     for (; i < n; ++i)
         dst[i] = (dst[i] & ~drop[i]) | set[i];
@@ -234,8 +240,11 @@ popcountAvx512(const std::uint64_t *src, std::size_t n)
     for (; i + 8 <= n; i += 8)
         acc = _mm512_add_epi64(
             acc, _mm512_popcnt_epi64(_mm512_loadu_si512(src + i)));
-    std::uint64_t total =
-        static_cast<std::uint64_t>(_mm512_reduce_add_epi64(acc));
+    alignas(64) std::uint64_t lanes[8];
+    _mm512_store_si512(lanes, acc);
+    std::uint64_t total = 0;
+    for (const std::uint64_t lane : lanes)
+        total += lane;
     for (; i < n; ++i)
         total += static_cast<std::uint64_t>(
             __builtin_popcountll(src[i]));

@@ -26,9 +26,8 @@ symbolSetString(const CharClass &cls)
         if (std::isalnum(s)) {
             os << static_cast<char>(s);
         } else {
-            char buf[8];
-            std::snprintf(buf, sizeof(buf), "\\x%02x", s);
-            os << buf;
+            static constexpr char kHex[] = "0123456789abcdef";
+            os << "\\x" << kHex[(s >> 4) & 0xf] << kHex[s & 0xf];
         }
     };
     auto flush = [&](int last) {

@@ -6,18 +6,20 @@
  * vs host Tcpu composition). Two kinds of charge exist:
  *
  *  - *wall* buckets partition the caller (composer) thread's measured
- *    wall time: analyze, baseline, partition, plan, device.execute
- *    (time blocked in the pipeline constructor), pipeline.stall (time
- *    blocked in await), compose.decode, compose.recover,
- *    compose.emulation, checkpoint.io, verify, timeline. finalize()
- *    charges the unattributed remainder to "other", so the wall
- *    buckets sum to the measured wall time by construction — the
- *    tested invariant of `papsim run --attrib`.
- *  - *aux* buckets are informational worker-side charges that overlap
- *    the caller's wall clock (per-segment device execution, SVC
- *    re-upload batching, retry backoff). They are reported alongside
- *    the wall buckets but excluded from the sum-to-wall invariant: in
- *    overlap mode they deliberately run concurrently with it.
+ *    wall time: analyze, partition, plan, device.execute (time blocked
+ *    in the pipeline constructor), pipeline.stall (time blocked in
+ *    await), compose.decode, compose.recover, compose.emulation,
+ *    checkpoint.io, baseline.wait (time blocked joining the sequential
+ *    oracle), verify, timeline. finalize() charges the unattributed
+ *    remainder to "other", so the wall buckets sum to the measured
+ *    wall time by construction — the tested invariant of
+ *    `papsim run --attrib`.
+ *  - *aux* buckets are informational charges from other threads that
+ *    overlap the caller's wall clock (the concurrent sequential oracle
+ *    "baseline", per-segment device execution, SVC re-upload batching,
+ *    retry backoff). They are reported alongside the wall buckets but
+ *    excluded from the sum-to-wall invariant: they deliberately run
+ *    concurrently with it.
  *
  * Charging happens at run/segment granularity, never per symbol, so an
  * always-installed ledger costs nothing measurable.

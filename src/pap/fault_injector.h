@@ -240,18 +240,27 @@ class FaultInjector
 
     // --- Bookkeeping -------------------------------------------------
 
+    // The census getters lock: worker, composer and checkpoint-writer
+    // threads record injections while a caller may be reading.
+
     /** Total faults injected so far. */
-    std::uint64_t injected() const { return totalInjected; }
+    std::uint64_t injected() const
+    {
+        std::lock_guard<std::mutex> lock(*mutex_);
+        return totalInjected;
+    }
 
     /** Faults of one kind injected so far. */
     std::uint64_t injected(FaultKind kind) const
     {
+        std::lock_guard<std::mutex> lock(*mutex_);
         return injectedByKind[static_cast<std::size_t>(kind)];
     }
 
     /** Remaining budget of one kind. */
     std::uint32_t remaining(FaultKind kind) const
     {
+        std::lock_guard<std::mutex> lock(*mutex_);
         return budgets[static_cast<std::size_t>(kind)].remaining;
     }
 
@@ -261,8 +270,17 @@ class FaultInjector
     /** Record that @p count detected faults were repaired. */
     void markRecovered(std::uint64_t count);
 
-    std::uint64_t detected() const { return totalDetected; }
-    std::uint64_t recovered() const { return totalRecovered; }
+    std::uint64_t detected() const
+    {
+        std::lock_guard<std::mutex> lock(*mutex_);
+        return totalDetected;
+    }
+
+    std::uint64_t recovered() const
+    {
+        std::lock_guard<std::mutex> lock(*mutex_);
+        return totalRecovered;
+    }
 
     /** One-line census for CLI output. */
     std::string summary() const;

@@ -4,6 +4,7 @@
 #include <unordered_map>
 
 #include "common/logging.h"
+#include "obs/metrics.h"
 
 namespace pap {
 
@@ -145,6 +146,29 @@ buildFlowPlan(const Nfa &nfa, const Components &comps,
     }
     plan.flowsAfterParent = flow_count;
     return plan;
+}
+
+const FlowPlan &
+FlowPlanTable::get(const Nfa &nfa, const Components &comps,
+                   const std::vector<StateId> &asg_states, Symbol boundary,
+                   const PapOptions &options)
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    std::unique_ptr<const FlowPlan> &slot = plans_[boundary];
+    if (!slot) {
+        slot = std::make_unique<const FlowPlan>(
+            buildFlowPlan(nfa, comps, asg_states, boundary, options));
+        ++built_;
+        obs::metrics().add(builtCounter_);
+    }
+    return *slot;
+}
+
+std::size_t
+FlowPlanTable::built() const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return built_;
 }
 
 } // namespace pap

@@ -15,7 +15,10 @@
 #ifndef PAP_PAP_FLOW_PLAN_H
 #define PAP_PAP_FLOW_PLAN_H
 
+#include <array>
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <vector>
 
 #include "common/types.h"
@@ -71,6 +74,46 @@ struct FlowPlan
 FlowPlan buildFlowPlan(const Nfa &nfa, const Components &comps,
                        const std::vector<StateId> &asg_states,
                        Symbol boundary, const PapOptions &options);
+
+/**
+ * One flow plan per boundary symbol, built by buildFlowPlan on first
+ * use and shared by every segment (or serve chunk) cut after that
+ * symbol. A plan depends only on the automaton, its analysis, the
+ * merge flags and the boundary symbol, and range-guided partitioning
+ * cuts almost every segment after the same symbol, so a run needs a
+ * handful of plans rather than one per segment. Every get() on one
+ * table must pass the same automaton, analysis and merge flags.
+ *
+ * Thread-safe: plans are built under the table's lock, so concurrent
+ * first uses of a symbol build it exactly once. Returned references
+ * stay valid for the table's lifetime.
+ */
+class FlowPlanTable
+{
+  public:
+    /** @p built_counter is the metrics counter bumped per plan built. */
+    explicit FlowPlanTable(const char *built_counter)
+        : builtCounter_(built_counter)
+    {
+    }
+
+    FlowPlanTable(const FlowPlanTable &) = delete;
+    FlowPlanTable &operator=(const FlowPlanTable &) = delete;
+
+    /** The plan for @p boundary, built now if this is its first use. */
+    const FlowPlan &get(const Nfa &nfa, const Components &comps,
+                        const std::vector<StateId> &asg_states,
+                        Symbol boundary, const PapOptions &options);
+
+    /** Plans built so far: the distinct boundary symbols looked up. */
+    std::size_t built() const;
+
+  private:
+    const char *const builtCounter_;
+    mutable std::mutex mutex_;
+    std::array<std::unique_ptr<const FlowPlan>, kAlphabetSize> plans_;
+    std::size_t built_ = 0;
+};
 
 } // namespace pap
 

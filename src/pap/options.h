@@ -75,11 +75,11 @@ struct PapOptions
      * Execution backend for the run's flows: the sparse active-id
      * engine, the dense bit-parallel engine, the sparse-dense hybrid,
      * or automatic selection (PAP_ENGINE env, then the size/density
-     * heuristic of resolveEngineKind, fed with the active density the
-     * baseline run measures). Reports, cycle counts, and all figure
-     * metrics are byte-identical either way; only host wall-clock
-     * changes. The verification oracle always runs sparse, so every
-     * word-packed run is cross-backend checked.
+     * heuristic of resolveEngineKind, fed with the active density a
+     * sparse probe measures over the input's prefix). Reports, cycle
+     * counts, and all figure metrics are byte-identical either way;
+     * only host wall-clock changes. The verification oracle always
+     * runs sparse, so every word-packed run is cross-backend checked.
      */
     EngineKind engine = EngineKind::Auto;
 

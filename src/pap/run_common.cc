@@ -3,14 +3,30 @@
 #include <algorithm>
 #include <cstdlib>
 
+#include "engine/functional_engine.h"
 #include "obs/metrics.h"
 
 namespace pap {
 
+double
+probeActiveDensity(const CompiledNfa &cnfa, const InputTrace &input)
+{
+    if (cnfa.size() > kDenseAutoMaxStates)
+        return -1.0;
+    FunctionalEngine engine(cnfa, /*starts=*/true);
+    engine.reset(cnfa.initialActive(), 0);
+    engine.run(input.begin(),
+               std::min<std::size_t>(input.size(), kDensityProbeSymbols));
+    return activeDensity(engine.counters(), cnfa.size());
+}
+
 RunContext::RunContext(const Nfa &nfa, EngineKind requested,
-                       double density_hint)
+                       const InputTrace *density_probe)
     : cnfa(std::make_unique<const CompiledNfa>(nfa)),
-      ctx(*cnfa, requested, density_hint)
+      ctx(*cnfa, requested,
+          requested == EngineKind::Auto && density_probe
+              ? probeActiveDensity(*cnfa, *density_probe)
+              : -1.0)
 {
     auto &m = obs::metrics();
     switch (ctx.kind()) {

@@ -15,11 +15,24 @@
 
 #include "engine/compiled_nfa.h"
 #include "engine/engine_backend.h"
+#include "engine/trace.h"
 #include "nfa/nfa.h"
 #include "pap/exec/driver.h"
 #include "pap/options.h"
 
 namespace pap {
+
+/** Symbols of the input prefix the Auto density probe executes. */
+inline constexpr std::size_t kDensityProbeSymbols = 4096;
+
+/**
+ * Active density (activeDensity()) of a sparse run over the first
+ * kDensityProbeSymbols symbols of @p input: the workload signal that
+ * steers the Auto backend heuristic. Returns -1 (unknown) without
+ * running anything when @p cnfa has more than kDenseAutoMaxStates
+ * states, where density cannot change the choice.
+ */
+double probeActiveDensity(const CompiledNfa &cnfa, const InputTrace &input);
 
 /**
  * Per-run compile-and-select context: owns the CompiledNfa (address-
@@ -32,14 +45,14 @@ class RunContext
 {
   public:
     /**
-     * Compile @p nfa and select the backend for @p requested.
-     * @p density_hint is a measured active density (enables per symbol
-     * per state, e.g. from a baseline sequential run) that steers the
-     * Auto heuristic; pass -1 when unknown.
+     * Compile @p nfa and select the backend for @p requested. When
+     * @p requested is Auto and @p density_probe is non-null, the Auto
+     * heuristic is steered by probeActiveDensity() over that input;
+     * otherwise the density is unknown.
      */
     explicit RunContext(const Nfa &nfa,
                         EngineKind requested = EngineKind::Sparse,
-                        double density_hint = -1.0);
+                        const InputTrace *density_probe = nullptr);
 
     /** The compiled automaton. */
     const CompiledNfa &compiled() const { return *cnfa; }

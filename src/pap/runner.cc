@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
+#include <future>
 #include <thread>
 
 #include "ap/placement.h"
@@ -46,13 +47,7 @@ runSequential(const Nfa &nfa, const InputTrace &input,
     result.engineBackend = engines.backendName();
     result.engineDatapath = engines.datapathName();
     result.matches = engine->counters().matches;
-    const EngineCounters &c = engine->counters();
-    result.activeDensity =
-        c.symbols && cnfa.size()
-            ? static_cast<double>(c.enables) /
-                  (static_cast<double>(c.symbols) *
-                   static_cast<double>(cnfa.size()))
-            : 0.0;
+    result.activeDensity = activeDensity(engine->counters(), cnfa.size());
     result.reports = engine->takeReports();
     const std::uint64_t entries = result.reports.size();
     sortAndDedupReports(result.reports);
@@ -259,46 +254,68 @@ runPap(const Nfa &nfa, const InputTrace &input, const ApConfig &config,
     obs::TraceSink *sink = obs::tracer();
     PapResult result;
 
-    // Attribution ledger: every exit path finalizes it against the
-    // run's measured wall time, so the wall buckets (plus the "other"
-    // residual) sum to attrib.wallMs on success and failure alike.
     const auto run_t0 = std::chrono::steady_clock::now();
     obs::AttribLedger ledger;
+
+    // --- Sequential oracle (concurrent) -----------------------------
+    // The golden sequential execution (Section 3.4) verifies the
+    // composed reports and supplies the baseline cycles. It always
+    // runs on the sparse reference backend, so a word-packed run is
+    // cross-checked against an independent execution, and on its own
+    // thread, so analysis, partitioning, planning and execution run
+    // beside it. Its own time is the aux bucket "baseline"; the
+    // composer's wait for it is the wall bucket "baseline.wait".
+    std::future<SequentialResult> oracle =
+        std::async(std::launch::async, [&] {
+            obs::AttribLedger::Scope charge(&ledger, "baseline",
+                                            /*aux=*/true);
+            if (sink)
+                sink->begin("pap.baseline");
+            PapOptions oracle_opt = options;
+            oracle_opt.engine = EngineKind::Sparse;
+            SequentialResult r = runSequential(nfa, input, oracle_opt);
+            if (sink)
+                sink->end();
+            return r;
+        });
+    SequentialResult seq;
+    // Join the oracle (once) and take what the result needs from it.
+    // The oracle only fails on a typed selection error (an invalid
+    // PAP_SIMD value), which fails the run like an invalid flag.
+    const auto await_oracle = [&] {
+        if (!oracle.valid())
+            return;
+        if (sink)
+            sink->begin("pap.baseline.wait");
+        obs::AttribLedger::Scope wait(&ledger, "baseline.wait");
+        seq = oracle.get();
+        wait.stop();
+        if (sink)
+            sink->end();
+        result.baselineCycles = seq.cycles;
+        result.seqReportEvents = seq.reports.size();
+        if (!seq.status.ok() && result.status.ok())
+            result.status = seq.status;
+    };
+
+    // Attribution ledger: every exit path joins the oracle and
+    // finalizes the ledger against the run's measured wall time, so
+    // the wall buckets (plus the "other" residual) sum to
+    // attrib.wallMs on success and failure alike.
     const auto finish_attrib = [&] {
+        await_oracle();
         ledger.finalize(msSince(run_t0));
         result.attrib = ledger.snapshot();
     };
-
-    // --- Sequential baseline (also the verification oracle) --------
-    // Runs first, always on the sparse reference backend: it doubles
-    // as the workload probe whose measured active density steers the
-    // Auto backend choice below, and a word-packed run is then
-    // cross-checked against an independent execution.
-    if (sink)
-        sink->begin("pap.baseline");
-    const auto baseline_t0 = std::chrono::steady_clock::now();
-    PapOptions oracle_opt = options;
-    oracle_opt.engine = EngineKind::Sparse;
-    const SequentialResult seq = runSequential(nfa, input, oracle_opt);
-    result.baselineCycles = seq.cycles;
-    result.seqReportEvents = seq.reports.size();
-    ledger.chargeWall("baseline", msSince(baseline_t0));
-    if (sink)
-        sink->end();
-    if (!seq.status.ok()) {
-        // The oracle only fails on a typed selection error (an
-        // invalid PAP_SIMD value); fail the run like an invalid flag.
-        result.status = seq.status;
-        finish_attrib();
-        recordRunMetrics(result);
-        return result;
-    }
 
     // --- Static analysis & placement -------------------------------
     if (sink)
         sink->begin("pap.analyze");
     const auto analyze_t0 = std::chrono::steady_clock::now();
-    const RunContext ctx(nfa, options.engine, seq.activeDensity);
+    // The Auto backend choice is steered by a sparse probe over the
+    // input's prefix, not by the concurrent oracle's full-trace
+    // density.
+    const RunContext ctx(nfa, options.engine, &input);
     if (!ctx.status().ok()) {
         // Typed selection error (an invalid PAP_ENGINE value): the
         // run must fail like an invalid --engine flag, not silently
@@ -346,6 +363,7 @@ runPap(const Nfa &nfa, const InputTrace &input, const ApConfig &config,
         sink->end();
 
     if (num_segments == 1) {
+        await_oracle();
         result.papCycles = seq.cycles;
         result.speedup = 1.0;
         result.reports = seq.reports;
@@ -387,23 +405,26 @@ runPap(const Nfa &nfa, const InputTrace &input, const ApConfig &config,
                     static_cast<double>(profile.rangeSize)}});
 
     // --- Flow planning ----------------------------------------------
-    // Every segment's plan is built before any segment executes, so
-    // the overflow policy can inspect the whole run's SVC pressure
-    // before cycles are spent.
+    // Every segment's plan is looked up before any segment executes,
+    // so the overflow policy can inspect the whole run's SVC pressure
+    // before cycles are spent. Segments cut after the same symbol
+    // share one plan; the golden segment 0 has none (an empty plan).
     if (sink)
         sink->begin("pap.plan");
     const auto plan_t0 = std::chrono::steady_clock::now();
-    std::vector<FlowPlan> plans(segs.size());
+    FlowPlanTable plan_table("runner.plans.built");
+    const FlowPlan golden_plan;
+    std::vector<const FlowPlan *> plans(segs.size(), &golden_plan);
     double sum_in_range = 0, sum_after_cc = 0, sum_after_parent = 0;
     for (std::size_t j = 1; j < segs.size(); ++j) {
         const Symbol boundary = input[segs[j].begin - 1];
-        plans[j] = buildFlowPlan(nfa, comps, asg, boundary, options);
-        sum_in_range += plans[j].flowsInRange;
-        sum_after_cc += plans[j].flowsAfterCc;
-        sum_after_parent += plans[j].flowsAfterParent;
+        plans[j] = &plan_table.get(nfa, comps, asg, boundary, options);
+        sum_in_range += plans[j]->flowsInRange;
+        sum_after_cc += plans[j]->flowsAfterCc;
+        sum_after_parent += plans[j]->flowsAfterParent;
         result.maxFlowsPerSegment = std::max(
             result.maxFlowsPerSegment,
-            static_cast<std::uint32_t>(plans[j].flows.size()));
+            static_cast<std::uint32_t>(plans[j]->flows.size()));
     }
     const double enum_segments = static_cast<double>(segs.size() - 1);
     result.flowsInRange = sum_in_range / enum_segments;
@@ -412,6 +433,8 @@ runPap(const Nfa &nfa, const InputTrace &input, const ApConfig &config,
     ledger.chargeWall("plan", msSince(plan_t0));
     if (sink)
         sink->end({{"segments", static_cast<double>(segs.size())},
+                   {"plans_built",
+                    static_cast<double>(plan_table.built())},
                    {"max_flows_per_segment",
                     static_cast<double>(result.maxFlowsPerSegment)}});
 
@@ -436,6 +459,7 @@ runPap(const Nfa &nfa, const InputTrace &input, const ApConfig &config,
         warn("'", nfa.name(), "' falls back to the golden sequential "
              "execution: ", why);
         obs::metrics().add("runner.sequential_fallbacks");
+        await_oracle();
         result.papCycles = seq.cycles;
         result.speedup = 1.0;
         result.reports = seq.reports;
@@ -563,7 +587,7 @@ runPap(const Nfa &nfa, const InputTrace &input, const ApConfig &config,
                                        input.ptr(s.begin), s.begin,
                                        s.length(), scratch, injector,
                                        &cancel);
-            } else if (plans[j].flows.size() <= batch_cap ||
+            } else if (plans[j]->flows.size() <= batch_cap ||
                        evict_mode) {
                 // Fits the SVC — or Evict mode, which schedules the
                 // whole plan at once and leaves residency churn to
@@ -572,7 +596,7 @@ runPap(const Nfa &nfa, const InputTrace &input, const ApConfig &config,
                 // confines it within a batch), and makes the reports
                 // byte-identical across policies and capacities by
                 // construction.
-                run = runEnumSegment(ctx.engines(), plans[j], asg,
+                run = runEnumSegment(ctx.engines(), *plans[j], asg,
                                      input.ptr(s.begin), s.begin,
                                      s.length(), options, scratch,
                                      kInvalidFlow, &cancel);
@@ -582,7 +606,7 @@ runPap(const Nfa &nfa, const InputTrace &input, const ApConfig &config,
                 // ids stay global (FlowSpec::id), so the merged run
                 // composes exactly like an unbatched one; the ASG flow
                 // runs once, in batch 0, under the whole plan's ASG id.
-                const FlowPlan &plan = plans[j];
+                const FlowPlan &plan = *plans[j];
                 const auto asg_id =
                     static_cast<FlowId>(plan.flows.size());
                 run.segBegin = s.begin;
@@ -678,7 +702,7 @@ runPap(const Nfa &nfa, const InputTrace &input, const ApConfig &config,
         t.totalEntries = truths[j].totalEntries;
         t.aliveEnumFlowsAtEnd = truths[j].aliveEnumFlowsAtEnd;
         t.hasEnumFlows =
-            j > 0 && !plans[j].flows.empty() && !seg_failed[j];
+            j > 0 && !plans[j]->flows.empty() && !seg_failed[j];
         t.numBatches = seg_batches[j];
         t.batchReloadCycles = config.timing.stateVectorUploadCycles;
         // Evict mode: the timeline replays this segment's flow
@@ -766,7 +790,7 @@ runPap(const Nfa &nfa, const InputTrace &input, const ApConfig &config,
         } else if (j == 0) {
             truths[0] = composeGolden(runs[0]);
         } else {
-            truths[j] = composeEnum(cnfa, comps, plans[j], runs[j],
+            truths[j] = composeEnum(cnfa, comps, *plans[j], runs[j],
                                     truth_lost ? no_truth : prev_final);
         }
         prev_final = truths[j].finalActive;
@@ -803,7 +827,7 @@ runPap(const Nfa &nfa, const InputTrace &input, const ApConfig &config,
         }
 
         if (options.emulateDeviceNsPerSymbol > 0.0 && j > 0 &&
-            !plans[j].flows.empty() && !seg_failed[j]) {
+            !plans[j]->flows.empty() && !seg_failed[j]) {
             // Emulate the host's modeled Tcpu for this segment in
             // wall-clock (upload + decode, the same formula the
             // timeline charges — Fig. 11), at the emulated device
@@ -904,13 +928,6 @@ runPap(const Nfa &nfa, const InputTrace &input, const ApConfig &config,
     obs::metrics().setGauge("pipeline.occupancy",
                             result.pipelineOccupancy);
 
-    result.transitionRatio =
-        seq.matches ? static_cast<double>(flow_transitions) /
-                          static_cast<double>(seq.matches)
-                    : 1.0;
-    result.flowTransitions = flow_transitions;
-    result.seqTransitions = seq.matches;
-
     std::uint64_t pap_entries = base_entries;
     result.reports = base_reports;
     for (std::size_t j = first_segment; j < segs.size(); ++j) {
@@ -921,15 +938,31 @@ runPap(const Nfa &nfa, const InputTrace &input, const ApConfig &config,
     }
     sortAndDedupReports(result.reports);
     result.papReportEvents = pap_entries;
+    if (sink)
+        sink->end({{"entries", static_cast<double>(pap_entries)},
+                   {"true_reports",
+                    static_cast<double>(result.reports.size())}});
+
+    // --- Oracle join ---------------------------------------------------
+    // Everything below compares against or scales by the sequential
+    // execution.
+    await_oracle();
+    if (!result.status.ok()) {
+        finish_attrib();
+        recordRunMetrics(result);
+        return result;
+    }
+    result.transitionRatio =
+        seq.matches ? static_cast<double>(flow_transitions) /
+                          static_cast<double>(seq.matches)
+                    : 1.0;
+    result.flowTransitions = flow_transitions;
+    result.seqTransitions = seq.matches;
     result.reportInflation =
         result.seqReportEvents
             ? static_cast<double>(pap_entries) /
                   static_cast<double>(result.seqReportEvents)
             : (pap_entries ? static_cast<double>(pap_entries) : 1.0);
-    if (sink)
-        sink->end({{"entries", static_cast<double>(pap_entries)},
-                   {"true_reports",
-                    static_cast<double>(result.reports.size())}});
 
     // --- Verification ------------------------------------------------
     bool diverged = false;
@@ -1019,9 +1052,9 @@ runPap(const Nfa &nfa, const InputTrace &input, const ApConfig &config,
         auto &diag = result.segments[j];
         diag.begin = segs[j].begin;
         diag.length = segs[j].length();
-        diag.flows = static_cast<std::uint32_t>(plans[j].flows.size());
+        diag.flows = static_cast<std::uint32_t>(plans[j]->flows.size());
         diag.totalPaths =
-            static_cast<std::uint32_t>(plans[j].paths.size());
+            static_cast<std::uint32_t>(plans[j]->paths.size());
         if (j < first_segment) {
             const auto &cp = frontier.segments[j];
             diag.deactivated = cp.deactivated;

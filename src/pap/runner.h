@@ -3,8 +3,9 @@
  * End-to-end PAP run: analysis, placement, range-guided partitioning,
  * per-segment flow enumeration and TDM execution, host composition,
  * timeline simulation, and (optionally) verification of the composed
- * reports against a sequential execution. This is the public entry
- * point the examples and benches use.
+ * reports against a sequential execution, which runs on its own
+ * thread beside the rest. This is the public entry point the examples
+ * and benches use.
  */
 
 #ifndef PAP_PAP_RUNNER_H
@@ -40,8 +41,8 @@ struct SequentialResult
     std::string engineDatapath = "sparse";
     /**
      * Measured active density: states enabled per symbol per state,
-     * in [0, 1]. This is the workload signal runPap feeds back into
-     * the Auto backend heuristic (kDenseAutoMinDensity).
+     * in [0, 1] — the Auto heuristic's workload signal, which runPap
+     * takes from a prefix probe (probeActiveDensity) instead.
      */
     double activeDensity = 0.0;
     /**

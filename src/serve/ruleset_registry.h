@@ -5,7 +5,8 @@
  * PAP composition against one automaton — the compiled NFA, engine
  * context, connected components, Active State Group, and the range
  * profile that guides chunk-boundary placement — compiled once at
- * install time and shared immutably by every session bound to it.
+ * install time and shared immutably by every session bound to it,
+ * plus the flow-plan table its chunks fill on first use.
  *
  * Hot-swap protocol: install() compiles the new automaton *outside*
  * the registry lock, then publishes it as the current generation.
@@ -33,6 +34,7 @@
 #include "engine/engine_backend.h"
 #include "nfa/analysis.h"
 #include "nfa/nfa.h"
+#include "pap/flow_plan.h"
 
 namespace pap {
 namespace serve {
@@ -55,6 +57,10 @@ struct CompiledRuleset
     /** Per-symbol range sizes: the chunker prefers cutting after the
         symbol with the smallest range (fewest enumeration flows). */
     std::array<std::uint32_t, kAlphabetSize> rangeSizes{};
+    /** Flow plans by chunk-boundary symbol, built on first use and
+        shared by every chunk of every session bound to this ruleset
+        (lookups pass the server's merge flags, which never change). */
+    mutable FlowPlanTable plans{"serve.plans.built"};
 
     CompiledRuleset() = default;
     CompiledRuleset(const CompiledRuleset &) = delete;

@@ -116,7 +116,9 @@ struct Server::Chunk
     bool retried = false;
     std::uint32_t faultsInjected = 0;
     std::uint32_t batches = 1;
-    FlowPlan plan;
+    /** The ruleset's shared plan for @c boundary (null for the first
+        chunk and oracle continuations, which run no enumeration). */
+    const FlowPlan *plan = nullptr;
     SegmentRun run;
 };
 
@@ -608,7 +610,7 @@ Server::executeChunk(Session &s, Chunk &chunk)
     if (chunk.oracle)
         return; // composed sequentially from the frontier
     if (!chunk.first)
-        chunk.plan = buildFlowPlan(rs.nfa, rs.comps, rs.asg,
+        chunk.plan = &rs.plans.get(rs.nfa, rs.comps, rs.asg,
                                    chunk.boundary, execPap_);
 
     const std::uint32_t asg_slots = rs.asg.empty() ? 0u : 1u;
@@ -667,8 +669,8 @@ Server::executeChunk(Session &s, Chunk &chunk)
                 run = runGoldenSegment(*rs.engines, chunk.data.data(),
                                        chunk.begin, chunk.data.size(),
                                        scratch, nullptr, token.get());
-            } else if (chunk.plan.flows.size() <= batch_cap) {
-                run = runEnumSegment(*rs.engines, chunk.plan, rs.asg,
+            } else if (chunk.plan->flows.size() <= batch_cap) {
+                run = runEnumSegment(*rs.engines, *chunk.plan, rs.asg,
                                      chunk.data.data(), chunk.begin,
                                      chunk.data.size(), execPap_,
                                      scratch, kInvalidFlow,
@@ -677,7 +679,7 @@ Server::executeChunk(Session &s, Chunk &chunk)
                 // SVC overflow: run the plan in cache-sized batches
                 // back to back, flow ids global, like the one-shot
                 // runner — the merged run composes unchanged.
-                const FlowPlan &plan = chunk.plan;
+                const FlowPlan &plan = *chunk.plan;
                 const auto asg_id =
                     static_cast<FlowId>(plan.flows.size());
                 run.segBegin = chunk.begin;
@@ -816,8 +818,8 @@ Server::composeReady(std::unique_lock<std::mutex> &lock, SessionPtr s)
             cp.timing.segLen = chunk->data.size();
             cp.timing.totalEntries = truth.totalEntries;
             cp.timing.aliveEnumFlowsAtEnd = truth.aliveEnumFlowsAtEnd;
-            cp.timing.hasEnumFlows = !chunk->first &&
-                                     !chunk->plan.flows.empty() &&
+            cp.timing.hasEnumFlows = chunk->plan &&
+                                     !chunk->plan->flows.empty() &&
                                      !recovered && !chunk->oracle;
             cp.timing.numBatches = chunk->batches;
             cp.timing.batchReloadCycles =
@@ -902,7 +904,7 @@ Server::composeChunk(Session &s, Chunk &chunk)
     }
     if (chunk.first)
         return composeGolden(chunk.run);
-    return composeEnum(*rs.cnfa, rs.comps, chunk.plan, chunk.run,
+    return composeEnum(*rs.cnfa, rs.comps, *chunk.plan, chunk.run,
                        s.prevFinal);
 }
 

@@ -672,8 +672,10 @@ helloDaemon(const std::string &socket_path, const std::string &tenant,
     std::string hello = resume ? "RESUME " + tenant + " " + key
                                : "OPEN " + tenant +
                                      (key.empty() ? "" : " " + key);
-    if (!resume && !key.empty() && checkpointInterval >= 0)
-        hello += " " + std::to_string(checkpointInterval);
+    if (!resume && !key.empty() && checkpointInterval >= 0) {
+        hello += ' ';
+        hello += std::to_string(checkpointInterval);
+    }
     hello += '\n';
     Status st = writeAll(stream.fd, hello.data(), hello.size());
     std::string line;

@@ -25,6 +25,7 @@
 #include "obs/metrics.h"
 #include "pap/fault_injector.h"
 #include "pap/runner.h"
+#include "test_util.h"
 #include "workload_helpers.h"
 #include "workloads/benchmarks.h"
 
@@ -192,17 +193,25 @@ TEST(AttribRun, SumsToWallAcrossModesEnginesAndThreads)
                               static_cast<int>(engine), threads);
                 expectSumsToWall(r, what);
                 // The phase buckets a healthy multi-segment run must
-                // charge on its composer thread.
+                // charge on its composer thread, including its wait
+                // for the concurrent sequential oracle.
                 for (const char *name :
-                     {"analyze", "baseline", "partition", "plan",
-                      "device.execute", "compose.decode", "verify",
-                      "timeline"})
+                     {"analyze", "partition", "plan", "device.execute",
+                      "compose.decode", "baseline.wait", "verify",
+                      "timeline"}) {
                     EXPECT_TRUE(hasBucket(r.attrib, name))
                         << what << " missing " << name;
-                // Worker-side execution is always an aux charge.
-                EXPECT_TRUE(
-                    r.attrib.bucket("workers.execute").aux);
-                EXPECT_GT(r.attrib.bucket("workers.execute").ms, 0.0);
+                    EXPECT_FALSE(r.attrib.bucket(name).aux)
+                        << what << " " << name;
+                }
+                // Worker-side execution and the oracle's own time
+                // overlap the composer: always aux charges.
+                for (const char *name : {"workers.execute", "baseline"}) {
+                    EXPECT_TRUE(r.attrib.bucket(name).aux)
+                        << what << " " << name;
+                    EXPECT_GT(r.attrib.bucket(name).ms, 0.0)
+                        << what << " " << name;
+                }
             }
         }
     }
@@ -347,8 +356,7 @@ TEST(AttribRun, CheckpointingChargesIoBucket)
 {
     const Workload w = attribWorkload();
     const ApConfig cfg = smallBoard(8);
-    const std::string path =
-        testing::TempDir() + "attrib_ckpt.bin";
+    const std::string path = uniqueTempPath("attrib_ckpt.bin");
     PapOptions opt;
     opt.threads = 2;
     opt.checkpointPath = path;

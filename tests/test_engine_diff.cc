@@ -32,8 +32,11 @@
 #include "nfa/analysis.h"
 #include "nfa/glushkov.h"
 #include "pap/exec/checkpoint.h"
+#include "pap/run_common.h"
 #include "pap/runner.h"
+#include "test_util.h"
 #include "workload_helpers.h"
+#include "workloads/benchmarks.h"
 
 namespace pap {
 namespace {
@@ -359,9 +362,8 @@ TEST(EngineDiff, CheckpointFilesAreByteIdenticalAcrossBackends)
     const Workload w = diffWorkload(44);
     const ApConfig board = smallBoard(8);
     const auto checkpoint_bytes = [&](EngineKind kind) {
-        const std::string path = ::testing::TempDir() +
-                                 "papsim_engine_diff_" +
-                                 engineKindName(kind) + ".ckpt";
+        const std::string path =
+            uniqueTempPath(std::string(engineKindName(kind)) + ".ckpt");
         exec::removeCheckpoint(path);
         PapOptions opt;
         opt.engine = kind;
@@ -468,6 +470,36 @@ TEST(EngineSelect, ResolveConsultsEnvironmentOnlyForAuto)
     EXPECT_EQ(resolveEngineKind(EngineKind::Auto, 1u << 20).value(),
               EngineKind::Dense);
     ::unsetenv("PAP_ENGINE");
+}
+
+TEST(EngineSelect, PrefixProbeMatchesFullTraceDensityOnTable1)
+{
+    // runPap steers Auto with a density probe over the input's prefix
+    // (the full sequential run now executes concurrently and finishes
+    // too late). On every Table-1 automaton the probe must pick the
+    // backend the full trace's measured density picks.
+    ::unsetenv("PAP_ENGINE");
+    PapOptions sparse;
+    sparse.engine = EngineKind::Sparse;
+    for (const auto &info : benchmarkRegistry()) {
+        const Nfa nfa = buildBenchmark(info.name);
+        const InputTrace input =
+            buildBenchmarkTrace(nfa, info.name, 4 * kDensityProbeSymbols);
+        const CompiledNfa cnfa(nfa);
+        const double probe = probeActiveDensity(cnfa, input);
+        // Above the size threshold density cannot change the choice,
+        // so the probe does not run.
+        EXPECT_EQ(probe < 0.0, cnfa.size() > kDenseAutoMaxStates)
+            << info.name;
+        const SequentialResult full = runSequential(nfa, input, sparse);
+        EXPECT_EQ(
+            resolveEngineKind(EngineKind::Auto, cnfa.size(), probe).value(),
+            resolveEngineKind(EngineKind::Auto, cnfa.size(),
+                              full.activeDensity)
+                .value())
+            << info.name << ": probe density " << probe
+            << ", full-trace density " << full.activeDensity;
+    }
 }
 
 TEST(EngineSelect, InvalidEnvironmentIsATypedError)
@@ -783,9 +815,8 @@ TEST(EngineDiffLarge, CheckpointResumeIsByteIdenticalAt16KStates)
     const InputTrace input = randomTextTrace(rng, 16384, "abcdefgh");
     const ApConfig board = smallBoard(8);
     const auto run_with_stop = [&](EngineKind kind) {
-        const std::string path = ::testing::TempDir() +
-                                 "papsim_engine_diff_16k_" +
-                                 engineKindName(kind) + ".ckpt";
+        const std::string path =
+            uniqueTempPath(std::string(engineKindName(kind)) + ".ckpt");
         exec::removeCheckpoint(path);
         PapOptions opt;
         opt.engine = kind;

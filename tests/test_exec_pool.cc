@@ -23,6 +23,7 @@
 #include "pap/exec/watchdog.h"
 #include "pap/exec/worker_pool.h"
 #include "pap/fault_injector.h"
+#include "test_util.h"
 
 namespace pap {
 namespace exec {
@@ -566,13 +567,7 @@ class CheckpointFile : public ::testing::Test
     void
     SetUp() override
     {
-        // Unique per test: ctest -j runs fixture tests concurrently,
-        // so a shared filename would race between processes.
-        path_ = ::testing::TempDir() + "papsim_ckpt_test_" +
-                ::testing::UnitTest::GetInstance()
-                    ->current_test_info()
-                    ->name() +
-                ".bin";
+        path_ = uniqueTempPath("ckpt.bin");
         removeCheckpoint(path_);
     }
     void

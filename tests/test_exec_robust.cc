@@ -23,6 +23,7 @@
 #include "pap/multistream.h"
 #include "pap/runner.h"
 #include "pap/speculative.h"
+#include "test_util.h"
 #include "workload_helpers.h"
 
 namespace pap {
@@ -117,7 +118,9 @@ TEST(ThreadDeterminism, StallFaultsAreByteIdenticalAcrossThreads)
             FaultInjector::fromSpec("stall-worker:1:0.5", 21).value();
         PapOptions opt;
         opt.threads = threads;
-        opt.segmentDeadlineMs = 10.0; // keep the stalls short
+        // Each injected stall lasts one deadline; a healthy attempt
+        // must never reach it, even under a sanitizer on a busy host.
+        opt.segmentDeadlineMs = 200.0;
         opt.retryBackoffBaseMs = 0;
         opt.faultInjector = &fi;
         runs.push_back(runPap(w.nfa, w.input, board, opt));
@@ -239,7 +242,7 @@ class CheckpointResume : public ::testing::Test
     void
     SetUp() override
     {
-        path_ = ::testing::TempDir() + "papsim_resume_test.ckpt";
+        path_ = uniqueTempPath("resume.ckpt");
         exec::removeCheckpoint(path_);
     }
     void

@@ -9,9 +9,13 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "common/rng.h"
 #include "nfa/glushkov.h"
+#include "obs/metrics.h"
 #include "pap/flow_plan.h"
 #include "workload_helpers.h"
 
@@ -206,6 +210,72 @@ TEST(FlowPlan, FlowLimitEnforcedViaOptions)
     opt.maxFlowsPerSegment = 8;
     const FlowPlan plan = f.plan('a', opt);
     EXPECT_LE(plan.flows.size(), 8u);
+}
+
+/** Field-by-field equality of two plans. */
+void
+expectSamePlan(const FlowPlan &a, const FlowPlan &b)
+{
+    ASSERT_EQ(a.paths.size(), b.paths.size());
+    for (std::size_t i = 0; i < a.paths.size(); ++i) {
+        EXPECT_EQ(a.paths[i].parent, b.paths[i].parent);
+        EXPECT_EQ(a.paths[i].cc, b.paths[i].cc);
+        EXPECT_EQ(a.paths[i].startStates, b.paths[i].startStates);
+    }
+    ASSERT_EQ(a.flows.size(), b.flows.size());
+    for (std::size_t f = 0; f < a.flows.size(); ++f) {
+        EXPECT_EQ(a.flows[f].id, b.flows[f].id);
+        EXPECT_EQ(a.flows[f].pathIdx, b.flows[f].pathIdx);
+        EXPECT_EQ(a.flows[f].seed, b.flows[f].seed);
+    }
+    EXPECT_EQ(a.flowsInRange, b.flowsInRange);
+    EXPECT_EQ(a.flowsAfterCc, b.flowsAfterCc);
+    EXPECT_EQ(a.flowsAfterParent, b.flowsAfterParent);
+    EXPECT_EQ(a.boundarySymbol, b.boundarySymbol);
+}
+
+TEST(FlowPlanTable, BuildsEachSymbolOnceAsBuildFlowPlanWould)
+{
+    const PlanFixture f({{"ab.*cd", 1}, {"abx", 2}, {"c[de]f", 3}});
+    FlowPlanTable table("test.flow_plans.built");
+    const PapOptions opt;
+    const std::uint64_t before =
+        obs::metrics().counter("test.flow_plans.built");
+    const FlowPlan &a = table.get(f.nfa, f.comps, f.asg, 'a', opt);
+    EXPECT_EQ(&table.get(f.nfa, f.comps, f.asg, 'a', opt), &a);
+    EXPECT_EQ(table.built(), 1u);
+    const FlowPlan &c = table.get(f.nfa, f.comps, f.asg, 'c', opt);
+    EXPECT_EQ(&table.get(f.nfa, f.comps, f.asg, 'a', opt), &a);
+    EXPECT_EQ(table.built(), 2u);
+    EXPECT_EQ(obs::metrics().counter("test.flow_plans.built") - before,
+              2u);
+    expectSamePlan(a, f.plan('a', opt));
+    expectSamePlan(c, f.plan('c', opt));
+}
+
+TEST(FlowPlanTable, ConcurrentFirstUsesShareOnePlanPerSymbol)
+{
+    const PlanFixture f({{"ab.*cd", 1}, {"abx", 2}, {"c[de]f", 3}});
+    FlowPlanTable table("test.flow_plans.built");
+    const PapOptions opt;
+    const std::string symbols = "abcdefxz";
+    constexpr int kThreads = 4;
+    std::vector<std::vector<const FlowPlan *>> seen(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            for (int round = 0; round < 50; ++round)
+                for (const char sym : symbols)
+                    seen[t].push_back(&table.get(
+                        f.nfa, f.comps, f.asg,
+                        static_cast<Symbol>(sym), opt));
+        });
+    }
+    for (auto &th : threads)
+        th.join();
+    EXPECT_EQ(table.built(), symbols.size());
+    for (int t = 1; t < kThreads; ++t)
+        EXPECT_EQ(seen[t], seen[0]);
 }
 
 } // namespace

@@ -35,7 +35,11 @@ namespace {
 std::atomic<std::uint64_t> gAllocations{0};
 } // namespace
 
-void *
+// The replacements pair malloc() with free(). They stay out of line:
+// inlined into one caller, GCC pairs that malloc() or free() with the
+// operator new or delete call it sees there and warns
+// (-Wmismatched-new-delete). The sized deletes forward to the unsized.
+[[gnu::noinline]] void *
 operator new(std::size_t size)
 {
     gAllocations.fetch_add(1, std::memory_order_relaxed);
@@ -44,7 +48,7 @@ operator new(std::size_t size)
     throw std::bad_alloc();
 }
 
-void *
+[[gnu::noinline]] void *
 operator new[](std::size_t size)
 {
     gAllocations.fetch_add(1, std::memory_order_relaxed);
@@ -53,13 +57,13 @@ operator new[](std::size_t size)
     throw std::bad_alloc();
 }
 
-void
+[[gnu::noinline]] void
 operator delete(void *p) noexcept
 {
     std::free(p);
 }
 
-void
+[[gnu::noinline]] void
 operator delete[](void *p) noexcept
 {
     std::free(p);
@@ -68,13 +72,13 @@ operator delete[](void *p) noexcept
 void
 operator delete(void *p, std::size_t) noexcept
 {
-    std::free(p);
+    ::operator delete(p);
 }
 
 void
 operator delete[](void *p, std::size_t) noexcept
 {
-    std::free(p);
+    ::operator delete[](p);
 }
 
 namespace pap {

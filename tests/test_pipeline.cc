@@ -23,6 +23,7 @@
 #include "pap/multistream.h"
 #include "pap/runner.h"
 #include "pap/speculative.h"
+#include "test_util.h"
 #include "workload_helpers.h"
 
 namespace pap {
@@ -191,7 +192,10 @@ TEST(PipelineIdentity, EveryFaultKindMatchesAcrossModes)
                 PapOptions opt;
                 opt.threads = threads;
                 opt.pipeline = mode;
-                opt.segmentDeadlineMs = 10.0; // keep stalls short
+                // Each injected stall lasts one deadline; a healthy
+                // attempt must never reach it, even under a sanitizer
+                // on a busy host.
+                opt.segmentDeadlineMs = 200.0;
                 opt.retryBackoffBaseMs = 0;
                 opt.faultInjector = &fi;
                 runs.push_back(runPap(w.nfa, w.input, board, opt));
@@ -211,7 +215,7 @@ class PipelineCheckpoint : public ::testing::Test
     void
     SetUp() override
     {
-        path_ = ::testing::TempDir() + "papsim_pipeline_test.ckpt";
+        path_ = uniqueTempPath("pipeline.ckpt");
         exec::removeCheckpoint(path_);
     }
     void

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <set>
+#include <string>
 
 #include "ap/ap_config.h"
 #include "common/rng.h"
@@ -157,6 +159,51 @@ TEST(RunnerEdges, BoundaryProfileReported)
     EXPECT_TRUE(r.boundarySymbol == 'z' || r.boundarySymbol == 'c');
     EXPECT_EQ(r.boundaryRangeSize, 0u);
     EXPECT_TRUE(r.verified);
+}
+
+/** Distinct boundary symbols (the symbol before each segment cut). */
+std::set<Symbol>
+boundarySymbols(const PapResult &r, const InputTrace &input)
+{
+    std::set<Symbol> out;
+    for (std::size_t j = 1; j < r.segments.size(); ++j)
+        out.insert(input[r.segments[j].begin - 1]);
+    return out;
+}
+
+TEST(RunnerEdges, BuildsOnePlanPerDistinctBoundarySymbol)
+{
+    Rng rng(85);
+    const Nfa nfa = compileRuleset(
+        {{"abc.*de", 1}, {"fgh", 2}, {"aab", 3}}, "m");
+    const InputTrace input =
+        randomTextTrace(rng, 16384, "abcdefgh ");
+    const std::uint64_t before =
+        obs::metrics().counter("runner.plans.built");
+    const PapResult r = runPap(nfa, input, tinyBoard(16));
+    ASSERT_TRUE(r.verified);
+    ASSERT_GT(r.segments.size(), 2u);
+    EXPECT_EQ(obs::metrics().counter("runner.plans.built") - before,
+              boundarySymbols(r, input).size());
+}
+
+TEST(RunnerEdges, SingleSymbolPartitionBuildsOnePlan)
+{
+    // Range-guided partitioning cuts every segment after the same
+    // frequent small-range symbol: sixteen segments share one plan.
+    const Nfa nfa = compileRuleset({{"abc", 1}, {"b.*ca", 2}}, "m");
+    std::string text;
+    for (int i = 0; i < 16000; ++i)
+        text += (i % 5 == 4) ? 'z' : "abc"[i % 3];
+    const InputTrace input = InputTrace::fromString(text);
+    const std::uint64_t before =
+        obs::metrics().counter("runner.plans.built");
+    const PapResult r = runPap(nfa, input, tinyBoard(16));
+    ASSERT_TRUE(r.verified);
+    EXPECT_EQ(r.segments.size(), 16u);
+    EXPECT_EQ(boundarySymbols(r, input),
+              std::set<Symbol>{r.boundarySymbol});
+    EXPECT_EQ(obs::metrics().counter("runner.plans.built") - before, 1u);
 }
 
 TEST(RunnerEdges, ReportCostAffectsBaseline)

@@ -20,12 +20,14 @@
 
 #include "common/rng.h"
 #include "nfa/glushkov.h"
+#include "obs/metrics.h"
 #include "pap/exec/driver.h"
 #include "pap/fault_injector.h"
 #include "pap/runner.h"
 #include "serve/fair_queue.h"
 #include "serve/manifest.h"
 #include "serve/server.h"
+#include "test_util.h"
 #include "workload_helpers.h"
 
 namespace pap {
@@ -279,6 +281,54 @@ TEST(Serve, ConcurrentStreamsAreIndependent)
         EXPECT_TRUE(failures[i].ok())
             << "stream " << i << ": " << failures[i].toString();
     EXPECT_EQ(server.stats().completed, traces.size());
+}
+
+TEST(Serve, BuildsOneFlowPlanPerRulesetAndBoundarySymbol)
+{
+    const Nfa nfa = serveRuleset();
+    const InputTrace trace = serveTrace(16384, 91);
+    const auto expected = sequentialReports(nfa, trace);
+    ServeOptions opt = smallOptions();
+    opt.threads = 4;
+    Server server(opt, nfa);
+    const auto built = [] {
+        return obs::metrics().counter("serve.plans.built");
+    };
+    const std::uint64_t built0 = built();
+
+    const auto first = streamAll(server, "t", trace, 1000);
+    ASSERT_TRUE(first.ok()) << first.status().toString();
+    EXPECT_EQ(first.value().reports, expected);
+    // One plan per distinct chunk-boundary symbol: at least one, at
+    // most the trace's 8-symbol alphabet, far fewer than the chunks.
+    const std::uint64_t plans = built() - built0;
+    EXPECT_GE(plans, 1u);
+    EXPECT_LE(plans, 8u);
+    EXPECT_GT(first.value().chunks, 4 * plans);
+
+    // The chunker cuts the same trace at the same symbols, so
+    // concurrent sessions on the same ruleset reuse every plan.
+    std::vector<std::thread> clients;
+    std::vector<Status> failures(3);
+    for (std::size_t i = 0; i < failures.size(); ++i)
+        clients.emplace_back([&, i] {
+            const auto report = streamAll(server, "t", trace, 700);
+            if (!report.ok())
+                failures[i] = report.status();
+            else if (report.value().reports != expected)
+                failures[i] = Status::error(ErrorCode::InvalidInput,
+                                            "report mismatch");
+        });
+    for (auto &c : clients)
+        c.join();
+    for (const Status &f : failures)
+        EXPECT_TRUE(f.ok()) << f.toString();
+    EXPECT_EQ(built() - built0, plans);
+
+    // A swapped-in generation is a new ruleset with its own table.
+    ASSERT_TRUE(server.swap(nfa).ok());
+    ASSERT_TRUE(streamAll(server, "t", trace, 1000).ok());
+    EXPECT_EQ(built() - built0, 2 * plans);
 }
 
 TEST(Serve, EmptyStreamCompletesWithNoReports)
@@ -544,9 +594,8 @@ TEST(Serve, DrainCheckpointResumeRoundTrip)
     const Nfa nfa = serveRuleset();
     const InputTrace trace = serveTrace(10000, 61);
     const auto expected = sequentialReports(nfa, trace);
-    const std::string dir = ::testing::TempDir() + "serve_ckpt";
-    std::remove((dir + "/t-k.papckpt").c_str());
-    ASSERT_EQ(0, std::system(("mkdir -p " + dir).c_str()));
+    const UniqueTempDir scratch("serve_ckpt");
+    const std::string &dir = scratch.path();
 
     ServeOptions opt = smallOptions();
     opt.checkpointDir = dir;
@@ -587,8 +636,8 @@ TEST(Serve, ResumeRejectsForeignCheckpoint)
 {
     const Nfa nfa = serveRuleset();
     const InputTrace trace = serveTrace(4000, 71);
-    const std::string dir = ::testing::TempDir() + "serve_ckpt2";
-    ASSERT_EQ(0, std::system(("mkdir -p " + dir).c_str()));
+    const UniqueTempDir scratch("serve_ckpt2");
+    const std::string &dir = scratch.path();
     ServeOptions opt = smallOptions();
     opt.checkpointDir = dir;
     {
@@ -623,19 +672,10 @@ TEST(Serve, ResumeWithoutCheckpointDirIsTyped)
 // without drain() — the destructor journals nothing, exactly like a
 // kill -9 from the manifest's point of view.
 
-/** Fresh per-test checkpoint directory (wiped of prior-run state). */
-std::string
-freshDir(const std::string &name)
-{
-    const std::string dir = ::testing::TempDir() + name;
-    EXPECT_EQ(0, std::system(("rm -rf " + dir).c_str()));
-    EXPECT_EQ(0, std::system(("mkdir -p " + dir).c_str()));
-    return dir;
-}
-
 TEST(Manifest, RoundTripReplayAndCompaction)
 {
-    const std::string dir = freshDir("serve_manifest1");
+    const UniqueTempDir scratch("serve_manifest1");
+    const std::string &dir = scratch.path();
     const std::string path = dir + "/" + kManifestFileName;
 
     {
@@ -694,7 +734,8 @@ TEST(Manifest, RoundTripReplayAndCompaction)
 
 TEST(Manifest, TornTailStopsReplayAtLastGoodRecord)
 {
-    const std::string dir = freshDir("serve_manifest2");
+    const UniqueTempDir scratch("serve_manifest2");
+    const std::string &dir = scratch.path();
     const std::string path = dir + "/" + kManifestFileName;
     {
         auto journal = ManifestJournal::open(path);
@@ -728,7 +769,8 @@ TEST(Serve, PeriodicCheckpointCrashResumeRoundTrip)
     const InputTrace trace = serveTrace(10000, 83);
     const auto expected = sequentialReports(nfa, trace);
     ServeOptions opt = smallOptions();
-    opt.checkpointDir = freshDir("serve_crash1");
+    const UniqueTempDir scratch("serve_crash1");
+    opt.checkpointDir = scratch.path();
     opt.checkpointIntervalChunks = 1;
     {
         Server server(opt, nfa);
@@ -769,7 +811,8 @@ TEST(Serve, CrashBeforeFirstCheckpointResumesFresh)
     const InputTrace trace = serveTrace(4000, 89);
     const auto expected = sequentialReports(nfa, trace);
     ServeOptions opt = smallOptions();
-    opt.checkpointDir = freshDir("serve_crash2");
+    const UniqueTempDir scratch("serve_crash2");
+    opt.checkpointDir = scratch.path();
     // No periodic interval: the crash lands before any checkpoint,
     // so only the manifest's Admit record knows the session.
     {
@@ -800,7 +843,8 @@ TEST(Serve, TornManifestTailToleratedOnBoot)
     const InputTrace trace = serveTrace(10000, 97);
     const auto expected = sequentialReports(nfa, trace);
     ServeOptions opt = smallOptions();
-    opt.checkpointDir = freshDir("serve_crash3");
+    const UniqueTempDir scratch("serve_crash3");
+    opt.checkpointDir = scratch.path();
     {
         Server server(opt, nfa);
         const auto id = server.open("t", "tk");
@@ -841,7 +885,8 @@ TEST(Serve, TornManifestWriteFaultDegradesGracefully)
     ASSERT_TRUE(made.ok()) << made.status().toString();
     FaultInjector injector = std::move(made.value());
     ServeOptions opt = smallOptions();
-    opt.checkpointDir = freshDir("serve_crash4");
+    const UniqueTempDir scratch("serve_crash4");
+    opt.checkpointDir = scratch.path();
     opt.pap.faultInjector = &injector;
 
     Server server(opt, nfa);
@@ -865,7 +910,8 @@ TEST(Serve, CrashAtCheckpointFaultLeavesRecoverableState)
     ASSERT_TRUE(made.ok());
     FaultInjector injector = std::move(made.value());
     ServeOptions opt = smallOptions();
-    opt.checkpointDir = freshDir("serve_crash5");
+    const UniqueTempDir scratch("serve_crash5");
+    opt.checkpointDir = scratch.path();
     // One periodic trigger only (11 chunks fed, interval 8), so the
     // injected crash tears the sole checkpoint write.
     opt.checkpointIntervalChunks = 8;
@@ -908,7 +954,8 @@ TEST(Serve, CrashAtCheckpointFaultLeavesRecoverableState)
 TEST(Serve, StaleTmpFilesSweptOnBoot)
 {
     ServeOptions opt = smallOptions();
-    opt.checkpointDir = freshDir("serve_crash6");
+    const UniqueTempDir scratch("serve_crash6");
+    opt.checkpointDir = scratch.path();
     const std::string junk = opt.checkpointDir + "/junk.papckpt.tmp";
     {
         std::FILE *f = std::fopen(junk.c_str(), "wb");
@@ -927,7 +974,8 @@ TEST(Serve, ResumeRejectsCheckpointFromSwappedGeneration)
     const Nfa swapped = otherRuleset();
     const InputTrace trace = serveTrace(4000, 107);
     ServeOptions opt = smallOptions();
-    opt.checkpointDir = freshDir("serve_crash7");
+    const UniqueTempDir scratch("serve_crash7");
+    opt.checkpointDir = scratch.path();
     {
         Server server(opt, original);
         const auto gen = server.swap(swapped);

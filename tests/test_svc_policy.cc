@@ -390,8 +390,9 @@ TEST(EvictRun, ReportsAreByteIdenticalAcrossPoliciesAndThreads)
                     << what;
                 EXPECT_EQ(r.seqReportEvents, ref.seqReportEvents)
                     << what;
-                if (policy == OverflowPolicy::Evict)
+                if (policy == OverflowPolicy::Evict) {
                     EXPECT_GT(r.svcEvictions, 0u) << what;
+                }
             }
         }
     }
