@@ -34,6 +34,8 @@
 #include <string>
 #include <vector>
 
+#include "obs/trace_sink.h"
+
 namespace pap {
 namespace obs {
 
@@ -141,6 +143,45 @@ class AttribLedger
     std::map<std::string, double> wall_;
     std::map<std::string, double> aux_;
     double measuredWallMs_ = 0.0;
+};
+
+/**
+ * RAII phase of a run: opens trace span @p span on @p sink and, when
+ * the phase closes, ends the span and charges the phase's wall clock
+ * to @p ledger's bucket @p bucket (an aux bucket with @p aux). One
+ * scope drives both, so the trace and the ledger cannot disagree
+ * about a phase, and an early return closes it too. A null sink or
+ * ledger makes that half a no-op.
+ */
+class Phase
+{
+  public:
+    Phase(TraceSink *sink, const char *span,
+          AttribLedger *ledger = nullptr, const char *bucket = nullptr,
+          bool aux = false)
+        : sink_(sink), charge_(ledger, bucket, aux)
+    {
+        if (sink_)
+            sink_->begin(span);
+    }
+
+    ~Phase() { close(); }
+
+    /** Close the phase now, attaching @p args to its span. Idempotent. */
+    void close(TraceArgs args = {})
+    {
+        if (sink_)
+            sink_->end(args);
+        sink_ = nullptr;
+        charge_.stop();
+    }
+
+    Phase(const Phase &) = delete;
+    Phase &operator=(const Phase &) = delete;
+
+  private:
+    TraceSink *sink_;
+    AttribLedger::Scope charge_;
 };
 
 } // namespace obs

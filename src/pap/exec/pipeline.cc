@@ -64,6 +64,95 @@ retryBackoff(const HardenedExecOptions &options, std::size_t index,
     return std::chrono::milliseconds(delay);
 }
 
+TaskReport
+runAttempts(const HardenedExecOptions &options, Watchdog &watchdog,
+            const AttemptSite &site, const AttemptFn &attempt_fn)
+{
+    // Without an owner hook nobody can cancel the task.
+    const auto track = [&](const std::shared_ptr<CancellationToken> &t) {
+        return !site.track || site.track(t);
+    };
+    TaskReport report;
+    const std::uint32_t max_attempts = options.maxRetries + 1;
+    for (std::uint32_t attempt = 0; attempt < max_attempts; ++attempt) {
+        auto token = std::make_shared<CancellationToken>();
+        if (!track(token)) {
+            if (report.attempts == 0)
+                report.status = Status::error(
+                    ErrorCode::Cancelled,
+                    "pipeline cancelled before the task ran");
+            break; // otherwise keep the last attempt's failure
+        }
+        ++report.attempts;
+        auto fault = FaultInjector::WorkerFault::None;
+        if (options.injector)
+            fault = options.injector->onWorkerAttempt(site.faultCoord,
+                                                      attempt);
+        if (fault != FaultInjector::WorkerFault::None)
+            ++report.faultsInjected;
+
+        const bool armed = options.deadlineMs > 0.0;
+        Watchdog::Handle handle = 0;
+        if (armed)
+            handle = watchdog.arm(
+                token, Watchdog::Clock::now() +
+                           std::chrono::microseconds(
+                               static_cast<std::int64_t>(
+                                   options.deadlineMs * 1000.0)));
+
+        Status status;
+        if (fault == FaultInjector::WorkerFault::Stall) {
+            status = parkStalled(*token, armed, options.deadlineMs);
+        } else if (fault == FaultInjector::WorkerFault::Crash) {
+            status = Status::error(ErrorCode::HardwareFault,
+                                   "injected worker crash");
+        } else {
+            try {
+                status = attempt_fn(*token);
+            } catch (const std::exception &e) {
+                status = Status::error(ErrorCode::HardwareFault,
+                                       "worker crashed: ", e.what());
+            } catch (...) {
+                status = Status::error(ErrorCode::HardwareFault,
+                                       "worker crashed");
+            }
+        }
+        if (armed)
+            watchdog.disarm(handle);
+        const bool live = track(nullptr);
+
+        if (status.ok()) {
+            // Faults on earlier attempts of this task were detected
+            // (the attempt failed) and are now repaired by the
+            // successful retry.
+            if (options.injector && report.faultsInjected > 0 &&
+                report.retried)
+                options.injector->markRecovered(report.faultsInjected);
+            report.status = Status();
+            break;
+        }
+
+        if (status.code() == ErrorCode::DeadlineExceeded ||
+            status.code() == ErrorCode::Cancelled)
+            report.timedOut = true;
+        if (status.code() == ErrorCode::HardwareFault)
+            report.crashed = true;
+        if (fault != FaultInjector::WorkerFault::None)
+            options.injector->markDetected(1);
+
+        report.status = status; // terminal unless a retry succeeds
+        if (attempt + 1 < max_attempts && live) {
+            report.retried = true;
+            obs::metrics().add("exec.retry.attempts");
+            obs::AttribLedger::Scope backoff(
+                site.attrib, "workers.retry_backoff", /*aux=*/true);
+            std::this_thread::sleep_for(
+                retryBackoff(options, site.jitterIndex, attempt));
+        }
+    }
+    return report;
+}
+
 SegmentPipeline::SegmentPipeline(const Options &options,
                                  std::size_t count, TaskFn fn)
     : opts_(options), fn_(std::move(fn)), reports_(count),
@@ -168,13 +257,6 @@ SegmentPipeline::composerStallMs() const
     return stallMs_;
 }
 
-bool
-SegmentPipeline::cancelledNow()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return cancelled_;
-}
-
 std::uint64_t
 SegmentPipeline::flowId(std::size_t index) const
 {
@@ -217,125 +299,43 @@ SegmentPipeline::runTask(std::size_t index)
         if (const std::uint64_t id = flowId(index))
             sink->flow('t', "segment", id);
     }
-    runAttempts(index, reports_[index]);
+    AttemptSite site;
+    site.faultCoord = index;
+    site.jitterIndex = index;
+    site.attrib = opts_.attrib;
+    site.track = [this, index](const std::shared_ptr<CancellationToken>
+                                   &token) {
+        std::lock_guard<std::mutex> lock(mutex_);
+        live_[index] = token;
+        if (cancelled_ && token)
+            token->cancel();
+        return !cancelled_;
+    };
+    const TaskReport report = runAttempts(
+        opts_.exec, watchdog_, site,
+        [&](const CancellationToken &cancel) {
+            return fn_(index, cancel);
+        });
+    auto &m = obs::metrics();
+    m.add("exec.pool.tasks");
+    m.observe("exec.task.attempts", static_cast<double>(report.attempts));
+    if (!report.status.ok())
+        m.add("exec.tasks.failed");
     std::size_t inflight = 0;
     {
         std::lock_guard<std::mutex> lock(mutex_);
+        reports_[index] = report;
         done_[index] = 1;
         ++doneCount_;
         inflight = nextSubmit_ - doneCount_;
     }
     if (sink) {
         sink->end({{"index", static_cast<double>(index)},
-                   {"attempts",
-                    static_cast<double>(reports_[index].attempts)}});
+                   {"attempts", static_cast<double>(report.attempts)}});
         sink->counterEvent("pipeline.inflight",
                            static_cast<double>(inflight));
     }
     doneCv_.notify_all();
-}
-
-/**
- * The hardened per-task attempt loop (watchdog, retry with capped
- * exponential backoff, injected worker faults, structured terminal
- * status) shared by both scheduling modes — and by runHardened, which
- * is a barrier-mode pipeline.
- */
-void
-SegmentPipeline::runAttempts(std::size_t index, TaskReport &report)
-{
-    const HardenedExecOptions &options = opts_.exec;
-    const std::uint32_t max_attempts = options.maxRetries + 1;
-    for (std::uint32_t attempt = 0; attempt < max_attempts; ++attempt) {
-        if (cancelledNow()) {
-            if (report.attempts == 0)
-                report.status = Status::error(
-                    ErrorCode::Cancelled,
-                    "pipeline cancelled before the task ran");
-            break; // otherwise keep the last attempt's failure
-        }
-        ++report.attempts;
-        auto fault = FaultInjector::WorkerFault::None;
-        if (options.injector)
-            fault = options.injector->onWorkerAttempt(index, attempt);
-        if (fault != FaultInjector::WorkerFault::None)
-            ++report.faultsInjected;
-
-        auto token = std::make_shared<CancellationToken>();
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            live_[index] = token;
-            if (cancelled_)
-                token->cancel();
-        }
-        const bool armed = options.deadlineMs > 0.0;
-        Watchdog::Handle handle = 0;
-        if (armed)
-            handle = watchdog_.arm(
-                token, Watchdog::Clock::now() +
-                           std::chrono::microseconds(
-                               static_cast<std::int64_t>(
-                                   options.deadlineMs * 1000.0)));
-
-        Status status;
-        if (fault == FaultInjector::WorkerFault::Stall) {
-            status = parkStalled(*token, armed, options.deadlineMs);
-        } else if (fault == FaultInjector::WorkerFault::Crash) {
-            status = Status::error(ErrorCode::HardwareFault,
-                                   "injected worker crash");
-        } else {
-            try {
-                status = fn_(index, *token);
-            } catch (const std::exception &e) {
-                status = Status::error(ErrorCode::HardwareFault,
-                                       "worker crashed: ", e.what());
-            } catch (...) {
-                status = Status::error(ErrorCode::HardwareFault,
-                                       "worker crashed");
-            }
-        }
-        if (armed)
-            watchdog_.disarm(handle);
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            live_[index].reset();
-        }
-
-        if (status.ok()) {
-            // Faults on earlier attempts of this task were detected
-            // (the attempt failed) and are now repaired by the
-            // successful retry.
-            if (options.injector && report.faultsInjected > 0 &&
-                report.retried)
-                options.injector->markRecovered(report.faultsInjected);
-            report.status = Status();
-            break;
-        }
-
-        if (status.code() == ErrorCode::DeadlineExceeded ||
-            status.code() == ErrorCode::Cancelled)
-            report.timedOut = true;
-        if (status.code() == ErrorCode::HardwareFault)
-            report.crashed = true;
-        if (fault != FaultInjector::WorkerFault::None)
-            options.injector->markDetected(1);
-
-        report.status = status; // terminal unless a retry succeeds
-        if (attempt + 1 < max_attempts && !cancelledNow()) {
-            report.retried = true;
-            obs::metrics().add("exec.retry.attempts");
-            obs::AttribLedger::Scope backoff(
-                opts_.attrib, "workers.retry_backoff", /*aux=*/true);
-            std::this_thread::sleep_for(
-                retryBackoff(options, index, attempt));
-        }
-    }
-    auto &m = obs::metrics();
-    m.add("exec.pool.tasks");
-    m.observe("exec.task.attempts",
-              static_cast<double>(report.attempts));
-    if (!report.status.ok())
-        m.add("exec.tasks.failed");
 }
 
 } // namespace exec

@@ -2,30 +2,29 @@
  * @file
  * Dependency-aware segment pipeline: the scheduler under the PAP run
  * drivers. A SegmentPipeline fans index-addressed tasks out over a
- * WorkerPool with the same hardening as runHardened (watchdog,
- * capped-exponential retry, fault-injection hooks, structured
- * TaskReport per task) but hands results to the caller one index at a
- * time through await(), so a composer stage can consume segment i
- * while segments > i still execute.
+ * WorkerPool, runs each through the hardened attempt ladder
+ * (runAttempts: watchdog, capped-exponential retry, fault-injection
+ * hooks, structured TaskReport per task) and hands results to the
+ * caller one index at a time through await(), so a composer stage can
+ * consume segment i while segments > i still execute.
  *
  * Two scheduling modes share this one implementation:
  *
  *  - barrier: every task is submitted and run to completion inside
- *    the constructor; await() never blocks. This is byte-for-byte the
- *    historical runHardened behavior.
+ *    the constructor; await() never blocks.
  *  - overlap: tasks are admitted through a bounded handoff window
  *    ahead of the composition frontier; await(i) blocks until task i
  *    finishes (the composer stall this pipeline exists to shrink) and
  *    each consumed index admits more work.
  *
- * Because both modes run the identical per-attempt loop and the
- * caller consumes reports in index order either way, reports and
- * per-figure metrics are byte-identical between modes for any thread
- * count — only wall-clock differs.
+ * Because both modes run the identical attempt ladder and the caller
+ * consumes reports in index order either way, reports and per-figure
+ * metrics are byte-identical between modes for any thread count —
+ * only wall-clock differs.
  *
- * Determinism contract (inherited from the driver): tasks write only
- * to their own output slot; every cross-task reduction belongs in the
- * caller, folded in index order as await() returns.
+ * Determinism contract: tasks write only to their own output slot;
+ * every cross-task reduction belongs in the caller, folded in index
+ * order as await() returns.
  *
  * Cancellation: cancelRemaining() cancels the in-flight attempts'
  * tokens and marks every not-yet-started task Cancelled without
@@ -37,15 +36,19 @@
 #ifndef PAP_PAP_EXEC_PIPELINE_H
 #define PAP_PAP_EXEC_PIPELINE_H
 
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <vector>
 
-#include "pap/exec/driver.h"
+#include "common/error.h"
+#include "pap/exec/cancellation.h"
 #include "pap/exec/watchdog.h"
 #include "pap/exec/worker_pool.h"
+#include "pap/fault_injector.h"
 
 namespace pap {
 namespace obs {
@@ -53,6 +56,107 @@ class AttribLedger;
 } // namespace obs
 
 namespace exec {
+
+/** Hardening knobs of one task's attempt ladder. */
+struct HardenedExecOptions
+{
+    /** Pool width; pass through WorkerPool::resolveThreads first. */
+    std::uint32_t threads = 1;
+    /** Extra attempts after the first (0 disables retry). */
+    std::uint32_t maxRetries = 2;
+    /** Watchdog deadline per attempt; <= 0 disables the watchdog. */
+    double deadlineMs = 0.0;
+    /** First retry backoff; doubles per retry up to backoffCapMs. */
+    std::uint32_t backoffBaseMs = 1;
+    std::uint32_t backoffCapMs = 64;
+    /**
+     * Decorrelate retries: when true, each backoff sleep keeps half
+     * its capped-exponential delay and replaces the rest with a draw
+     * from a pure hash of (backoffJitterSeed, jitter index, retry), so
+     * workers that fail in lockstep do not retry in lockstep. Timing
+     * only — never observable in reports or metrics other than wall
+     * clock, and never above the un-jittered delay.
+     */
+    bool backoffJitter = true;
+    std::uint64_t backoffJitterSeed = 0;
+    /** Optional injector consulted before every attempt. */
+    FaultInjector *injector = nullptr;
+};
+
+/** Outcome of one task across all of its attempts. */
+struct TaskReport
+{
+    /** OK, or the terminal failure after retries were exhausted. */
+    Status status;
+    /** Attempts made (>= 1 once the task ran). */
+    std::uint32_t attempts = 0;
+    /** True when any attempt after the first was needed. */
+    bool retried = false;
+    /** True when any attempt hit the watchdog deadline. */
+    bool timedOut = false;
+    /** True when any attempt crashed (injected or thrown). */
+    bool crashed = false;
+    /** Worker faults the injector fired across this task's attempts. */
+    std::uint32_t faultsInjected = 0;
+};
+
+/** A task body: runs piece @p index, polling @p cancel cooperatively. */
+using TaskFn =
+    std::function<Status(std::size_t index,
+                         const CancellationToken &cancel)>;
+
+/** One attempt of a task, polling @p cancel cooperatively. */
+using AttemptFn = std::function<Status(const CancellationToken &cancel)>;
+
+/**
+ * The backoff delay before retry @p retry (0-based) of the task with
+ * jitter index @p index: base * 2^retry capped at backoffCapMs — and,
+ * with jitter enabled, half that plus a draw from a pure hash of
+ * (backoffJitterSeed, index, retry). A pure function of its
+ * arguments: the same tuple sleeps the same amount for every thread
+ * count and scheduling order, and the jittered delay never exceeds
+ * the deterministic one.
+ */
+std::chrono::milliseconds retryBackoff(const HardenedExecOptions &options,
+                                       std::size_t index,
+                                       std::uint32_t retry);
+
+/** Where one task sits on the attempt ladder. */
+struct AttemptSite
+{
+    /** Coordinate of the injector's worker-fault draws. */
+    std::uint64_t faultCoord = 0;
+    /** Index the retry backoff's jitter is drawn for. */
+    std::size_t jitterIndex = 0;
+    /**
+     * Optional ledger: retry backoff sleeps charge its aux bucket
+     * "workers.retry_backoff".
+     */
+    obs::AttribLedger *attrib = nullptr;
+    /**
+     * Optional owner hook, called with each attempt's token before
+     * the attempt starts and with null once it ends, so the owner can
+     * cancel the live attempt. Returns false once the owner has
+     * cancelled the task: no further attempt starts or retries.
+     */
+    std::function<bool(const std::shared_ptr<CancellationToken> &)>
+        track;
+};
+
+/**
+ * Run one task up its hardened attempt ladder and report the outcome.
+ * Every attempt draws the injector's worker fault at
+ * (site.faultCoord, attempt), runs @p attempt on a fresh token armed
+ * on @p watchdog for options.deadlineMs (an injected stall parks
+ * until the watchdog fires; an injected crash or a thrown exception
+ * becomes ErrorCode::HardwareFault), and a failed attempt retries
+ * after retryBackoff(options, site.jitterIndex, retry) until
+ * options.maxRetries is exhausted. The report's terminal status lets
+ * the caller recover the task from the sequential oracle.
+ */
+TaskReport runAttempts(const HardenedExecOptions &options,
+                       Watchdog &watchdog, const AttemptSite &site,
+                       const AttemptFn &attempt);
 
 class SegmentPipeline
 {
@@ -118,8 +222,6 @@ class SegmentPipeline
 
   private:
     void runTask(std::size_t index);
-    void runAttempts(std::size_t index, TaskReport &report);
-    bool cancelledNow();
     void maybeSubmitLocked();
     /** The task's trace flow id (0 when tracing was off at admission). */
     std::uint64_t flowId(std::size_t index) const;

@@ -4,8 +4,8 @@
  * plain closures from one locked queue; the pool joins its threads on
  * destruction after draining. Scheduling order is unspecified, so
  * anything run on the pool must write only to its own output slot —
- * the hardened driver (driver.h) merges results in index order to keep
- * runs deterministic for any thread count.
+ * the segment pipeline (pipeline.h) merges results in index order to
+ * keep runs deterministic for any thread count.
  *
  * Submit/drain contract: a task is *pending* from the moment submit()
  * accepts it until its closure returns, counted by one atomic

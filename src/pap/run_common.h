@@ -17,7 +17,7 @@
 #include "engine/engine_backend.h"
 #include "engine/trace.h"
 #include "nfa/nfa.h"
-#include "pap/exec/driver.h"
+#include "pap/exec/pipeline.h"
 #include "pap/options.h"
 
 namespace pap {

@@ -5,11 +5,54 @@
 #include <unordered_map>
 
 #include "common/logging.h"
+#include "obs/attrib.h"
 #include "obs/metrics.h"
 #include "obs/trace_sink.h"
+#include "pap/composer.h"
+#include "pap/exec/checkpoint.h"
 #include "pap/fault_injector.h"
 
 namespace pap {
+
+namespace {
+
+/** The one golden flow of a segment @p engine has run to its end. */
+SegmentRun
+goldenRun(EngineBackend &engine, std::uint64_t seg_begin,
+          std::uint64_t seg_len)
+{
+    FlowRecord rec;
+    rec.id = 0;
+    rec.kind = FlowKind::Golden;
+    rec.symbolsProcessed = seg_len;
+    rec.cause = DeathCause::RanToEnd;
+    rec.finalSnapshot = engine.snapshot();
+    rec.counters = engine.counters();
+    rec.reports = engine.takeReports();
+    SegmentRun run;
+    run.segBegin = seg_begin;
+    run.segLen = seg_len;
+    run.flows.push_back(std::move(rec));
+    return run;
+}
+
+} // namespace
+
+DeathTally
+tallyDeaths(const SegmentRun &run)
+{
+    DeathTally tally;
+    for (const auto &rec : run.flows) {
+        if (rec.kind != FlowKind::Enum)
+            continue;
+        switch (rec.cause) {
+          case DeathCause::Deactivated: ++tally.deactivated; break;
+          case DeathCause::Converged: ++tally.converged; break;
+          case DeathCause::RanToEnd: ++tally.ranToEnd; break;
+        }
+    }
+    return tally;
+}
 
 SegmentRun
 runGoldenSegment(const EngineContext &engines, const Symbol *data,
@@ -19,10 +62,6 @@ runGoldenSegment(const EngineContext &engines, const Symbol *data,
 {
     PAP_TRACE_SCOPE("segment.golden");
     obs::metrics().add("segment_sim.flows.golden");
-    SegmentRun run;
-    run.segBegin = seg_begin;
-    run.segLen = seg_len;
-
     const CompiledNfa &cnfa = engines.compiled();
     const auto engine = engines.make(/*starts=*/true, &scratch);
     engine->reset(cnfa.initialActive(), seg_begin);
@@ -40,17 +79,9 @@ runGoldenSegment(const EngineContext &engines, const Symbol *data,
         }
     }
 
-    FlowRecord rec;
-    rec.id = 0;
-    rec.kind = FlowKind::Golden;
-    rec.symbolsProcessed = seg_len;
-    rec.cause = DeathCause::RanToEnd;
-    rec.finalSnapshot = engine->snapshot();
-    rec.counters = engine->counters();
-    rec.reports = engine->takeReports();
+    SegmentRun run = goldenRun(*engine, seg_begin, seg_len);
     if (injector)
-        injector->onReportDrain(rec.reports, seg_begin);
-    run.flows.push_back(std::move(rec));
+        injector->onReportDrain(run.flows.front().reports, seg_begin);
     return run;
 }
 
@@ -116,7 +147,7 @@ runEnumSegment(const EngineContext &engines, const FlowPlan &plan,
     std::uint64_t round = 0;
     while (processed < seg_len) {
         if (cancel && cancel->cancelled())
-            break; // partial run; the hardened driver discards it
+            break; // partial run; the caller discards it
         const std::uint64_t round_end =
             std::min(processed + quantum, seg_len);
 
@@ -257,25 +288,147 @@ runEnumSegment(const EngineContext &engines, const FlowPlan &plan,
     m.add("segment_sim.flows.enum", plan.flows.size());
     if (asg_live_index >= 0)
         m.add("segment_sim.flows.asg");
+    const DeathTally deaths = tallyDeaths(run);
+    if (deaths.deactivated)
+        m.add("segment_sim.deactivations", deaths.deactivated);
+    if (deaths.converged)
+        m.add("segment_sim.convergence_merges", deaths.converged);
     for (const auto &rec : run.flows) {
         if (rec.kind != FlowKind::Enum)
             continue;
-        switch (rec.cause) {
-          case DeathCause::Deactivated:
-            m.add("segment_sim.deactivations");
-            break;
-          case DeathCause::Converged:
-            m.add("segment_sim.convergence_merges");
+        if (rec.cause == DeathCause::Converged)
             m.observe("segment_sim.merge_symbol",
                       static_cast<double>(rec.mergeSymbol));
-            break;
-          case DeathCause::RanToEnd:
-            break;
-        }
         m.observe("segment_sim.flow_symbols",
                   static_cast<double>(rec.symbolsProcessed));
     }
     return run;
+}
+
+std::uint32_t
+svcCapacity(const PapOptions &options, const ApConfig &config)
+{
+    return options.svcCapacity > 0 ? options.svcCapacity
+                                   : config.svcEntriesPerDevice;
+}
+
+std::uint32_t
+svcBatchCap(const PapOptions &options, const ApConfig &config,
+            bool has_asg)
+{
+    const std::uint32_t capacity = svcCapacity(options, config);
+    const std::uint32_t asg_slots = has_asg ? 1u : 0u;
+    return std::max<std::uint32_t>(
+        1, capacity - std::min(capacity - 1, asg_slots));
+}
+
+SegmentExecution
+executeSegment(const EngineContext &engines, const FlowPlan *plan,
+               const std::vector<StateId> &asg, const Symbol *data,
+               std::uint64_t seg_begin, std::uint64_t seg_len,
+               const PapOptions &options, const ApConfig &config,
+               const exec::CancellationToken *cancel,
+               obs::AttribLedger *attrib)
+{
+    EngineScratch scratch(engines.compiled().size());
+    SegmentExecution out;
+    if (!plan) {
+        out.run = runGoldenSegment(engines, data, seg_begin, seg_len,
+                                   scratch, options.faultInjector,
+                                   cancel);
+        return out;
+    }
+    const std::size_t batch_cap =
+        svcBatchCap(options, config, !asg.empty());
+    if (plan->flows.size() <= batch_cap ||
+        options.overflowPolicy == OverflowPolicy::Evict) {
+        out.run = runEnumSegment(engines, *plan, asg, data, seg_begin,
+                                 seg_len, options, scratch, kInvalidFlow,
+                                 cancel);
+        return out;
+    }
+    const auto asg_id = static_cast<FlowId>(plan->flows.size());
+    const std::vector<StateId> no_asg;
+    out.run.segBegin = seg_begin;
+    out.run.segLen = seg_len;
+    std::uint32_t b = 0;
+    for (std::size_t first = 0; first < plan->flows.size() &&
+                                !(cancel && cancel->cancelled());
+         first += batch_cap, ++b) {
+        obs::AttribLedger::Scope reupload(b > 0 ? attrib : nullptr,
+                                          "workers.svc_batch",
+                                          /*aux=*/true);
+        const std::size_t last =
+            std::min(plan->flows.size(), first + batch_cap);
+        FlowPlan sub;
+        sub.flows.assign(
+            plan->flows.begin() + static_cast<std::ptrdiff_t>(first),
+            plan->flows.begin() + static_cast<std::ptrdiff_t>(last));
+        SegmentRun part = runEnumSegment(
+            engines, sub, b == 0 ? asg : no_asg, data, seg_begin,
+            seg_len, options, scratch, asg_id, cancel);
+        if (b == 0)
+            out.run.asgIndex = part.asgIndex;
+        for (auto &rec : part.flows) {
+            rec.batch = b;
+            out.run.flows.push_back(std::move(rec));
+        }
+    }
+    out.batches = std::max(1u, b);
+    return out;
+}
+
+SegmentRun
+runOracleSegment(const CompiledNfa &cnfa,
+                 const std::vector<StateId> &frontier, const Symbol *data,
+                 std::uint64_t seg_begin, std::uint64_t seg_len)
+{
+    EngineScratch scratch(cnfa.size());
+    FunctionalEngine engine(cnfa, /*starts=*/true, &scratch);
+    engine.reset(frontier, seg_begin);
+    engine.run(data, seg_len);
+    return goldenRun(engine, seg_begin, seg_len);
+}
+
+exec::SegmentCheckpoint
+segmentCheckpoint(const SegmentRun &run, const SegmentTruth &truth,
+                  const FlowPlan *plan, std::uint32_t batches,
+                  bool recovered, const PapOptions &options,
+                  const ApConfig &config)
+{
+    exec::SegmentCheckpoint cp;
+    SegmentTimingInput &t = cp.timing;
+    t.segLen = run.segLen;
+    t.totalEntries = truth.totalEntries;
+    t.aliveEnumFlowsAtEnd = truth.aliveEnumFlowsAtEnd;
+    t.hasEnumFlows = plan && !plan->flows.empty() && !recovered;
+    t.numBatches = batches;
+    t.batchReloadCycles = config.timing.stateVectorUploadCycles;
+    // Evict mode: the timeline replays this segment's flow schedule
+    // through a live cache of the configured capacity and policy,
+    // charging a re-upload per restored context.
+    t.svcEvict = options.overflowPolicy == OverflowPolicy::Evict &&
+                 t.hasEnumFlows;
+    t.svcCapacity = svcCapacity(options, config);
+    t.svcPolicy = options.svcPolicy;
+    for (const auto &rec : run.flows) {
+        FlowTimingInfo info;
+        info.kind = rec.kind;
+        info.symbolsProcessed = rec.symbolsProcessed;
+        info.batch = rec.batch;
+        info.isTrue = rec.kind != FlowKind::Enum ||
+                      (rec.id < truth.flowTrue.size() &&
+                       truth.flowTrue[rec.id] != 0);
+        t.flows.push_back(info);
+    }
+    const DeathTally deaths = tallyDeaths(run);
+    cp.deactivated = deaths.deactivated;
+    cp.converged = deaths.converged;
+    cp.ranToEnd = deaths.ranToEnd;
+    for (const auto p : truth.pathTrue)
+        cp.truePaths += p;
+    cp.recovered = recovered;
+    return cp;
 }
 
 } // namespace pap

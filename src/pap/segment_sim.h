@@ -6,7 +6,10 @@
  * run at context switches (plus finer-grained checks before the first
  * TDM step completes, Section 3.3.4); convergence checks run every N
  * TDM steps and merge flows whose state vectors are bitwise equal
- * (Section 3.3.3).
+ * (Section 3.3.3). executeSegment() on top is the one segment
+ * executor that runPap and serve share: golden/enumeration dispatch,
+ * SVC batching, the oracle continuation of a failed segment, and the
+ * segment's checkpoint record.
  */
 
 #ifndef PAP_PAP_SEGMENT_SIM_H
@@ -15,6 +18,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "ap/ap_config.h"
 #include "engine/engine_backend.h"
 #include "engine/functional_engine.h"
 #include "pap/exec/cancellation.h"
@@ -81,6 +85,27 @@ struct SegmentRun
 };
 
 class FaultInjector;
+struct SegmentTruth;
+namespace exec {
+struct SegmentCheckpoint;
+} // namespace exec
+namespace obs {
+class AttribLedger;
+} // namespace obs
+
+/**
+ * How one segment run's enumeration flows stopped (golden and ASG
+ * flows always run to the end and are not counted).
+ */
+struct DeathTally
+{
+    std::uint32_t deactivated = 0;
+    std::uint32_t converged = 0;
+    std::uint32_t ranToEnd = 0;
+};
+
+/** Tally the death causes of @p run's enumeration flows. */
+DeathTally tallyDeaths(const SegmentRun &run);
 
 /**
  * Run the first segment: a single golden flow with full start-state
@@ -122,6 +147,83 @@ SegmentRun runEnumSegment(const EngineContext &engines,
                           FlowId asg_flow_id = kInvalidFlow,
                           const exec::CancellationToken *cancel =
                               nullptr);
+
+/**
+ * Modeled SVC capacity in flow contexts: options.svcCapacity when set,
+ * else the device's svcEntriesPerDevice (512 on the D480).
+ */
+std::uint32_t svcCapacity(const PapOptions &options,
+                          const ApConfig &config);
+
+/**
+ * Enumeration flows one SVC batch holds: svcCapacity() less the entry
+ * the ASG flow occupies when @p has_asg, and never fewer than one.
+ */
+std::uint32_t svcBatchCap(const PapOptions &options,
+                          const ApConfig &config, bool has_asg);
+
+/** One executed segment: its flows and the SVC batches they ran in. */
+struct SegmentExecution
+{
+    SegmentRun run;
+    std::uint32_t batches = 1;
+};
+
+/**
+ * Execute one segment on the modeled device: the segment executor
+ * under runPap and serve. A null @p plan runs the golden flow (the
+ * first segment; options.faultInjector may damage its report drain).
+ * Otherwise the ASG flow seeded with @p asg runs beside @p plan's
+ * enumeration flows. A plan within svcBatchCap() runs in one SVC, and
+ * so does any plan under OverflowPolicy::Evict, which leaves residency
+ * churn to the timeline's live cache: convergence merging then sees
+ * every flow, and reports are byte-identical across policies and
+ * capacities. A wider plan runs in cache-sized batches, back to back.
+ * Flow ids stay global and the ASG flow runs once, in batch 0, so the
+ * merged run composes exactly like an unbatched one. Batches past the
+ * first are pure overflow overhead, charged to @p attrib's aux bucket
+ * "workers.svc_batch".
+ *
+ * @p cancel, when non-null, is polled cooperatively; a cancelled
+ * execution is partial and the caller must discard it.
+ */
+SegmentExecution executeSegment(const EngineContext &engines,
+                                const FlowPlan *plan,
+                                const std::vector<StateId> &asg,
+                                const Symbol *data,
+                                std::uint64_t seg_begin,
+                                std::uint64_t seg_len,
+                                const PapOptions &options,
+                                const ApConfig &config,
+                                const exec::CancellationToken *cancel,
+                                obs::AttribLedger *attrib = nullptr);
+
+/**
+ * The per-segment oracle continuation (Section 3.4) of a segment whose
+ * attempts all failed: recompute its slice sequentially from
+ * @p frontier, the true active set entering it, on the sparse
+ * reference engine, which is independent of the backend under test.
+ * The run holds one golden flow.
+ */
+SegmentRun runOracleSegment(const CompiledNfa &cnfa,
+                            const std::vector<StateId> &frontier,
+                            const Symbol *data, std::uint64_t seg_begin,
+                            std::uint64_t seg_len);
+
+/**
+ * The checkpoint record of one composed segment: its timing-model
+ * input (every flow with its truth, the entry census, @p batches and
+ * the Evict live-cache settings) plus the flow-outcome census. @p plan
+ * is null for a golden segment; @p recovered marks a segment the
+ * oracle recomputed, which therefore ran no enumeration flows.
+ */
+exec::SegmentCheckpoint segmentCheckpoint(const SegmentRun &run,
+                                          const SegmentTruth &truth,
+                                          const FlowPlan *plan,
+                                          std::uint32_t batches,
+                                          bool recovered,
+                                          const PapOptions &options,
+                                          const ApConfig &config);
 
 } // namespace pap
 

@@ -8,7 +8,6 @@
 
 #include <dirent.h>
 
-#include "engine/functional_engine.h"
 #include "obs/metrics.h"
 #include "pap/composer.h"
 #include "pap/exec/checkpoint.h"
@@ -110,11 +109,9 @@ struct Server::Chunk
     bool oracle = false;
     /** Execution finished (success or exhausted retries). */
     bool executed = false;
-    /** Retries exhausted; recover from the oracle at compose time. */
-    bool failed = false;
-    std::uint32_t attempts = 0;
-    bool retried = false;
-    std::uint32_t faultsInjected = 0;
+    /** The attempt ladder's outcome; a failure (retries exhausted)
+        recovers from the oracle at compose time. */
+    exec::TaskReport report;
     std::uint32_t batches = 1;
     /** The ruleset's shared plan for @c boundary (null for the first
         chunk and oracle continuations, which run no enumeration). */
@@ -597,11 +594,12 @@ Server::dispatchLoop()
 }
 
 /**
- * Execute one chunk with the hardened attempt ladder: watchdog
- * deadline, injected worker faults, capped-exponential retry with
- * seeded jitter. Retries exhausting marks the chunk failed — the
- * composer recovers it from the sequential oracle, so a poisoned
- * chunk degrades the stream instead of killing it.
+ * Execute one chunk on the shared segment executor, up the hardened
+ * attempt ladder: watchdog deadline, injected worker faults,
+ * capped-exponential retry with seeded jitter. Retries exhausting
+ * marks the chunk failed — the composer recovers it from the
+ * sequential oracle, so a poisoned chunk degrades the stream instead
+ * of killing it.
  */
 void
 Server::executeChunk(Session &s, Chunk &chunk)
@@ -613,133 +611,29 @@ Server::executeChunk(Session &s, Chunk &chunk)
         chunk.plan = &rs.plans.get(rs.nfa, rs.comps, rs.asg,
                                    chunk.boundary, execPap_);
 
-    const std::uint32_t asg_slots = rs.asg.empty() ? 0u : 1u;
-    const std::uint32_t batch_cap = std::max<std::uint32_t>(
-        1, opts_.ap.svcEntriesPerDevice -
-               std::min(opts_.ap.svcEntriesPerDevice - 1, asg_slots));
-
-    FaultInjector *const inj = opts_.pap.faultInjector;
     // Worker-fault coordinate: the session id, so a selected session
     // has *every* chunk attempt faulted — that is what drives it up
     // the whole ladder into quarantine, while unselected siblings
     // never see a fault. The jitter index still mixes the chunk so
     // concurrent retries decorrelate.
-    const std::uint64_t coord = s.id;
-    const auto jitter_index = static_cast<std::size_t>(
-        s.id ^ (chunk.index << 20));
-    const std::uint32_t max_attempts = execOpt_.maxRetries + 1;
-    const std::vector<StateId> no_asg;
-
-    for (std::uint32_t attempt = 0; attempt < max_attempts; ++attempt) {
-        chunk.attempts = attempt + 1;
-        auto fault = FaultInjector::WorkerFault::None;
-        if (inj)
-            fault = inj->onWorkerAttempt(coord, attempt);
-        if (fault != FaultInjector::WorkerFault::None)
-            ++chunk.faultsInjected;
-
-        auto token = std::make_shared<exec::CancellationToken>();
-        const bool armed = execOpt_.deadlineMs > 0.0;
-        exec::Watchdog::Handle handle = 0;
-        if (armed)
-            handle = watchdog_.arm(
-                token, exec::Watchdog::Clock::now() +
-                           std::chrono::microseconds(
-                               static_cast<std::int64_t>(
-                                   execOpt_.deadlineMs * 1000.0)));
-
-        Status status;
-        if (fault == FaultInjector::WorkerFault::Stall) {
-            token->waitCancelledFor(
-                armed ? std::chrono::milliseconds(
-                            static_cast<std::int64_t>(
-                                execOpt_.deadlineMs * 20.0) +
-                            1000)
-                      : std::chrono::milliseconds(25));
-            status = Status::error(ErrorCode::DeadlineExceeded,
-                                   "injected worker stall");
-        } else if (fault == FaultInjector::WorkerFault::Crash) {
-            status = Status::error(ErrorCode::HardwareFault,
-                                   "injected worker crash");
-        } else {
-            EngineScratch scratch(rs.nfa.size());
-            SegmentRun run;
-            std::uint32_t batches = 1;
-            if (chunk.first) {
-                run = runGoldenSegment(*rs.engines, chunk.data.data(),
-                                       chunk.begin, chunk.data.size(),
-                                       scratch, nullptr, token.get());
-            } else if (chunk.plan->flows.size() <= batch_cap) {
-                run = runEnumSegment(*rs.engines, *chunk.plan, rs.asg,
-                                     chunk.data.data(), chunk.begin,
-                                     chunk.data.size(), execPap_,
-                                     scratch, kInvalidFlow,
-                                     token.get());
-            } else {
-                // SVC overflow: run the plan in cache-sized batches
-                // back to back, flow ids global, like the one-shot
-                // runner — the merged run composes unchanged.
-                const FlowPlan &plan = *chunk.plan;
-                const auto asg_id =
-                    static_cast<FlowId>(plan.flows.size());
-                run.segBegin = chunk.begin;
-                run.segLen = chunk.data.size();
-                std::uint32_t b = 0;
-                for (std::size_t first = 0;
-                     first < plan.flows.size() && !token->cancelled();
-                     first += batch_cap, ++b) {
-                    const std::size_t last = std::min(
-                        plan.flows.size(),
-                        first + static_cast<std::size_t>(batch_cap));
-                    FlowPlan sub;
-                    sub.flows.assign(plan.flows.begin() +
-                                         static_cast<std::ptrdiff_t>(
-                                             first),
-                                     plan.flows.begin() +
-                                         static_cast<std::ptrdiff_t>(
-                                             last));
-                    SegmentRun part = runEnumSegment(
-                        *rs.engines, sub, b == 0 ? rs.asg : no_asg,
-                        chunk.data.data(), chunk.begin,
-                        chunk.data.size(), execPap_, scratch, asg_id,
-                        token.get());
-                    if (b == 0)
-                        run.asgIndex = part.asgIndex;
-                    for (auto &rec : part.flows) {
-                        rec.batch = b;
-                        run.flows.push_back(std::move(rec));
-                    }
-                }
-                batches = std::max(1u, b);
-            }
-            if (token->cancelled()) {
-                status = Status::error(ErrorCode::DeadlineExceeded,
-                                       "chunk ", chunk.index,
-                                       " cancelled by the watchdog");
-            } else {
-                chunk.run = std::move(run);
-                chunk.batches = batches;
-            }
-        }
-        if (armed)
-            watchdog_.disarm(handle);
-
-        if (status.ok()) {
-            if (inj && chunk.faultsInjected > 0 && chunk.retried)
-                inj->markRecovered(chunk.faultsInjected);
-            chunk.failed = false;
-            return;
-        }
-        if (fault != FaultInjector::WorkerFault::None)
-            inj->markDetected(1);
-        chunk.failed = true;
-        if (attempt + 1 < max_attempts) {
-            chunk.retried = true;
-            obs::metrics().add("exec.retry.attempts");
-            std::this_thread::sleep_for(
-                exec::retryBackoff(execOpt_, jitter_index, attempt));
-        }
-    }
+    exec::AttemptSite site;
+    site.faultCoord = s.id;
+    site.jitterIndex = static_cast<std::size_t>(s.id ^ (chunk.index << 20));
+    chunk.report = exec::runAttempts(
+        execOpt_, watchdog_, site,
+        [&](const exec::CancellationToken &cancel) -> Status {
+            SegmentExecution done = executeSegment(
+                *rs.engines, chunk.plan, rs.asg, chunk.data.data(),
+                chunk.begin, chunk.data.size(), execPap_, opts_.ap,
+                &cancel);
+            if (cancel.cancelled())
+                return Status::error(ErrorCode::DeadlineExceeded,
+                                     "chunk ", chunk.index,
+                                     " cancelled by the watchdog");
+            chunk.run = std::move(done.run);
+            chunk.batches = done.batches;
+            return Status();
+        });
 }
 
 /**
@@ -787,16 +681,16 @@ Server::composeReady(std::unique_lock<std::mutex> &lock, SessionPtr s)
         ++counters_.chunksExecuted;
         auto &m = obs::metrics();
         m.add("serve.chunks.executed");
-        if (chunk->retried)
+        if (chunk->report.retried)
             ++s->chunksRetried;
 
-        const bool recovered = chunk->failed;
+        const bool recovered = !chunk->report.status.ok();
         if (recovered) {
             ++s->chunksRecovered;
             ++counters_.chunksRecovered;
             m.add("serve.chunks.recovered");
-            if (inj && chunk->faultsInjected > 0)
-                inj->markRecovered(chunk->faultsInjected);
+            if (inj && chunk->report.faultsInjected > 0)
+                inj->markRecovered(chunk->report.faultsInjected);
             if (++s->consecutiveRecovered >= opts_.quarantineAfter) {
                 ++counters_.quarantined;
                 terminateLocked(
@@ -814,44 +708,9 @@ Server::composeReady(std::unique_lock<std::mutex> &lock, SessionPtr s)
         }
 
         if (!opts_.checkpointDir.empty()) {
-            exec::SegmentCheckpoint cp;
-            cp.timing.segLen = chunk->data.size();
-            cp.timing.totalEntries = truth.totalEntries;
-            cp.timing.aliveEnumFlowsAtEnd = truth.aliveEnumFlowsAtEnd;
-            cp.timing.hasEnumFlows = chunk->plan &&
-                                     !chunk->plan->flows.empty() &&
-                                     !recovered && !chunk->oracle;
-            cp.timing.numBatches = chunk->batches;
-            cp.timing.batchReloadCycles =
-                opts_.ap.timing.stateVectorUploadCycles;
-            for (const FlowRecord &rec : chunk->run.flows) {
-                FlowTimingInfo info;
-                info.kind = rec.kind;
-                info.symbolsProcessed = rec.symbolsProcessed;
-                info.batch = rec.batch;
-                info.isTrue =
-                    rec.kind != FlowKind::Enum ||
-                    (rec.id < truth.flowTrue.size() &&
-                     truth.flowTrue[rec.id] != 0);
-                cp.timing.flows.push_back(info);
-                if (rec.kind != FlowKind::Enum)
-                    continue;
-                switch (rec.cause) {
-                case DeathCause::Deactivated:
-                    ++cp.deactivated;
-                    break;
-                case DeathCause::Converged:
-                    ++cp.converged;
-                    break;
-                case DeathCause::RanToEnd:
-                    ++cp.ranToEnd;
-                    break;
-                }
-            }
-            for (const auto t : truth.pathTrue)
-                cp.truePaths += t;
-            cp.recovered = recovered || chunk->oracle;
-            s->ckptSegments.push_back(std::move(cp));
+            s->ckptSegments.push_back(segmentCheckpoint(
+                chunk->run, truth, chunk->plan, chunk->batches,
+                recovered || chunk->oracle, execPap_, opts_.ap));
 
             // Periodic incremental checkpoint: snapshot the frontier
             // under the lock, hand the (possibly large) serialization
@@ -878,28 +737,12 @@ SegmentTruth
 Server::composeChunk(Session &s, Chunk &chunk)
 {
     const CompiledRuleset &rs = *s.ruleset;
-    if (chunk.oracle || chunk.failed) {
-        // Sequential continuation from the composition frontier: the
-        // sparse reference engine, independent of the backend under
-        // test, exactly like the one-shot runner's recovery path.
-        EngineScratch scratch(rs.nfa.size());
-        FunctionalEngine engine(*rs.cnfa, /*starts=*/true, &scratch);
-        engine.reset(chunk.first ? rs.cnfa->initialActive()
-                                 : s.prevFinal,
-                     chunk.begin);
-        engine.run(chunk.data.data(), chunk.data.size());
-        FlowRecord rec;
-        rec.id = 0;
-        rec.kind = FlowKind::Golden;
-        rec.symbolsProcessed = chunk.data.size();
-        rec.cause = DeathCause::RanToEnd;
-        rec.finalSnapshot = engine.snapshot();
-        rec.counters = engine.counters();
-        rec.reports = engine.takeReports();
-        chunk.run = SegmentRun{};
-        chunk.run.segBegin = chunk.begin;
-        chunk.run.segLen = chunk.data.size();
-        chunk.run.flows.push_back(std::move(rec));
+    if (chunk.oracle || !chunk.report.status.ok()) {
+        // Sequential continuation from the composition frontier,
+        // exactly like the one-shot runner's recovery path.
+        chunk.run = runOracleSegment(
+            *rs.cnfa, chunk.first ? rs.cnfa->initialActive() : s.prevFinal,
+            chunk.data.data(), chunk.begin, chunk.data.size());
         return composeGolden(chunk.run);
     }
     if (chunk.first)

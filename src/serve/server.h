@@ -73,7 +73,7 @@
 #include "common/error.h"
 #include "engine/report.h"
 #include "pap/composer.h"
-#include "pap/exec/driver.h"
+#include "pap/exec/pipeline.h"
 #include "pap/exec/watchdog.h"
 #include "pap/exec/worker_pool.h"
 #include "pap/flow_plan.h"

@@ -38,10 +38,10 @@ DENSE=$("$PAPSIM" run m.nfa t.bin --ranks=4 --engine=dense)
 HYBRID=$("$PAPSIM" run m.nfa t.bin --ranks=4 --engine=hybrid)
 SCALAR=$(PAP_SIMD=off "$PAPSIM" run m.nfa t.bin --ranks=4 \
     --engine=dense)
-echo "$SPARSE" | grep -q "PAP\[sparse\]"
-echo "$DENSE" | grep -q "PAP\[dense"
-echo "$HYBRID" | grep -q "PAP\[hybrid"
-echo "$SCALAR" | grep -q "PAP\[dense\]"
+grep -q "PAP\[sparse\]" <<< "$SPARSE"
+grep -q "PAP\[dense" <<< "$DENSE"
+grep -q "PAP\[hybrid" <<< "$HYBRID"
+grep -q "PAP\[dense\]" <<< "$SCALAR"
 strip_tag() { sed 's/\[[a-z0-9+]*\]//'; }
 test "$(echo "$SPARSE" | strip_tag)" = "$(echo "$DENSE" | strip_tag)"
 test "$(echo "$SPARSE" | strip_tag)" = "$(echo "$HYBRID" | strip_tag)"
@@ -58,11 +58,11 @@ fi
 CLEAN=$("$PAPSIM" run m.nfa t.bin --ranks=4 | grep "PAP\[")
 FAULTY=$("$PAPSIM" run m.nfa t.bin --ranks=4 \
     --inject-faults=all:16 --fault-seed=7 2>/dev/null)
-echo "$FAULTY" | grep -q "(recovered)"
-echo "$FAULTY" | grep -q "detected=80 recovered=80"
+grep -q "(recovered)" <<< "$FAULTY"
+grep -q "detected=80 recovered=80" <<< "$FAULTY"
 CLEAN_MATCHES=$(echo "$CLEAN" \
     | sed 's/PAP\[[a-z0-9+]*\]: \([0-9]*\) matches.*/\1/')
-echo "$FAULTY" | grep -q "PAP\[[a-z0-9+]*\]: $CLEAN_MATCHES matches"
+grep -q "PAP\[[a-z0-9+]*\]: $CLEAN_MATCHES matches" <<< "$FAULTY"
 # Overflow policies parse and run.
 "$PAPSIM" run m.nfa t.bin --ranks=4 --overflow=batch \
     | grep -q "(verified)"

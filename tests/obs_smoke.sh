@@ -21,10 +21,10 @@ RULES
 
 OUT="$("$PAPSIM" run m.nfa t.bin --ranks=2 \
     --metrics-json metrics.json --trace-out trace.json --profile)"
-echo "$OUT" | grep -q "(verified)"
-echo "$OUT" | grep -q "metrics -> metrics.json"
-echo "$OUT" | grep -q "trace   -> trace.json"
-echo "$OUT" | grep -q "Phase"
+grep -q "(verified)" <<< "$OUT"
+grep -q "metrics -> metrics.json" <<< "$OUT"
+grep -q "trace   -> trace.json" <<< "$OUT"
+grep -q "Phase" <<< "$OUT"
 
 # The metrics dump matches the schema and holds the headline metrics.
 python3 "$REPO_ROOT/scripts/check_metrics_schema.py" metrics.json
@@ -62,8 +62,8 @@ PY
 for mode in barrier overlap; do
     ATTRIB="$("$PAPSIM" run m.nfa t.bin --ranks=2 --threads=2 \
         --pipeline=$mode --attrib)"
-    echo "$ATTRIB" | grep -q "attribution (wall"
-    echo "$ATTRIB" | grep -q "compose.decode"
+    grep -q "attribution (wall" <<< "$ATTRIB"
+    grep -q "compose.decode" <<< "$ATTRIB"
 
     "$PAPSIM" run m.nfa t.bin --ranks=2 --threads=2 \
         --pipeline=$mode --attrib=json > attrib.txt

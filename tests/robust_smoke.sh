@@ -82,17 +82,17 @@ CLEAN_MATCHES=$(echo "$CLEAN" \
     | sed 's/PAP\[[a-z0-9+]*\]: \([0-9]*\) matches.*/\1/')
 FAULTY=$("$PAPSIM" run m.nfa t.bin --ranks=4 --threads=2 \
     --inject-faults=crash-worker:1 --fault-seed=7 2>/dev/null)
-echo "$FAULTY" | grep -q "(verified)"
-echo "$FAULTY" | grep -q "PAP\[[a-z0-9+]*\]: $CLEAN_MATCHES matches"
-echo "$FAULTY" | grep -q "segments retried"
+grep -q "(verified)" <<< "$FAULTY"
+grep -q "PAP\[[a-z0-9+]*\]: $CLEAN_MATCHES matches" <<< "$FAULTY"
+grep -q "segments retried" <<< "$FAULTY"
 
 # A persistent stall exhausts its retries, falls back to the
 # per-segment oracle, and still reproduces the clean matches.
 STALLED=$("$PAPSIM" run m.nfa t.bin --ranks=4 --threads=2 \
     --deadline-ms=5 --max-retries=1 \
     --inject-faults=stall-worker:8 --fault-seed=7 2>/dev/null)
-echo "$STALLED" | grep -q "PAP\[[a-z0-9+]*\]: $CLEAN_MATCHES matches"
-echo "$STALLED" | grep -q "recovered"
+grep -q "PAP\[[a-z0-9+]*\]: $CLEAN_MATCHES matches" <<< "$STALLED"
+grep -q "recovered" <<< "$STALLED"
 
 # --- Checkpoint / resume --------------------------------------------
 

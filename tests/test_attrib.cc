@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "ap/ap_config.h"
 #include "common/rng.h"
@@ -74,6 +75,43 @@ TEST(AttribLedger, ScopeChargesOnceAndNullLedgerIsNoop)
     // Null ledger: every Scope operation is a no-op.
     obs::AttribLedger::Scope null_scope(nullptr, "nowhere");
     null_scope.stop();
+}
+
+TEST(AttribLedger, PhaseTimesOneIntervalForSpanAndBucket)
+{
+    obs::TraceSink sink;
+    obs::AttribLedger ledger;
+    {
+        obs::Phase phase(&sink, "phase.span", &ledger, "phase.bucket");
+        phase.close({{"items", 3.0}});
+        phase.close(); // idempotent: one span end, one charge
+    }
+    {
+        obs::Phase early(&sink, "phase.early", &ledger, "phase.early");
+    } // an early exit closes the phase too
+    { obs::Phase span_only(&sink, "phase.span_only"); }
+    {
+        obs::Phase aux(nullptr, "phase.untraced", &ledger, "phase.aux",
+                       /*aux=*/true);
+    }
+    EXPECT_EQ(sink.openSpans(), 0u);
+    std::vector<std::string> closed;
+    for (const obs::TraceEvent &e : sink.events()) {
+        if (e.ph != 'E')
+            continue;
+        closed.push_back(e.name);
+        if (e.name == "phase.span") {
+            ASSERT_EQ(e.args.size(), 1u);
+            EXPECT_EQ(e.args[0].first, "items");
+        }
+    }
+    EXPECT_EQ(closed, (std::vector<std::string>{
+                          "phase.span", "phase.early", "phase.span_only"}));
+    const obs::AttribSnapshot snap = ledger.snapshot();
+    EXPECT_EQ(snap.buckets.size(), 3u);
+    EXPECT_GE(snap.bucket("phase.bucket").ms, 0.0);
+    EXPECT_FALSE(snap.bucket("phase.early").aux);
+    EXPECT_TRUE(snap.bucket("phase.aux").aux);
 }
 
 TEST(AttribLedger, FinalizeChargesResidualToOther)

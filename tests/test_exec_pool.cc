@@ -1,8 +1,9 @@
 /**
  * @file
  * Unit tests of the hardened-execution primitives: WorkerPool,
- * CancellationToken, Watchdog, the runHardened retry/deadline driver,
- * and the checkpoint file format (roundtrip, corruption, identity).
+ * CancellationToken, Watchdog, the retry/deadline attempt ladder (on
+ * its own and under a barrier-mode SegmentPipeline), and the
+ * checkpoint file format (roundtrip, corruption, identity).
  */
 
 #include <gtest/gtest.h>
@@ -18,7 +19,6 @@
 #include "common/error.h"
 #include "pap/exec/cancellation.h"
 #include "pap/exec/checkpoint.h"
-#include "pap/exec/driver.h"
 #include "pap/exec/pipeline.h"
 #include "pap/exec/watchdog.h"
 #include "pap/exec/worker_pool.h"
@@ -277,7 +277,24 @@ TEST(Watchdog, DisarmedAttemptIsNeverCancelled)
     EXPECT_EQ(dog.expiries(), 0u);
 }
 
-// --- runHardened -----------------------------------------------------
+// --- Attempt ladder --------------------------------------------------
+
+/**
+ * Run tasks [0, count) on a barrier-mode pipeline and collect their
+ * reports in index order.
+ */
+std::vector<TaskReport>
+runBarrier(const HardenedExecOptions &options, std::size_t count,
+           const TaskFn &fn)
+{
+    SegmentPipeline::Options popt;
+    popt.exec = options;
+    SegmentPipeline pipe(popt, count, fn);
+    std::vector<TaskReport> reports;
+    for (std::size_t i = 0; i < count; ++i)
+        reports.push_back(pipe.await(i));
+    return reports;
+}
 
 TEST(RunHardened, ReportsInIndexOrderForAnyThreadCount)
 {
@@ -285,7 +302,7 @@ TEST(RunHardened, ReportsInIndexOrderForAnyThreadCount)
         HardenedExecOptions opt;
         opt.threads = threads;
         std::vector<std::size_t> slot(16, 0);
-        const auto reports = runHardened(
+        const auto reports = runBarrier(
             opt, slot.size(),
             [&](std::size_t i, const CancellationToken &) {
                 slot[i] = i + 1;
@@ -311,7 +328,7 @@ TEST(RunHardened, RetriesTransientFailureWithBackoff)
     std::vector<std::atomic<std::uint32_t>> tries(4);
     for (auto &t : tries)
         t.store(0);
-    const auto reports = runHardened(
+    const auto reports = runBarrier(
         opt, tries.size(),
         [&](std::size_t i, const CancellationToken &) {
             // Odd tasks fail on their first attempt only.
@@ -337,7 +354,7 @@ TEST(RunHardened, SurfacesTerminalFailureAfterRetriesExhaust)
     HardenedExecOptions opt;
     opt.maxRetries = 3;
     opt.backoffBaseMs = 0;
-    const auto reports = runHardened(
+    const auto reports = runBarrier(
         opt, 1, [&](std::size_t, const CancellationToken &) {
             return Status::error(ErrorCode::HardwareFault,
                                  "permanent");
@@ -356,7 +373,7 @@ TEST(RunHardened, WatchdogCancelsStalledTaskThenRetrySucceeds)
     opt.deadlineMs = 10.0;
     opt.backoffBaseMs = 0;
     std::atomic<std::uint32_t> tries{0};
-    const auto reports = runHardened(
+    const auto reports = runBarrier(
         opt, 1, [&](std::size_t, const CancellationToken &cancel) {
             if (tries.fetch_add(1) == 0) {
                 // Stall: park until the watchdog cancels us.
@@ -377,7 +394,7 @@ TEST(RunHardened, CaughtExceptionBecomesHardwareFault)
 {
     HardenedExecOptions opt;
     opt.maxRetries = 0;
-    const auto reports = runHardened(
+    const auto reports = runBarrier(
         opt, 1,
         [&](std::size_t, const CancellationToken &) -> Status {
             throw std::runtime_error("boom");
@@ -398,7 +415,7 @@ TEST(RunHardened, InjectedStallRecoversOnRetry)
     opt.deadlineMs = 10.0;
     opt.backoffBaseMs = 0;
     opt.injector = &fi;
-    const auto reports = runHardened(
+    const auto reports = runBarrier(
         opt, 6,
         [&](std::size_t, const CancellationToken &) {
             return Status();
@@ -431,7 +448,7 @@ TEST(RunHardened, InjectedCrashBeyondRetriesIsTerminal)
     opt.maxRetries = 2;
     opt.backoffBaseMs = 0;
     opt.injector = &fi;
-    const auto reports = runHardened(
+    const auto reports = runBarrier(
         opt, 2,
         [&](std::size_t, const CancellationToken &) {
             return Status();
@@ -460,7 +477,7 @@ TEST(RunHardened, WorkerFaultSetIsThreadCountInvariant)
         opt.maxRetries = 1;
         opt.backoffBaseMs = 0;
         opt.injector = &fi;
-        const auto reports = runHardened(
+        const auto reports = runBarrier(
             opt, 32,
             [&](std::size_t, const CancellationToken &) {
                 return Status();
@@ -472,6 +489,58 @@ TEST(RunHardened, WorkerFaultSetIsThreadCountInvariant)
     }
     EXPECT_EQ(per_thread_faults[0], per_thread_faults[1]);
     EXPECT_EQ(per_thread_faults[0], per_thread_faults[2]);
+}
+
+TEST(AttemptLadder, FaultsFollowTheSiteCoordinateNotTheTaskIndex)
+{
+    // Serve runs every chunk of a session at the session's fault
+    // coordinate, each with its own jitter index: a selected session
+    // has every attempt of every chunk faulted (the ladder into
+    // quarantine), an unselected one none.
+    auto made = FaultInjector::fromSpec("crash-worker:100:0.5", 99);
+    ASSERT_TRUE(made.ok());
+    FaultInjector fi = made.value();
+    HardenedExecOptions opt;
+    opt.maxRetries = 2;
+    opt.backoffBaseMs = 0;
+    opt.injector = &fi;
+    Watchdog dog;
+    constexpr std::uint64_t kSessions = 8, kChunks = 4;
+    std::uint64_t faulted_sessions = 0;
+    for (std::uint64_t session = 1; session <= kSessions; ++session) {
+        std::vector<std::uint32_t> faults;
+        for (std::uint64_t chunk = 0; chunk < kChunks; ++chunk) {
+            AttemptSite site;
+            site.faultCoord = session;
+            site.jitterIndex =
+                static_cast<std::size_t>(session ^ (chunk << 20));
+            std::uint32_t ran = 0;
+            const TaskReport r = runAttempts(
+                opt, dog, site, [&](const CancellationToken &) {
+                    ++ran;
+                    return Status();
+                });
+            faults.push_back(r.faultsInjected);
+            if (r.faultsInjected > 0) {
+                EXPECT_EQ(r.faultsInjected, 3u);
+                EXPECT_EQ(r.attempts, 3u);
+                EXPECT_EQ(r.status.code(), ErrorCode::HardwareFault);
+                EXPECT_EQ(ran, 0u);
+            } else {
+                EXPECT_TRUE(r.status.ok());
+                EXPECT_EQ(r.attempts, 1u);
+                EXPECT_EQ(ran, 1u);
+            }
+        }
+        for (const std::uint32_t f : faults)
+            EXPECT_EQ(f, faults.front())
+                << "session " << session << ": one coordinate, one fate";
+        faulted_sessions += faults.front() > 0 ? 1 : 0;
+    }
+    EXPECT_GT(faulted_sessions, 0u);
+    EXPECT_LT(faulted_sessions, kSessions);
+    EXPECT_EQ(fi.detected(), fi.injected());
+    EXPECT_EQ(fi.recovered(), 0u);
 }
 
 // --- Checkpoint ------------------------------------------------------

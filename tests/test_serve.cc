@@ -21,7 +21,7 @@
 #include "common/rng.h"
 #include "nfa/glushkov.h"
 #include "obs/metrics.h"
-#include "pap/exec/driver.h"
+#include "pap/exec/pipeline.h"
 #include "pap/fault_injector.h"
 #include "pap/runner.h"
 #include "serve/fair_queue.h"
@@ -584,6 +584,54 @@ TEST(Serve, SwapDuringStreamFaultBumpsGenerationHarmlessly)
     EXPECT_EQ(report.value().reports, sequentialReports(nfa, trace));
     EXPECT_GT(server.generation(), 1u)
         << "the injected swap must reinstall a new generation";
+}
+
+// ---------------------------------------------------------------------
+// SVC overflow
+
+TEST(Serve, SvcOverflowChunksBatchAndMatchSequential)
+{
+    // Every chunk after the first needs 2 enumeration flows plus the
+    // ASG flow, so a 2-entry SVC (from the board or from the
+    // pap.svcCapacity override alike) runs them in 2 batches.
+    Rng rng(64);
+    const Nfa nfa = compileRuleset({{"ab.*cd.*ef", 1}}, "m");
+    const InputTrace trace = randomTextTrace(rng, 8192, "abcdefgh");
+    const auto expected = sequentialReports(nfa, trace);
+    for (const bool board : {true, false}) {
+        SCOPED_TRACE(board ? "ap.svcEntriesPerDevice = 2"
+                           : "pap.svcCapacity = 2");
+        const UniqueTempDir scratch(board ? "serve_svc_board" : "serve_svc_pap");
+        ServeOptions opt = smallOptions();
+        opt.checkpointDir = scratch.path();
+        if (board)
+            opt.ap.svcEntriesPerDevice = 2;
+        else
+            opt.pap.svcCapacity = 2;
+        {
+            Server server(opt, nfa);
+            const auto id = server.open("t", "k");
+            ASSERT_TRUE(id.ok());
+            ASSERT_TRUE(
+                server.feed(id.value(), trace.ptr(0), trace.size()).ok());
+            ASSERT_TRUE(server.drain().ok());
+        }
+        const auto drained =
+            exec::loadCheckpoint(opt.checkpointDir + "/t-k.papckpt");
+        ASSERT_TRUE(drained.ok()) << drained.status().toString();
+        std::uint32_t max_batches = 0;
+        for (const auto &seg : drained.value().segments)
+            max_batches = std::max(max_batches, seg.timing.numBatches);
+        EXPECT_GE(max_batches, 2u);
+
+        Server server(opt, nfa);
+        const auto resumed = server.resume("t", "k");
+        ASSERT_TRUE(resumed.ok()) << resumed.status().toString();
+        EXPECT_EQ(resumed.value().offset, trace.size());
+        const auto report = server.finish(resumed.value().id);
+        ASSERT_TRUE(report.ok()) << report.status().toString();
+        EXPECT_EQ(report.value().reports, expected);
+    }
 }
 
 // ---------------------------------------------------------------------
