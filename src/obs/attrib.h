@@ -7,8 +7,7 @@
  *
  *  - *wall* buckets partition the caller (composer) thread's measured
  *    wall time: analyze, partition, plan, device.execute (time blocked
- *    in the pipeline constructor), pipeline.stall (time blocked in
- *    await), compose.decode, compose.recover, compose.emulation,
+ *    waiting for segment execution), compose.decode, compose.recover,
  *    checkpoint.io, baseline.wait (time blocked joining the sequential
  *    oracle), verify, timeline. finalize() charges the unattributed
  *    remainder to "other", so the wall buckets sum to the measured

@@ -53,10 +53,10 @@ retryBackoff(const HardenedExecOptions &options, std::size_t index,
         static_cast<std::uint64_t>(options.backoffBaseMs) << shift;
     std::uint64_t delay =
         std::min<std::uint64_t>(raw, options.backoffCapMs);
-    if (options.backoffJitter && delay > 1) {
+    if (delay > 1) {
         const std::uint64_t half = delay / 2;
         const std::uint64_t draw = mixJitter(
-            mixJitter(options.backoffJitterSeed ^
+            mixJitter(options.jitterSeed ^
                       (0x4a49 + static_cast<std::uint64_t>(index))) ^
             retry);
         delay = half + draw % (delay - half + 1);
@@ -154,29 +154,37 @@ runAttempts(const HardenedExecOptions &options, Watchdog &watchdog,
 }
 
 SegmentPipeline::SegmentPipeline(const Options &options,
-                                 std::size_t count, TaskFn fn)
+                                 std::size_t count, TaskFn fn,
+                                 std::size_t first)
     : opts_(options), fn_(std::move(fn)), reports_(count),
-      done_(count, 0), live_(count), flowIds_(count, 0)
+      flowIds_(count, 0), done_(count, 0), live_(count)
 {
     const std::uint32_t threads =
         std::max<std::uint32_t>(1, opts_.exec.threads);
     obs::metrics().setGauge("exec.pool.threads",
                             static_cast<double>(threads));
-    window_ = opts_.overlap
-                  ? (opts_.window
-                         ? opts_.window
-                         : std::max<std::size_t>(
-                               4, 2 * static_cast<std::size_t>(threads)))
-                  : std::max<std::size_t>(count, 1);
-    if (count == 0)
+    if (first >= count)
         return;
     pool_ = std::make_unique<WorkerPool>(threads);
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        maybeSubmitLocked();
+    obs::TraceSink *sink = obs::tracer();
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (std::size_t i = first; i < count; ++i) {
+        if (sink) {
+            // Admission marker: opens the segment's causal flow on
+            // the admitting (composer) thread. The id travels to the
+            // worker ('t') and back to the consume marker ('f').
+            flowIds_[i] = obs::TraceSink::newFlowId();
+            sink->begin("pipeline.admit", "pipeline");
+            sink->flow('s', "segment", flowIds_[i]);
+            sink->end({{"index", static_cast<double>(i)}});
+            sink->counterEvent("pipeline.inflight",
+                               static_cast<double>(inflight_ + 1));
+        }
+        ++inflight_;
+        const bool accepted =
+            pool_->submit([this, i] { runTask(i); });
+        PAP_ASSERT(accepted, "pipeline pool rejected a submission");
     }
-    if (!opts_.overlap)
-        pool_->drain(); // barrier: everything finishes before return
 }
 
 SegmentPipeline::~SegmentPipeline()
@@ -212,35 +220,20 @@ SegmentPipeline::await(std::size_t index)
         sink->end({{"index", static_cast<double>(index)},
                    {"stall_ms", waited_ms}});
     }
-    if (index + 1 > frontier_) {
-        frontier_ = index + 1;
-        maybeSubmitLocked();
-    }
     return reports_[index];
 }
 
 void
 SegmentPipeline::cancelRemaining()
 {
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        cancelled_ = true;
-        for (auto &token : live_)
-            if (token)
-                token->cancel();
-        // Tasks never admitted to the pool can no longer run (the
-        // admission loop checks cancelled_); mark them done with a
-        // Cancelled report so await() on them returns instead of
-        // blocking forever.
-        for (std::size_t i = nextSubmit_; i < reports_.size(); ++i)
-            if (!done_[i]) {
-                reports_[i].status = Status::error(
-                    ErrorCode::Cancelled,
-                    "pipeline cancelled before the task ran");
-                done_[i] = 1;
-            }
-    }
-    doneCv_.notify_all();
+    // Every task is already submitted: one that has not started sees
+    // cancelled_ through its track hook and reports Cancelled without
+    // running.
+    std::lock_guard<std::mutex> lock(mutex_);
+    cancelled_ = true;
+    for (auto &token : live_)
+        if (token)
+            token->cancel();
 }
 
 std::uint64_t
@@ -257,47 +250,14 @@ SegmentPipeline::composerStallMs() const
     return stallMs_;
 }
 
-std::uint64_t
-SegmentPipeline::flowId(std::size_t index) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return flowIds_[index];
-}
-
-/** Admit tasks up to the handoff window past the frontier. */
-void
-SegmentPipeline::maybeSubmitLocked()
-{
-    obs::TraceSink *sink = obs::tracer();
-    while (nextSubmit_ < reports_.size() && !cancelled_ &&
-           nextSubmit_ < frontier_ + window_) {
-        const std::size_t i = nextSubmit_++;
-        if (sink) {
-            // Admission marker: opens the segment's causal flow on
-            // the admitting (composer) thread. The id travels to the
-            // worker ('t') and back to the consume marker ('f').
-            flowIds_[i] = obs::TraceSink::newFlowId();
-            sink->begin("pipeline.admit", "pipeline");
-            sink->flow('s', "segment", flowIds_[i]);
-            sink->end({{"index", static_cast<double>(i)}});
-            sink->counterEvent(
-                "pipeline.inflight",
-                static_cast<double>(nextSubmit_ - doneCount_));
-        }
-        const bool accepted =
-            pool_->submit([this, i] { runTask(i); });
-        PAP_ASSERT(accepted, "pipeline pool rejected a submission");
-    }
-}
-
 void
 SegmentPipeline::runTask(std::size_t index)
 {
     obs::TraceSink *const sink = obs::tracer();
     if (sink) {
         sink->begin("pipeline.task", "pipeline");
-        if (const std::uint64_t id = flowId(index))
-            sink->flow('t', "segment", id);
+        if (flowIds_[index])
+            sink->flow('t', "segment", flowIds_[index]);
     }
     AttemptSite site;
     site.faultCoord = index;
@@ -326,8 +286,7 @@ SegmentPipeline::runTask(std::size_t index)
         std::lock_guard<std::mutex> lock(mutex_);
         reports_[index] = report;
         done_[index] = 1;
-        ++doneCount_;
-        inflight = nextSubmit_ - doneCount_;
+        inflight = --inflight_;
     }
     if (sink) {
         sink->end({{"index", static_cast<double>(index)},

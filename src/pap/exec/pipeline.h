@@ -8,19 +8,11 @@
  * caller one index at a time through await(), so a composer stage can
  * consume segment i while segments > i still execute.
  *
- * Two scheduling modes share this one implementation:
- *
- *  - barrier: every task is submitted and run to completion inside
- *    the constructor; await() never blocks.
- *  - overlap: tasks are admitted through a bounded handoff window
- *    ahead of the composition frontier; await(i) blocks until task i
- *    finishes (the composer stall this pipeline exists to shrink) and
- *    each consumed index admits more work.
- *
- * Because both modes run the identical attempt ladder and the caller
- * consumes reports in index order either way, reports and per-figure
- * metrics are byte-identical between modes for any thread count —
- * only wall-clock differs.
+ * One schedule: the constructor submits every task and returns; the
+ * caller composes in index order, each await(i) blocking until task i
+ * has finished. Host composition (decode, FIV) thereby hides behind
+ * the execution of later segments, as the paper's timeline models
+ * (Section 3.4).
  *
  * Determinism contract: tasks write only to their own output slot;
  * every cross-task reduction belongs in the caller, folded in index
@@ -70,15 +62,14 @@ struct HardenedExecOptions
     std::uint32_t backoffBaseMs = 1;
     std::uint32_t backoffCapMs = 64;
     /**
-     * Decorrelate retries: when true, each backoff sleep keeps half
+     * Seed of the retry backoff's jitter: each backoff sleep keeps half
      * its capped-exponential delay and replaces the rest with a draw
-     * from a pure hash of (backoffJitterSeed, jitter index, retry), so
+     * from a pure hash of (jitterSeed, jitter index, retry), so
      * workers that fail in lockstep do not retry in lockstep. Timing
      * only — never observable in reports or metrics other than wall
      * clock, and never above the un-jittered delay.
      */
-    bool backoffJitter = true;
-    std::uint64_t backoffJitterSeed = 0;
+    std::uint64_t jitterSeed = 0;
     /** Optional injector consulted before every attempt. */
     FaultInjector *injector = nullptr;
 };
@@ -110,12 +101,12 @@ using AttemptFn = std::function<Status(const CancellationToken &cancel)>;
 
 /**
  * The backoff delay before retry @p retry (0-based) of the task with
- * jitter index @p index: base * 2^retry capped at backoffCapMs — and,
- * with jitter enabled, half that plus a draw from a pure hash of
- * (backoffJitterSeed, index, retry). A pure function of its
- * arguments: the same tuple sleeps the same amount for every thread
- * count and scheduling order, and the jittered delay never exceeds
- * the deterministic one.
+ * jitter index @p index: base * 2^retry capped at backoffCapMs, with
+ * everything above its half replaced by a draw from a pure hash of
+ * (jitterSeed, index, retry). A pure function of its arguments: the
+ * same tuple sleeps the same amount for every thread count and
+ * scheduling order, and the jittered delay never exceeds the
+ * un-jittered one.
  */
 std::chrono::milliseconds retryBackoff(const HardenedExecOptions &options,
                                        std::size_t index,
@@ -165,29 +156,23 @@ class SegmentPipeline
     {
         /** Hardening knobs (threads, retry, watchdog, injector). */
         HardenedExecOptions exec;
-        /** False: run everything in the constructor (barrier mode). */
-        bool overlap = false;
         /**
          * Optional attribution ledger (not owned). Worker-side time
          * that overlaps the caller's wall clock is charged to aux
          * buckets here: retry backoff sleeps ("workers.retry_backoff").
          */
         obs::AttribLedger *attrib = nullptr;
-        /**
-         * Bounded handoff window: how many tasks may be admitted
-         * ahead of the composition frontier in overlap mode
-         * (0 = auto: max(4, 2 * threads)). Ignored in barrier mode.
-         */
-        std::size_t window = 0;
     };
 
     /**
-     * Start executing tasks [0, count). In barrier mode this blocks
-     * until every task has finished; in overlap mode it returns once
-     * the first window of tasks is submitted.
+     * Submit tasks [first, count) and return without waiting for any
+     * of them. Indices below @p first (composed before, e.g. restored
+     * from a checkpoint) never run and must not be awaited. Task i
+     * draws its worker faults and retry jitter at i, so a resumed run
+     * faults the same tasks as an unbroken one.
      */
-    SegmentPipeline(const Options &options, std::size_t count,
-                    TaskFn fn);
+    SegmentPipeline(const Options &options, std::size_t count, TaskFn fn,
+                    std::size_t first = 0);
 
     /** Cancels whatever is still pending, then drains the pool. */
     ~SegmentPipeline();
@@ -197,10 +182,8 @@ class SegmentPipeline
 
     /**
      * Block until task @p index has finished and return its report
-     * (valid until the pipeline is destroyed). Consuming an index
-     * advances the admission frontier: tasks up to index + window are
-     * submitted. The composer calls this in index order; out-of-order
-     * awaits are legal and simply wait.
+     * (valid until the pipeline is destroyed). The composer calls this
+     * in index order; out-of-order awaits are legal and simply wait.
      */
     const TaskReport &await(std::size_t index);
 
@@ -211,9 +194,6 @@ class SegmentPipeline
      */
     void cancelRemaining();
 
-    /** Number of tasks this pipeline was built over. */
-    std::size_t taskCount() const { return reports_.size(); }
-
     /** await() calls that had to block (composer stalls). */
     std::uint64_t composerStalls() const;
 
@@ -222,14 +202,13 @@ class SegmentPipeline
 
   private:
     void runTask(std::size_t index);
-    void maybeSubmitLocked();
-    /** The task's trace flow id (0 when tracing was off at admission). */
-    std::uint64_t flowId(std::size_t index) const;
 
     Options opts_;
     TaskFn fn_;
     Watchdog watchdog_;
     std::vector<TaskReport> reports_;
+    /** Per-task trace flow ids (admission -> execution -> consume). */
+    std::vector<std::uint64_t> flowIds_;
     std::unique_ptr<WorkerPool> pool_;
 
     mutable std::mutex mutex_;
@@ -237,17 +216,11 @@ class SegmentPipeline
     std::vector<std::uint8_t> done_;
     /** Current attempt's token per in-flight task (for cancellation). */
     std::vector<std::shared_ptr<CancellationToken>> live_;
-    std::size_t window_ = 1;
-    std::size_t nextSubmit_ = 0;
-    /** One past the highest index the composer has consumed. */
-    std::size_t frontier_ = 0;
-    /** Tasks whose runTask has finished (inflight = submitted - done). */
-    std::size_t doneCount_ = 0;
+    /** Tasks submitted whose runTask has not finished. */
+    std::size_t inflight_ = 0;
     bool cancelled_ = false;
     std::uint64_t stalls_ = 0;
     double stallMs_ = 0.0;
-    /** Per-task trace flow ids (admission -> execution -> consume). */
-    std::vector<std::uint64_t> flowIds_;
 };
 
 } // namespace exec

@@ -52,20 +52,20 @@
  * evict-svc, drop-report, truncate-report) is drawn from a per-segment
  * RNG stream derived from (seed, segment) and consumed in that
  * segment's simulation order, so the draw sequence a segment sees is
- * independent of which thread runs it, of how segments interleave, and
- * of whether execution is barrier-scheduled or pipelined against
- * composition. The cross-segment FIV fault (drop-fiv) is drawn from a
- * dedicated stream consumed in composition order — this is the stream
- * rngState()/restoreRngState() checkpoint, since composition order is
- * exactly the checkpoint frontier. Only the shared injection *budgets*
- * couple segments; with a non-exhausted budget a given (spec, seed)
- * pair injects the exact same faults for every thread count and
- * pipeline mode. Worker faults are decided *functionally* from a hash
- * of (seed, kind, segment) — no RNG stream at all — so they strike the
- * same segments for any thread count or scheduling order; for them,
- * count means "faulted attempts per affected segment" and rate the
- * per-segment selection probability. "all" arms only the five hardware
- * kinds; worker kinds must be named explicitly.
+ * independent of which thread runs it and of how segments interleave
+ * with each other and with composition. The cross-segment FIV fault
+ * (drop-fiv) is drawn from a dedicated stream consumed in composition
+ * order — this is the stream rngState()/restoreRngState() checkpoint,
+ * since composition order is exactly the checkpoint frontier. Only
+ * the shared injection *budgets* couple segments; with a
+ * non-exhausted budget a given (spec, seed) pair injects the exact
+ * same faults for every thread count. Worker faults are decided
+ * *functionally* from a hash of (seed, kind, segment) — no RNG stream
+ * at all — so they strike the same segments for any thread count,
+ * scheduling order or resume point; for them, count means "faulted
+ * attempts per affected segment" and rate the per-segment selection
+ * probability. "all" arms only the five hardware kinds; worker kinds
+ * must be named explicitly.
  *
  * The verification oracle (the golden sequential execution) detects
  * the resulting divergence and the runner repairs it by falling back

@@ -36,13 +36,6 @@ runMultiStream(const Nfa &nfa, const std::vector<InputTrace> &streams,
         failed.status = ctx.status();
         return failed;
     }
-    const Result<PipelineMode> mode_resolved =
-        resolvePipelineMode(options.pipeline);
-    if (!mode_resolved.ok()) {
-        MultiStreamResult failed;
-        failed.status = mode_resolved.status();
-        return failed;
-    }
     const CompiledNfa &cnfa = ctx.compiled();
     std::uint64_t total_symbols = 0;
     for (const auto &stream : streams)
@@ -90,9 +83,6 @@ runMultiStream(const Nfa &nfa, const std::vector<InputTrace> &streams,
     result.threadsUsed = exec_opt.threads;
     exec::SegmentPipeline::Options pipe_opt;
     pipe_opt.exec = exec_opt;
-    pipe_opt.overlap =
-        mode_resolved.value() == PipelineMode::Overlap;
-    pipe_opt.window = options.pipelineWindow;
     exec::SegmentPipeline pipe(
         pipe_opt, streams.size(),
         [&](std::size_t i,

@@ -21,28 +21,6 @@ namespace pap {
 class FaultInjector;
 
 /**
- * How host-side composition is scheduled against segment execution.
- * Both modes produce byte-identical reports and per-figure metrics
- * for any thread count; only wall-clock differs.
- */
-enum class PipelineMode : std::uint8_t
-{
-    /**
-     * Run every segment to completion, then compose (the historical
-     * behavior): host Tcpu is paid strictly after execution.
-     */
-    Barrier,
-    /**
-     * Pipelined dataflow: the composer decodes segment i's true/false
-     * paths and publishes the FIV while segments > i still execute,
-     * hiding the modeled Tcpu overlap in real wall-clock.
-     */
-    Overlap,
-    /** Consult PAP_PIPELINE (barrier|overlap|auto), else Barrier. */
-    Auto,
-};
-
-/**
  * What to do when a segment's flow plan exceeds the State Vector
  * Cache (512 entries per device on the D480).
  */
@@ -207,36 +185,6 @@ struct PapOptions
     std::uint32_t threads = 1;
 
     /**
-     * Scheduling of composition against execution: barrier composes
-     * after all segments finish, overlap composes segment i while
-     * later segments still run. Auto consults PAP_PIPELINE, then
-     * defaults to barrier.
-     */
-    PipelineMode pipeline = PipelineMode::Auto;
-
-    /**
-     * Bounded handoff window of the overlap pipeline: how many
-     * segments may be in flight ahead of the composition frontier
-     * (0 = auto: max(4, 2 * threads)). Ignored in barrier mode.
-     */
-    std::uint32_t pipelineWindow = 0;
-
-    /**
-     * Device-latency emulation: when > 0, each segment task occupies
-     * at least `segment_length * this` nanoseconds of wall-clock
-     * (sleeping out whatever the functional simulation left over),
-     * emulating an AP device streaming at that rate while the host
-     * thread waits on it; the composer likewise occupies each
-     * segment's modeled Tcpu (upload + decode cycles, Fig. 11) at
-     * the same rate, net of its real compose time. Results are
-     * unaffected; only wall-clock changes. This is what makes the
-     * overlap pipeline measurable on hosts whose simulation is
-     * CPU-bound: with real hardware the composer's Tcpu hides behind
-     * *device* time, not host compute (`bench/pipeline_overlap.cc`).
-     */
-    double emulateDeviceNsPerSymbol = 0.0;
-
-    /**
      * Watchdog deadline per segment attempt, in wall-clock
      * milliseconds. 0 derives a generous default from the segment
      * length (10 us per symbol with a 5 s floor); negative disables
@@ -247,18 +195,14 @@ struct PapOptions
     /** Extra attempts after a failed segment (0 disables retry). */
     std::uint32_t maxSegmentRetries = 2;
 
-    /** First retry backoff in ms; doubles per retry, capped below. */
+    /**
+     * First retry backoff in ms; doubles per retry, capped below.
+     * Each sleep is jittered by a pure hash of the fault seed and the
+     * segment (exec::retryBackoff), so workers that fail together do
+     * not retry together. Timing only.
+     */
     std::uint32_t retryBackoffBaseMs = 1;
     std::uint32_t retryBackoffCapMs = 64;
-
-    /**
-     * Seeded per-(task, attempt) jitter on retry backoff, so workers
-     * that fail together do not retry together (retry storms under
-     * service load). Deterministic — derived from the fault seed and
-     * the task index — and timing-only: reports and per-figure
-     * metrics are byte-identical with it on or off.
-     */
-    bool retryBackoffJitter = true;
 
     /**
      * Crash-consistent checkpoint file. When non-empty the runner

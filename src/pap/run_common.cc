@@ -1,7 +1,6 @@
 #include "pap/run_common.h"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "engine/functional_engine.h"
 #include "obs/metrics.h"
@@ -47,52 +46,6 @@ RunContext::RunContext(const Nfa &nfa, EngineKind requested,
     m.setGauge("engine.simd", static_cast<double>(ctx.simdLevel()));
 }
 
-Result<PipelineMode>
-parsePipelineMode(std::string_view text)
-{
-    if (text == "barrier")
-        return PipelineMode::Barrier;
-    if (text == "overlap")
-        return PipelineMode::Overlap;
-    if (text == "auto")
-        return PipelineMode::Auto;
-    return Status::error(ErrorCode::InvalidInput, "unknown pipeline '",
-                         std::string(text),
-                         "' (expected barrier, overlap, or auto)");
-}
-
-const char *
-pipelineModeName(PipelineMode mode)
-{
-    switch (mode) {
-    case PipelineMode::Barrier:
-        return "barrier";
-    case PipelineMode::Overlap:
-        return "overlap";
-    case PipelineMode::Auto:
-        return "auto";
-    }
-    PAP_PANIC("invalid PipelineMode ", static_cast<int>(mode));
-}
-
-Result<PipelineMode>
-resolvePipelineMode(PipelineMode requested)
-{
-    if (requested == PipelineMode::Auto) {
-        if (const char *env = std::getenv("PAP_PIPELINE")) {
-            const Result<PipelineMode> parsed = parsePipelineMode(env);
-            if (!parsed.ok())
-                return Status::error(ErrorCode::InvalidInput,
-                                     "PAP_PIPELINE: ",
-                                     parsed.status().message());
-            requested = parsed.value();
-        }
-    }
-    if (requested != PipelineMode::Auto)
-        return requested;
-    return PipelineMode::Barrier;
-}
-
 exec::HardenedExecOptions
 makeHardenedOptions(const PapOptions &options,
                     std::uint32_t threads_resolved,
@@ -103,10 +56,9 @@ makeHardenedOptions(const PapOptions &options,
     opt.maxRetries = options.maxSegmentRetries;
     opt.backoffBaseMs = options.retryBackoffBaseMs;
     opt.backoffCapMs = options.retryBackoffCapMs;
-    opt.backoffJitter = options.retryBackoffJitter;
     opt.injector = options.faultInjector;
     if (options.faultInjector)
-        opt.backoffJitterSeed = options.faultInjector->seed();
+        opt.jitterSeed = options.faultInjector->seed();
     if (options.segmentDeadlineMs > 0.0) {
         opt.deadlineMs = options.segmentDeadlineMs;
     } else if (options.segmentDeadlineMs == 0.0) {

@@ -81,20 +81,6 @@ class RunContext
     EngineContext ctx;
 };
 
-/** Parse "barrier" / "overlap" / "auto"; typed InvalidInput otherwise. */
-Result<PipelineMode> parsePipelineMode(std::string_view text);
-
-/** Stable name of @p mode ("barrier", "overlap", "auto"). */
-const char *pipelineModeName(PipelineMode mode);
-
-/**
- * Resolve @p requested to a concrete scheduling mode. Auto consults
- * PAP_PIPELINE — an invalid value is a typed InvalidInput error, like
- * an invalid --pipeline flag — then defaults to Barrier. A successful
- * result is never Auto.
- */
-Result<PipelineMode> resolvePipelineMode(PipelineMode requested);
-
 /**
  * Build the hardened-driver options every runner derives from
  * PapOptions: resolved thread count, retry/backoff knobs, injector,

@@ -5,7 +5,6 @@
 #include <chrono>
 #include <future>
 #include <optional>
-#include <thread>
 
 #include "ap/placement.h"
 #include "common/logging.h"
@@ -284,7 +283,6 @@ class PapRun
     SequentialResult seq;
 
     std::optional<RunContext> ctx;
-    bool overlap = false;
     Components comps;
     std::vector<StateId> asg;
     std::vector<Segment> segs;
@@ -379,13 +377,6 @@ PapRun::analyze()
         result.status = ctx->status();
         return false;
     }
-    const Result<PipelineMode> mode = resolvePipelineMode(options.pipeline);
-    if (!mode.ok()) {
-        result.status = mode.status();
-        return false;
-    }
-    overlap = mode.value() == PipelineMode::Overlap;
-    result.pipelineMode = pipelineModeName(mode.value());
     result.engineBackend = ctx->backendName();
     result.engineDatapath = ctx->datapathName();
     comps = connectedComponents(nfa);
@@ -551,30 +542,15 @@ PapRun::resume()
 Status
 PapRun::executeTask(std::size_t j, const exec::CancellationToken &cancel)
 {
-    // Worker-side time overlaps the composer's wall clock in overlap
-    // mode, so it is charged to an aux bucket.
+    // Worker-side time overlaps the composer's wall clock, so it is
+    // charged to an aux bucket.
     obs::AttribLedger::Scope worker(&ledger, "workers.execute",
                                     /*aux=*/true);
     const Segment &s = segs[j];
-    const auto task_t0 = std::chrono::steady_clock::now();
     SegmentExecution done =
         executeSegment(ctx->engines(), plans[j], asg, input.ptr(s.begin),
                        s.begin, s.length(), options, config, &cancel,
                        &ledger);
-    if (options.emulateDeviceNsPerSymbol > 0.0) {
-        // Emulate the AP device streaming this segment: the task
-        // occupies at least length * ns of wall-clock, sleeping out
-        // whatever the simulation left over (cancellation-aware, so
-        // the watchdog still works).
-        const auto device = std::chrono::nanoseconds(
-            static_cast<std::int64_t>(static_cast<double>(s.length()) *
-                                      options.emulateDeviceNsPerSymbol));
-        const auto elapsed = std::chrono::steady_clock::now() - task_t0;
-        if (device > elapsed)
-            cancel.waitCancelledFor(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    device - elapsed));
-    }
     if (cancel.cancelled())
         return Status::error(ErrorCode::DeadlineExceeded, "segment ", j,
                              " cancelled by the watchdog");
@@ -585,17 +561,16 @@ PapRun::executeTask(std::size_t j, const exec::CancellationToken &cancel)
 
 /**
  * Per-segment simulation on the hardened pipeline, and the composition
- * chain that consumes it in segment order. In barrier mode the
- * pipeline constructor runs every segment to completion; in overlap
- * mode it returns once the first handoff window is submitted and the
- * composer overlaps with execution. Either way every cross-segment
- * reduction runs here, in segment order, so scheduling cannot leak
- * into the results.
+ * chain that consumes it in segment order. The pipeline constructor
+ * submits every segment; the composer then waits for each in turn
+ * (the wall bucket "device.execute") and composes it (its own
+ * "pap.compose" span) while later segments still execute. Every
+ * cross-segment reduction runs here, in segment order, so scheduling
+ * cannot leak into the results.
  */
 bool
 PapRun::executeAndCompose()
 {
-    obs::Phase execute(sink, "pap.execute", &ledger, "device.execute");
     result.threadsUsed = exec::WorkerPool::resolveThreads(options.threads);
     runs.resize(segs.size());
     batches.assign(segs.size(), 1);
@@ -606,28 +581,19 @@ PapRun::executeAndCompose()
     exec::SegmentPipeline::Options pipe_opt;
     pipe_opt.exec =
         makeHardenedOptions(options, result.threadsUsed, longest);
-    pipe_opt.overlap = overlap;
-    pipe_opt.window = options.pipelineWindow;
     pipe_opt.attrib = &ledger;
     const auto region_t0 = std::chrono::steady_clock::now();
     exec::SegmentPipeline pipe(
-        pipe_opt, segs.size() - first,
-        [this](std::size_t idx, const exec::CancellationToken &cancel) {
-            return executeTask(first + idx, cancel);
-        });
-    obs::metrics().add(overlap ? "pipeline.runs.overlap"
-                               : "pipeline.runs.barrier");
-    execute.close({{"segments", static_cast<double>(segs.size())},
-                   {"threads", static_cast<double>(result.threadsUsed)},
-                   {"overlap", overlap ? 1.0 : 0.0}});
-
-    obs::Phase compose(sink, "pap.compose");
+        pipe_opt, segs.size(),
+        [this](std::size_t j, const exec::CancellationToken &cancel) {
+            return executeTask(j, cancel);
+        },
+        first);
     for (std::size_t j = first; j < segs.size(); ++j) {
-        // Handoff: block until this segment's execution has finished
-        // (a no-op in barrier mode).
-        const auto await_t0 = std::chrono::steady_clock::now();
-        const exec::TaskReport &tr = pipe.await(j - first);
-        ledger.chargeWall("pipeline.stall", msSince(await_t0));
+        obs::Phase execute(sink, "pap.execute", &ledger, "device.execute");
+        const exec::TaskReport &tr = pipe.await(j);
+        execute.close({{"segment", static_cast<double>(j)}});
+        obs::Phase compose(sink, "pap.compose");
         if (!composeSegment(j, tr))
             return false;
     }
@@ -649,6 +615,8 @@ PapRun::executeAndCompose()
     obs::metrics().setGauge("pipeline.occupancy",
                             result.pipelineOccupancy);
 
+    // Merging the composed true reports is host composition too.
+    obs::Phase compose(sink, "pap.compose", &ledger, "compose.decode");
     result.reports = std::move(frontier.reports);
     sortAndDedupReports(result.reports);
     result.papReportEvents = frontier.papEntries;
@@ -713,7 +681,7 @@ PapRun::composeSegment(std::size_t j, const exec::TaskReport &tr)
                             truth.trueReports.end());
     frontier.papEntries += truth.totalEntries;
     frontier.segments.push_back(segmentCheckpoint(
-        runs[j], truth, plans[j], batches[j], failed, options, config));
+        runs[j], truth, plans[j], batches[j], failed, config));
     if (tr.retried)
         ++result.segmentsRetried;
     std::array<std::uint64_t, 8> seg_octiles{};
@@ -743,29 +711,6 @@ PapRun::composeSegment(std::size_t j, const exec::TaskReport &tr)
                            steps ? static_cast<double>(weighted) /
                                        static_cast<double>(steps)
                                  : 0.0);
-    }
-
-    if (options.emulateDeviceNsPerSymbol > 0.0 &&
-        frontier.segments.back().timing.hasEnumFlows) {
-        // Emulate the host's modeled Tcpu for this segment in
-        // wall-clock (upload + decode, the same formula the timeline
-        // charges — Fig. 11), at the emulated device rate, net of the
-        // real compose time just spent. This is the serial host work
-        // the overlap schedule exists to hide behind later segments'
-        // device time.
-        Cycles decode = options.decodeBaseCycles;
-        if (truth.aliveEnumFlowsAtEnd > 0)
-            decode += options.decodePerFlowCycles * truth.aliveEnumFlowsAtEnd;
-        const auto tcpu = std::chrono::nanoseconds(
-            static_cast<std::int64_t>(
-                static_cast<double>(
-                    config.timing.stateVectorUploadCycles + decode) *
-                options.emulateDeviceNsPerSymbol));
-        const auto spent = std::chrono::steady_clock::now() - compose_t0;
-        if (tcpu > spent) {
-            obs::AttribLedger::Scope emu(&ledger, "compose.emulation");
-            std::this_thread::sleep_for(tcpu - spent);
-        }
     }
 
     if (!options.checkpointPath.empty()) {
@@ -863,7 +808,7 @@ PapRun::timeline()
         timing_in.push_back(std::move(cp.timing));
     const TimelineResult timeline =
         simulateTimeline(timing_in, result.seqReportEvents, input.size(),
-                         options, config.timing);
+                         options, config);
     result.papCycles = timeline.papCycles;
     result.baselineCycles = timeline.baselineCycles;
     result.speedup = timeline.speedup;

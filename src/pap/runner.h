@@ -172,11 +172,9 @@ struct PapResult
     /** Segments skipped because the checkpoint had composed them. */
     std::uint32_t resumedSegments = 0;
 
-    // Pipeline census (execution vs composition scheduling). These
+    // Pipeline census (composition against segment execution). These
     // describe wall-clock only; they never influence reports or the
     // modeled per-figure metrics.
-    /** Scheduling mode that ran ("barrier" or "overlap"). */
-    std::string pipelineMode = "barrier";
     /** Wall-clock of the execute+compose region, ms. */
     double pipelineWallMs = 0.0;
     /** Wall-clock the composer spent blocked on segments, ms. */

@@ -393,8 +393,7 @@ runOracleSegment(const CompiledNfa &cnfa,
 exec::SegmentCheckpoint
 segmentCheckpoint(const SegmentRun &run, const SegmentTruth &truth,
                   const FlowPlan *plan, std::uint32_t batches,
-                  bool recovered, const PapOptions &options,
-                  const ApConfig &config)
+                  bool recovered, const ApConfig &config)
 {
     exec::SegmentCheckpoint cp;
     SegmentTimingInput &t = cp.timing;
@@ -404,13 +403,6 @@ segmentCheckpoint(const SegmentRun &run, const SegmentTruth &truth,
     t.hasEnumFlows = plan && !plan->flows.empty() && !recovered;
     t.numBatches = batches;
     t.batchReloadCycles = config.timing.stateVectorUploadCycles;
-    // Evict mode: the timeline replays this segment's flow schedule
-    // through a live cache of the configured capacity and policy,
-    // charging a re-upload per restored context.
-    t.svcEvict = options.overflowPolicy == OverflowPolicy::Evict &&
-                 t.hasEnumFlows;
-    t.svcCapacity = svcCapacity(options, config);
-    t.svcPolicy = options.svcPolicy;
     for (const auto &rec : run.flows) {
         FlowTimingInfo info;
         info.kind = rec.kind;

@@ -212,17 +212,18 @@ SegmentRun runOracleSegment(const CompiledNfa &cnfa,
 
 /**
  * The checkpoint record of one composed segment: its timing-model
- * input (every flow with its truth, the entry census, @p batches and
- * the Evict live-cache settings) plus the flow-outcome census. @p plan
- * is null for a golden segment; @p recovered marks a segment the
- * oracle recomputed, which therefore ran no enumeration flows.
+ * input (every flow with its truth, the entry census and @p batches)
+ * plus the flow-outcome census. Run-wide timing settings (the Evict
+ * live cache's capacity and policy) are not part of it: the timeline
+ * takes them from the run's options. @p plan is null for a golden
+ * segment; @p recovered marks a segment the oracle recomputed, which
+ * therefore ran no enumeration flows.
  */
 exec::SegmentCheckpoint segmentCheckpoint(const SegmentRun &run,
                                           const SegmentTruth &truth,
                                           const FlowPlan *plan,
                                           std::uint32_t batches,
                                           bool recovered,
-                                          const PapOptions &options,
                                           const ApConfig &config);
 
 } // namespace pap

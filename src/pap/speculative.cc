@@ -46,12 +46,6 @@ runSpeculative(const Nfa &nfa, const InputTrace &input,
         result.status = ctx.status();
         return result;
     }
-    const Result<PipelineMode> mode_resolved =
-        resolvePipelineMode(options.pipeline);
-    if (!mode_resolved.ok()) {
-        result.status = mode_resolved.status();
-        return result;
-    }
     const CompiledNfa &cnfa = ctx.compiled();
     result.engineBackend = ctx.backendName();
     result.engineDatapath = ctx.datapathName();
@@ -151,8 +145,6 @@ runSpeculative(const Nfa &nfa, const InputTrace &input,
     result.threadsUsed = exec_opt.threads;
     exec::SegmentPipeline::Options pipe_opt;
     pipe_opt.exec = exec_opt;
-    pipe_opt.overlap =
-        mode_resolved.value() == PipelineMode::Overlap;
     exec::SegmentPipeline pipe(
         pipe_opt, segs.size(),
         [&](std::size_t j,

@@ -55,13 +55,6 @@ struct SpeculationOptions
      * thread). Results are identical for every thread count.
      */
     std::uint32_t threads = 1;
-    /**
-     * Execution/composition scheduling (see PapOptions::pipeline):
-     * barrier runs every speculative segment before the truth chain
-     * starts; overlap validates segment j while later segments still
-     * execute. Reports are identical either way.
-     */
-    PipelineMode pipeline = PipelineMode::Auto;
 };
 
 /** Outcome of a speculative parallel run. */
@@ -93,7 +86,7 @@ struct SpeculationResult
     std::uint32_t threadsUsed = 1;
     /**
      * Non-Ok only when the run could not execute at all (an invalid
-     * PAP_ENGINE / PAP_PIPELINE value); other fields are defaulted.
+     * PAP_ENGINE value); other fields are defaulted.
      */
     Status status;
 };

@@ -13,13 +13,16 @@ namespace pap {
 TimelineResult
 simulateTimeline(const std::vector<SegmentTimingInput> &segments,
                  std::uint64_t seq_entries, std::uint64_t total_len,
-                 const PapOptions &options, const ApTiming &timing)
+                 const PapOptions &options, const ApConfig &config)
 {
     PAP_ASSERT(!segments.empty(), "timeline needs at least one segment");
     PAP_TRACE_SCOPE("timeline.simulate");
     const std::uint64_t quantum = options.tdmQuantum;
     const Cycles ctx = options.contextSwitchCycles;
     const auto kNever = static_cast<Cycles>(-1);
+    const ApTiming &timing = config.timing;
+    const bool evict = options.overflowPolicy == OverflowPolicy::Evict;
+    const std::uint32_t svc_capacity = svcCapacity(options, config);
 
     TimelineResult result;
     result.baselineCycles =
@@ -54,12 +57,12 @@ simulateTimeline(const std::vector<SegmentTimingInput> &segments,
         // does not pay for its initial batch load either, so the two
         // policies stay comparable.
         const bool live_cache =
-            seg.svcEvict && seg.svcCapacity > 0 && !seg.flows.empty();
+            evict && seg.hasEnumFlows && !seg.flows.empty();
         std::unique_ptr<StateVectorCache> cache;
         std::vector<std::uint8_t> seen;
         if (live_cache) {
-            cache = std::make_unique<StateVectorCache>(seg.svcCapacity,
-                                                       seg.svcPolicy);
+            cache = std::make_unique<StateVectorCache>(svc_capacity,
+                                                       options.svcPolicy);
             seen.assign(seg.flows.size(), 0);
         }
 

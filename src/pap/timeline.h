@@ -63,19 +63,6 @@ struct SegmentTimingInput
      * (stateVectorUploadCycles, 1668 on the D480).
      */
     Cycles batchReloadCycles = 0;
-    /**
-     * OverflowPolicy::Evict: simulate SVC residency round by round.
-     * Every live flow's context is looked up in a live cache each TDM
-     * round; a miss on a previously evicted flow stalls the half-core
-     * for batchReloadCycles while the context re-uploads. Flow deaths
-     * (deactivation, convergence merges, FIV kills) release their
-     * entries, so merging directly relieves admission pressure.
-     */
-    bool svcEvict = false;
-    /** Modeled SVC capacity in flow contexts (Evict mode). */
-    std::uint32_t svcCapacity = 0;
-    /** Replacement policy of the live cache (Evict mode). */
-    SvcPolicyKind svcPolicy = SvcPolicyKind::Lru;
 };
 
 /** Outcome of the timeline simulation. */
@@ -115,7 +102,14 @@ struct TimelineResult
 };
 
 /**
- * Simulate the cross-segment timeline.
+ * Simulate the cross-segment timeline. Under OverflowPolicy::Evict
+ * every segment with enumeration flows replays its flow schedule
+ * through a live State Vector Cache of svcCapacity(options, config)
+ * contexts and policy options.svcPolicy: each TDM round looks up every
+ * live flow's context, a miss on a previously evicted flow stalls the
+ * half-core for batchReloadCycles while the context re-uploads, and
+ * flow deaths (deactivation, convergence merges, FIV kills) release
+ * their entries, so merging directly relieves admission pressure.
  * @param segments   per-segment timing inputs, in input order.
  * @param seq_entries output events of the sequential baseline.
  * @param total_len  total input symbols.
@@ -123,7 +117,7 @@ struct TimelineResult
 TimelineResult simulateTimeline(
     const std::vector<SegmentTimingInput> &segments,
     std::uint64_t seq_entries, std::uint64_t total_len,
-    const PapOptions &options, const ApTiming &timing);
+    const PapOptions &options, const ApConfig &config);
 
 } // namespace pap
 

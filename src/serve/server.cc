@@ -710,7 +710,7 @@ Server::composeReady(std::unique_lock<std::mutex> &lock, SessionPtr s)
         if (!opts_.checkpointDir.empty()) {
             s->ckptSegments.push_back(segmentCheckpoint(
                 chunk->run, truth, chunk->plan, chunk->batches,
-                recovered || chunk->oracle, execPap_, opts_.ap));
+                recovered || chunk->oracle, opts_.ap));
 
             // Periodic incremental checkpoint: snapshot the frontier
             // under the lock, hand the (possibly large) serialization

@@ -58,16 +58,13 @@ PY
 
 # --attrib prints the wall-time ledger as a table whose wall buckets
 # sum to the measured wall, and --attrib=json emits machine-readable
-# buckets; overlap mode must satisfy the same invariant.
-for mode in barrier overlap; do
-    ATTRIB="$("$PAPSIM" run m.nfa t.bin --ranks=2 --threads=2 \
-        --pipeline=$mode --attrib)"
-    grep -q "attribution (wall" <<< "$ATTRIB"
-    grep -q "compose.decode" <<< "$ATTRIB"
+# buckets.
+ATTRIB="$("$PAPSIM" run m.nfa t.bin --ranks=2 --threads=2 --attrib)"
+grep -q "attribution (wall" <<< "$ATTRIB"
+grep -q "compose.decode" <<< "$ATTRIB"
 
-    "$PAPSIM" run m.nfa t.bin --ranks=2 --threads=2 \
-        --pipeline=$mode --attrib=json > attrib.txt
-    python3 - <<'PY'
+"$PAPSIM" run m.nfa t.bin --ranks=2 --threads=2 --attrib=json > attrib.txt
+python3 - <<'PY'
 import json
 line = next(l for l in open("attrib.txt")
             if l.startswith("{") and '"wall_ms"' in l)
@@ -79,16 +76,15 @@ assert abs(charged - wall) <= max(0.05 * wall, 0.5), (charged, wall)
 assert "device.execute" in a["buckets"], a
 assert "workers.execute" in a["aux"], a
 PY
-done
 
-# Overlap-mode traces carry causal flow events: every flow id runs
+# Multi-threaded traces carry causal flow events: every flow id runs
 # s -> t -> f with ordered timestamps, B/E stay balanced per track.
-"$PAPSIM" run m.nfa t.bin --ranks=2 --threads=2 --pipeline=overlap \
-    --trace-out trace_overlap.json >/dev/null
+"$PAPSIM" run m.nfa t.bin --ranks=2 --threads=2 \
+    --trace-out trace_threads.json >/dev/null
 python3 - <<'PY'
 import json
 from collections import defaultdict
-events = json.load(open("trace_overlap.json"))
+events = json.load(open("trace_threads.json"))
 per_track = defaultdict(int)
 flows = defaultdict(dict)
 for e in events:
@@ -100,7 +96,7 @@ for e in events:
     if e["ph"] == "f":
         assert e.get("bp") == "e", e
 assert all(v == 0 for v in per_track.values()), per_track
-assert flows, "no flow events in overlap trace"
+assert flows, "no flow events in the trace"
 for fid, ph in flows.items():
     assert set(ph) == {"s", "t", "f"}, (fid, ph)
     assert ph["s"] <= ph["t"] <= ph["f"], (fid, ph)

@@ -3,10 +3,9 @@
  * Performance-attribution ledger: unit semantics of AttribLedger
  * (charge, Scope, finalize residual, JSON), and the run-level
  * invariant that the wall buckets of a PAP run sum to its measured
- * wall time — across both pipeline modes, both engine backends,
- * thread counts 1..4, every injected fault kind, device-latency
- * emulation, and checkpointing. Also covers the engine introspection
- * totals PapResult carries alongside the ledger.
+ * wall time — across both engine backends, thread counts 1..4, every
+ * injected fault kind, and checkpointing. Also covers the engine
+ * introspection totals PapResult carries alongside the ledger.
  */
 
 #include <gtest/gtest.h>
@@ -212,44 +211,44 @@ TEST(AttribRun, SumsToWallAcrossModesEnginesAndThreads)
 {
     const Workload w = attribWorkload();
     const ApConfig cfg = smallBoard(8);
-    for (const PipelineMode mode :
-         {PipelineMode::Barrier, PipelineMode::Overlap}) {
-        for (const EngineKind engine :
-             {EngineKind::Sparse, EngineKind::Dense}) {
-            for (const std::uint32_t threads : {1u, 2u, 3u, 4u}) {
-                PapOptions opt;
-                opt.pipeline = mode;
-                opt.engine = engine;
-                opt.threads = threads;
-                const PapResult r =
-                    runPap(w.nfa, w.input, cfg, opt);
-                ASSERT_TRUE(r.status.ok()) << r.status.toString();
-                char what[96];
-                std::snprintf(what, sizeof(what),
-                              "mode=%d engine=%d threads=%u",
-                              static_cast<int>(mode),
-                              static_cast<int>(engine), threads);
-                expectSumsToWall(r, what);
-                // The phase buckets a healthy multi-segment run must
-                // charge on its composer thread, including its wait
-                // for the concurrent sequential oracle.
-                for (const char *name :
-                     {"analyze", "partition", "plan", "device.execute",
-                      "compose.decode", "baseline.wait", "verify",
-                      "timeline"}) {
-                    EXPECT_TRUE(hasBucket(r.attrib, name))
-                        << what << " missing " << name;
-                    EXPECT_FALSE(r.attrib.bucket(name).aux)
-                        << what << " " << name;
-                }
-                // Worker-side execution and the oracle's own time
-                // overlap the composer: always aux charges.
-                for (const char *name : {"workers.execute", "baseline"}) {
-                    EXPECT_TRUE(r.attrib.bucket(name).aux)
-                        << what << " " << name;
-                    EXPECT_GT(r.attrib.bucket(name).ms, 0.0)
-                        << what << " " << name;
-                }
+    for (const EngineKind engine :
+         {EngineKind::Sparse, EngineKind::Dense}) {
+        for (const std::uint32_t threads : {1u, 2u, 3u, 4u}) {
+            PapOptions opt;
+            opt.engine = engine;
+            opt.threads = threads;
+            const PapResult r = runPap(w.nfa, w.input, cfg, opt);
+            ASSERT_TRUE(r.status.ok()) << r.status.toString();
+            char what[64];
+            std::snprintf(what, sizeof(what), "engine=%d threads=%u",
+                          static_cast<int>(engine), threads);
+            expectSumsToWall(r, what);
+            // The phase buckets a healthy multi-segment run must
+            // charge on its composer thread, including its wait for
+            // the concurrent sequential oracle.
+            for (const char *name :
+                 {"analyze", "partition", "plan", "device.execute",
+                  "compose.decode", "baseline.wait", "verify",
+                  "timeline"}) {
+                EXPECT_TRUE(hasBucket(r.attrib, name))
+                    << what << " missing " << name;
+                EXPECT_FALSE(r.attrib.bucket(name).aux)
+                    << what << " " << name;
+            }
+            // device.execute is the composer's wait for segment
+            // execution: it holds every blocked await(), and no
+            // separate stall bucket exists.
+            EXPECT_GE(r.attrib.bucket("device.execute").ms,
+                      r.composerStallMs)
+                << what;
+            EXPECT_FALSE(hasBucket(r.attrib, "pipeline.stall")) << what;
+            // Worker-side execution and the oracle's own time overlap
+            // the composer: always aux charges.
+            for (const char *name : {"workers.execute", "baseline"}) {
+                EXPECT_TRUE(r.attrib.bucket(name).aux)
+                    << what << " " << name;
+                EXPECT_GT(r.attrib.bucket(name).ms, 0.0)
+                    << what << " " << name;
             }
         }
     }
@@ -264,24 +263,18 @@ TEST(AttribRun, SumsToWallOnTable1Workloads)
         // ledger partitions the wall clock), not throughput-shaped.
         const InputTrace input =
             buildBenchmarkTrace(nfa, info.name, 512);
-        for (const PipelineMode mode :
-             {PipelineMode::Barrier, PipelineMode::Overlap}) {
-            for (const EngineKind engine :
-                 {EngineKind::Sparse, EngineKind::Dense}) {
-                PapOptions opt;
-                opt.threads = 2;
-                opt.pipeline = mode;
-                opt.engine = engine;
-                opt.routingMinHalfCores = info.paper.halfCores;
-                const PapResult r = runPap(nfa, input, cfg, opt);
-                ASSERT_TRUE(r.status.ok())
-                    << info.name << ": " << r.status.toString();
-                expectSumsToWall(
-                    r, info.name + " mode=" +
-                           std::to_string(static_cast<int>(mode)) +
-                           " engine=" +
-                           std::to_string(static_cast<int>(engine)));
-            }
+        for (const EngineKind engine :
+             {EngineKind::Sparse, EngineKind::Dense}) {
+            PapOptions opt;
+            opt.threads = 2;
+            opt.engine = engine;
+            opt.routingMinHalfCores = info.paper.halfCores;
+            const PapResult r = runPap(nfa, input, cfg, opt);
+            ASSERT_TRUE(r.status.ok())
+                << info.name << ": " << r.status.toString();
+            expectSumsToWall(
+                r, info.name + " engine=" +
+                       std::to_string(static_cast<int>(engine)));
         }
     }
 }
@@ -358,36 +351,6 @@ TEST(AttribRun, SumsToWallUnderEveryFaultKind)
                 << kind;
         }
     }
-}
-
-TEST(AttribRun, EmulationAndOverlapChargeTheirBuckets)
-{
-    const Workload w = attribWorkload();
-    const ApConfig cfg = smallBoard(8);
-    PapOptions opt;
-    opt.threads = 2;
-    opt.emulateDeviceNsPerSymbol = 500.0;
-
-    opt.pipeline = PipelineMode::Barrier;
-    const PapResult barrier = runPap(w.nfa, w.input, cfg, opt);
-    ASSERT_TRUE(barrier.status.ok());
-    expectSumsToWall(barrier, "emu barrier");
-    // The modeled host Tcpu is slept out on the composer thread.
-    EXPECT_GT(barrier.attrib.bucket("compose.emulation").ms, 0.0);
-    // In barrier mode the whole device execution happens inside the
-    // pipeline constructor, on the composer's wall clock.
-    EXPECT_GT(barrier.attrib.bucket("device.execute").ms, 1.0);
-
-    opt.pipeline = PipelineMode::Overlap;
-    const PapResult overlap = runPap(w.nfa, w.input, cfg, opt);
-    ASSERT_TRUE(overlap.status.ok());
-    expectSumsToWall(overlap, "emu overlap");
-    // In overlap mode the composer instead waits in await(): the
-    // pipeline.stall bucket absorbs the device time.
-    EXPECT_TRUE(hasBucket(overlap.attrib, "pipeline.stall"));
-    EXPECT_GT(overlap.attrib.bucket("pipeline.stall").ms +
-                  overlap.attrib.bucket("device.execute").ms,
-              1.0);
 }
 
 TEST(AttribRun, CheckpointingChargesIoBucket)

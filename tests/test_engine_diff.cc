@@ -793,12 +793,14 @@ TEST(EngineDiffLarge, PipelineOverlapIsByteIdenticalAt16KStates)
     Rng rng(91);
     const InputTrace input = randomTextTrace(rng, 16384, "abcdefgh");
     const ApConfig board = smallBoard(8);
+    // Several host threads, so the composer consumes segments while
+    // later ones still execute.
     PapOptions sparse_opt;
     sparse_opt.engine = EngineKind::Sparse;
-    sparse_opt.pipeline = PipelineMode::Overlap;
+    sparse_opt.threads = 4;
     PapOptions hybrid_opt;
     hybrid_opt.engine = EngineKind::Hybrid;
-    hybrid_opt.pipeline = PipelineMode::Overlap;
+    hybrid_opt.threads = 4;
     const PapResult a = runPap(nfa, input, board, sparse_opt);
     const PapResult b = runPap(nfa, input, board, hybrid_opt);
     ASSERT_TRUE(a.status.ok());

@@ -2,8 +2,8 @@
  * @file
  * Unit tests of the hardened-execution primitives: WorkerPool,
  * CancellationToken, Watchdog, the retry/deadline attempt ladder (on
- * its own and under a barrier-mode SegmentPipeline), and the
- * checkpoint file format (roundtrip, corruption, identity).
+ * its own and under a SegmentPipeline), and the checkpoint file format
+ * (roundtrip, corruption, identity).
  */
 
 #include <gtest/gtest.h>
@@ -135,53 +135,37 @@ TEST(WorkerPool, ConcurrentSubmitAndDrainNeverLosesTasks)
 
 // --- SegmentPipeline -------------------------------------------------
 
-TEST(SegmentPipeline, BarrierModeRunsEverythingBeforeAwait)
+TEST(SegmentPipeline, AwaitReturnsWhileTheLastTaskIsStillBlocked)
 {
+    // What the schedule is for: the composer consumes task 0 while a
+    // later task still executes, instead of waiting for all of them.
     SegmentPipeline::Options opt;
     opt.exec.threads = 2;
-    opt.overlap = false;
-    std::atomic<int> ran{0};
-    SegmentPipeline pipe(opt, 8,
-                         [&](std::size_t, const CancellationToken &) {
-                             ran.fetch_add(1);
-                             return Status();
-                         });
-    // Barrier mode: the constructor is the barrier.
-    EXPECT_EQ(ran.load(), 8);
-    for (std::size_t i = 0; i < 8; ++i)
-        EXPECT_TRUE(pipe.await(i).status.ok());
-    EXPECT_EQ(pipe.composerStalls(), 0u);
-}
-
-TEST(SegmentPipeline, OverlapModeBoundsTheAdmissionWindow)
-{
-    SegmentPipeline::Options opt;
-    opt.exec.threads = 4;
-    opt.overlap = true;
-    opt.window = 2;
-    std::atomic<int> started{0};
-    CancellationToken release;
+    constexpr std::size_t kTasks = 6;
+    CancellationToken started, release;
+    std::atomic<bool> last_done{false};
     SegmentPipeline pipe(
-        opt, 6, [&](std::size_t, const CancellationToken &) {
-            started.fetch_add(1);
-            release.waitCancelledFor(std::chrono::milliseconds(10000));
+        opt, kTasks, [&](std::size_t i, const CancellationToken &) {
+            if (i == kTasks - 1) {
+                started.cancel();
+                release.waitCancelledFor(std::chrono::milliseconds(10000));
+                last_done.store(true);
+            }
             return Status();
         });
-    // Only the first window of tasks may start while the composer
-    // has not consumed anything (frontier = 0, window = 2).
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    EXPECT_LE(started.load(), 2);
+    ASSERT_TRUE(started.waitCancelledFor(std::chrono::milliseconds(10000)));
+    EXPECT_TRUE(pipe.await(0).status.ok());
+    EXPECT_FALSE(last_done.load());
     release.cancel();
-    for (std::size_t i = 0; i < 6; ++i)
+    for (std::size_t i = 0; i < kTasks; ++i)
         EXPECT_TRUE(pipe.await(i).status.ok());
-    EXPECT_EQ(started.load(), 6);
+    EXPECT_TRUE(last_done.load());
 }
 
 TEST(SegmentPipeline, AwaitReturnsSlotsInAnyOrderRequested)
 {
     SegmentPipeline::Options opt;
     opt.exec.threads = 4;
-    opt.overlap = true;
     std::vector<int> slot(10, 0);
     SegmentPipeline pipe(opt, slot.size(),
                          [&](std::size_t i, const CancellationToken &) {
@@ -198,8 +182,6 @@ TEST(SegmentPipeline, CancelRemainingStopsUnstartedTasks)
 {
     SegmentPipeline::Options opt;
     opt.exec.threads = 1;
-    opt.overlap = true;
-    opt.window = 1;
     CancellationToken release;
     std::atomic<int> ran{0};
     SegmentPipeline pipe(
@@ -210,8 +192,8 @@ TEST(SegmentPipeline, CancelRemainingStopsUnstartedTasks)
         });
     pipe.cancelRemaining();
     release.cancel();
-    // Destructor drains; tasks past the admission window must report
-    // Cancelled without having run.
+    // Every task was submitted, but the ones that had not started
+    // must report Cancelled without having run.
     std::uint32_t cancelled = 0;
     for (std::size_t i = 0; i < 16; ++i) {
         const TaskReport &tr = pipe.await(i);
@@ -279,13 +261,10 @@ TEST(Watchdog, DisarmedAttemptIsNeverCancelled)
 
 // --- Attempt ladder --------------------------------------------------
 
-/**
- * Run tasks [0, count) on a barrier-mode pipeline and collect their
- * reports in index order.
- */
+/** Run tasks [0, count) on a pipeline; their reports in index order. */
 std::vector<TaskReport>
-runBarrier(const HardenedExecOptions &options, std::size_t count,
-           const TaskFn &fn)
+runAll(const HardenedExecOptions &options, std::size_t count,
+       const TaskFn &fn)
 {
     SegmentPipeline::Options popt;
     popt.exec = options;
@@ -302,7 +281,7 @@ TEST(RunHardened, ReportsInIndexOrderForAnyThreadCount)
         HardenedExecOptions opt;
         opt.threads = threads;
         std::vector<std::size_t> slot(16, 0);
-        const auto reports = runBarrier(
+        const auto reports = runAll(
             opt, slot.size(),
             [&](std::size_t i, const CancellationToken &) {
                 slot[i] = i + 1;
@@ -328,7 +307,7 @@ TEST(RunHardened, RetriesTransientFailureWithBackoff)
     std::vector<std::atomic<std::uint32_t>> tries(4);
     for (auto &t : tries)
         t.store(0);
-    const auto reports = runBarrier(
+    const auto reports = runAll(
         opt, tries.size(),
         [&](std::size_t i, const CancellationToken &) {
             // Odd tasks fail on their first attempt only.
@@ -354,7 +333,7 @@ TEST(RunHardened, SurfacesTerminalFailureAfterRetriesExhaust)
     HardenedExecOptions opt;
     opt.maxRetries = 3;
     opt.backoffBaseMs = 0;
-    const auto reports = runBarrier(
+    const auto reports = runAll(
         opt, 1, [&](std::size_t, const CancellationToken &) {
             return Status::error(ErrorCode::HardwareFault,
                                  "permanent");
@@ -373,7 +352,7 @@ TEST(RunHardened, WatchdogCancelsStalledTaskThenRetrySucceeds)
     opt.deadlineMs = 10.0;
     opt.backoffBaseMs = 0;
     std::atomic<std::uint32_t> tries{0};
-    const auto reports = runBarrier(
+    const auto reports = runAll(
         opt, 1, [&](std::size_t, const CancellationToken &cancel) {
             if (tries.fetch_add(1) == 0) {
                 // Stall: park until the watchdog cancels us.
@@ -394,7 +373,7 @@ TEST(RunHardened, CaughtExceptionBecomesHardwareFault)
 {
     HardenedExecOptions opt;
     opt.maxRetries = 0;
-    const auto reports = runBarrier(
+    const auto reports = runAll(
         opt, 1,
         [&](std::size_t, const CancellationToken &) -> Status {
             throw std::runtime_error("boom");
@@ -415,7 +394,7 @@ TEST(RunHardened, InjectedStallRecoversOnRetry)
     opt.deadlineMs = 10.0;
     opt.backoffBaseMs = 0;
     opt.injector = &fi;
-    const auto reports = runBarrier(
+    const auto reports = runAll(
         opt, 6,
         [&](std::size_t, const CancellationToken &) {
             return Status();
@@ -448,7 +427,7 @@ TEST(RunHardened, InjectedCrashBeyondRetriesIsTerminal)
     opt.maxRetries = 2;
     opt.backoffBaseMs = 0;
     opt.injector = &fi;
-    const auto reports = runBarrier(
+    const auto reports = runAll(
         opt, 2,
         [&](std::size_t, const CancellationToken &) {
             return Status();
@@ -477,7 +456,7 @@ TEST(RunHardened, WorkerFaultSetIsThreadCountInvariant)
         opt.maxRetries = 1;
         opt.backoffBaseMs = 0;
         opt.injector = &fi;
-        const auto reports = runBarrier(
+        const auto reports = runAll(
             opt, 32,
             [&](std::size_t, const CancellationToken &) {
                 return Status();

@@ -400,27 +400,90 @@ TEST_F(CheckpointResume, ResumeUnderWorkerFaultsKeepsReportsExact)
 {
     const Workload w = robustWorkload();
     const ApConfig board = smallBoard(8);
-    const PapResult clean = runPap(w.nfa, w.input, board);
+    // A permanent spec: every attempt of a selected segment crashes,
+    // so the segment is recovered from the oracle. Which segments
+    // those are must not depend on where the run was killed.
+    const auto faulted = [&](PapOptions opt) {
+        auto fi = FaultInjector::fromSpec("crash-worker:3:0.4", 11).value();
+        opt.retryBackoffBaseMs = 0;
+        opt.faultInjector = &fi;
+        return runPap(w.nfa, w.input, board, opt);
+    };
+    const PapResult full = faulted({});
+    ASSERT_TRUE(full.status.ok());
+    ASSERT_GT(full.segmentsRecovered, 0u);
+    EXPECT_EQ(full.reports, runPap(w.nfa, w.input, board).reports);
 
-    auto kill_fi =
-        FaultInjector::fromSpec("crash-worker:1:0.5", 21).value();
-    PapOptions killed;
-    killed.checkpointPath = path_;
-    killed.stopAfterSegment = 1;
-    killed.retryBackoffBaseMs = 0;
-    killed.faultInjector = &kill_fi;
-    ASSERT_FALSE(runPap(w.nfa, w.input, board, killed).status.ok());
+    for (std::uint32_t stop = 0; stop + 1 < full.numSegments; ++stop) {
+        exec::removeCheckpoint(path_);
+        PapOptions killed;
+        killed.checkpointPath = path_;
+        killed.stopAfterSegment = static_cast<std::int64_t>(stop);
+        ASSERT_FALSE(faulted(killed).status.ok()) << "stop " << stop;
 
-    auto resume_fi =
-        FaultInjector::fromSpec("crash-worker:1:0.5", 21).value();
-    PapOptions resume;
-    resume.checkpointPath = path_;
-    resume.retryBackoffBaseMs = 0;
-    resume.faultInjector = &resume_fi;
-    const PapResult r = runPap(w.nfa, w.input, board, resume);
-    ASSERT_TRUE(r.status.ok());
-    EXPECT_TRUE(r.resumedFromCheckpoint);
-    EXPECT_EQ(r.reports, clean.reports);
+        PapOptions resume;
+        resume.checkpointPath = path_;
+        const PapResult r = faulted(resume);
+        ASSERT_TRUE(r.status.ok()) << "stop " << stop;
+        EXPECT_TRUE(r.resumedFromCheckpoint) << "stop " << stop;
+        expectSameRun(full, r);
+        EXPECT_EQ(r.segmentsRetried, full.segmentsRetried)
+            << "stop " << stop;
+        EXPECT_EQ(r.segmentsRecovered, full.segmentsRecovered)
+            << "stop " << stop;
+    }
+}
+
+TEST_F(CheckpointResume, EvictRunResumesThroughTheLiveCache)
+{
+    // Chains "b c{L} z" of spread lifetimes over runs of 'c' cut at
+    // 'b': with component merging off every enumeration segment plans
+    // one flow per rule, so a capacity below that width makes the live
+    // cache evict in the resumed segments as well as the executed ones.
+    std::vector<RegexRule> rules;
+    for (std::uint32_t i = 0; i < 16; ++i)
+        rules.push_back({"bc{" + std::to_string(4 + (i * 37) % 100) + "}z",
+                         static_cast<ReportCode>(i), false});
+    const Nfa nfa = compileRuleset(rules, "chains");
+    std::string text;
+    while (text.size() < 8192) {
+        text += 'b';
+        text.append(255, 'c');
+    }
+    const InputTrace input = InputTrace::fromString(text);
+    const ApConfig board = smallBoard(8);
+    PapOptions opt;
+    opt.enableCcMerging = false;
+    opt.overflowPolicy = OverflowPolicy::Evict;
+    opt.svcPolicy = SvcPolicyKind::CostAware;
+    opt.svcCapacity = 8;
+    const PapResult full = runPap(nfa, input, board, opt);
+    ASSERT_TRUE(full.status.ok());
+    ASSERT_GE(full.numSegments, 3u);
+    ASSERT_LT(opt.svcCapacity, full.maxFlowsPerSegment);
+    ASSERT_GT(full.svcEvictions, 0u);
+
+    for (std::uint32_t stop = 0; stop + 1 < full.numSegments; ++stop) {
+        exec::removeCheckpoint(path_);
+        PapOptions killed = opt;
+        killed.checkpointPath = path_;
+        killed.stopAfterSegment = static_cast<std::int64_t>(stop);
+        ASSERT_FALSE(runPap(nfa, input, board, killed).status.ok())
+            << "stop " << stop;
+
+        PapOptions resume = opt;
+        resume.checkpointPath = path_;
+        const PapResult r = runPap(nfa, input, board, resume);
+        ASSERT_TRUE(r.status.ok()) << "stop " << stop;
+        EXPECT_TRUE(r.resumedFromCheckpoint) << "stop " << stop;
+        expectSameRun(full, r);
+        EXPECT_EQ(r.svcEvictions, full.svcEvictions) << "stop " << stop;
+        EXPECT_EQ(r.svcReuploads, full.svcReuploads) << "stop " << stop;
+        EXPECT_EQ(r.svcLoadHits, full.svcLoadHits) << "stop " << stop;
+        EXPECT_EQ(r.svcLoadMisses, full.svcLoadMisses) << "stop " << stop;
+        EXPECT_EQ(r.svcReuploadCycles, full.svcReuploadCycles)
+            << "stop " << stop;
+    }
 }
 
 // --- The other runners ----------------------------------------------

@@ -506,12 +506,11 @@ TEST(ObsTrace, FlowEventsCarryIdsAndBindingPoint)
 }
 
 /**
- * The PR-pinned bug: overlap-mode runs used to emit unbalanced B/E
- * pairs on worker tracks and no flow linkage at all. A real overlap
- * run must produce a trace with (a) every B matched by an E on its
- * own track in stack order, (b) every admitted segment's flow id
- * appearing as s -> t -> f in non-decreasing timestamp order, and
- * (c) valid JSON overall.
+ * A multi-threaded run, whose composer consumes segments while later
+ * ones still execute on worker tracks, must produce a trace with (a)
+ * every B matched by an E on its own track in stack order, (b) every
+ * admitted segment's flow id appearing as s -> t -> f in
+ * non-decreasing timestamp order, and (c) valid JSON overall.
  */
 TEST(ObsTrace, OverlapPipelineTraceIsWellFormed)
 {
@@ -526,7 +525,6 @@ TEST(ObsTrace, OverlapPipelineTraceIsWellFormed)
     cfg.halfCoresPerDevice = 1;
     PapOptions opt;
     opt.threads = 4;
-    opt.pipeline = PipelineMode::Overlap;
     const PapResult r = runPap(nfa, input, cfg, opt);
     obs::setTracer(nullptr);
     ASSERT_TRUE(r.status.ok()) << r.status.toString();

@@ -163,8 +163,7 @@ TEST(RetryBackoff, JitterIsDeterministicAndBounded)
     exec::HardenedExecOptions opt;
     opt.backoffBaseMs = 1;
     opt.backoffCapMs = 64;
-    opt.backoffJitter = true;
-    opt.backoffJitterSeed = 42;
+    opt.jitterSeed = 42;
     for (std::uint32_t retry = 0; retry < 12; ++retry) {
         for (std::size_t index = 0; index < 8; ++index) {
             const auto a = exec::retryBackoff(opt, index, retry);
@@ -181,25 +180,13 @@ TEST(RetryBackoff, JitterIsDeterministicAndBounded)
     }
 }
 
-TEST(RetryBackoff, JitterOffIsExactExponential)
-{
-    exec::HardenedExecOptions opt;
-    opt.backoffBaseMs = 2;
-    opt.backoffCapMs = 32;
-    opt.backoffJitter = false;
-    EXPECT_EQ(exec::retryBackoff(opt, 0, 0).count(), 2);
-    EXPECT_EQ(exec::retryBackoff(opt, 0, 1).count(), 4);
-    EXPECT_EQ(exec::retryBackoff(opt, 0, 3).count(), 16);
-    EXPECT_EQ(exec::retryBackoff(opt, 0, 9).count(), 32);
-}
-
 TEST(RetryBackoff, DifferentSeedsDecorrelate)
 {
     exec::HardenedExecOptions a, b;
     a.backoffCapMs = b.backoffCapMs = 1024;
     a.backoffBaseMs = b.backoffBaseMs = 1024;
-    a.backoffJitterSeed = 1;
-    b.backoffJitterSeed = 2;
+    a.jitterSeed = 1;
+    b.jitterSeed = 2;
     int differ = 0;
     for (std::size_t index = 0; index < 16; ++index)
         differ += exec::retryBackoff(a, index, 0) !=

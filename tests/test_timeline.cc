@@ -35,7 +35,7 @@ flow(FlowKind kind, std::uint64_t symbols, bool is_true = true)
     return FlowTimingInfo{kind, symbols, is_true};
 }
 
-const ApTiming kTiming;
+const ApConfig kConfig;
 
 TEST(Timeline, SingleGoldenSegmentHasNoOverhead)
 {
@@ -43,7 +43,7 @@ TEST(Timeline, SingleGoldenSegmentHasNoOverhead)
     const std::vector<SegmentTimingInput> segs = {
         segment(1000, {flow(FlowKind::Golden, 1000)})};
     const TimelineResult r = simulateTimeline(segs, 0, 1000, opt,
-                                              kTiming);
+                                              kConfig);
     EXPECT_EQ(r.tDone[0], 1000u);
     EXPECT_EQ(r.switchCycles, 0u);
     EXPECT_EQ(r.papCycles, 1000u); // no enum flows anywhere: no tcpu
@@ -60,7 +60,7 @@ TEST(Timeline, TwoFlowsPaySwitches)
                        flow(FlowKind::Enum, 1000)},
                 0, 1)};
     const TimelineResult r = simulateTimeline(segs, 0, 2000, opt,
-                                              kTiming);
+                                              kConfig);
     // Segment 1: 10 rounds x (2 flows x 100 syms + 2 x 3 switch).
     EXPECT_EQ(r.tDone[1], 2000u + 60u);
     EXPECT_EQ(r.switchCycles, 60u);
@@ -75,7 +75,7 @@ TEST(Timeline, DeadFlowStopsCosting)
         segment(1000, {flow(FlowKind::Asg, 1000),
                        flow(FlowKind::Enum, 200)})};
     const TimelineResult r = simulateTimeline(segs, 0, 2000, opt,
-                                              kTiming);
+                                              kConfig);
     // Enum flow contributes 200 symbols + switches for 2 rounds.
     EXPECT_EQ(r.tDone[1], 1000u + 200u + 2u * 2u * 3u);
 }
@@ -97,11 +97,11 @@ TEST(Timeline, FivKillsFalseFlows)
                 0, 2)};
 
     TimelineResult with = simulateTimeline(segs, 0, 20000, opt,
-                                           kTiming);
+                                           kConfig);
     PapOptions no_fiv = opt;
     no_fiv.enableFiv = false;
     TimelineResult without = simulateTimeline(segs, 0, 20000, no_fiv,
-                                              kTiming);
+                                              kConfig);
     EXPECT_LT(with.tDone[1], without.tDone[1]);
     // Without FIV: 3 flows all the way: 30000 + 300 rounds... exactly
     // 100 rounds x (300 + 9).
@@ -116,7 +116,7 @@ TEST(Timeline, TrueFlowsSurviveFiv)
         segment(5000, {flow(FlowKind::Golden, 5000)}),
         segment(5000, {flow(FlowKind::Enum, 5000, true)})};
     const TimelineResult r = simulateTimeline(segs, 0, 10000, opt,
-                                              kTiming);
+                                              kConfig);
     // The single (true) enum flow runs to completion; one flow means
     // no switch cost either.
     EXPECT_EQ(r.tDone[1], 5000u);
@@ -130,7 +130,7 @@ TEST(Timeline, TcpuSkippedWithoutEnumFlows)
         segment(1000, {flow(FlowKind::Asg, 1000)}),
         segment(1000, {flow(FlowKind::Asg, 1000)})};
     const TimelineResult r = simulateTimeline(segs, 0, 3000, opt,
-                                              kTiming);
+                                              kConfig);
     for (const auto tcpu : r.tcpuCycles)
         EXPECT_EQ(tcpu, 0u);
     EXPECT_EQ(r.papCycles, 1000u);
@@ -145,12 +145,12 @@ TEST(Timeline, UploadChargedWhenNextSegmentNeedsT)
                        flow(FlowKind::Enum, 48)},
                 0, 0)};
     const TimelineResult r = simulateTimeline(segs, 0, 2000, opt,
-                                              kTiming);
+                                              kConfig);
     // Segment 0 pays the upload (segment 1 needs its T)...
-    EXPECT_EQ(r.tcpuCycles[0], kTiming.stateVectorUploadCycles);
+    EXPECT_EQ(r.tcpuCycles[0], kConfig.timing.stateVectorUploadCycles);
     // ...and segment 1 pays upload (it has enum flows) but no
     // per-flow decode since nothing survived to segment end.
-    EXPECT_EQ(r.tcpuCycles[1], kTiming.stateVectorUploadCycles +
+    EXPECT_EQ(r.tcpuCycles[1], kConfig.timing.stateVectorUploadCycles +
                                    opt.decodeBaseCycles);
 }
 
@@ -165,12 +165,12 @@ TEST(Timeline, DecodeChainsSeriallyButUploadsOverlap)
         segs.push_back(segment(
             1000, {flow(FlowKind::Enum, 1000, true)}, 0, 1));
     const TimelineResult r =
-        simulateTimeline(segs, 0, 5000, opt, kTiming);
+        simulateTimeline(segs, 0, 5000, opt, kConfig);
     // All segments finish at 1000; uploads overlap; decodes chain:
     // truth_j = 1000 + 1668 + 50 * (j) ... segment 0 truth at
     // 1000+1668, then +50 per enumeration segment.
     EXPECT_EQ(r.tResolve.back(),
-              1000u + kTiming.stateVectorUploadCycles + 4u * 50u);
+              1000u + kConfig.timing.stateVectorUploadCycles + 4u * 50u);
 }
 
 TEST(Timeline, DrainAddsReportCost)
@@ -181,7 +181,7 @@ TEST(Timeline, DrainAddsReportCost)
     const std::vector<SegmentTimingInput> segs = {
         segment(1000, {flow(FlowKind::Golden, 1000)}, /*entries=*/200)};
     const TimelineResult r = simulateTimeline(segs, 100, 1000, opt,
-                                              kTiming);
+                                              kConfig);
     EXPECT_EQ(r.papCycles, 1000u + 100u);
     EXPECT_EQ(r.baselineCycles, 1000u + 50u);
 }
@@ -203,14 +203,14 @@ TEST(Timeline, GoldenCapBoundsSpeedupAtOne)
         segment(1000, {flow(FlowKind::Golden, 1000)}), heavy};
 
     const TimelineResult r = simulateTimeline(segs, 0, 2000, opt,
-                                              kTiming);
+                                              kConfig);
     EXPECT_TRUE(r.goldenCapped);
     EXPECT_DOUBLE_EQ(r.speedup, 1.0);
 
     PapOptions uncapped = opt;
     uncapped.applyGoldenCap = false;
     const TimelineResult r2 = simulateTimeline(segs, 0, 2000, uncapped,
-                                               kTiming);
+                                               kConfig);
     EXPECT_LT(r2.speedup, 1.0);
 }
 
@@ -223,7 +223,7 @@ TEST(Timeline, AvgActiveFlowsWeightsRounds)
         segment(1000, {flow(FlowKind::Asg, 1000),
                        flow(FlowKind::Enum, 500, true)})};
     const TimelineResult r = simulateTimeline(segs, 0, 2000, opt,
-                                              kTiming);
+                                              kConfig);
     // Rounds: seg0 2x1 flow; seg1 round0 2 flows, round1 1 flow.
     EXPECT_DOUBLE_EQ(r.avgActiveFlows, (1 + 1 + 2 + 1) / 4.0);
 }
@@ -256,9 +256,9 @@ TEST(Timeline, SvcBatchesSerializeAndPayReloads)
     PapOptions uncapped = opt;
     uncapped.applyGoldenCap = false;
     const TimelineResult rt =
-        simulateTimeline(one, 0, 2000, uncapped, kTiming);
+        simulateTimeline(one, 0, 2000, uncapped, kConfig);
     const TimelineResult rb =
-        simulateTimeline(two, 0, 2000, uncapped, kTiming);
+        simulateTimeline(two, 0, 2000, uncapped, kConfig);
 
     // Together: 10 rounds x (2x100 + 2x3). Batched: each batch runs
     // its flow alone (no switches) plus the inter-batch reload.

@@ -14,7 +14,7 @@
 namespace pap {
 namespace {
 
-const ApTiming kTiming;
+const ApConfig kConfig;
 
 /** A segment with one true and @p false_flows immortal false flows. */
 SegmentTimingInput
@@ -49,7 +49,7 @@ TEST(TimelineCascade, FivPipelinesAcrossSegments)
         segs.push_back(cascadeSegment(len, /*false_flows=*/8));
 
     const TimelineResult r = simulateTimeline(
-        segs, 0, len * segs.size(), opt, kTiming);
+        segs, 0, len * segs.size(), opt, kConfig);
 
     // Segment 0 finishes at len; every later segment receives its FIV
     // shortly after the previous one resolves, drops from 10 flows to
@@ -74,7 +74,7 @@ TEST(TimelineCascade, FivPipelinesAcrossSegments)
     PapOptions no_fiv = opt;
     no_fiv.enableFiv = false;
     const TimelineResult r2 = simulateTimeline(
-        segs, 0, len * segs.size(), no_fiv, kTiming);
+        segs, 0, len * segs.size(), no_fiv, kConfig);
     EXPECT_GT(r2.papCycles, r.papCycles);
 }
 
@@ -93,12 +93,12 @@ TEST(TimelineCascade, FirstSegmentAnchorsTheChain)
     segs.push_back(cascadeSegment(len, 4));
 
     const TimelineResult r =
-        simulateTimeline(segs, 0, 2 * len, opt, kTiming);
+        simulateTimeline(segs, 0, 2 * len, opt, kConfig);
     // Segment 1's FIV cannot arrive before segment 0 resolved:
     // t_done[0] + upload + decode + fivDownload.
     const Cycles fiv_min = r.tDone[0] +
-                           kTiming.stateVectorUploadCycles +
-                           kTiming.fivDownloadCycles;
+                           kConfig.timing.stateVectorUploadCycles +
+                           kConfig.timing.fivDownloadCycles;
     // Before the FIV, segment 1 runs 6 flows; it cannot have finished
     // earlier than the FIV arrival implies.
     EXPECT_GT(r.tDone[1], fiv_min);
@@ -127,7 +127,7 @@ TEST(TimelineCascade, AllFalseFlowsSegmentIdlesAfterFiv)
     segs.push_back(dead);
 
     const TimelineResult r =
-        simulateTimeline(segs, 0, 2 * len, opt, kTiming);
+        simulateTimeline(segs, 0, 2 * len, opt, kConfig);
     // After the FIV kill the half-core idles to segment end; the
     // timeline must terminate (no livelock) with a finite t_done.
     EXPECT_GT(r.tDone[1], 0u);

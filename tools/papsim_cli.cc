@@ -60,7 +60,6 @@
 #include "nfa/nfa_io.h"
 #include "nfa/prefix_merge.h"
 #include "pap/fault_injector.h"
-#include "pap/run_common.h"
 #include "pap/runner.h"
 #include "pap/speculative.h"
 #include "serve/server.h"
@@ -87,7 +86,6 @@ usage()
         "           [--verbose] [--metrics-json=PATH]\n"
         "           [--trace-out=PATH] [--profile] [--attrib[=json]]\n"
         "           [--engine=sparse|dense|hybrid|auto]\n"
-        "           [--pipeline=barrier|overlap|auto]\n"
         "           [--overflow=batch|sequential|fail|evict]\n"
         "           [--svc-policy=lru|fifo|cost] [--svc-capacity=N]\n"
         "           [--threads=N] [--checkpoint=PATH]\n"
@@ -101,9 +99,6 @@ usage()
         "           heuristic); results are identical either way.\n"
         "           PAP_SIMD=off|scalar|avx2|avx512|auto pins the\n"
         "           vector width of the word-packed backends.\n"
-        "           --pipeline schedules host execution vs\n"
-        "           composition (default auto: PAP_PIPELINE, then\n"
-        "           barrier); reports are identical either way.\n"
         "           SPEC: kind[:count[:rate]],... with kinds\n"
         "           corrupt-sv evict-svc drop-report truncate-report\n"
         "           drop-fiv stall-worker crash-worker all\n"
@@ -477,17 +472,6 @@ cmdRun(const std::vector<std::string> &args)
         engine = parsed.value();
     }
 
-    // Execution/composition scheduling: an explicit flag is validated
-    // here; the auto default defers to PAP_PIPELINE inside
-    // resolvePipelineMode.
-    PipelineMode pipeline = PipelineMode::Auto;
-    if (flagValue(args, "--pipeline", &v)) {
-        const Result<PipelineMode> parsed = parsePipelineMode(v);
-        if (!parsed.ok())
-            return fail(parsed.status().toString());
-        pipeline = parsed.value();
-    }
-
     // Host thread count: the flag wins over the PAP_THREADS
     // environment variable; 0 means one thread per hardware thread.
     std::uint32_t threads = 1;
@@ -520,7 +504,6 @@ cmdRun(const std::vector<std::string> &args)
         SpeculationOptions opt;
         opt.engine = engine;
         opt.threads = threads;
-        opt.pipeline = pipeline;
         if (!v.empty() && !parseU32(v, &opt.warmupWindow))
             return fail("--spec window needs an integer, got '" + v +
                         "'");
@@ -539,7 +522,6 @@ cmdRun(const std::vector<std::string> &args)
         PapOptions opt;
         opt.engine = engine;
         opt.threads = threads;
-        opt.pipeline = pipeline;
         if (flagValue(args, "--quantum", &v) &&
             (!parseU32(v, &opt.tdmQuantum) || opt.tdmQuantum == 0))
             return fail("--quantum needs a positive integer, got '" +
@@ -658,18 +640,6 @@ cmdRun(const std::vector<std::string> &args)
                         "retried, %u recovered\n",
                         r.threadsUsed, r.segmentsRetried,
                         r.segmentsRecovered);
-        if (r.pipelineMode == "overlap") {
-            // Wall-clock numbers are nondeterministic, so they only
-            // appear under --verbose; the bare mode line stays
-            // byte-stable for output-comparison tests.
-            if (verbose)
-                std::printf("  pipeline: overlap, occupancy %.2f, "
-                            "composer stalled %.1f of %.1f ms\n",
-                            r.pipelineOccupancy, r.composerStallMs,
-                            r.pipelineWallMs);
-            else
-                std::printf("  pipeline: overlap\n");
-        }
         if (injector)
             std::printf("  %s\n", injector->summary().c_str());
         if (want_attrib && attrib_mode == "json") {
