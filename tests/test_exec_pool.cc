@@ -162,6 +162,31 @@ TEST(SegmentPipeline, AwaitReturnsWhileTheLastTaskIsStillBlocked)
     EXPECT_TRUE(last_done.load());
 }
 
+TEST(SegmentPipeline, ConstructorAdmitsEveryTaskWithoutAWindow)
+{
+    // No admission window: before the composer awaits anything, every
+    // pool thread holds a task, and the rest start as threads free up.
+    SegmentPipeline::Options opt;
+    opt.exec.threads = 4;
+    constexpr std::size_t kTasks = 6;
+    std::atomic<int> started{0};
+    CancellationToken all_busy, release;
+    SegmentPipeline pipe(
+        opt, kTasks, [&](std::size_t, const CancellationToken &) {
+            if (started.fetch_add(1) + 1 == 4)
+                all_busy.cancel();
+            release.waitCancelledFor(std::chrono::milliseconds(10000));
+            return Status();
+        });
+    ASSERT_TRUE(
+        all_busy.waitCancelledFor(std::chrono::milliseconds(10000)));
+    EXPECT_EQ(started.load(), 4);
+    release.cancel();
+    for (std::size_t i = 0; i < kTasks; ++i)
+        EXPECT_TRUE(pipe.await(i).status.ok());
+    EXPECT_EQ(started.load(), static_cast<int>(kTasks));
+}
+
 TEST(SegmentPipeline, AwaitReturnsSlotsInAnyOrderRequested)
 {
     SegmentPipeline::Options opt;
