@@ -1,30 +1,26 @@
 /**
  * @file
  * Host-side throughput of the EngineBackend implementations:
- * symbols/sec for the sparse FunctionalEngine, the dense BitsetEngine,
- * and the tile-skipping HybridEngine across state counts and active
- * densities, plus the backend --engine=auto would pick per row. Emits
+ * symbols/sec for the sparse FunctionalEngine and the tile-skipping
+ * HybridEngine across state counts and active densities. Emits
  * BENCH_engine.json (path overridable as argv[1]) so the numbers seed
  * the repo's perf trajectory.
  *
- * Expected shape: the dense backend wins where successor rows span few
- * words and many states are active (every step is a handful of word
- * ORs); the hybrid backend holds that advantage into the 16K+ state,
- * low-density regime — the old cliff where full-row scans wasted
- * bandwidth and auto had to fall back to sparse. The bytes/symbol
- * columns make that cliff visible independent of host speed.
+ * Expected shape: the hybrid backend leads sparse at every row, and
+ * holds that lead into the 16K+ state, low-density regime, where its
+ * per-step traffic tracks the active set instead of the state count.
+ * The bytes/symbol columns show that traffic independent of host
+ * speed.
  */
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <string>
 #include <vector>
 
 #include "bench_common.h"
 #include "common/charclass.h"
 #include "common/rng.h"
-#include "engine/bitset_engine.h"
 #include "engine/compiled_nfa.h"
 #include "engine/dense_nfa.h"
 #include "engine/engine_backend.h"
@@ -178,12 +174,8 @@ struct Row
     const char *workload;
     double density;
     double sparse;
-    double dense;
     double hybrid;
-    const char *autoBackend; // what --engine=auto resolves to here
-    double autoSym;          // that backend's measured throughput
     double sparseBps; // sparse bytes touched per symbol
-    double denseBps;  // dense bytes touched per symbol
     double hybridBps; // hybrid bytes touched per symbol
 };
 
@@ -195,7 +187,7 @@ main(int argc, char **argv)
 {
     using namespace pap;
     bench::ObsSession obs("engine_throughput");
-    bench::printHeader("Engine throughput: sparse vs dense vs hybrid",
+    bench::printHeader("Engine throughput: sparse vs hybrid",
                        "Section 2.1 enable&match datapath, host model");
 
     const char *out_path =
@@ -229,11 +221,10 @@ main(int argc, char **argv)
     };
 
     std::vector<Row> rows;
-    std::printf("%8s  %-12s  %8s  %12s  %12s  %12s  %8s  %10s  "
-                "%10s  %10s  %10s\n",
+    std::printf("%8s  %-12s  %8s  %12s  %12s  %10s  %10s  %10s\n",
                 "states", "workload", "density", "sparse sym/s",
-                "dense sym/s", "hybrid sym/s", "auto", "auto/sp",
-                "sparse B/s", "dense B/s", "hybrid B/s");
+                "hybrid sym/s", "hybrid/sp", "sparse B/s",
+                "hybrid B/s");
     for (const Config &cfg : configs) {
         Rng rng(0xe47 + cfg.states + cfg.octiles);
         const Nfa nfa = syntheticNfa(cfg.states, cfg.octiles,
@@ -246,52 +237,22 @@ main(int argc, char **argv)
 
         EngineScratch scratch(nfa.size());
         FunctionalEngine sparse(cnfa, /*starts=*/false, &scratch);
-        BitsetEngine dense(dnfa, /*starts=*/false, simd);
         HybridEngine hybrid(dnfa, /*starts=*/false, simd);
         const Measurement ms =
             measure(sparse, seed, trace, cfg.states);
-        const Measurement md = measure(dense, seed, trace, cfg.states);
         const Measurement mh = measure(hybrid, seed, trace, cfg.states);
 
-        // The choice --engine=auto would make once the baseline has
-        // measured this row's density.
-        EngineKind auto_kind = EngineKind::Hybrid;
-        if (const Result<EngineKind> rk = resolveEngineKind(
-                EngineKind::Auto, cfg.states, ms.activeDensity);
-            rk.ok())
-            auto_kind = rk.value();
-        const double auto_sym = auto_kind == EngineKind::Dense
-                                    ? md.symbolsPerSec
-                                : auto_kind == EngineKind::Hybrid
-                                    ? mh.symbolsPerSec
-                                    : ms.symbolsPerSec;
-
         rows.push_back(Row{cfg.states, cfg.workload, ms.activeDensity,
-                           ms.symbolsPerSec, md.symbolsPerSec,
-                           mh.symbolsPerSec, engineKindName(auto_kind),
-                           auto_sym, ms.bytesPerSymbol,
-                           md.bytesPerSymbol, mh.bytesPerSymbol});
-        std::printf("%8zu  %-12s  %7.1f%%  %12.3e  %12.3e  %12.3e  "
-                    "%8s  %7.2fx  %10.0f  %10.0f  %10.0f\n",
+                           ms.symbolsPerSec, mh.symbolsPerSec,
+                           ms.bytesPerSymbol, mh.bytesPerSymbol});
+        std::printf("%8zu  %-12s  %7.1f%%  %12.3e  %12.3e  %9.2fx  "
+                    "%10.0f  %10.0f\n",
                     cfg.states, cfg.workload, 100.0 * ms.activeDensity,
-                    ms.symbolsPerSec, md.symbolsPerSec,
-                    mh.symbolsPerSec, engineKindName(auto_kind),
-                    auto_sym / ms.symbolsPerSec, ms.bytesPerSymbol,
-                    md.bytesPerSymbol, mh.bytesPerSymbol);
+                    ms.symbolsPerSec, mh.symbolsPerSec,
+                    mh.symbolsPerSec / ms.symbolsPerSec,
+                    ms.bytesPerSymbol, mh.bytesPerSymbol);
     }
-
-    // The crossover the auto threshold encodes: largest state count
-    // where the full-row dense backend still wins on the high-density
-    // workload.
-    std::size_t dense_wins_up_to = 0;
-    for (const Row &r : rows)
-        if (std::string(r.workload) == "high-density" &&
-            r.dense > r.sparse && r.states > dense_wins_up_to)
-            dense_wins_up_to = r.states;
-    std::printf("\ndense backend wins high-density workloads up to "
-                "%zu states (auto threshold: %zu); simd: %s\n",
-                dense_wins_up_to, kDenseAutoMaxStates,
-                simdLevelName(simd));
+    std::printf("\nsimd: %s\n", simdLevelName(simd));
 
     std::FILE *f = std::fopen(out_path, "w");
     if (!f) {
@@ -302,12 +263,6 @@ main(int argc, char **argv)
     bench::writeMetaHeader(f, "engine_throughput");
     std::fprintf(f, "  \"trace_symbols\": %zu,\n", trace_len);
     std::fprintf(f, "  \"simd\": \"%s\",\n", simdLevelName(simd));
-    std::fprintf(f, "  \"auto_threshold_states\": %zu,\n",
-                 kDenseAutoMaxStates);
-    std::fprintf(f, "  \"auto_min_density\": %.3f,\n",
-                 kDenseAutoMinDensity);
-    std::fprintf(f, "  \"dense_wins_up_to_states\": %zu,\n",
-                 dense_wins_up_to);
     std::fprintf(f, "  \"rows\": [\n");
     for (std::size_t i = 0; i < rows.size(); ++i) {
         const Row &r = rows[i];
@@ -315,20 +270,13 @@ main(int argc, char **argv)
                      "    {\"states\": %zu, \"workload\": \"%s\", "
                      "\"active_density\": %.4f, "
                      "\"sparse_symbols_per_sec\": %.1f, "
-                     "\"dense_symbols_per_sec\": %.1f, "
                      "\"hybrid_symbols_per_sec\": %.1f, "
-                     "\"dense_speedup\": %.3f, "
                      "\"hybrid_speedup\": %.3f, "
-                     "\"auto_backend\": \"%s\", "
-                     "\"auto_speedup\": %.3f, "
                      "\"sparse_bytes_per_symbol\": %.1f, "
-                     "\"dense_bytes_per_symbol\": %.1f, "
                      "\"hybrid_bytes_per_symbol\": %.1f}%s\n",
-                     r.states, r.workload, r.density, r.sparse, r.dense,
-                     r.hybrid, r.dense / r.sparse, r.hybrid / r.sparse,
-                     r.autoBackend, r.autoSym / r.sparse, r.sparseBps,
-                     r.denseBps, r.hybridBps,
-                     i + 1 < rows.size() ? "," : "");
+                     r.states, r.workload, r.density, r.sparse,
+                     r.hybrid, r.hybrid / r.sparse, r.sparseBps,
+                     r.hybridBps, i + 1 < rows.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");
     std::fclose(f);

@@ -1,7 +1,7 @@
 /**
  * @file
- * Word-packed flattening of a CompiledNfa for the bit-parallel
- * backends. Every per-state predicate becomes a bit mask over the
+ * Word-packed flattening of a CompiledNfa for the hybrid backend
+ * (HybridEngine). Every per-state predicate becomes a bit mask over the
  * state space, so one engine step is a handful of whole-word
  * operations — the software mirror of the AP's enable&match datapath
  * (PAPER.md Section 2.1): the routing matrix ORs the successor rows of

@@ -1,9 +1,6 @@
 #include "engine/engine_backend.h"
 
-#include <cstdlib>
-
 #include "common/logging.h"
-#include "engine/bitset_engine.h"
 #include "engine/dense_nfa.h"
 #include "engine/functional_engine.h"
 #include "engine/hybrid_engine.h"
@@ -15,15 +12,11 @@ parseEngineKind(std::string_view text)
 {
     if (text == "sparse")
         return EngineKind::Sparse;
-    if (text == "dense")
-        return EngineKind::Dense;
     if (text == "hybrid")
         return EngineKind::Hybrid;
-    if (text == "auto")
-        return EngineKind::Auto;
     return Status::error(ErrorCode::InvalidInput, "unknown engine '",
                          std::string(text),
-                         "' (expected sparse, dense, hybrid, or auto)");
+                         "' (expected sparse or hybrid)");
 }
 
 const char *
@@ -32,73 +25,29 @@ engineKindName(EngineKind kind)
     switch (kind) {
     case EngineKind::Sparse:
         return "sparse";
-    case EngineKind::Dense:
-        return "dense";
     case EngineKind::Hybrid:
         return "hybrid";
-    case EngineKind::Auto:
-        return "auto";
     }
     PAP_PANIC("invalid EngineKind ", static_cast<int>(kind));
 }
 
-Result<EngineKind>
-resolveEngineKind(EngineKind requested, std::size_t states,
-                  double active_density)
-{
-    if (requested == EngineKind::Auto) {
-        if (const char *env = std::getenv("PAP_ENGINE")) {
-            const Result<EngineKind> parsed = parseEngineKind(env);
-            if (!parsed.ok())
-                return Status::error(ErrorCode::InvalidInput,
-                                     "PAP_ENGINE: ",
-                                     parsed.status().message());
-            requested = parsed.value();
-        }
-    }
-    if (requested != EngineKind::Auto)
-        return requested;
-    // Size/density heuristic: the pure dense datapath only wins when
-    // the whole state vector is cache-resident AND enough of it is
-    // active to amortise the whole-vector AND/clear. Everything else
-    // runs hybrid; sparse stays an explicit reference choice.
-    if (states <= kDenseAutoMaxStates &&
-        (active_density < 0.0 ||
-         active_density >= kDenseAutoMinDensity))
-        return EngineKind::Dense;
-    return EngineKind::Hybrid;
-}
-
-EngineContext::EngineContext(const CompiledNfa &compiled,
-                             EngineKind requested, double density_hint)
+EngineContext::EngineContext(const CompiledNfa &compiled, EngineKind kind)
     : cnfa(&compiled)
 {
-    // "Auto actually chose" means neither the caller nor PAP_ENGINE
-    // forced a backend — only then may make() refine the choice per
-    // flow. An env-forced kind (e.g. the CI dense-engine leg) must run
-    // that backend for every flow.
-    if (requested == EngineKind::Auto) {
-        const char *env = std::getenv("PAP_ENGINE");
-        autoChosen_ = env == nullptr ||
-                      (parseEngineKind(env).ok() &&
-                       parseEngineKind(env).value() == EngineKind::Auto);
-    }
-    const Result<EngineKind> resolved =
-        resolveEngineKind(requested, compiled.size(), density_hint);
     const Result<SimdLevel> simd = resolveSimdLevel();
-    if (!resolved.ok() || !simd.ok()) {
+    if (!simd.ok()) {
         // Stay usable on the reference backend at the scalar level;
         // the caller decides whether the typed error aborts the run.
-        status_ = resolved.ok() ? simd.status() : resolved.status();
+        status_ = simd.status();
         datapath_ = engineKindName(kind_);
         return;
     }
-    kind_ = resolved.value();
+    kind_ = kind;
     simd_ = simd.value();
-    if (kind_ != EngineKind::Sparse)
+    if (kind_ == EngineKind::Hybrid)
         dnfa = std::make_shared<const DenseNfa>(compiled);
     datapath_ = engineKindName(kind_);
-    if (kind_ != EngineKind::Sparse && simd_ != SimdLevel::Scalar) {
+    if (kind_ == EngineKind::Hybrid && simd_ != SimdLevel::Scalar) {
         datapath_ += '+';
         datapath_ += simdLevelName(simd_);
     }
@@ -107,12 +56,8 @@ EngineContext::EngineContext(const CompiledNfa &compiled,
 std::unique_ptr<EngineBackend>
 EngineContext::make(bool starts_enabled, EngineScratch *scratch) const
 {
-    if (kind_ == EngineKind::Hybrid ||
-        (kind_ == EngineKind::Dense && autoChosen_ && !starts_enabled))
+    if (kind_ == EngineKind::Hybrid)
         return std::make_unique<HybridEngine>(*dnfa, starts_enabled,
-                                              simd_);
-    if (kind_ == EngineKind::Dense)
-        return std::make_unique<BitsetEngine>(*dnfa, starts_enabled,
                                               simd_);
     return std::make_unique<FunctionalEngine>(*cnfa, starts_enabled,
                                               scratch);

@@ -4,7 +4,6 @@
 #include <bit>
 
 #include "common/logging.h"
-#include "engine/bitset_engine.h"
 
 namespace pap {
 
@@ -147,7 +146,7 @@ HybridEngine::step(Symbol s)
     }
     stats.matches += rows;
     if (startsEnabled) {
-        // Same fold as the dense backend; the dirty marks for the
+        // The AllInput-start fold; the dirty marks for the
         // start-enable tiles come from the precomputed skip list, and
         // clearing AllInput bits can only empty tiles (the census
         // pass prunes those marks).
@@ -237,7 +236,7 @@ std::vector<StateId>
 HybridEngine::snapshot() const
 {
     // Tiles iterate in ascending order through the skip bitmap, so
-    // states come out ascending exactly like the dense backend.
+    // states come out ascending.
     std::vector<StateId> out;
     out.reserve(activeBits);
     for (std::size_t mw = 0; mw < activeTileMap.size(); ++mw) {
@@ -295,14 +294,10 @@ bool
 HybridEngine::sameActiveSet(const EngineBackend &other) const
 {
     // The zero-outside-marked-tiles invariant makes whole-vector
-    // word compares exact against any word-packed peer.
+    // word compares exact against another hybrid peer.
     if (const auto *peer = dynamic_cast<const HybridEngine *>(&other)) {
         if (peer->active.size() == active.size())
             return peer->active == active;
-    }
-    if (const auto *peer = dynamic_cast<const BitsetEngine *>(&other)) {
-        if (peer->activeWords().size() == active.size())
-            return peer->activeWords() == active;
     }
     if (other.activeCount() != activeBits)
         return false;

@@ -1,9 +1,12 @@
 /**
  * @file
- * Sparse-dense hybrid NFA interpreter: a word-packed active vector
- * (like BitsetEngine) driven by activity-proportional work (like
- * FunctionalEngine). Two ideas make it survive large automata where
- * the pure dense datapath hits the cache cliff:
+ * Sparse-dense hybrid NFA interpreter, the word-packed backend: the
+ * AP's enable&match datapath in software (active vector AND per-symbol
+ * match mask, OR of the matched states' successors, then the
+ * AllInput-start fold) over a word-packed active vector, driven by
+ * activity-proportional work (like FunctionalEngine). Two ideas keep
+ * it fast on large automata, where a full-vector datapath hits the
+ * cache cliff:
  *
  *  1. A per-tile skip bitmap over the active vector: the enable&match
  *     AND only reads the tiles that contain active bits, so a sparse
@@ -19,9 +22,8 @@
  *     between |edges| single-bit RMWs and |tiles| 32-byte ORs.
  *
  * Under the EngineBackend equivalence contract this backend is
- * observationally identical to both reference backends; EngineKind::
- * Auto selects it for large or sparsely-active automata where neither
- * pure backend wins (see resolveEngineKind).
+ * observationally identical to the sparse reference backend; it is
+ * the default of every run entry point (EngineKind::Hybrid).
  */
 
 #ifndef PAP_ENGINE_HYBRID_ENGINE_H
@@ -81,16 +83,6 @@ class HybridEngine final : public EngineBackend
 
     /** Kernel level the word operations dispatch to. */
     SimdLevel simdLevel() const { return level; }
-
-    /**
-     * Raw words of the active state vector (for word-compares).
-     * Invariant: every word outside the tiles marked in the skip
-     * bitmap is zero, so whole-vector compares are exact.
-     */
-    const std::vector<std::uint64_t> &activeWords() const
-    {
-        return active;
-    }
 
   private:
     /** Seed the active vector with the AllInput-start filter. */

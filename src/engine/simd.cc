@@ -1,7 +1,6 @@
 #include "engine/simd.h"
 
 #include <algorithm>
-#include <bit>
 #include <cstdlib>
 #include <string>
 
@@ -28,35 +27,11 @@ clearScalar(std::uint64_t *dst, std::size_t n)
 }
 
 void
-andScalar(std::uint64_t *dst, const std::uint64_t *a,
-          const std::uint64_t *b, std::size_t n)
-{
-    for (std::size_t i = 0; i < n; ++i)
-        dst[i] = a[i] & b[i];
-}
-
-void
-orScalar(std::uint64_t *dst, const std::uint64_t *src, std::size_t n)
-{
-    for (std::size_t i = 0; i < n; ++i)
-        dst[i] |= src[i];
-}
-
-void
 andNotOrScalar(std::uint64_t *dst, const std::uint64_t *drop,
                const std::uint64_t *set, std::size_t n)
 {
     for (std::size_t i = 0; i < n; ++i)
         dst[i] = (dst[i] & ~drop[i]) | set[i];
-}
-
-std::uint64_t
-popcountScalar(const std::uint64_t *src, std::size_t n)
-{
-    std::uint64_t total = 0;
-    for (std::size_t i = 0; i < n; ++i)
-        total += static_cast<std::uint64_t>(std::popcount(src[i]));
-    return total;
 }
 
 void
@@ -68,9 +43,8 @@ orTileScalar(std::uint64_t *dst, const std::uint64_t *src)
     dst[3] |= src[3];
 }
 
-constexpr SimdOps kScalarOps = {clearScalar,    andScalar,
-                                orScalar,       andNotOrScalar,
-                                popcountScalar, orTileScalar};
+constexpr SimdOps kScalarOps = {clearScalar, andNotOrScalar,
+                                orTileScalar};
 
 #if PAP_SIMD_X86
 
@@ -88,39 +62,6 @@ clearAvx2(std::uint64_t *dst, std::size_t n)
         _mm256_storeu_si256(reinterpret_cast<__m256i *>(dst + i), z);
     for (; i < n; ++i)
         dst[i] = 0;
-}
-
-__attribute__((target("avx2"))) void
-andAvx2(std::uint64_t *dst, const std::uint64_t *a,
-        const std::uint64_t *b, std::size_t n)
-{
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        const __m256i va = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(a + i));
-        const __m256i vb = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(b + i));
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(dst + i),
-                            _mm256_and_si256(va, vb));
-    }
-    for (; i < n; ++i)
-        dst[i] = a[i] & b[i];
-}
-
-__attribute__((target("avx2"))) void
-orAvx2(std::uint64_t *dst, const std::uint64_t *src, std::size_t n)
-{
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        const __m256i vd = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(dst + i));
-        const __m256i vs = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(src + i));
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(dst + i),
-                            _mm256_or_si256(vd, vs));
-    }
-    for (; i < n; ++i)
-        dst[i] |= src[i];
 }
 
 __attribute__((target("avx2"))) void
@@ -144,18 +85,6 @@ andNotOrAvx2(std::uint64_t *dst, const std::uint64_t *drop,
         dst[i] = (dst[i] & ~drop[i]) | set[i];
 }
 
-__attribute__((target("avx2"))) std::uint64_t
-popcountAvx2(const std::uint64_t *src, std::size_t n)
-{
-    // AVX2 has no vector popcount; scalar POPCNT on each lane is the
-    // fastest portable form and keeps the result bit-identical.
-    std::uint64_t total = 0;
-    for (std::size_t i = 0; i < n; ++i)
-        total += static_cast<std::uint64_t>(
-            __builtin_popcountll(src[i]));
-    return total;
-}
-
 __attribute__((target("avx2"))) void
 orTileAvx2(std::uint64_t *dst, const std::uint64_t *src)
 {
@@ -168,8 +97,7 @@ orTileAvx2(std::uint64_t *dst, const std::uint64_t *src)
                         _mm256_or_si256(vd, vs));
 }
 
-constexpr SimdOps kAvx2Ops = {clearAvx2,    andAvx2,  orAvx2,
-                              andNotOrAvx2, popcountAvx2, orTileAvx2};
+constexpr SimdOps kAvx2Ops = {clearAvx2, andNotOrAvx2, orTileAvx2};
 
 // --- AVX-512 kernels (512-bit, 8 words per vector) ------------------
 
@@ -184,35 +112,10 @@ clearAvx512(std::uint64_t *dst, std::size_t n)
         dst[i] = 0;
 }
 
-__attribute__((target("avx512f"))) void
-andAvx512(std::uint64_t *dst, const std::uint64_t *a,
-          const std::uint64_t *b, std::size_t n)
-{
-    std::size_t i = 0;
-    for (; i + 8 <= n; i += 8)
-        _mm512_storeu_si512(
-            dst + i, _mm512_and_si512(_mm512_loadu_si512(a + i),
-                                      _mm512_loadu_si512(b + i)));
-    for (; i < n; ++i)
-        dst[i] = a[i] & b[i];
-}
-
-__attribute__((target("avx512f"))) void
-orAvx512(std::uint64_t *dst, const std::uint64_t *src, std::size_t n)
-{
-    std::size_t i = 0;
-    for (; i + 8 <= n; i += 8)
-        _mm512_storeu_si512(
-            dst + i, _mm512_or_si512(_mm512_loadu_si512(dst + i),
-                                     _mm512_loadu_si512(src + i)));
-    for (; i < n; ++i)
-        dst[i] |= src[i];
-}
-
-// GCC 12's _mm512_andnot_si512 and _mm512_reduce_add_epi64 seed a
-// masked builtin with _mm512_undefined_*(), which -O3 reports as an
-// uninitialized read; the kernels below use plain AND/XOR and a lane
-// store instead, so Release builds stay warning-free.
+// GCC 12's _mm512_andnot_si512 seeds a masked builtin with
+// _mm512_undefined_*(), which -O3 reports as an uninitialized read;
+// the kernel below uses plain AND/XOR instead, so Release builds stay
+// warning-free.
 
 __attribute__((target("avx512f"))) void
 andNotOrAvx512(std::uint64_t *dst, const std::uint64_t *drop,
@@ -232,25 +135,6 @@ andNotOrAvx512(std::uint64_t *dst, const std::uint64_t *drop,
         dst[i] = (dst[i] & ~drop[i]) | set[i];
 }
 
-__attribute__((target("avx512f,avx512vpopcntdq"))) std::uint64_t
-popcountAvx512(const std::uint64_t *src, std::size_t n)
-{
-    __m512i acc = _mm512_setzero_si512();
-    std::size_t i = 0;
-    for (; i + 8 <= n; i += 8)
-        acc = _mm512_add_epi64(
-            acc, _mm512_popcnt_epi64(_mm512_loadu_si512(src + i)));
-    alignas(64) std::uint64_t lanes[8];
-    _mm512_store_si512(lanes, acc);
-    std::uint64_t total = 0;
-    for (const std::uint64_t lane : lanes)
-        total += lane;
-    for (; i < n; ++i)
-        total += static_cast<std::uint64_t>(
-            __builtin_popcountll(src[i]));
-    return total;
-}
-
 __attribute__((target("avx2"))) void
 orTileAvx512(std::uint64_t *dst, const std::uint64_t *src)
 {
@@ -260,9 +144,8 @@ orTileAvx512(std::uint64_t *dst, const std::uint64_t *src)
     orTileAvx2(dst, src);
 }
 
-constexpr SimdOps kAvx512Ops = {clearAvx512,    andAvx512,
-                                orAvx512,       andNotOrAvx512,
-                                popcountAvx512, orTileAvx512};
+constexpr SimdOps kAvx512Ops = {clearAvx512, andNotOrAvx512,
+                                orTileAvx512};
 
 #endif // PAP_SIMD_X86
 
@@ -270,6 +153,8 @@ SimdLevel
 probeSimdLevel()
 {
 #if PAP_SIMD_X86
+    // No kernel uses VPOPCNTDQ; requiring it keeps the AVX-512 table on
+    // the hosts it was measured on (AVX-512F-only hosts run AVX2).
     if (__builtin_cpu_supports("avx512f") &&
         __builtin_cpu_supports("avx512vpopcntdq"))
         return SimdLevel::Avx512;

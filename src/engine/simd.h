@@ -1,17 +1,17 @@
 /**
  * @file
- * Runtime SIMD capability probe and the vector kernel table the dense
- * and hybrid engines dispatch through. The word-packed enable&match
- * datapath (engine_backend.h) is a handful of bulk bitwise operations
- * over 64-bit word arrays; this header names those operations once
+ * Runtime SIMD capability probe and the vector kernel table the hybrid
+ * engine dispatches through. The word-packed enable&match datapath
+ * (engine_backend.h) is a handful of bulk bitwise operations over
+ * 64-bit word arrays; this header names those operations once
  * (SimdOps) and provides scalar, AVX2, and AVX-512 implementations
  * selected at runtime from CPUID — never at compile time — so one
  * binary runs correctly on any x86-64 host and non-x86 builds fall
  * back to the scalar table transparently.
  *
- * Selection mirrors the PAP_ENGINE idiom: PAP_SIMD=off|scalar|avx2|
- * avx512|auto overrides the probe (an invalid value is a typed
- * InvalidInput error surfaced through EngineContext::status()), and a
+ * PAP_SIMD=off|scalar|avx2|avx512|auto overrides the probe (an invalid
+ * value is a typed InvalidInput error surfaced through
+ * EngineContext::status(), like an invalid --engine flag), and a
  * level the host cannot execute clamps down to the detected one, so a
  * pinned CI matrix entry stays portable across heterogeneous runners.
  * The scalar table is always available and is the reference the
@@ -43,7 +43,7 @@ enum class SimdLevel : std::uint8_t
     Scalar = 0,
     /** 256-bit AVX2 kernels. */
     Avx2 = 1,
-    /** 512-bit AVX-512 kernels (F + VPOPCNTDQ). */
+    /** 512-bit AVX-512F kernels (probed as F + VPOPCNTDQ). */
     Avx512 = 2,
 };
 
@@ -86,18 +86,9 @@ struct SimdOps
 {
     /** dst[0..n) = 0. */
     void (*clearWords)(std::uint64_t *dst, std::size_t n);
-    /** dst[i] = a[i] & b[i] (the active&match AND). */
-    void (*andWords)(std::uint64_t *dst, const std::uint64_t *a,
-                     const std::uint64_t *b, std::size_t n);
-    /** dst[i] |= src[i]. */
-    void (*orWords)(std::uint64_t *dst, const std::uint64_t *src,
-                    std::size_t n);
     /** dst[i] = (dst[i] & ~drop[i]) | set[i] (the start-enable fold). */
     void (*andNotOrWords)(std::uint64_t *dst, const std::uint64_t *drop,
                           const std::uint64_t *set, std::size_t n);
-    /** Total popcount of src[0..n) (the active-bit census). */
-    std::uint64_t (*popcountWords)(const std::uint64_t *src,
-                                   std::size_t n);
     /** dst[i] |= src[i] over exactly kSuccTileWords words. */
     void (*orTile)(std::uint64_t *dst, const std::uint64_t *src);
 };

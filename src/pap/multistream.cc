@@ -150,7 +150,7 @@ runMultiStream(const Nfa &nfa, const std::vector<InputTrace> &streams,
         result.reports[i] = std::move(raw[i]);
         sortAndDedupReports(result.reports[i]);
         // The standalone oracle always runs on the sparse reference
-        // backend, so a dense run is cross-backend verified.
+        // backend, so a hybrid run is cross-backend verified.
         PapOptions oracle_opt = options;
         oracle_opt.engine = EngineKind::Sparse;
         const SequentialResult solo =

@@ -50,16 +50,14 @@ enum class OverflowPolicy : std::uint8_t
 struct PapOptions
 {
     /**
-     * Execution backend for the run's flows: the sparse active-id
-     * engine, the dense bit-parallel engine, the sparse-dense hybrid,
-     * or automatic selection (PAP_ENGINE env, then the size/density
-     * heuristic of resolveEngineKind, fed with the active density a
-     * sparse probe measures over the input's prefix). Reports, cycle
-     * counts, and all figure metrics are byte-identical either way;
-     * only host wall-clock changes. The verification oracle always
-     * runs sparse, so every word-packed run is cross-backend checked.
+     * Execution backend for the run's flows: the word-packed hybrid
+     * engine (the default) or the sparse active-id reference engine.
+     * Reports, cycle counts, and all figure metrics are byte-identical
+     * either way; only host wall-clock changes. The verification
+     * oracle always runs sparse, so every hybrid run is cross-backend
+     * checked.
      */
-    EngineKind engine = EngineKind::Auto;
+    EngineKind engine = EngineKind::Hybrid;
 
     /**
      * Symbols each flow processes before a context switch (the TDM

@@ -41,7 +41,7 @@ PartitionProfile choosePartitionSymbol(const RangeAnalysis &ranges,
 
 /**
  * Same selection over a precomputed per-symbol range-size table — the
- * dense backend reads these straight off its match-mask popcounts
+ * hybrid backend reads these straight off its match-mask popcounts
  * (DenseNfa::rangeSizes()), skipping the sparse RangeAnalysis pass.
  */
 PartitionProfile

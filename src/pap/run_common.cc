@@ -1,47 +1,18 @@
 #include "pap/run_common.h"
 
-#include <algorithm>
-
-#include "engine/functional_engine.h"
 #include "obs/metrics.h"
 
 namespace pap {
 
-double
-probeActiveDensity(const CompiledNfa &cnfa, const InputTrace &input)
-{
-    if (cnfa.size() > kDenseAutoMaxStates)
-        return -1.0;
-    FunctionalEngine engine(cnfa, /*starts=*/true);
-    engine.reset(cnfa.initialActive(), 0);
-    engine.run(input.begin(),
-               std::min<std::size_t>(input.size(), kDensityProbeSymbols));
-    return activeDensity(engine.counters(), cnfa.size());
-}
-
-RunContext::RunContext(const Nfa &nfa, EngineKind requested,
-                       const InputTrace *density_probe)
-    : cnfa(std::make_unique<const CompiledNfa>(nfa)),
-      ctx(*cnfa, requested,
-          requested == EngineKind::Auto && density_probe
-              ? probeActiveDensity(*cnfa, *density_probe)
-              : -1.0)
+RunContext::RunContext(const Nfa &nfa, EngineKind kind)
+    : cnfa(std::make_unique<const CompiledNfa>(nfa)), ctx(*cnfa, kind)
 {
     auto &m = obs::metrics();
-    switch (ctx.kind()) {
-    case EngineKind::Dense:
-        m.add("engine.runs.dense");
-        break;
-    case EngineKind::Hybrid:
-        m.add("engine.runs.hybrid");
-        break;
-    default:
-        m.add("engine.runs.sparse");
-        break;
-    }
+    m.add(ctx.kind() == EngineKind::Hybrid ? "engine.runs.hybrid"
+                                           : "engine.runs.sparse");
     // Gauge encodings (last run wins): engine.backend 0 = sparse,
-    // 1 = dense, 2 = hybrid; engine.simd mirrors SimdLevel (0 =
-    // scalar, 1 = avx2, 2 = avx512).
+    // 1 = hybrid; engine.simd mirrors SimdLevel (0 = scalar, 1 = avx2,
+    // 2 = avx512).
     m.setGauge("engine.backend", static_cast<double>(ctx.kind()));
     m.setGauge("engine.simd", static_cast<double>(ctx.simdLevel()));
 }

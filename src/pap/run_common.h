@@ -15,24 +15,11 @@
 
 #include "engine/compiled_nfa.h"
 #include "engine/engine_backend.h"
-#include "engine/trace.h"
 #include "nfa/nfa.h"
 #include "pap/exec/pipeline.h"
 #include "pap/options.h"
 
 namespace pap {
-
-/** Symbols of the input prefix the Auto density probe executes. */
-inline constexpr std::size_t kDensityProbeSymbols = 4096;
-
-/**
- * Active density (activeDensity()) of a sparse run over the first
- * kDensityProbeSymbols symbols of @p input: the workload signal that
- * steers the Auto backend heuristic. Returns -1 (unknown) without
- * running anything when @p cnfa has more than kDenseAutoMaxStates
- * states, where density cannot change the choice.
- */
-double probeActiveDensity(const CompiledNfa &cnfa, const InputTrace &input);
 
 /**
  * Per-run compile-and-select context: owns the CompiledNfa (address-
@@ -44,15 +31,9 @@ double probeActiveDensity(const CompiledNfa &cnfa, const InputTrace &input);
 class RunContext
 {
   public:
-    /**
-     * Compile @p nfa and select the backend for @p requested. When
-     * @p requested is Auto and @p density_probe is non-null, the Auto
-     * heuristic is steered by probeActiveDensity() over that input;
-     * otherwise the density is unknown.
-     */
+    /** Compile @p nfa and build engines of kind @p kind over it. */
     explicit RunContext(const Nfa &nfa,
-                        EngineKind requested = EngineKind::Sparse,
-                        const InputTrace *density_probe = nullptr);
+                        EngineKind kind = EngineKind::Sparse);
 
     /** The compiled automaton. */
     const CompiledNfa &compiled() const { return *cnfa; }
@@ -60,7 +41,7 @@ class RunContext
     /** The backend selection / engine factory. */
     const EngineContext &engines() const { return ctx; }
 
-    /** Name of the selected backend ("sparse"/"dense"/"hybrid"). */
+    /** Name of the selected backend ("sparse"/"hybrid"). */
     const char *backendName() const { return ctx.backendName(); }
 
     /** Backend plus dispatched SIMD level, e.g. "hybrid+avx2". */
@@ -70,7 +51,7 @@ class RunContext
     }
 
     /**
-     * OK, or the typed selection error (an invalid PAP_ENGINE value).
+     * OK, or the typed selection error (an invalid PAP_SIMD value).
      * Run drivers must check this and fail the run with it instead of
      * silently executing on the fallback backend.
      */

@@ -46,7 +46,6 @@ runSequential(const Nfa &nfa, const InputTrace &input,
     result.engineBackend = engines.backendName();
     result.engineDatapath = engines.datapathName();
     result.matches = engine->counters().matches;
-    result.activeDensity = activeDensity(engine->counters(), cnfa.size());
     result.reports = engine->takeReports();
     const std::uint64_t entries = result.reports.size();
     sortAndDedupReports(result.reports);
@@ -366,13 +365,10 @@ bool
 PapRun::analyze()
 {
     obs::Phase phase(sink, "pap.analyze", &ledger, "analyze");
-    // The Auto backend choice is steered by a sparse probe over the
-    // input's prefix, not by the concurrent oracle's full-trace
-    // density.
-    ctx.emplace(nfa, options.engine, &input);
+    ctx.emplace(nfa, options.engine);
     if (!ctx->status().ok()) {
-        // Typed selection error (an invalid PAP_ENGINE value): the
-        // run must fail like an invalid --engine flag, not silently
+        // Typed selection error (an invalid PAP_SIMD value): the run
+        // must fail like an invalid --engine flag, not silently
         // execute on a fallback backend.
         result.status = ctx->status();
         return false;
@@ -406,7 +402,7 @@ bool
 PapRun::partitionAndPlan()
 {
     obs::Phase partition(sink, "pap.partition", &ledger, "partition");
-    // The word-packed backends read the per-symbol ranges straight off
+    // The hybrid backend reads the per-symbol ranges straight off
     // the DenseNfa match-mask popcounts; the sparse path runs the
     // RangeAnalysis pass here (the numbers are identical by
     // construction).

@@ -35,19 +35,13 @@ struct SequentialResult
     Cycles cycles = 0;
     /** State matches (transitions) performed. */
     std::uint64_t matches = 0;
-    /** Backend that executed the run ("sparse"/"dense"/"hybrid"). */
+    /** Backend that executed the run ("sparse"/"hybrid"). */
     std::string engineBackend = "sparse";
-    /** Backend plus dispatched SIMD level, e.g. "dense+avx2". */
+    /** Backend plus dispatched SIMD level, e.g. "hybrid+avx2". */
     std::string engineDatapath = "sparse";
     /**
-     * Measured active density: states enabled per symbol per state,
-     * in [0, 1] — the Auto heuristic's workload signal, which runPap
-     * takes from a prefix probe (probeActiveDensity) instead.
-     */
-    double activeDensity = 0.0;
-    /**
      * Non-Ok only when the run could not execute at all (an invalid
-     * PAP_ENGINE value); all other fields are defaulted then.
+     * PAP_SIMD value); all other fields are defaulted then.
      */
     Status status;
 };

@@ -251,7 +251,7 @@ runEnumSegment(const EngineContext &engines, const FlowPlan &plan,
                     continue;
                 // Lowest index survives; verify equality exactly (the
                 // SVC comparator is bitwise, not a hash): a word
-                // compare on the dense backend, a cached sorted-id
+                // compare on the hybrid backend, a cached sorted-id
                 // compare on the sparse one.
                 const auto &winner = *live[members.front()].engine;
                 for (std::size_t m = 1; m < members.size(); ++m) {

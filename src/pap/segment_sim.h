@@ -110,7 +110,7 @@ DeathTally tallyDeaths(const SegmentRun &run);
 /**
  * Run the first segment: a single golden flow with full start-state
  * machinery, seeded with the StartOfData states. The flow's engine is
- * created by @p engines (sparse or dense backend; the results are
+ * created by @p engines (sparse or hybrid backend; the results are
  * identical either way). @p injector, when non-null, may drop or
  * truncate the flow's report buffer. @p cancel, when non-null, is
  * polled cooperatively (the run is chunked); a cancelled run returns

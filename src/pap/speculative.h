@@ -39,7 +39,7 @@ namespace pap {
 struct SpeculationOptions
 {
     /** Execution backend for the speculative flows (see PapOptions). */
-    EngineKind engine = EngineKind::Auto;
+    EngineKind engine = EngineKind::Hybrid;
     /** Warmup window: symbols re-executed before each segment. */
     std::uint32_t warmupWindow = 256;
     /** Cap parallel time at the sequential baseline. */
@@ -61,9 +61,9 @@ struct SpeculationOptions
 struct SpeculationResult
 {
     std::string name;
-    /** Backend that executed the run ("sparse"/"dense"/"hybrid"). */
+    /** Backend that executed the run ("sparse"/"hybrid"). */
     std::string engineBackend = "sparse";
-    /** Backend plus dispatched SIMD level, e.g. "dense+avx2". */
+    /** Backend plus dispatched SIMD level, e.g. "hybrid+avx2". */
     std::string engineDatapath = "sparse";
     std::uint32_t numSegments = 1;
     std::uint32_t idealSpeedup = 1;
@@ -86,7 +86,7 @@ struct SpeculationResult
     std::uint32_t threadsUsed = 1;
     /**
      * Non-Ok only when the run could not execute at all (an invalid
-     * PAP_ENGINE value); other fields are defaulted.
+     * PAP_SIMD value); other fields are defaulted.
      */
     Status status;
 };

@@ -30,24 +30,22 @@ cmp m.nfa m2.nfa
 "$PAPSIM" run m.nfa t.bin --ranks=4 --verbose | grep -q "(verified)"
 "$PAPSIM" run m.anml t.bin --spec=128 | grep -q "speculative\["
 
-# Engine backends: all run verified and agree symbol for symbol. The
-# tag carries the dispatched SIMD level (e.g. dense+avx2), so match
+# Engine backends: both run verified and agree symbol for symbol. The
+# tag carries the dispatched SIMD level (e.g. hybrid+avx2), so match
 # the backend prefix and strip the whole bracket before comparing.
 SPARSE=$("$PAPSIM" run m.nfa t.bin --ranks=4 --engine=sparse)
-DENSE=$("$PAPSIM" run m.nfa t.bin --ranks=4 --engine=dense)
 HYBRID=$("$PAPSIM" run m.nfa t.bin --ranks=4 --engine=hybrid)
-SCALAR=$(PAP_SIMD=off "$PAPSIM" run m.nfa t.bin --ranks=4 \
-    --engine=dense)
+SCALAR=$(PAP_SIMD=off "$PAPSIM" run m.nfa t.bin --ranks=4)
 grep -q "PAP\[sparse\]" <<< "$SPARSE"
-grep -q "PAP\[dense" <<< "$DENSE"
 grep -q "PAP\[hybrid" <<< "$HYBRID"
-grep -q "PAP\[dense\]" <<< "$SCALAR"
+grep -q "PAP\[hybrid\]" <<< "$SCALAR"
 strip_tag() { sed 's/\[[a-z0-9+]*\]//'; }
-test "$(echo "$SPARSE" | strip_tag)" = "$(echo "$DENSE" | strip_tag)"
 test "$(echo "$SPARSE" | strip_tag)" = "$(echo "$HYBRID" | strip_tag)"
 test "$(echo "$SPARSE" | strip_tag)" = "$(echo "$SCALAR" | strip_tag)"
-PAP_ENGINE=dense "$PAPSIM" run m.nfa t.bin --ranks=4 \
-    | grep -q "PAP\[dense"
+# --engine=dense is an unknown engine like any other.
+if "$PAPSIM" run m.nfa t.bin --engine=dense 2>/dev/null; then exit 1; fi
+("$PAPSIM" run m.nfa t.bin --engine=dense 2>&1 || true) \
+    | grep -q "InvalidInput"
 if PAP_SIMD=bogus "$PAPSIM" run m.nfa t.bin --ranks=4 2>/dev/null; then
     exit 1
 fi

@@ -212,7 +212,7 @@ TEST(AttribRun, SumsToWallAcrossModesEnginesAndThreads)
     const Workload w = attribWorkload();
     const ApConfig cfg = smallBoard(8);
     for (const EngineKind engine :
-         {EngineKind::Sparse, EngineKind::Dense}) {
+         {EngineKind::Sparse, EngineKind::Hybrid}) {
         for (const std::uint32_t threads : {1u, 2u, 3u, 4u}) {
             PapOptions opt;
             opt.engine = engine;
@@ -264,7 +264,7 @@ TEST(AttribRun, SumsToWallOnTable1Workloads)
         const InputTrace input =
             buildBenchmarkTrace(nfa, info.name, 512);
         for (const EngineKind engine :
-             {EngineKind::Sparse, EngineKind::Dense}) {
+             {EngineKind::Sparse, EngineKind::Hybrid}) {
             PapOptions opt;
             opt.threads = 2;
             opt.engine = engine;
@@ -288,16 +288,16 @@ TEST(AttribRun, EngineCountersAreBackendInvariantWhereContracted)
 
     opt.engine = EngineKind::Sparse;
     const PapResult sparse = runPap(w.nfa, w.input, cfg, opt);
-    opt.engine = EngineKind::Dense;
-    const PapResult dense = runPap(w.nfa, w.input, cfg, opt);
+    opt.engine = EngineKind::Hybrid;
+    const PapResult hybrid = runPap(w.nfa, w.input, cfg, opt);
     ASSERT_TRUE(sparse.status.ok());
-    ASSERT_TRUE(dense.status.ok());
+    ASSERT_TRUE(hybrid.status.ok());
 
     // The density histogram derives from the contract-fixed active
     // set, and succRows counts matched states — both must agree
     // between backends even though the datapath-cost counters differ.
-    EXPECT_EQ(sparse.engineDensityOctiles, dense.engineDensityOctiles);
-    EXPECT_EQ(sparse.engineSuccRows, dense.engineSuccRows);
+    EXPECT_EQ(sparse.engineDensityOctiles, hybrid.engineDensityOctiles);
+    EXPECT_EQ(sparse.engineSuccRows, hybrid.engineSuccRows);
 
     // One histogram entry per flow step: the octiles sum to the
     // flow-symbol total.
@@ -308,11 +308,11 @@ TEST(AttribRun, EngineCountersAreBackendInvariantWhereContracted)
 
     // Datapath cost is backend-specific but always populated.
     EXPECT_GT(sparse.engineMaskWords, 0u);
-    EXPECT_GT(dense.engineMaskWords, 0u);
+    EXPECT_GT(hybrid.engineMaskWords, 0u);
     EXPECT_GT(sparse.engineBytesTouched, 0u);
-    EXPECT_GT(dense.engineBytesTouched, 0u);
+    EXPECT_GT(hybrid.engineBytesTouched, 0u);
     EXPECT_GT(sparse.engineBytesPerSymbol, 0.0);
-    EXPECT_GT(dense.engineBytesPerSymbol, 0.0);
+    EXPECT_GT(hybrid.engineBytesPerSymbol, 0.0);
 
     // recordRunMetrics folded the same numbers into the registry.
     EXPECT_GT(obs::metrics().gauge("attrib.wall_ms"), 0.0);

@@ -1,12 +1,12 @@
 /**
  * @file
  * Differential tests of the EngineBackend implementations: the sparse
- * FunctionalEngine (reference), the dense BitsetEngine, and the
- * HybridEngine must be observationally identical — same sorted
- * reports, snapshots, state hashes, and counters — on random automata
- * and random inputs, at every SIMD dispatch level the host can
- * execute, and whole PAP runs must be byte-identical (reports, cycle
- * counts, checkpoint files) regardless of the backend.
+ * FunctionalEngine (reference) and the HybridEngine must be
+ * observationally identical — same sorted reports, snapshots, state
+ * hashes, and counters — on random automata and random inputs, at
+ * every SIMD dispatch level the host can execute, and whole PAP runs
+ * must be byte-identical (reports, cycle counts, checkpoint files)
+ * regardless of the backend.
  */
 
 #include <gtest/gtest.h>
@@ -21,7 +21,6 @@
 #include "common/charclass.h"
 #include "common/error.h"
 #include "common/rng.h"
-#include "engine/bitset_engine.h"
 #include "engine/compiled_nfa.h"
 #include "engine/dense_nfa.h"
 #include "engine/engine_backend.h"
@@ -32,8 +31,9 @@
 #include "nfa/analysis.h"
 #include "nfa/glushkov.h"
 #include "pap/exec/checkpoint.h"
-#include "pap/run_common.h"
 #include "pap/runner.h"
+#include "serve/ruleset_registry.h"
+#include "serve/server.h"
 #include "test_util.h"
 #include "workload_helpers.h"
 #include "workloads/benchmarks.h"
@@ -41,21 +41,19 @@
 namespace pap {
 namespace {
 
-/** All three backends over one automaton, stepped in lockstep. */
-struct EngineTrio
+/** Both backends over one automaton, stepped in lockstep. */
+struct EnginePair
 {
     CompiledNfa cnfa;
     DenseNfa dnfa;
     EngineScratch scratch;
     FunctionalEngine sparse;
-    BitsetEngine dense;
     HybridEngine hybrid;
 
-    EngineTrio(const Nfa &nfa, bool starts,
+    EnginePair(const Nfa &nfa, bool starts,
                SimdLevel simd = currentSimdLevel())
         : cnfa(nfa), dnfa(cnfa), scratch(nfa.size()),
-          sparse(cnfa, starts, &scratch), dense(dnfa, starts, simd),
-          hybrid(dnfa, starts, simd)
+          sparse(cnfa, starts, &scratch), hybrid(dnfa, starts, simd)
     {
     }
 
@@ -63,7 +61,6 @@ struct EngineTrio
     reset(const std::vector<StateId> &seed, std::uint64_t base = 0)
     {
         sparse.reset(seed, base);
-        dense.reset(seed, base);
         hybrid.reset(seed, base);
     }
 
@@ -71,7 +68,6 @@ struct EngineTrio
     step(Symbol s)
     {
         sparse.step(s);
-        dense.step(s);
         hybrid.step(s);
     }
 
@@ -79,7 +75,6 @@ struct EngineTrio
     run(const Symbol *data, std::size_t len)
     {
         sparse.run(data, len);
-        dense.run(data, len);
         hybrid.run(data, len);
     }
 
@@ -87,26 +82,18 @@ struct EngineTrio
     void
     expectSameObservableState(const char *where) const
     {
-        for (const EngineBackend *other :
-             {static_cast<const EngineBackend *>(&dense),
-              static_cast<const EngineBackend *>(&hybrid)}) {
-            EXPECT_EQ(sparse.activeCount(), other->activeCount())
-                << where;
-            EXPECT_EQ(sparse.snapshot(), other->snapshot()) << where;
-            EXPECT_EQ(sparse.stateHash(), other->stateHash()) << where;
-            EXPECT_EQ(sparse.dead(), other->dead()) << where;
-            EXPECT_EQ(sparse.cursor(), other->cursor()) << where;
-            EXPECT_TRUE(sparse.sameActiveSet(*other)) << where;
-            EXPECT_TRUE(other->sameActiveSet(sparse)) << where;
-            const EngineCounters &a = sparse.counters();
-            const EngineCounters &b = other->counters();
-            EXPECT_EQ(a.symbols, b.symbols) << where;
-            EXPECT_EQ(a.matches, b.matches) << where;
-            EXPECT_EQ(a.enables, b.enables) << where;
-        }
-        // Word-packed peers also word-compare against each other.
-        EXPECT_TRUE(dense.sameActiveSet(hybrid)) << where;
-        EXPECT_TRUE(hybrid.sameActiveSet(dense)) << where;
+        EXPECT_EQ(sparse.activeCount(), hybrid.activeCount()) << where;
+        EXPECT_EQ(sparse.snapshot(), hybrid.snapshot()) << where;
+        EXPECT_EQ(sparse.stateHash(), hybrid.stateHash()) << where;
+        EXPECT_EQ(sparse.dead(), hybrid.dead()) << where;
+        EXPECT_EQ(sparse.cursor(), hybrid.cursor()) << where;
+        EXPECT_TRUE(sparse.sameActiveSet(hybrid)) << where;
+        EXPECT_TRUE(hybrid.sameActiveSet(sparse)) << where;
+        const EngineCounters &a = sparse.counters();
+        const EngineCounters &b = hybrid.counters();
+        EXPECT_EQ(a.symbols, b.symbols) << where;
+        EXPECT_EQ(a.matches, b.matches) << where;
+        EXPECT_EQ(a.enables, b.enables) << where;
     }
 };
 
@@ -125,7 +112,7 @@ TEST(EngineDiff, FuzzAllBackendsAgreeStepByStep)
         const InputTrace t =
             randomTextTrace(rng, 256 + rng.nextBelow(512), "abcdefgh\n ");
         for (const bool starts : {true, false}) {
-            EngineTrio p(nfa, starts);
+            EnginePair p(nfa, starts);
             // Enum mode seeds a random state subset; start mode seeds
             // the initial active set like a fresh flow.
             std::vector<StateId> seed = p.cnfa.initialActive();
@@ -145,10 +132,8 @@ TEST(EngineDiff, FuzzAllBackendsAgreeStepByStep)
                     p.expectSameObservableState("mid-run");
             }
             p.expectSameObservableState("after run");
-            const auto expected = sortedReports(p.sparse.takeReports());
-            EXPECT_EQ(expected, sortedReports(p.dense.takeReports()))
-                << "iter " << iter << " starts " << starts;
-            EXPECT_EQ(expected, sortedReports(p.hybrid.takeReports()))
+            EXPECT_EQ(sortedReports(p.sparse.takeReports()),
+                      sortedReports(p.hybrid.takeReports()))
                 << "iter " << iter << " starts " << starts;
         }
     }
@@ -157,7 +142,7 @@ TEST(EngineDiff, FuzzAllBackendsAgreeStepByStep)
 TEST(EngineDiff, EverySimdLevelMatchesScalarInLockstep)
 {
     // The word-packed kernels must be bit-exact across dispatch
-    // levels: run the scalar trio and a vectorized trio side by side
+    // levels: run the scalar pair and a vectorized pair side by side
     // for every level the host supports (clamp-down makes requesting
     // an unsupported level impossible by construction).
     Rng rng(4321);
@@ -169,8 +154,8 @@ TEST(EngineDiff, EverySimdLevelMatchesScalarInLockstep)
             const InputTrace t =
                 randomTextTrace(rng, 512, "abcdefgh\n ");
             for (const bool starts : {true, false}) {
-                EngineTrio scalar(nfa, starts, SimdLevel::Scalar);
-                EngineTrio vec(nfa, starts, level);
+                EnginePair scalar(nfa, starts, SimdLevel::Scalar);
+                EnginePair vec(nfa, starts, level);
                 scalar.reset(scalar.cnfa.initialActive());
                 vec.reset(vec.cnfa.initialActive());
                 for (std::uint64_t i = 0; i < t.size(); ++i) {
@@ -178,21 +163,14 @@ TEST(EngineDiff, EverySimdLevelMatchesScalarInLockstep)
                     vec.step(t.begin()[i]);
                     if (i % 31 != 0)
                         continue;
-                    EXPECT_EQ(scalar.dense.stateHash(),
-                              vec.dense.stateHash())
-                        << simdLevelName(level);
                     EXPECT_EQ(scalar.hybrid.stateHash(),
                               vec.hybrid.stateHash())
                         << simdLevelName(level);
                 }
-                scalar.expectSameObservableState("scalar trio");
-                vec.expectSameObservableState("vector trio");
-                EXPECT_EQ(scalar.dense.snapshot(), vec.dense.snapshot());
+                scalar.expectSameObservableState("scalar pair");
+                vec.expectSameObservableState("vector pair");
                 EXPECT_EQ(scalar.hybrid.snapshot(),
                           vec.hybrid.snapshot());
-                EXPECT_EQ(sortedReports(scalar.dense.takeReports()),
-                          sortedReports(vec.dense.takeReports()))
-                    << simdLevelName(level);
                 EXPECT_EQ(sortedReports(scalar.hybrid.takeReports()),
                           sortedReports(vec.hybrid.takeReports()))
                     << simdLevelName(level);
@@ -206,13 +184,12 @@ TEST(EngineDiff, RunBulkMatchesStepwise)
     Rng rng(99);
     const Nfa nfa = randomNfa(rng, 3);
     const InputTrace t = randomTextTrace(rng, 2048, "abcdefgh");
-    EngineTrio p(nfa, true);
+    EnginePair p(nfa, true);
     p.reset(p.cnfa.initialActive());
     p.run(t.begin(), t.size());
     p.expectSameObservableState("after bulk run");
-    const auto expected = sortedReports(p.sparse.takeReports());
-    EXPECT_EQ(expected, sortedReports(p.dense.takeReports()));
-    EXPECT_EQ(expected, sortedReports(p.hybrid.takeReports()));
+    EXPECT_EQ(sortedReports(p.sparse.takeReports()),
+              sortedReports(p.hybrid.takeReports()));
 }
 
 TEST(EngineDiff, OverwriteActiveAppliesSameFiltering)
@@ -223,14 +200,13 @@ TEST(EngineDiff, OverwriteActiveAppliesSameFiltering)
     const Nfa nfa = compileRuleset({{".*ab", 1}, {"cd", 2}}, "m");
     const InputTrace t = randomTextTrace(rng, 512, "abcd");
     for (const bool starts : {true, false}) {
-        EngineTrio p(nfa, starts);
+        EnginePair p(nfa, starts);
         p.reset(p.cnfa.initialActive());
         p.run(t.begin(), 100);
         std::vector<StateId> all;
         for (StateId q = 0; q < nfa.size(); ++q)
             all.push_back(q);
         p.sparse.overwriteActive(all);
-        p.dense.overwriteActive(all);
         p.hybrid.overwriteActive(all);
         p.expectSameObservableState("after overwrite");
         p.run(t.begin() + 100, t.size() - 100);
@@ -311,24 +287,17 @@ TEST(EngineDiff, PapRunsAreByteIdenticalAcrossBackends)
         const ApConfig board = smallBoard(8);
         PapOptions sparse_opt;
         sparse_opt.engine = EngineKind::Sparse;
-        PapOptions dense_opt;
-        dense_opt.engine = EngineKind::Dense;
         PapOptions hybrid_opt;
         hybrid_opt.engine = EngineKind::Hybrid;
         const PapResult a = runPap(w.nfa, w.input, board, sparse_opt);
-        const PapResult b = runPap(w.nfa, w.input, board, dense_opt);
-        const PapResult c = runPap(w.nfa, w.input, board, hybrid_opt);
+        const PapResult b = runPap(w.nfa, w.input, board, hybrid_opt);
         ASSERT_TRUE(a.status.ok()) << "seed " << seed;
         ASSERT_TRUE(b.status.ok()) << "seed " << seed;
-        ASSERT_TRUE(c.status.ok()) << "seed " << seed;
         EXPECT_TRUE(a.verified);
         EXPECT_TRUE(b.verified);
-        EXPECT_TRUE(c.verified);
         EXPECT_EQ(a.engineBackend, "sparse");
-        EXPECT_EQ(b.engineBackend, "dense");
-        EXPECT_EQ(c.engineBackend, "hybrid");
+        EXPECT_EQ(b.engineBackend, "hybrid");
         expectSameRun(a, b);
-        expectSameRun(a, c);
     }
 }
 
@@ -337,24 +306,15 @@ TEST(EngineDiff, SequentialRunsAgreeAcrossBackends)
     const Workload w = diffWorkload(5);
     PapOptions sparse_opt;
     sparse_opt.engine = EngineKind::Sparse;
-    PapOptions dense_opt;
-    dense_opt.engine = EngineKind::Dense;
     PapOptions hybrid_opt;
     hybrid_opt.engine = EngineKind::Hybrid;
     const SequentialResult a = runSequential(w.nfa, w.input, sparse_opt);
-    const SequentialResult b = runSequential(w.nfa, w.input, dense_opt);
-    const SequentialResult c = runSequential(w.nfa, w.input, hybrid_opt);
+    const SequentialResult b = runSequential(w.nfa, w.input, hybrid_opt);
     EXPECT_EQ(a.engineBackend, "sparse");
-    EXPECT_EQ(b.engineBackend, "dense");
-    EXPECT_EQ(c.engineBackend, "hybrid");
+    EXPECT_EQ(b.engineBackend, "hybrid");
     EXPECT_EQ(a.reports, b.reports);
     EXPECT_EQ(a.cycles, b.cycles);
     EXPECT_EQ(a.matches, b.matches);
-    EXPECT_EQ(a.reports, c.reports);
-    EXPECT_EQ(a.cycles, c.cycles);
-    EXPECT_EQ(a.matches, c.matches);
-    // The sparse oracle measures the feedback signal Auto uses.
-    EXPECT_GT(a.activeDensity, 0.0);
 }
 
 TEST(EngineDiff, CheckpointFilesAreByteIdenticalAcrossBackends)
@@ -379,10 +339,8 @@ TEST(EngineDiff, CheckpointFilesAreByteIdenticalAcrossBackends)
         return bytes.str();
     };
     const std::string sparse_ckpt = checkpoint_bytes(EngineKind::Sparse);
-    const std::string dense_ckpt = checkpoint_bytes(EngineKind::Dense);
     const std::string hybrid_ckpt = checkpoint_bytes(EngineKind::Hybrid);
     ASSERT_FALSE(sparse_ckpt.empty());
-    EXPECT_EQ(sparse_ckpt, dense_ckpt);
     EXPECT_EQ(sparse_ckpt, hybrid_ckpt);
 }
 
@@ -391,187 +349,80 @@ TEST(EngineDiff, CheckpointFilesAreByteIdenticalAcrossBackends)
 TEST(EngineSelect, ParseEngineKind)
 {
     EXPECT_EQ(parseEngineKind("sparse").value(), EngineKind::Sparse);
-    EXPECT_EQ(parseEngineKind("dense").value(), EngineKind::Dense);
     EXPECT_EQ(parseEngineKind("hybrid").value(), EngineKind::Hybrid);
-    EXPECT_EQ(parseEngineKind("auto").value(), EngineKind::Auto);
-    const Result<EngineKind> bad = parseEngineKind("bogus");
-    ASSERT_FALSE(bad.ok());
-    EXPECT_EQ(bad.status().code(), ErrorCode::InvalidInput);
+    // "dense" and "auto" are unknown values like any other.
+    for (const char *bad_name : {"dense", "auto", "bogus"}) {
+        const Result<EngineKind> bad = parseEngineKind(bad_name);
+        ASSERT_FALSE(bad.ok()) << bad_name;
+        EXPECT_EQ(bad.status().code(), ErrorCode::InvalidInput)
+            << bad_name;
+    }
 }
 
 TEST(EngineSelect, EngineKindNames)
 {
     EXPECT_STREQ(engineKindName(EngineKind::Sparse), "sparse");
-    EXPECT_STREQ(engineKindName(EngineKind::Dense), "dense");
     EXPECT_STREQ(engineKindName(EngineKind::Hybrid), "hybrid");
-    EXPECT_STREQ(engineKindName(EngineKind::Auto), "auto");
 }
 
-TEST(EngineSelect, ResolveHonorsExplicitRequestAndThreshold)
+TEST(EngineSelect, DefaultBackendIsHybrid)
 {
-    ::unsetenv("PAP_ENGINE");
-    // Explicit requests ignore the heuristic entirely.
-    EXPECT_EQ(resolveEngineKind(EngineKind::Sparse, 1).value(),
-              EngineKind::Sparse);
-    EXPECT_EQ(resolveEngineKind(EngineKind::Dense, 1u << 20).value(),
-              EngineKind::Dense);
-    EXPECT_EQ(resolveEngineKind(EngineKind::Hybrid, 1).value(),
-              EngineKind::Hybrid);
-    EXPECT_EQ(resolveEngineKind(EngineKind::Hybrid, 1u << 20).value(),
-              EngineKind::Hybrid);
-    // Auto: dense up to the size threshold, hybrid beyond it — the
-    // tile-skipping datapath replaces the old fall-back-to-sparse
-    // cliff at 16K+ states.
-    EXPECT_EQ(resolveEngineKind(EngineKind::Auto,
-                                kDenseAutoMaxStates).value(),
-              EngineKind::Dense);
-    EXPECT_EQ(resolveEngineKind(EngineKind::Auto,
-                                kDenseAutoMaxStates + 1).value(),
-              EngineKind::Hybrid);
-}
-
-TEST(EngineSelect, ResolveConsultsMeasuredDensity)
-{
-    ::unsetenv("PAP_ENGINE");
-    // Small automata stay dense only when the measured active density
-    // clears the threshold; sparse activity routes them to hybrid.
-    EXPECT_EQ(resolveEngineKind(EngineKind::Auto, kDenseAutoMaxStates,
-                                kDenseAutoMinDensity).value(),
-              EngineKind::Dense);
-    EXPECT_EQ(resolveEngineKind(EngineKind::Auto, kDenseAutoMaxStates,
-                                0.9).value(),
-              EngineKind::Dense);
-    EXPECT_EQ(resolveEngineKind(EngineKind::Auto, kDenseAutoMaxStates,
-                                0.09).value(),
-              EngineKind::Hybrid);
-    // No measurement (negative hint) keeps the size-only behavior.
-    EXPECT_EQ(resolveEngineKind(EngineKind::Auto, kDenseAutoMaxStates,
-                                -1.0).value(),
-              EngineKind::Dense);
-    // Beyond the size threshold density cannot rescue dense.
-    EXPECT_EQ(resolveEngineKind(EngineKind::Auto,
-                                kDenseAutoMaxStates + 1, 0.9).value(),
-              EngineKind::Hybrid);
-    // Explicit requests ignore density like they ignore size.
-    EXPECT_EQ(resolveEngineKind(EngineKind::Dense, 64, 0.0).value(),
-              EngineKind::Dense);
-    EXPECT_EQ(resolveEngineKind(EngineKind::Sparse, 64, 0.9).value(),
-              EngineKind::Sparse);
-}
-
-TEST(EngineSelect, ResolveConsultsEnvironmentOnlyForAuto)
-{
-    ::setenv("PAP_ENGINE", "sparse", 1);
-    EXPECT_EQ(resolveEngineKind(EngineKind::Auto, 4).value(),
-              EngineKind::Sparse);
-    EXPECT_EQ(resolveEngineKind(EngineKind::Dense, 4).value(),
-              EngineKind::Dense);
-    ::setenv("PAP_ENGINE", "dense", 1);
-    EXPECT_EQ(resolveEngineKind(EngineKind::Auto, 1u << 20).value(),
-              EngineKind::Dense);
-    ::unsetenv("PAP_ENGINE");
-}
-
-TEST(EngineSelect, PrefixProbeMatchesFullTraceDensityOnTable1)
-{
-    // runPap steers Auto with a density probe over the input's prefix
-    // (the full sequential run now executes concurrently and finishes
-    // too late). On every Table-1 automaton the probe must pick the
-    // backend the full trace's measured density picks.
-    ::unsetenv("PAP_ENGINE");
-    PapOptions sparse;
-    sparse.engine = EngineKind::Sparse;
-    for (const auto &info : benchmarkRegistry()) {
-        const Nfa nfa = buildBenchmark(info.name);
-        const InputTrace input =
-            buildBenchmarkTrace(nfa, info.name, 4 * kDensityProbeSymbols);
-        const CompiledNfa cnfa(nfa);
-        const double probe = probeActiveDensity(cnfa, input);
-        // Above the size threshold density cannot change the choice,
-        // so the probe does not run.
-        EXPECT_EQ(probe < 0.0, cnfa.size() > kDenseAutoMaxStates)
-            << info.name;
-        const SequentialResult full = runSequential(nfa, input, sparse);
-        EXPECT_EQ(
-            resolveEngineKind(EngineKind::Auto, cnfa.size(), probe).value(),
-            resolveEngineKind(EngineKind::Auto, cnfa.size(),
-                              full.activeDensity)
-                .value())
-            << info.name << ": probe density " << probe
-            << ", full-trace density " << full.activeDensity;
-    }
-}
-
-TEST(EngineSelect, InvalidEnvironmentIsATypedError)
-{
-    // An invalid PAP_ENGINE value fails exactly like an invalid
-    // --engine flag: a typed InvalidInput error, never a silent
-    // fallback to the threshold (and never for explicit requests,
-    // which don't consult the environment at all).
-    ::setenv("PAP_ENGINE", "wat", 1);
-    const Result<EngineKind> bad = resolveEngineKind(EngineKind::Auto, 4);
-    ASSERT_FALSE(bad.ok());
-    EXPECT_EQ(bad.status().code(), ErrorCode::InvalidInput);
-    EXPECT_NE(bad.status().message().find("PAP_ENGINE"),
-              std::string::npos);
-    EXPECT_NE(bad.status().message().find("wat"), std::string::npos);
-    EXPECT_EQ(resolveEngineKind(EngineKind::Sparse, 4).value(),
-              EngineKind::Sparse);
-    ::unsetenv("PAP_ENGINE");
+    // Every entry point runs the word-packed hybrid backend unless the
+    // caller asks for the sparse reference.
+    const Nfa nfa = compileRuleset({{"ab", 1}, {"cd", 2}}, "m");
+    Rng rng(3);
+    const InputTrace input = randomTextTrace(rng, 4096, "abcd");
+    const SequentialResult seq = runSequential(nfa, input);
+    ASSERT_TRUE(seq.status.ok());
+    EXPECT_EQ(seq.engineBackend, "hybrid");
+    const PapResult par = runPap(nfa, input, smallBoard(8), PapOptions{});
+    ASSERT_TRUE(par.status.ok());
+    EXPECT_EQ(par.engineBackend, "hybrid");
+    serve::RulesetRegistry registry(serve::ServeOptions{}.pap.engine);
+    const auto ruleset = registry.install(nfa);
+    ASSERT_TRUE(ruleset.ok());
+    EXPECT_STREQ(ruleset.value()->engines->backendName(), "hybrid");
 }
 
 TEST(EngineSelect, ContextCarriesSelectionErrorAndStaysUsable)
 {
     const Nfa nfa = compileRuleset({{"ab", 1}}, "m");
     const CompiledNfa cnfa(nfa);
-    ::setenv("PAP_ENGINE", "bogus", 1);
-    const EngineContext ctx(cnfa, EngineKind::Auto);
+    ::setenv("PAP_SIMD", "bogus", 1);
+    const EngineContext ctx(cnfa, EngineKind::Hybrid);
+    ::unsetenv("PAP_SIMD");
     EXPECT_FALSE(ctx.status().ok());
     EXPECT_EQ(ctx.status().code(), ErrorCode::InvalidInput);
-    // The context itself stays constructed on the sparse fallback so
-    // callers can decide how to surface the error.
-    EXPECT_FALSE(ctx.dense());
+    // The context itself stays constructed on the sparse fallback at
+    // the scalar level so callers can decide how to surface the error.
+    EXPECT_EQ(ctx.kind(), EngineKind::Sparse);
     EXPECT_STREQ(ctx.backendName(), "sparse");
-    ::unsetenv("PAP_ENGINE");
-    const EngineContext good(cnfa, EngineKind::Auto);
+    EXPECT_EQ(ctx.simdLevel(), SimdLevel::Scalar);
+    EXPECT_EQ(ctx.denseNfa(), nullptr);
+    const auto engine = ctx.make(/*starts=*/true);
+    engine->reset(cnfa.initialActive(), 0);
+    const std::vector<Symbol> ab = {static_cast<Symbol>('a'),
+                                    static_cast<Symbol>('b')};
+    engine->run(ab.data(), ab.size());
+    EXPECT_EQ(engine->reports().size(), 1u);
+    const EngineContext good(cnfa, EngineKind::Hybrid);
     EXPECT_TRUE(good.status().ok());
-}
-
-TEST(EngineSelect, RunnersFailTypedOnInvalidEnvironment)
-{
-    const Nfa nfa = compileRuleset({{"ab", 1}}, "m");
-    const InputTrace input(
-        std::vector<Symbol>(64, static_cast<Symbol>('a')));
-    ::setenv("PAP_ENGINE", "nope", 1);
-    const SequentialResult seq = runSequential(nfa, input);
-    EXPECT_FALSE(seq.status.ok());
-    EXPECT_EQ(seq.status.code(), ErrorCode::InvalidInput);
-    EXPECT_TRUE(seq.reports.empty());
-    const PapResult par =
-        runPap(nfa, input, ApConfig::d480(1), PapOptions{});
-    EXPECT_FALSE(par.status.ok());
-    EXPECT_EQ(par.status.code(), ErrorCode::InvalidInput);
-    ::unsetenv("PAP_ENGINE");
+    EXPECT_STREQ(good.backendName(), "hybrid");
 }
 
 TEST(EngineSelect, ContextReportsSelectedBackend)
 {
     const Nfa nfa = compileRuleset({{"ab", 1}}, "m");
     const CompiledNfa cnfa(nfa);
-    ::unsetenv("PAP_ENGINE");
     const EngineContext sparse(cnfa, EngineKind::Sparse);
-    EXPECT_FALSE(sparse.dense());
+    EXPECT_EQ(sparse.kind(), EngineKind::Sparse);
     EXPECT_STREQ(sparse.backendName(), "sparse");
     EXPECT_EQ(sparse.denseNfa(), nullptr);
-    const EngineContext dense(cnfa, EngineKind::Dense);
-    EXPECT_TRUE(dense.dense());
-    EXPECT_STREQ(dense.backendName(), "dense");
-    ASSERT_NE(dense.denseNfa(), nullptr);
-    EXPECT_EQ(dense.denseNfa()->size(), cnfa.size());
     const EngineContext hybrid(cnfa, EngineKind::Hybrid);
     EXPECT_EQ(hybrid.kind(), EngineKind::Hybrid);
     EXPECT_STREQ(hybrid.backendName(), "hybrid");
     ASSERT_NE(hybrid.denseNfa(), nullptr);
+    EXPECT_EQ(hybrid.denseNfa()->size(), cnfa.size());
     // The datapath tag is the backend name plus the dispatched SIMD
     // level ("hybrid+avx2"), or the bare name on a scalar host.
     const std::string tag = hybrid.datapathName();
@@ -633,7 +484,7 @@ TEST(SimdSelect, InvalidEnvironmentIsATypedError)
     // The typed error reaches run drivers through EngineContext.
     const Nfa nfa = compileRuleset({{"ab", 1}}, "m");
     const CompiledNfa cnfa(nfa);
-    const EngineContext ctx(cnfa, EngineKind::Dense);
+    const EngineContext ctx(cnfa, EngineKind::Hybrid);
     EXPECT_FALSE(ctx.status().ok());
     EXPECT_EQ(ctx.status().code(), ErrorCode::InvalidInput);
     const InputTrace input(
@@ -653,18 +504,18 @@ TEST(SimdSelect, ScalarPinDropsTheDatapathSuffix)
     const Nfa nfa = compileRuleset({{"ab", 1}}, "m");
     const CompiledNfa cnfa(nfa);
     ::setenv("PAP_SIMD", "off", 1);
-    const EngineContext ctx(cnfa, EngineKind::Dense);
+    const EngineContext ctx(cnfa, EngineKind::Hybrid);
     EXPECT_TRUE(ctx.status().ok());
     EXPECT_EQ(ctx.simdLevel(), SimdLevel::Scalar);
-    EXPECT_EQ(std::string(ctx.datapathName()), "dense");
+    EXPECT_EQ(std::string(ctx.datapathName()), "hybrid");
     ::unsetenv("PAP_SIMD");
 }
 
 // --- Large automata: the 16K-state regime ---------------------------
 
 /**
- * A structured automaton big enough to cross the dense-auto size
- * threshold: chains of narrow single-letter states, a sprinkling of
+ * A structured automaton in the 16K-state regime: chains of narrow
+ * single-letter states, a sprinkling of
  * always-on AllInput drivers that keep re-seeding activity, a rare
  * 'h' label that gives the partitioner a small boundary range, and
  * periodic reporting states. Activity stays sparse (a few hundred of
@@ -722,7 +573,7 @@ TEST(EngineDiffLarge, TrioAgreesAt16KStates)
     Rng rng(77);
     const InputTrace t = randomTextTrace(rng, 2048, "abcdefgh");
     for (const bool starts : {true, false}) {
-        EngineTrio p(nfa, starts);
+        EnginePair p(nfa, starts);
         // Start mode seeds like a fresh run; enum mode (no start
         // fold) seeds the self-looping drivers plus a state spread,
         // like a flow plan would.
@@ -739,26 +590,12 @@ TEST(EngineDiffLarge, TrioAgreesAt16KStates)
         p.expectSameObservableState("16K after run");
         const auto expected = sortedReports(p.sparse.takeReports());
         EXPECT_FALSE(expected.empty());
-        EXPECT_EQ(expected, sortedReports(p.dense.takeReports()));
         EXPECT_EQ(expected, sortedReports(p.hybrid.takeReports()));
     }
 }
 
-TEST(EngineDiffLarge, AutoResolvesToHybridAt16KStates)
-{
-    ::unsetenv("PAP_ENGINE");
-    const Nfa nfa = largeSyntheticNfa(16384);
-    const CompiledNfa cnfa(nfa);
-    const EngineContext ctx(cnfa, EngineKind::Auto);
-    ASSERT_TRUE(ctx.status().ok());
-    EXPECT_EQ(ctx.kind(), EngineKind::Hybrid);
-}
-
 TEST(EngineDiffLarge, PapRunsAreByteIdenticalAt16KStates)
 {
-    // The auto leg asserts the size heuristic, so a CI matrix entry
-    // pinning PAP_ENGINE must not override it here.
-    ::unsetenv("PAP_ENGINE");
     const Nfa nfa = largeSyntheticNfa(16384);
     Rng rng(88);
     const InputTrace input = randomTextTrace(rng, 16384, "abcdefgh");
@@ -767,23 +604,15 @@ TEST(EngineDiffLarge, PapRunsAreByteIdenticalAt16KStates)
     sparse_opt.engine = EngineKind::Sparse;
     PapOptions hybrid_opt;
     hybrid_opt.engine = EngineKind::Hybrid;
-    PapOptions auto_opt;
-    auto_opt.engine = EngineKind::Auto;
     const PapResult a = runPap(nfa, input, board, sparse_opt);
     const PapResult b = runPap(nfa, input, board, hybrid_opt);
-    const PapResult c = runPap(nfa, input, board, auto_opt);
     ASSERT_TRUE(a.status.ok());
     ASSERT_TRUE(b.status.ok());
-    ASSERT_TRUE(c.status.ok());
     EXPECT_TRUE(a.verified);
     EXPECT_TRUE(b.verified);
-    EXPECT_TRUE(c.verified);
     EXPECT_EQ(a.engineBackend, "sparse");
     EXPECT_EQ(b.engineBackend, "hybrid");
-    // Auto must pick hybrid above the size threshold.
-    EXPECT_EQ(c.engineBackend, "hybrid");
     expectSameRun(a, b);
-    expectSameRun(a, c);
     EXPECT_FALSE(a.reports.empty());
 }
 

@@ -95,7 +95,7 @@ TEST(PipelineIdentity, CleanRunsMatchAcrossModesThreadsAndEngines)
     const Workload w = pipelineWorkload();
     const ApConfig board = smallBoard(8);
     for (const EngineKind engine :
-         {EngineKind::Sparse, EngineKind::Dense}) {
+         {EngineKind::Sparse, EngineKind::Hybrid}) {
         PapOptions ref_opt;
         ref_opt.engine = engine;
         ref_opt.threads = 1;

@@ -85,7 +85,7 @@ usage()
         "           [--quantum=N] [--spec[=WINDOW]] [--max-reports=N]\n"
         "           [--verbose] [--metrics-json=PATH]\n"
         "           [--trace-out=PATH] [--profile] [--attrib[=json]]\n"
-        "           [--engine=sparse|dense|hybrid|auto]\n"
+        "           [--engine=sparse|hybrid]\n"
         "           [--overflow=batch|sequential|fail|evict]\n"
         "           [--svc-policy=lru|fifo|cost] [--svc-capacity=N]\n"
         "           [--threads=N] [--checkpoint=PATH]\n"
@@ -95,10 +95,9 @@ usage()
         "           --threads=0 uses one thread per hardware thread;\n"
         "           PAP_THREADS sets the default when the flag is\n"
         "           absent. --engine picks the execution backend\n"
-        "           (default auto: PAP_ENGINE, then a size/density\n"
-        "           heuristic); results are identical either way.\n"
-        "           PAP_SIMD=off|scalar|avx2|avx512|auto pins the\n"
-        "           vector width of the word-packed backends.\n"
+        "           (default hybrid); results are identical either\n"
+        "           way. PAP_SIMD=off|scalar|avx2|avx512|auto pins\n"
+        "           the vector width of the hybrid backend.\n"
         "           SPEC: kind[:count[:rate]],... with kinds\n"
         "           corrupt-sv evict-svc drop-report truncate-report\n"
         "           drop-fiv stall-worker crash-worker all\n"
@@ -112,7 +111,7 @@ usage()
         "           [--chunk=N] [--lookback=N] [--quarantine-after=N]\n"
         "           [--session-deadline-ms=X] [--checkpoint-dir=DIR]\n"
         "           [--checkpoint-interval=N]\n"
-        "           [--engine=sparse|dense|hybrid|auto]\n"
+        "           [--engine=sparse|hybrid]\n"
         "           [--deadline-ms=X]\n"
         "           [--max-retries=N] [--inject-faults=SPEC]\n"
         "           [--fault-seed=N] [--metrics-json=PATH]\n"
@@ -462,9 +461,8 @@ cmdRun(const std::vector<std::string> &args)
         return fail("--max-reports needs an integer, got '" + v + "'");
 
     // Execution backend: an explicit flag is validated here with a
-    // typed error; the auto default defers to PAP_ENGINE and the
-    // state-count threshold inside resolveEngineKind.
-    EngineKind engine = EngineKind::Auto;
+    // typed error.
+    EngineKind engine = EngineKind::Hybrid;
     if (flagValue(args, "--engine", &v)) {
         const Result<EngineKind> parsed = parseEngineKind(v);
         if (!parsed.ok())
