@@ -1,16 +1,10 @@
 /**
  * @file
- * Host-side throughput of the EngineBackend implementations:
- * symbols/sec for the sparse FunctionalEngine and the tile-skipping
- * HybridEngine across state counts and active densities. Emits
- * BENCH_engine.json (path overridable as argv[1]) so the numbers seed
- * the repo's perf trajectory.
- *
- * Expected shape: the hybrid backend leads sparse at every row, and
- * holds that lead into the 16K+ state, low-density regime, where its
- * per-step traffic tracks the active set instead of the state count.
- * The bytes/symbol columns show that traffic independent of host
- * speed.
+ * Host-side throughput of the execution engine: symbols/sec for the
+ * sparse FunctionalEngine across state counts and active densities.
+ * Emits BENCH_engine.json (path overridable as argv[1]) so the numbers
+ * seed the repo's perf trajectory. The bytes/symbol column shows the
+ * engine's per-step traffic independent of host speed.
  */
 
 #include <algorithm>
@@ -22,11 +16,7 @@
 #include "common/charclass.h"
 #include "common/rng.h"
 #include "engine/compiled_nfa.h"
-#include "engine/dense_nfa.h"
-#include "engine/engine_backend.h"
 #include "engine/functional_engine.h"
-#include "engine/hybrid_engine.h"
-#include "engine/simd.h"
 #include "engine/trace.h"
 #include "nfa/nfa.h"
 
@@ -106,15 +96,15 @@ struct Measurement
 
 /** Run @p engine over the trace repeatedly for ~the budget. */
 Measurement
-measure(EngineBackend &engine, const std::vector<StateId> &seed,
+measure(FunctionalEngine &engine, const std::vector<StateId> &seed,
         const InputTrace &trace, std::size_t states)
 {
     using clock = std::chrono::steady_clock;
     const double budget_sec = std::getenv("PAP_QUICK") ? 0.05 : 0.25;
     // Step in small chunks and re-check the clock between them: a
-    // whole trace pass at 64K states on the full-row backend costs
-    // seconds, which a per-pass budget check would multiply by the
-    // window count.
+    // whole trace pass at 64K states and high density costs seconds,
+    // which a per-pass budget check would multiply by the window
+    // count.
     constexpr std::size_t kChunk = 256;
     const std::size_t len = trace.size();
     engine.reset(seed, 0);
@@ -174,9 +164,7 @@ struct Row
     const char *workload;
     double density;
     double sparse;
-    double hybrid;
-    double sparseBps; // sparse bytes touched per symbol
-    double hybridBps; // hybrid bytes touched per symbol
+    double sparseBps; // bytes touched per symbol
 };
 
 } // namespace
@@ -187,14 +175,13 @@ main(int argc, char **argv)
 {
     using namespace pap;
     bench::ObsSession obs("engine_throughput");
-    bench::printHeader("Engine throughput: sparse vs hybrid",
+    bench::printHeader("Engine throughput: sparse FunctionalEngine",
                        "Section 2.1 enable&match datapath, host model");
 
     const char *out_path =
         argc > 1 ? argv[1] : "BENCH_engine.json";
     const std::size_t trace_len =
         std::getenv("PAP_QUICK") ? (16u << 10) : (64u << 10);
-    const SimdLevel simd = currentSimdLevel();
 
     struct Config
     {
@@ -221,38 +208,28 @@ main(int argc, char **argv)
     };
 
     std::vector<Row> rows;
-    std::printf("%8s  %-12s  %8s  %12s  %12s  %10s  %10s  %10s\n",
-                "states", "workload", "density", "sparse sym/s",
-                "hybrid sym/s", "hybrid/sp", "sparse B/s",
-                "hybrid B/s");
+    std::printf("%8s  %-12s  %8s  %12s  %10s\n", "states", "workload",
+                "density", "sparse sym/s", "sparse B/s");
     for (const Config &cfg : configs) {
         Rng rng(0xe47 + cfg.states + cfg.octiles);
         const Nfa nfa = syntheticNfa(cfg.states, cfg.octiles,
                                      cfg.driverStride, rng);
         const CompiledNfa cnfa(nfa);
-        const DenseNfa dnfa(cnfa);
         const InputTrace trace = randomTrace(rng, trace_len);
         const std::vector<StateId> seed =
             seedStates(cfg.states, cfg.seedStride);
 
         EngineScratch scratch(nfa.size());
         FunctionalEngine sparse(cnfa, /*starts=*/false, &scratch);
-        HybridEngine hybrid(dnfa, /*starts=*/false, simd);
         const Measurement ms =
             measure(sparse, seed, trace, cfg.states);
-        const Measurement mh = measure(hybrid, seed, trace, cfg.states);
 
         rows.push_back(Row{cfg.states, cfg.workload, ms.activeDensity,
-                           ms.symbolsPerSec, mh.symbolsPerSec,
-                           ms.bytesPerSymbol, mh.bytesPerSymbol});
-        std::printf("%8zu  %-12s  %7.1f%%  %12.3e  %12.3e  %9.2fx  "
-                    "%10.0f  %10.0f\n",
+                           ms.symbolsPerSec, ms.bytesPerSymbol});
+        std::printf("%8zu  %-12s  %7.1f%%  %12.3e  %10.0f\n",
                     cfg.states, cfg.workload, 100.0 * ms.activeDensity,
-                    ms.symbolsPerSec, mh.symbolsPerSec,
-                    mh.symbolsPerSec / ms.symbolsPerSec,
-                    ms.bytesPerSymbol, mh.bytesPerSymbol);
+                    ms.symbolsPerSec, ms.bytesPerSymbol);
     }
-    std::printf("\nsimd: %s\n", simdLevelName(simd));
 
     std::FILE *f = std::fopen(out_path, "w");
     if (!f) {
@@ -262,7 +239,6 @@ main(int argc, char **argv)
     std::fprintf(f, "{\n");
     bench::writeMetaHeader(f, "engine_throughput");
     std::fprintf(f, "  \"trace_symbols\": %zu,\n", trace_len);
-    std::fprintf(f, "  \"simd\": \"%s\",\n", simdLevelName(simd));
     std::fprintf(f, "  \"rows\": [\n");
     for (std::size_t i = 0; i < rows.size(); ++i) {
         const Row &r = rows[i];
@@ -270,13 +246,9 @@ main(int argc, char **argv)
                      "    {\"states\": %zu, \"workload\": \"%s\", "
                      "\"active_density\": %.4f, "
                      "\"sparse_symbols_per_sec\": %.1f, "
-                     "\"hybrid_symbols_per_sec\": %.1f, "
-                     "\"hybrid_speedup\": %.3f, "
-                     "\"sparse_bytes_per_symbol\": %.1f, "
-                     "\"hybrid_bytes_per_symbol\": %.1f}%s\n",
+                     "\"sparse_bytes_per_symbol\": %.1f}%s\n",
                      r.states, r.workload, r.density, r.sparse,
-                     r.hybrid, r.hybrid / r.sparse, r.sparseBps,
-                     r.hybridBps, i + 1 < rows.size() ? "," : "");
+                     r.sparseBps, i + 1 < rows.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");
     std::fclose(f);

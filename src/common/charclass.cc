@@ -118,9 +118,7 @@ CharClass::toSymbols() const
 {
     std::vector<Symbol> out;
     out.reserve(static_cast<std::size_t>(count()));
-    for (int s = 0; s < kAlphabetSize; ++s)
-        if (test(static_cast<Symbol>(s)))
-            out.push_back(static_cast<Symbol>(s));
+    forEachSymbol([&](Symbol s) { out.push_back(s); });
     return out;
 }
 

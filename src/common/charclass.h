@@ -9,6 +9,7 @@
 #define PAP_COMMON_CHARCLASS_H
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -99,6 +100,19 @@ class CharClass
 
     /** All member symbols in ascending order. */
     std::vector<Symbol> toSymbols() const;
+
+    /**
+     * Call @p f(Symbol) for each member in ascending order; costs one
+     * step per member, not per alphabet symbol.
+     */
+    template <typename F>
+    void
+    forEachSymbol(F &&f) const
+    {
+        for (int i = 0; i < 4; ++i)
+            for (std::uint64_t w = words[i]; w; w &= w - 1)
+                f(static_cast<Symbol>(i * 64 + std::countr_zero(w)));
+    }
 
   private:
     std::array<std::uint64_t, 4> words;

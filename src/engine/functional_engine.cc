@@ -89,8 +89,7 @@ FunctionalEngine::step(Symbol s)
     }
     // Datapath cost: one 256-bit label bitmap probed per scanned
     // active state plus the successor ids actually walked — traffic
-    // proportional to activity, not to automaton size, which is why
-    // this backend survives large sparse automata.
+    // proportional to activity, not to automaton size.
     stats.maskWords += scanned;
     stats.bytesTouched += 32ull * scanned + 4ull * (edges + scanned);
     active.swap(next);
@@ -136,14 +135,10 @@ FunctionalEngine::stateHash() const
 }
 
 bool
-FunctionalEngine::sameActiveSet(const EngineBackend &other) const
+FunctionalEngine::sameActiveSet(const FunctionalEngine &other) const
 {
-    if (other.activeCount() != active.size())
-        return false;
-    if (const auto *peer =
-            dynamic_cast<const FunctionalEngine *>(&other))
-        return sortedActive() == peer->sortedActive();
-    return sortedActive() == other.snapshot();
+    return other.active.size() == active.size() &&
+           sortedActive() == other.sortedActive();
 }
 
 std::vector<ReportEvent>

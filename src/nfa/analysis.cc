@@ -84,23 +84,15 @@ connectedComponents(const Nfa &nfa)
 RangeAnalysis::RangeAnalysis(const Nfa &n) : nfa(n)
 {
     PAP_ASSERT(nfa.finalized(), "RangeAnalysis on unfinalized NFA");
-    // mark[q] records the last symbol whose range included q, so one
-    // pass per symbol counts unique members without a per-symbol set.
-    std::vector<std::int32_t> mark(nfa.size(), -1);
-    for (int s = 0; s < kAlphabetSize; ++s) {
-        std::uint32_t count = 0;
-        for (StateId q = 0; q < nfa.size(); ++q) {
-            if (!nfa[q].label.test(static_cast<Symbol>(s)))
-                continue;
-            for (const StateId t : nfa[q].succ) {
-                if (mark[t] != s) {
-                    mark[t] = s;
-                    ++count;
-                }
-            }
-        }
-        sizes[s] = count;
-    }
+    // t is in range(s) exactly when s is in the union of the labels of
+    // t's predecessors: one pass over the edges builds those unions,
+    // and one pass over the states counts every symbol they hold.
+    std::vector<CharClass> into(nfa.size());
+    for (StateId q = 0; q < nfa.size(); ++q)
+        for (const StateId t : nfa[q].succ)
+            into[t] |= nfa[q].label;
+    for (const CharClass &u : into)
+        u.forEachSymbol([&](Symbol s) { ++sizes[s]; });
 }
 
 std::vector<StateId>

@@ -30,20 +30,12 @@ runMultiStream(const Nfa &nfa, const std::vector<InputTrace> &streams,
         return failed;
     }
 
-    const RunContext ctx(nfa, options.engine);
-    if (!ctx.status().ok()) {
-        MultiStreamResult failed;
-        failed.status = ctx.status();
-        return failed;
-    }
-    const CompiledNfa &cnfa = ctx.compiled();
+    const CompiledNfa cnfa(nfa);
     std::uint64_t total_symbols = 0;
     for (const auto &stream : streams)
         total_symbols += stream.size();
 
     MultiStreamResult result;
-    result.engineBackend = ctx.backendName();
-    result.engineDatapath = ctx.datapathName();
     result.streamDone.assign(streams.size(), 0);
     result.reports.resize(streams.size());
 
@@ -56,9 +48,8 @@ runMultiStream(const Nfa &nfa, const std::vector<InputTrace> &streams,
     const auto run_stream =
         [&](std::size_t i, const exec::CancellationToken *cancel) {
             EngineScratch scratch(nfa.size());
-            const auto engine =
-                ctx.engines().make(/*starts=*/true, &scratch);
-            engine->reset(cnfa.initialActive(), 0);
+            FunctionalEngine engine(cnfa, /*starts=*/true, &scratch);
+            engine.reset(cnfa.initialActive(), 0);
             constexpr std::uint64_t kCancelCheckChunk = 4096;
             const std::uint64_t len = streams[i].size();
             std::uint64_t pos = 0;
@@ -67,10 +58,10 @@ runMultiStream(const Nfa &nfa, const std::vector<InputTrace> &streams,
                     return false;
                 const std::uint64_t n =
                     std::min(kCancelCheckChunk, len - pos);
-                engine->run(streams[i].ptr(pos), n);
+                engine.run(streams[i].ptr(pos), n);
                 pos += n;
             }
-            raw[i] = engine->takeReports();
+            raw[i] = engine.takeReports();
             return true;
         };
 
@@ -149,12 +140,8 @@ runMultiStream(const Nfa &nfa, const std::vector<InputTrace> &streams,
         }
         result.reports[i] = std::move(raw[i]);
         sortAndDedupReports(result.reports[i]);
-        // The standalone oracle always runs on the sparse reference
-        // backend, so a hybrid run is cross-backend verified.
-        PapOptions oracle_opt = options;
-        oracle_opt.engine = EngineKind::Sparse;
         const SequentialResult solo =
-            runSequential(nfa, streams[i], oracle_opt);
+            runSequential(nfa, streams[i], options);
         if (result.reports[i] != solo.reports) {
             warn("multiplexed stream ", i, " diverged from its "
                  "standalone execution; recovering the standalone "

@@ -14,7 +14,6 @@
 #define PAP_PAP_MULTISTREAM_H
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "ap/ap_config.h"
@@ -29,10 +28,6 @@ namespace pap {
 /** Outcome of multiplexing independent streams on one half-core. */
 struct MultiStreamResult
 {
-    /** Backend that executed the streams. */
-    std::string engineBackend = "sparse";
-    /** Backend plus dispatched SIMD level, e.g. "hybrid+avx2". */
-    std::string engineDatapath = "sparse";
     /** Cycles until the last stream finished. */
     Cycles totalCycles = 0;
     /** Context-switch cycles spent. */

@@ -14,11 +14,19 @@
 
 #include "ap/svc_policy.h"
 #include "common/types.h"
-#include "engine/engine_backend.h"
 
 namespace pap {
 
 class FaultInjector;
+
+/**
+ * The execution engine of a run's flows. FunctionalEngine is the only
+ * engine, so this has one value; see PapOptions::engine.
+ */
+enum class EngineKind : std::uint8_t
+{
+    Sparse,
+};
 
 /**
  * What to do when a segment's flow plan exceeds the State Vector
@@ -50,14 +58,12 @@ enum class OverflowPolicy : std::uint8_t
 struct PapOptions
 {
     /**
-     * Execution backend for the run's flows: the word-packed hybrid
-     * engine (the default) or the sparse active-id reference engine.
-     * Reports, cycle counts, and all figure metrics are byte-identical
-     * either way; only host wall-clock changes. The verification
-     * oracle always runs sparse, so every hybrid run is cross-backend
-     * checked.
+     * Read by nothing: every flow runs FunctionalEngine. It stays only
+     * because the benchmark of record (papbench/) still sets it; drop
+     * it, and EngineKind, once a benchmark change removes those
+     * assignments.
      */
-    EngineKind engine = EngineKind::Hybrid;
+    EngineKind engine = EngineKind::Sparse;
 
     /**
      * Symbols each flow processes before a context switch (the TDM

@@ -10,8 +10,7 @@
 namespace pap {
 
 PartitionProfile
-choosePartitionSymbol(const std::array<std::uint32_t,
-                                       kAlphabetSize> &range_sizes,
+choosePartitionSymbol(const RangeAnalysis &ranges,
                       const InputTrace &input, std::uint32_t segments)
 {
     PAP_ASSERT(segments >= 1, "need at least one segment");
@@ -33,7 +32,7 @@ choosePartitionSymbol(const std::array<std::uint32_t,
     for (int s = 0; s < kAlphabetSize; ++s) {
         if (freq[s] < need)
             continue;
-        const std::uint32_t r = range_sizes[static_cast<std::size_t>(s)];
+        const std::uint32_t r = ranges.rangeSize(static_cast<Symbol>(s));
         if (!found || r < best.rangeSize ||
             (r == best.rangeSize && freq[s] > best.frequency)) {
             best.symbol = static_cast<Symbol>(s);
@@ -46,24 +45,13 @@ choosePartitionSymbol(const std::array<std::uint32_t,
         // Fall back to the most frequent symbol regardless of range.
         const auto it = std::max_element(freq.begin(), freq.end());
         best.symbol = static_cast<Symbol>(it - freq.begin());
-        best.rangeSize = range_sizes[best.symbol];
+        best.rangeSize = ranges.rangeSize(best.symbol);
         best.frequency = *it;
         obs::metrics().add("partition.fallback_symbol");
         warn("no frequent small-range symbol found; partitioning on "
              "the most frequent symbol instead");
     }
     return best;
-}
-
-PartitionProfile
-choosePartitionSymbol(const RangeAnalysis &ranges,
-                      const InputTrace &input, std::uint32_t segments)
-{
-    std::array<std::uint32_t, kAlphabetSize> sizes{};
-    for (int s = 0; s < kAlphabetSize; ++s)
-        sizes[static_cast<std::size_t>(s)] =
-            ranges.rangeSize(static_cast<Symbol>(s));
-    return choosePartitionSymbol(sizes, input, segments);
 }
 
 std::vector<Segment>

@@ -9,7 +9,6 @@
 #ifndef PAP_PAP_PARTITIONER_H
 #define PAP_PAP_PARTITIONER_H
 
-#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -38,16 +37,6 @@ struct PartitionProfile
 PartitionProfile choosePartitionSymbol(const RangeAnalysis &ranges,
                                        const InputTrace &input,
                                        std::uint32_t segments);
-
-/**
- * Same selection over a precomputed per-symbol range-size table — the
- * hybrid backend reads these straight off its match-mask popcounts
- * (DenseNfa::rangeSizes()), skipping the sparse RangeAnalysis pass.
- */
-PartitionProfile
-choosePartitionSymbol(const std::array<std::uint32_t,
-                                       kAlphabetSize> &range_sizes,
-                      const InputTrace &input, std::uint32_t segments);
 
 /**
  * Cut @p input into @p segments half-open slices of roughly equal

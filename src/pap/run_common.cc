@@ -1,21 +1,6 @@
 #include "pap/run_common.h"
 
-#include "obs/metrics.h"
-
 namespace pap {
-
-RunContext::RunContext(const Nfa &nfa, EngineKind kind)
-    : cnfa(std::make_unique<const CompiledNfa>(nfa)), ctx(*cnfa, kind)
-{
-    auto &m = obs::metrics();
-    m.add(ctx.kind() == EngineKind::Hybrid ? "engine.runs.hybrid"
-                                           : "engine.runs.sparse");
-    // Gauge encodings (last run wins): engine.backend 0 = sparse,
-    // 1 = hybrid; engine.simd mirrors SimdLevel (0 = scalar, 1 = avx2,
-    // 2 = avx512).
-    m.setGauge("engine.backend", static_cast<double>(ctx.kind()));
-    m.setGauge("engine.simd", static_cast<double>(ctx.simdLevel()));
-}
 
 exec::HardenedExecOptions
 makeHardenedOptions(const PapOptions &options,

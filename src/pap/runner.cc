@@ -8,7 +8,7 @@
 
 #include "ap/placement.h"
 #include "common/logging.h"
-#include "engine/dense_nfa.h"
+#include "engine/functional_engine.h"
 #include "nfa/analysis.h"
 #include "obs/attrib.h"
 #include "obs/metrics.h"
@@ -31,22 +31,14 @@ runSequential(const Nfa &nfa, const InputTrace &input,
               const PapOptions &options)
 {
     PAP_TRACE_SCOPE("pap.sequential");
-    CompiledNfa cnfa(nfa);
-    const EngineContext engines(cnfa, options.engine);
-    if (!engines.status().ok()) {
-        SequentialResult failed;
-        failed.status = engines.status();
-        return failed;
-    }
-    const auto engine = engines.make(/*starts=*/true);
-    engine->reset(cnfa.initialActive(), 0);
-    engine->run(input.begin(), input.size());
+    const CompiledNfa cnfa(nfa);
+    FunctionalEngine engine(cnfa, /*starts=*/true);
+    engine.reset(cnfa.initialActive(), 0);
+    engine.run(input.begin(), input.size());
 
     SequentialResult result;
-    result.engineBackend = engines.backendName();
-    result.engineDatapath = engines.datapathName();
-    result.matches = engine->counters().matches;
-    result.reports = engine->takeReports();
+    result.matches = engine.counters().matches;
+    result.reports = engine.takeReports();
     const std::uint64_t entries = result.reports.size();
     sortAndDedupReports(result.reports);
     result.cycles =
@@ -281,7 +273,7 @@ class PapRun
     PapResult result;
     SequentialResult seq;
 
-    std::optional<RunContext> ctx;
+    std::optional<CompiledNfa> cnfa;
     Components comps;
     std::vector<StateId> asg;
     std::vector<Segment> segs;
@@ -311,26 +303,19 @@ PapRun::PapRun(const Nfa &nfa, const InputTrace &input,
       t0(std::chrono::steady_clock::now())
 {
     // The golden sequential execution (Section 3.4) verifies the
-    // composed reports and supplies the baseline cycles. It always
-    // runs on the sparse reference backend, so a word-packed run is
-    // cross-checked against an independent execution, and on its own
-    // thread, so analysis, partitioning, planning and execution run
-    // beside it. Its own time is the aux bucket "baseline"; the
-    // composer's wait for it is the wall bucket "baseline.wait".
+    // composed reports and supplies the baseline cycles. It runs on
+    // its own thread, so analysis, partitioning, planning and
+    // execution run beside it. Its own time is the aux bucket
+    // "baseline"; the composer's wait for it is the wall bucket
+    // "baseline.wait".
     oracle = std::async(std::launch::async, [this] {
         obs::Phase phase(sink, "pap.baseline", &ledger, "baseline",
                          /*aux=*/true);
-        PapOptions oracle_opt = this->options;
-        oracle_opt.engine = EngineKind::Sparse;
-        return runSequential(this->nfa, this->input, oracle_opt);
+        return runSequential(this->nfa, this->input, this->options);
     });
 }
 
-/**
- * Join the oracle (once) and take what the result needs from it. The
- * oracle only fails on a typed selection error (an invalid PAP_SIMD
- * value), which fails the run like an invalid flag.
- */
+/** Join the oracle (once) and take what the result needs from it. */
 void
 PapRun::awaitOracle()
 {
@@ -341,8 +326,6 @@ PapRun::awaitOracle()
     wait.close();
     result.baselineCycles = seq.cycles;
     result.seqReportEvents = seq.reports.size();
-    if (!seq.status.ok() && result.status.ok())
-        result.status = seq.status;
 }
 
 /** Answer the run with the golden sequential execution. */
@@ -365,16 +348,7 @@ bool
 PapRun::analyze()
 {
     obs::Phase phase(sink, "pap.analyze", &ledger, "analyze");
-    ctx.emplace(nfa, options.engine);
-    if (!ctx->status().ok()) {
-        // Typed selection error (an invalid PAP_SIMD value): the run
-        // must fail like an invalid --engine flag, not silently
-        // execute on a fallback backend.
-        result.status = ctx->status();
-        return false;
-    }
-    result.engineBackend = ctx->backendName();
-    result.engineDatapath = ctx->datapathName();
+    cnfa.emplace(nfa);
     comps = connectedComponents(nfa);
     asg = alwaysActiveStates(nfa);
     const Placement placement = placeAutomaton(
@@ -402,16 +376,8 @@ bool
 PapRun::partitionAndPlan()
 {
     obs::Phase partition(sink, "pap.partition", &ledger, "partition");
-    // The hybrid backend reads the per-symbol ranges straight off
-    // the DenseNfa match-mask popcounts; the sparse path runs the
-    // RangeAnalysis pass here (the numbers are identical by
-    // construction).
-    const DenseNfa *dense = ctx->engines().denseNfa();
-    const PartitionProfile profile =
-        dense ? choosePartitionSymbol(dense->rangeSizes(), input,
-                                      result.numSegments)
-              : choosePartitionSymbol(RangeAnalysis(nfa), input,
-                                      result.numSegments);
+    const PartitionProfile profile = choosePartitionSymbol(
+        RangeAnalysis(nfa), input, result.numSegments);
     result.boundarySymbol = profile.symbol;
     result.boundaryRangeSize = profile.rangeSize;
     segs = partitionInput(input, profile.symbol, result.numSegments);
@@ -544,7 +510,7 @@ PapRun::executeTask(std::size_t j, const exec::CancellationToken &cancel)
                                     /*aux=*/true);
     const Segment &s = segs[j];
     SegmentExecution done =
-        executeSegment(ctx->engines(), plans[j], asg, input.ptr(s.begin),
+        executeSegment(*cnfa, plans[j], asg, input.ptr(s.begin),
                        s.begin, s.length(), options, config, &cancel,
                        &ledger);
     if (cancel.cancelled())
@@ -654,9 +620,8 @@ PapRun::composeSegment(std::size_t j, const exec::TaskReport &tr)
         ++result.segmentsRecovered;
         result.degraded = true;
         obs::metrics().add("exec.segments.recovered");
-        const CompiledNfa &cnfa = ctx->compiled();
         runs[j] = runOracleSegment(
-            cnfa, j == 0 ? cnfa.initialActive() : frontier.finalActive,
+            *cnfa, j == 0 ? cnfa->initialActive() : frontier.finalActive,
             input.ptr(s.begin), s.begin, s.length());
         truths[j] = composeGolden(runs[j]);
         // The oracle repaired whatever the injected worker faults
@@ -667,7 +632,7 @@ PapRun::composeSegment(std::size_t j, const exec::TaskReport &tr)
         truths[0] = composeGolden(runs[0]);
     } else {
         const std::vector<StateId> no_truth;
-        truths[j] = composeEnum(ctx->compiled(), comps, *plans[j], runs[j],
+        truths[j] = composeEnum(*cnfa, comps, *plans[j], runs[j],
                                 truth_lost ? no_truth : frontier.finalActive);
     }
     const SegmentTruth &truth = truths[j];

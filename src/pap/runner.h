@@ -35,15 +35,6 @@ struct SequentialResult
     Cycles cycles = 0;
     /** State matches (transitions) performed. */
     std::uint64_t matches = 0;
-    /** Backend that executed the run ("sparse"/"hybrid"). */
-    std::string engineBackend = "sparse";
-    /** Backend plus dispatched SIMD level, e.g. "hybrid+avx2". */
-    std::string engineDatapath = "sparse";
-    /**
-     * Non-Ok only when the run could not execute at all (an invalid
-     * PAP_SIMD value); all other fields are defaulted then.
-     */
-    Status status;
 };
 
 /** Run @p nfa sequentially over @p input. */
@@ -56,10 +47,6 @@ struct PapResult
     std::string name;
 
     // Configuration echo (Table 1).
-    /** Backend that executed the run's flows. */
-    std::string engineBackend = "sparse";
-    /** Backend plus dispatched SIMD level, e.g. "hybrid+avx512". */
-    std::string engineDatapath = "sparse";
     std::uint32_t numSegments = 1;
     std::uint32_t idealSpeedup = 1;
     std::uint32_t halfCoresPerCopy = 1;
@@ -183,7 +170,7 @@ struct PapResult
     obs::AttribSnapshot attrib;
 
     // Engine introspection totals, summed over every flow the run
-    // executed (EngineCounters; backend-specific datapath cost).
+    // executed (EngineCounters; estimated datapath cost).
     std::uint64_t engineSuccRows = 0;
     std::uint64_t engineMaskWords = 0;
     std::uint64_t engineBytesTouched = 0;

@@ -1,7 +1,6 @@
 #include "pap/segment_sim.h"
 
 #include <algorithm>
-#include <memory>
 #include <unordered_map>
 
 #include "common/logging.h"
@@ -18,7 +17,7 @@ namespace {
 
 /** The one golden flow of a segment @p engine has run to its end. */
 SegmentRun
-goldenRun(EngineBackend &engine, std::uint64_t seg_begin,
+goldenRun(FunctionalEngine &engine, std::uint64_t seg_begin,
           std::uint64_t seg_len)
 {
     FlowRecord rec;
@@ -55,18 +54,17 @@ tallyDeaths(const SegmentRun &run)
 }
 
 SegmentRun
-runGoldenSegment(const EngineContext &engines, const Symbol *data,
+runGoldenSegment(const CompiledNfa &cnfa, const Symbol *data,
                  std::uint64_t seg_begin, std::uint64_t seg_len,
                  EngineScratch &scratch, FaultInjector *injector,
                  const exec::CancellationToken *cancel)
 {
     PAP_TRACE_SCOPE("segment.golden");
     obs::metrics().add("segment_sim.flows.golden");
-    const CompiledNfa &cnfa = engines.compiled();
-    const auto engine = engines.make(/*starts=*/true, &scratch);
-    engine->reset(cnfa.initialActive(), seg_begin);
+    FunctionalEngine engine(cnfa, /*starts=*/true, &scratch);
+    engine.reset(cnfa.initialActive(), seg_begin);
     if (!cancel) {
-        engine->run(data, seg_len);
+        engine.run(data, seg_len);
     } else {
         // Chunked so a watchdog cancellation is honored promptly.
         constexpr std::uint64_t kCancelCheckChunk = 4096;
@@ -74,12 +72,12 @@ runGoldenSegment(const EngineContext &engines, const Symbol *data,
         while (pos < seg_len && !cancel->cancelled()) {
             const std::uint64_t n =
                 std::min(kCancelCheckChunk, seg_len - pos);
-            engine->run(data + pos, n);
+            engine.run(data + pos, n);
             pos += n;
         }
     }
 
-    SegmentRun run = goldenRun(*engine, seg_begin, seg_len);
+    SegmentRun run = goldenRun(engine, seg_begin, seg_len);
     if (injector)
         injector->onReportDrain(run.flows.front().reports, seg_begin);
     return run;
@@ -90,7 +88,12 @@ namespace {
 /** Execution state for one flow during the lockstep TDM loop. */
 struct LiveFlow
 {
-    std::unique_ptr<EngineBackend> engine;
+    LiveFlow(const CompiledNfa &cnfa, bool starts, EngineScratch &scratch)
+        : engine(cnfa, starts, &scratch)
+    {
+    }
+
+    FunctionalEngine engine;
     FlowRecord record;
     bool alive = true;
 };
@@ -98,14 +101,13 @@ struct LiveFlow
 } // namespace
 
 SegmentRun
-runEnumSegment(const EngineContext &engines, const FlowPlan &plan,
+runEnumSegment(const CompiledNfa &cnfa, const FlowPlan &plan,
                const std::vector<StateId> &asg_seed, const Symbol *data,
                std::uint64_t seg_begin, std::uint64_t seg_len,
                const PapOptions &options, EngineScratch &scratch,
                FlowId asg_flow_id, const exec::CancellationToken *cancel)
 {
     PAP_TRACE_SCOPE("segment.enumerate");
-    const CompiledNfa &cnfa = engines.compiled();
     FaultInjector *injector = options.faultInjector;
     SegmentRun run;
     run.segBegin = seg_begin;
@@ -118,25 +120,21 @@ runEnumSegment(const EngineContext &engines, const FlowPlan &plan,
     // the always-active states; it is always a true flow.
     int asg_live_index = -1;
     if (!asg_seed.empty()) {
-        LiveFlow lf;
-        lf.engine = engines.make(/*starts=*/true, &scratch);
-        lf.engine->reset(asg_seed, seg_begin);
+        LiveFlow &lf = live.emplace_back(cnfa, /*starts=*/true, scratch);
+        lf.engine.reset(asg_seed, seg_begin);
         lf.record.id = asg_flow_id == kInvalidFlow
                            ? static_cast<FlowId>(plan.flows.size())
                            : asg_flow_id;
         lf.record.kind = FlowKind::Asg;
         asg_live_index = 0;
-        live.push_back(std::move(lf));
     }
 
     for (const auto &spec : plan.flows) {
-        LiveFlow lf;
-        lf.engine = engines.make(/*starts=*/false, &scratch);
-        lf.engine->reset(spec.seed, seg_begin);
+        LiveFlow &lf = live.emplace_back(cnfa, /*starts=*/false, scratch);
+        lf.engine.reset(spec.seed, seg_begin);
         lf.record.id = spec.id;
         lf.record.kind = FlowKind::Enum;
         lf.record.pathIdx = spec.pathIdx;
-        live.push_back(std::move(lf));
     }
 
     const std::uint64_t quantum = options.tdmQuantum;
@@ -157,7 +155,7 @@ runEnumSegment(const EngineContext &engines, const FlowPlan &plan,
                 continue;
             const bool is_enum = lf.record.kind == FlowKind::Enum;
 
-            if (is_enum && lf.engine->dead()) {
+            if (is_enum && lf.engine.dead()) {
                 // Already empty; it produces nothing more. Charge it
                 // only up to the boundary where the check would fire.
                 if (options.enableDeactivationChecks) {
@@ -176,9 +174,9 @@ runEnumSegment(const EngineContext &engines, const FlowPlan &plan,
                 while (pos < round_end) {
                     const std::uint64_t chunk_end =
                         std::min(pos + early_gran, round_end);
-                    lf.engine->run(data + pos, chunk_end - pos);
+                    lf.engine.run(data + pos, chunk_end - pos);
                     pos = chunk_end;
-                    if (lf.engine->dead()) {
+                    if (lf.engine.dead()) {
                         lf.alive = false;
                         lf.record.cause = DeathCause::Deactivated;
                         lf.record.symbolsProcessed = pos;
@@ -192,11 +190,11 @@ runEnumSegment(const EngineContext &engines, const FlowPlan &plan,
             // start machinery), so skip the no-op stepping; ASG and
             // golden flows always run because AllInput starts re-enable
             // states every cycle.
-            if (!is_enum || !lf.engine->dead())
-                lf.engine->run(data + pos, round_end - pos);
+            if (!is_enum || !lf.engine.dead())
+                lf.engine.run(data + pos, round_end - pos);
 
             if (is_enum && options.enableDeactivationChecks &&
-                lf.engine->dead()) {
+                lf.engine.dead()) {
                 // Deactivation check at the context switch.
                 lf.alive = false;
                 lf.record.cause = DeathCause::Deactivated;
@@ -218,15 +216,15 @@ runEnumSegment(const EngineContext &engines, const FlowPlan &plan,
                 switch (injector->onContextSwitch(lf.record.id,
                                                  seg_begin)) {
                   case FaultInjector::SvAction::Corrupt: {
-                    std::vector<StateId> v = lf.engine->snapshot();
+                    std::vector<StateId> v = lf.engine.snapshot();
                     injector->corruptVector(
                         v, static_cast<StateId>(cnfa.size()),
                         seg_begin);
-                    lf.engine->overwriteActive(v);
+                    lf.engine.overwriteActive(v);
                     break;
                   }
                   case FaultInjector::SvAction::Evict:
-                    lf.engine->overwriteActive({});
+                    lf.engine.overwriteActive({});
                     break;
                   case FaultInjector::SvAction::None:
                     break;
@@ -244,19 +242,18 @@ runEnumSegment(const EngineContext &engines, const FlowPlan &plan,
                 if (!live[i].alive ||
                     live[i].record.kind != FlowKind::Enum)
                     continue;
-                buckets[live[i].engine->stateHash()].push_back(i);
+                buckets[live[i].engine.stateHash()].push_back(i);
             }
             for (auto &[hash, members] : buckets) {
                 if (members.size() < 2)
                     continue;
                 // Lowest index survives; verify equality exactly (the
-                // SVC comparator is bitwise, not a hash): a word
-                // compare on the hybrid backend, a cached sorted-id
-                // compare on the sparse one.
-                const auto &winner = *live[members.front()].engine;
+                // SVC comparator is bitwise, not a hash).
+                const FunctionalEngine &winner =
+                    live[members.front()].engine;
                 for (std::size_t m = 1; m < members.size(); ++m) {
                     auto &loser = live[members[m]];
-                    if (!loser.engine->sameActiveSet(winner))
+                    if (!loser.engine.sameActiveSet(winner))
                         continue;
                     loser.alive = false;
                     loser.record.cause = DeathCause::Converged;
@@ -274,10 +271,10 @@ runEnumSegment(const EngineContext &engines, const FlowPlan &plan,
         if (lf.alive) {
             lf.record.cause = DeathCause::RanToEnd;
             lf.record.symbolsProcessed = seg_len;
-            lf.record.finalSnapshot = lf.engine->snapshot();
+            lf.record.finalSnapshot = lf.engine.snapshot();
         }
-        lf.record.counters = lf.engine->counters();
-        lf.record.reports = lf.engine->takeReports();
+        lf.record.counters = lf.engine.counters();
+        lf.record.reports = lf.engine.takeReports();
         if (injector)
             injector->onReportDrain(lf.record.reports, seg_begin);
         run.flows.push_back(std::move(lf.record));
@@ -323,17 +320,17 @@ svcBatchCap(const PapOptions &options, const ApConfig &config,
 }
 
 SegmentExecution
-executeSegment(const EngineContext &engines, const FlowPlan *plan,
+executeSegment(const CompiledNfa &cnfa, const FlowPlan *plan,
                const std::vector<StateId> &asg, const Symbol *data,
                std::uint64_t seg_begin, std::uint64_t seg_len,
                const PapOptions &options, const ApConfig &config,
                const exec::CancellationToken *cancel,
                obs::AttribLedger *attrib)
 {
-    EngineScratch scratch(engines.compiled().size());
+    EngineScratch scratch(cnfa.size());
     SegmentExecution out;
     if (!plan) {
-        out.run = runGoldenSegment(engines, data, seg_begin, seg_len,
+        out.run = runGoldenSegment(cnfa, data, seg_begin, seg_len,
                                    scratch, options.faultInjector,
                                    cancel);
         return out;
@@ -342,7 +339,7 @@ executeSegment(const EngineContext &engines, const FlowPlan *plan,
         svcBatchCap(options, config, !asg.empty());
     if (plan->flows.size() <= batch_cap ||
         options.overflowPolicy == OverflowPolicy::Evict) {
-        out.run = runEnumSegment(engines, *plan, asg, data, seg_begin,
+        out.run = runEnumSegment(cnfa, *plan, asg, data, seg_begin,
                                  seg_len, options, scratch, kInvalidFlow,
                                  cancel);
         return out;
@@ -365,7 +362,7 @@ executeSegment(const EngineContext &engines, const FlowPlan *plan,
             plan->flows.begin() + static_cast<std::ptrdiff_t>(first),
             plan->flows.begin() + static_cast<std::ptrdiff_t>(last));
         SegmentRun part = runEnumSegment(
-            engines, sub, b == 0 ? asg : no_asg, data, seg_begin,
+            cnfa, sub, b == 0 ? asg : no_asg, data, seg_begin,
             seg_len, options, scratch, asg_id, cancel);
         if (b == 0)
             out.run.asgIndex = part.asgIndex;

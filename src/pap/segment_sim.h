@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "ap/ap_config.h"
-#include "engine/engine_backend.h"
 #include "engine/functional_engine.h"
 #include "pap/exec/cancellation.h"
 #include "pap/flow_plan.h"
@@ -108,15 +107,14 @@ struct DeathTally
 DeathTally tallyDeaths(const SegmentRun &run);
 
 /**
- * Run the first segment: a single golden flow with full start-state
- * machinery, seeded with the StartOfData states. The flow's engine is
- * created by @p engines (sparse or hybrid backend; the results are
- * identical either way). @p injector, when non-null, may drop or
+ * Run the first segment: a single golden flow over @p cnfa with full
+ * start-state machinery, seeded with the StartOfData states.
+ * @p injector, when non-null, may drop or
  * truncate the flow's report buffer. @p cancel, when non-null, is
  * polled cooperatively (the run is chunked); a cancelled run returns
  * early with a partial record the caller must discard.
  */
-SegmentRun runGoldenSegment(const EngineContext &engines,
+SegmentRun runGoldenSegment(const CompiledNfa &cnfa,
                             const Symbol *data,
                             std::uint64_t seg_begin, std::uint64_t seg_len,
                             EngineScratch &scratch,
@@ -137,7 +135,7 @@ SegmentRun runGoldenSegment(const EngineContext &engines,
  * @p cancel, when non-null, is polled once per TDM round; a cancelled
  * run returns early with a partial record the caller must discard.
  */
-SegmentRun runEnumSegment(const EngineContext &engines,
+SegmentRun runEnumSegment(const CompiledNfa &cnfa,
                           const FlowPlan &plan,
                           const std::vector<StateId> &asg_seed,
                           const Symbol *data, std::uint64_t seg_begin,
@@ -187,7 +185,7 @@ struct SegmentExecution
  * @p cancel, when non-null, is polled cooperatively; a cancelled
  * execution is partial and the caller must discard it.
  */
-SegmentExecution executeSegment(const EngineContext &engines,
+SegmentExecution executeSegment(const CompiledNfa &cnfa,
                                 const FlowPlan *plan,
                                 const std::vector<StateId> &asg,
                                 const Symbol *data,
@@ -201,9 +199,8 @@ SegmentExecution executeSegment(const EngineContext &engines,
 /**
  * The per-segment oracle continuation (Section 3.4) of a segment whose
  * attempts all failed: recompute its slice sequentially from
- * @p frontier, the true active set entering it, on the sparse
- * reference engine, which is independent of the backend under test.
- * The run holds one golden flow.
+ * @p frontier, the true active set entering it. The run holds one
+ * golden flow.
  */
 SegmentRun runOracleSegment(const CompiledNfa &cnfa,
                             const std::vector<StateId> &frontier,

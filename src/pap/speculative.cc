@@ -10,7 +10,6 @@
 #include "pap/exec/pipeline.h"
 #include "pap/exec/worker_pool.h"
 #include "pap/partitioner.h"
-#include "pap/run_common.h"
 #include "pap/runner.h"
 
 namespace pap {
@@ -41,14 +40,7 @@ runSpeculative(const Nfa &nfa, const InputTrace &input,
     SpeculationResult result;
     result.name = nfa.name();
 
-    const RunContext ctx(nfa, options.engine);
-    if (!ctx.status().ok()) {
-        result.status = ctx.status();
-        return result;
-    }
-    const CompiledNfa &cnfa = ctx.compiled();
-    result.engineBackend = ctx.backendName();
-    result.engineDatapath = ctx.datapathName();
+    const CompiledNfa cnfa(nfa);
     const Components comps = connectedComponents(nfa);
     const Placement placement = placeAutomaton(
         nfa, comps, config, options.routingMinHalfCores);
@@ -63,8 +55,6 @@ runSpeculative(const Nfa &nfa, const InputTrace &input,
 
     PapOptions base;
     base.reportCostCyclesPerEvent = options.reportCostCyclesPerEvent;
-    // The oracle always runs on the sparse reference backend.
-    base.engine = EngineKind::Sparse;
     const SequentialResult seq = runSequential(nfa, input, base);
     result.baselineCycles = seq.cycles;
 
@@ -107,15 +97,15 @@ runSpeculative(const Nfa &nfa, const InputTrace &input,
     const auto speculate = [&](std::size_t j, EngineScratch &s,
                                const exec::CancellationToken *cancel) {
         spec[j] = SegmentSpec{}; // retries start from a clean slot
-        const auto engine = ctx.engines().make(/*starts=*/true, &s);
+        FunctionalEngine engine(cnfa, /*starts=*/true, &s);
         if (j == 0) {
             // The first segment needs no speculation.
-            engine->reset(cnfa.initialActive(), 0);
-            engine->run(input.ptr(segs[0].begin), segs[0].length());
+            engine.reset(cnfa.initialActive(), 0);
+            engine.run(input.ptr(segs[0].begin), segs[0].length());
             if (cancel && cancel->cancelled())
                 return false;
-            spec[0].specFinal = engine->snapshot();
-            spec[0].specReports = engine->takeReports();
+            spec[0].specFinal = engine.snapshot();
+            spec[0].specReports = engine.takeReports();
             return true;
         }
         const std::uint64_t from =
@@ -123,20 +113,19 @@ runSpeculative(const Nfa &nfa, const InputTrace &input,
                      segs[j].begin >= options.warmupWindow
                          ? segs[j].begin - options.warmupWindow
                          : 0);
-        engine->reset({}, from);
-        engine->run(input.ptr(from), segs[j].begin - from);
+        engine.reset({}, from);
+        engine.run(input.ptr(from), segs[j].begin - from);
         spec[j].warmupSymbols = segs[j].begin - from;
-        spec[j].predicted = engine->snapshot();
+        spec[j].predicted = engine.snapshot();
         // Fresh engine for the segment itself so counters and
         // reports start clean; activity carries over via seed.
-        const auto seg_engine =
-            ctx.engines().make(/*starts=*/true, &s);
-        seg_engine->reset(spec[j].predicted, segs[j].begin);
-        seg_engine->run(input.ptr(segs[j].begin), segs[j].length());
+        FunctionalEngine seg_engine(cnfa, /*starts=*/true, &s);
+        seg_engine.reset(spec[j].predicted, segs[j].begin);
+        seg_engine.run(input.ptr(segs[j].begin), segs[j].length());
         if (cancel && cancel->cancelled())
             return false;
-        spec[j].specFinal = seg_engine->snapshot();
-        spec[j].specReports = seg_engine->takeReports();
+        spec[j].specFinal = seg_engine.snapshot();
+        spec[j].specReports = seg_engine.takeReports();
         return true;
     };
 
@@ -193,17 +182,16 @@ runSpeculative(const Nfa &nfa, const InputTrace &input,
             ++correct;
         } else {
             mispredicted[j] = true;
-            const auto patch =
-                ctx.engines().make(/*starts=*/false, &scratch);
-            patch->reset(missing, segs[j].begin);
-            patch->run(input.ptr(segs[j].begin), segs[j].length());
-            const auto patch_final = patch->snapshot();
+            FunctionalEngine patch(cnfa, /*starts=*/false, &scratch);
+            patch.reset(missing, segs[j].begin);
+            patch.run(input.ptr(segs[j].begin), segs[j].length());
+            const auto patch_final = patch.snapshot();
             std::vector<StateId> merged;
             std::set_union(final_set.begin(), final_set.end(),
                            patch_final.begin(), patch_final.end(),
                            std::back_inserter(merged));
             final_set = std::move(merged);
-            const auto patch_reports = patch->takeReports();
+            const auto patch_reports = patch.takeReports();
             seg_reports.insert(seg_reports.end(),
                                patch_reports.begin(),
                                patch_reports.end());

@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "ap/ap_config.h"
-#include "common/error.h"
 #include "engine/report.h"
 #include "engine/trace.h"
 #include "nfa/nfa.h"
@@ -38,8 +37,6 @@ namespace pap {
 /** Knobs of the speculative runner. */
 struct SpeculationOptions
 {
-    /** Execution backend for the speculative flows (see PapOptions). */
-    EngineKind engine = EngineKind::Hybrid;
     /** Warmup window: symbols re-executed before each segment. */
     std::uint32_t warmupWindow = 256;
     /** Cap parallel time at the sequential baseline. */
@@ -61,10 +58,6 @@ struct SpeculationOptions
 struct SpeculationResult
 {
     std::string name;
-    /** Backend that executed the run ("sparse"/"hybrid"). */
-    std::string engineBackend = "sparse";
-    /** Backend plus dispatched SIMD level, e.g. "hybrid+avx2". */
-    std::string engineDatapath = "sparse";
     std::uint32_t numSegments = 1;
     std::uint32_t idealSpeedup = 1;
     /** Fraction of segments whose prediction was exact. */
@@ -84,11 +77,6 @@ struct SpeculationResult
     bool recovered = false;
     /** Host threads the speculative phase ran on. */
     std::uint32_t threadsUsed = 1;
-    /**
-     * Non-Ok only when the run could not execute at all (an invalid
-     * PAP_SIMD value); other fields are defaulted.
-     */
-    Status status;
 };
 
 /**

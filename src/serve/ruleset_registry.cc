@@ -2,13 +2,10 @@
 
 #include <algorithm>
 
-#include "engine/dense_nfa.h"
 #include "obs/metrics.h"
 
 namespace pap {
 namespace serve {
-
-RulesetRegistry::RulesetRegistry(EngineKind engine) : engine_(engine) {}
 
 Result<std::shared_ptr<const CompiledRuleset>>
 RulesetRegistry::install(const Nfa &nfa)
@@ -23,17 +20,9 @@ RulesetRegistry::install(const Nfa &nfa)
     auto ruleset = std::make_shared<CompiledRuleset>();
     ruleset->nfa = nfa;
     ruleset->cnfa = std::make_unique<const CompiledNfa>(ruleset->nfa);
-    ruleset->engines =
-        std::make_unique<EngineContext>(*ruleset->cnfa, engine_);
-    if (!ruleset->engines->status().ok())
-        return ruleset->engines->status();
     ruleset->comps = connectedComponents(ruleset->nfa);
     ruleset->asg = alwaysActiveStates(ruleset->nfa);
-    if (const DenseNfa *dense = ruleset->engines->denseNfa()) {
-        ruleset->rangeSizes = dense->rangeSizes();
-    } else {
-        ruleset->rangeSizes = RangeAnalysis(ruleset->nfa).rangeSizes();
-    }
+    ruleset->rangeSizes = RangeAnalysis(ruleset->nfa).rangeSizes();
 
     std::shared_ptr<const CompiledRuleset> published;
     {

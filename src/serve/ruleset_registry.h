@@ -2,8 +2,8 @@
  * @file
  * Refcounted ruleset registry with atomic hot-swap for the serve
  * daemon. A CompiledRuleset bundles everything a stream needs to run
- * PAP composition against one automaton — the compiled NFA, engine
- * context, connected components, Active State Group, and the range
+ * PAP composition against one automaton — the compiled NFA, its
+ * connected components, Active State Group, and the range
  * profile that guides chunk-boundary placement — compiled once at
  * install time and shared immutably by every session bound to it,
  * plus the flow-plan table its chunks fill on first use.
@@ -31,7 +31,6 @@
 #include "common/error.h"
 #include "common/types.h"
 #include "engine/compiled_nfa.h"
-#include "engine/engine_backend.h"
 #include "nfa/analysis.h"
 #include "nfa/nfa.h"
 #include "pap/flow_plan.h"
@@ -46,10 +45,8 @@ struct CompiledRuleset
     std::uint64_t generation = 0;
     /** Owned copy of the automaton (sessions outlive the caller's). */
     Nfa nfa;
-    /** Compiled form; address-stable for the EngineContext reference. */
+    /** Compiled form the chunks' engines run. */
     std::unique_ptr<const CompiledNfa> cnfa;
-    /** Engine factory bound to @c cnfa. */
-    std::unique_ptr<EngineContext> engines;
     /** Connected components (composition needs the path masks). */
     Components comps;
     /** Sorted Active State Group states. */
@@ -71,9 +68,6 @@ struct CompiledRuleset
 class RulesetRegistry
 {
   public:
-    /** @p engine is the backend preference every install compiles with. */
-    explicit RulesetRegistry(EngineKind engine);
-
     /**
      * Compile @p nfa (which must be finalized) and publish it as the
      * new current generation. Returns the installed ruleset; existing
@@ -106,7 +100,6 @@ class RulesetRegistry
 
   private:
     mutable std::mutex mutex_;
-    EngineKind engine_;
     std::shared_ptr<const CompiledRuleset> current_;
     std::uint64_t nextGeneration_ = 1;
     mutable std::vector<std::weak_ptr<const CompiledRuleset>> live_;

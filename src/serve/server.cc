@@ -174,7 +174,7 @@ struct Server::Session
 };
 
 Server::Server(const ServeOptions &options, const Nfa &ruleset)
-    : opts_(options), registry_(options.pap.engine)
+    : opts_(options)
 {
     threads_ = exec::WorkerPool::resolveThreads(opts_.threads);
     execPap_ = opts_.pap;
@@ -623,7 +623,7 @@ Server::executeChunk(Session &s, Chunk &chunk)
         execOpt_, watchdog_, site,
         [&](const exec::CancellationToken &cancel) -> Status {
             SegmentExecution done = executeSegment(
-                *rs.engines, chunk.plan, rs.asg, chunk.data.data(),
+                *rs.cnfa, chunk.plan, rs.asg, chunk.data.data(),
                 chunk.begin, chunk.data.size(), execPap_, opts_.ap,
                 &cancel);
             if (cancel.cancelled())
@@ -1360,8 +1360,6 @@ Server::stats() const
     out.queueDepth = queue_.size();
     out.generation = registry_.generation();
     out.liveGenerations = registry_.liveGenerations();
-    if (const auto ruleset = registry_.current())
-        out.engineDatapath = ruleset->engines->datapathName();
     return out;
 }
 

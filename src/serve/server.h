@@ -89,7 +89,7 @@ namespace serve {
 
 using SessionId = std::uint64_t;
 
-/** Daemon tuning; `pap` carries the per-chunk engine/retry knobs. */
+/** Daemon tuning; `pap` carries the per-chunk TDM/retry knobs. */
 struct ServeOptions
 {
     /** Worker threads (0 = hardware concurrency). */
@@ -116,7 +116,7 @@ struct ServeOptions
     std::uint32_t checkpointIntervalChunks = 0;
     /** Modeled AP board (SVC capacity bounds flows per chunk). */
     ApConfig ap;
-    /** Engine, TDM, retry, deadline, and fault-injection knobs. */
+    /** TDM, retry, deadline, and fault-injection knobs. */
     PapOptions pap;
 };
 
@@ -166,8 +166,6 @@ struct ServerStats
     std::size_t queueDepth = 0;
     std::uint64_t generation = 0;
     std::size_t liveGenerations = 0;
-    /** Datapath of the current ruleset's engines ("hybrid+avx2"...). */
-    std::string engineDatapath = "sparse";
 };
 
 /** A resumed session: re-feed the stream from @c offset. */

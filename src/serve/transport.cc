@@ -317,7 +317,6 @@ handleLine(Server &server, Conn &c, const std::string &line)
            << " queue=" << s.queueDepth
            << " generation=" << s.generation
            << " live=" << s.liveGenerations
-           << " engine=" << s.engineDatapath
            << " draining=" << (server.draining() ? 1 : 0);
         say(c, os.str());
     } else if (verb == "DRAIN") {

@@ -86,12 +86,17 @@ TEST(Analysis, RangeDefinition)
 
 TEST(Analysis, RangeSizesMatchComputeRange)
 {
+    // The eager sizes come from per-state unions of predecessor
+    // labels; computeRange is the literal definition.
     Rng rng(12);
-    const Nfa nfa = randomNfa(rng, 6);
-    const RangeAnalysis ranges(nfa);
-    for (int s = 0; s < kAlphabetSize; s += 7)
-        EXPECT_EQ(ranges.computeRange(static_cast<Symbol>(s)).size(),
-                  ranges.rangeSize(static_cast<Symbol>(s)));
+    for (int iter = 0; iter < 10; ++iter) {
+        const Nfa nfa = randomNfa(rng, 6);
+        const RangeAnalysis ranges(nfa);
+        for (int s = 0; s < kAlphabetSize; ++s)
+            EXPECT_EQ(ranges.computeRange(static_cast<Symbol>(s)).size(),
+                      ranges.rangeSize(static_cast<Symbol>(s)))
+                << "iter " << iter << " symbol " << s;
+    }
 }
 
 TEST(Analysis, RangeSoundnessProperty)

@@ -3,8 +3,8 @@
  * Performance-attribution ledger: unit semantics of AttribLedger
  * (charge, Scope, finalize residual, JSON), and the run-level
  * invariant that the wall buckets of a PAP run sum to its measured
- * wall time — across both engine backends, thread counts 1..4, every
- * injected fault kind, and checkpointing. Also covers the engine
+ * wall time — across thread counts 1..4, every injected fault kind,
+ * and checkpointing. Also covers the engine
  * introspection totals PapResult carries alongside the ledger.
  */
 
@@ -12,7 +12,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <limits>
 #include <string>
 #include <vector>
@@ -211,45 +210,35 @@ TEST(AttribRun, SumsToWallAcrossModesEnginesAndThreads)
 {
     const Workload w = attribWorkload();
     const ApConfig cfg = smallBoard(8);
-    for (const EngineKind engine :
-         {EngineKind::Sparse, EngineKind::Hybrid}) {
-        for (const std::uint32_t threads : {1u, 2u, 3u, 4u}) {
-            PapOptions opt;
-            opt.engine = engine;
-            opt.threads = threads;
-            const PapResult r = runPap(w.nfa, w.input, cfg, opt);
-            ASSERT_TRUE(r.status.ok()) << r.status.toString();
-            char what[64];
-            std::snprintf(what, sizeof(what), "engine=%d threads=%u",
-                          static_cast<int>(engine), threads);
-            expectSumsToWall(r, what);
-            // The phase buckets a healthy multi-segment run must
-            // charge on its composer thread, including its wait for
-            // the concurrent sequential oracle.
-            for (const char *name :
-                 {"analyze", "partition", "plan", "device.execute",
-                  "compose.decode", "baseline.wait", "verify",
-                  "timeline"}) {
-                EXPECT_TRUE(hasBucket(r.attrib, name))
-                    << what << " missing " << name;
-                EXPECT_FALSE(r.attrib.bucket(name).aux)
-                    << what << " " << name;
-            }
-            // device.execute is the composer's wait for segment
-            // execution: it holds every blocked await(), and no
-            // separate stall bucket exists.
-            EXPECT_GE(r.attrib.bucket("device.execute").ms,
-                      r.composerStallMs)
-                << what;
-            EXPECT_FALSE(hasBucket(r.attrib, "pipeline.stall")) << what;
-            // Worker-side execution and the oracle's own time overlap
-            // the composer: always aux charges.
-            for (const char *name : {"workers.execute", "baseline"}) {
-                EXPECT_TRUE(r.attrib.bucket(name).aux)
-                    << what << " " << name;
-                EXPECT_GT(r.attrib.bucket(name).ms, 0.0)
-                    << what << " " << name;
-            }
+    for (const std::uint32_t threads : {1u, 2u, 3u, 4u}) {
+        PapOptions opt;
+        opt.threads = threads;
+        const PapResult r = runPap(w.nfa, w.input, cfg, opt);
+        ASSERT_TRUE(r.status.ok()) << r.status.toString();
+        const std::string what = "threads=" + std::to_string(threads);
+        expectSumsToWall(r, what);
+        // The phase buckets a healthy multi-segment run must charge on
+        // its composer thread, including its wait for the concurrent
+        // sequential oracle.
+        for (const char *name :
+             {"analyze", "partition", "plan", "device.execute",
+              "compose.decode", "baseline.wait", "verify", "timeline"}) {
+            EXPECT_TRUE(hasBucket(r.attrib, name))
+                << what << " missing " << name;
+            EXPECT_FALSE(r.attrib.bucket(name).aux) << what << " " << name;
+        }
+        // device.execute is the composer's wait for segment execution:
+        // it holds every blocked await(), and no separate stall bucket
+        // exists.
+        EXPECT_GE(r.attrib.bucket("device.execute").ms, r.composerStallMs)
+            << what;
+        EXPECT_FALSE(hasBucket(r.attrib, "pipeline.stall")) << what;
+        // Worker-side execution and the oracle's own time overlap the
+        // composer: always aux charges.
+        for (const char *name : {"workers.execute", "baseline"}) {
+            EXPECT_TRUE(r.attrib.bucket(name).aux) << what << " " << name;
+            EXPECT_GT(r.attrib.bucket(name).ms, 0.0)
+                << what << " " << name;
         }
     }
 }
@@ -263,19 +252,13 @@ TEST(AttribRun, SumsToWallOnTable1Workloads)
         // ledger partitions the wall clock), not throughput-shaped.
         const InputTrace input =
             buildBenchmarkTrace(nfa, info.name, 512);
-        for (const EngineKind engine :
-             {EngineKind::Sparse, EngineKind::Hybrid}) {
-            PapOptions opt;
-            opt.threads = 2;
-            opt.engine = engine;
-            opt.routingMinHalfCores = info.paper.halfCores;
-            const PapResult r = runPap(nfa, input, cfg, opt);
-            ASSERT_TRUE(r.status.ok())
-                << info.name << ": " << r.status.toString();
-            expectSumsToWall(
-                r, info.name + " engine=" +
-                       std::to_string(static_cast<int>(engine)));
-        }
+        PapOptions opt;
+        opt.threads = 2;
+        opt.routingMinHalfCores = info.paper.halfCores;
+        const PapResult r = runPap(nfa, input, cfg, opt);
+        ASSERT_TRUE(r.status.ok())
+            << info.name << ": " << r.status.toString();
+        expectSumsToWall(r, info.name);
     }
 }
 
@@ -285,34 +268,21 @@ TEST(AttribRun, EngineCountersAreBackendInvariantWhereContracted)
     const ApConfig cfg = smallBoard(8);
     PapOptions opt;
     opt.threads = 2;
-
-    opt.engine = EngineKind::Sparse;
-    const PapResult sparse = runPap(w.nfa, w.input, cfg, opt);
-    opt.engine = EngineKind::Hybrid;
-    const PapResult hybrid = runPap(w.nfa, w.input, cfg, opt);
-    ASSERT_TRUE(sparse.status.ok());
-    ASSERT_TRUE(hybrid.status.ok());
-
-    // The density histogram derives from the contract-fixed active
-    // set, and succRows counts matched states — both must agree
-    // between backends even though the datapath-cost counters differ.
-    EXPECT_EQ(sparse.engineDensityOctiles, hybrid.engineDensityOctiles);
-    EXPECT_EQ(sparse.engineSuccRows, hybrid.engineSuccRows);
+    const PapResult r = runPap(w.nfa, w.input, cfg, opt);
+    ASSERT_TRUE(r.status.ok());
 
     // One histogram entry per flow step: the octiles sum to the
     // flow-symbol total.
     std::uint64_t octile_steps = 0;
-    for (const std::uint64_t n : sparse.engineDensityOctiles)
+    for (const std::uint64_t n : r.engineDensityOctiles)
         octile_steps += n;
-    EXPECT_EQ(octile_steps, sparse.flowSymbolCycles);
+    EXPECT_EQ(octile_steps, r.flowSymbolCycles);
 
-    // Datapath cost is backend-specific but always populated.
-    EXPECT_GT(sparse.engineMaskWords, 0u);
-    EXPECT_GT(hybrid.engineMaskWords, 0u);
-    EXPECT_GT(sparse.engineBytesTouched, 0u);
-    EXPECT_GT(hybrid.engineBytesTouched, 0u);
-    EXPECT_GT(sparse.engineBytesPerSymbol, 0.0);
-    EXPECT_GT(hybrid.engineBytesPerSymbol, 0.0);
+    // Datapath cost is always populated.
+    EXPECT_GT(r.engineSuccRows, 0u);
+    EXPECT_GT(r.engineMaskWords, 0u);
+    EXPECT_GT(r.engineBytesTouched, 0u);
+    EXPECT_GT(r.engineBytesPerSymbol, 0.0);
 
     // recordRunMetrics folded the same numbers into the registry.
     EXPECT_GT(obs::metrics().gauge("attrib.wall_ms"), 0.0);

@@ -3,7 +3,8 @@
  * Execution engine tests: the fast sparse engine against the
  * reference semantics, enumeration-flow mode (starts disabled), the
  * union-decomposability property that justifies flow merging, shared
- * scratch correctness, snapshots and hashes, and counters.
+ * scratch correctness, snapshots and hashes, the state-vector
+ * overwrite of a context switch, and counters.
  */
 
 #include <gtest/gtest.h>
@@ -156,6 +157,54 @@ TEST(Engine, HashIsOrderIndependentAndSnapshotSorted)
     const auto snap1 = e1.snapshot();
     EXPECT_EQ(snap1, e2.snapshot());
     EXPECT_TRUE(std::is_sorted(snap1.begin(), snap1.end()));
+}
+
+TEST(Engine, OverwriteActiveAppliesStartFiltering)
+{
+    // overwriteActive drops AllInput starts when start machinery is
+    // live, as reset() does, and keeps them in enumeration mode. It
+    // leaves the cursor, counters and reports untouched, and the
+    // overwritten set runs on like a freshly reset one.
+    Rng rng(7);
+    const Nfa nfa = compileRuleset({{".*ab", 1}, {"cd", 2}}, "m");
+    const CompiledNfa cnfa(nfa);
+    const InputTrace t = randomTextTrace(rng, 512, "abcd");
+    std::vector<StateId> all;
+    bool has_all_input = false;
+    for (StateId q = 0; q < nfa.size(); ++q) {
+        all.push_back(q);
+        has_all_input |= cnfa.isAllInputStart(q);
+    }
+    ASSERT_TRUE(has_all_input);
+    for (const bool starts : {true, false}) {
+        FunctionalEngine engine(cnfa, starts);
+        engine.reset(cnfa.initialActive(), 0);
+        engine.run(t.begin(), 100);
+        const std::uint64_t cursor = engine.cursor();
+        const EngineCounters counters = engine.counters();
+        const std::vector<ReportEvent> reports = engine.reports();
+
+        engine.overwriteActive(all);
+        std::vector<StateId> expect;
+        for (const StateId q : all)
+            if (!(starts && cnfa.isAllInputStart(q)))
+                expect.push_back(q);
+        EXPECT_EQ(engine.snapshot(), expect) << "starts " << starts;
+        EXPECT_EQ(engine.cursor(), cursor);
+        EXPECT_EQ(engine.counters().symbols, counters.symbols);
+        EXPECT_EQ(engine.counters().matches, counters.matches);
+        EXPECT_EQ(engine.counters().enables, counters.enables);
+        EXPECT_EQ(engine.reports(), reports);
+
+        FunctionalEngine fresh(cnfa, starts);
+        fresh.reset(all, cursor);
+        engine.takeReports();
+        engine.run(t.begin() + 100, t.size() - 100);
+        fresh.run(t.begin() + 100, t.size() - 100);
+        EXPECT_EQ(engine.snapshot(), fresh.snapshot());
+        EXPECT_EQ(normalized(engine.takeReports()),
+                  normalized(fresh.takeReports()));
+    }
 }
 
 TEST(Engine, CountersTrackWork)

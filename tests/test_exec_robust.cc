@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "ap/ap_config.h"
+#include "common/charclass.h"
 #include "common/error.h"
 #include "common/rng.h"
 #include "engine/trace.h"
@@ -50,6 +51,59 @@ robustWorkload()
     Rng rng(77);
     return Workload{compileRuleset({{"ab.*cd", 1}, {"fgh", 2}}, "m"),
                     randomTextTrace(rng, 16384, "abcdfgh ")};
+}
+
+/**
+ * A structured automaton of 16K+ states: chains of narrow
+ * single-letter states, a sprinkling of always-on AllInput drivers
+ * that keep re-seeding activity, a rare 'h' label that gives the
+ * partitioner a small boundary range, and periodic reporting states.
+ * Activity stays sparse (a few hundred of the states), as on the large
+ * Table-1 automata.
+ */
+Nfa
+largeSyntheticNfa(StateId states)
+{
+    Nfa nfa("large16k");
+    const std::string letters = "abcdefg";
+    for (StateId q = 0; q < states; ++q) {
+        // Driver successors are the reporting states: they actually
+        // fire (a driver re-enables them every cycle), unlike deep
+        // chain positions that activity never reaches.
+        const bool reporting = (q % 256) == 1;
+        const ReportCode code =
+            reporting ? static_cast<ReportCode>(1 + q % 31) : 0;
+        if (q == 0) {
+            nfa.addState(CharClass::single('a'), StartType::StartOfData,
+                         reporting, code);
+        } else if (q % 256 == 0) {
+            // Always-on drivers: match every symbol, re-seed activity.
+            nfa.addState(CharClass::all(), StartType::AllInput,
+                         reporting, code);
+        } else if (q % 1024 == 1) {
+            // Rare label: the partitioner's small boundary range.
+            nfa.addState(CharClass::single('h'), StartType::None,
+                         reporting, code);
+        } else {
+            nfa.addState(CharClass::single(letters[q % 7]),
+                         StartType::None, reporting, code);
+        }
+    }
+    for (StateId q = 0; q < states; ++q) {
+        // Chains that wrap within a 1024-state block keep activity
+        // persistent without letting it saturate.
+        const StateId block = q & ~StateId{1023};
+        nfa.addEdge(q, block + ((q - block + 1) & 1023));
+        if (q % 256 == 0) {
+            // Self-loop keeps drivers alive in enum mode too, where
+            // no start fold re-enables AllInput states.
+            nfa.addEdge(q, q);
+            if (q + 17 < states)
+                nfa.addEdge(q, q + 17);
+        }
+    }
+    nfa.finalize();
+    return nfa;
 }
 
 /** The per-figure facts of a run that must be scheduling-invariant. */
@@ -320,23 +374,33 @@ TEST_F(CheckpointResume, EveryKillPointResumesToTheSameResult)
 
 TEST_F(CheckpointResume, ResumeWithDifferentThreadCountStillMatches)
 {
-    const Workload w = robustWorkload();
+    // The small rule set, and a 16K-state automaton whose resumed run
+    // composes segments on 4 threads while later ones still execute.
+    Rng rng(88);
+    const Workload large{largeSyntheticNfa(16384),
+                         randomTextTrace(rng, 16384, "abcdefgh")};
     const ApConfig board = smallBoard(8);
-    const PapResult full = runPap(w.nfa, w.input, board);
+    for (const Workload &w : {robustWorkload(), large}) {
+        const PapResult full = runPap(w.nfa, w.input, board);
+        ASSERT_TRUE(full.status.ok()) << w.nfa.name();
+        EXPECT_TRUE(full.verified) << w.nfa.name();
+        EXPECT_FALSE(full.reports.empty()) << w.nfa.name();
 
-    PapOptions killed;
-    killed.checkpointPath = path_;
-    killed.stopAfterSegment = 0;
-    killed.threads = 1;
-    ASSERT_FALSE(runPap(w.nfa, w.input, board, killed).status.ok());
+        PapOptions killed;
+        killed.checkpointPath = path_;
+        killed.stopAfterSegment = 0;
+        killed.threads = 1;
+        ASSERT_FALSE(runPap(w.nfa, w.input, board, killed).status.ok());
 
-    PapOptions resume;
-    resume.checkpointPath = path_;
-    resume.threads = 4; // identity hash ignores execution knobs
-    const PapResult r = runPap(w.nfa, w.input, board, resume);
-    ASSERT_TRUE(r.status.ok());
-    EXPECT_TRUE(r.resumedFromCheckpoint);
-    expectSameRun(full, r);
+        PapOptions resume;
+        resume.checkpointPath = path_;
+        resume.threads = 4; // identity hash ignores execution knobs
+        const PapResult r = runPap(w.nfa, w.input, board, resume);
+        ASSERT_TRUE(r.status.ok()) << w.nfa.name();
+        EXPECT_TRUE(r.resumedFromCheckpoint) << w.nfa.name();
+        EXPECT_TRUE(r.verified) << w.nfa.name();
+        expectSameRun(full, r);
+    }
 }
 
 TEST_F(CheckpointResume, CorruptCheckpointFallsBackToFreshRun)

@@ -19,7 +19,6 @@ struct SimFixture
 {
     Nfa nfa;
     CompiledNfa *cnfa = nullptr;
-    EngineContext *engines = nullptr;
     Components comps;
     std::vector<StateId> asg;
     EngineScratch *scratch = nullptr;
@@ -30,13 +29,11 @@ struct SimFixture
         comps = connectedComponents(nfa);
         asg = alwaysActiveStates(nfa);
         cnfa = new CompiledNfa(nfa);
-        engines = new EngineContext(*cnfa, EngineKind::Sparse);
         scratch = new EngineScratch(nfa.size());
     }
 
     ~SimFixture()
     {
-        delete engines;
         delete cnfa;
         delete scratch;
     }
@@ -46,7 +43,7 @@ TEST(SegmentSim, GoldenSegmentMatchesSequentialActivity)
 {
     SimFixture f({{"ab", 1}});
     const InputTrace t = InputTrace::fromString("abxab");
-    const SegmentRun run = runGoldenSegment(*f.engines, t.begin(), 0,
+    const SegmentRun run = runGoldenSegment(*f.cnfa, t.begin(), 0,
                                             t.size(), *f.scratch);
     ASSERT_EQ(run.flows.size(), 1u);
     const FlowRecord &rec = run.flows[0];
@@ -73,7 +70,7 @@ TEST(SegmentSim, EnumFlowDeactivatesAtEarlyCheck)
     PapOptions opt;
     opt.tdmQuantum = 125;
     const SegmentRun run =
-        runEnumSegment(*f.engines, plan, f.asg, t.begin(), 0, t.size(),
+        runEnumSegment(*f.cnfa, plan, f.asg, t.begin(), 0, t.size(),
                        opt, *f.scratch);
     // flows[0] is the ASG flow (AllInput start), flows[1] the enum.
     ASSERT_EQ(run.flows.size(), 2u);
@@ -110,7 +107,7 @@ TEST(SegmentSim, DeactivationAtRoundBoundaryAfterFirstStep)
     PapOptions opt;
     opt.tdmQuantum = 50;
     const SegmentRun run =
-        runEnumSegment(*g.engines, plan_g, g.asg, t.begin(), 0, t.size(),
+        runEnumSegment(*g.cnfa, plan_g, g.asg, t.begin(), 0, t.size(),
                        opt, *g.scratch);
     const FlowRecord &rec = run.flows.back();
     EXPECT_EQ(rec.cause, DeathCause::Deactivated);
@@ -146,7 +143,7 @@ TEST(SegmentSim, ConvergedFlowsMergeAtCheckPeriod)
     opt.tdmQuantum = 20;
     opt.convergenceCheckPeriod = 10;
     const SegmentRun run =
-        runEnumSegment(*f.engines, plan, f.asg, t.begin(), 0, t.size(),
+        runEnumSegment(*f.cnfa, plan, f.asg, t.begin(), 0, t.size(),
                        opt, *f.scratch);
 
     const FlowRecord *winner = nullptr, *loser = nullptr;
@@ -193,7 +190,7 @@ TEST(SegmentSim, ConvergenceDisabledKeepsFlowsApart)
     opt.tdmQuantum = 20;
     opt.enableConvergenceChecks = false;
     const SegmentRun run =
-        runEnumSegment(*f.engines, plan, f.asg, t.begin(), 0, t.size(),
+        runEnumSegment(*f.cnfa, plan, f.asg, t.begin(), 0, t.size(),
                        opt, *f.scratch);
     for (const auto &rec : run.flows)
         EXPECT_NE(rec.cause, DeathCause::Converged);
@@ -207,7 +204,7 @@ TEST(SegmentSim, ReportsCarryAbsoluteOffsets)
     plan.flows.push_back(FlowSpec{0, {0}, {1}});
     const InputTrace t = InputTrace::fromString("b");
     const SegmentRun run =
-        runEnumSegment(*f.engines, plan, f.asg, t.begin(), 5000, t.size(),
+        runEnumSegment(*f.cnfa, plan, f.asg, t.begin(), 5000, t.size(),
                        PapOptions{}, *f.scratch);
     const FlowRecord &rec = run.flows.back();
     ASSERT_EQ(rec.reports.size(), 1u);

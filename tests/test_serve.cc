@@ -57,10 +57,7 @@ serveTrace(std::size_t len, std::uint64_t seed)
 std::vector<ReportEvent>
 sequentialReports(const Nfa &nfa, const InputTrace &trace)
 {
-    PapOptions opt;
-    const SequentialResult r = runSequential(nfa, trace, opt);
-    EXPECT_TRUE(r.status.ok()) << r.status.toString();
-    return r.reports;
+    return runSequential(nfa, trace).reports;
 }
 
 ServeOptions

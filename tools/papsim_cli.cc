@@ -85,7 +85,6 @@ usage()
         "           [--quantum=N] [--spec[=WINDOW]] [--max-reports=N]\n"
         "           [--verbose] [--metrics-json=PATH]\n"
         "           [--trace-out=PATH] [--profile] [--attrib[=json]]\n"
-        "           [--engine=sparse|hybrid]\n"
         "           [--overflow=batch|sequential|fail|evict]\n"
         "           [--svc-policy=lru|fifo|cost] [--svc-capacity=N]\n"
         "           [--threads=N] [--checkpoint=PATH]\n"
@@ -94,10 +93,7 @@ usage()
         "           [--inject-faults=SPEC] [--fault-seed=N]\n"
         "           --threads=0 uses one thread per hardware thread;\n"
         "           PAP_THREADS sets the default when the flag is\n"
-        "           absent. --engine picks the execution backend\n"
-        "           (default hybrid); results are identical either\n"
-        "           way. PAP_SIMD=off|scalar|avx2|avx512|auto pins\n"
-        "           the vector width of the hybrid backend.\n"
+        "           absent.\n"
         "           SPEC: kind[:count[:rate]],... with kinds\n"
         "           corrupt-sv evict-svc drop-report truncate-report\n"
         "           drop-fiv stall-worker crash-worker all\n"
@@ -110,9 +106,7 @@ usage()
         "           [--max-sessions=N] [--tenant-cap=N] [--window=N]\n"
         "           [--chunk=N] [--lookback=N] [--quarantine-after=N]\n"
         "           [--session-deadline-ms=X] [--checkpoint-dir=DIR]\n"
-        "           [--checkpoint-interval=N]\n"
-        "           [--engine=sparse|hybrid]\n"
-        "           [--deadline-ms=X]\n"
+        "           [--checkpoint-interval=N] [--deadline-ms=X]\n"
         "           [--max-retries=N] [--inject-faults=SPEC]\n"
         "           [--fault-seed=N] [--metrics-json=PATH]\n"
         "           serve-mode SPEC adds the stream fault kinds\n"
@@ -460,16 +454,6 @@ cmdRun(const std::vector<std::string> &args)
         !parseU64(v, &max_reports))
         return fail("--max-reports needs an integer, got '" + v + "'");
 
-    // Execution backend: an explicit flag is validated here with a
-    // typed error.
-    EngineKind engine = EngineKind::Hybrid;
-    if (flagValue(args, "--engine", &v)) {
-        const Result<EngineKind> parsed = parseEngineKind(v);
-        if (!parsed.ok())
-            return fail(parsed.status().toString());
-        engine = parsed.value();
-    }
-
     // Host thread count: the flag wins over the PAP_THREADS
     // environment variable; 0 means one thread per hardware thread.
     std::uint32_t threads = 1;
@@ -487,38 +471,30 @@ cmdRun(const std::vector<std::string> &args)
 
     std::vector<ReportEvent> reports;
     if (flagValue(args, "--sequential", &v)) {
-        PapOptions opt;
-        opt.engine = engine;
-        const SequentialResult r = runSequential(nfa, trace, opt);
-        if (!r.status.ok())
-            return fail(r.status.toString());
-        std::printf("sequential[%s]: %zu matches, %llu cycles "
+        const SequentialResult r = runSequential(nfa, trace);
+        std::printf("sequential[sparse]: %zu matches, %llu cycles "
                     "(%.3f ms on AP)\n",
-                    r.engineDatapath.c_str(), r.reports.size(),
+                    r.reports.size(),
                     static_cast<unsigned long long>(r.cycles),
                     static_cast<double>(r.cycles) * 7.5e-6);
         reports = r.reports;
     } else if (flagValue(args, "--spec", &v)) {
         SpeculationOptions opt;
-        opt.engine = engine;
         opt.threads = threads;
         if (!v.empty() && !parseU32(v, &opt.warmupWindow))
             return fail("--spec window needs an integer, got '" + v +
                         "'");
         const SpeculationResult r =
             runSpeculative(nfa, trace, ApConfig::d480(ranks), opt);
-        if (!r.status.ok())
-            return fail(r.status.toString());
-        std::printf("speculative[%s]: %zu matches, %u segments, "
+        std::printf("speculative[sparse]: %zu matches, %u segments, "
                     "accuracy %.2f, speedup %.2fx%s\n",
-                    r.engineDatapath.c_str(), r.reports.size(),
+                    r.reports.size(),
                     r.numSegments, r.accuracy, r.speedup,
                     r.verified ? " (verified)"
                                : (r.recovered ? " (recovered)" : ""));
         reports = r.reports;
     } else {
         PapOptions opt;
-        opt.engine = engine;
         opt.threads = threads;
         if (flagValue(args, "--quantum", &v) &&
             (!parseU32(v, &opt.tdmQuantum) || opt.tdmQuantum == 0))
@@ -608,10 +584,10 @@ cmdRun(const std::vector<std::string> &args)
                                ? " (verified)"
                                : (r.recovered ? " (recovered)" : "");
         std::printf(
-            "PAP[%s]: %zu matches, %u segments (ideal %ux), speedup "
+            "PAP[sparse]: %zu matches, %u segments (ideal %ux), speedup "
             "%.2fx%s%s\n  flows range/cc/parent/active = "
             "%.0f/%.0f/%.0f/%.1f, switch %.2f%%, inflation %.1fx\n",
-            r.engineDatapath.c_str(), r.reports.size(), r.numSegments,
+            r.reports.size(), r.numSegments,
             r.idealSpeedup, r.speedup, mark,
             r.degraded ? " [degraded]" : "", r.flowsInRange,
             r.flowsAfterCc, r.flowsAfterParent, r.avgActiveFlows,
@@ -760,12 +736,6 @@ cmdServe(const std::vector<std::string> &args)
         !parseU32(v, &opt.checkpointIntervalChunks))
         return fail("--checkpoint-interval needs an integer, got '" +
                     v + "'");
-    if (flagValue(args, "--engine", &v)) {
-        const Result<EngineKind> parsed = parseEngineKind(v);
-        if (!parsed.ok())
-            return fail(parsed.status().toString());
-        opt.pap.engine = parsed.value();
-    }
     if (flagValue(args, "--deadline-ms", &v) &&
         !parseF64(v, &opt.pap.segmentDeadlineMs))
         return fail("--deadline-ms needs a number, got '" + v + "'");
