@@ -2,8 +2,9 @@
  * @file
  * Resilience contract of host-parallel execution: byte-identical
  * results for every thread count (clean and under injected worker
- * faults), the watchdog -> retry -> sequential-oracle escalation, and
- * crash-consistent checkpoint/resume equivalence.
+ * faults), the watchdog -> retry -> sequential-oracle escalation,
+ * crash-consistent checkpoint/resume equivalence, and the same
+ * contracts on a 16K-state automaton.
  */
 
 #include <gtest/gtest.h>
@@ -17,7 +18,9 @@
 #include "common/charclass.h"
 #include "common/error.h"
 #include "common/rng.h"
+#include "engine/reference_engine.h"
 #include "engine/trace.h"
+#include "nfa/analysis.h"
 #include "nfa/glushkov.h"
 #include "pap/exec/checkpoint.h"
 #include "pap/fault_injector.h"
@@ -374,33 +377,23 @@ TEST_F(CheckpointResume, EveryKillPointResumesToTheSameResult)
 
 TEST_F(CheckpointResume, ResumeWithDifferentThreadCountStillMatches)
 {
-    // The small rule set, and a 16K-state automaton whose resumed run
-    // composes segments on 4 threads while later ones still execute.
-    Rng rng(88);
-    const Workload large{largeSyntheticNfa(16384),
-                         randomTextTrace(rng, 16384, "abcdefgh")};
+    const Workload w = robustWorkload();
     const ApConfig board = smallBoard(8);
-    for (const Workload &w : {robustWorkload(), large}) {
-        const PapResult full = runPap(w.nfa, w.input, board);
-        ASSERT_TRUE(full.status.ok()) << w.nfa.name();
-        EXPECT_TRUE(full.verified) << w.nfa.name();
-        EXPECT_FALSE(full.reports.empty()) << w.nfa.name();
+    const PapResult full = runPap(w.nfa, w.input, board);
 
-        PapOptions killed;
-        killed.checkpointPath = path_;
-        killed.stopAfterSegment = 0;
-        killed.threads = 1;
-        ASSERT_FALSE(runPap(w.nfa, w.input, board, killed).status.ok());
+    PapOptions killed;
+    killed.checkpointPath = path_;
+    killed.stopAfterSegment = 0;
+    killed.threads = 1;
+    ASSERT_FALSE(runPap(w.nfa, w.input, board, killed).status.ok());
 
-        PapOptions resume;
-        resume.checkpointPath = path_;
-        resume.threads = 4; // identity hash ignores execution knobs
-        const PapResult r = runPap(w.nfa, w.input, board, resume);
-        ASSERT_TRUE(r.status.ok()) << w.nfa.name();
-        EXPECT_TRUE(r.resumedFromCheckpoint) << w.nfa.name();
-        EXPECT_TRUE(r.verified) << w.nfa.name();
-        expectSameRun(full, r);
-    }
+    PapOptions resume;
+    resume.checkpointPath = path_;
+    resume.threads = 4; // identity hash ignores execution knobs
+    const PapResult r = runPap(w.nfa, w.input, board, resume);
+    ASSERT_TRUE(r.status.ok());
+    EXPECT_TRUE(r.resumedFromCheckpoint);
+    expectSameRun(full, r);
 }
 
 TEST_F(CheckpointResume, CorruptCheckpointFallsBackToFreshRun)
@@ -599,6 +592,97 @@ TEST(ThreadDeterminism, MultiStreamRunIsIdenticalAcrossThreads)
         EXPECT_EQ(ref.streamDone, r.streamDone);
         EXPECT_EQ(ref.verified, r.verified);
     }
+}
+
+// --- The 16K-state regime -------------------------------------------
+
+Workload
+largeWorkload(std::uint64_t seed)
+{
+    Rng rng(seed);
+    return Workload{largeSyntheticNfa(16384),
+                    randomTextTrace(rng, 16384, "abcdefgh")};
+}
+
+TEST(EngineDiff, DenseRangeSizesMatchRangeAnalysis)
+{
+    // The AllInput drivers match every symbol, so the label unions of
+    // their successors are full; the sizes the partitioner reads must
+    // still equal the literal definition for every symbol.
+    const Nfa nfa = largeSyntheticNfa(16384);
+    const RangeAnalysis ranges(nfa);
+    std::uint64_t total = 0;
+    for (int s = 0; s < kAlphabetSize; ++s) {
+        const Symbol sym = static_cast<Symbol>(s);
+        EXPECT_EQ(ranges.computeRange(sym).size(), ranges.rangeSize(sym))
+            << "symbol " << s;
+        total += ranges.rangeSize(sym);
+    }
+    EXPECT_GT(ranges.rangeSize('h'), 0u);
+    EXPECT_LT(ranges.rangeSize('h'), ranges.rangeSize('a'));
+    EXPECT_GT(total, 0u);
+}
+
+TEST(EngineDiffLarge, PapRunsAreByteIdenticalAt16KStates)
+{
+    // The composed reports equal the sequential run's and those of the
+    // reference interpreter.
+    const Workload w = largeWorkload(88);
+    const PapResult r = runPap(w.nfa, w.input, smallBoard(8));
+    ASSERT_TRUE(r.status.ok());
+    EXPECT_TRUE(r.verified);
+    EXPECT_FALSE(r.reports.empty());
+    EXPECT_GT(r.numSegments, 1u);
+    const SequentialResult seq = runSequential(w.nfa, w.input);
+    EXPECT_EQ(r.reports, seq.reports);
+    EXPECT_EQ(r.baselineCycles, seq.cycles);
+    EXPECT_EQ(r.reports, referenceRun(w.nfa, w.input.symbols()).reports);
+}
+
+TEST(EngineDiffLarge, PipelineOverlapIsByteIdenticalAt16KStates)
+{
+    // Several host threads, so the composer consumes segments while
+    // later ones still execute.
+    const Workload w = largeWorkload(91);
+    const ApConfig board = smallBoard(8);
+    PapOptions serial;
+    serial.threads = 1;
+    PapOptions overlap;
+    overlap.threads = 4;
+    const PapResult a = runPap(w.nfa, w.input, board, serial);
+    const PapResult b = runPap(w.nfa, w.input, board, overlap);
+    ASSERT_TRUE(a.status.ok());
+    ASSERT_TRUE(b.status.ok());
+    EXPECT_TRUE(a.verified);
+    EXPECT_TRUE(b.verified);
+    EXPECT_EQ(b.threadsUsed, 4u);
+    expectSameRun(a, b);
+}
+
+TEST(EngineDiffLarge, CheckpointResumeIsByteIdenticalAt16KStates)
+{
+    const Workload w = largeWorkload(93);
+    const ApConfig board = smallBoard(8);
+    const PapResult full = runPap(w.nfa, w.input, board);
+    ASSERT_TRUE(full.status.ok());
+    EXPECT_TRUE(full.verified);
+
+    const std::string path = uniqueTempPath("large16k.ckpt");
+    exec::removeCheckpoint(path);
+    PapOptions opt;
+    opt.checkpointPath = path;
+    opt.stopAfterSegment = 1;
+    const PapResult dead = runPap(w.nfa, w.input, board, opt);
+    EXPECT_EQ(dead.status.code(), ErrorCode::Cancelled);
+    // Resume from the checkpoint and run to completion.
+    opt.stopAfterSegment = -1;
+    const PapResult done = runPap(w.nfa, w.input, board, opt);
+    exec::removeCheckpoint(path);
+    ASSERT_TRUE(done.status.ok());
+    EXPECT_TRUE(done.resumedFromCheckpoint);
+    EXPECT_EQ(done.resumedSegments, 2u);
+    EXPECT_TRUE(done.verified);
+    expectSameRun(full, done);
 }
 
 } // namespace
