@@ -1,9 +1,10 @@
 /**
  * @file
- * Host-side throughput of the execution engine: symbols/sec for the
- * sparse FunctionalEngine across state counts and active densities.
- * Emits BENCH_engine.json (path overridable as argv[1]) so the numbers
- * seed the repo's perf trajectory. The bytes/symbol column shows the
+ * Host-side throughput of the execution engine: symbols/sec for
+ * FunctionalEngine across state counts and active densities, and the
+ * fraction of its steps that ran on the shift datapath. Emits
+ * BENCH_engine.json (path overridable as argv[1]) so the numbers seed
+ * the repo's perf trajectory. The bytes/symbol column shows the
  * engine's per-step traffic independent of host speed.
  */
 
@@ -30,11 +31,13 @@ constexpr const char *kAlphabet = "abcdefgh";
  * Every state self-loops and matches @p label_octiles of the 8 input
  * symbols, so once seeded the active fraction settles near
  * label_octiles/8; random fan-out edges keep the successor rows
- * realistic instead of diagonal.
+ * realistic instead of diagonal. An @p spm_shaped automaton instead
+ * feeds only its next state, like SPM's sequence chains: every edge
+ * is a self-loop or q -> q+1.
  */
 Nfa
 syntheticNfa(std::size_t states, int label_octiles,
-             std::size_t driver_stride, Rng &rng)
+             std::size_t driver_stride, bool spm_shaped, Rng &rng)
 {
     Nfa nfa("synthetic");
     for (std::size_t q = 0; q < states; ++q) {
@@ -59,6 +62,11 @@ syntheticNfa(std::size_t states, int label_octiles,
     }
     for (StateId q = 0; q < states; ++q) {
         nfa.addEdge(q, q);
+        if (spm_shaped) {
+            if (q + 1 < states)
+                nfa.addEdge(q, q + 1);
+            continue;
+        }
         for (int e = 0; e < 3; ++e)
             nfa.addEdge(q, static_cast<StateId>(rng.nextBelow(states)));
     }
@@ -92,6 +100,7 @@ struct Measurement
     double symbolsPerSec = 0.0;
     double activeDensity = 0.0; // mean active states / total states
     double bytesPerSymbol = 0.0; // estimated datapath bytes / symbol
+    double shiftStepFrac = 0.0;  // steps on the shift datapath / steps
 };
 
 /** Run @p engine over the trace repeatedly for ~the budget. */
@@ -116,6 +125,7 @@ measure(FunctionalEngine &engine, const std::vector<StateId> &seed,
     const std::uint64_t enables_before = engine.counters().enables;
     const std::uint64_t symbols_before = engine.counters().symbols;
     const std::uint64_t bytes_before = engine.counters().bytesTouched;
+    const std::uint64_t shift_before = engine.counters().shiftSteps;
     // Best-of-3 measurement windows: the max window throughput sheds
     // scheduler preemptions that a single budget-long average folds
     // into the number, making run-to-run diffs (bench_compare.py)
@@ -150,11 +160,16 @@ measure(FunctionalEngine &engine, const std::vector<StateId> &seed,
         m.activeDensity = static_cast<double>(enables) /
                           (static_cast<double>(stepped) *
                            static_cast<double>(states));
-    if (stepped)
+    if (stepped) {
         m.bytesPerSymbol =
             static_cast<double>(engine.counters().bytesTouched -
                                 bytes_before) /
             static_cast<double>(stepped);
+        m.shiftStepFrac =
+            static_cast<double>(engine.counters().shiftSteps -
+                                shift_before) /
+            static_cast<double>(stepped);
+    }
     return m;
 }
 
@@ -165,6 +180,7 @@ struct Row
     double density;
     double sparse;
     double sparseBps; // bytes touched per symbol
+    double shiftFrac;
 };
 
 } // namespace
@@ -175,7 +191,7 @@ main(int argc, char **argv)
 {
     using namespace pap;
     bench::ObsSession obs("engine_throughput");
-    bench::printHeader("Engine throughput: sparse FunctionalEngine",
+    bench::printHeader("Engine throughput: FunctionalEngine",
                        "Section 2.1 enable&match datapath, host model");
 
     const char *out_path =
@@ -190,10 +206,13 @@ main(int argc, char **argv)
         std::size_t driverStride; // all-matching core (0 = none)
         std::size_t seedStride;   // seed every seedStride-th state
         const char *workload;
+        bool spmShaped = false;
     };
     // High density: wide labels, everything seeded. Low density: a
     // sparse core of always-matching drivers among narrow-label states
-    // — the regime large rulesets live in.
+    // — the regime large rulesets live in. SPM-shaped: self-loops and
+    // next-state edges only, at about 7% density, near the 8% of SPM's
+    // 4-rank flows: the regime the shift datapath is for.
     const std::vector<Config> configs = {
         {64, 7, 0, 1, "high-density"},
         {256, 7, 0, 1, "high-density"},
@@ -205,30 +224,35 @@ main(int argc, char **argv)
         {4096, 1, 64, 64, "low-density"},
         {16384, 1, 64, 64, "low-density"},
         {65536, 1, 64, 64, "low-density"},
+        {1024, 4, 64, 64, "spm-shaped", true},
+        {4096, 4, 64, 64, "spm-shaped", true},
+        {16384, 4, 64, 64, "spm-shaped", true},
+        {65536, 4, 64, 64, "spm-shaped", true},
     };
 
     std::vector<Row> rows;
-    std::printf("%8s  %-12s  %8s  %12s  %10s\n", "states", "workload",
-                "density", "sparse sym/s", "sparse B/s");
+    std::printf("%8s  %-12s  %8s  %12s  %10s  %6s\n", "states", "workload",
+                "density", "sym/s", "B/sym", "shift");
     for (const Config &cfg : configs) {
         Rng rng(0xe47 + cfg.states + cfg.octiles);
         const Nfa nfa = syntheticNfa(cfg.states, cfg.octiles,
-                                     cfg.driverStride, rng);
+                                     cfg.driverStride, cfg.spmShaped, rng);
         const CompiledNfa cnfa(nfa);
         const InputTrace trace = randomTrace(rng, trace_len);
         const std::vector<StateId> seed =
             seedStates(cfg.states, cfg.seedStride);
 
         EngineScratch scratch(nfa.size());
-        FunctionalEngine sparse(cnfa, /*starts=*/false, &scratch);
+        FunctionalEngine engine(cnfa, /*starts=*/false, &scratch);
         const Measurement ms =
-            measure(sparse, seed, trace, cfg.states);
+            measure(engine, seed, trace, cfg.states);
 
         rows.push_back(Row{cfg.states, cfg.workload, ms.activeDensity,
-                           ms.symbolsPerSec, ms.bytesPerSymbol});
-        std::printf("%8zu  %-12s  %7.1f%%  %12.3e  %10.0f\n",
+                           ms.symbolsPerSec, ms.bytesPerSymbol,
+                           ms.shiftStepFrac});
+        std::printf("%8zu  %-12s  %7.1f%%  %12.3e  %10.0f  %6.2f\n",
                     cfg.states, cfg.workload, 100.0 * ms.activeDensity,
-                    ms.symbolsPerSec, ms.bytesPerSymbol);
+                    ms.symbolsPerSec, ms.bytesPerSymbol, ms.shiftStepFrac);
     }
 
     std::FILE *f = std::fopen(out_path, "w");
@@ -246,9 +270,11 @@ main(int argc, char **argv)
                      "    {\"states\": %zu, \"workload\": \"%s\", "
                      "\"active_density\": %.4f, "
                      "\"sparse_symbols_per_sec\": %.1f, "
-                     "\"sparse_bytes_per_symbol\": %.1f}%s\n",
+                     "\"sparse_bytes_per_symbol\": %.1f, "
+                     "\"shift_step_frac\": %.4f}%s\n",
                      r.states, r.workload, r.density, r.sparse,
-                     r.sparseBps, i + 1 < rows.size() ? "," : "");
+                     r.sparseBps, r.shiftFrac,
+                     i + 1 < rows.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");
     std::fclose(f);

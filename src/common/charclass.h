@@ -60,6 +60,9 @@ class CharClass
         words[s >> 6] &= ~(std::uint64_t{1} << (s & 63));
     }
 
+    /** Membership word @p i (symbols 64i..64i+63, bit k = 64i+k). */
+    std::uint64_t word(int i) const { return words[i]; }
+
     /** Number of symbols in the class. */
     int count() const;
 

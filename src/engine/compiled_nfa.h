@@ -1,7 +1,8 @@
 /**
  * @file
  * Execution-oriented flattening of an Nfa: CSR successor arrays,
- * contiguous labels, and per-symbol pre-computation of the activity
+ * symbol-major match rows, the offset classes and masks of the shift
+ * datapath, and per-symbol pre-computation of the activity
  * contributed by AllInput start states. Immutable; shared by any
  * number of engine instances (one per flow).
  */
@@ -26,21 +27,45 @@ struct StartReport
     ReportCode code;
 };
 
+/**
+ * The edges q -> q + offset of every source state q set in @p sources
+ * (one bit per state, words() words). A shift step moves all of them
+ * with one shifted OR of the matched set.
+ */
+struct ShiftClass
+{
+    std::int64_t offset = 0;
+    std::vector<std::uint64_t> sources;
+};
+
 /** Immutable compiled form of a homogeneous NFA. */
 class CompiledNfa
 {
   public:
+    /** Most offset classes a compiled automaton keeps. */
+    static constexpr std::size_t kMaxShiftClasses = 4;
+
     /** Flatten @p nfa (which must be finalized). Keeps a reference. */
     explicit CompiledNfa(const Nfa &nfa);
 
     /** Number of states. */
-    std::size_t size() const { return labels.size(); }
+    std::size_t size() const { return reportCodes.size(); }
+
+    /** 64-bit words in a state bitset: ceil(size() / 64). */
+    std::size_t words() const { return wordCount; }
 
     /** The source automaton. */
     const Nfa &source() const { return nfa; }
 
-    /** Label of state @p q. */
-    const CharClass &label(StateId q) const { return labels[q]; }
+    /** Label of state @p q (read from the source automaton). */
+    const CharClass &label(StateId q) const { return nfa[q].label; }
+
+    /** Bitset of the states whose label contains @p s. */
+    const std::uint64_t *
+    matchRow(Symbol s) const
+    {
+        return matchRows.data() + static_cast<std::size_t>(s) * wordCount;
+    }
 
     /** True if @p q reports on match. */
     bool reporting(StateId q) const { return reportCodes[q] != kNoReport; }
@@ -49,7 +74,11 @@ class CompiledNfa
     ReportCode reportCode(StateId q) const { return reportCodes[q]; }
 
     /** True if @p q is an AllInput start (re-enabled every cycle). */
-    bool isAllInputStart(StateId q) const { return allInputStart[q]; }
+    bool
+    isAllInputStart(StateId q) const
+    {
+        return (allInputBits[q >> 6] >> (q & 63)) & 1;
+    }
 
     /** Successors of @p q as a contiguous span. */
     std::pair<const StateId *, const StateId *>
@@ -58,6 +87,39 @@ class CompiledNfa
         return {targets.data() + rowOffset[q],
                 targets.data() + rowOffset[q + 1]};
     }
+
+    /** The offset classes, most edges first (at most kMaxShiftClasses). */
+    const std::vector<ShiftClass> &shiftClasses() const { return classes; }
+
+    /**
+     * Bitset of the states with an edge no shift class covers: a shift
+     * step walks their whole successor row.
+     */
+    const std::vector<std::uint64_t> &exceptionMask() const
+    {
+        return exceptionBits;
+    }
+
+    /** True if some edge is outside every shift class. */
+    bool hasExceptions() const { return exceptionCount > 0; }
+
+    /** Bitset of the reporting states. */
+    const std::vector<std::uint64_t> &reportMask() const
+    {
+        return reportBits;
+    }
+
+    /** True if some state reports. */
+    bool hasReporting() const { return reportingCount > 0; }
+
+    /** Bitset of the AllInput starts. */
+    const std::vector<std::uint64_t> &allInputMask() const
+    {
+        return allInputBits;
+    }
+
+    /** True if some state is an AllInput start. */
+    bool hasAllInputStarts() const { return allInputCount > 0; }
 
     /**
      * States enabled for the next cycle because an AllInput start
@@ -87,12 +149,22 @@ class CompiledNfa
     }
 
   private:
+    void buildShiftClasses(const std::vector<std::int64_t> &offsets);
+
     const Nfa &nfa;
-    std::vector<CharClass> labels;
+    std::size_t wordCount = 0;
+    /** kAlphabetSize rows of wordCount words, symbol-major. */
+    std::vector<std::uint64_t> matchRows;
     std::vector<ReportCode> reportCodes;
-    std::vector<bool> allInputStart;
+    std::vector<std::uint64_t> reportBits;
+    std::vector<std::uint64_t> allInputBits;
+    std::size_t reportingCount = 0;
+    std::size_t allInputCount = 0;
     std::vector<std::uint32_t> rowOffset;
     std::vector<StateId> targets;
+    std::vector<ShiftClass> classes;
+    std::vector<std::uint64_t> exceptionBits;
+    std::size_t exceptionCount = 0;
     std::array<std::vector<StateId>, kAlphabetSize> startNext;
     std::array<std::vector<StartReport>, kAlphabetSize>
         startReportsBySymbol;

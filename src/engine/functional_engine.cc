@@ -1,12 +1,107 @@
 #include "engine/functional_engine.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/logging.h"
 
 namespace pap {
 
-FunctionalEngine::FunctionalEngine(const CompiledNfa &compiled,
+namespace {
+
+/**
+ * Datapath thresholds, in active states per word of the state bitset
+ * (CompiledNfa::words()). An engine moves its active set into the
+ * bitset when it holds at least one active state per word, and back
+ * into the list once fewer than one per four words are active; the
+ * gap keeps a flow whose activity hovers at the threshold from
+ * converting on every step. Measured on the ANMLZoo suite of the
+ * benchmark of record (traced, seed 5, 4-vCPU Xeon): promoting at one
+ * state per two words made Protomata's sequential oracle 1.7x slower
+ * (about 110 -> 180 ms per pass) and its segments 1.6x slower; one per
+ * word and two per word measured the same within noise. SPM's false
+ * flows (about 3,550 of 45,225 states active, 5 per word) and the
+ * Fermi, Hamming and Levenshtein oracles run on the shift step.
+ */
+constexpr std::size_t kPromoteActivePerWord = 1;
+constexpr std::size_t kDemoteWordsPerActive = 4;
+
+/**
+ * Population count without a library call: the x86-64 baseline the
+ * project builds for has no popcnt instruction, and std::popcount
+ * there calls into libgcc once per word.
+ */
+inline std::uint64_t
+popcount64(std::uint64_t x)
+{
+    x = x - ((x >> 1) & 0x5555555555555555ull);
+    x = (x & 0x3333333333333333ull) + ((x >> 2) & 0x3333333333333333ull);
+    x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0full;
+    return (x * 0x0101010101010101ull) >> 56;
+}
+
+/**
+ * dst |= (x & mask) moved @p offset states up (down when negative),
+ * over @p n words. Bits moved past either end are dropped; a class
+ * mask never holds a source whose target lies outside the automaton.
+ */
+void
+orShifted(std::uint64_t *dst, const std::uint64_t *x,
+          const std::uint64_t *mask, std::size_t n, std::int64_t offset)
+{
+    const std::uint64_t dist = offset >= 0
+                                   ? static_cast<std::uint64_t>(offset)
+                                   : static_cast<std::uint64_t>(-offset);
+    const std::size_t ws = static_cast<std::size_t>(dist >> 6);
+    const unsigned bs = static_cast<unsigned>(dist & 63);
+    if (ws >= n)
+        return;
+    const std::size_t span = n - ws;
+    if (offset >= 0) {
+        std::uint64_t *out = dst + ws;
+        if (bs == 0) {
+            for (std::size_t w = 0; w < span; ++w)
+                out[w] |= x[w] & mask[w];
+            return;
+        }
+        out[0] |= (x[0] & mask[0]) << bs;
+        for (std::size_t w = 1; w < span; ++w)
+            out[w] |= ((x[w] & mask[w]) << bs) |
+                      ((x[w - 1] & mask[w - 1]) >> (64 - bs));
+        return;
+    }
+    const std::uint64_t *in = x + ws;
+    const std::uint64_t *in_mask = mask + ws;
+    if (bs == 0) {
+        for (std::size_t w = 0; w < span; ++w)
+            dst[w] |= in[w] & in_mask[w];
+        return;
+    }
+    for (std::size_t w = 0; w + 1 < span; ++w)
+        dst[w] |= ((in[w] & in_mask[w]) >> bs) |
+                  ((in[w + 1] & in_mask[w + 1]) << (64 - bs));
+    dst[span - 1] |= (in[span - 1] & in_mask[span - 1]) >> bs;
+}
+
+inline void
+setBit(std::uint64_t *bits, StateId q)
+{
+    bits[q >> 6] |= std::uint64_t{1} << (q & 63);
+}
+
+/** Call @p f(q) for every set bit of @p bits[0..n), ascending. */
+template <typename F>
+void
+forEachBit(const std::uint64_t *bits, std::size_t n, F &&f)
+{
+    for (std::size_t w = 0; w < n; ++w)
+        for (std::uint64_t v = bits[w]; v; v &= v - 1)
+            f(static_cast<StateId>(w * 64 + std::countr_zero(v)));
+}
+
+} // namespace
+
+SparseActiveList::SparseActiveList(const CompiledNfa &compiled,
                                    bool starts_enabled,
                                    EngineScratch *shared_scratch)
     : cnfa(compiled), startsEnabled(starts_enabled)
@@ -20,31 +115,11 @@ FunctionalEngine::FunctionalEngine(const CompiledNfa &compiled,
 }
 
 void
-FunctionalEngine::reset(const std::vector<StateId> &initial_active,
-                        std::uint64_t offset_base)
+SparseActiveList::assign(const std::vector<StateId> &states)
 {
     active.clear();
-    events.clear();
-    stats = EngineCounters{};
-    offsetCursor = offset_base;
-    sortedValid = false;
     scratch->bump();
-    for (const StateId q : initial_active) {
-        PAP_ASSERT(q < cnfa.size(), "seed state ", q, " out of range");
-        if (startsEnabled && cnfa.isAllInputStart(q))
-            continue;
-        if (scratch->claim(q))
-            active.push_back(q);
-    }
-}
-
-void
-FunctionalEngine::overwriteActive(const std::vector<StateId> &vector)
-{
-    active.clear();
-    sortedValid = false;
-    scratch->bump();
-    for (const StateId q : vector) {
+    for (const StateId q : states) {
         PAP_ASSERT(q < cnfa.size(), "state ", q, " out of range");
         if (startsEnabled && cnfa.isAllInputStart(q))
             continue;
@@ -54,21 +129,29 @@ FunctionalEngine::overwriteActive(const std::vector<StateId> &vector)
 }
 
 void
-FunctionalEngine::step(Symbol s)
+SparseActiveList::assignBits(const std::uint64_t *bits, std::size_t words)
+{
+    active.clear();
+    forEachBit(bits, words, [&](StateId q) { active.push_back(q); });
+}
+
+void
+SparseActiveList::step(Symbol s, std::uint64_t offset,
+                       std::vector<ReportEvent> &events,
+                       EngineCounters &stats)
 {
     scratch->bump();
     next.clear();
-    sortedValid = false;
+    const std::uint64_t *row = cnfa.matchRow(s);
+    std::uint64_t matched = 0;
     std::uint64_t edges = 0;
     const std::size_t scanned = active.size();
     for (const StateId q : active) {
-        if (!cnfa.label(q).test(s))
+        if (!((row[q >> 6] >> (q & 63)) & 1))
             continue;
-        ++stats.matches;
-        ++stats.succRows;
+        ++matched;
         if (cnfa.reporting(q))
-            events.push_back(
-                ReportEvent{offsetCursor, q, cnfa.reportCode(q)});
+            events.push_back(ReportEvent{offset, q, cnfa.reportCode(q)});
         const auto [begin, end] = cnfa.successors(q);
         edges += static_cast<std::uint64_t>(end - begin);
         for (const StateId *t = begin; t != end; ++t) {
@@ -81,22 +164,174 @@ FunctionalEngine::step(Symbol s)
     if (startsEnabled) {
         stats.matches += cnfa.startMatchCount(s);
         for (const auto &sr : cnfa.startReports(s))
-            events.push_back(ReportEvent{offsetCursor, sr.state,
-                                         sr.code});
+            events.push_back(ReportEvent{offset, sr.state, sr.code});
         for (const StateId t : cnfa.startEnables(s))
             if (scratch->claim(t))
                 next.push_back(t);
     }
-    // Datapath cost: one 256-bit label bitmap probed per scanned
-    // active state plus the successor ids actually walked — traffic
-    // proportional to activity, not to automaton size.
+    stats.matches += matched;
+    stats.succRows += matched;
+    // Datapath cost: one label probe per scanned active state (charged
+    // as the 32-byte label it tests) plus the successor ids actually
+    // walked — traffic proportional to activity, not to automaton size.
     stats.maskWords += scanned;
     stats.bytesTouched += 32ull * scanned + 4ull * (edges + scanned);
     active.swap(next);
-    stats.enables += active.size();
-    ++stats.densityOctiles[densityOctile(active.size(), cnfa.size())];
+}
+
+FunctionalEngine::FunctionalEngine(const CompiledNfa &compiled,
+                                   bool starts_enabled,
+                                   EngineScratch *shared_scratch)
+    : cnfa(compiled), startsEnabled(starts_enabled),
+      list(compiled, starts_enabled, shared_scratch)
+{
+}
+
+void
+FunctionalEngine::reset(const std::vector<StateId> &initial_active,
+                        std::uint64_t offset_base)
+{
+    events.clear();
+    stats = EngineCounters{};
+    offsetCursor = offset_base;
+    overwriteActive(initial_active);
+}
+
+void
+FunctionalEngine::overwriteActive(const std::vector<StateId> &vector)
+{
+    list.assign(vector);
+    onBits = false;
+    sortedValid = false;
+}
+
+void
+FunctionalEngine::promote()
+{
+    const std::size_t words = cnfa.words();
+    bits.assign(words, 0);
+    nextBits.resize(words);
+    for (const StateId q : list.states())
+        setBit(bits.data(), q);
+    bitCount = list.states().size();
+    onBits = true;
+}
+
+void
+FunctionalEngine::demote()
+{
+    list.assignBits(bits.data(), bits.size());
+    onBits = false;
+}
+
+void
+FunctionalEngine::step(Symbol s)
+{
+    sortedValid = false;
+    const std::size_t words = cnfa.words();
+    if (!onBits) {
+        const std::size_t active = list.states().size();
+        if (active > 0 && active >= kPromoteActivePerWord * words)
+            promote();
+    } else if (kDemoteWordsPerActive * bitCount < words) {
+        demote();
+    }
+    if (onBits)
+        shiftStep(s);
+    else
+        list.step(s, offsetCursor, events, stats);
+    const std::size_t active = activeCount();
+    stats.enables += active;
+    ++stats.densityOctiles[densityOctile(active, cnfa.size())];
     ++stats.symbols;
     ++offsetCursor;
+}
+
+/**
+ * next = OR_k((active & match[s] & class_k) << offset_k), plus the
+ * successor rows of matched exception states and, with starts live,
+ * the AllInput starts' enables with the AllInput starts themselves
+ * masked out.
+ */
+void
+FunctionalEngine::shiftStep(Symbol s)
+{
+    const std::size_t words = cnfa.words();
+    std::uint64_t *matched_bits = bits.data();
+    const std::uint64_t *row = cnfa.matchRow(s);
+    std::uint64_t matched = 0;
+    for (std::size_t w = 0; w < words; ++w) {
+        matched_bits[w] &= row[w];
+        matched += popcount64(matched_bits[w]);
+    }
+    std::uint64_t *next = nextBits.data();
+    std::fill(next, next + words, 0);
+    // Bitset words read per word of the state vector: the active set
+    // and the match row, then one per mask pass below.
+    std::uint64_t passes = 2;
+    std::uint64_t exception_rows = 0;
+    std::uint64_t exception_edges = 0;
+    if (matched) {
+        for (const ShiftClass &k : cnfa.shiftClasses())
+            orShifted(next, matched_bits, k.sources.data(), words,
+                      k.offset);
+        passes += cnfa.shiftClasses().size();
+        if (cnfa.hasReporting()) {
+            ++passes;
+            const std::uint64_t *report = cnfa.reportMask().data();
+            for (std::size_t w = 0; w < words; ++w)
+                for (std::uint64_t v = matched_bits[w] & report[w]; v;
+                     v &= v - 1) {
+                    const auto q = static_cast<StateId>(
+                        w * 64 + std::countr_zero(v));
+                    events.push_back(ReportEvent{offsetCursor, q,
+                                                 cnfa.reportCode(q)});
+                }
+        }
+        if (cnfa.hasExceptions()) {
+            ++passes;
+            const std::uint64_t *exc = cnfa.exceptionMask().data();
+            for (std::size_t w = 0; w < words; ++w)
+                for (std::uint64_t v = matched_bits[w] & exc[w]; v;
+                     v &= v - 1) {
+                    const auto q = static_cast<StateId>(
+                        w * 64 + std::countr_zero(v));
+                    const auto [begin, end] = cnfa.successors(q);
+                    ++exception_rows;
+                    exception_edges +=
+                        static_cast<std::uint64_t>(end - begin);
+                    for (const StateId *t = begin; t != end; ++t)
+                        setBit(next, *t);
+                }
+        }
+    }
+    if (startsEnabled) {
+        stats.matches += cnfa.startMatchCount(s);
+        for (const auto &sr : cnfa.startReports(s))
+            events.push_back(ReportEvent{offsetCursor, sr.state, sr.code});
+        for (const StateId t : cnfa.startEnables(s))
+            setBit(next, t);
+    }
+    std::uint64_t count = 0;
+    if (startsEnabled && cnfa.hasAllInputStarts()) {
+        ++passes;
+        const std::uint64_t *all_input = cnfa.allInputMask().data();
+        for (std::size_t w = 0; w < words; ++w) {
+            next[w] &= ~all_input[w];
+            count += popcount64(next[w]);
+        }
+    } else {
+        for (std::size_t w = 0; w < words; ++w)
+            count += popcount64(next[w]);
+    }
+    stats.matches += matched;
+    stats.succRows += matched;
+    stats.maskWords += bitCount;
+    stats.bytesTouched += 8ull * words * passes +
+                          4ull * (exception_rows + exception_edges);
+    ++stats.shiftSteps;
+    bits.swap(nextBits);
+    bitCount = static_cast<std::size_t>(count);
 }
 
 void
@@ -110,8 +345,14 @@ const std::vector<StateId> &
 FunctionalEngine::sortedActive() const
 {
     if (!sortedValid) {
-        sortedCache = active;
-        std::sort(sortedCache.begin(), sortedCache.end());
+        if (onBits) {
+            sortedCache.clear();
+            forEachBit(bits.data(), bits.size(),
+                       [&](StateId q) { sortedCache.push_back(q); });
+        } else {
+            sortedCache = list.states();
+            std::sort(sortedCache.begin(), sortedCache.end());
+        }
         sortedValid = true;
     }
     return sortedCache;
@@ -127,18 +368,34 @@ std::uint64_t
 FunctionalEngine::stateHash() const
 {
     std::uint64_t h = 0xcbf29ce484222325ull;
-    for (const StateId q : sortedActive()) {
+    const auto mix = [&h](StateId q) {
         h ^= q;
         h *= 0x100000001b3ull;
-    }
+    };
+    if (onBits)
+        forEachBit(bits.data(), bits.size(), mix);
+    else
+        for (const StateId q : sortedActive())
+            mix(q);
     return h;
 }
 
 bool
 FunctionalEngine::sameActiveSet(const FunctionalEngine &other) const
 {
-    return other.active.size() == active.size() &&
-           sortedActive() == other.sortedActive();
+    if (other.activeCount() != activeCount())
+        return false;
+    if (onBits && other.onBits)
+        return bits == other.bits;
+    if (onBits != other.onBits) {
+        // Equal sizes, so the list is the set iff every member is set.
+        const FunctionalEngine &dense = onBits ? *this : other;
+        const FunctionalEngine &sparse = onBits ? other : *this;
+        return std::all_of(sparse.list.states().begin(),
+                           sparse.list.states().end(),
+                           [&](StateId q) { return dense.hasBit(q); });
+    }
+    return sortedActive() == other.sortedActive();
 }
 
 std::vector<ReportEvent>

@@ -1,19 +1,29 @@
 /**
  * @file
- * Sparse-active-set NFA interpreter, the one execution engine. One
+ * The one execution engine, an NFA interpreter with two datapaths. One
  * engine instance corresponds to one AP execution context (one flow):
  * it owns an active-state set, consumes symbols, and produces report
  * events. Start-state machinery can be disabled for enumeration flows,
  * whose spontaneous-start activity is carried by the Active State
  * Group flow instead (Section 3.3.2 of the paper).
  *
+ * Each step runs on one of two datapaths, chosen from the live active
+ * count: a sparse list (one label probe per active state, one edge
+ * walk per matched state) while activity is low, and a shift step
+ * over a state bitset (the matched set moved along each offset class
+ * of CompiledNfa with one shifted OR, the AP's routing matrix applied
+ * to every enabled STE at once) while it is high. Which one ran is
+ * invisible to every observer below.
+ *
  * What the layers above rely on:
  *  - snapshot() returns the active set sorted ascending;
  *  - stateHash() is the FNV-1a hash of the sorted active ids, so equal
  *    sets hash equal however they were reached;
- *  - reports() hold the events in emission order, which every
- *    consumer erases via sortAndDedupReports before comparing or
- *    persisting.
+ *  - reports() hold the events in emission order, which differs
+ *    between the datapaths; every consumer erases it via
+ *    sortAndDedupReports, or a stable sort by (offset, state), before
+ *    comparing, persisting or picking an event by index;
+ *  - the result counters are the same on both datapaths.
  * FIVs, composition, convergence checks and checkpoint files are built
  * on these.
  */
@@ -38,10 +48,13 @@ namespace pap {
  * so they stay on in every build.
  *
  * symbols/matches/enables are *result* counters: set cardinalities,
- * never visit orders. The introspection fields below estimate the
- * *cost* of the datapath: how much automaton and state-vector memory
- * the engine touches to produce that result. densityOctiles derives
- * from the per-step active-set cardinality, so it is a result too.
+ * never visit orders. succRows and maskWords count the sparse step's
+ * work, which is a set cardinality too (matched and scanned states),
+ * so both datapaths produce the same values. bytesTouched and
+ * shiftSteps estimate the *cost* of the datapath that actually ran:
+ * how much automaton and state-vector memory the engine touches to
+ * produce that result. densityOctiles derives from the per-step
+ * active-set cardinality, so it is a result too.
  */
 struct EngineCounters
 {
@@ -53,14 +66,20 @@ struct EngineCounters
     std::uint64_t enables = 0;
 
     // --- Datapath introspection (cost estimates) ---
-    /** Successor edge lists walked, one per matched state. */
+    /** Successor edge lists a sparse step walks, one per matched
+     *  state; counted the same on a shift step, so a result too. */
     std::uint64_t succRows = 0;
-    /** Label bitmaps tested, one per scanned active state. */
+    /** Label probes a sparse step makes, one per scanned active
+     *  state; counted the same on a shift step, so a result too. */
     std::uint64_t maskWords = 0;
     /** Estimated automaton + state-vector bytes read. This is the
      *  measured form of the large-NFA cache cliff: when bytes per
-     *  symbol outgrow the cache, throughput collapses. */
+     *  symbol outgrow the cache, throughput collapses. A sparse step
+     *  charges per active state and edge walked, a shift step the
+     *  bitset words it reads. */
     std::uint64_t bytesTouched = 0;
+    /** Steps that ran on the shift datapath. */
+    std::uint64_t shiftSteps = 0;
     /** Histogram of per-step active density: octile k counts steps
      *  with active/states in [k/8, (k+1)/8). */
     std::array<std::uint64_t, 8> densityOctiles{};
@@ -113,6 +132,59 @@ class EngineScratch
     std::uint32_t epoch = 0;
 };
 
+/**
+ * The sparse datapath: an unsorted list of active states, stepped with
+ * one label probe per state and one edge walk per matched state, in
+ * discovery order. FunctionalEngine runs it while activity is low.
+ * generateTrace samples the list by index, so its traces (and every
+ * benchmark input) depend on this order; it steps this type directly
+ * rather than the engine, whose list order changes once the engine
+ * has moved to the shift datapath and back.
+ */
+class SparseActiveList
+{
+  public:
+    /**
+     * @param cnfa compiled automaton (must outlive the list).
+     * @param starts_enabled as for FunctionalEngine.
+     * @param scratch shared dedup scratch; if null the list owns one.
+     */
+    SparseActiveList(const CompiledNfa &cnfa, bool starts_enabled,
+                     EngineScratch *scratch = nullptr);
+
+    /**
+     * Replace the list with @p states, dropping duplicates and, when
+     * start machinery is live, AllInput starts (they would be
+     * double-processed).
+     */
+    void assign(const std::vector<StateId> &states);
+
+    /**
+     * Consume @p s: append the reports of matched reporting states to
+     * @p events at @p offset and add the step's matches, succRows,
+     * maskWords and bytesTouched to @p stats.
+     */
+    void step(Symbol s, std::uint64_t offset,
+              std::vector<ReportEvent> &events, EngineCounters &stats);
+
+    /**
+     * Replace the list with the set bits of @p bits (@p words words),
+     * in ascending order.
+     */
+    void assignBits(const std::uint64_t *bits, std::size_t words);
+
+    /** The active states in discovery order. */
+    const std::vector<StateId> &states() const { return active; }
+
+  private:
+    const CompiledNfa &cnfa;
+    const bool startsEnabled;
+    std::unique_ptr<EngineScratch> ownedScratch;
+    EngineScratch *scratch;
+    std::vector<StateId> active;
+    std::vector<StateId> next;
+};
+
 /** One execution context over a CompiledNfa. */
 class FunctionalEngine
 {
@@ -152,10 +224,14 @@ class FunctionalEngine
     void run(const Symbol *data, std::size_t len);
 
     /** True if the active set is empty (the flow is unproductive). */
-    bool dead() const { return active.empty(); }
+    bool dead() const { return activeCount() == 0; }
 
     /** Number of currently active states. */
-    std::size_t activeCount() const { return active.size(); }
+    std::size_t
+    activeCount() const
+    {
+        return onBits ? bitCount : list.states().size();
+    }
 
     /** Sorted copy of the active set (the flow's state vector). */
     std::vector<StateId> snapshot() const;
@@ -165,7 +241,8 @@ class FunctionalEngine
 
     /**
      * True iff this engine's active set equals @p other's: the SVC
-     * convergence comparator, a compare of the cached sorted ids.
+     * convergence comparator. Two bitsets compare word by word, a
+     * list against a bitset by membership, two lists as sorted ids.
      */
     bool sameActiveSet(const FunctionalEngine &other) const;
 
@@ -181,10 +258,20 @@ class FunctionalEngine
     /** Performance counters. */
     const EngineCounters &counters() const { return stats; }
 
-    /** Unsorted view of the active set (cheap; for sampling). */
-    const std::vector<StateId> &activeRaw() const { return active; }
-
   private:
+    /** Move the active list into the bitset. */
+    void promote();
+    /** Move the bitset into the active list, in state order. */
+    void demote();
+    /** One step on the bitset. */
+    void shiftStep(Symbol s);
+    /** True if state @p q is set in the bitset. */
+    bool
+    hasBit(StateId q) const
+    {
+        return (bits[q >> 6] >> (q & 63)) & 1;
+    }
+
     /**
      * Sorted view of the active set, computed lazily and cached until
      * the next mutation, so convergence checks (which call snapshot /
@@ -195,10 +282,12 @@ class FunctionalEngine
 
     const CompiledNfa &cnfa;
     const bool startsEnabled;
-    std::unique_ptr<EngineScratch> ownedScratch;
-    EngineScratch *scratch;
-    std::vector<StateId> active;
-    std::vector<StateId> next;
+    SparseActiveList list;
+    /** True while the active set lives in bits (the shift datapath). */
+    bool onBits = false;
+    std::vector<std::uint64_t> bits;
+    std::vector<std::uint64_t> nextBits;
+    std::size_t bitCount = 0;
     mutable std::vector<StateId> sortedCache;
     mutable bool sortedValid = false;
     std::uint64_t offsetCursor = 0;

@@ -242,6 +242,15 @@ FaultInjector::onReportDrain(std::vector<ReportEvent> &reports,
     std::lock_guard<std::mutex> lock(*mutex_);
     Rng &stream = segmentRng(segment);
     std::uint64_t removed = 0;
+    // Pick by index in (offset, state) order, not emission order: the
+    // engine's two datapaths emit a step's reports in different orders,
+    // and a seed must hit the same report whichever ran. Duplicates
+    // stay; the entry count feeds the modeled report cost.
+    std::stable_sort(reports.begin(), reports.end(),
+                     [](const ReportEvent &a, const ReportEvent &b) {
+                         return a.offset != b.offset ? a.offset < b.offset
+                                                     : a.state < b.state;
+                     });
     if (!reports.empty() && tryFire(FaultKind::DropReport, stream)) {
         const std::size_t idx = stream.nextBelow(reports.size());
         reports.erase(reports.begin() +

@@ -170,7 +170,9 @@ class FaultInjector
 
     /**
      * Possibly drop one entry and/or truncate the tail of a finished
-     * flow's report list (drawn from the @p segment stream). Returns
+     * flow's report list (drawn from the @p segment stream). The list
+     * is first stable-sorted by (offset, state), so the entries lost
+     * do not depend on the order the engine emitted them in. Returns
      * the number of events removed.
      */
     std::uint64_t onReportDrain(std::vector<ReportEvent> &reports,

@@ -141,7 +141,7 @@ runMultiStream(const Nfa &nfa, const std::vector<InputTrace> &streams,
         result.reports[i] = std::move(raw[i]);
         sortAndDedupReports(result.reports[i]);
         const SequentialResult solo =
-            runSequential(nfa, streams[i], options);
+            runSequential(cnfa, streams[i], options);
         if (result.reports[i] != solo.reports) {
             warn("multiplexed stream ", i, " diverged from its "
                  "standalone execution; recovering the standalone "

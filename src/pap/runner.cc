@@ -30,8 +30,15 @@ SequentialResult
 runSequential(const Nfa &nfa, const InputTrace &input,
               const PapOptions &options)
 {
-    PAP_TRACE_SCOPE("pap.sequential");
     const CompiledNfa cnfa(nfa);
+    return runSequential(cnfa, input, options);
+}
+
+SequentialResult
+runSequential(const CompiledNfa &cnfa, const InputTrace &input,
+              const PapOptions &options)
+{
+    PAP_TRACE_SCOPE("pap.sequential");
     FunctionalEngine engine(cnfa, /*starts=*/true);
     engine.reset(cnfa.initialActive(), 0);
     engine.run(input.begin(), input.size());
@@ -130,6 +137,7 @@ recordRunMetrics(const PapResult &result)
     m.add("engine.counters.succ_rows", result.engineSuccRows);
     m.add("engine.counters.mask_words", result.engineMaskWords);
     m.add("engine.counters.bytes_touched", result.engineBytesTouched);
+    m.add("engine.counters.shift_steps", result.engineShiftSteps);
     if (result.engineBytesPerSymbol > 0.0)
         m.setGauge("engine.counters.bytes_per_symbol",
                    result.engineBytesPerSymbol);
@@ -302,17 +310,6 @@ PapRun::PapRun(const Nfa &nfa, const InputTrace &input,
       injector(options.faultInjector), sink(obs::tracer()),
       t0(std::chrono::steady_clock::now())
 {
-    // The golden sequential execution (Section 3.4) verifies the
-    // composed reports and supplies the baseline cycles. It runs on
-    // its own thread, so analysis, partitioning, planning and
-    // execution run beside it. Its own time is the aux bucket
-    // "baseline"; the composer's wait for it is the wall bucket
-    // "baseline.wait".
-    oracle = std::async(std::launch::async, [this] {
-        obs::Phase phase(sink, "pap.baseline", &ledger, "baseline",
-                         /*aux=*/true);
-        return runSequential(this->nfa, this->input, this->options);
-    });
 }
 
 /** Join the oracle (once) and take what the result needs from it. */
@@ -343,7 +340,10 @@ PapRun::adoptSequential(bool degraded)
     return false;
 }
 
-/** Static analysis and placement. */
+/**
+ * Compile the automaton once for the whole run, analyze and place it,
+ * then start the oracle on the compiled automaton.
+ */
 bool
 PapRun::analyze()
 {
@@ -363,6 +363,19 @@ PapRun::analyze()
                                    input.size() / min_seg)));
     describeRun(result, nfa, num_segments, placement);
     phase.close();
+
+    // The golden sequential execution (Section 3.4) verifies the
+    // composed reports and supplies the baseline cycles. It runs on
+    // its own thread, so partitioning, planning and execution run
+    // beside it. Its own time is the aux bucket "baseline"; the
+    // composer's wait for it is the wall bucket "baseline.wait". It
+    // starts once the analysis is done: running beside it, it slowed
+    // connectedComponents by about a third.
+    oracle = std::async(std::launch::async, [this] {
+        obs::Phase oracle_phase(sink, "pap.baseline", &ledger, "baseline",
+                                /*aux=*/true);
+        return runSequential(*cnfa, input, options);
+    });
     return num_segments > 1 || adoptSequential(/*degraded=*/false);
 }
 
@@ -652,6 +665,7 @@ PapRun::composeSegment(std::size_t j, const exec::TaskReport &tr)
         result.engineSuccRows += rec.counters.succRows;
         result.engineMaskWords += rec.counters.maskWords;
         result.engineBytesTouched += rec.counters.bytesTouched;
+        result.engineShiftSteps += rec.counters.shiftSteps;
         for (std::size_t k = 0; k < seg_octiles.size(); ++k) {
             seg_octiles[k] += rec.counters.densityOctiles[k];
             result.engineDensityOctiles[k] +=

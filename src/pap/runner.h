@@ -18,6 +18,7 @@
 
 #include "ap/ap_config.h"
 #include "common/error.h"
+#include "engine/compiled_nfa.h"
 #include "engine/report.h"
 #include "engine/trace.h"
 #include "nfa/nfa.h"
@@ -37,7 +38,12 @@ struct SequentialResult
     std::uint64_t matches = 0;
 };
 
-/** Run @p nfa sequentially over @p input. */
+/** Run @p cnfa sequentially over @p input. */
+SequentialResult runSequential(const CompiledNfa &cnfa,
+                               const InputTrace &input,
+                               const PapOptions &options = {});
+
+/** Compile @p nfa and run it sequentially over @p input. */
 SequentialResult runSequential(const Nfa &nfa, const InputTrace &input,
                                const PapOptions &options = {});
 
@@ -174,6 +180,8 @@ struct PapResult
     std::uint64_t engineSuccRows = 0;
     std::uint64_t engineMaskWords = 0;
     std::uint64_t engineBytesTouched = 0;
+    /** Flow steps that ran on the engine's shift datapath. */
+    std::uint64_t engineShiftSteps = 0;
     /** bytesTouched / flowSymbolCycles (0 when no flows ran). */
     double engineBytesPerSymbol = 0.0;
     /** Per-step active-density histogram summed over flows. */

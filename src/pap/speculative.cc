@@ -55,7 +55,7 @@ runSpeculative(const Nfa &nfa, const InputTrace &input,
 
     PapOptions base;
     base.reportCostCyclesPerEvent = options.reportCostCyclesPerEvent;
-    const SequentialResult seq = runSequential(nfa, input, base);
+    const SequentialResult seq = runSequential(cnfa, input, base);
     result.baselineCycles = seq.cycles;
 
     if (num_segments == 1) {

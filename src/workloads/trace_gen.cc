@@ -15,8 +15,12 @@ generateTrace(const Nfa &nfa, std::uint64_t len,
                "trace generator needs a base alphabet");
     Rng rng(seed);
     CompiledNfa cnfa(nfa);
-    FunctionalEngine engine(cnfa, /*starts=*/true);
-    engine.reset(cnfa.initialActive(), 0);
+    // The sparse datapath alone: the walk below samples its list by
+    // index, so the trace depends on the list's discovery order.
+    SparseActiveList engine(cnfa, /*starts=*/true);
+    engine.assign(cnfa.initialActive());
+    std::vector<ReportEvent> reports;
+    EngineCounters counters;
 
     std::vector<Symbol> out(len);
     for (std::uint64_t i = 0; i < len; ++i) {
@@ -24,12 +28,12 @@ generateTrace(const Nfa &nfa, std::uint64_t len,
         if (options.separatorPeriod &&
             i % options.separatorPeriod == options.separatorPeriod - 1) {
             sym = options.separator;
-        } else if (!engine.activeRaw().empty() &&
+        } else if (!engine.states().empty() &&
                    rng.nextBool(options.pm)) {
             // Extend the traversal of a random active state: emit a
             // symbol its label matches, so the state fires and its
             // successors activate (depth-wise walk).
-            const auto &active = engine.activeRaw();
+            const auto &active = engine.states();
             const StateId q = active[rng.nextBelow(active.size())];
             const CharClass &cls = cnfa.label(q);
             const int members = cls.count();
@@ -45,7 +49,8 @@ generateTrace(const Nfa &nfa, std::uint64_t len,
                 options.baseAlphabet.size())];
         }
         out[i] = sym;
-        engine.step(sym);
+        engine.step(sym, i, reports, counters);
+        reports.clear();
     }
     return InputTrace(std::move(out));
 }

@@ -18,6 +18,8 @@
 
 #include "ap/ap_config.h"
 #include "common/rng.h"
+#include "engine/compiled_nfa.h"
+#include "engine/functional_engine.h"
 #include "engine/trace.h"
 #include "nfa/glushkov.h"
 #include "obs/attrib.h"
@@ -278,16 +280,36 @@ TEST(AttribRun, EngineCountersAreBackendInvariantWhereContracted)
         octile_steps += n;
     EXPECT_EQ(octile_steps, r.flowSymbolCycles);
 
-    // Datapath cost is always populated.
+    // Datapath cost is always populated. The automaton fits in one
+    // bitset word, so an active state or more puts a flow on the
+    // shift datapath: this run takes shift steps.
     EXPECT_GT(r.engineSuccRows, 0u);
     EXPECT_GT(r.engineMaskWords, 0u);
     EXPECT_GT(r.engineBytesTouched, 0u);
     EXPECT_GT(r.engineBytesPerSymbol, 0.0);
+    EXPECT_GT(r.engineShiftSteps, 0u);
+    EXPECT_LE(r.engineShiftSteps, r.flowSymbolCycles);
+
+    // The transition count is a result counter: the bare sparse list
+    // step over the same input counts what the oracle counted,
+    // whichever datapath its steps took.
+    const CompiledNfa cnfa(w.nfa);
+    SparseActiveList list(cnfa, /*starts_enabled=*/true);
+    list.assign(cnfa.initialActive());
+    std::vector<ReportEvent> events;
+    EngineCounters sparse;
+    for (std::size_t i = 0; i < w.input.size(); ++i)
+        list.step(w.input[i], i, events, sparse);
+    EXPECT_EQ(r.seqTransitions, sparse.matches);
+    std::vector<ReportEvent> sparse_reports = events;
+    sortAndDedupReports(sparse_reports);
+    EXPECT_EQ(r.reports, sparse_reports);
 
     // recordRunMetrics folded the same numbers into the registry.
     EXPECT_GT(obs::metrics().gauge("attrib.wall_ms"), 0.0);
     EXPECT_GT(obs::metrics().counter("engine.counters.bytes_touched"),
               0u);
+    EXPECT_GT(obs::metrics().counter("engine.counters.shift_steps"), 0u);
 }
 
 TEST(AttribRun, SumsToWallUnderEveryFaultKind)

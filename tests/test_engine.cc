@@ -1,6 +1,6 @@
 /**
  * @file
- * Execution engine tests: the fast sparse engine against the
+ * Execution engine tests: the engine against the
  * reference semantics, enumeration-flow mode (starts disabled), the
  * union-decomposability property that justifies flow merging, shared
  * scratch correctness, snapshots and hashes, the state-vector

@@ -133,6 +133,37 @@ TEST(FaultInjection, CorruptVectorTogglesExactlyOneState)
     }
 }
 
+TEST(FaultInjection, ReportDrainLosesTheSameEntriesInAnyEmissionOrder)
+{
+    // The engine's list and shift datapaths emit one step's reports in
+    // different orders (discovery order vs state order). The same seed
+    // must drop and truncate the same entries for either order, and
+    // keep duplicates, whose count is the modeled report cost.
+    const std::vector<ReportEvent> state_order = {
+        {7, 2, 1}, {7, 5, 1}, {7, 9, 2}, {7, 9, 2}, {7, 12, 3},
+        {8, 1, 1}, {8, 4, 2}, {8, 30, 2}, {9, 6, 1}, {9, 11, 4}};
+    std::vector<ReportEvent> discovery_order = {
+        state_order[4], state_order[1], state_order[3], state_order[0],
+        state_order[2], state_order[7], state_order[5], state_order[6],
+        state_order[9], state_order[8]};
+    for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+        auto a = FaultInjector::fromSpec(
+                     "drop-report:1:1.0,truncate-report:1:1.0", seed)
+                     .value();
+        auto b = FaultInjector::fromSpec(
+                     "drop-report:1:1.0,truncate-report:1:1.0", seed)
+                     .value();
+        std::vector<ReportEvent> kept_a = state_order;
+        std::vector<ReportEvent> kept_b = discovery_order;
+        const std::uint64_t lost_a = a.onReportDrain(kept_a, 3);
+        const std::uint64_t lost_b = b.onReportDrain(kept_b, 3);
+        EXPECT_GE(lost_a, 1u) << "seed " << seed;
+        EXPECT_EQ(lost_a, lost_b) << "seed " << seed;
+        EXPECT_EQ(kept_a.size() + lost_a, state_order.size());
+        EXPECT_EQ(kept_a, kept_b) << "seed " << seed;
+    }
+}
+
 TEST(FaultInjection, BudgetAndRateGateInjection)
 {
     auto fi = FaultInjector::fromSpec("evict-svc:2", 9).value();
