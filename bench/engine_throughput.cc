@@ -210,9 +210,13 @@ main(int argc, char **argv)
     };
     // High density: wide labels, everything seeded. Low density: a
     // sparse core of always-matching drivers among narrow-label states
-    // — the regime large rulesets live in. SPM-shaped: self-loops and
-    // next-state edges only, at about 7% density, near the 8% of SPM's
-    // 4-rank flows: the regime the shift datapath is for.
+    // — the regime large rulesets live in. Very low density: the same
+    // with a 16x wider driver and seed stride, so fewer than one state
+    // per 64-bit word is active and every step runs on the sparse
+    // list, the datapath of regex_suite, serve_ids and trace
+    // generation. SPM-shaped: self-loops and next-state edges only, at
+    // about 7% density, near the 8% of SPM's 4-rank flows: the regime
+    // the shift datapath is for.
     const std::vector<Config> configs = {
         {64, 7, 0, 1, "high-density"},
         {256, 7, 0, 1, "high-density"},
@@ -224,6 +228,9 @@ main(int argc, char **argv)
         {4096, 1, 64, 64, "low-density"},
         {16384, 1, 64, 64, "low-density"},
         {65536, 1, 64, 64, "low-density"},
+        {4096, 1, 1024, 1024, "very-low-density"},
+        {16384, 1, 1024, 1024, "very-low-density"},
+        {65536, 1, 1024, 1024, "very-low-density"},
         {1024, 4, 64, 64, "spm-shaped", true},
         {4096, 4, 64, 64, "spm-shaped", true},
         {16384, 4, 64, 64, "spm-shaped", true},
@@ -231,7 +238,7 @@ main(int argc, char **argv)
     };
 
     std::vector<Row> rows;
-    std::printf("%8s  %-12s  %8s  %12s  %10s  %6s\n", "states", "workload",
+    std::printf("%8s  %-16s  %8s  %12s  %10s  %6s\n", "states", "workload",
                 "density", "sym/s", "B/sym", "shift");
     for (const Config &cfg : configs) {
         Rng rng(0xe47 + cfg.states + cfg.octiles);
@@ -250,7 +257,7 @@ main(int argc, char **argv)
         rows.push_back(Row{cfg.states, cfg.workload, ms.activeDensity,
                            ms.symbolsPerSec, ms.bytesPerSymbol,
                            ms.shiftStepFrac});
-        std::printf("%8zu  %-12s  %7.1f%%  %12.3e  %10.0f  %6.2f\n",
+        std::printf("%8zu  %-16s  %7.1f%%  %12.3e  %10.0f  %6.2f\n",
                     cfg.states, cfg.workload, 100.0 * ms.activeDensity,
                     ms.symbolsPerSec, ms.bytesPerSymbol, ms.shiftStepFrac);
     }

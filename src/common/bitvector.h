@@ -124,6 +124,12 @@ class BitVector
     /** Direct word access for the AP state-vector model. */
     const std::vector<std::uint64_t> &rawWords() const { return words; }
 
+    /**
+     * Mutable word access for word-parallel kernels (the engine's
+     * shift step). Callers keep the bits past size() clear.
+     */
+    std::uint64_t *wordData() { return words.data(); }
+
   private:
     std::size_t numBits = 0;
     std::vector<std::uint64_t> words;

@@ -37,12 +37,6 @@ transpose64(std::uint64_t *a)
     swapBlocks<1>(a, 0x5555555555555555ull);
 }
 
-void
-setBit(std::vector<std::uint64_t> &bits, StateId q)
-{
-    bits[q >> 6] |= std::uint64_t{1} << (q & 63);
-}
-
 /** The offset t - q of the edge q -> t. */
 std::int64_t
 edgeOffset(StateId q, StateId t)
@@ -86,10 +80,11 @@ class OffsetCensus
             if (n > 0 && n >= min_edges)
                 offsets.push_back(d);
         }
-        std::stable_sort(offsets.begin(), offsets.end(),
-                         [&](std::int64_t a, std::int64_t b) {
-                             return count(a) > count(b);
-                         });
+        std::sort(offsets.begin(), offsets.end(),
+                  [&](std::int64_t a, std::int64_t b) {
+                      return count(a) != count(b) ? count(a) > count(b)
+                                                  : a < b;
+                  });
         if (offsets.size() > max)
             offsets.resize(max);
         return offsets;
@@ -163,8 +158,8 @@ CompiledNfa::CompiledNfa(const Nfa &source_nfa) : nfa(source_nfa)
     wordCount = (n + 63) / 64;
     matchRows.assign(kAlphabetSize * wordCount, 0);
     reportCodes.assign(n, kNoReport);
-    reportBits.assign(wordCount, 0);
-    allInputBits.assign(wordCount, 0);
+    reportBits = BitVector(n);
+    allInputBits = BitVector(n);
     rowOffset.assign(n + 1, 0);
     targets.reserve(nfa.edgeCount());
 
@@ -178,13 +173,10 @@ CompiledNfa::CompiledNfa(const Nfa &source_nfa) : nfa(source_nfa)
             PAP_ASSERT(s.reportCode != kNoReport,
                        "report code ", s.reportCode, " is reserved");
             reportCodes[q] = s.reportCode;
-            setBit(reportBits, q);
-            ++reportingCount;
+            reportBits.set(q);
         }
-        if (s.start == StartType::AllInput) {
-            setBit(allInputBits, q);
-            ++allInputCount;
-        }
+        if (s.start == StartType::AllInput)
+            allInputBits.set(q);
         if (s.start == StartType::StartOfData)
             startOfDataStates.push_back(q);
         rowOffset[q] = static_cast<std::uint32_t>(targets.size());
@@ -235,8 +227,7 @@ CompiledNfa::buildShiftClasses(const std::vector<std::int64_t> &offsets)
 {
     const std::size_t n = nfa.size();
     for (const std::int64_t d : offsets)
-        classes.push_back(
-            ShiftClass{d, std::vector<std::uint64_t>(wordCount, 0)});
+        classes.push_back(ShiftClass{d, BitVector(n)});
     // An edge is an exception when no class has its offset.
     const auto class_of = [&](StateId q, StateId t) -> ShiftClass * {
         const std::int64_t d = edgeOffset(q, t);
@@ -245,15 +236,13 @@ CompiledNfa::buildShiftClasses(const std::vector<std::int64_t> &offsets)
                 return &k;
         return nullptr;
     };
-    exceptionBits.assign(wordCount, 0);
+    exceptionBits = BitVector(n);
     for (StateId q = 0; q < n; ++q) {
         for (std::uint32_t e = rowOffset[q]; e < rowOffset[q + 1]; ++e) {
-            if (ShiftClass *k = class_of(q, targets[e])) {
-                setBit(k->sources, q);
-            } else {
-                setBit(exceptionBits, q);
-                ++exceptionCount;
-            }
+            if (ShiftClass *k = class_of(q, targets[e]))
+                k->sources.set(q);
+            else
+                exceptionBits.set(q);
         }
     }
 }

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/bitvector.h"
 #include "common/charclass.h"
 #include "common/types.h"
 #include "nfa/nfa.h"
@@ -28,14 +29,14 @@ struct StartReport
 };
 
 /**
- * The edges q -> q + offset of every source state q set in @p sources
- * (one bit per state, words() words). A shift step moves all of them
- * with one shifted OR of the matched set.
+ * The edges q -> q + offset of every source state q set in @p sources.
+ * A shift step moves all of them with one shifted OR of the matched
+ * set.
  */
 struct ShiftClass
 {
     std::int64_t offset = 0;
-    std::vector<std::uint64_t> sources;
+    BitVector sources;
 };
 
 /** Immutable compiled form of a homogeneous NFA. */
@@ -77,7 +78,7 @@ class CompiledNfa
     bool
     isAllInputStart(StateId q) const
     {
-        return (allInputBits[q >> 6] >> (q & 63)) & 1;
+        return (allInputBits.rawWords()[q >> 6] >> (q & 63)) & 1;
     }
 
     /** Successors of @p q as a contiguous span. */
@@ -95,31 +96,13 @@ class CompiledNfa
      * Bitset of the states with an edge no shift class covers: a shift
      * step walks their whole successor row.
      */
-    const std::vector<std::uint64_t> &exceptionMask() const
-    {
-        return exceptionBits;
-    }
-
-    /** True if some edge is outside every shift class. */
-    bool hasExceptions() const { return exceptionCount > 0; }
+    const BitVector &exceptionMask() const { return exceptionBits; }
 
     /** Bitset of the reporting states. */
-    const std::vector<std::uint64_t> &reportMask() const
-    {
-        return reportBits;
-    }
-
-    /** True if some state reports. */
-    bool hasReporting() const { return reportingCount > 0; }
+    const BitVector &reportMask() const { return reportBits; }
 
     /** Bitset of the AllInput starts. */
-    const std::vector<std::uint64_t> &allInputMask() const
-    {
-        return allInputBits;
-    }
-
-    /** True if some state is an AllInput start. */
-    bool hasAllInputStarts() const { return allInputCount > 0; }
+    const BitVector &allInputMask() const { return allInputBits; }
 
     /**
      * States enabled for the next cycle because an AllInput start
@@ -156,15 +139,12 @@ class CompiledNfa
     /** kAlphabetSize rows of wordCount words, symbol-major. */
     std::vector<std::uint64_t> matchRows;
     std::vector<ReportCode> reportCodes;
-    std::vector<std::uint64_t> reportBits;
-    std::vector<std::uint64_t> allInputBits;
-    std::size_t reportingCount = 0;
-    std::size_t allInputCount = 0;
+    BitVector reportBits;
+    BitVector allInputBits;
     std::vector<std::uint32_t> rowOffset;
     std::vector<StateId> targets;
     std::vector<ShiftClass> classes;
-    std::vector<std::uint64_t> exceptionBits;
-    std::size_t exceptionCount = 0;
+    BitVector exceptionBits;
     std::array<std::vector<StateId>, kAlphabetSize> startNext;
     std::array<std::vector<StartReport>, kAlphabetSize>
         startReportsBySymbol;

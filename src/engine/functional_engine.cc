@@ -10,21 +10,23 @@ namespace pap {
 namespace {
 
 /**
- * Datapath thresholds, in active states per word of the state bitset
- * (CompiledNfa::words()). An engine moves its active set into the
- * bitset when it holds at least one active state per word, and back
- * into the list once fewer than one per four words are active; the
- * gap keeps a flow whose activity hovers at the threshold from
- * converting on every step. Measured on the ANMLZoo suite of the
- * benchmark of record (traced, seed 5, 4-vCPU Xeon): promoting at one
- * state per two words made Protomata's sequential oracle 1.7x slower
- * (about 110 -> 180 ms per pass) and its segments 1.6x slower; one per
- * word and two per word measured the same within noise. SPM's false
- * flows (about 3,550 of 45,225 states active, 5 per word) and the
- * Fermi, Hamming and Levenshtein oracles run on the shift step.
+ * Datapath threshold, in active states per word of the state bitset
+ * (CompiledNfa::words()): a step runs on the shift datapath when at
+ * least this many states per word are active, and on the sparse list
+ * below. Measured on the ANMLZoo suite of the benchmark of record
+ * (seed 5, 4-vCPU Xeon): promoting at one state per two words made
+ * Protomata's traced sequential oracle 1.7x slower (about 110 -> 180
+ * ms per pass) and its segments 1.6x slower; one and two per word
+ * measured the same within noise. Demoting lower than promoting (at
+ * one state per four words) cut SPM's datapath switches from 19 to 4
+ * per 1,000 flow steps, and changed no other automaton's, but gained
+ * nothing: sim_msym_per_s split 2-2 over four 25 s pairs (medians
+ * 0.646 and 0.638 Msym/s), and traced SPM segments, Protomata and the
+ * oracles measured the same within noise. SPM's false flows (about
+ * 3,550 of 45,225 states active, 5 per word) and the Fermi, Hamming
+ * and Levenshtein oracles run on the shift step.
  */
-constexpr std::size_t kPromoteActivePerWord = 1;
-constexpr std::size_t kDemoteWordsPerActive = 4;
+constexpr std::size_t kShiftActivePerWord = 1;
 
 /**
  * Population count without a library call: the x86-64 baseline the
@@ -83,22 +85,6 @@ orShifted(std::uint64_t *dst, const std::uint64_t *x,
     dst[span - 1] |= (in[span - 1] & in_mask[span - 1]) >> bs;
 }
 
-inline void
-setBit(std::uint64_t *bits, StateId q)
-{
-    bits[q >> 6] |= std::uint64_t{1} << (q & 63);
-}
-
-/** Call @p f(q) for every set bit of @p bits[0..n), ascending. */
-template <typename F>
-void
-forEachBit(const std::uint64_t *bits, std::size_t n, F &&f)
-{
-    for (std::size_t w = 0; w < n; ++w)
-        for (std::uint64_t v = bits[w]; v; v &= v - 1)
-            f(static_cast<StateId>(w * 64 + std::countr_zero(v)));
-}
-
 } // namespace
 
 SparseActiveList::SparseActiveList(const CompiledNfa &compiled,
@@ -129,10 +115,11 @@ SparseActiveList::assign(const std::vector<StateId> &states)
 }
 
 void
-SparseActiveList::assignBits(const std::uint64_t *bits, std::size_t words)
+SparseActiveList::assignBits(const BitVector &bits)
 {
     active.clear();
-    forEachBit(bits, words, [&](StateId q) { active.push_back(q); });
+    bits.forEachSet(
+        [&](std::size_t q) { active.push_back(static_cast<StateId>(q)); });
 }
 
 void
@@ -208,11 +195,14 @@ FunctionalEngine::overwriteActive(const std::vector<StateId> &vector)
 void
 FunctionalEngine::promote()
 {
-    const std::size_t words = cnfa.words();
-    bits.assign(words, 0);
-    nextBits.resize(words);
+    if (bits.size() != cnfa.size()) {
+        bits = BitVector(cnfa.size());
+        nextBits = BitVector(cnfa.size());
+    } else {
+        bits.clearAll();
+    }
     for (const StateId q : list.states())
-        setBit(bits.data(), q);
+        bits.set(q);
     bitCount = list.states().size();
     onBits = true;
 }
@@ -220,7 +210,7 @@ FunctionalEngine::promote()
 void
 FunctionalEngine::demote()
 {
-    list.assignBits(bits.data(), bits.size());
+    list.assignBits(bits);
     onBits = false;
 }
 
@@ -228,14 +218,12 @@ void
 FunctionalEngine::step(Symbol s)
 {
     sortedValid = false;
-    const std::size_t words = cnfa.words();
-    if (!onBits) {
-        const std::size_t active = list.states().size();
-        if (active > 0 && active >= kPromoteActivePerWord * words)
-            promote();
-    } else if (kDemoteWordsPerActive * bitCount < words) {
+    const std::size_t live = activeCount();
+    const bool dense = live > 0 && live >= kShiftActivePerWord * cnfa.words();
+    if (dense && !onBits)
+        promote();
+    else if (!dense && onBits)
         demote();
-    }
     if (onBits)
         shiftStep(s);
     else
@@ -257,15 +245,15 @@ void
 FunctionalEngine::shiftStep(Symbol s)
 {
     const std::size_t words = cnfa.words();
-    std::uint64_t *matched_bits = bits.data();
+    std::uint64_t *matched_bits = bits.wordData();
     const std::uint64_t *row = cnfa.matchRow(s);
     std::uint64_t matched = 0;
     for (std::size_t w = 0; w < words; ++w) {
         matched_bits[w] &= row[w];
         matched += popcount64(matched_bits[w]);
     }
-    std::uint64_t *next = nextBits.data();
-    std::fill(next, next + words, 0);
+    nextBits.clearAll();
+    std::uint64_t *next = nextBits.wordData();
     // Bitset words read per word of the state vector: the active set
     // and the match row, then one per mask pass below.
     std::uint64_t passes = 2;
@@ -273,12 +261,12 @@ FunctionalEngine::shiftStep(Symbol s)
     std::uint64_t exception_edges = 0;
     if (matched) {
         for (const ShiftClass &k : cnfa.shiftClasses())
-            orShifted(next, matched_bits, k.sources.data(), words,
-                      k.offset);
+            orShifted(next, matched_bits, k.sources.rawWords().data(),
+                      words, k.offset);
         passes += cnfa.shiftClasses().size();
-        if (cnfa.hasReporting()) {
+        if (cnfa.reportMask().any()) {
             ++passes;
-            const std::uint64_t *report = cnfa.reportMask().data();
+            const std::uint64_t *report = cnfa.reportMask().rawWords().data();
             for (std::size_t w = 0; w < words; ++w)
                 for (std::uint64_t v = matched_bits[w] & report[w]; v;
                      v &= v - 1) {
@@ -288,9 +276,9 @@ FunctionalEngine::shiftStep(Symbol s)
                                                  cnfa.reportCode(q)});
                 }
         }
-        if (cnfa.hasExceptions()) {
+        if (cnfa.exceptionMask().any()) {
             ++passes;
-            const std::uint64_t *exc = cnfa.exceptionMask().data();
+            const std::uint64_t *exc = cnfa.exceptionMask().rawWords().data();
             for (std::size_t w = 0; w < words; ++w)
                 for (std::uint64_t v = matched_bits[w] & exc[w]; v;
                      v &= v - 1) {
@@ -301,7 +289,7 @@ FunctionalEngine::shiftStep(Symbol s)
                     exception_edges +=
                         static_cast<std::uint64_t>(end - begin);
                     for (const StateId *t = begin; t != end; ++t)
-                        setBit(next, *t);
+                        nextBits.set(*t);
                 }
         }
     }
@@ -310,12 +298,13 @@ FunctionalEngine::shiftStep(Symbol s)
         for (const auto &sr : cnfa.startReports(s))
             events.push_back(ReportEvent{offsetCursor, sr.state, sr.code});
         for (const StateId t : cnfa.startEnables(s))
-            setBit(next, t);
+            nextBits.set(t);
     }
     std::uint64_t count = 0;
-    if (startsEnabled && cnfa.hasAllInputStarts()) {
+    if (startsEnabled && cnfa.allInputMask().any()) {
         ++passes;
-        const std::uint64_t *all_input = cnfa.allInputMask().data();
+        const std::uint64_t *all_input =
+            cnfa.allInputMask().rawWords().data();
         for (std::size_t w = 0; w < words; ++w) {
             next[w] &= ~all_input[w];
             count += popcount64(next[w]);
@@ -330,7 +319,7 @@ FunctionalEngine::shiftStep(Symbol s)
     stats.bytesTouched += 8ull * words * passes +
                           4ull * (exception_rows + exception_edges);
     ++stats.shiftSteps;
-    bits.swap(nextBits);
+    std::swap(bits, nextBits);
     bitCount = static_cast<std::size_t>(count);
 }
 
@@ -347,8 +336,9 @@ FunctionalEngine::sortedActive() const
     if (!sortedValid) {
         if (onBits) {
             sortedCache.clear();
-            forEachBit(bits.data(), bits.size(),
-                       [&](StateId q) { sortedCache.push_back(q); });
+            bits.forEachSet([&](std::size_t q) {
+                sortedCache.push_back(static_cast<StateId>(q));
+            });
         } else {
             sortedCache = list.states();
             std::sort(sortedCache.begin(), sortedCache.end());
@@ -368,34 +358,18 @@ std::uint64_t
 FunctionalEngine::stateHash() const
 {
     std::uint64_t h = 0xcbf29ce484222325ull;
-    const auto mix = [&h](StateId q) {
+    for (const StateId q : sortedActive()) {
         h ^= q;
         h *= 0x100000001b3ull;
-    };
-    if (onBits)
-        forEachBit(bits.data(), bits.size(), mix);
-    else
-        for (const StateId q : sortedActive())
-            mix(q);
+    }
     return h;
 }
 
 bool
 FunctionalEngine::sameActiveSet(const FunctionalEngine &other) const
 {
-    if (other.activeCount() != activeCount())
-        return false;
-    if (onBits && other.onBits)
-        return bits == other.bits;
-    if (onBits != other.onBits) {
-        // Equal sizes, so the list is the set iff every member is set.
-        const FunctionalEngine &dense = onBits ? *this : other;
-        const FunctionalEngine &sparse = onBits ? other : *this;
-        return std::all_of(sparse.list.states().begin(),
-                           sparse.list.states().end(),
-                           [&](StateId q) { return dense.hasBit(q); });
-    }
-    return sortedActive() == other.sortedActive();
+    return other.activeCount() == activeCount() &&
+           sortedActive() == other.sortedActive();
 }
 
 std::vector<ReportEvent>

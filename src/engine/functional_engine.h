@@ -167,11 +167,8 @@ class SparseActiveList
     void step(Symbol s, std::uint64_t offset,
               std::vector<ReportEvent> &events, EngineCounters &stats);
 
-    /**
-     * Replace the list with the set bits of @p bits (@p words words),
-     * in ascending order.
-     */
-    void assignBits(const std::uint64_t *bits, std::size_t words);
+    /** Replace the list with the set bits of @p bits, ascending. */
+    void assignBits(const BitVector &bits);
 
     /** The active states in discovery order. */
     const std::vector<StateId> &states() const { return active; }
@@ -241,8 +238,7 @@ class FunctionalEngine
 
     /**
      * True iff this engine's active set equals @p other's: the SVC
-     * convergence comparator. Two bitsets compare word by word, a
-     * list against a bitset by membership, two lists as sorted ids.
+     * convergence comparator.
      */
     bool sameActiveSet(const FunctionalEngine &other) const;
 
@@ -265,12 +261,6 @@ class FunctionalEngine
     void demote();
     /** One step on the bitset. */
     void shiftStep(Symbol s);
-    /** True if state @p q is set in the bitset. */
-    bool
-    hasBit(StateId q) const
-    {
-        return (bits[q >> 6] >> (q & 63)) & 1;
-    }
 
     /**
      * Sorted view of the active set, computed lazily and cached until
@@ -285,8 +275,8 @@ class FunctionalEngine
     SparseActiveList list;
     /** True while the active set lives in bits (the shift datapath). */
     bool onBits = false;
-    std::vector<std::uint64_t> bits;
-    std::vector<std::uint64_t> nextBits;
+    BitVector bits;
+    BitVector nextBits;
     std::size_t bitCount = 0;
     mutable std::vector<StateId> sortedCache;
     mutable bool sortedValid = false;

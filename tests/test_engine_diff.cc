@@ -185,9 +185,8 @@ struct ShiftShape
 /**
  * Labels over "abcd" that make activity swell and collapse: most
  * states match 'a', about half 'b', few 'c' and almost none 'd', so
- * runs of a/b push the active set over the promotion threshold and
- * runs of c/d pull it back under the demotion one, down to the
- * drivers.
+ * runs of a/b push the active set over the shift-datapath threshold
+ * and runs of c/d pull it back under, down to the drivers.
  */
 Nfa
 shiftNfa(Rng &rng, const ShiftShape &shape)
@@ -195,8 +194,9 @@ shiftNfa(Rng &rng, const ShiftShape &shape)
     Nfa nfa("shift");
     // One self-looping driver per 1024 states matches every symbol:
     // without start machinery it re-seeds activity after a collapse,
-    // and with its successor it stays under the demotion threshold
-    // once the automaton has 768 states or more.
+    // and in automata of a few hundred states or more it and its
+    // successors stay under the threshold of one active state per
+    // word, so a collapse returns to the list.
     const std::size_t driver_stride = std::min<std::size_t>(1024, shape.states);
     for (std::size_t q = 0; q < shape.states; ++q) {
         CharClass label;
@@ -387,7 +387,7 @@ TEST(EngineLockstep, ExceptionEdgesOutsideTheClasses)
         const Nfa nfa = shiftNfa(rng, shape);
         const CompiledNfa cnfa(nfa);
         EXPECT_LE(cnfa.shiftClasses().size(), CompiledNfa::kMaxShiftClasses);
-        EXPECT_TRUE(cnfa.hasExceptions());
+        EXPECT_TRUE(cnfa.exceptionMask().any());
         shifted += lockstepRun(nfa, swellAndCollapse(rng, 500),
                                "exceptions iter " + std::to_string(iter));
     }
@@ -565,20 +565,17 @@ TEST(Engine, CompiledTablesMatchLabelsAndEdges)
         }
         ASSERT_LE(cnfa.shiftClasses().size(), CompiledNfa::kMaxShiftClasses);
         for (StateId q = 0; q < nfa.size(); ++q) {
-            EXPECT_EQ(cnfa.reporting(q),
-                      ((cnfa.reportMask()[q >> 6] >> (q & 63)) & 1) != 0);
+            EXPECT_EQ(cnfa.reporting(q), cnfa.reportMask().test(q));
             EXPECT_EQ(cnfa.isAllInputStart(q),
                       nfa[q].start == StartType::AllInput);
-            const bool exception =
-                (cnfa.exceptionMask()[q >> 6] >> (q & 63)) & 1;
+            const bool exception = cnfa.exceptionMask().test(q);
             std::vector<StateId> uncovered;
             for (const StateId t : nfa[q].succ) {
                 const std::int64_t d = static_cast<std::int64_t>(t) -
                                        static_cast<std::int64_t>(q);
                 bool covered = false;
                 for (const ShiftClass &k : cnfa.shiftClasses())
-                    covered |= k.offset == d &&
-                               ((k.sources[q >> 6] >> (q & 63)) & 1);
+                    covered |= k.offset == d && k.sources.test(q);
                 if (!covered)
                     uncovered.push_back(t);
             }
@@ -588,7 +585,7 @@ TEST(Engine, CompiledTablesMatchLabelsAndEdges)
                 << nfa.name() << " state " << q;
             // A class bit implies the edge it stands for.
             for (const ShiftClass &k : cnfa.shiftClasses()) {
-                if (!((k.sources[q >> 6] >> (q & 63)) & 1))
+                if (!k.sources.test(q))
                     continue;
                 const std::int64_t t = static_cast<std::int64_t>(q) + k.offset;
                 ASSERT_GE(t, 0);
