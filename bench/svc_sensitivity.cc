@@ -1,26 +1,22 @@
 /**
  * @file
- * State Vector Cache sensitivity: capacity x replacement policy x
- * overflow handling on an enumeration workload whose flow plan
- * (>512 flows per segment) exceeds the D480's 512-entry SVC, the
- * regime Section 3.2's overflow discussion leaves to the scheduler.
+ * State Vector Cache sensitivity: the live cache's capacity on an
+ * enumeration workload whose flow plan (>512 flows per segment)
+ * exceeds the D480's 512-entry SVC, the regime Section 3.2's overflow
+ * discussion leaves to the scheduler.
  *
  * The workload is a ruleset of independent "b c{L} z" chains with a
  * skewed lifetime mix (70% die within ~60 symbols, 20% within ~160,
  * 10% run for hundreds), so victim choice matters: most contexts are
- * about to free themselves, and a policy that can see that (cost-
- * aware: evict the smallest modeled re-upload + remaining-lifetime
- * cost) keeps the long-lived flows resident while LRU's cyclic-access
- * thrash re-uploads exactly the contexts it still needs.
+ * about to free themselves, and the cache's eviction order (smallest
+ * modeled re-upload + remaining-lifetime cost first) keeps the
+ * long-lived flows resident.
  *
- * Swept: OverflowPolicy::Batch (run in SVC-sized batches, re-stream
- * the input per batch) and OverflowPolicy::Evict under lru/fifo/cost,
- * each at capacities 64..512. Reports are byte-identical across every
- * cell by construction; this harness re-checks that, that cost-aware
- * eviction at the native 512 capacity is at least as fast as
- * batching, and that the cost-aware capacity curve is monotone (no
- * mid-sweep cliff). Emits BENCH_svc.json (path overridable as
- * argv[1]).
+ * Swept: capacities 64..512. Reports are byte-identical across every
+ * cell by construction; this harness re-checks that, that the plan
+ * really overflows the native SVC, and that the capacity curve is
+ * monotone (no mid-sweep cliff). Emits BENCH_svc.json (path
+ * overridable as argv[1]).
  */
 
 #include <cstdio>
@@ -87,12 +83,9 @@ buildTrace(std::uint64_t len)
 struct Row
 {
     std::string label; // row identity for bench_compare.py
-    std::string mode;  // "batch" or "evict"
-    std::string policy;
     std::uint32_t capacity = 0;
     double speedup = 0.0;
     Cycles papCycles = 0;
-    std::uint32_t batches = 1;
     std::uint64_t evictions = 0;
     std::uint64_t reuploads = 0;
     double hitRate = 1.0;
@@ -107,13 +100,13 @@ main(int argc, char **argv)
 {
     bench::ObsSession obs_session("svc_sensitivity");
     bench::printHeader(
-        "SVC sensitivity: capacity x replacement policy vs batching",
+        "SVC sensitivity: live-cache capacity",
         "Section 3.2 State Vector Cache overflow");
 
     const char *out_path = argc > 1 ? argv[1] : "BENCH_svc.json";
     // The flow-death transient of a >512-flow segment costs tens of
-    // thousands of cycles no matter the policy; the trace must be
-    // long relative to it or the golden cap flattens every cell.
+    // thousands of cycles at any capacity; the trace must be long
+    // relative to it or the golden cap flattens every cell.
     const std::uint64_t len = bench::largeTraceLen();
 
     const Nfa nfa = buildChains();
@@ -128,20 +121,17 @@ main(int argc, char **argv)
     base.enableCcMerging = false;
 
     const std::uint32_t capacities[] = {64, 128, 256, 384, 512};
-    const SvcPolicyKind policies[] = {SvcPolicyKind::Lru,
-                                      SvcPolicyKind::Fifo,
-                                      SvcPolicyKind::CostAware};
 
     std::vector<Row> rows;
     std::vector<ReportEvent> ref_reports;
     bool identical = true;
     std::uint32_t plan_flows = 0;
 
-    const auto run_cell = [&](OverflowPolicy mode, SvcPolicyKind pol,
-                              std::uint32_t capacity) {
+    std::printf("workload: %u chain rules, %llu-symbol trace\n\n",
+                kRules, static_cast<unsigned long long>(len));
+
+    for (const std::uint32_t capacity : capacities) {
         PapOptions opt = base;
-        opt.overflowPolicy = mode;
-        opt.svcPolicy = pol;
         opt.svcCapacity = capacity;
         const PapResult r = runPap(nfa, input, cfg, opt);
         if (!r.status.ok() || !r.verified) {
@@ -154,50 +144,30 @@ main(int argc, char **argv)
             ref_reports = r.reports;
         else if (r.reports != ref_reports) {
             identical = false;
-            std::fprintf(stderr,
-                         "FAIL: reports differ at %s/%s/c%u\n",
-                         mode == OverflowPolicy::Evict ? "evict"
-                                                       : "batch",
-                         svcPolicyName(pol), capacity);
+            std::fprintf(stderr, "FAIL: reports differ at c%u\n",
+                         capacity);
         }
         plan_flows = std::max(plan_flows, r.maxFlowsPerSegment);
 
         Row row;
-        row.mode = mode == OverflowPolicy::Evict ? "evict" : "batch";
-        row.policy = mode == OverflowPolicy::Evict
-                         ? svcPolicyName(pol)
-                         : "batch";
         row.capacity = capacity;
-        row.label = row.mode + "-" + row.policy + "-c" +
-                    std::to_string(capacity);
+        // The "evict-cost" prefix keeps the labels of earlier
+        // baselines, so bench_compare.py still matches the rows.
+        row.label = "evict-cost-c" + std::to_string(capacity);
         row.speedup = r.speedup;
         row.papCycles = r.papCycles;
-        row.batches = r.svcBatches;
         row.evictions = r.svcEvictions;
         row.reuploads = r.svcReuploads;
         row.hitRate = r.svcHitRate;
         row.reuploadCycles = r.svcReuploadCycles;
         row.capped = r.goldenCapped;
         rows.push_back(row);
-        std::printf("  %-18s  %8.3fx  %7llu ev  %7llu re  hit %.3f  "
-                    "%u batch%s%s\n",
+        std::printf("  %-18s  %8.3fx  %7llu ev  %7llu re  hit %.3f%s\n",
                     row.label.c_str(), row.speedup,
                     static_cast<unsigned long long>(row.evictions),
                     static_cast<unsigned long long>(row.reuploads),
-                    row.hitRate, row.batches,
-                    row.batches == 1 ? "" : "es",
-                    row.capped ? "  [golden-capped]" : "");
-        return row;
-    };
-
-    std::printf("workload: %u chain rules, %llu-symbol trace\n\n",
-                kRules, static_cast<unsigned long long>(len));
-
-    for (const std::uint32_t c : capacities)
-        run_cell(OverflowPolicy::Batch, SvcPolicyKind::Lru, c);
-    for (const auto pol : policies)
-        for (const std::uint32_t c : capacities)
-            run_cell(OverflowPolicy::Evict, pol, c);
+                    row.hitRate, row.capped ? "  [golden-capped]" : "");
+    }
 
     // --- Acceptance checks -------------------------------------------
     bool ok = identical;
@@ -208,41 +178,23 @@ main(int argc, char **argv)
                      plan_flows);
         ok = false;
     }
-    const auto find = [&](const std::string &label) -> const Row & {
-        for (const Row &r : rows)
-            if (r.label == label)
-                return r;
-        static Row none;
-        return none;
-    };
-    const Row &batch512 = find("batch-batch-c512");
-    const Row &cost512 = find("evict-cost-c512");
-    if (cost512.speedup + 1e-9 < batch512.speedup) {
-        std::fprintf(stderr,
-                     "FAIL: cost-aware eviction at capacity 512 "
-                     "(%.3fx) is slower than batching (%.3fx)\n",
-                     cost512.speedup, batch512.speedup);
-        ok = false;
-    }
     double prev = 0.0;
-    for (const std::uint32_t c : capacities) {
-        const Row &r =
-            find("evict-cost-c" + std::to_string(c));
+    for (const Row &r : rows) {
         if (r.speedup + 1e-9 < prev) {
             std::fprintf(stderr,
-                         "FAIL: cost-aware capacity curve dips at "
-                         "c%u (%.3fx after %.3fx)\n",
-                         c, r.speedup, prev);
+                         "FAIL: capacity curve dips at c%u (%.3fx after "
+                         "%.3fx)\n",
+                         r.capacity, r.speedup, prev);
             ok = false;
         }
         prev = r.speedup;
     }
     std::printf("\n%u flows per enumeration segment; reports %s; "
-                "cost@512 %.3fx vs batch@512 %.3fx\n",
+                "%.3fx at capacity 512\n",
                 plan_flows,
                 identical ? "byte-identical across all cells"
                           : "DIVERGED",
-                cost512.speedup, batch512.speedup);
+                rows.back().speedup);
 
     std::FILE *f = std::fopen(out_path, "w");
     if (!f) {
@@ -262,16 +214,14 @@ main(int argc, char **argv)
         const Row &r = rows[i];
         std::fprintf(
             f,
-            "    {\"label\": \"%s\", \"mode\": \"%s\", "
-            "\"policy\": \"%s\", \"capacity\": %u, "
+            "    {\"label\": \"%s\", \"capacity\": %u, "
             "\"speedup\": %.4f, \"pap_cycles\": %llu, "
-            "\"batches\": %u, \"svc_evictions\": %llu, "
+            "\"svc_evictions\": %llu, "
             "\"svc_reuploads\": %llu, \"svc_hit_rate\": %.4f, "
             "\"svc_reupload_cycles\": %llu, "
             "\"golden_capped\": %s}%s\n",
-            r.label.c_str(), r.mode.c_str(), r.policy.c_str(),
-            r.capacity, r.speedup,
-            static_cast<unsigned long long>(r.papCycles), r.batches,
+            r.label.c_str(), r.capacity, r.speedup,
+            static_cast<unsigned long long>(r.papCycles),
             static_cast<unsigned long long>(r.evictions),
             static_cast<unsigned long long>(r.reuploads), r.hitRate,
             static_cast<unsigned long long>(r.reuploadCycles),

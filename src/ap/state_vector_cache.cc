@@ -4,145 +4,88 @@
 
 namespace pap {
 
-StateVectorCache::StateVectorCache(std::uint32_t capacity,
-                                   SvcPolicyKind policy)
-    : maxEntries(capacity), policy_(makeSvcPolicy(policy))
+StateVectorCache::StateVectorCache(std::uint32_t capacity)
+    : capacity_(capacity)
 {
     PAP_ASSERT(capacity > 0, "SVC needs a positive capacity");
 }
 
-Status
-StateVectorCache::save(FlowId flow, std::vector<StateId> vector)
+bool
+StateVectorCache::load(FlowId flow, std::uint64_t cost)
 {
-    const bool existed = entries.contains(flow);
-    if (!existed && entries.size() >= maxEntries) {
-        stats.add("svc.save_rejects");
-        return Status::error(
-            ErrorCode::CapacityExceeded, "State Vector Cache overflow: ",
-            entries.size(), " resident flows at capacity ", maxEntries,
-            "; evict a flow or execute in batches");
+    if (!resident(flow)) {
+        ++counters_.loadMisses;
+        return false;
     }
-    entries[flow] = std::move(vector);
-    if (existed)
-        policy_->touch(flow);
-    else
-        policy_->admit(flow, 0, /*pinned=*/false);
-    evicted.erase(flow);
-    stats.add("svc.saves");
-    return Status();
+    ++counters_.loadHits;
+    Flow &f = flows_[flow];
+    if (f.pinned) {
+        f.touch = ++tick_;
+        f.cost = cost;
+        return true;
+    }
+    // Re-key the entry in place: the node is reused, not reallocated.
+    auto node = victims_.extract(key(flow));
+    f.touch = ++tick_;
+    f.cost = cost;
+    node.value() = key(flow);
+    victims_.insert(std::move(node));
+    return true;
 }
 
 Result<StateVectorCache::Admission>
-StateVectorCache::saveEvicting(FlowId flow, std::vector<StateId> vector,
-                               std::uint64_t cost, bool pinned)
+StateVectorCache::admit(FlowId flow, std::uint64_t cost, bool pinned)
 {
+    PAP_ASSERT(!resident(flow), "admit of resident flow ", flow);
+    if (flow >= flows_.size())
+        flows_.resize(static_cast<std::size_t>(flow) + 1);
     Admission adm;
-    const bool existed = entries.contains(flow);
-    if (!existed && entries.size() >= maxEntries) {
-        const Result<FlowId> victim = policy_->victim();
-        if (!victim.ok()) {
-            stats.add("svc.save_rejects");
-            return victim.status();
-        }
-        entries.erase(victim.value());
-        policy_->remove(victim.value());
-        evicted.insert(victim.value());
-        stats.add("svc.evictions");
-        adm.evicted = true;
-        adm.victim = victim.value();
+    // The victim's set node is reused for the admitted flow, so a full
+    // cache admits without allocating.
+    std::set<VictimKey>::node_type node;
+    if (occupancy_ >= capacity_) {
+        if (victims_.empty())
+            return Status::error(ErrorCode::CapacityExceeded,
+                                 "no evictable SVC entry: all ",
+                                 occupancy_, " residents are pinned");
+        node = victims_.extract(victims_.begin());
+        adm.victim = node.value().flow;
+        flows_[adm.victim].resident = false;
+        flows_[adm.victim].evicted = true;
+        --occupancy_;
+        ++counters_.evictions;
     }
-    if (!existed && evicted.contains(flow)) {
+    Flow &f = flows_[flow];
+    if (f.evicted) {
         // Re-admission of a previously evicted flow: its context must
         // stream back through the state-vector upload path.
         adm.reupload = true;
-        stats.add("svc.reuploads");
+        ++counters_.reuploads;
     }
-    entries[flow] = std::move(vector);
-    if (existed) {
-        policy_->touch(flow);
-        policy_->setCost(flow, cost);
+    f = Flow{cost, ++tick_, /*resident=*/true, pinned, /*evicted=*/false};
+    ++occupancy_;
+    if (pinned)
+        return adm;
+    if (node) {
+        node.value() = key(flow);
+        victims_.insert(std::move(node));
     } else {
-        policy_->admit(flow, cost, pinned);
+        victims_.insert(key(flow));
     }
-    evicted.erase(flow);
-    stats.add("svc.saves");
     return adm;
-}
-
-Result<const std::vector<StateId> *>
-StateVectorCache::load(FlowId flow)
-{
-    stats.add("svc.loads");
-    const auto it = entries.find(flow);
-    if (it == entries.end()) {
-        stats.add("svc.load_misses");
-        return Status::error(ErrorCode::InvalidInput, "flow ", flow,
-                             " has no resident state vector");
-    }
-    stats.add("svc.load_hits");
-    policy_->touch(flow);
-    return &it->second;
 }
 
 bool
 StateVectorCache::invalidate(FlowId flow)
 {
-    if (entries.erase(flow) == 0) {
-        stats.add("svc.invalidate_misses");
+    if (!resident(flow))
         return false;
-    }
-    policy_->remove(flow);
-    // A deliberate drop is not an eviction: the flow is gone (dead,
-    // converged, or explicitly invalidated), so a later save of the
-    // same id is a fresh compulsory admission, not a re-upload.
-    evicted.erase(flow);
-    stats.add("svc.invalidates");
+    Flow &f = flows_[flow];
+    if (!f.pinned)
+        victims_.erase(key(flow));
+    f.resident = false;
+    --occupancy_;
     return true;
-}
-
-void
-StateVectorCache::setCost(FlowId flow, std::uint64_t cost)
-{
-    policy_->setCost(flow, cost);
-}
-
-bool
-StateVectorCache::resident(FlowId flow) const
-{
-    return entries.contains(flow);
-}
-
-Result<bool>
-StateVectorCache::equal(FlowId a, FlowId b)
-{
-    stats.add("svc.compares");
-    const auto ia = entries.find(a);
-    const auto ib = entries.find(b);
-    if (ia == entries.end() || ib == entries.end()) {
-        stats.add("svc.compare_misses");
-        return Status::error(
-            ErrorCode::InvalidInput, "SVC compare on non-resident flow ",
-            ia == entries.end() ? a : b,
-            " (evicted or invalidated); re-upload before comparing");
-    }
-    policy_->touch(a);
-    policy_->touch(b);
-    return ia->second == ib->second;
-}
-
-Result<bool>
-StateVectorCache::isZero(FlowId flow)
-{
-    stats.add("svc.zeroChecks");
-    const auto it = entries.find(flow);
-    if (it == entries.end()) {
-        stats.add("svc.zero_check_misses");
-        return Status::error(
-            ErrorCode::InvalidInput, "SVC zero-check on non-resident ",
-            "flow ", flow, " (evicted or invalidated)");
-    }
-    policy_->touch(flow);
-    return it->second.empty();
 }
 
 } // namespace pap

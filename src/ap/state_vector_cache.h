@@ -1,162 +1,151 @@
 /**
  * @file
- * Model of the AP's State Vector Cache (SVC): per-device storage for
- * up to 512 flow contexts (Section 3.2). The PAP architecture augments
- * it with a bitwise comparator used for near-zero-cost convergence
- * checks (Section 3.3.3) and a zero-mask test used for deactivation
- * checks (Section 3.3.4); both are modeled here along with the access
- * counters the timing model consumes.
+ * Residency model of the AP's State Vector Cache (SVC): per-device
+ * storage for up to 512 flow contexts (Section 3.2). The timeline
+ * (pap/timeline.h) drives it when a segment schedules more flows than
+ * the cache holds; the contexts themselves live in the flows' engines,
+ * so the cache tracks only which flows are resident and what evicting
+ * each would cost.
  *
- * The cache is a real cache, not a fixed table: admission beyond
- * capacity evicts a victim chosen by a pluggable replacement policy
- * (ap/svc_policy.h — LRU, FIFO, or cost-aware), entries can be pinned
- * (the ASG flow shares residency but is never sacrificed), and a
+ * Admission beyond capacity evicts one victim: the resident, unpinned
+ * flow with the smallest modeled restore cost (the caller passes the
+ * 1668-cycle re-upload plus the flow's remaining lifetime, so flows
+ * about to deactivate or converge go first: they will never need
+ * restoring). Equal costs evict the most recently touched flow: under
+ * the cyclic TDM schedule it is the farthest from its next access,
+ * the Belady choice. The flow id breaks any remaining tie, so every
+ * simulated timeline is deterministic. Victim choice is O(log
+ * capacity). Pinned entries (the ASG flow) are never victims, and a
  * re-admission after an eviction is classified as a re-upload so the
- * timing model can charge the 1668-cycle state-vector upload for it.
- *
- * Capacity exhaustion and non-resident accesses are recoverable
- * conditions (the flow scheduler reacts by batching, evicting, or
- * re-uploading), so every accessor — save/load/equal/isZero —
- * reports them through pap::Status/Result instead of aborting.
- *
- * Counters (see docs/observability.md): svc.saves, svc.save_rejects,
- * svc.loads = svc.load_hits + svc.load_misses, svc.evictions,
- * svc.reuploads, svc.invalidates, svc.invalidate_misses,
- * svc.compares, svc.compare_misses, svc.zeroChecks,
- * svc.zero_check_misses.
+ * timing model can charge the state-vector upload for it.
  */
 
 #ifndef PAP_AP_STATE_VECTOR_CACHE_H
 #define PAP_AP_STATE_VECTOR_CACHE_H
 
 #include <cstdint>
-#include <memory>
-#include <unordered_map>
-#include <unordered_set>
+#include <set>
 #include <vector>
 
-#include "ap/svc_policy.h"
 #include "common/error.h"
-#include "common/stats.h"
 #include "common/types.h"
 
 namespace pap {
+
+/** Access counts of a State Vector Cache (see docs/observability.md). */
+struct SvcCounters
+{
+    std::uint64_t loadHits = 0;
+    std::uint64_t loadMisses = 0;
+    std::uint64_t evictions = 0;
+    std::uint64_t reuploads = 0;
+
+    SvcCounters &
+    operator+=(const SvcCounters &other)
+    {
+        loadHits += other.loadHits;
+        loadMisses += other.loadMisses;
+        evictions += other.evictions;
+        reuploads += other.reuploads;
+        return *this;
+    }
+};
 
 /** One device's State Vector Cache. */
 class StateVectorCache
 {
   public:
-    /**
-     * @param capacity maximum resident flow contexts (512 on D480).
-     * @param policy   replacement policy for evicting admissions.
-     */
-    explicit StateVectorCache(std::uint32_t capacity,
-                              SvcPolicyKind policy = SvcPolicyKind::Lru);
+    /** @param capacity maximum resident flow contexts (512 on D480). */
+    explicit StateVectorCache(std::uint32_t capacity);
 
-    /**
-     * Save a flow's state vector (the sorted active-state set).
-     * Fails with CapacityExceeded when the cache is full and @p flow
-     * is not already resident; the caller must evict or batch. This
-     * is the non-evicting admission the batching scheduler uses —
-     * see saveEvicting() for the live-cache path.
-     */
-    Status save(FlowId flow, std::vector<StateId> vector);
-
-    /** What a saveEvicting() admission did to the cache. */
+    /** What an admit() did to the cache. */
     struct Admission
     {
-        /** A victim was evicted to make room. */
-        bool evicted = false;
         /** The evicted flow (kInvalidFlow when nothing was evicted). */
         FlowId victim = kInvalidFlow;
         /**
          * The admitted flow had been evicted earlier and is being
          * restored: the caller owes a modeled state-vector re-upload.
-         * First-ever admissions are compulsory and free, matching the
-         * batch scheduler's free initial batch load.
+         * First-ever admissions are compulsory and free.
          */
         bool reupload = false;
     };
 
     /**
-     * Save a flow's state vector, evicting the policy's victim when
-     * the cache is full. @p cost is the modeled restore cost fed to
-     * the cost-aware policy; @p pinned entries are never chosen as
+     * Look up a resident flow's context for this TDM round. A hit
+     * refreshes its recency and sets its restore @p cost; a miss only
+     * counts (the caller then admits the flow).
+     */
+    bool load(FlowId flow, std::uint64_t cost);
+
+    /**
+     * Admit a non-resident flow with restore @p cost, evicting the
+     * victim when the cache is full. @p pinned entries are never
      * victims. Fails with CapacityExceeded only when the cache is
-     * full and every resident entry is pinned — the flow then runs
-     * without residency and the caller charges a re-upload per access.
+     * full and every resident entry is pinned: the flow then runs
+     * without residency.
      */
-    Result<Admission> saveEvicting(FlowId flow,
-                                   std::vector<StateId> vector,
-                                   std::uint64_t cost = 0,
-                                   bool pinned = false);
+    Result<Admission> admit(FlowId flow, std::uint64_t cost,
+                            bool pinned = false);
 
     /**
-     * Load a flow's state vector. Fails with InvalidInput when the
-     * flow is not resident (deactivated, invalidated, or evicted).
-     * The pointer stays valid until the entry is saved over or
-     * invalidated. Counts svc.load_hits / svc.load_misses (svc.loads
-     * stays their sum) and refreshes the policy's recency state.
-     */
-    Result<const std::vector<StateId> *> load(FlowId flow);
-
-    /**
-     * Drop a flow's entry (deactivation, convergence merge, or
-     * invalidation). @return true when an entry was actually erased;
-     * a non-resident flow only counts svc.invalidate_misses.
+     * Drop a flow's entry (deactivation, convergence merge, or FIV
+     * kill). A deliberate drop is not an eviction: a later admission
+     * of the same id is compulsory, not a re-upload. @return true when
+     * an entry was actually resident.
      */
     bool invalidate(FlowId flow);
 
-    /** Update the modeled restore cost of a resident flow. */
-    void setCost(FlowId flow, std::uint64_t cost);
-
-    /** True if the flow currently has a resident vector. */
-    bool resident(FlowId flow) const;
-
-    /** True if the flow was evicted and has not been re-admitted. */
-    bool evictedSinceAdmission(FlowId flow) const
+    /** True if the flow currently has a resident context. */
+    bool resident(FlowId flow) const
     {
-        return evicted.find(flow) != evicted.end();
+        return flow < flows_.size() && flows_[flow].resident;
     }
 
-    /** Number of resident entries. */
-    std::uint32_t occupancy() const
-    {
-        return static_cast<std::uint32_t>(entries.size());
-    }
-
-    std::uint32_t capacity() const { return maxEntries; }
-
-    /** Replacement policy name ("lru", "fifo", "cost"). */
-    const char *policyName() const { return policy_->name(); }
-
-    /**
-     * Comparator: true if two resident flows hold bitwise-equal state
-     * vectors (the convergence condition). Fails with InvalidInput —
-     * and counts svc.compare_misses — when either flow is not
-     * resident (e.g. an injected evict-svc fault landed between the
-     * save and this convergence check); the scheduler recovers by
-     * re-uploading, so this must not abort.
-     */
-    Result<bool> equal(FlowId a, FlowId b);
-
-    /**
-     * Zero-mask test: true if the resident flow's vector is all-zero.
-     * Fails with InvalidInput (and counts svc.zero_check_misses) on a
-     * non-resident flow, mirroring equal().
-     */
-    Result<bool> isZero(FlowId flow);
-
-    /** Access counters (see the file comment for the full list). */
-    const CounterSet &counters() const { return stats; }
+    const SvcCounters &counters() const { return counters_; }
 
   private:
-    std::uint32_t maxEntries;
-    std::unique_ptr<SvcPolicy> policy_;
-    std::unordered_map<FlowId, std::vector<StateId>> entries;
-    /** Flows evicted and not yet re-admitted (re-upload accounting). */
-    std::unordered_set<FlowId> evicted;
-    CounterSet stats;
+    /** Eviction order: cheapest first, then most recent, then id. */
+    struct VictimKey
+    {
+        std::uint64_t cost;
+        std::uint64_t touch;
+        FlowId flow;
+
+        bool
+        operator<(const VictimKey &o) const
+        {
+            if (cost != o.cost)
+                return cost < o.cost;
+            if (touch != o.touch)
+                return touch > o.touch;
+            return flow < o.flow;
+        }
+    };
+
+    /** Per-flow residency facts, indexed by flow id. */
+    struct Flow
+    {
+        std::uint64_t cost = 0;
+        std::uint64_t touch = 0;
+        bool resident = false;
+        bool pinned = false;
+        /** Evicted and not re-admitted since (re-upload accounting). */
+        bool evicted = false;
+    };
+
+    VictimKey key(FlowId flow) const
+    {
+        return {flows_[flow].cost, flows_[flow].touch, flow};
+    }
+
+    std::uint32_t capacity_;
+    std::uint32_t occupancy_ = 0;
+    std::uint64_t tick_ = 0;
+    std::vector<Flow> flows_;
+    /** Resident, unpinned flows in eviction order. */
+    std::set<VictimKey> victims_;
+    SvcCounters counters_;
 };
 
 } // namespace pap

@@ -16,6 +16,7 @@ errorCodeName(ErrorCode code)
       case ErrorCode::CheckpointCorrupt: return "CheckpointCorrupt";
       case ErrorCode::ResourceExhausted: return "ResourceExhausted";
       case ErrorCode::StreamQuarantined: return "StreamQuarantined";
+      case ErrorCode::LockHeld: return "LockHeld";
     }
     return "Unknown";
 }

@@ -44,6 +44,9 @@ enum class ErrorCode : std::uint8_t
     /** A stream kept failing after every recovery rung and was
         terminated to protect its siblings. */
     StreamQuarantined,
+    /** On-disk state (a checkpoint, a serve checkpoint directory) is
+        locked by another run or server. */
+    LockHeld,
 };
 
 /** Stable name of an error code ("CapacityExceeded", ...). */

@@ -15,7 +15,7 @@
  *    `papsim run --attrib`.
  *  - *aux* buckets are informational charges from other threads that
  *    overlap the caller's wall clock (the concurrent sequential oracle
- *    "baseline", per-segment device execution, SVC re-upload batching,
+ *    "baseline", per-segment device execution, modeled SVC re-uploads,
  *    retry backoff). They are reported alongside the wall buckets but
  *    excluded from the sum-to-wall invariant: they deliberately run
  *    concurrently with it.

@@ -160,14 +160,11 @@ serializeFrontier(const CheckpointFrontier &f, Writer &w)
         w.u64(s.timing.totalEntries);
         w.u32(s.timing.aliveEnumFlowsAtEnd);
         w.u8(s.timing.hasEnumFlows ? 1 : 0);
-        w.u32(s.timing.numBatches);
-        w.u64(s.timing.batchReloadCycles);
         w.u32(static_cast<std::uint32_t>(s.timing.flows.size()));
         for (const FlowTimingInfo &fl : s.timing.flows) {
             w.u8(static_cast<std::uint8_t>(fl.kind));
             w.u64(fl.symbolsProcessed);
             w.u8(fl.isTrue ? 1 : 0);
-            w.u32(fl.batch);
         }
         w.u32(s.deactivated);
         w.u32(s.converged);
@@ -213,8 +210,6 @@ deserializeFrontier(Reader &r, CheckpointFrontier &f)
         s.timing.totalEntries = r.u64();
         s.timing.aliveEnumFlowsAtEnd = r.u32();
         s.timing.hasEnumFlows = r.u8() != 0;
-        s.timing.numBatches = r.u32();
-        s.timing.batchReloadCycles = r.u64();
         const std::uint32_t n_flows = r.u32();
         if (r.fail || n_flows > r.size)
             return false;
@@ -223,7 +218,6 @@ deserializeFrontier(Reader &r, CheckpointFrontier &f)
             fl.kind = static_cast<FlowKind>(r.u8());
             fl.symbolsProcessed = r.u64();
             fl.isTrue = r.u8() != 0;
-            fl.batch = r.u32();
         }
         s.deactivated = r.u32();
         s.converged = r.u32();

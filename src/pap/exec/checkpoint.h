@@ -33,13 +33,16 @@
 namespace pap {
 namespace exec {
 
-/** Current checkpoint file version. */
-inline constexpr std::uint32_t kCheckpointVersion = 1;
+/**
+ * Current checkpoint file version; a file of any other version loads
+ * as CheckpointCorrupt (docs/file-formats.md lists what changed).
+ */
+inline constexpr std::uint32_t kCheckpointVersion = 2;
 
 /** Per-composed-segment record needed to rebuild the full result. */
 struct SegmentCheckpoint
 {
-    /** Timing-model input of the segment (flows, entries, batches). */
+    /** Timing-model input of the segment (flows, entries). */
     SegmentTimingInput timing;
     /** Flow-outcome census for the segment diagnostics. */
     std::uint32_t deactivated = 0;

@@ -119,8 +119,8 @@ buildFlowPlan(const Nfa &nfa, const Components &comps,
         flow_count = static_cast<std::uint32_t>(plan.paths.size());
     }
     // A flow count above options.maxFlowsPerSegment is not an error
-    // here: the runner applies its overflow policy (fail, batch, or
-    // sequential fallback) once it has seen every segment's plan.
+    // here: the runner fails the run or falls back to the sequential
+    // result once it has seen every segment's plan.
     plan.flows.resize(flow_count);
     if (options.enableCcMerging) {
         for (const auto &group : by_cc)

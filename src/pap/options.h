@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <string>
 
-#include "ap/svc_policy.h"
 #include "common/types.h"
 
 namespace pap {
@@ -29,29 +28,23 @@ enum class EngineKind : std::uint8_t
 };
 
 /**
- * What to do when a segment's flow plan exceeds the State Vector
- * Cache (512 entries per device on the D480).
+ * What to do when a segment's flow plan, the ASG flow included, needs
+ * more contexts than the State Vector Cache holds (512 entries per
+ * device on the D480).
  */
 enum class OverflowPolicy : std::uint8_t
 {
     /**
-     * Execute the segment's flows in SVC-sized batches, paying a
-     * modeled state-vector re-upload between batches (the default:
-     * slower, never wrong).
+     * Run the whole plan and let the timeline's live cache
+     * (ap/state_vector_cache.h) evict: each restored context pays the
+     * 1668-cycle state-vector re-upload. Timing-only: reports are
+     * byte-identical at every capacity. The default.
      */
-    Batch,
+    Evict,
     /** Give up on parallelism: return the golden sequential result. */
     SequentialFallback,
     /** Fail the run with a CapacityExceeded status. */
     Fail,
-    /**
-     * Run the whole plan through a live cache: every flow is
-     * scheduled, the SVC evicts per the configured replacement policy
-     * (svcPolicy), and each restored context pays the 1668-cycle
-     * state-vector re-upload in the timeline. Reports are byte-
-     * identical to Batch; only timing and svc.* counters differ.
-     */
-    Evict,
 };
 
 /** Knobs for one PAP run. Every optimization can be ablated. */
@@ -138,8 +131,9 @@ struct PapOptions
      * Hard ceiling on enumeration flows per segment, far above any
      * realistic SVC pressure. Runs needing more are treated per
      * @c overflowPolicy: Fail returns CapacityExceeded, everything
-     * else falls back to the golden sequential result (batching a
-     * plan this degenerate would be slower than sequential).
+     * else falls back to the golden sequential result (cycling a plan
+     * this degenerate through the SVC would be slower than
+     * sequential).
      */
     std::uint32_t maxFlowsPerSegment = 1u << 20;
 
@@ -147,21 +141,12 @@ struct PapOptions
      * Reaction to a segment flow plan that exceeds the State Vector
      * Cache capacity of the device (Section 3.2).
      */
-    OverflowPolicy overflowPolicy = OverflowPolicy::Batch;
-
-    /**
-     * Replacement policy of the State Vector Cache under
-     * OverflowPolicy::Evict (ap/svc_policy.h): lru, fifo, or
-     * cost-aware. Timing-only — reports and per-figure metrics are
-     * byte-identical across policies.
-     */
-    SvcPolicyKind svcPolicy = SvcPolicyKind::Lru;
+    OverflowPolicy overflowPolicy = OverflowPolicy::Evict;
 
     /**
      * Override of the modeled SVC capacity, in flow contexts
-     * (0 = the device's svcEntriesPerDevice, 512 on the D480).
-     * Affects both the Batch batch size and the Evict live cache —
-     * the knob the capacity-sensitivity sweep turns.
+     * (0 = the device's svcEntriesPerDevice, 512 on the D480): the
+     * knob the capacity-sensitivity sweep turns.
      */
     std::uint32_t svcCapacity = 0;
 
@@ -212,7 +197,9 @@ struct PapOptions
      * Crash-consistent checkpoint file. When non-empty the runner
      * serializes the composition frontier here after composing each
      * segment, resumes from a matching checkpoint at startup, and
-     * removes the file on successful completion.
+     * removes the file on successful completion. The run holds an
+     * advisory lock on "<path>.lock" throughout; a second run on the
+     * same path fails with ErrorCode::LockHeld.
      */
     std::string checkpointPath;
 

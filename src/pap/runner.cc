@@ -7,6 +7,7 @@
 #include <optional>
 
 #include "ap/placement.h"
+#include "common/file_lock.h"
 #include "common/logging.h"
 #include "engine/functional_engine.h"
 #include "nfa/analysis.h"
@@ -95,9 +96,7 @@ recordRunMetrics(const PapResult &result)
     m.add("runner.flow_transitions", result.flowTransitions);
     if (result.svcOverflow)
         m.add("runner.svc_overflows");
-    if (result.svcBatches > 1)
-        m.add("runner.svc_batched_runs");
-    // Live-cache census (Evict mode; all zero under Batch).
+    // Live-cache census (all zero when every segment fit the SVC).
     m.add("svc.evictions", result.svcEvictions);
     m.add("svc.reuploads", result.svcReuploads);
     m.add("svc.load_hits", result.svcLoadHits);
@@ -296,9 +295,10 @@ class PapRun
     exec::CheckpointFrontier frontier;
     std::uint32_t first = 0;
     std::uint64_t resumedFlowSymbols = 0;
+    /** Per segment, from its execution until it is composed. */
     std::vector<SegmentRun> runs;
-    std::vector<std::uint32_t> batches;
-    std::vector<SegmentTruth> truths;
+    /** Exclusive hold on the checkpoint for the whole run. */
+    std::optional<FileLock> checkpointLock;
 
     /** Declared last: destroyed (joined) before what it reads. */
     std::future<SequentialResult> oracle;
@@ -435,25 +435,25 @@ bool
 PapRun::checkOverflow()
 {
     const std::uint32_t capacity = svcCapacity(options, config);
-    result.svcOverflow = result.maxFlowsPerSegment >
-                         svcBatchCap(options, config, !asg.empty());
+    const std::uint32_t asg_slots = asg.empty() ? 0u : 1u;
+    result.svcOverflow =
+        std::uint64_t{result.maxFlowsPerSegment} + asg_slots > capacity;
     result.svcCapacity = capacity;
-    result.svcPolicy = svcPolicyName(options.svcPolicy);
 
     std::string why;
     if (result.maxFlowsPerSegment > options.maxFlowsPerSegment) {
-        // Batching a plan this degenerate would be slower than the
-        // baseline, so Batch degrades to the sequential result too.
+        // Cycling a plan this degenerate through the SVC would be
+        // slower than the baseline, so Evict degrades to the
+        // sequential result too.
         why = detail::concat(
             "needs ", result.maxFlowsPerSegment,
             " enumeration flows per segment, above the configured "
             "limit of ", options.maxFlowsPerSegment);
     } else if (result.svcOverflow &&
-               options.overflowPolicy != OverflowPolicy::Batch &&
                options.overflowPolicy != OverflowPolicy::Evict) {
         why = detail::concat(
-            "needs up to ", result.maxFlowsPerSegment, " + ",
-            asg.empty() ? 0u : 1u, " flow contexts per segment, above the ",
+            "needs up to ", result.maxFlowsPerSegment, " + ", asg_slots,
+            " flow contexts per segment, above the ",
             capacity, "-entry State Vector Cache");
     } else {
         return true;
@@ -481,6 +481,18 @@ PapRun::resume()
         runIdentity(nfa, input, segs.size(), result.boundarySymbol);
     if (!options.checkpointPath.empty()) {
         obs::AttribLedger::Scope cpio(&ledger, "checkpoint.io");
+        // A second run on the same path would write the same temp file
+        // and resume from this run's frontier: own it or fail.
+        auto lock = FileLock::acquire(options.checkpointPath + ".lock");
+        if (lock.ok()) {
+            checkpointLock.emplace(std::move(lock.value()));
+        } else if (lock.status().code() == ErrorCode::LockHeld) {
+            result.status = lock.status();
+            return false;
+        } else {
+            warn(lock.status().message(),
+                 "; checkpointing without a lock");
+        }
         auto loaded = exec::loadCheckpoint(options.checkpointPath);
         if (loaded.ok()) {
             const exec::CheckpointFrontier &f = loaded.value();
@@ -522,15 +534,13 @@ PapRun::executeTask(std::size_t j, const exec::CancellationToken &cancel)
     obs::AttribLedger::Scope worker(&ledger, "workers.execute",
                                     /*aux=*/true);
     const Segment &s = segs[j];
-    SegmentExecution done =
-        executeSegment(*cnfa, plans[j], asg, input.ptr(s.begin),
-                       s.begin, s.length(), options, config, &cancel,
-                       &ledger);
+    SegmentRun run = executeSegment(*cnfa, plans[j], asg,
+                                    input.ptr(s.begin), s.begin,
+                                    s.length(), options, &cancel);
     if (cancel.cancelled())
         return Status::error(ErrorCode::DeadlineExceeded, "segment ", j,
                              " cancelled by the watchdog");
-    runs[j] = std::move(done.run);
-    batches[j] = done.batches;
+    runs[j] = std::move(run);
     return Status();
 }
 
@@ -548,8 +558,6 @@ PapRun::executeAndCompose()
 {
     result.threadsUsed = exec::WorkerPool::resolveThreads(options.threads);
     runs.resize(segs.size());
-    batches.assign(segs.size(), 1);
-    truths.resize(segs.size());
     std::uint64_t longest = 0;
     for (const Segment &s : segs)
         longest = std::max(longest, s.length());
@@ -617,15 +625,13 @@ PapRun::composeSegment(std::size_t j, const exec::TaskReport &tr)
         warn("segment ", j, " failed after ", tr.attempts, " attempts (",
              tr.status.message(),
              "); recovering it from the sequential oracle");
-    result.svcBatches = std::max(result.svcBatches, batches[j]);
-    if (batches[j] > 1)
-        obs::metrics().add("runner.svc_batches", batches[j]);
     // A dropped inter-segment downlink loses the predecessor's true
     // final active set; composition then judges this segment's paths
     // against an empty T (the verification oracle catches the damage
     // downstream).
     const bool truth_lost = j > 0 && injector && injector->onFivDownload();
 
+    SegmentTruth truth;
     if (failed) {
         // The segment exhausted its retries: recompute exactly its
         // slice of input from the composition frontier. Timing
@@ -636,26 +642,25 @@ PapRun::composeSegment(std::size_t j, const exec::TaskReport &tr)
         runs[j] = runOracleSegment(
             *cnfa, j == 0 ? cnfa->initialActive() : frontier.finalActive,
             input.ptr(s.begin), s.begin, s.length());
-        truths[j] = composeGolden(runs[j]);
+        truth = composeGolden(runs[j]);
         // The oracle repaired whatever the injected worker faults
         // broke; close their detected/recovered loop.
         if (injector && tr.faultsInjected > 0)
             injector->markRecovered(tr.faultsInjected);
     } else if (j == 0) {
-        truths[0] = composeGolden(runs[0]);
+        truth = composeGolden(runs[0]);
     } else {
         const std::vector<StateId> no_truth;
-        truths[j] = composeEnum(*cnfa, comps, *plans[j], runs[j],
-                                truth_lost ? no_truth : frontier.finalActive);
+        truth = composeEnum(*cnfa, comps, *plans[j], runs[j],
+                            truth_lost ? no_truth : frontier.finalActive);
     }
-    const SegmentTruth &truth = truths[j];
     frontier.finalActive = truth.finalActive;
     frontier.reports.insert(frontier.reports.end(),
                             truth.trueReports.begin(),
                             truth.trueReports.end());
     frontier.papEntries += truth.totalEntries;
-    frontier.segments.push_back(segmentCheckpoint(
-        runs[j], truth, plans[j], batches[j], failed, config));
+    frontier.segments.push_back(
+        segmentCheckpoint(runs[j], truth, plans[j], failed));
     if (tr.retried)
         ++result.segmentsRetried;
     std::array<std::uint64_t, 8> seg_octiles{};
@@ -672,6 +677,9 @@ PapRun::composeSegment(std::size_t j, const exec::TaskReport &tr)
                 rec.counters.densityOctiles[k];
         }
     }
+    // Composed: the frontier holds everything later stages need, so
+    // the segment's flow records go now rather than at the run's end.
+    runs[j] = SegmentRun{};
     ledger.chargeWall(failed ? "compose.recover" : "compose.decode",
                       msSince(compose_t0));
     if (sink) {
@@ -789,14 +797,14 @@ PapRun::timeline()
     result.speedup = timeline.speedup;
     result.goldenCapped = timeline.goldenCapped;
     result.avgActiveFlows = timeline.avgActiveFlows;
-    // Live-cache census (Evict mode; all zero under Batch). The
-    // modeled re-upload stall is worker-side device time that
+    // Live-cache census (all zero when every segment fit the SVC).
+    // The modeled re-upload stall is worker-side device time that
     // overlaps the host wall clock, so it is charged to an aux
     // attribution bucket at the AP's symbol-cycle rate.
-    result.svcEvictions = timeline.svcCounters.get("svc.evictions");
-    result.svcReuploads = timeline.svcCounters.get("svc.reuploads");
-    result.svcLoadHits = timeline.svcCounters.get("svc.load_hits");
-    result.svcLoadMisses = timeline.svcCounters.get("svc.load_misses");
+    result.svcEvictions = timeline.svc.evictions;
+    result.svcReuploads = timeline.svc.reuploads;
+    result.svcLoadHits = timeline.svc.loadHits;
+    result.svcLoadMisses = timeline.svc.loadMisses;
     const std::uint64_t svc_lookups =
         result.svcLoadHits + result.svcLoadMisses;
     result.svcHitRate =

@@ -94,19 +94,24 @@ struct PapResult
 
     /** Peak enumeration flows in any segment (SVC pressure). */
     std::uint32_t maxFlowsPerSegment = 0;
-    /** True if that peak exceeded the modeled State Vector Cache. */
+    /**
+     * True if a segment needed more contexts than the modeled State
+     * Vector Cache holds, the ASG flow's included.
+     */
     bool svcOverflow = false;
-    /** Most SVC batches any segment ran in (1 = no batching). */
+    /**
+     * Always 1: SVC capacity never splits a segment. It stays only
+     * because the benchmark of record (papbench/) still reads it; drop
+     * it once a benchmark change removes those reads.
+     */
     std::uint32_t svcBatches = 1;
 
-    // Live-cache census (OverflowPolicy::Evict; see ap/svc_policy.h).
-    // Timing-only facts: reports are byte-identical across policies
-    // and capacities.
+    // Live-cache census (ap/state_vector_cache.h), all zero when every
+    // segment fit the SVC. Timing-only facts: reports are
+    // byte-identical across capacities.
     /** Modeled SVC capacity the run used (flow contexts). */
     std::uint32_t svcCapacity = 0;
-    /** Replacement policy name ("lru", "fifo", "cost"). */
-    std::string svcPolicy = "lru";
-    /** Contexts evicted by the replacement policy. */
+    /** Contexts evicted by the live cache. */
     std::uint64_t svcEvictions = 0;
     /** Evicted contexts restored via a state-vector re-upload. */
     std::uint64_t svcReuploads = 0;
@@ -115,7 +120,7 @@ struct PapResult
     std::uint64_t svcLoadMisses = 0;
     /** load_hits / (load_hits + load_misses); 1.0 with no lookups. */
     double svcHitRate = 1.0;
-    /** Cycles the timeline charged for Evict-mode re-uploads. */
+    /** Cycles the timeline charged for context re-uploads. */
     Cycles svcReuploadCycles = 0;
 
     /** Composed true reports (equal to the sequential reports). */
@@ -137,9 +142,10 @@ struct PapResult
     /**
      * Non-Ok only when the run could not produce a result at all:
      * OverflowPolicy::Fail with an over-capacity plan →
-     * CapacityExceeded, or the stopAfterSegment test hook →
-     * Cancelled (checkpoint left on disk). All other fields are
-     * defaulted in that case.
+     * CapacityExceeded, a checkpointPath another run holds →
+     * LockHeld, or the stopAfterSegment test hook → Cancelled
+     * (checkpoint left on disk). All other fields are defaulted in
+     * that case.
      */
     Status status;
 
@@ -218,7 +224,8 @@ struct PapResult
  * injection, otherwise a PAPsim bug) is repaired from the sequential
  * oracle (result.recovered), an over-capacity flow plan is handled
  * per options.overflowPolicy, and the only non-Ok result.status is
- * CapacityExceeded under OverflowPolicy::Fail.
+ * CapacityExceeded under OverflowPolicy::Fail or LockHeld on a
+ * checkpoint another run holds.
  */
 PapResult runPap(const Nfa &nfa, const InputTrace &input,
                  const ApConfig &config, const PapOptions &options = {});

@@ -1,10 +1,10 @@
 #include "pap/segment_sim.h"
 
 #include <algorithm>
+#include <memory>
 #include <unordered_map>
 
 #include "common/logging.h"
-#include "obs/attrib.h"
 #include "obs/metrics.h"
 #include "obs/trace_sink.h"
 #include "pap/composer.h"
@@ -85,15 +85,41 @@ runGoldenSegment(const CompiledNfa &cnfa, const Symbol *data,
 
 namespace {
 
-/** Execution state for one flow during the lockstep TDM loop. */
+/**
+ * Execution state for one flow during the lockstep TDM loop. The flow
+ * holds an engine only while it lives: built at its first step, freed
+ * by retire(). The engine lives on the heap, so the plan's dead and
+ * not-yet-stepped flows cost a pointer each, not an engine.
+ */
 struct LiveFlow
 {
-    LiveFlow(const CompiledNfa &cnfa, bool starts, EngineScratch &scratch)
-        : engine(cnfa, starts, &scratch)
+    LiveFlow(const std::vector<StateId> &seed, bool starts)
+        : seed(&seed), starts(starts)
     {
     }
 
-    FunctionalEngine engine;
+    /**
+     * Stop the flow: record why and where, move the engine's counters
+     * and reports (and, for a flow that ran to the end, its final
+     * active set) into the record, and free the engine.
+     */
+    void
+    retire(DeathCause cause, std::uint64_t symbols)
+    {
+        alive = false;
+        record.cause = cause;
+        record.symbolsProcessed = symbols;
+        if (cause == DeathCause::RanToEnd)
+            record.finalSnapshot = engine->snapshot();
+        record.counters = engine->counters();
+        record.reports = engine->takeReports();
+        engine.reset();
+    }
+
+    /** The engine's initial active set (owned by the plan or caller). */
+    const std::vector<StateId> *seed;
+    bool starts;
+    std::unique_ptr<FunctionalEngine> engine;
     FlowRecord record;
     bool alive = true;
 };
@@ -105,7 +131,7 @@ runEnumSegment(const CompiledNfa &cnfa, const FlowPlan &plan,
                const std::vector<StateId> &asg_seed, const Symbol *data,
                std::uint64_t seg_begin, std::uint64_t seg_len,
                const PapOptions &options, EngineScratch &scratch,
-               FlowId asg_flow_id, const exec::CancellationToken *cancel)
+               const exec::CancellationToken *cancel)
 {
     PAP_TRACE_SCOPE("segment.enumerate");
     FaultInjector *injector = options.faultInjector;
@@ -120,22 +146,28 @@ runEnumSegment(const CompiledNfa &cnfa, const FlowPlan &plan,
     // the always-active states; it is always a true flow.
     int asg_live_index = -1;
     if (!asg_seed.empty()) {
-        LiveFlow &lf = live.emplace_back(cnfa, /*starts=*/true, scratch);
-        lf.engine.reset(asg_seed, seg_begin);
-        lf.record.id = asg_flow_id == kInvalidFlow
-                           ? static_cast<FlowId>(plan.flows.size())
-                           : asg_flow_id;
+        LiveFlow &lf = live.emplace_back(asg_seed, /*starts=*/true);
+        lf.record.id = static_cast<FlowId>(plan.flows.size());
         lf.record.kind = FlowKind::Asg;
         asg_live_index = 0;
     }
 
     for (const auto &spec : plan.flows) {
-        LiveFlow &lf = live.emplace_back(cnfa, /*starts=*/false, scratch);
-        lf.engine.reset(spec.seed, seg_begin);
+        LiveFlow &lf = live.emplace_back(spec.seed, /*starts=*/false);
         lf.record.id = spec.id;
         lf.record.kind = FlowKind::Enum;
         lf.record.pathIdx = spec.pathIdx;
     }
+
+    // A flow's engine, built and seeded on its first step.
+    const auto engine_of = [&](LiveFlow &lf) -> FunctionalEngine & {
+        if (!lf.engine) {
+            lf.engine = std::make_unique<FunctionalEngine>(cnfa, lf.starts,
+                                                           &scratch);
+            lf.engine->reset(*lf.seed, seg_begin);
+        }
+        return *lf.engine;
+    };
 
     const std::uint64_t quantum = options.tdmQuantum;
     const std::uint64_t early_gran =
@@ -149,19 +181,17 @@ runEnumSegment(const CompiledNfa &cnfa, const FlowPlan &plan,
         const std::uint64_t round_end =
             std::min(processed + quantum, seg_len);
 
-        for (std::size_t i = 0; i < live.size(); ++i) {
-            auto &lf = live[i];
+        for (auto &lf : live) {
             if (!lf.alive)
                 continue;
+            FunctionalEngine &engine = engine_of(lf);
             const bool is_enum = lf.record.kind == FlowKind::Enum;
 
-            if (is_enum && lf.engine.dead()) {
+            if (is_enum && engine.dead()) {
                 // Already empty; it produces nothing more. Charge it
                 // only up to the boundary where the check would fire.
                 if (options.enableDeactivationChecks) {
-                    lf.alive = false;
-                    lf.record.cause = DeathCause::Deactivated;
-                    lf.record.symbolsProcessed = processed;
+                    lf.retire(DeathCause::Deactivated, processed);
                     continue;
                 }
             }
@@ -174,12 +204,10 @@ runEnumSegment(const CompiledNfa &cnfa, const FlowPlan &plan,
                 while (pos < round_end) {
                     const std::uint64_t chunk_end =
                         std::min(pos + early_gran, round_end);
-                    lf.engine.run(data + pos, chunk_end - pos);
+                    engine.run(data + pos, chunk_end - pos);
                     pos = chunk_end;
-                    if (lf.engine.dead()) {
-                        lf.alive = false;
-                        lf.record.cause = DeathCause::Deactivated;
-                        lf.record.symbolsProcessed = pos;
+                    if (engine.dead()) {
+                        lf.retire(DeathCause::Deactivated, pos);
                         break;
                     }
                 }
@@ -190,15 +218,13 @@ runEnumSegment(const CompiledNfa &cnfa, const FlowPlan &plan,
             // start machinery), so skip the no-op stepping; ASG and
             // golden flows always run because AllInput starts re-enable
             // states every cycle.
-            if (!is_enum || !lf.engine.dead())
-                lf.engine.run(data + pos, round_end - pos);
+            if (!is_enum || !engine.dead())
+                engine.run(data + pos, round_end - pos);
 
             if (is_enum && options.enableDeactivationChecks &&
-                lf.engine.dead()) {
+                engine.dead()) {
                 // Deactivation check at the context switch.
-                lf.alive = false;
-                lf.record.cause = DeathCause::Deactivated;
-                lf.record.symbolsProcessed = round_end;
+                lf.retire(DeathCause::Deactivated, round_end);
             }
         }
 
@@ -216,15 +242,15 @@ runEnumSegment(const CompiledNfa &cnfa, const FlowPlan &plan,
                 switch (injector->onContextSwitch(lf.record.id,
                                                  seg_begin)) {
                   case FaultInjector::SvAction::Corrupt: {
-                    std::vector<StateId> v = lf.engine.snapshot();
+                    std::vector<StateId> v = lf.engine->snapshot();
                     injector->corruptVector(
                         v, static_cast<StateId>(cnfa.size()),
                         seg_begin);
-                    lf.engine.overwriteActive(v);
+                    lf.engine->overwriteActive(v);
                     break;
                   }
                   case FaultInjector::SvAction::Evict:
-                    lf.engine.overwriteActive({});
+                    lf.engine->overwriteActive({});
                     break;
                   case FaultInjector::SvAction::None:
                     break;
@@ -242,7 +268,7 @@ runEnumSegment(const CompiledNfa &cnfa, const FlowPlan &plan,
                 if (!live[i].alive ||
                     live[i].record.kind != FlowKind::Enum)
                     continue;
-                buckets[live[i].engine.stateHash()].push_back(i);
+                buckets[live[i].engine->stateHash()].push_back(i);
             }
             for (auto &[hash, members] : buckets) {
                 if (members.size() < 2)
@@ -250,31 +276,27 @@ runEnumSegment(const CompiledNfa &cnfa, const FlowPlan &plan,
                 // Lowest index survives; verify equality exactly (the
                 // SVC comparator is bitwise, not a hash).
                 const FunctionalEngine &winner =
-                    live[members.front()].engine;
+                    *live[members.front()].engine;
                 for (std::size_t m = 1; m < members.size(); ++m) {
                     auto &loser = live[members[m]];
-                    if (!loser.engine.sameActiveSet(winner))
+                    if (!loser.engine->sameActiveSet(winner))
                         continue;
-                    loser.alive = false;
-                    loser.record.cause = DeathCause::Converged;
                     loser.record.mergedInto =
                         live[members.front()].record.id;
                     loser.record.mergeSymbol = processed;
-                    loser.record.symbolsProcessed = processed;
+                    loser.retire(DeathCause::Converged, processed);
                 }
             }
         }
     }
 
-    // Finalize records.
+    // Finalize records; report drains run in flow order, as the
+    // injector's per-segment stream expects.
     for (auto &lf : live) {
         if (lf.alive) {
-            lf.record.cause = DeathCause::RanToEnd;
-            lf.record.symbolsProcessed = seg_len;
-            lf.record.finalSnapshot = lf.engine.snapshot();
+            engine_of(lf);
+            lf.retire(DeathCause::RanToEnd, seg_len);
         }
-        lf.record.counters = lf.engine.counters();
-        lf.record.reports = lf.engine.takeReports();
         if (injector)
             injector->onReportDrain(lf.record.reports, seg_begin);
         run.flows.push_back(std::move(lf.record));
@@ -309,70 +331,19 @@ svcCapacity(const PapOptions &options, const ApConfig &config)
                                    : config.svcEntriesPerDevice;
 }
 
-std::uint32_t
-svcBatchCap(const PapOptions &options, const ApConfig &config,
-            bool has_asg)
-{
-    const std::uint32_t capacity = svcCapacity(options, config);
-    const std::uint32_t asg_slots = has_asg ? 1u : 0u;
-    return std::max<std::uint32_t>(
-        1, capacity - std::min(capacity - 1, asg_slots));
-}
-
-SegmentExecution
+SegmentRun
 executeSegment(const CompiledNfa &cnfa, const FlowPlan *plan,
                const std::vector<StateId> &asg, const Symbol *data,
                std::uint64_t seg_begin, std::uint64_t seg_len,
-               const PapOptions &options, const ApConfig &config,
-               const exec::CancellationToken *cancel,
-               obs::AttribLedger *attrib)
+               const PapOptions &options,
+               const exec::CancellationToken *cancel)
 {
     EngineScratch scratch(cnfa.size());
-    SegmentExecution out;
-    if (!plan) {
-        out.run = runGoldenSegment(cnfa, data, seg_begin, seg_len,
-                                   scratch, options.faultInjector,
-                                   cancel);
-        return out;
-    }
-    const std::size_t batch_cap =
-        svcBatchCap(options, config, !asg.empty());
-    if (plan->flows.size() <= batch_cap ||
-        options.overflowPolicy == OverflowPolicy::Evict) {
-        out.run = runEnumSegment(cnfa, *plan, asg, data, seg_begin,
-                                 seg_len, options, scratch, kInvalidFlow,
-                                 cancel);
-        return out;
-    }
-    const auto asg_id = static_cast<FlowId>(plan->flows.size());
-    const std::vector<StateId> no_asg;
-    out.run.segBegin = seg_begin;
-    out.run.segLen = seg_len;
-    std::uint32_t b = 0;
-    for (std::size_t first = 0; first < plan->flows.size() &&
-                                !(cancel && cancel->cancelled());
-         first += batch_cap, ++b) {
-        obs::AttribLedger::Scope reupload(b > 0 ? attrib : nullptr,
-                                          "workers.svc_batch",
-                                          /*aux=*/true);
-        const std::size_t last =
-            std::min(plan->flows.size(), first + batch_cap);
-        FlowPlan sub;
-        sub.flows.assign(
-            plan->flows.begin() + static_cast<std::ptrdiff_t>(first),
-            plan->flows.begin() + static_cast<std::ptrdiff_t>(last));
-        SegmentRun part = runEnumSegment(
-            cnfa, sub, b == 0 ? asg : no_asg, data, seg_begin,
-            seg_len, options, scratch, asg_id, cancel);
-        if (b == 0)
-            out.run.asgIndex = part.asgIndex;
-        for (auto &rec : part.flows) {
-            rec.batch = b;
-            out.run.flows.push_back(std::move(rec));
-        }
-    }
-    out.batches = std::max(1u, b);
-    return out;
+    if (!plan)
+        return runGoldenSegment(cnfa, data, seg_begin, seg_len, scratch,
+                                options.faultInjector, cancel);
+    return runEnumSegment(cnfa, *plan, asg, data, seg_begin, seg_len,
+                          options, scratch, cancel);
 }
 
 SegmentRun
@@ -389,8 +360,7 @@ runOracleSegment(const CompiledNfa &cnfa,
 
 exec::SegmentCheckpoint
 segmentCheckpoint(const SegmentRun &run, const SegmentTruth &truth,
-                  const FlowPlan *plan, std::uint32_t batches,
-                  bool recovered, const ApConfig &config)
+                  const FlowPlan *plan, bool recovered)
 {
     exec::SegmentCheckpoint cp;
     SegmentTimingInput &t = cp.timing;
@@ -398,13 +368,10 @@ segmentCheckpoint(const SegmentRun &run, const SegmentTruth &truth,
     t.totalEntries = truth.totalEntries;
     t.aliveEnumFlowsAtEnd = truth.aliveEnumFlowsAtEnd;
     t.hasEnumFlows = plan && !plan->flows.empty() && !recovered;
-    t.numBatches = batches;
-    t.batchReloadCycles = config.timing.stateVectorUploadCycles;
     for (const auto &rec : run.flows) {
         FlowTimingInfo info;
         info.kind = rec.kind;
         info.symbolsProcessed = rec.symbolsProcessed;
-        info.batch = rec.batch;
         info.isTrue = rec.kind != FlowKind::Enum ||
                       (rec.id < truth.flowTrue.size() &&
                        truth.flowTrue[rec.id] != 0);

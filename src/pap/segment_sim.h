@@ -8,8 +8,9 @@
  * TDM steps and merge flows whose state vectors are bitwise equal
  * (Section 3.3.3). executeSegment() on top is the one segment
  * executor that runPap and serve share: golden/enumeration dispatch,
- * SVC batching, the oracle continuation of a failed segment, and the
- * segment's checkpoint record.
+ * the oracle continuation of a failed segment, and the segment's
+ * checkpoint record. SVC capacity never splits a segment: every flow
+ * of the plan runs, and the timeline alone models residency.
  */
 
 #ifndef PAP_PAP_SEGMENT_SIM_H
@@ -47,11 +48,6 @@ struct FlowRecord
 {
     FlowId id = kInvalidFlow;
     FlowKind kind = FlowKind::Enum;
-    /**
-     * SVC batch the flow executed in (0 unless the segment's plan
-     * overflowed the State Vector Cache and was run in batches).
-     */
-    std::uint32_t batch = 0;
     /** Paths carried by this flow (indices into the FlowPlan). */
     std::vector<std::uint32_t> pathIdx;
     /**
@@ -88,9 +84,6 @@ struct SegmentTruth;
 namespace exec {
 struct SegmentCheckpoint;
 } // namespace exec
-namespace obs {
-class AttribLedger;
-} // namespace obs
 
 /**
  * How one segment run's enumeration flows stopped (golden and ASG
@@ -123,14 +116,12 @@ SegmentRun runGoldenSegment(const CompiledNfa &cnfa,
                                 nullptr);
 
 /**
- * Run a later segment: the ASG flow (if @p asg_seed is non-empty) plus
- * one enumeration flow per FlowSpec of @p plan, multiplexed per
- * @p options. Faults from options.faultInjector are applied at
- * context-switch boundaries and report drains.
- *
- * @p asg_flow_id names the ASG flow's SVC entry; pass kInvalidFlow to
- * use plan.flows.size() (correct when @p plan is a whole plan rather
- * than one SVC batch of a larger one).
+ * Run a later segment: the ASG flow (if @p asg_seed is non-empty, with
+ * id plan.flows.size()) plus one enumeration flow per FlowSpec of
+ * @p plan, multiplexed per @p options. A flow holds its engine only
+ * while it lives: the engine is built at the flow's first step and
+ * freed when the flow stops. Faults from options.faultInjector are
+ * applied at context-switch boundaries and report drains.
  *
  * @p cancel, when non-null, is polled once per TDM round; a cancelled
  * run returns early with a partial record the caller must discard.
@@ -142,7 +133,6 @@ SegmentRun runEnumSegment(const CompiledNfa &cnfa,
                           std::uint64_t seg_len,
                           const PapOptions &options,
                           EngineScratch &scratch,
-                          FlowId asg_flow_id = kInvalidFlow,
                           const exec::CancellationToken *cancel =
                               nullptr);
 
@@ -154,47 +144,23 @@ std::uint32_t svcCapacity(const PapOptions &options,
                           const ApConfig &config);
 
 /**
- * Enumeration flows one SVC batch holds: svcCapacity() less the entry
- * the ASG flow occupies when @p has_asg, and never fewer than one.
- */
-std::uint32_t svcBatchCap(const PapOptions &options,
-                          const ApConfig &config, bool has_asg);
-
-/** One executed segment: its flows and the SVC batches they ran in. */
-struct SegmentExecution
-{
-    SegmentRun run;
-    std::uint32_t batches = 1;
-};
-
-/**
  * Execute one segment on the modeled device: the segment executor
  * under runPap and serve. A null @p plan runs the golden flow (the
  * first segment; options.faultInjector may damage its report drain).
- * Otherwise the ASG flow seeded with @p asg runs beside @p plan's
- * enumeration flows. A plan within svcBatchCap() runs in one SVC, and
- * so does any plan under OverflowPolicy::Evict, which leaves residency
- * churn to the timeline's live cache: convergence merging then sees
- * every flow, and reports are byte-identical across policies and
- * capacities. A wider plan runs in cache-sized batches, back to back.
- * Flow ids stay global and the ASG flow runs once, in batch 0, so the
- * merged run composes exactly like an unbatched one. Batches past the
- * first are pure overflow overhead, charged to @p attrib's aux bucket
- * "workers.svc_batch".
+ * Otherwise the ASG flow seeded with @p asg runs beside all of
+ * @p plan's enumeration flows, whatever the SVC capacity: convergence
+ * merging sees every flow, and reports are byte-identical across
+ * capacities.
  *
  * @p cancel, when non-null, is polled cooperatively; a cancelled
  * execution is partial and the caller must discard it.
  */
-SegmentExecution executeSegment(const CompiledNfa &cnfa,
-                                const FlowPlan *plan,
-                                const std::vector<StateId> &asg,
-                                const Symbol *data,
-                                std::uint64_t seg_begin,
-                                std::uint64_t seg_len,
-                                const PapOptions &options,
-                                const ApConfig &config,
-                                const exec::CancellationToken *cancel,
-                                obs::AttribLedger *attrib = nullptr);
+SegmentRun executeSegment(const CompiledNfa &cnfa, const FlowPlan *plan,
+                          const std::vector<StateId> &asg,
+                          const Symbol *data, std::uint64_t seg_begin,
+                          std::uint64_t seg_len,
+                          const PapOptions &options,
+                          const exec::CancellationToken *cancel);
 
 /**
  * The per-segment oracle continuation (Section 3.4) of a segment whose
@@ -209,19 +175,16 @@ SegmentRun runOracleSegment(const CompiledNfa &cnfa,
 
 /**
  * The checkpoint record of one composed segment: its timing-model
- * input (every flow with its truth, the entry census and @p batches)
- * plus the flow-outcome census. Run-wide timing settings (the Evict
- * live cache's capacity and policy) are not part of it: the timeline
- * takes them from the run's options. @p plan is null for a golden
- * segment; @p recovered marks a segment the oracle recomputed, which
- * therefore ran no enumeration flows.
+ * input (every flow with its truth, and the entry census) plus the
+ * flow-outcome census. Run-wide timing settings (the SVC capacity)
+ * are not part of it: the timeline takes them from the run's options.
+ * @p plan is null for a golden segment; @p recovered marks a segment
+ * the oracle recomputed, which therefore ran no enumeration flows.
  */
 exec::SegmentCheckpoint segmentCheckpoint(const SegmentRun &run,
                                           const SegmentTruth &truth,
                                           const FlowPlan *plan,
-                                          std::uint32_t batches,
-                                          bool recovered,
-                                          const ApConfig &config);
+                                          bool recovered);
 
 } // namespace pap
 

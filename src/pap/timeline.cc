@@ -1,9 +1,8 @@
 #include "pap/timeline.h"
 
 #include <algorithm>
-#include <memory>
+#include <optional>
 
-#include "ap/state_vector_cache.h"
 #include "common/logging.h"
 #include "obs/metrics.h"
 #include "obs/trace_sink.h"
@@ -21,7 +20,7 @@ simulateTimeline(const std::vector<SegmentTimingInput> &segments,
     const Cycles ctx = options.contextSwitchCycles;
     const auto kNever = static_cast<Cycles>(-1);
     const ApTiming &timing = config.timing;
-    const bool evict = options.overflowPolicy == OverflowPolicy::Evict;
+    const Cycles upload = timing.stateVectorUploadCycles;
     const std::uint32_t svc_capacity = svcCapacity(options, config);
 
     TimelineResult result;
@@ -42,127 +41,99 @@ simulateTimeline(const std::vector<SegmentTimingInput> &segments,
                 ? kNever
                 : prev_truth_avail + timing.fivDownloadCycles;
 
-        // An SVC-overflowed segment runs its flows in batches, back to
-        // back on the same half-cores, re-streaming the input per
-        // batch and paying a state-vector reload between batches.
-        const std::uint32_t num_batches = std::max(1u, seg.numBatches);
-
-        // OverflowPolicy::Evict instead schedules every flow at once
-        // through a live SVC: each TDM round touches every live
-        // flow's context, the replacement policy picks victims when
-        // the segment needs more contexts than the cache holds, and
-        // a context coming back after an eviction stalls the
-        // half-core for the state-vector upload. First-ever
-        // admissions are compulsory and free — the batch scheduler
-        // does not pay for its initial batch load either, so the two
-        // policies stay comparable.
-        const bool live_cache =
-            evict && seg.hasEnumFlows && !seg.flows.empty();
-        std::unique_ptr<StateVectorCache> cache;
+        // A segment whose flows fit the SVC can never evict, so only
+        // an overflowing one replays its schedule through a live
+        // cache: each TDM round touches every live flow's context, the
+        // cache picks victims, and a context coming back after an
+        // eviction stalls the half-core for the state-vector upload.
+        // First-ever admissions are compulsory and free.
+        std::optional<StateVectorCache> cache;
         std::vector<std::uint8_t> seen;
-        if (live_cache) {
-            cache = std::make_unique<StateVectorCache>(svc_capacity,
-                                                       options.svcPolicy);
+        if (seg.hasEnumFlows && seg.flows.size() > svc_capacity) {
+            cache.emplace(svc_capacity);
             seen.assign(seg.flows.size(), 0);
         }
 
-        Cycles t = 0;
-        for (std::uint32_t b = 0; b < num_batches; ++b) {
-            if (b > 0) {
-                t += seg.batchReloadCycles;
-                result.reuploadCycles += seg.batchReloadCycles;
-            }
-            // Effective stop point per flow: its own death, possibly
-            // shortened by the FIV for false flows. Flows outside this
-            // batch never run here.
-            std::vector<std::uint64_t> stop(seg.flows.size());
-            for (std::size_t f = 0; f < seg.flows.size(); ++f)
-                stop[f] = seg.flows[f].batch == b
-                              ? seg.flows[f].symbolsProcessed
-                              : 0;
+        // Effective stop point per flow: its own death, possibly
+        // shortened by the FIV for false flows. The flows still
+        // running, in flow-id order, are compacted at every round
+        // boundary, so a round costs its live flows, not the plan.
+        std::vector<std::uint64_t> stop(seg.flows.size());
+        std::vector<FlowId> live(seg.flows.size());
+        for (std::size_t f = 0; f < seg.flows.size(); ++f) {
+            stop[f] = seg.flows[f].symbolsProcessed;
+            live[f] = static_cast<FlowId>(f);
+        }
 
-            std::uint64_t processed = 0;
-            bool fiv_applied = false;
-            while (processed < seg.segLen) {
-                if (!fiv_applied && fiv_arrive != kNever &&
-                    t >= fiv_arrive) {
-                    // Kill false enumeration flows at this round
-                    // boundary.
-                    for (std::size_t f = 0; f < seg.flows.size(); ++f)
-                        if (seg.flows[f].kind == FlowKind::Enum &&
-                            !seg.flows[f].isTrue)
-                            stop[f] = std::min(stop[f], processed);
-                    fiv_applied = true;
-                }
-                const std::uint64_t round_end =
-                    std::min(processed + quantum, seg.segLen);
-                if (live_cache) {
-                    // Flow deaths since the last round (deactivation,
-                    // convergence merges, FIV kills) release their
-                    // contexts before this round admits anything:
-                    // merging is what relieves admission pressure.
-                    for (std::size_t f = 0; f < seg.flows.size(); ++f)
-                        if (stop[f] <= processed &&
-                            cache->resident(static_cast<FlowId>(f)))
-                            cache->invalidate(static_cast<FlowId>(f));
-                }
-                std::uint32_t live = 0;
-                Cycles symbol_cycles = 0;
-                Cycles restore_cycles = 0;
-                for (std::size_t f = 0; f < seg.flows.size(); ++f) {
-                    if (stop[f] <= processed)
-                        continue;
-                    ++live;
-                    symbol_cycles +=
-                        std::min(stop[f], round_end) - processed;
-                    if (!live_cache)
-                        continue;
-                    // Touch the flow's context for this round. The
-                    // modeled restore cost is the upload charge plus
-                    // the flow's remaining lifetime: a flow about to
-                    // deactivate or converge is the cheapest victim —
-                    // its context will never need restoring.
-                    const auto id = static_cast<FlowId>(f);
-                    const std::uint64_t cost =
-                        seg.batchReloadCycles + (stop[f] - processed);
-                    if (cache->load(id).ok()) {
-                        cache->setCost(id, cost);
-                        continue;
-                    }
-                    const bool pinned =
-                        seg.flows[f].kind != FlowKind::Enum;
-                    const auto adm =
-                        cache->saveEvicting(id, {}, cost, pinned);
-                    if (adm.ok() ? adm.value().reupload
-                                 : seen[f] != 0)
-                        restore_cycles += seg.batchReloadCycles;
-                    seen[f] = 1;
-                }
-                if (restore_cycles > 0) {
-                    t += restore_cycles;
-                    result.reuploadCycles += restore_cycles;
-                    result.svcReuploadCycles += restore_cycles;
-                }
-                if (live == 0) {
-                    // Only dead flows remain (can happen after an FIV
-                    // kill in a segment whose true flows all
-                    // deactivated); the half-core idles through the
-                    // rest of the input.
-                    processed = seg.segLen;
-                    ++rounds_total;
-                    break;
-                }
-                const Cycles switch_cost = (live > 1) ? live * ctx : 0;
-                t += symbol_cycles + switch_cost;
-                result.switchCycles += switch_cost;
-                result.busyCycles += symbol_cycles + switch_cost;
-                alive_weighted += live;
-                ++rounds_total;
-                processed = round_end;
+        Cycles t = 0;
+        std::uint64_t processed = 0;
+        bool fiv_applied = false;
+        while (processed < seg.segLen) {
+            if (!fiv_applied && fiv_arrive != kNever && t >= fiv_arrive) {
+                // Kill false enumeration flows at this round boundary.
+                for (const FlowId f : live)
+                    if (seg.flows[f].kind == FlowKind::Enum &&
+                        !seg.flows[f].isTrue)
+                        stop[f] = std::min(stop[f], processed);
+                fiv_applied = true;
             }
+            // Flow deaths since the last round (deactivation,
+            // convergence merges, FIV kills) release their contexts
+            // before this round admits anything: merging is what
+            // relieves admission pressure.
+            std::size_t kept = 0;
+            for (const FlowId f : live) {
+                if (stop[f] > processed)
+                    live[kept++] = f;
+                else if (cache)
+                    cache->invalidate(f);
+            }
+            live.resize(kept);
+            if (live.empty()) {
+                // Only dead flows remain (can happen after an FIV
+                // kill in a segment whose true flows all
+                // deactivated); the half-core idles through the rest
+                // of the input.
+                processed = seg.segLen;
+                ++rounds_total;
+                break;
+            }
+            const std::uint64_t round_end =
+                std::min(processed + quantum, seg.segLen);
+            Cycles symbol_cycles = 0;
+            Cycles restore_cycles = 0;
+            for (const FlowId f : live) {
+                symbol_cycles += std::min(stop[f], round_end) - processed;
+                if (!cache)
+                    continue;
+                // Touch the flow's context for this round. The
+                // modeled restore cost is the upload charge plus the
+                // flow's remaining lifetime: a flow about to
+                // deactivate or converge is the cheapest victim — its
+                // context will never need restoring.
+                const std::uint64_t cost = upload + (stop[f] - processed);
+                if (cache->load(f, cost))
+                    continue;
+                const auto adm = cache->admit(
+                    f, cost, seg.flows[f].kind != FlowKind::Enum);
+                // With every resident pinned the flow runs without
+                // residency and re-uploads on each later round.
+                if (adm.ok() ? adm.value().reupload : seen[f] != 0)
+                    restore_cycles += upload;
+                seen[f] = 1;
+            }
+            const auto n_live = static_cast<Cycles>(live.size());
+            const Cycles switch_cost = (n_live > 1) ? n_live * ctx : 0;
+            t += restore_cycles + symbol_cycles + switch_cost;
+            result.svcReuploadCycles += restore_cycles;
+            result.switchCycles += switch_cost;
+            result.busyCycles += symbol_cycles + switch_cost;
+            alive_weighted += n_live;
+            ++rounds_total;
+            processed = round_end;
         }
         if (cache)
-            result.svcCounters.merge(cache->counters());
+            result.svc += cache->counters();
         result.tDone.push_back(t);
 
         // Host resolution. The final state vector of a segment

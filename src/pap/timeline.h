@@ -18,7 +18,7 @@
 #include <vector>
 
 #include "ap/ap_config.h"
-#include "common/stats.h"
+#include "ap/state_vector_cache.h"
 #include "pap/options.h"
 #include "pap/segment_sim.h"
 
@@ -32,8 +32,6 @@ struct FlowTimingInfo
     std::uint64_t symbolsProcessed = 0;
     /** False flows are killed when the FIV arrives. */
     bool isTrue = true;
-    /** SVC batch the flow ran in (0 when the plan fit the cache). */
-    std::uint32_t batch = 0;
 };
 
 /** Timing-relevant facts about one segment. */
@@ -51,18 +49,6 @@ struct SegmentTimingInput
      * and no false-path decode: their reports are final at t_done.
      */
     bool hasEnumFlows = false;
-    /**
-     * SVC batches the segment's flows were split into (Section 3.2
-     * overflow handling); batches run back to back on the segment's
-     * half-cores, re-streaming the input each time.
-     */
-    std::uint32_t numBatches = 1;
-    /**
-     * Cycles to load the next batch's state vectors between batches;
-     * also the per-flow re-upload charge of the Evict live cache
-     * (stateVectorUploadCycles, 1668 on the D480).
-     */
-    Cycles batchReloadCycles = 0;
 };
 
 /** Outcome of the timeline simulation. */
@@ -83,33 +69,27 @@ struct TimelineResult
     Cycles switchCycles = 0;
     /** Total busy cycles (symbols + switches) across all flows. */
     Cycles busyCycles = 0;
-    /**
-     * Cycles spent re-loading state vectors: between SVC batches
-     * (Batch) plus per-flow context restores (Evict).
-     */
-    Cycles reuploadCycles = 0;
-    /** The Evict-mode share of reuploadCycles (0 under Batch). */
+    /** Cycles the live caches charged for context re-uploads. */
     Cycles svcReuploadCycles = 0;
     /**
-     * Merged access counters of the per-segment live caches (Evict
-     * mode): svc.load_hits / svc.load_misses / svc.evictions /
-     * svc.reuploads and friends (ap/state_vector_cache.h). Empty
-     * when no segment simulated residency.
+     * Access counts of the per-segment live caches. Zero when every
+     * segment fit the SVC: a fitting segment never evicts, so its
+     * cache is not simulated.
      */
-    CounterSet svcCounters;
+    SvcCounters svc;
     /** Round-weighted average of live flows (Fig. 9). */
     double avgActiveFlows = 0.0;
 };
 
 /**
- * Simulate the cross-segment timeline. Under OverflowPolicy::Evict
- * every segment with enumeration flows replays its flow schedule
- * through a live State Vector Cache of svcCapacity(options, config)
- * contexts and policy options.svcPolicy: each TDM round looks up every
- * live flow's context, a miss on a previously evicted flow stalls the
- * half-core for batchReloadCycles while the context re-uploads, and
- * flow deaths (deactivation, convergence merges, FIV kills) release
- * their entries, so merging directly relieves admission pressure.
+ * Simulate the cross-segment timeline. A segment whose flows, the ASG
+ * flow included, exceed svcCapacity(options, config) replays its flow
+ * schedule through a live State Vector Cache: each TDM round looks up
+ * every live flow's context, a miss on a previously evicted flow
+ * stalls the half-core for the state-vector upload while the context
+ * re-uploads, and flow deaths (deactivation, convergence merges, FIV
+ * kills) release their entries, so merging directly relieves
+ * admission pressure.
  * @param segments   per-segment timing inputs, in input order.
  * @param seq_entries output events of the sequential baseline.
  * @param total_len  total input symbols.

@@ -18,6 +18,9 @@ namespace serve {
 
 namespace {
 
+/** Lock file inside ServeOptions::checkpointDir. */
+constexpr const char *kLockFileName = "serve.lock";
+
 /** Same mix as the runner's checkpoint identity hash. */
 std::uint64_t
 mixId(std::uint64_t h, std::uint64_t v)
@@ -112,7 +115,6 @@ struct Server::Chunk
     /** The attempt ladder's outcome; a failure (retries exhausted)
         recovers from the oracle at compose time. */
     exec::TaskReport report;
-    std::uint32_t batches = 1;
     /** The ruleset's shared plan for @c boundary (null for the first
         chunk and oracle continuations, which run no enumeration). */
     const FlowPlan *plan = nullptr;
@@ -181,6 +183,21 @@ Server::Server(const ServeOptions &options, const Nfa &ruleset)
     execPap_.faultInjector = nullptr;
     execOpt_ =
         makeHardenedOptions(opts_.pap, threads_, opts_.chunkSymbols);
+    if (!opts_.checkpointDir.empty()) {
+        // Own the directory before touching it: a second server on it
+        // would append to the same manifest and sweep our temp files.
+        auto lock = FileLock::acquire(opts_.checkpointDir + "/" +
+                                      kLockFileName);
+        if (lock.ok()) {
+            dirLock_.emplace(std::move(lock.value()));
+        } else if (lock.status().code() == ErrorCode::LockHeld) {
+            status_ = lock.status();
+            return;
+        } else {
+            warn(lock.status().message(),
+                 "; checkpointing without a lock");
+        }
+    }
     // Cold-start recovery runs before the install so the replayed
     // generation floor is in place when the boot ruleset publishes.
     recoverColdStart(ruleset);
@@ -622,16 +639,14 @@ Server::executeChunk(Session &s, Chunk &chunk)
     chunk.report = exec::runAttempts(
         execOpt_, watchdog_, site,
         [&](const exec::CancellationToken &cancel) -> Status {
-            SegmentExecution done = executeSegment(
+            SegmentRun run = executeSegment(
                 *rs.cnfa, chunk.plan, rs.asg, chunk.data.data(),
-                chunk.begin, chunk.data.size(), execPap_, opts_.ap,
-                &cancel);
+                chunk.begin, chunk.data.size(), execPap_, &cancel);
             if (cancel.cancelled())
                 return Status::error(ErrorCode::DeadlineExceeded,
                                      "chunk ", chunk.index,
                                      " cancelled by the watchdog");
-            chunk.run = std::move(done.run);
-            chunk.batches = done.batches;
+            chunk.run = std::move(run);
             return Status();
         });
 }
@@ -708,9 +723,9 @@ Server::composeReady(std::unique_lock<std::mutex> &lock, SessionPtr s)
         }
 
         if (!opts_.checkpointDir.empty()) {
-            s->ckptSegments.push_back(segmentCheckpoint(
-                chunk->run, truth, chunk->plan, chunk->batches,
-                recovered || chunk->oracle, opts_.ap));
+            s->ckptSegments.push_back(
+                segmentCheckpoint(chunk->run, truth, chunk->plan,
+                                  recovered || chunk->oracle));
 
             // Periodic incremental checkpoint: snapshot the frontier
             // under the lock, hand the (possibly large) serialization

@@ -63,6 +63,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -71,6 +72,7 @@
 
 #include "ap/ap_config.h"
 #include "common/error.h"
+#include "common/file_lock.h"
 #include "engine/report.h"
 #include "pap/composer.h"
 #include "pap/exec/pipeline.h"
@@ -347,6 +349,9 @@ class Server
     void stopCkptWriter();
 
     const ServeOptions opts_;
+    /** Exclusive hold on checkpointDir for the server's lifetime
+        (declared first, so it is released last). */
+    std::optional<FileLock> dirLock_;
     /** pap knobs with hardware fault injection stripped: serve chunks
         run exact (there is no per-stream verification oracle to catch
         silent corruption); the injector still drives worker and serve

@@ -40,9 +40,22 @@ grep -q "detected=80 recovered=80" <<< "$FAULTY"
 CLEAN_MATCHES=$(echo "$CLEAN" \
     | sed 's/PAP\[[a-z0-9+]*\]: \([0-9]*\) matches.*/\1/')
 grep -q "PAP\[[a-z0-9+]*\]: $CLEAN_MATCHES matches" <<< "$FAULTY"
-# Overflow policies parse and run.
-"$PAPSIM" run m.nfa t.bin --ranks=4 --overflow=batch \
-    | grep -q "(verified)"
+# SVC overflow: two ".*" states in one component plan 2 enumeration
+# flows per segment, which with the ASG flow overflow a 2-entry SVC.
+# The default path evicts, verifies and reports the live cache.
+printf 'ab.*cd.*ef\n' > o.txt
+"$PAPSIM" compile o.txt o.nfa | grep -q "compiled 1 rules"
+"$PAPSIM" gentrace o.nfa o.bin 16384 --alphabet=abcdefgh --seed=5 \
+    | grep -q "wrote 16384 symbols"
+OVERFLOW=$("$PAPSIM" run o.nfa o.bin --svc-capacity=2)
+grep -q "(verified)" <<< "$OVERFLOW"
+grep -q "SVC live cache: capacity 2, [1-9][0-9]* evictions" <<< "$OVERFLOW"
+"$PAPSIM" run o.nfa o.bin --overflow=sequential --svc-capacity=2 \
+    2>/dev/null | grep -q "\[degraded\]"
+# Batch overflow handling is gone: the flag value is an error.
+if "$PAPSIM" run o.nfa o.bin --overflow=batch 2>/dev/null; then exit 1; fi
+("$PAPSIM" run o.nfa o.bin --overflow=batch 2>&1 || true) \
+    | grep -q "papsim: error:"
 
 "$PAPSIM" bench Bro217 | grep -q "Bro217:"
 test -f Bro217.nfa

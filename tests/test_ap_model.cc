@@ -1,8 +1,8 @@
 /**
  * @file
  * AP hardware model tests: board geometry, placement (bin packing,
- * routing hints, capacity checks), the State Vector Cache, and the
- * output report buffer.
+ * routing hints, capacity checks) and the output report buffer. The
+ * State Vector Cache has its own file, test_svc_policy.cc.
  */
 
 #include <gtest/gtest.h>
@@ -10,7 +10,6 @@
 #include "ap/ap_config.h"
 #include "ap/placement.h"
 #include "ap/report_buffer.h"
-#include "ap/state_vector_cache.h"
 #include "nfa/glushkov.h"
 #include "workloads/domain_gen.h"
 
@@ -69,77 +68,6 @@ TEST(Placement, BinPacksComponents)
     // Components map into existing half-cores.
     for (const auto hc : p.halfCoreOfComponent)
         EXPECT_LT(hc, p.halfCoresPerCopy);
-}
-
-TEST(StateVectorCache, SaveLoadInvalidate)
-{
-    StateVectorCache svc(4);
-    EXPECT_TRUE(svc.save(0, {1, 2, 3}).ok());
-    EXPECT_TRUE(svc.save(1, {1, 2, 3}).ok());
-    EXPECT_TRUE(svc.save(2, {}).ok());
-    EXPECT_TRUE(svc.resident(0));
-    EXPECT_EQ(svc.occupancy(), 3u);
-    EXPECT_EQ(*svc.load(0).value(), (std::vector<StateId>{1, 2, 3}));
-    EXPECT_TRUE(svc.equal(0, 1).value());
-    EXPECT_FALSE(svc.equal(0, 2).value());
-    EXPECT_TRUE(svc.isZero(2).value());
-    EXPECT_FALSE(svc.isZero(0).value());
-    svc.invalidate(1);
-    EXPECT_FALSE(svc.resident(1));
-    EXPECT_EQ(svc.occupancy(), 2u);
-    EXPECT_EQ(svc.counters().get("svc.saves"), 3u);
-    EXPECT_EQ(svc.counters().get("svc.loads"), 1u);
-    EXPECT_EQ(svc.counters().get("svc.compares"), 2u);
-    EXPECT_EQ(svc.counters().get("svc.invalidates"), 1u);
-}
-
-TEST(StateVectorCache, OverwriteDoesNotGrow)
-{
-    StateVectorCache svc(1);
-    EXPECT_TRUE(svc.save(7, {1}).ok());
-    EXPECT_TRUE(svc.save(7, {2}).ok());
-    EXPECT_EQ(svc.occupancy(), 1u);
-    EXPECT_EQ(*svc.load(7).value(), (std::vector<StateId>{2}));
-}
-
-TEST(StateVectorCache, ExactCapacityBoundary)
-{
-    // The D480 SVC holds exactly 512 contexts: the 512th flow fits,
-    // the 513th is rejected with a typed capacity error.
-    StateVectorCache svc(512);
-    for (FlowId f = 0; f < 512; ++f)
-        ASSERT_TRUE(svc.save(f, {f}).ok()) << "flow " << f;
-    EXPECT_EQ(svc.occupancy(), 512u);
-
-    const Status overflow = svc.save(512, {512});
-    EXPECT_FALSE(overflow.ok());
-    EXPECT_EQ(overflow.code(), ErrorCode::CapacityExceeded);
-    EXPECT_FALSE(svc.resident(512));
-    EXPECT_EQ(svc.occupancy(), 512u);
-    EXPECT_EQ(svc.counters().get("svc.save_rejects"), 1u);
-
-    // Overwriting a resident flow at full capacity still succeeds,
-    // and eviction opens a slot for the rejected flow.
-    EXPECT_TRUE(svc.save(511, {9, 10}).ok());
-    svc.invalidate(0);
-    EXPECT_TRUE(svc.save(512, {512}).ok());
-    EXPECT_EQ(svc.occupancy(), 512u);
-}
-
-TEST(StateVectorCache, LoadNonResidentReturnsTypedError)
-{
-    StateVectorCache svc(2);
-    EXPECT_TRUE(svc.save(1, {4, 5}).ok());
-    const auto miss = svc.load(9);
-    EXPECT_FALSE(miss.ok());
-    EXPECT_EQ(miss.status().code(), ErrorCode::InvalidInput);
-    EXPECT_EQ(svc.counters().get("svc.load_misses"), 1u);
-
-    svc.invalidate(1);
-    const auto evicted = svc.load(1);
-    EXPECT_FALSE(evicted.ok());
-    EXPECT_EQ(evicted.status().code(), ErrorCode::InvalidInput);
-    EXPECT_EQ(svc.counters().get("svc.load_misses"), 2u);
 }
 
 TEST(ReportBuffer, TracksFlowAttribution)

@@ -6,10 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
 
+#include "common/file_lock.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/table.h"
+#include "test_util.h"
 
 namespace pap {
 namespace {
@@ -137,6 +140,25 @@ TEST(Table, Formatting)
     EXPECT_EQ(fmtCount(999), "999");
     EXPECT_EQ(fmtCount(1000), "1,000");
     EXPECT_EQ(fmtCount(1234567), "1,234,567");
+}
+
+TEST(FileLock, SecondHolderFailsUntilReleased)
+{
+    const std::string path = uniqueTempPath("state.lock");
+    {
+        auto first = FileLock::acquire(path);
+        ASSERT_TRUE(first.ok()) << first.status().toString();
+        // Two opens in one process are two open file descriptions, so
+        // they conflict like two processes would.
+        const auto second = FileLock::acquire(path);
+        ASSERT_FALSE(second.ok());
+        EXPECT_EQ(second.status().code(), ErrorCode::LockHeld);
+        EXPECT_TRUE(std::filesystem::exists(path));
+    }
+    // The holder removes the lock file when it lets go.
+    EXPECT_FALSE(std::filesystem::exists(path));
+    auto again = FileLock::acquire(path);
+    EXPECT_TRUE(again.ok()) << again.status().toString();
 }
 
 } // namespace

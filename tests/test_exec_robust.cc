@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -17,6 +18,8 @@
 #include "ap/ap_config.h"
 #include "common/charclass.h"
 #include "common/error.h"
+#include "common/file_lock.h"
+#include "common/logging.h"
 #include "common/rng.h"
 #include "engine/reference_engine.h"
 #include "engine/trace.h"
@@ -396,6 +399,71 @@ TEST_F(CheckpointResume, ResumeWithDifferentThreadCountStillMatches)
     expectSameRun(full, r);
 }
 
+TEST_F(CheckpointResume, OldVersionCheckpointWarnsAndRunsFresh)
+{
+    const Workload w = robustWorkload();
+    const ApConfig board = smallBoard(8);
+    const PapResult full = runPap(w.nfa, w.input, board);
+
+    PapOptions killed;
+    killed.checkpointPath = path_;
+    killed.stopAfterSegment = 1;
+    ASSERT_FALSE(runPap(w.nfa, w.input, board, killed).status.ok());
+    // A version-1 file: valid apart from its version field.
+    patchCheckpointVersion(path_, 1);
+
+    const LogLevel level = logLevel();
+    setLogLevel(LogLevel::Warn);
+    ::testing::internal::CaptureStderr();
+    PapOptions resume;
+    resume.checkpointPath = path_;
+    const PapResult r = runPap(w.nfa, w.input, board, resume);
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    setLogLevel(level);
+    ASSERT_TRUE(r.status.ok());
+    EXPECT_FALSE(r.resumedFromCheckpoint);
+    EXPECT_NE(err.find("unsupported version"), std::string::npos) << err;
+    expectSameRun(full, r);
+}
+
+TEST_F(CheckpointResume, SecondRunOnTheSameCheckpointIsLocked)
+{
+    const Workload w = robustWorkload();
+    const ApConfig board = smallBoard(8);
+    const PapResult full = runPap(w.nfa, w.input, board);
+
+    PapOptions killed;
+    killed.checkpointPath = path_;
+    killed.stopAfterSegment = 1;
+    ASSERT_FALSE(runPap(w.nfa, w.input, board, killed).status.ok());
+    ASSERT_TRUE(checkpointExists());
+
+    PapOptions resume;
+    resume.checkpointPath = path_;
+    {
+        // Another holder of the checkpoint. flock locks belong to the
+        // open file description, so this conflicts with the run's own
+        // acquisition even inside one process.
+        auto other = FileLock::acquire(path_ + ".lock");
+        ASSERT_TRUE(other.ok()) << other.status().toString();
+        const PapResult r = runPap(w.nfa, w.input, board, resume);
+        EXPECT_EQ(r.status.code(), ErrorCode::LockHeld)
+            << r.status.toString();
+        EXPECT_TRUE(r.reports.empty());
+        // The loser left the holder's checkpoint alone.
+        auto kept = exec::loadCheckpoint(path_);
+        ASSERT_TRUE(kept.ok()) << kept.status().toString();
+        EXPECT_EQ(kept.value().nextSegment, 2u);
+    }
+
+    // Released: the next run owns the checkpoint and resumes from it.
+    const PapResult r = runPap(w.nfa, w.input, board, resume);
+    ASSERT_TRUE(r.status.ok()) << r.status.toString();
+    EXPECT_TRUE(r.resumedFromCheckpoint);
+    expectSameRun(full, r);
+    EXPECT_FALSE(std::filesystem::exists(path_ + ".lock"));
+}
+
 TEST_F(CheckpointResume, CorruptCheckpointFallsBackToFreshRun)
 {
     const Workload w = robustWorkload();
@@ -511,8 +579,6 @@ TEST_F(CheckpointResume, EvictRunResumesThroughTheLiveCache)
     const ApConfig board = smallBoard(8);
     PapOptions opt;
     opt.enableCcMerging = false;
-    opt.overflowPolicy = OverflowPolicy::Evict;
-    opt.svcPolicy = SvcPolicyKind::CostAware;
     opt.svcCapacity = 8;
     const PapResult full = runPap(nfa, input, board, opt);
     ASSERT_TRUE(full.status.ok());

@@ -13,6 +13,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <unistd.h>
@@ -573,11 +574,12 @@ TEST(Serve, SwapDuringStreamFaultBumpsGenerationHarmlessly)
 // ---------------------------------------------------------------------
 // SVC overflow
 
-TEST(Serve, SvcOverflowChunksBatchAndMatchSequential)
+TEST(Serve, SvcOverflowStreamMatchesSequentialAfterResume)
 {
     // Every chunk after the first needs 2 enumeration flows plus the
     // ASG flow, so a 2-entry SVC (from the board or from the
-    // pap.svcCapacity override alike) runs them in 2 batches.
+    // pap.svcCapacity override alike) overflows: the chunks still run
+    // their whole plans, and only the modeled timing evicts.
     Rng rng(64);
     const Nfa nfa = compileRuleset({{"ab.*cd.*ef", 1}}, "m");
     const InputTrace trace = randomTextTrace(rng, 8192, "abcdefgh");
@@ -603,10 +605,10 @@ TEST(Serve, SvcOverflowChunksBatchAndMatchSequential)
         const auto drained =
             exec::loadCheckpoint(opt.checkpointDir + "/t-k.papckpt");
         ASSERT_TRUE(drained.ok()) << drained.status().toString();
-        std::uint32_t max_batches = 0;
+        std::size_t max_flows = 0;
         for (const auto &seg : drained.value().segments)
-            max_batches = std::max(max_batches, seg.timing.numBatches);
-        EXPECT_GE(max_batches, 2u);
+            max_flows = std::max(max_flows, seg.timing.flows.size());
+        EXPECT_GT(max_flows, 2u) << "a chunk's plan was split";
 
         Server server(opt, nfa);
         const auto resumed = server.resume("t", "k");
@@ -867,6 +869,81 @@ TEST(Serve, CrashBeforeFirstCheckpointResumesFresh)
     ASSERT_TRUE(report.ok()) << report.status().toString();
     EXPECT_EQ(report.value().reports, expected);
     EXPECT_EQ(server.stats().sessionsRecovered, 1u);
+}
+
+TEST(Serve, OldVersionCheckpointIsRemovedAndResumesFresh)
+{
+    const Nfa nfa = serveRuleset();
+    const InputTrace trace = serveTrace(4000, 91);
+    const auto expected = sequentialReports(nfa, trace);
+    ServeOptions opt = smallOptions();
+    const UniqueTempDir scratch("serve_old_ckpt");
+    opt.checkpointDir = scratch.path();
+    const std::string ckpt = opt.checkpointDir + "/t-old.papckpt";
+    {
+        Server server(opt, nfa);
+        const auto id = server.open("t", "old");
+        ASSERT_TRUE(id.ok());
+        ASSERT_TRUE(server.feed(id.value(), trace.ptr(0), 2000).ok());
+        ASSERT_TRUE(server.drain().ok());
+    }
+    ASSERT_TRUE(exec::loadCheckpoint(ckpt).ok());
+    // A version-1 file: valid apart from its version field.
+    patchCheckpointVersion(ckpt, 1);
+
+    Server server(opt, nfa);
+    EXPECT_FALSE(std::filesystem::exists(ckpt))
+        << "cold start keeps an unloadable checkpoint";
+    const auto resumed = server.resume("t", "old");
+    ASSERT_TRUE(resumed.ok()) << resumed.status().toString();
+    EXPECT_EQ(resumed.value().offset, 0u);
+    ASSERT_TRUE(server
+                    .feed(resumed.value().id, trace.ptr(0),
+                          trace.size())
+                    .ok());
+    const auto report = server.finish(resumed.value().id);
+    ASSERT_TRUE(report.ok()) << report.status().toString();
+    EXPECT_EQ(report.value().reports, expected);
+}
+
+TEST(Serve, SecondServerOnOneCheckpointDirIsLocked)
+{
+    const Nfa nfa = serveRuleset();
+    const InputTrace trace = serveTrace(4000, 93);
+    const auto expected = sequentialReports(nfa, trace);
+    ServeOptions opt = smallOptions();
+    const UniqueTempDir scratch("serve_lock");
+    opt.checkpointDir = scratch.path();
+    {
+        Server first(opt, nfa);
+        ASSERT_TRUE(first.status().ok()) << first.status().toString();
+        // One process, two servers: flock locks belong to the open
+        // file description, so the second one is refused too.
+        Server second(opt, nfa);
+        EXPECT_EQ(second.status().code(), ErrorCode::LockHeld)
+            << second.status().toString();
+        EXPECT_EQ(second.open("t", "k").status().code(),
+                  ErrorCode::LockHeld);
+
+        // The holder's manifest and checkpoints were left alone.
+        const auto id = first.open("t", "k");
+        ASSERT_TRUE(id.ok());
+        ASSERT_TRUE(first.feed(id.value(), trace.ptr(0), 2000).ok());
+        ASSERT_TRUE(first.drain().ok());
+    }
+    // The first server is gone, so the directory is free again.
+    Server server(opt, nfa);
+    ASSERT_TRUE(server.status().ok()) << server.status().toString();
+    const auto resumed = server.resume("t", "k");
+    ASSERT_TRUE(resumed.ok()) << resumed.status().toString();
+    EXPECT_EQ(resumed.value().offset, 2000u);
+    ASSERT_TRUE(server
+                    .feed(resumed.value().id, trace.ptr(2000),
+                          trace.size() - 2000)
+                    .ok());
+    const auto report = server.finish(resumed.value().id);
+    ASSERT_TRUE(report.ok()) << report.status().toString();
+    EXPECT_EQ(report.value().reports, expected);
 }
 
 TEST(Serve, TornManifestTailToleratedOnBoot)

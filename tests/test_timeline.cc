@@ -228,46 +228,5 @@ TEST(Timeline, AvgActiveFlowsWeightsRounds)
     EXPECT_DOUBLE_EQ(r.avgActiveFlows, (1 + 1 + 2 + 1) / 4.0);
 }
 
-TEST(Timeline, SvcBatchesSerializeAndPayReloads)
-{
-    PapOptions opt;
-    opt.tdmQuantum = 100;
-    opt.enableFiv = false;
-
-    // One segment, two enum flows. Unbatched they share TDM rounds;
-    // split into two batches they serialize and pay one reload.
-    FlowTimingInfo a = flow(FlowKind::Enum, 1000);
-    FlowTimingInfo b = flow(FlowKind::Enum, 1000);
-    SegmentTimingInput together =
-        segment(1000, {}, 0, 2);
-    together.flows = {a, b};
-    together.hasEnumFlows = true;
-
-    SegmentTimingInput batched = together;
-    batched.flows[1].batch = 1;
-    batched.numBatches = 2;
-    batched.batchReloadCycles = 50;
-
-    const std::vector<SegmentTimingInput> one = {
-        segment(1000, {flow(FlowKind::Golden, 1000)}), together};
-    std::vector<SegmentTimingInput> two = one;
-    two[1] = batched;
-
-    PapOptions uncapped = opt;
-    uncapped.applyGoldenCap = false;
-    const TimelineResult rt =
-        simulateTimeline(one, 0, 2000, uncapped, kConfig);
-    const TimelineResult rb =
-        simulateTimeline(two, 0, 2000, uncapped, kConfig);
-
-    // Together: 10 rounds x (2x100 + 2x3). Batched: each batch runs
-    // its flow alone (no switches) plus the inter-batch reload.
-    EXPECT_EQ(rt.tDone[1], 2000u + 60u);
-    EXPECT_EQ(rb.tDone[1], 2000u + 50u);
-    EXPECT_EQ(rb.reuploadCycles, 50u);
-    EXPECT_EQ(rt.reuploadCycles, 0u);
-    EXPECT_EQ(rb.switchCycles, 0u);
-}
-
 } // namespace
 } // namespace pap

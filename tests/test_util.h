@@ -4,6 +4,7 @@
  * discovered test in its own process, concurrently, so two fixtures
  * writing the same fixed temp name resume, clobber or remove each
  * other's checkpoints. Every on-disk fixture takes its path from here.
+ * Also a checkpoint header patch for the old-version tests.
  */
 
 #ifndef PAP_TESTS_TEST_UTIL_H
@@ -12,7 +13,9 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <cstdint>
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <system_error>
 
@@ -63,6 +66,25 @@ class UniqueTempDir
   private:
     const std::string path_;
 };
+
+/**
+ * Overwrite the version field of the checkpoint at @p path: the
+ * little-endian u32 after the 8-byte magic (docs/file-formats.md).
+ * The CRC covers only the payload, so the file stays otherwise valid.
+ */
+inline void
+patchCheckpointVersion(const std::string &path, std::uint32_t version)
+{
+    std::fstream file(path,
+                      std::ios::in | std::ios::out | std::ios::binary);
+    ASSERT_TRUE(file.good()) << "cannot open " << path;
+    char bytes[4];
+    for (int i = 0; i < 4; ++i)
+        bytes[i] = static_cast<char>((version >> (8 * i)) & 0xFFu);
+    file.seekp(8);
+    file.write(bytes, 4);
+    ASSERT_TRUE(file.good()) << "cannot patch " << path;
+}
 
 } // namespace pap
 

@@ -85,8 +85,8 @@ usage()
         "           [--quantum=N] [--spec[=WINDOW]] [--max-reports=N]\n"
         "           [--verbose] [--metrics-json=PATH]\n"
         "           [--trace-out=PATH] [--profile] [--attrib[=json]]\n"
-        "           [--overflow=batch|sequential|fail|evict]\n"
-        "           [--svc-policy=lru|fifo|cost] [--svc-capacity=N]\n"
+        "           [--overflow=evict|sequential|fail]\n"
+        "           [--svc-capacity=N]\n"
         "           [--threads=N] [--checkpoint=PATH]\n"
         "           [--deadline-ms=X] [--max-retries=N]\n"
         "           [--stop-after-segment=N]\n"
@@ -517,23 +517,15 @@ cmdRun(const std::vector<std::string> &args)
             opt.stopAfterSegment = static_cast<std::int64_t>(stop);
         }
         if (flagValue(args, "--overflow", &v)) {
-            if (v == "batch")
-                opt.overflowPolicy = OverflowPolicy::Batch;
+            if (v == "evict")
+                opt.overflowPolicy = OverflowPolicy::Evict;
             else if (v == "sequential")
                 opt.overflowPolicy = OverflowPolicy::SequentialFallback;
             else if (v == "fail")
                 opt.overflowPolicy = OverflowPolicy::Fail;
-            else if (v == "evict")
-                opt.overflowPolicy = OverflowPolicy::Evict;
             else
-                return fail("--overflow must be batch, sequential, "
-                            "fail, or evict; got '" + v + "'");
-        }
-        if (flagValue(args, "--svc-policy", &v)) {
-            const Result<SvcPolicyKind> parsed = parseSvcPolicy(v);
-            if (!parsed.ok())
-                return fail(parsed.status().toString());
-            opt.svcPolicy = parsed.value();
+                return fail("--overflow must be evict, sequential, "
+                            "or fail; got '" + v + "'");
         }
         if (flagValue(args, "--svc-capacity", &v) &&
             (!parseU32(v, &opt.svcCapacity) || opt.svcCapacity == 0))
@@ -592,15 +584,10 @@ cmdRun(const std::vector<std::string> &args)
             r.degraded ? " [degraded]" : "", r.flowsInRange,
             r.flowsAfterCc, r.flowsAfterParent, r.avgActiveFlows,
             r.switchOverheadPct, r.reportInflation);
-        if (r.svcBatches > 1)
-            std::printf("  SVC overflow: ran in up to %u batches per "
-                        "segment\n",
-                        r.svcBatches);
         if (r.svcEvictions > 0 || r.svcReuploads > 0)
-            std::printf("  SVC live cache: policy %s, capacity %u, "
-                        "%llu evictions, %llu re-uploads, hit rate "
-                        "%.3f\n",
-                        r.svcPolicy.c_str(), r.svcCapacity,
+            std::printf("  SVC live cache: capacity %u, %llu evictions, "
+                        "%llu re-uploads, hit rate %.3f\n",
+                        r.svcCapacity,
                         static_cast<unsigned long long>(r.svcEvictions),
                         static_cast<unsigned long long>(r.svcReuploads),
                         r.svcHitRate);
