@@ -1,19 +1,10 @@
 #include "common/rng.h"
 
+#include "common/hash.h"
+
 namespace pap {
 
 namespace {
-
-/** SplitMix64 step, used only for seeding. */
-std::uint64_t
-splitMix64(std::uint64_t &x)
-{
-    x += 0x9e3779b97f4a7c15ull;
-    std::uint64_t z = x;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-}
 
 std::uint64_t
 rotl(std::uint64_t x, int k)
@@ -25,9 +16,11 @@ rotl(std::uint64_t x, int k)
 
 Rng::Rng(std::uint64_t seed)
 {
-    std::uint64_t sm = seed;
-    for (auto &s : state)
-        s = splitMix64(sm);
+    // Seed through SplitMix64: word k is its (k+1)-th output.
+    for (auto &s : state) {
+        s = mix64(seed);
+        seed += kSplitMix64Gamma;
+    }
 }
 
 std::uint64_t

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "common/logging.h"
 
@@ -59,48 +58,5 @@ percentile(std::vector<double> xs, double pct)
     return xs[lo] * (1.0 - frac) + xs[hi] * frac;
 }
 
-void
-mergeCounters(std::map<std::string, std::uint64_t> &into,
-              const std::map<std::string, std::uint64_t> &from)
-{
-    for (const auto &[name, value] : from)
-        into[name] += value;
-}
-
 } // namespace stats
-
-void
-CounterSet::add(const std::string &name, std::uint64_t delta)
-{
-    counters[name] += delta;
-}
-
-void
-CounterSet::setValue(const std::string &name, std::uint64_t value)
-{
-    counters[name] = value;
-}
-
-std::uint64_t
-CounterSet::get(const std::string &name) const
-{
-    const auto it = counters.find(name);
-    return it == counters.end() ? 0 : it->second;
-}
-
-void
-CounterSet::merge(const CounterSet &other)
-{
-    stats::mergeCounters(counters, other.counters);
-}
-
-std::string
-CounterSet::toString() const
-{
-    std::ostringstream os;
-    for (const auto &[name, value] : counters)
-        os << name << " = " << value << "\n";
-    return os.str();
-}
-
 } // namespace pap

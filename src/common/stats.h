@@ -1,16 +1,11 @@
 /**
  * @file
- * Small numeric helpers (means, geomean, percentiles) and a named-counter
- * registry used by the runtime models to expose what happened during a
- * simulation without threading dozens of out-parameters around.
+ * Small numeric helpers: means, geomean, extremes and percentiles.
  */
 
 #ifndef PAP_COMMON_STATS_H
 #define PAP_COMMON_STATS_H
 
-#include <cstdint>
-#include <map>
-#include <string>
 #include <vector>
 
 namespace pap {
@@ -35,47 +30,7 @@ double maxOf(const std::vector<double> &xs);
  */
 double percentile(std::vector<double> xs, double pct);
 
-/**
- * Sum every counter of @p from into @p into. The single merge path
- * shared by CounterSet::merge and obs::MetricsRegistry.
- */
-void mergeCounters(std::map<std::string, std::uint64_t> &into,
-                   const std::map<std::string, std::uint64_t> &from);
-
 } // namespace stats
-
-/**
- * A named bag of counters. Models increment counters by name; tests and
- * benches read them back. Copyable value type.
- */
-class CounterSet
-{
-  public:
-    /** Add @p delta to counter @p name (creating it at zero). */
-    void add(const std::string &name, std::uint64_t delta = 1);
-
-    /** Set counter @p name to an absolute value. */
-    void setValue(const std::string &name, std::uint64_t value);
-
-    /** Read a counter; 0 if it was never touched. */
-    std::uint64_t get(const std::string &name) const;
-
-    /** Merge another set into this one (summing shared names). */
-    void merge(const CounterSet &other);
-
-    /** All counters, sorted by name. */
-    const std::map<std::string, std::uint64_t> &all() const
-    {
-        return counters;
-    }
-
-    /** Multi-line "name = value" rendering. */
-    std::string toString() const;
-
-  private:
-    std::map<std::string, std::uint64_t> counters;
-};
-
 } // namespace pap
 
 #endif // PAP_COMMON_STATS_H

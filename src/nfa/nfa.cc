@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/hash.h"
 #include "common/logging.h"
 
 namespace pap {
@@ -110,6 +111,27 @@ Nfa::validate() const
         // Empty-label states can arise from degenerate patterns such
         // as x{0,0}; they never match and are therefore harmless.
     }
+}
+
+std::uint64_t
+automatonDigest(const Nfa &nfa)
+{
+    // "SERV": the seed serve identities were first written with.
+    std::uint64_t h = 0x53455256ull;
+    for (const char c : nfa.name())
+        h = hashCombine(h, static_cast<std::uint64_t>(c));
+    h = hashCombine(h, nfa.size());
+    for (StateId q = 0; q < nfa.size(); ++q) {
+        const NfaState &st = nfa[q];
+        for (int w = 0; w < 4; ++w)
+            h = hashCombine(h, st.label.word(w));
+        h = hashCombine(h, static_cast<std::uint64_t>(st.start));
+        h = hashCombine(h, (std::uint64_t{st.reporting} << 32) |
+                               st.reportCode);
+        for (const StateId t : st.succ)
+            h = hashCombine(h, t);
+    }
+    return h;
 }
 
 } // namespace pap

@@ -123,6 +123,19 @@ class Nfa
     bool isFinalized = false;
 };
 
+/**
+ * Structural digest of @p nfa: a hash over its name, its size and, per
+ * state, the four label words, the start kind, the report flag and
+ * code, and the successors. Two automata that differ in any of these
+ * digest apart (up to hash collisions), however alike their names and
+ * sizes. Checkpoint identities are built on it (docs/file-formats.md);
+ * the values match the per-state fold serve checkpoints have always
+ * carried, so checkpoints and manifests written before the digest
+ * existed still resume. One pass over the automaton: compute it once
+ * per automaton, not per use.
+ */
+std::uint64_t automatonDigest(const Nfa &nfa);
+
 } // namespace pap
 
 #endif // PAP_NFA_NFA_H

@@ -101,35 +101,10 @@ Histogram::snapshot() const
 }
 
 void
-Histogram::merge(const Histogram &other)
-{
-    if (other.count_ == 0)
-        return;
-    if (count_ == 0) {
-        min_ = other.min_;
-        max_ = other.max_;
-    } else {
-        min_ = std::min(min_, other.min_);
-        max_ = std::max(max_, other.max_);
-    }
-    sum_ += other.sum_;
-    count_ += other.count_;
-    for (const auto &[bucket, n] : other.buckets_)
-        buckets_[bucket] += n;
-}
-
-void
 MetricsRegistry::add(const std::string &name, std::uint64_t delta)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     counters_[name] += delta;
-}
-
-void
-MetricsRegistry::setCounter(const std::string &name, std::uint64_t value)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    counters_[name] = value;
 }
 
 void
@@ -169,54 +144,6 @@ MetricsRegistry::histogram(const std::string &name) const
     const auto it = histograms_.find(name);
     return it == histograms_.end() ? HistogramSnapshot{}
                                    : it->second.snapshot();
-}
-
-std::vector<std::string>
-MetricsRegistry::histogramNames() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::vector<std::string> names;
-    names.reserve(histograms_.size());
-    for (const auto &[name, h] : histograms_)
-        names.push_back(name);
-    return names;
-}
-
-void
-MetricsRegistry::merge(const MetricsRegistry &other)
-{
-    // Copy under the other's lock, then fold in under ours (never hold
-    // both: a concurrent a.merge(b) / b.merge(a) would deadlock).
-    std::map<std::string, std::uint64_t> counters;
-    std::map<std::string, double> gauges;
-    std::map<std::string, Histogram> histograms;
-    {
-        std::lock_guard<std::mutex> lock(other.mutex_);
-        counters = other.counters_;
-        gauges = other.gauges_;
-        histograms = other.histograms_;
-    }
-    std::lock_guard<std::mutex> lock(mutex_);
-    stats::mergeCounters(counters_, counters);
-    for (const auto &[name, value] : gauges)
-        gauges_[name] = value;
-    for (const auto &[name, h] : histograms)
-        histograms_[name].merge(h);
-}
-
-void
-MetricsRegistry::mergeCounterSet(const CounterSet &set,
-                                 const std::string &prefix)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (prefix.empty()) {
-        stats::mergeCounters(counters_, set.all());
-        return;
-    }
-    std::map<std::string, std::uint64_t> prefixed;
-    for (const auto &[name, value] : set.all())
-        prefixed[prefix + name] = value;
-    stats::mergeCounters(counters_, prefixed);
 }
 
 void

@@ -58,9 +58,6 @@ class Histogram
     /** Full distribution summary. */
     HistogramSnapshot snapshot() const;
 
-    /** Sum another histogram into this one (bucket-wise). */
-    void merge(const Histogram &other);
-
     std::uint64_t count() const { return count_; }
 
   private:
@@ -87,9 +84,6 @@ class MetricsRegistry
     /** Add @p delta to counter @p name (creating it at zero). */
     void add(const std::string &name, std::uint64_t delta = 1);
 
-    /** Set counter @p name to an absolute value. */
-    void setCounter(const std::string &name, std::uint64_t value);
-
     /** Set gauge @p name. */
     void setGauge(const std::string &name, double value);
 
@@ -104,20 +98,6 @@ class MetricsRegistry
 
     /** Snapshot a histogram; empty snapshot if never touched. */
     HistogramSnapshot histogram(const std::string &name) const;
-
-    /** Names of all histograms, sorted. */
-    std::vector<std::string> histogramNames() const;
-
-    /**
-     * Merge another registry into this one: counters sum (through the
-     * same stats::mergeCounters path CounterSet uses), gauges take the
-     * other's values, histograms merge bucket-wise.
-     */
-    void merge(const MetricsRegistry &other);
-
-    /** Sum a CounterSet's counters in, each name prefixed @p prefix. */
-    void mergeCounterSet(const CounterSet &set,
-                         const std::string &prefix = "");
 
     /** Drop everything (tests, or between CLI sub-runs). */
     void clear();

@@ -192,4 +192,87 @@ composeEnum(const CompiledNfa &cnfa, const Components &comps,
     return truth;
 }
 
+SegmentTruth
+composeStep(const CompiledNfa &cnfa, const Components &comps,
+            const exec::CheckpointFrontier &frontier,
+            const ComposeInput &seg, SegmentRun &run)
+{
+    if (seg.recover()) {
+        // Recompute exactly the segment's slice of input from the
+        // frontier. Timing degrades to a single golden-like flow.
+        run = runOracleSegment(cnfa,
+                               frontier.nextSegment == 0
+                                   ? cnfa.initialActive()
+                                   : frontier.finalActive,
+                               seg.data, seg.begin, seg.length);
+        return composeGolden(run);
+    }
+    if (!seg.plan)
+        return composeGolden(run);
+    const std::vector<StateId> no_truth;
+    return composeEnum(cnfa, comps, *seg.plan, run,
+                       seg.truthLost ? no_truth : frontier.finalActive);
+}
+
+namespace {
+
+/**
+ * The checkpoint record of one composed segment: its timing-model
+ * input (every flow with its truth, and the entry census) plus the
+ * flow-outcome census. Run-wide timing settings (the SVC capacity)
+ * are not part of it: the timeline takes them from the run's options.
+ * A recovered segment ran no enumeration flows.
+ */
+exec::SegmentCheckpoint
+segmentCheckpoint(const ComposeInput &seg, const SegmentRun &run,
+                  const SegmentTruth &truth)
+{
+    exec::SegmentCheckpoint cp;
+    SegmentTimingInput &t = cp.timing;
+    t.segLen = run.segLen;
+    t.totalEntries = truth.totalEntries;
+    t.aliveEnumFlowsAtEnd = truth.aliveEnumFlowsAtEnd;
+    t.hasEnumFlows = seg.plan && !seg.plan->flows.empty() && !seg.recover();
+    for (const auto &rec : run.flows) {
+        FlowTimingInfo info;
+        info.kind = rec.kind;
+        info.symbolsProcessed = rec.symbolsProcessed;
+        info.isTrue = rec.kind != FlowKind::Enum ||
+                      (rec.id < truth.flowTrue.size() &&
+                       truth.flowTrue[rec.id] != 0);
+        t.flows.push_back(info);
+    }
+    const DeathTally deaths = tallyDeaths(run);
+    cp.deactivated = deaths.deactivated;
+    cp.converged = deaths.converged;
+    cp.ranToEnd = deaths.ranToEnd;
+    for (const auto p : truth.pathTrue)
+        cp.truePaths += p;
+    cp.recovered = seg.recover();
+    return cp;
+}
+
+} // namespace
+
+void
+foldSegment(exec::CheckpointFrontier &frontier, const ComposeInput &seg,
+            const SegmentRun &run, SegmentTruth &&truth)
+{
+    frontier.segments.push_back(segmentCheckpoint(seg, run, truth));
+    frontier.finalActive = std::move(truth.finalActive);
+    frontier.reports.insert(frontier.reports.end(),
+                            truth.trueReports.begin(),
+                            truth.trueReports.end());
+    frontier.papEntries += truth.totalEntries;
+    for (const FlowRecord &rec : run.flows) {
+        frontier.flowTransitions += rec.counters.matches;
+        frontier.flowSymbolCycles += rec.counters.symbols;
+    }
+    if (seg.retried)
+        ++frontier.segmentsRetried;
+    if (seg.failed)
+        ++frontier.segmentsRecovered;
+    ++frontier.nextSegment;
+}
+
 } // namespace pap

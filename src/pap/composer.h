@@ -9,6 +9,10 @@
  * component mask identifies the owning path — then deduplicated, and
  * the segment's own true final active set is assembled for the next
  * segment in the chain.
+ *
+ * runPap and serve both drive the chain through composeStep() and
+ * foldSegment() below, each over one exec::CheckpointFrontier: the
+ * step judges a segment against the frontier, the fold advances it.
  */
 
 #ifndef PAP_PAP_COMPOSER_H
@@ -19,6 +23,7 @@
 
 #include "engine/compiled_nfa.h"
 #include "nfa/analysis.h"
+#include "pap/exec/checkpoint.h"
 #include "pap/flow_plan.h"
 #include "pap/segment_sim.h"
 
@@ -54,6 +59,51 @@ SegmentTruth composeGolden(const SegmentRun &run);
 SegmentTruth composeEnum(const CompiledNfa &cnfa, const Components &comps,
                          const FlowPlan &plan, const SegmentRun &run,
                          const std::vector<StateId> &prev_true);
+
+/** One segment as the compose step and the fold see it. */
+struct ComposeInput
+{
+    /** Enumeration plan; null for a golden segment. */
+    const FlowPlan *plan = nullptr;
+    /** The segment's input slice, which recovery recomputes. */
+    const Symbol *data = nullptr;
+    std::uint64_t begin = 0;
+    std::uint64_t length = 0;
+    /** Every execution attempt failed; counted in segmentsRecovered. */
+    bool failed = false;
+    /** Never executed: serve's continuation of a resumed stream. */
+    bool continuation = false;
+    /** Execution needed more than one attempt. */
+    bool retried = false;
+    /** The predecessor's FIV download was dropped (injected fault):
+        enumeration is judged against an empty T. */
+    bool truthLost = false;
+
+    /** Recomputed from the frontier by the per-segment oracle. */
+    bool recover() const { return failed || continuation; }
+};
+
+/**
+ * The compose step: the truth of segment @p seg, the one @p frontier
+ * expects next. A segment to recover is first recomputed by the
+ * oracle from the frontier's final active set (the initial active set
+ * at segment 0), which replaces @p run, and composes as golden; so
+ * does an executed golden segment. Every other segment is judged
+ * against the frontier's final active set.
+ */
+SegmentTruth composeStep(const CompiledNfa &cnfa, const Components &comps,
+                         const exec::CheckpointFrontier &frontier,
+                         const ComposeInput &seg, SegmentRun &run);
+
+/**
+ * The fold: add segment @p seg, its final @p run and its @p truth to
+ * @p frontier — the final active set, the true reports and entries,
+ * the transition and flow-symbol totals, the retry and recovery
+ * census, the segment's checkpoint record — and advance nextSegment.
+ */
+void foldSegment(exec::CheckpointFrontier &frontier,
+                 const ComposeInput &seg, const SegmentRun &run,
+                 SegmentTruth &&truth);
 
 } // namespace pap
 

@@ -53,13 +53,17 @@ struct SegmentCheckpoint
     std::uint8_t recovered = 0;
 };
 
-/** Everything a resumed run needs to continue the composition chain. */
+/**
+ * The composition state of one runPap call or serve stream, and
+ * everything a resumed run needs to continue its chain: foldSegment
+ * (pap/composer.h) advances it one segment at a time.
+ */
 struct CheckpointFrontier
 {
     /**
-     * Hash binding the checkpoint to one (automaton, input, options)
-     * run; a mismatch means the file belongs to a different run and
-     * is ignored.
+     * Hash binding the checkpoint to one run, built on the automaton's
+     * structural digest (docs/file-formats.md); a mismatch means the
+     * file belongs to a different run and is ignored.
      */
     std::uint64_t identity = 0;
     /** First segment that has NOT been composed yet. */

@@ -5,6 +5,7 @@
 #include <exception>
 #include <thread>
 
+#include "common/hash.h"
 #include "obs/attrib.h"
 #include "obs/metrics.h"
 #include "obs/trace_sink.h"
@@ -13,16 +14,6 @@ namespace pap {
 namespace exec {
 
 namespace {
-
-/** SplitMix64 finalizer: the same mix the fault injector hashes with. */
-std::uint64_t
-mixJitter(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-}
 
 /**
  * Park an injected stall until the watchdog cancels it. Bounded even
@@ -55,9 +46,9 @@ retryBackoff(const HardenedExecOptions &options, std::size_t index,
         std::min<std::uint64_t>(raw, options.backoffCapMs);
     if (delay > 1) {
         const std::uint64_t half = delay / 2;
-        const std::uint64_t draw = mixJitter(
-            mixJitter(options.jitterSeed ^
-                      (0x4a49 + static_cast<std::uint64_t>(index))) ^
+        const std::uint64_t draw = mix64(
+            mix64(options.jitterSeed ^
+                  (0x4a49 + static_cast<std::uint64_t>(index))) ^
             retry);
         delay = half + draw % (delay - half + 1);
     }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 
+#include "common/hash.h"
 #include "obs/metrics.h"
 
 namespace pap {
@@ -24,16 +25,6 @@ metricSuffix(FaultKind kind)
     std::string s = kKindNames[static_cast<std::size_t>(kind)];
     std::replace(s.begin(), s.end(), '-', '_');
     return s;
-}
-
-/** splitmix64 finalizer: avalanche mix for worker-fault decisions. */
-std::uint64_t
-mix64(std::uint64_t x)
-{
-    x += 0x9E3779B97F4A7C15ull;
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-    return x ^ (x >> 31);
 }
 
 /** Uniform draw in [0, 1) from a hash value. */

@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
+#include <cstring>
 #include <future>
 #include <optional>
 
 #include "ap/placement.h"
 #include "common/file_lock.h"
+#include "common/hash.h"
 #include "common/logging.h"
 #include "engine/functional_engine.h"
 #include "nfa/analysis.h"
@@ -203,37 +205,30 @@ traceSimulatedTimeline(const PapResult &result)
     }
 }
 
-/** Hash-combine for the checkpoint identity (splitmix64 finalizer). */
-std::uint64_t
-identityMix(std::uint64_t h, std::uint64_t v)
-{
-    h ^= v + 0x9E3779B97F4A7C15ull + (h << 6) + (h >> 2);
-    h = (h ^ (h >> 30)) * 0xBF58476D1CE4E5B9ull;
-    h = (h ^ (h >> 27)) * 0x94D049BB133111EBull;
-    return h ^ (h >> 31);
-}
-
 /**
- * Identity hash binding a checkpoint to one (automaton, input,
- * partitioning) tuple. Thread count and retry knobs are deliberately
- * excluded: a resume with a different --threads must still match.
+ * Identity binding a checkpoint to one (automaton, input, partitioning)
+ * tuple: the automaton's structural digest, then the whole input a
+ * word at a time, the segment count and the boundary symbol. Thread
+ * count and retry knobs are deliberately excluded: a resume with a
+ * different --threads must still match.
  */
 std::uint64_t
-runIdentity(const Nfa &nfa, const InputTrace &input,
-            std::size_t num_segments, Symbol boundary)
+checkpointIdentity(const Nfa &nfa, const InputTrace &input,
+                   std::size_t num_segments, Symbol boundary)
 {
-    std::uint64_t h = 0x5041505349u; // "PAPSI"
-    for (const char c : nfa.name())
-        h = identityMix(h, static_cast<std::uint64_t>(c));
-    h = identityMix(h, nfa.size());
-    h = identityMix(h, input.size());
-    h = identityMix(h, num_segments);
-    h = identityMix(h, boundary);
-    const std::uint64_t stride =
-        std::max<std::uint64_t>(1, input.size() / 64);
-    for (std::uint64_t i = 0; i < input.size(); i += stride)
-        h = identityMix(h, input[i]);
-    return h;
+    std::uint64_t h = hashCombine(automatonDigest(nfa), input.size());
+    std::size_t i = 0;
+    for (; i + 8 <= input.size(); i += 8) {
+        std::uint64_t word;
+        std::memcpy(&word, input.ptr(i), sizeof(word));
+        h = hashCombine(h, word);
+    }
+    std::uint64_t tail = 0;
+    for (; i < input.size(); ++i)
+        tail = (tail << 8) | input[i];
+    h = hashCombine(h, tail);
+    h = hashCombine(h, num_segments);
+    return hashCombine(h, boundary);
 }
 
 /**
@@ -289,8 +284,9 @@ class PapRun
     std::vector<const FlowPlan *> plans;
     /**
      * The composition frontier: the true final active set, the true
-     * reports and entry and transition totals so far, and one record
-     * per composed segment. Loaded on resume, saved per checkpoint.
+     * reports, the entry, transition and retry totals so far, and one
+     * record per composed segment. Loaded on resume, advanced by
+     * foldSegment, saved per checkpoint.
      */
     exec::CheckpointFrontier frontier;
     std::uint32_t first = 0;
@@ -477,8 +473,6 @@ PapRun::checkOverflow()
 bool
 PapRun::resume()
 {
-    frontier.identity =
-        runIdentity(nfa, input, segs.size(), result.boundarySymbol);
     if (!options.checkpointPath.empty()) {
         obs::AttribLedger::Scope cpio(&ledger, "checkpoint.io");
         // A second run on the same path would write the same temp file
@@ -493,6 +487,8 @@ PapRun::resume()
             warn(lock.status().message(),
                  "; checkpointing without a lock");
         }
+        frontier.identity = checkpointIdentity(nfa, input, segs.size(),
+                                               result.boundarySymbol);
         auto loaded = exec::loadCheckpoint(options.checkpointPath);
         if (loaded.ok()) {
             const exec::CheckpointFrontier &f = loaded.value();
@@ -518,10 +514,7 @@ PapRun::resume()
         if (injector)
             injector->restoreRngState(frontier.rngState);
     }
-    result.flowSymbolCycles = frontier.flowSymbolCycles;
     resumedFlowSymbols = frontier.flowSymbolCycles;
-    result.segmentsRetried = frontier.segmentsRetried;
-    result.segmentsRecovered = frontier.segmentsRecovered;
     return true;
 }
 
@@ -612,16 +605,22 @@ PapRun::executeAndCompose()
 /**
  * Compose segment @p j, whose task reported @p tr, onto the frontier:
  * recover it from the oracle if every attempt failed, judge its paths
- * against the predecessor's true final active set, fold its census,
- * and checkpoint. False when the run stops after it.
+ * against the predecessor's true final active set, fold it in, take
+ * its engine census, and checkpoint. False when the run stops after it.
  */
 bool
 PapRun::composeSegment(std::size_t j, const exec::TaskReport &tr)
 {
     const Segment &s = segs[j];
     const auto compose_t0 = std::chrono::steady_clock::now();
-    const bool failed = !tr.status.ok();
-    if (failed)
+    ComposeInput seg;
+    seg.plan = plans[j];
+    seg.data = input.ptr(s.begin);
+    seg.begin = s.begin;
+    seg.length = s.length();
+    seg.failed = !tr.status.ok();
+    seg.retried = tr.retried;
+    if (seg.failed)
         warn("segment ", j, " failed after ", tr.attempts, " attempts (",
              tr.status.message(),
              "); recovering it from the sequential oracle");
@@ -629,44 +628,19 @@ PapRun::composeSegment(std::size_t j, const exec::TaskReport &tr)
     // final active set; composition then judges this segment's paths
     // against an empty T (the verification oracle catches the damage
     // downstream).
-    const bool truth_lost = j > 0 && injector && injector->onFivDownload();
-
-    SegmentTruth truth;
-    if (failed) {
-        // The segment exhausted its retries: recompute exactly its
-        // slice of input from the composition frontier. Timing
-        // degrades to a single golden-like flow.
-        ++result.segmentsRecovered;
+    seg.truthLost = j > 0 && injector && injector->onFivDownload();
+    SegmentTruth truth = composeStep(*cnfa, comps, frontier, seg, runs[j]);
+    if (seg.failed) {
         result.degraded = true;
         obs::metrics().add("exec.segments.recovered");
-        runs[j] = runOracleSegment(
-            *cnfa, j == 0 ? cnfa->initialActive() : frontier.finalActive,
-            input.ptr(s.begin), s.begin, s.length());
-        truth = composeGolden(runs[j]);
         // The oracle repaired whatever the injected worker faults
         // broke; close their detected/recovered loop.
         if (injector && tr.faultsInjected > 0)
             injector->markRecovered(tr.faultsInjected);
-    } else if (j == 0) {
-        truth = composeGolden(runs[0]);
-    } else {
-        const std::vector<StateId> no_truth;
-        truth = composeEnum(*cnfa, comps, *plans[j], runs[j],
-                            truth_lost ? no_truth : frontier.finalActive);
     }
-    frontier.finalActive = truth.finalActive;
-    frontier.reports.insert(frontier.reports.end(),
-                            truth.trueReports.begin(),
-                            truth.trueReports.end());
-    frontier.papEntries += truth.totalEntries;
-    frontier.segments.push_back(
-        segmentCheckpoint(runs[j], truth, plans[j], failed));
-    if (tr.retried)
-        ++result.segmentsRetried;
+    foldSegment(frontier, seg, runs[j], std::move(truth));
     std::array<std::uint64_t, 8> seg_octiles{};
     for (const auto &rec : runs[j].flows) {
-        frontier.flowTransitions += rec.counters.matches;
-        result.flowSymbolCycles += rec.counters.symbols;
         result.engineSuccRows += rec.counters.succRows;
         result.engineMaskWords += rec.counters.maskWords;
         result.engineBytesTouched += rec.counters.bytesTouched;
@@ -680,7 +654,7 @@ PapRun::composeSegment(std::size_t j, const exec::TaskReport &tr)
     // Composed: the frontier holds everything later stages need, so
     // the segment's flow records go now rather than at the run's end.
     runs[j] = SegmentRun{};
-    ledger.chargeWall(failed ? "compose.recover" : "compose.decode",
+    ledger.chargeWall(seg.failed ? "compose.recover" : "compose.decode",
                       msSince(compose_t0));
     if (sink) {
         // Mean active-state density octile over this segment's flow
@@ -698,10 +672,6 @@ PapRun::composeSegment(std::size_t j, const exec::TaskReport &tr)
 
     if (!options.checkpointPath.empty()) {
         obs::AttribLedger::Scope cpio(&ledger, "checkpoint.io");
-        frontier.nextSegment = static_cast<std::uint32_t>(j + 1);
-        frontier.flowSymbolCycles = result.flowSymbolCycles;
-        frontier.segmentsRetried = result.segmentsRetried;
-        frontier.segmentsRecovered = result.segmentsRecovered;
         frontier.rngState = injector ? injector->rngState()
                                      : std::array<std::uint64_t, 4>{};
         const Status saved =
@@ -882,7 +852,7 @@ PapRun::timeline()
     // flow-symbol executed this run (resumed segments excluded from
     // both numerator and denominator).
     const std::uint64_t engine_symbols =
-        result.flowSymbolCycles - resumedFlowSymbols;
+        frontier.flowSymbolCycles - resumedFlowSymbols;
     result.engineBytesPerSymbol =
         engine_symbols
             ? static_cast<double>(result.engineBytesTouched) /
@@ -901,6 +871,10 @@ PapResult
 PapRun::finish()
 {
     awaitOracle();
+    // The chain's census, as far as it got (zero if it never began).
+    result.flowSymbolCycles = frontier.flowSymbolCycles;
+    result.segmentsRetried = frontier.segmentsRetried;
+    result.segmentsRecovered = frontier.segmentsRecovered;
     ledger.finalize(msSince(t0));
     result.attrib = ledger.snapshot();
     recordRunMetrics(result);

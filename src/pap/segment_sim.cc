@@ -7,8 +7,6 @@
 #include "common/logging.h"
 #include "obs/metrics.h"
 #include "obs/trace_sink.h"
-#include "pap/composer.h"
-#include "pap/exec/checkpoint.h"
 #include "pap/fault_injector.h"
 
 namespace pap {
@@ -356,35 +354,6 @@ runOracleSegment(const CompiledNfa &cnfa,
     engine.reset(frontier, seg_begin);
     engine.run(data, seg_len);
     return goldenRun(engine, seg_begin, seg_len);
-}
-
-exec::SegmentCheckpoint
-segmentCheckpoint(const SegmentRun &run, const SegmentTruth &truth,
-                  const FlowPlan *plan, bool recovered)
-{
-    exec::SegmentCheckpoint cp;
-    SegmentTimingInput &t = cp.timing;
-    t.segLen = run.segLen;
-    t.totalEntries = truth.totalEntries;
-    t.aliveEnumFlowsAtEnd = truth.aliveEnumFlowsAtEnd;
-    t.hasEnumFlows = plan && !plan->flows.empty() && !recovered;
-    for (const auto &rec : run.flows) {
-        FlowTimingInfo info;
-        info.kind = rec.kind;
-        info.symbolsProcessed = rec.symbolsProcessed;
-        info.isTrue = rec.kind != FlowKind::Enum ||
-                      (rec.id < truth.flowTrue.size() &&
-                       truth.flowTrue[rec.id] != 0);
-        t.flows.push_back(info);
-    }
-    const DeathTally deaths = tallyDeaths(run);
-    cp.deactivated = deaths.deactivated;
-    cp.converged = deaths.converged;
-    cp.ranToEnd = deaths.ranToEnd;
-    for (const auto p : truth.pathTrue)
-        cp.truePaths += p;
-    cp.recovered = recovered;
-    return cp;
 }
 
 } // namespace pap

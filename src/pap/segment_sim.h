@@ -8,9 +8,9 @@
  * TDM steps and merge flows whose state vectors are bitwise equal
  * (Section 3.3.3). executeSegment() on top is the one segment
  * executor that runPap and serve share: golden/enumeration dispatch,
- * the oracle continuation of a failed segment, and the segment's
- * checkpoint record. SVC capacity never splits a segment: every flow
- * of the plan runs, and the timeline alone models residency.
+ * and the oracle continuation of a failed segment. SVC capacity never
+ * splits a segment: every flow of the plan runs, and the timeline
+ * alone models residency.
  */
 
 #ifndef PAP_PAP_SEGMENT_SIM_H
@@ -80,10 +80,6 @@ struct SegmentRun
 };
 
 class FaultInjector;
-struct SegmentTruth;
-namespace exec {
-struct SegmentCheckpoint;
-} // namespace exec
 
 /**
  * How one segment run's enumeration flows stopped (golden and ASG
@@ -172,19 +168,6 @@ SegmentRun runOracleSegment(const CompiledNfa &cnfa,
                             const std::vector<StateId> &frontier,
                             const Symbol *data, std::uint64_t seg_begin,
                             std::uint64_t seg_len);
-
-/**
- * The checkpoint record of one composed segment: its timing-model
- * input (every flow with its truth, and the entry census) plus the
- * flow-outcome census. Run-wide timing settings (the SVC capacity)
- * are not part of it: the timeline takes them from the run's options.
- * @p plan is null for a golden segment; @p recovered marks a segment
- * the oracle recomputed, which therefore ran no enumeration flows.
- */
-exec::SegmentCheckpoint segmentCheckpoint(const SegmentRun &run,
-                                          const SegmentTruth &truth,
-                                          const FlowPlan *plan,
-                                          bool recovered);
 
 } // namespace pap
 

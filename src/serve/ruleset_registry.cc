@@ -20,6 +20,7 @@ RulesetRegistry::install(const Nfa &nfa)
     auto ruleset = std::make_shared<CompiledRuleset>();
     ruleset->nfa = nfa;
     ruleset->cnfa = std::make_unique<const CompiledNfa>(ruleset->nfa);
+    ruleset->digest = automatonDigest(ruleset->nfa);
     ruleset->comps = connectedComponents(ruleset->nfa);
     ruleset->asg = alwaysActiveStates(ruleset->nfa);
     ruleset->rangeSizes = RangeAnalysis(ruleset->nfa).rangeSizes();

@@ -3,10 +3,10 @@
  * Refcounted ruleset registry with atomic hot-swap for the serve
  * daemon. A CompiledRuleset bundles everything a stream needs to run
  * PAP composition against one automaton — the compiled NFA, its
- * connected components, Active State Group, and the range
- * profile that guides chunk-boundary placement — compiled once at
- * install time and shared immutably by every session bound to it,
- * plus the flow-plan table its chunks fill on first use.
+ * structural digest, connected components, Active State Group, and
+ * the range profile that guides chunk-boundary placement — compiled
+ * once at install time and shared immutably by every session bound to
+ * it, plus the flow-plan table its chunks fill on first use.
  *
  * Hot-swap protocol: install() compiles the new automaton *outside*
  * the registry lock, then publishes it as the current generation.
@@ -45,6 +45,9 @@ struct CompiledRuleset
     std::uint64_t generation = 0;
     /** Owned copy of the automaton (sessions outlive the caller's). */
     Nfa nfa;
+    /** automatonDigest(nfa): what every checkpoint identity of this
+        ruleset's sessions is built on. */
+    std::uint64_t digest = 0;
     /** Compiled form the chunks' engines run. */
     std::unique_ptr<const CompiledNfa> cnfa;
     /** Connected components (composition needs the path masks). */

@@ -8,6 +8,7 @@
 
 #include <dirent.h>
 
+#include "common/hash.h"
 #include "obs/metrics.h"
 #include "pap/composer.h"
 #include "pap/exec/checkpoint.h"
@@ -21,56 +22,27 @@ namespace {
 /** Lock file inside ServeOptions::checkpointDir. */
 constexpr const char *kLockFileName = "serve.lock";
 
-/** Same mix as the runner's checkpoint identity hash. */
-std::uint64_t
-mixId(std::uint64_t h, std::uint64_t v)
-{
-    h ^= v + 0x9E3779B97F4A7C15ull + (h << 6) + (h >> 2);
-    h = (h ^ (h >> 30)) * 0xBF58476D1CE4E5B9ull;
-    h = (h ^ (h >> 27)) * 0x94D049BB133111EBull;
-    return h ^ (h >> 31);
-}
-
 /**
  * Identity binding a serve checkpoint to one (ruleset, tenant, key)
- * tuple. The input is deliberately excluded — a drained stream's
- * remainder is unknown at resume time — and so is the generation
- * counter: generations continue monotonically across restarts (see
- * RulesetRegistry::setNextGeneration), so the *same* ruleset
- * reinstalled after a reboot must still match, while a structurally
- * different ruleset (e.g. the survivor of a hot swap) must not. The
- * hash therefore digests the full automaton structure — per-state
- * symbol classes, start type, report behavior, and edges — not just
- * the name and state count, which two different rulesets can share.
+ * tuple: the ruleset's structural digest (computed once per install),
+ * then the tenant and the key. The input is deliberately excluded — a
+ * drained stream's remainder is unknown at resume time — and so is
+ * the generation counter: generations continue monotonically across
+ * restarts (see RulesetRegistry::setNextGeneration), so the *same*
+ * ruleset reinstalled after a reboot must still match, while a
+ * structurally different ruleset (e.g. the survivor of a hot swap)
+ * must not.
  */
 std::uint64_t
-serveIdentity(const Nfa &nfa, const std::string &tenant,
-              const std::string &key)
+sessionIdentity(std::uint64_t digest, const std::string &tenant,
+                const std::string &key)
 {
-    std::uint64_t h = 0x53455256ull; // "SERV"
-    for (const char c : nfa.name())
-        h = mixId(h, static_cast<std::uint64_t>(c));
-    h = mixId(h, nfa.size());
-    for (StateId q = 0; q < nfa.size(); ++q) {
-        const NfaState &st = nfa[q];
-        for (unsigned w = 0; w < 4; ++w) {
-            std::uint64_t bits = 0;
-            for (unsigned b = 0; b < 64; ++b)
-                if (st.label.test(static_cast<Symbol>(w * 64 + b)))
-                    bits |= std::uint64_t{1} << b;
-            h = mixId(h, bits);
-        }
-        h = mixId(h, static_cast<std::uint64_t>(st.start));
-        h = mixId(h, (std::uint64_t{st.reporting} << 32) |
-                         st.reportCode);
-        for (const StateId t : st.succ)
-            h = mixId(h, t);
-    }
+    std::uint64_t h = digest;
     for (const char c : tenant)
-        h = mixId(h, static_cast<std::uint64_t>(c));
-    h = mixId(h, 0x1F);
+        h = hashCombine(h, static_cast<std::uint64_t>(c));
+    h = hashCombine(h, 0x1F);
     for (const char c : key)
-        h = mixId(h, static_cast<std::uint64_t>(c));
+        h = hashCombine(h, static_cast<std::uint64_t>(c));
     return h;
 }
 
@@ -124,8 +96,9 @@ struct Server::Chunk
 /** One admitted stream. All fields are guarded by Server::mutex_
     except chunk execution state (owned by the executing dispatcher
     until `executed` is published under the lock) and the composition
-    frontier fields (prevFinal, reports, counters), which only the
-    single thread holding `composing` mutates. */
+    frontier, which only the single thread holding `composing`
+    mutates: it reads the frontier outside the lock and folds into it
+    under the lock. */
 struct Server::Session
 {
     SessionId id = 0;
@@ -139,21 +112,16 @@ struct Server::Session
     /** Cut chunks awaiting execution/composition (window-bounded). */
     std::deque<std::unique_ptr<Chunk>> chunks;
     std::uint64_t nextChunk = 0;
-    std::uint64_t composedChunks = 0;
     /** Symbols moved from buffer into chunks this process. */
     std::uint64_t symbolsCut = 0;
     std::uint64_t symbolsFed = 0;
     std::uint64_t symbolsComposed = 0;
     std::uint64_t resumedSymbols = 0;
 
-    std::vector<StateId> prevFinal;
-    std::vector<ReportEvent> reports;
-    std::vector<exec::SegmentCheckpoint> ckptSegments;
-    std::uint64_t papEntries = 0;
-    std::uint64_t flowTransitions = 0;
-    std::uint64_t flowSymbolCycles = 0;
-    std::uint32_t chunksRetried = 0;
-    std::uint32_t chunksRecovered = 0;
+    /** The composition state: one record per composed chunk, the
+        true final active set and reports so far, and the census. Its
+        identity is fixed at admission; it is what checkpoints save. */
+    exec::CheckpointFrontier frontier;
     std::uint32_t consecutiveRecovered = 0;
 
     /** Composed-chunk count at the last (periodic or resume-seeded)
@@ -280,6 +248,8 @@ Server::openImpl(const std::string &tenant, const std::string &key,
     s->tenant = tenant;
     s->key = key;
     s->ruleset = registry_.current();
+    s->frontier.identity =
+        sessionIdentity(s->ruleset->digest, tenant, key);
     s->ckptIntervalChunks =
         checkpointInterval >= 0
             ? static_cast<std::uint64_t>(checkpointInterval)
@@ -344,15 +314,12 @@ Server::resume(const std::string &tenant, const std::string &key)
         journalAdmitLocked(*s);
         return ResumeInfo{s->id, 0};
     }
-    const exec::CheckpointFrontier &frontier = loaded.value();
-
     const auto opened = openImpl(tenant, key, -1, false);
     if (!opened.ok())
         return opened.status();
     std::lock_guard<std::mutex> lock(mutex_);
     const SessionPtr s = findLocked(opened.value());
-    if (frontier.identity !=
-        serveIdentity(s->ruleset->nfa, tenant, key)) {
+    if (loaded.value().identity != s->frontier.identity) {
         // Undo the admission: the checkpoint belongs to a different
         // ruleset or stream and must not silently start fresh. The
         // manifest is left untouched — openImpl did not journal.
@@ -365,19 +332,11 @@ Server::resume(const std::string &tenant, const std::string &key)
                              "stream");
     }
     s->resumed = true;
-    s->nextChunk = frontier.nextSegment;
-    s->composedChunks = frontier.nextSegment;
-    s->lastCkptChunk = frontier.nextSegment;
-    s->forceOracleNext = frontier.nextSegment > 0;
-    s->prevFinal = frontier.finalActive;
-    s->reports = frontier.reports;
-    s->ckptSegments = frontier.segments;
-    s->papEntries = frontier.papEntries;
-    s->flowTransitions = frontier.flowTransitions;
-    s->flowSymbolCycles = frontier.flowSymbolCycles;
-    s->chunksRetried = frontier.segmentsRetried;
-    s->chunksRecovered = frontier.segmentsRecovered;
-    for (const exec::SegmentCheckpoint &cp : frontier.segments)
+    s->frontier = std::move(loaded.value());
+    s->nextChunk = s->frontier.nextSegment;
+    s->lastCkptChunk = s->frontier.nextSegment;
+    s->forceOracleNext = s->frontier.nextSegment > 0;
+    for (const exec::SegmentCheckpoint &cp : s->frontier.segments)
         s->resumedSymbols += cp.timing.segLen;
     ++counters_.resumed;
     auto &m = obs::metrics();
@@ -677,31 +636,32 @@ Server::composeReady(std::unique_lock<std::mutex> &lock, SessionPtr s)
         std::unique_ptr<Chunk> chunk = std::move(s->chunks.front());
         s->chunks.pop_front();
 
+        ComposeInput seg;
+        seg.plan = chunk->plan;
+        seg.data = chunk->data.data();
+        seg.begin = chunk->begin;
+        seg.length = chunk->data.size();
+        seg.failed = !chunk->report.status.ok();
+        seg.continuation = chunk->oracle;
+        seg.retried = chunk->report.retried;
+
+        // The truth is computed outside the lock: only this composer
+        // writes the frontier, and it writes under the lock.
         lock.unlock();
-        SegmentTruth truth = composeChunk(*s, *chunk);
+        const CompiledRuleset &rs = *s->ruleset;
+        SegmentTruth truth =
+            composeStep(*rs.cnfa, rs.comps, s->frontier, seg, chunk->run);
         lock.lock();
         if (s->done)
             break; // terminated while composing; result discarded
 
-        s->prevFinal = std::move(truth.finalActive);
-        s->reports.insert(s->reports.end(), truth.trueReports.begin(),
-                          truth.trueReports.end());
-        s->papEntries += truth.totalEntries;
-        for (const FlowRecord &rec : chunk->run.flows) {
-            s->flowTransitions += rec.counters.matches;
-            s->flowSymbolCycles += rec.counters.symbols;
-        }
-        ++s->composedChunks;
+        foldSegment(s->frontier, seg, chunk->run, std::move(truth));
         s->symbolsComposed += chunk->data.size();
         ++counters_.chunksExecuted;
         auto &m = obs::metrics();
         m.add("serve.chunks.executed");
-        if (chunk->report.retried)
-            ++s->chunksRetried;
 
-        const bool recovered = !chunk->report.status.ok();
-        if (recovered) {
-            ++s->chunksRecovered;
+        if (seg.failed) {
             ++counters_.chunksRecovered;
             m.add("serve.chunks.recovered");
             if (inj && chunk->report.faultsInjected > 0)
@@ -722,22 +682,17 @@ Server::composeReady(std::unique_lock<std::mutex> &lock, SessionPtr s)
             s->consecutiveRecovered = 0;
         }
 
-        if (!opts_.checkpointDir.empty()) {
-            s->ckptSegments.push_back(
-                segmentCheckpoint(chunk->run, truth, chunk->plan,
-                                  recovered || chunk->oracle));
-
-            // Periodic incremental checkpoint: snapshot the frontier
-            // under the lock, hand the (possibly large) serialization
-            // and fsync to the writer thread. The compose hot path
-            // pays only the copy, so clean-run latency is unchanged,
-            // and a kill -9 replays at most ckptIntervalChunks chunks.
-            if (!s->key.empty() && s->ckptIntervalChunks > 0 &&
-                s->composedChunks - s->lastCkptChunk >=
-                    s->ckptIntervalChunks) {
-                enqueuePeriodicCheckpointLocked(*s);
-                s->lastCkptChunk = s->composedChunks;
-            }
+        // Periodic incremental checkpoint: snapshot the frontier under
+        // the lock, hand the (possibly large) serialization and fsync
+        // to the writer thread. The compose hot path pays only the
+        // copy, so clean-run latency is unchanged, and a kill -9
+        // replays at most ckptIntervalChunks chunks.
+        if (!opts_.checkpointDir.empty() && !s->key.empty() &&
+            s->ckptIntervalChunks > 0 &&
+            s->frontier.nextSegment - s->lastCkptChunk >=
+                s->ckptIntervalChunks) {
+            enqueuePeriodicCheckpointLocked(*s);
+            s->lastCkptChunk = s->frontier.nextSegment;
         }
 
         windowCv_.notify_all();
@@ -746,24 +701,6 @@ Server::composeReady(std::unique_lock<std::mutex> &lock, SessionPtr s)
     s->composing = false;
     finalizeLocked(*s);
     idleCv_.notify_all();
-}
-
-SegmentTruth
-Server::composeChunk(Session &s, Chunk &chunk)
-{
-    const CompiledRuleset &rs = *s.ruleset;
-    if (chunk.oracle || !chunk.report.status.ok()) {
-        // Sequential continuation from the composition frontier,
-        // exactly like the one-shot runner's recovery path.
-        chunk.run = runOracleSegment(
-            *rs.cnfa, chunk.first ? rs.cnfa->initialActive() : s.prevFinal,
-            chunk.data.data(), chunk.begin, chunk.data.size());
-        return composeGolden(chunk.run);
-    }
-    if (chunk.first)
-        return composeGolden(chunk.run);
-    return composeEnum(*rs.cnfa, rs.comps, *chunk.plan, chunk.run,
-                       s.prevFinal);
 }
 
 void
@@ -853,12 +790,12 @@ SessionReport
 Server::buildReportLocked(Session &s)
 {
     SessionReport report;
-    report.reports = s.reports;
+    report.reports = s.frontier.reports;
     sortAndDedupReports(report.reports);
     report.symbols = s.symbolsComposed;
-    report.chunks = s.composedChunks;
-    report.chunksRetried = s.chunksRetried;
-    report.chunksRecovered = s.chunksRecovered;
+    report.chunks = s.frontier.nextSegment;
+    report.chunksRetried = s.frontier.segmentsRetried;
+    report.chunksRecovered = s.frontier.segmentsRecovered;
     report.generation = s.ruleset->generation;
     report.resumedSymbols = s.resumedSymbols;
     report.latencyMs = msSince(s.openedAt);
@@ -990,36 +927,17 @@ Server::checkpointPath(const Session &s) const
            sanitize(s.key) + ".papckpt";
 }
 
-exec::CheckpointFrontier
-Server::buildFrontierLocked(const Session &s) const
-{
-    exec::CheckpointFrontier frontier;
-    frontier.identity = serveIdentity(s.ruleset->nfa, s.tenant, s.key);
-    frontier.nextSegment =
-        static_cast<std::uint32_t>(s.composedChunks);
-    frontier.finalActive = s.prevFinal;
-    frontier.reports = s.reports;
-    frontier.papEntries = s.papEntries;
-    frontier.flowTransitions = s.flowTransitions;
-    frontier.flowSymbolCycles = s.flowSymbolCycles;
-    frontier.segmentsRetried = s.chunksRetried;
-    frontier.segmentsRecovered = s.chunksRecovered;
-    frontier.segments = s.ckptSegments;
-    return frontier;
-}
-
 Status
 Server::checkpointLocked(Session &s)
 {
-    const Status saved = exec::saveCheckpoint(checkpointPath(s),
-                                              buildFrontierLocked(s));
+    const Status saved = exec::saveCheckpoint(checkpointPath(s), s.frontier);
     if (saved.ok()) {
         ++counters_.checkpointed;
         obs::metrics().add("serve.sessions.checkpointed");
         ManifestRecord rec;
         rec.kind = ManifestRecordKind::CheckpointWritten;
         rec.symbols = s.resumedSymbols + s.symbolsComposed;
-        rec.chunks = s.composedChunks;
+        rec.chunks = s.frontier.nextSegment;
         rec.tenant = s.tenant;
         rec.key = s.key;
         appendManifest(rec);
@@ -1046,7 +964,7 @@ Server::journalAdmitLocked(const Session &s)
         return;
     ManifestRecord rec;
     rec.kind = ManifestRecordKind::Admit;
-    rec.identity = serveIdentity(s.ruleset->nfa, s.tenant, s.key);
+    rec.identity = s.frontier.identity;
     rec.generation = s.ruleset->generation;
     rec.tenant = s.tenant;
     rec.key = s.key;
@@ -1073,10 +991,10 @@ Server::enqueuePeriodicCheckpointLocked(const Session &s)
     CkptOp op;
     op.kind = CkptOp::Kind::Save;
     op.path = checkpointPath(s);
-    op.frontier = buildFrontierLocked(s);
+    op.frontier = s.frontier;
     op.record.kind = ManifestRecordKind::CheckpointWritten;
     op.record.symbols = s.resumedSymbols + s.symbolsComposed;
-    op.record.chunks = s.composedChunks;
+    op.record.chunks = s.frontier.nextSegment;
     op.record.tenant = s.tenant;
     op.record.key = s.key;
     enqueueCkptOp(std::move(op));
@@ -1228,6 +1146,7 @@ Server::recoverColdStart(const Nfa &ruleset)
     // ruleset. A corrupt file is removed (the session falls back to
     // a fresh re-feed); an identity mismatch is kept on disk so
     // resume() can reject it typed.
+    const std::uint64_t digest = automatonDigest(ruleset);
     std::set<std::string> liveFiles;
     for (const auto &entry : replay.live) {
         const std::string file = sanitize(entry.first.first) + "-" +
@@ -1242,8 +1161,8 @@ Server::recoverColdStart(const Nfa &ruleset)
             // non-resumable case; it stays on disk for the typed
             // rejection.
             resumable = loaded.value().identity ==
-                        serveIdentity(ruleset, entry.first.first,
-                                      entry.first.second);
+                        sessionIdentity(digest, entry.first.first,
+                                        entry.first.second);
         } else if (loaded.status().code() ==
                    ErrorCode::CheckpointCorrupt) {
             // Corrupt file: remove it; the session re-feeds fresh.

@@ -322,11 +322,9 @@ class Server
     void dispatchLoop();
     void executeChunk(Session &s, Chunk &chunk);
     void composeReady(std::unique_lock<std::mutex> &lock, SessionPtr s);
-    SegmentTruth composeChunk(Session &s, Chunk &chunk);
     void finalizeLocked(Session &s);
     SessionReport buildReportLocked(Session &s);
     std::string checkpointPath(const Session &s) const;
-    exec::CheckpointFrontier buildFrontierLocked(const Session &s) const;
     Status checkpointLocked(Session &s);
     void drainPendingSwap();
 

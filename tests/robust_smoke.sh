@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # End-to-end smoke test of the hardened-execution CLI surface:
 # --threads / PAP_THREADS validation, worker-fault injection,
-# checkpoint kill/resume equivalence, and the metrics JSON echo.
+# checkpoint kill/resume equivalence (and the rejection of corrupt and
+# foreign checkpoints), and the metrics JSON echo.
 # Registered with CTest (label "robust"); $1 is the papsim binary.
 set -euo pipefail
 
@@ -129,5 +130,21 @@ printf 'garbage' | dd of=run.ckpt bs=1 seek=16 conv=notrunc \
 if grep -q "resumed from checkpoint" fresh.txt; then exit 1; fi
 grep -v "^  resumed from checkpoint:\|^  pipeline:" fresh.txt \
     | diff - <(echo "$FULL")
+
+# A checkpoint of another automaton is ignored too. One letter of one
+# rule changes: the CLI names the automaton after its rules file, so
+# the name and the state count stay the same.
+if "$PAPSIM" run m.nfa t.bin --ranks=4 --checkpoint=run.ckpt \
+    --stop-after-segment=1 >/dev/null 2>&1; then exit 1; fi
+cp rules.txt rules.orig
+sed -i 's/^abra$/abrx/' rules.txt
+"$PAPSIM" compile rules.txt edited.nfa --prefix-merge >/dev/null
+mv rules.orig rules.txt
+EDITED=$("$PAPSIM" run edited.nfa t.bin --ranks=4 --verbose \
+    | grep -v "^  pipeline:")
+"$PAPSIM" run edited.nfa t.bin --ranks=4 --verbose --checkpoint=run.ckpt \
+    2>/dev/null > foreign.txt
+if grep -q "resumed from checkpoint" foreign.txt; then exit 1; fi
+grep -v "^  pipeline:" foreign.txt | diff - <(echo "$EDITED")
 
 echo "robust smoke ok"

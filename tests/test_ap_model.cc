@@ -1,15 +1,14 @@
 /**
  * @file
- * AP hardware model tests: board geometry, placement (bin packing,
- * routing hints, capacity checks) and the output report buffer. The
- * State Vector Cache has its own file, test_svc_policy.cc.
+ * AP hardware model tests: board geometry and placement (bin
+ * packing, routing hints, capacity checks). The State Vector Cache
+ * has its own file, test_svc_policy.cc.
  */
 
 #include <gtest/gtest.h>
 
 #include "ap/ap_config.h"
 #include "ap/placement.h"
-#include "ap/report_buffer.h"
 #include "nfa/glushkov.h"
 #include "workloads/domain_gen.h"
 
@@ -68,44 +67,6 @@ TEST(Placement, BinPacksComponents)
     // Components map into existing half-cores.
     for (const auto hc : p.halfCoreOfComponent)
         EXPECT_LT(hc, p.halfCoresPerCopy);
-}
-
-TEST(ReportBuffer, TracksFlowAttribution)
-{
-    ReportBuffer buffer;
-    buffer.push(3, ReportEvent{10, 1, 100});
-    buffer.push(5, {ReportEvent{11, 2, 101}, ReportEvent{12, 3, 102}});
-    EXPECT_EQ(buffer.totalEvents(), 3u);
-    EXPECT_EQ(buffer.droppedEvents(), 0u);
-    EXPECT_EQ(buffer.eventsFromFlow(3), 1u);
-    EXPECT_EQ(buffer.eventsFromFlow(5), 2u);
-    EXPECT_EQ(buffer.eventsFromFlow(9), 0u);
-    EXPECT_EQ(buffer.entries()[1].event.code, 101u);
-}
-
-TEST(ReportBuffer, BoundedCapacityDropsAndAccounts)
-{
-    ReportBuffer buffer(2);
-    EXPECT_EQ(buffer.capacity(), 2u);
-    EXPECT_EQ(buffer.push(1, ReportEvent{10, 1, 100}), 0u);
-    // Batch push that straddles the boundary: one accepted, one dropped.
-    EXPECT_EQ(
-        buffer.push(2, {ReportEvent{11, 2, 101}, ReportEvent{12, 3, 102}}),
-        1u);
-    EXPECT_TRUE(buffer.full());
-    EXPECT_EQ(buffer.push(3, ReportEvent{13, 4, 103}), 1u);
-    EXPECT_EQ(buffer.entries().size(), 2u);
-    EXPECT_EQ(buffer.droppedEvents(), 2u);
-    EXPECT_EQ(buffer.totalEvents(), 4u);
-    // The retained prefix preserves arrival order.
-    EXPECT_EQ(buffer.entries()[0].event.code, 100u);
-    EXPECT_EQ(buffer.entries()[1].event.code, 101u);
-
-    // Draining frees space; the drop count is cumulative.
-    buffer.clear();
-    EXPECT_FALSE(buffer.full());
-    EXPECT_EQ(buffer.push(4, ReportEvent{14, 5, 104}), 0u);
-    EXPECT_EQ(buffer.droppedEvents(), 2u);
 }
 
 } // namespace

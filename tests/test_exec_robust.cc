@@ -521,6 +521,68 @@ TEST_F(CheckpointResume, ForeignCheckpointIsIgnored)
     expectSameRun(full, r);
 }
 
+TEST_F(CheckpointResume, ForeignAutomatonCheckpointIsIgnored)
+{
+    // Same name, same state count, one label apart, cut at the same
+    // boundary symbol: only the automaton's structure tells the two
+    // runs apart.
+    const Workload w = robustWorkload();
+    const Nfa foreign = compileRuleset({{"ab.*ce", 1}, {"fgh", 2}}, "m");
+    ASSERT_EQ(foreign.size(), w.nfa.size());
+    const ApConfig board = smallBoard(8);
+
+    PapOptions killed;
+    killed.checkpointPath = path_;
+    killed.stopAfterSegment = 1;
+    const PapResult dead = runPap(w.nfa, w.input, board, killed);
+    ASSERT_FALSE(dead.status.ok());
+    ASSERT_TRUE(checkpointExists());
+
+    const PapResult clean = runPap(foreign, w.input, board);
+    ASSERT_TRUE(clean.status.ok());
+    ASSERT_EQ(clean.numSegments, dead.numSegments);
+    ASSERT_EQ(clean.boundarySymbol, dead.boundarySymbol);
+    PapOptions resume;
+    resume.checkpointPath = path_;
+    const PapResult r = runPap(foreign, w.input, board, resume);
+    ASSERT_TRUE(r.status.ok());
+    EXPECT_FALSE(r.resumedFromCheckpoint);
+    EXPECT_TRUE(r.verified);
+    EXPECT_FALSE(r.recovered);
+    expectSameRun(clean, r);
+}
+
+TEST_F(CheckpointResume, EditedInputOfTheSameLengthIsIgnored)
+{
+    // Two symbols changed, at offsets a sparse sample of the input
+    // would skip: the identity hashes every symbol.
+    const Workload w = robustWorkload();
+    InputTrace edited = w.input;
+    for (const std::size_t at : {std::size_t{1}, std::size_t{257}})
+        edited.symbols()[at] = edited[at] == 'a' ? 'b' : 'a';
+    const ApConfig board = smallBoard(8);
+
+    PapOptions killed;
+    killed.checkpointPath = path_;
+    killed.stopAfterSegment = 1;
+    const PapResult dead = runPap(w.nfa, edited, board, killed);
+    ASSERT_FALSE(dead.status.ok());
+    ASSERT_TRUE(checkpointExists());
+
+    const PapResult clean = runPap(w.nfa, w.input, board);
+    ASSERT_TRUE(clean.status.ok());
+    ASSERT_EQ(clean.numSegments, dead.numSegments);
+    ASSERT_EQ(clean.boundarySymbol, dead.boundarySymbol);
+    PapOptions resume;
+    resume.checkpointPath = path_;
+    const PapResult r = runPap(w.nfa, w.input, board, resume);
+    ASSERT_TRUE(r.status.ok());
+    EXPECT_FALSE(r.resumedFromCheckpoint);
+    EXPECT_TRUE(r.verified);
+    EXPECT_FALSE(r.recovered);
+    expectSameRun(clean, r);
+}
+
 TEST_F(CheckpointResume, ResumeUnderWorkerFaultsKeepsReportsExact)
 {
     const Workload w = robustWorkload();

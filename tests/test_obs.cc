@@ -129,68 +129,7 @@ TEST(ObsHistogram, EdgeValuesAndClamping)
     EXPECT_DOUBLE_EQ(hist.percentile(100), 42.0);
 }
 
-TEST(ObsHistogram, MergeMatchesCombinedRecording)
-{
-    Rng rng(8);
-    obs::Histogram a, b, both;
-    for (int i = 0; i < 1000; ++i) {
-        const double va = rng.nextDouble() * 100.0;
-        const double vb = rng.nextDouble() * 1000.0;
-        a.record(va);
-        b.record(vb);
-        both.record(va);
-        both.record(vb);
-    }
-    a.merge(b);
-    const obs::HistogramSnapshot sa = a.snapshot();
-    const obs::HistogramSnapshot sb = both.snapshot();
-    EXPECT_EQ(sa.count, sb.count);
-    EXPECT_DOUBLE_EQ(sa.min, sb.min);
-    EXPECT_DOUBLE_EQ(sa.max, sb.max);
-    // Sum differs only by fp addition order between the two paths.
-    EXPECT_NEAR(sa.sum, sb.sum, sb.sum * 1e-12);
-    EXPECT_DOUBLE_EQ(sa.p50, sb.p50);
-    EXPECT_DOUBLE_EQ(sa.p99, sb.p99);
-}
-
-// --- Shared merge path ---------------------------------------------
-
-TEST(ObsMerge, StatsMergeCountersIsTheOnePath)
-{
-    std::map<std::string, std::uint64_t> into = {{"a", 1}, {"b", 2}};
-    stats::mergeCounters(into, {{"b", 3}, {"c", 4}});
-    EXPECT_EQ(into.at("a"), 1u);
-    EXPECT_EQ(into.at("b"), 5u);
-    EXPECT_EQ(into.at("c"), 4u);
-
-    // CounterSet::merge goes through the same path.
-    CounterSet x, y;
-    x.add("hits", 2);
-    y.add("hits", 5);
-    y.add("misses", 1);
-    x.merge(y);
-    EXPECT_EQ(x.get("hits"), 7u);
-    EXPECT_EQ(x.get("misses"), 1u);
-
-    // And so does the registry, both from CounterSet...
-    obs::MetricsRegistry reg;
-    reg.add("hits", 10);
-    reg.mergeCounterSet(x);
-    EXPECT_EQ(reg.counter("hits"), 17u);
-    EXPECT_EQ(reg.counter("misses"), 1u);
-    reg.mergeCounterSet(y, "engine.");
-    EXPECT_EQ(reg.counter("engine.hits"), 5u);
-
-    // ...and registry-to-registry.
-    obs::MetricsRegistry other;
-    other.add("hits", 3);
-    other.setGauge("speed", 2.5);
-    other.observe("lat", 7.0);
-    reg.merge(other);
-    EXPECT_EQ(reg.counter("hits"), 20u);
-    EXPECT_DOUBLE_EQ(reg.gauge("speed"), 2.5);
-    EXPECT_EQ(reg.histogram("lat").count, 1u);
-}
+// --- Percentile clamping -------------------------------------------
 
 TEST(ObsMerge, StatsPercentileClampsOutOfRange)
 {
