@@ -69,6 +69,7 @@ main()
             static_cast<double>(bench::smallTraceLen()) *
             info.traceScale / 2);
         const InputTrace input = buildBenchmarkTrace(nfa, name, len);
+        const PreparedAutomaton automaton(nfa);
 
         std::vector<std::string> row = {name};
         for (const auto &variant : kVariants) {
@@ -77,7 +78,7 @@ main()
             opt.threads = bench::hostThreads();
             variant.apply(opt);
             const PapResult r =
-                runPap(nfa, input, ApConfig::d480(4), opt);
+                runPap(automaton, input, ApConfig::d480(4), opt);
             row.push_back(fmtDouble(r.speedup, 2) +
                           (r.verified ? "" : "!"));
         }

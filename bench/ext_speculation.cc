@@ -36,22 +36,23 @@ main()
             info.traceScale);
         const InputTrace input =
             buildBenchmarkTrace(nfa, info.name, len);
+        const PreparedAutomaton automaton(nfa);
 
         PapOptions pap_opt;
         pap_opt.routingMinHalfCores = info.paper.halfCores;
         const PapResult pap =
-            runPap(nfa, input, ApConfig::d480(4), pap_opt);
+            runPap(automaton, input, ApConfig::d480(4), pap_opt);
 
         SpeculationOptions s1;
         s1.warmupWindow = 256;
         s1.routingMinHalfCores = info.paper.halfCores;
         const SpeculationResult spec1 =
-            runSpeculative(nfa, input, ApConfig::d480(4), s1);
+            runSpeculative(automaton, input, ApConfig::d480(4), s1);
 
         SpeculationOptions s2 = s1;
         s2.warmupWindow = 1024;
         const SpeculationResult spec2 =
-            runSpeculative(nfa, input, ApConfig::d480(4), s2);
+            runSpeculative(automaton, input, ApConfig::d480(4), s2);
 
         table.addRow({info.name, fmtDouble(pap.speedup, 2),
                       fmtDouble(spec1.speedup, 2),

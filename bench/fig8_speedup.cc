@@ -35,6 +35,7 @@ runOne(const BenchmarkInfo &info, std::uint64_t base_len)
 
     const Nfa nfa = buildBenchmark(info.name);
     const InputTrace input = buildBenchmarkTrace(nfa, info.name, len);
+    const PreparedAutomaton automaton(nfa);
 
     PapOptions opt;
     opt.routingMinHalfCores = info.paper.halfCores;
@@ -42,8 +43,8 @@ runOne(const BenchmarkInfo &info, std::uint64_t base_len)
 
     Row row;
     row.name = info.name;
-    const PapResult r1 = runPap(nfa, input, ApConfig::d480(1), opt);
-    const PapResult r4 = runPap(nfa, input, ApConfig::d480(4), opt);
+    const PapResult r1 = runPap(automaton, input, ApConfig::d480(1), opt);
+    const PapResult r4 = runPap(automaton, input, ApConfig::d480(4), opt);
     row.pap1 = r1.speedup;
     row.ideal1 = r1.idealSpeedup;
     row.pap4 = r4.speedup;

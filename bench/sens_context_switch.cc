@@ -36,6 +36,7 @@ main()
             info.traceScale);
         const InputTrace input =
             buildBenchmarkTrace(nfa, info.name, len);
+        const PreparedAutomaton automaton(nfa);
 
         double speedups[3];
         const Cycles costs[3] = {3, 6, 12};
@@ -45,7 +46,7 @@ main()
             opt.threads = bench::hostThreads();
             opt.contextSwitchCycles = costs[i];
             speedups[i] =
-                runPap(nfa, input, ApConfig::d480(4), opt).speedup;
+                runPap(automaton, input, ApConfig::d480(4), opt).speedup;
         }
         const double l2 =
             100.0 * (1.0 - speedups[1] / speedups[0]);

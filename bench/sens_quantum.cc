@@ -41,6 +41,7 @@ main()
             static_cast<double>(bench::smallTraceLen()) *
             info.traceScale);
         const InputTrace input = buildBenchmarkTrace(nfa, name, len);
+        const PreparedAutomaton automaton(nfa);
 
         std::vector<std::string> row = {name};
         for (const auto k : quanta) {
@@ -49,7 +50,7 @@ main()
             opt.threads = bench::hostThreads();
             opt.tdmQuantum = k;
             const PapResult r =
-                runPap(nfa, input, ApConfig::d480(4), opt);
+                runPap(automaton, input, ApConfig::d480(4), opt);
             row.push_back(fmtDouble(r.speedup, 2));
         }
         table.addRow(row);

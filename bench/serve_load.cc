@@ -56,6 +56,7 @@
 #include "bench_common.h"
 #include "common/rng.h"
 #include "nfa/glushkov.h"
+#include "obs/attrib.h"
 #include "pap/fault_injector.h"
 #include "pap/runner.h"
 #include "serve/server.h"
@@ -251,9 +252,7 @@ runPoint(const std::string &name, std::uint32_t producers,
     }
     for (auto &t : threads)
         t.join();
-    out.wallMs = std::chrono::duration<double, std::milli>(
-                     Clock::now() - t0)
-                     .count();
+    out.wallMs = obs::msSince(t0);
 
     const serve::ServerStats stats = server.stats();
     out.admitted = stats.admitted;
@@ -407,10 +406,7 @@ runRestartPoint(std::uint32_t cycles,
                                 ? fed[s] - res.value().offset
                                 : 0;
         }
-        recovery_ms.push_back(
-            std::chrono::duration<double, std::milli>(Clock::now() -
-                                                      r0)
-                .count());
+        recovery_ms.push_back(obs::msSince(r0));
 
         for (std::uint32_t s = 0; s < sessions; ++s) {
             if (!live[s])

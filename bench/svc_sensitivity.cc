@@ -110,6 +110,7 @@ main(int argc, char **argv)
     const std::uint64_t len = bench::largeTraceLen();
 
     const Nfa nfa = buildChains();
+    const PreparedAutomaton automaton(nfa);
     const InputTrace input = buildTrace(len);
     const ApConfig cfg = ApConfig::d480(1);
 
@@ -133,7 +134,7 @@ main(int argc, char **argv)
     for (const std::uint32_t capacity : capacities) {
         PapOptions opt = base;
         opt.svcCapacity = capacity;
-        const PapResult r = runPap(nfa, input, cfg, opt);
+        const PapResult r = runPap(automaton, input, cfg, opt);
         if (!r.status.ok() || !r.verified) {
             std::fprintf(stderr, "FAIL: run did not verify (%s)\n",
                          r.status.ok() ? "divergence"

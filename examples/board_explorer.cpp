@@ -33,6 +33,8 @@ main()
     const Nfa nfa = buildRulesetAutomaton(params, "deployment", true);
     std::printf("Ruleset: %zu states after prefix merging\n\n",
                 nfa.size());
+    // Compile and analyze the ruleset once for every run below.
+    const PreparedAutomaton automaton(nfa);
 
     TraceGenOptions tg;
     tg.baseAlphabet = alphabetFromString(params.alphabet);
@@ -45,7 +47,7 @@ main()
         const InputTrace input = generateTrace(nfa, len, tg, 3);
         for (const std::uint32_t ranks : {1u, 2u, 4u}) {
             const PapResult r =
-                runPap(nfa, input, ApConfig::d480(ranks));
+                runPap(automaton, input, ApConfig::d480(ranks));
             const double ns_per_symbol =
                 7.5 * static_cast<double>(r.papCycles) /
                 static_cast<double>(input.size());

@@ -55,9 +55,6 @@ class CompiledNfa
     /** 64-bit words in a state bitset: ceil(size() / 64). */
     std::size_t words() const { return wordCount; }
 
-    /** The source automaton. */
-    const Nfa &source() const { return nfa; }
-
     /** Label of state @p q (read from the source automaton). */
     const CharClass &label(StateId q) const { return nfa[q].label; }
 

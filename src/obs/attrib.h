@@ -38,6 +38,15 @@
 namespace pap {
 namespace obs {
 
+/** Milliseconds elapsed on the steady clock since @p t0. */
+inline double
+msSince(std::chrono::steady_clock::time_point t0)
+{
+    return std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now() - t0)
+        .count();
+}
+
 /** One named charge in a run's attribution ledger. */
 struct AttribBucket
 {
@@ -99,10 +108,7 @@ class AttribLedger
         {
             if (!ledger_)
                 return;
-            const double ms =
-                std::chrono::duration<double, std::milli>(
-                    std::chrono::steady_clock::now() - t0_)
-                    .count();
+            const double ms = msSince(t0_);
             if (aux_)
                 ledger_->chargeAux(bucket_, ms);
             else

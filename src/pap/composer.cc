@@ -193,24 +193,26 @@ composeEnum(const CompiledNfa &cnfa, const Components &comps,
 }
 
 SegmentTruth
-composeStep(const CompiledNfa &cnfa, const Components &comps,
+composeStep(const PreparedAutomaton &automaton,
             const exec::CheckpointFrontier &frontier,
             const ComposeInput &seg, SegmentRun &run)
 {
+    const CompiledNfa &cnfa = automaton.cnfa;
     if (seg.recover()) {
         // Recompute exactly the segment's slice of input from the
         // frontier. Timing degrades to a single golden-like flow.
-        run = runOracleSegment(cnfa,
+        EngineScratch scratch(cnfa.size());
+        run = runGoldenSegment(cnfa,
                                frontier.nextSegment == 0
                                    ? cnfa.initialActive()
                                    : frontier.finalActive,
-                               seg.data, seg.begin, seg.length);
+                               seg.data, seg.begin, seg.length, scratch);
         return composeGolden(run);
     }
     if (!seg.plan)
         return composeGolden(run);
     const std::vector<StateId> no_truth;
-    return composeEnum(cnfa, comps, *seg.plan, run,
+    return composeEnum(cnfa, automaton.comps, *seg.plan, run,
                        seg.truthLost ? no_truth : frontier.finalActive);
 }
 

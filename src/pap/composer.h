@@ -25,6 +25,7 @@
 #include "nfa/analysis.h"
 #include "pap/exec/checkpoint.h"
 #include "pap/flow_plan.h"
+#include "pap/prepared.h"
 #include "pap/segment_sim.h"
 
 namespace pap {
@@ -84,14 +85,15 @@ struct ComposeInput
 };
 
 /**
- * The compose step: the truth of segment @p seg, the one @p frontier
- * expects next. A segment to recover is first recomputed by the
- * oracle from the frontier's final active set (the initial active set
- * at segment 0), which replaces @p run, and composes as golden; so
- * does an executed golden segment. Every other segment is judged
- * against the frontier's final active set.
+ * The compose step: the truth of segment @p seg of @p automaton, the
+ * one @p frontier expects next. A segment to recover is first
+ * recomputed by a golden flow (runGoldenSegment) from the frontier's
+ * final active set (the initial active set at segment 0), which
+ * replaces @p run, and composes as golden; so does an executed golden
+ * segment. Every other segment is judged against the frontier's final
+ * active set.
  */
-SegmentTruth composeStep(const CompiledNfa &cnfa, const Components &comps,
+SegmentTruth composeStep(const PreparedAutomaton &automaton,
                          const exec::CheckpointFrontier &frontier,
                          const ComposeInput &seg, SegmentRun &run);
 

@@ -197,9 +197,7 @@ SegmentPipeline::await(std::size_t index)
         ++stalls_;
         const auto t0 = std::chrono::steady_clock::now();
         doneCv_.wait(lock, [&] { return done_[index] != 0; });
-        waited_ms = std::chrono::duration<double, std::milli>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count();
+        waited_ms = obs::msSince(t0);
         stallMs_ += waited_ms;
     }
     if (obs::TraceSink *sink = obs::tracer()) {

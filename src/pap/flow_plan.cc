@@ -149,15 +149,14 @@ buildFlowPlan(const Nfa &nfa, const Components &comps,
 }
 
 const FlowPlan &
-FlowPlanTable::get(const Nfa &nfa, const Components &comps,
-                   const std::vector<StateId> &asg_states, Symbol boundary,
-                   const PapOptions &options)
+FlowPlanTable::get(Symbol boundary)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     std::unique_ptr<const FlowPlan> &slot = plans_[boundary];
     if (!slot) {
         slot = std::make_unique<const FlowPlan>(
-            buildFlowPlan(nfa, comps, asg_states, boundary, options));
+            buildFlowPlan(automaton_.nfa, automaton_.comps,
+                          automaton_.asg, boundary, options_));
         ++built_;
         obs::metrics().add(builtCounter_);
     }

@@ -25,6 +25,7 @@
 #include "nfa/analysis.h"
 #include "nfa/nfa.h"
 #include "pap/options.h"
+#include "pap/prepared.h"
 
 namespace pap {
 
@@ -81,8 +82,9 @@ FlowPlan buildFlowPlan(const Nfa &nfa, const Components &comps,
  * symbol. A plan depends only on the automaton, its analysis, the
  * merge flags and the boundary symbol, and range-guided partitioning
  * cuts almost every segment after the same symbol, so a run needs a
- * handful of plans rather than one per segment. Every get() on one
- * table must pass the same automaton, analysis and merge flags.
+ * handful of plans rather than one per segment. A table is bound to
+ * one prepared automaton and one set of merge flags, so get() takes
+ * the symbol alone.
  *
  * Thread-safe: plans are built under the table's lock, so concurrent
  * first uses of a symbol build it exactly once. Returned references
@@ -91,9 +93,15 @@ FlowPlan buildFlowPlan(const Nfa &nfa, const Components &comps,
 class FlowPlanTable
 {
   public:
-    /** @p built_counter is the metrics counter bumped per plan built. */
-    explicit FlowPlanTable(const char *built_counter)
-        : builtCounter_(built_counter)
+    /**
+     * Plans of @p automaton (which must outlive the table) under the
+     * merge flags of @p options. @p built_counter is the metrics
+     * counter bumped per plan built.
+     */
+    FlowPlanTable(const PreparedAutomaton &automaton,
+                  const PapOptions &options, const char *built_counter)
+        : automaton_(automaton), options_(options),
+          builtCounter_(built_counter)
     {
     }
 
@@ -101,14 +109,14 @@ class FlowPlanTable
     FlowPlanTable &operator=(const FlowPlanTable &) = delete;
 
     /** The plan for @p boundary, built now if this is its first use. */
-    const FlowPlan &get(const Nfa &nfa, const Components &comps,
-                        const std::vector<StateId> &asg_states,
-                        Symbol boundary, const PapOptions &options);
+    const FlowPlan &get(Symbol boundary);
 
     /** Plans built so far: the distinct boundary symbols looked up. */
     std::size_t built() const;
 
   private:
+    const PreparedAutomaton &automaton_;
+    const PapOptions options_;
     const char *const builtCounter_;
     mutable std::mutex mutex_;
     std::array<std::unique_ptr<const FlowPlan>, kAlphabetSize> plans_;

@@ -60,26 +60,6 @@ runSequential(const CompiledNfa &cnfa, const InputTrace &input,
 
 namespace {
 
-/** Fill the Table-1/Figure-8 independent fields of the result. */
-void
-describeRun(PapResult &result, const Nfa &nfa,
-            std::uint32_t num_segments, const Placement &placement)
-{
-    result.name = nfa.name();
-    result.numSegments = num_segments;
-    result.idealSpeedup = num_segments;
-    result.halfCoresPerCopy = placement.halfCoresPerCopy;
-}
-
-/** Milliseconds elapsed since @p t0. */
-double
-msSince(std::chrono::steady_clock::time_point t0)
-{
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
-}
-
 /**
  * Record the run's headline metrics and per-segment distributions into
  * the process registry (the same numbers PapResult carries, so tests
@@ -240,7 +220,10 @@ checkpointIdentity(const Nfa &nfa, const InputTrace &input,
 class PapRun
 {
   public:
-    PapRun(const Nfa &nfa, const InputTrace &input, const ApConfig &config,
+    /** A run of @p nfa on @p prepared, or, when that is null, on the
+        preparation analyze() builds. */
+    PapRun(const Nfa &nfa, const PreparedAutomaton *prepared,
+           const InputTrace &input, const ApConfig &config,
            const PapOptions &options);
     PapRun(const PapRun &) = delete; // the oracle thread holds `this`
     PapRun &operator=(const PapRun &) = delete;
@@ -275,11 +258,11 @@ class PapRun
     PapResult result;
     SequentialResult seq;
 
-    std::optional<CompiledNfa> cnfa;
-    Components comps;
-    std::vector<StateId> asg;
+    /** The preparation the run uses: the caller's, or `owned`. */
+    const PreparedAutomaton *automaton;
+    std::optional<PreparedAutomaton> owned;
     std::vector<Segment> segs;
-    FlowPlanTable planTable{"runner.plans.built"};
+    std::optional<FlowPlanTable> planTable;
     /** Per segment; null for the golden segment 0. */
     std::vector<const FlowPlan *> plans;
     /**
@@ -300,11 +283,12 @@ class PapRun
     std::future<SequentialResult> oracle;
 };
 
-PapRun::PapRun(const Nfa &nfa, const InputTrace &input,
-               const ApConfig &config, const PapOptions &options)
+PapRun::PapRun(const Nfa &nfa, const PreparedAutomaton *prepared,
+               const InputTrace &input, const ApConfig &config,
+               const PapOptions &options)
     : nfa(nfa), input(input), config(config), options(options),
       injector(options.faultInjector), sink(obs::tracer()),
-      t0(std::chrono::steady_clock::now())
+      t0(std::chrono::steady_clock::now()), automaton(prepared)
 {
 }
 
@@ -337,31 +321,31 @@ PapRun::adoptSequential(bool degraded)
 }
 
 /**
- * Compile the automaton once for the whole run, start the oracle on
- * the compiled automaton, then analyze and place it.
+ * Prepare the automaton unless the caller did, start the oracle on
+ * its compiled form, then place it.
  */
 bool
 PapRun::analyze()
 {
     obs::Phase phase(sink, "pap.analyze", &ledger, "analyze");
-    cnfa.emplace(nfa);
+    if (!automaton)
+        automaton = &owned.emplace(nfa);
     // The golden sequential execution (Section 3.4) verifies the
     // composed reports and supplies the baseline cycles. It runs on
-    // its own thread, so analysis, partitioning, planning and
-    // execution run beside it. Its own time is the aux bucket
-    // "baseline"; the composer's wait for it is the wall bucket
-    // "baseline.wait". Running beside the analysis slows
-    // connectedComponents by about a third, but starting it after the
-    // analysis made anmlzoo_suite calls about 4% slower end to end.
+    // its own thread beside partitioning, planning and execution; its
+    // own time is the aux bucket "baseline", the composer's wait for
+    // it the wall bucket "baseline.wait". Starting it after the whole
+    // preparation rather than right after the compile measured even on
+    // anmlzoo_suite (4-vCPU x86, seed 5, 6 alternating 25 s pairs, 3
+    // won each way: 0.421 -> 0.430 Msym/s, p50 49.8 -> 48.0 ms). Also
+    // building RangeAnalysis first cost p50 55.1 -> 59.6 ms.
     oracle = std::async(std::launch::async, [this] {
         obs::Phase oracle_phase(sink, "pap.baseline", &ledger, "baseline",
                                 /*aux=*/true);
-        return runSequential(*cnfa, input, options);
+        return runSequential(automaton->cnfa, input, options);
     });
-    comps = connectedComponents(nfa);
-    asg = alwaysActiveStates(nfa);
     const Placement placement = placeAutomaton(
-        nfa, comps, config, options.routingMinHalfCores);
+        nfa, automaton->comps, config, options.routingMinHalfCores);
 
     // Segments: limited by half-cores, and by the rule that a segment
     // should span at least a couple of TDM quanta to be worth a flow.
@@ -370,7 +354,10 @@ PapRun::analyze()
     num_segments = static_cast<std::uint32_t>(std::max<std::uint64_t>(
         1, std::min<std::uint64_t>(num_segments,
                                    input.size() / min_seg)));
-    describeRun(result, nfa, num_segments, placement);
+    result.name = nfa.name();
+    result.numSegments = num_segments;
+    result.idealSpeedup = num_segments;
+    result.halfCoresPerCopy = placement.halfCoresPerCopy;
     phase.close();
     return num_segments > 1 || adoptSequential(/*degraded=*/false);
 }
@@ -399,11 +386,12 @@ PapRun::partitionAndPlan()
                       static_cast<double>(profile.rangeSize)}});
 
     obs::Phase plan(sink, "pap.plan", &ledger, "plan");
+    planTable.emplace(*automaton, options, "runner.plans.built");
     plans.assign(segs.size(), nullptr);
     double sum_in_range = 0, sum_after_cc = 0, sum_after_parent = 0;
     for (std::size_t j = 1; j < segs.size(); ++j) {
         const Symbol boundary = input[segs[j].begin - 1];
-        plans[j] = &planTable.get(nfa, comps, asg, boundary, options);
+        plans[j] = &planTable->get(boundary);
         sum_in_range += plans[j]->flowsInRange;
         sum_after_cc += plans[j]->flowsAfterCc;
         sum_after_parent += plans[j]->flowsAfterParent;
@@ -416,7 +404,7 @@ PapRun::partitionAndPlan()
     result.flowsAfterCc = sum_after_cc / enum_segments;
     result.flowsAfterParent = sum_after_parent / enum_segments;
     plan.close({{"segments", static_cast<double>(segs.size())},
-                {"plans_built", static_cast<double>(planTable.built())},
+                {"plans_built", static_cast<double>(planTable->built())},
                 {"max_flows_per_segment",
                  static_cast<double>(result.maxFlowsPerSegment)}});
     return true;
@@ -431,7 +419,7 @@ bool
 PapRun::checkOverflow()
 {
     const std::uint32_t capacity = svcCapacity(options, config);
-    const std::uint32_t asg_slots = asg.empty() ? 0u : 1u;
+    const std::uint32_t asg_slots = automaton->asg.empty() ? 0u : 1u;
     result.svcOverflow =
         std::uint64_t{result.maxFlowsPerSegment} + asg_slots > capacity;
     result.svcCapacity = capacity;
@@ -527,7 +515,7 @@ PapRun::executeTask(std::size_t j, const exec::CancellationToken &cancel)
     obs::AttribLedger::Scope worker(&ledger, "workers.execute",
                                     /*aux=*/true);
     const Segment &s = segs[j];
-    SegmentRun run = executeSegment(*cnfa, plans[j], asg,
+    SegmentRun run = executeSegment(*automaton, plans[j],
                                     input.ptr(s.begin), s.begin,
                                     s.length(), options, &cancel);
     if (cancel.cancelled())
@@ -577,7 +565,7 @@ PapRun::executeAndCompose()
     // how much of it the composer spent blocked on segment handoffs.
     // Diagnostics only — reports and modeled metrics never depend on
     // these numbers.
-    result.pipelineWallMs = msSince(region_t0);
+    result.pipelineWallMs = obs::msSince(region_t0);
     result.composerStallMs = pipe.composerStallMs();
     result.pipelineOccupancy =
         result.pipelineWallMs > 0.0
@@ -629,7 +617,7 @@ PapRun::composeSegment(std::size_t j, const exec::TaskReport &tr)
     // against an empty T (the verification oracle catches the damage
     // downstream).
     seg.truthLost = j > 0 && injector && injector->onFivDownload();
-    SegmentTruth truth = composeStep(*cnfa, comps, frontier, seg, runs[j]);
+    SegmentTruth truth = composeStep(*automaton, frontier, seg, runs[j]);
     if (seg.failed) {
         result.degraded = true;
         obs::metrics().add("exec.segments.recovered");
@@ -655,7 +643,7 @@ PapRun::composeSegment(std::size_t j, const exec::TaskReport &tr)
     // the segment's flow records go now rather than at the run's end.
     runs[j] = SegmentRun{};
     ledger.chargeWall(seg.failed ? "compose.recover" : "compose.decode",
-                      msSince(compose_t0));
+                      obs::msSince(compose_t0));
     if (sink) {
         // Mean active-state density octile over this segment's flow
         // steps, as a counter track next to the flow arrows.
@@ -875,28 +863,44 @@ PapRun::finish()
     result.flowSymbolCycles = frontier.flowSymbolCycles;
     result.segmentsRetried = frontier.segmentsRetried;
     result.segmentsRecovered = frontier.segmentsRecovered;
-    ledger.finalize(msSince(t0));
+    ledger.finalize(obs::msSince(t0));
     result.attrib = ledger.snapshot();
     recordRunMetrics(result);
     traceSimulatedTimeline(result);
     return std::move(result);
 }
 
-} // namespace
-
+/** Both runPap entry points: @p prepared is null on the Nfa one. */
 PapResult
-runPap(const Nfa &nfa, const InputTrace &input, const ApConfig &config,
-       const PapOptions &options)
+runStages(const Nfa &nfa, const PreparedAutomaton *prepared,
+          const InputTrace &input, const ApConfig &config,
+          const PapOptions &options)
 {
     PAP_ASSERT(nfa.finalized(), "runPap on unfinalized NFA");
     PAP_ASSERT(!input.empty(), "runPap on empty input");
 
     PAP_TRACE_SCOPE("pap.run");
-    PapRun run(nfa, input, config, options);
+    PapRun run(nfa, prepared, input, config, options);
     if (run.analyze() && run.partitionAndPlan() && run.checkOverflow() &&
         run.resume() && run.executeAndCompose() && run.verify())
         run.timeline();
     return run.finish();
+}
+
+} // namespace
+
+PapResult
+runPap(const PreparedAutomaton &automaton, const InputTrace &input,
+       const ApConfig &config, const PapOptions &options)
+{
+    return runStages(automaton.nfa, &automaton, input, config, options);
+}
+
+PapResult
+runPap(const Nfa &nfa, const InputTrace &input, const ApConfig &config,
+       const PapOptions &options)
+{
+    return runStages(nfa, nullptr, input, config, options);
 }
 
 } // namespace pap

@@ -24,6 +24,7 @@
 #include "nfa/nfa.h"
 #include "obs/attrib.h"
 #include "pap/options.h"
+#include "pap/prepared.h"
 
 namespace pap {
 
@@ -217,7 +218,9 @@ struct PapResult
 };
 
 /**
- * Run the full Parallel Automata Processor pipeline.
+ * Run the full Parallel Automata Processor pipeline on @p automaton,
+ * prepared once and shared by any number of calls (at other rank
+ * counts or options, or on other threads).
  *
  * Never panics on data-dependent trouble: a divergence between the
  * composed and sequential reports (possible only under fault
@@ -226,6 +229,14 @@ struct PapResult
  * per options.overflowPolicy, and the only non-Ok result.status is
  * CapacityExceeded under OverflowPolicy::Fail or LockHeld on a
  * checkpoint another run holds.
+ */
+PapResult runPap(const PreparedAutomaton &automaton,
+                 const InputTrace &input, const ApConfig &config,
+                 const PapOptions &options = {});
+
+/**
+ * runPap on @p nfa, prepared inside the call (in its analyze phase).
+ * The result equals runPap on PreparedAutomaton(nfa).
  */
 PapResult runPap(const Nfa &nfa, const InputTrace &input,
                  const ApConfig &config, const PapOptions &options = {});

@@ -11,30 +11,6 @@
 
 namespace pap {
 
-namespace {
-
-/** The one golden flow of a segment @p engine has run to its end. */
-SegmentRun
-goldenRun(FunctionalEngine &engine, std::uint64_t seg_begin,
-          std::uint64_t seg_len)
-{
-    FlowRecord rec;
-    rec.id = 0;
-    rec.kind = FlowKind::Golden;
-    rec.symbolsProcessed = seg_len;
-    rec.cause = DeathCause::RanToEnd;
-    rec.finalSnapshot = engine.snapshot();
-    rec.counters = engine.counters();
-    rec.reports = engine.takeReports();
-    SegmentRun run;
-    run.segBegin = seg_begin;
-    run.segLen = seg_len;
-    run.flows.push_back(std::move(rec));
-    return run;
-}
-
-} // namespace
-
 DeathTally
 tallyDeaths(const SegmentRun &run)
 {
@@ -52,7 +28,8 @@ tallyDeaths(const SegmentRun &run)
 }
 
 SegmentRun
-runGoldenSegment(const CompiledNfa &cnfa, const Symbol *data,
+runGoldenSegment(const CompiledNfa &cnfa,
+                 const std::vector<StateId> &initial, const Symbol *data,
                  std::uint64_t seg_begin, std::uint64_t seg_len,
                  EngineScratch &scratch, FaultInjector *injector,
                  const exec::CancellationToken *cancel)
@@ -60,7 +37,7 @@ runGoldenSegment(const CompiledNfa &cnfa, const Symbol *data,
     PAP_TRACE_SCOPE("segment.golden");
     obs::metrics().add("segment_sim.flows.golden");
     FunctionalEngine engine(cnfa, /*starts=*/true, &scratch);
-    engine.reset(cnfa.initialActive(), seg_begin);
+    engine.reset(initial, seg_begin);
     if (!cancel) {
         engine.run(data, seg_len);
     } else {
@@ -75,9 +52,20 @@ runGoldenSegment(const CompiledNfa &cnfa, const Symbol *data,
         }
     }
 
-    SegmentRun run = goldenRun(engine, seg_begin, seg_len);
+    FlowRecord rec;
+    rec.id = 0;
+    rec.kind = FlowKind::Golden;
+    rec.symbolsProcessed = seg_len;
+    rec.cause = DeathCause::RanToEnd;
+    rec.finalSnapshot = engine.snapshot();
+    rec.counters = engine.counters();
+    rec.reports = engine.takeReports();
     if (injector)
-        injector->onReportDrain(run.flows.front().reports, seg_begin);
+        injector->onReportDrain(rec.reports, seg_begin);
+    SegmentRun run;
+    run.segBegin = seg_begin;
+    run.segLen = seg_len;
+    run.flows.push_back(std::move(rec));
     return run;
 }
 
@@ -330,30 +318,19 @@ svcCapacity(const PapOptions &options, const ApConfig &config)
 }
 
 SegmentRun
-executeSegment(const CompiledNfa &cnfa, const FlowPlan *plan,
-               const std::vector<StateId> &asg, const Symbol *data,
-               std::uint64_t seg_begin, std::uint64_t seg_len,
-               const PapOptions &options,
+executeSegment(const PreparedAutomaton &automaton, const FlowPlan *plan,
+               const Symbol *data, std::uint64_t seg_begin,
+               std::uint64_t seg_len, const PapOptions &options,
                const exec::CancellationToken *cancel)
 {
+    const CompiledNfa &cnfa = automaton.cnfa;
     EngineScratch scratch(cnfa.size());
     if (!plan)
-        return runGoldenSegment(cnfa, data, seg_begin, seg_len, scratch,
+        return runGoldenSegment(cnfa, cnfa.initialActive(), data,
+                                seg_begin, seg_len, scratch,
                                 options.faultInjector, cancel);
-    return runEnumSegment(cnfa, *plan, asg, data, seg_begin, seg_len,
-                          options, scratch, cancel);
-}
-
-SegmentRun
-runOracleSegment(const CompiledNfa &cnfa,
-                 const std::vector<StateId> &frontier, const Symbol *data,
-                 std::uint64_t seg_begin, std::uint64_t seg_len)
-{
-    EngineScratch scratch(cnfa.size());
-    FunctionalEngine engine(cnfa, /*starts=*/true, &scratch);
-    engine.reset(frontier, seg_begin);
-    engine.run(data, seg_len);
-    return goldenRun(engine, seg_begin, seg_len);
+    return runEnumSegment(cnfa, *plan, automaton.asg, data, seg_begin,
+                          seg_len, options, scratch, cancel);
 }
 
 } // namespace pap

@@ -7,8 +7,9 @@
  * TDM step completes, Section 3.3.4); convergence checks run every N
  * TDM steps and merge flows whose state vectors are bitwise equal
  * (Section 3.3.3). executeSegment() on top is the one segment
- * executor that runPap and serve share: golden/enumeration dispatch,
- * and the oracle continuation of a failed segment. SVC capacity never
+ * executor that runPap and serve share: golden/enumeration dispatch.
+ * The oracle continuation of a failed segment is runGoldenSegment
+ * started from the true active set entering it. SVC capacity never
  * splits a segment: every flow of the plan runs, and the timeline
  * alone models residency.
  */
@@ -24,6 +25,7 @@
 #include "pap/exec/cancellation.h"
 #include "pap/flow_plan.h"
 #include "pap/options.h"
+#include "pap/prepared.h"
 
 namespace pap {
 
@@ -96,14 +98,18 @@ struct DeathTally
 DeathTally tallyDeaths(const SegmentRun &run);
 
 /**
- * Run the first segment: a single golden flow over @p cnfa with full
- * start-state machinery, seeded with the StartOfData states.
- * @p injector, when non-null, may drop or
- * truncate the flow's report buffer. @p cancel, when non-null, is
- * polled cooperatively (the run is chunked); a cancelled run returns
- * early with a partial record the caller must discard.
+ * Run a golden flow: one flow over @p cnfa with full start-state
+ * machinery, seeded with @p initial, the true active set entering
+ * the segment. The first segment starts from cnfa.initialActive();
+ * the per-segment oracle continuation (Section 3.4) of a segment
+ * whose attempts all failed starts from its predecessor's true final
+ * active set. @p injector, when non-null, may drop or truncate the
+ * flow's report buffer. @p cancel, when non-null, is polled
+ * cooperatively (the run is chunked); a cancelled run returns early
+ * with a partial record the caller must discard.
  */
 SegmentRun runGoldenSegment(const CompiledNfa &cnfa,
+                            const std::vector<StateId> &initial,
                             const Symbol *data,
                             std::uint64_t seg_begin, std::uint64_t seg_len,
                             EngineScratch &scratch,
@@ -140,34 +146,22 @@ std::uint32_t svcCapacity(const PapOptions &options,
                           const ApConfig &config);
 
 /**
- * Execute one segment on the modeled device: the segment executor
- * under runPap and serve. A null @p plan runs the golden flow (the
- * first segment; options.faultInjector may damage its report drain).
- * Otherwise the ASG flow seeded with @p asg runs beside all of
- * @p plan's enumeration flows, whatever the SVC capacity: convergence
- * merging sees every flow, and reports are byte-identical across
- * capacities.
+ * Execute one segment of @p automaton on the modeled device: the
+ * segment executor under runPap and serve. A null @p plan runs the
+ * golden flow from the initial active set (the first segment;
+ * options.faultInjector may damage its report drain). Otherwise the
+ * ASG flow runs beside all of @p plan's enumeration flows, whatever
+ * the SVC capacity: convergence merging sees every flow, and reports
+ * are byte-identical across capacities.
  *
  * @p cancel, when non-null, is polled cooperatively; a cancelled
  * execution is partial and the caller must discard it.
  */
-SegmentRun executeSegment(const CompiledNfa &cnfa, const FlowPlan *plan,
-                          const std::vector<StateId> &asg,
-                          const Symbol *data, std::uint64_t seg_begin,
-                          std::uint64_t seg_len,
+SegmentRun executeSegment(const PreparedAutomaton &automaton,
+                          const FlowPlan *plan, const Symbol *data,
+                          std::uint64_t seg_begin, std::uint64_t seg_len,
                           const PapOptions &options,
                           const exec::CancellationToken *cancel);
-
-/**
- * The per-segment oracle continuation (Section 3.4) of a segment whose
- * attempts all failed: recompute its slice sequentially from
- * @p frontier, the true active set entering it. The run holds one
- * golden flow.
- */
-SegmentRun runOracleSegment(const CompiledNfa &cnfa,
-                            const std::vector<StateId> &frontier,
-                            const Symbol *data, std::uint64_t seg_begin,
-                            std::uint64_t seg_len);
 
 } // namespace pap
 

@@ -5,7 +5,6 @@
 #include "ap/placement.h"
 #include "common/logging.h"
 #include "engine/functional_engine.h"
-#include "nfa/analysis.h"
 #include "obs/metrics.h"
 #include "pap/exec/pipeline.h"
 #include "pap/exec/worker_pool.h"
@@ -30,20 +29,19 @@ setDifference(const std::vector<StateId> &a,
 } // namespace
 
 SpeculationResult
-runSpeculative(const Nfa &nfa, const InputTrace &input,
+runSpeculative(const PreparedAutomaton &automaton, const InputTrace &input,
                const ApConfig &config,
                const SpeculationOptions &options)
 {
-    PAP_ASSERT(nfa.finalized(), "runSpeculative on unfinalized NFA");
     PAP_ASSERT(!input.empty(), "runSpeculative on empty input");
+    const Nfa &nfa = automaton.nfa;
+    const CompiledNfa &cnfa = automaton.cnfa;
 
     SpeculationResult result;
     result.name = nfa.name();
 
-    const CompiledNfa cnfa(nfa);
-    const Components comps = connectedComponents(nfa);
     const Placement placement = placeAutomaton(
-        nfa, comps, config, options.routingMinHalfCores);
+        nfa, automaton.comps, config, options.routingMinHalfCores);
 
     std::uint32_t num_segments = placement.inputSegments(config);
     num_segments = static_cast<std::uint32_t>(std::max<std::uint64_t>(
@@ -255,6 +253,15 @@ runSpeculative(const Nfa &nfa, const InputTrace &input,
     result.speedup = static_cast<double>(result.baselineCycles) /
                      static_cast<double>(result.papCycles);
     return result;
+}
+
+SpeculationResult
+runSpeculative(const Nfa &nfa, const InputTrace &input,
+               const ApConfig &config,
+               const SpeculationOptions &options)
+{
+    const PreparedAutomaton automaton(nfa);
+    return runSpeculative(automaton, input, config, options);
 }
 
 } // namespace pap

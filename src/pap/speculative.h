@@ -31,6 +31,7 @@
 #include "engine/trace.h"
 #include "nfa/nfa.h"
 #include "pap/options.h"
+#include "pap/prepared.h"
 
 namespace pap {
 
@@ -80,10 +81,16 @@ struct SpeculationResult
 };
 
 /**
- * Run the speculative parallelization of @p nfa over @p input on a
- * simulated @p config board. Panics if verification is enabled and
- * the composed reports differ from the sequential execution.
+ * Run the speculative parallelization of @p automaton over @p input on
+ * a simulated @p config board. A divergence from the sequential
+ * execution is repaired from it (result.recovered).
  */
+SpeculationResult runSpeculative(const PreparedAutomaton &automaton,
+                                 const InputTrace &input,
+                                 const ApConfig &config,
+                                 const SpeculationOptions &options = {});
+
+/** runSpeculative on PreparedAutomaton(@p nfa). */
 SpeculationResult runSpeculative(const Nfa &nfa, const InputTrace &input,
                                  const ApConfig &config,
                                  const SpeculationOptions &options = {});

@@ -1,8 +1,6 @@
 #include "serve/manifest.h"
 
 #include <algorithm>
-#include <array>
-#include <cstdio>
 #include <cstring>
 #include <vector>
 
@@ -10,6 +8,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include "common/durable_file.h"
 #include "obs/metrics.h"
 #include "pap/fault_injector.h"
 
@@ -21,127 +20,9 @@ namespace {
 constexpr char kMagic[8] = {'P', 'A', 'P', 'M', 'A', 'N', 'J', '\0'};
 constexpr std::size_t kHeaderSize = sizeof(kMagic) + 4;
 
-/** CRC-32 (IEEE 802.3, reflected) — same polynomial as PAPCKPT. */
-std::uint32_t
-crc32(const std::uint8_t *data, std::size_t len)
-{
-    static const auto table = [] {
-        std::array<std::uint32_t, 256> t{};
-        for (std::uint32_t i = 0; i < 256; ++i) {
-            std::uint32_t c = i;
-            for (int k = 0; k < 8; ++k)
-                c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-            t[i] = c;
-        }
-        return t;
-    }();
-    std::uint32_t crc = 0xFFFFFFFFu;
-    for (std::size_t i = 0; i < len; ++i)
-        crc = table[(crc ^ data[i]) & 0xFFu] ^ (crc >> 8);
-    return crc ^ 0xFFFFFFFFu;
-}
-
-/** fsync the directory entry of @p path (rename durability). */
-bool
-syncParentDir(const std::string &path)
-{
-    const std::size_t slash = path.find_last_of('/');
-    const std::string dir =
-        slash == std::string::npos ? "." : path.substr(0, slash + 1);
-    const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-    if (fd < 0)
-        return false;
-    const bool ok = ::fsync(fd) == 0;
-    ::close(fd);
-    return ok;
-}
-
-struct Writer
-{
-    std::vector<std::uint8_t> buf;
-
-    void
-    u8(std::uint8_t v)
-    {
-        buf.push_back(v);
-    }
-
-    void
-    u32(std::uint32_t v)
-    {
-        for (int i = 0; i < 4; ++i)
-            buf.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-
-    void
-    u64(std::uint64_t v)
-    {
-        for (int i = 0; i < 8; ++i)
-            buf.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-
-    void
-    str(const std::string &s)
-    {
-        u32(static_cast<std::uint32_t>(s.size()));
-        buf.insert(buf.end(), s.begin(), s.end());
-    }
-};
-
-struct Reader
-{
-    const std::uint8_t *data;
-    std::size_t size;
-    std::size_t pos = 0;
-    bool fail = false;
-
-    bool
-    need(std::size_t n)
-    {
-        if (size - pos < n) {
-            fail = true;
-            return false;
-        }
-        return true;
-    }
-
-    std::uint32_t
-    u32()
-    {
-        if (!need(4))
-            return 0;
-        std::uint32_t v = 0;
-        for (int i = 0; i < 4; ++i)
-            v |= static_cast<std::uint32_t>(data[pos++]) << (8 * i);
-        return v;
-    }
-
-    std::uint64_t
-    u64()
-    {
-        if (!need(8))
-            return 0;
-        std::uint64_t v = 0;
-        for (int i = 0; i < 8; ++i)
-            v |= static_cast<std::uint64_t>(data[pos++]) << (8 * i);
-        return v;
-    }
-
-    std::string
-    str()
-    {
-        const std::uint32_t n = u32();
-        if (fail || !need(n))
-            return {};
-        std::string s(reinterpret_cast<const char *>(data + pos), n);
-        pos += n;
-        return s;
-    }
-};
-
 /** Serialize a record's payload (everything inside the CRC frame). */
 void
-serializePayload(const ManifestRecord &rec, Writer &w)
+serializePayload(const ManifestRecord &rec, ByteWriter &w)
 {
     switch (rec.kind) {
       case ManifestRecordKind::Admit:
@@ -166,19 +47,18 @@ serializePayload(const ManifestRecord &rec, Writer &w)
     }
 }
 
-/** Frame a record: [kind][len][payload][crc(kind+len+payload)]. */
-std::vector<std::uint8_t>
-frameRecord(const ManifestRecord &rec)
+/** Append @p rec's frame to @p out:
+    [kind][len][payload][crc(kind+len+payload)]. */
+void
+frameRecord(const ManifestRecord &rec, ByteWriter &out)
 {
-    Writer payload;
+    ByteWriter payload;
     serializePayload(rec, payload);
-    Writer frame;
-    frame.u8(static_cast<std::uint8_t>(rec.kind));
-    frame.u32(static_cast<std::uint32_t>(payload.buf.size()));
-    frame.buf.insert(frame.buf.end(), payload.buf.begin(),
-                     payload.buf.end());
-    frame.u32(crc32(frame.buf.data(), frame.buf.size()));
-    return std::move(frame.buf);
+    const std::size_t start = out.buf.size();
+    out.u8(static_cast<std::uint8_t>(rec.kind));
+    out.u32(static_cast<std::uint32_t>(payload.buf.size()));
+    out.bytes(payload.buf.data(), payload.buf.size());
+    out.u32(crc32(out.buf.data() + start, out.buf.size() - start));
 }
 
 /** Parse one payload; false when malformed for its kind. */
@@ -189,7 +69,7 @@ parsePayload(std::uint8_t kind_byte, const std::uint8_t *payload,
     if (kind_byte < 1 || kind_byte > 4)
         return false;
     rec.kind = static_cast<ManifestRecordKind>(kind_byte);
-    Reader r{payload, len};
+    ByteReader r{payload, len};
     switch (rec.kind) {
       case ManifestRecordKind::Admit:
         rec.identity = r.u64();
@@ -269,9 +149,8 @@ ManifestJournal::open(const std::string &path, FaultInjector *faults)
                              "'");
     }
     if (st.st_size == 0) {
-        Writer header;
-        header.buf.insert(header.buf.end(), kMagic,
-                          kMagic + sizeof(kMagic));
+        ByteWriter header;
+        header.bytes(kMagic, sizeof(kMagic));
         header.u32(kManifestVersion);
         if (::write(fd, header.buf.data(), header.buf.size()) !=
                 static_cast<ssize_t>(header.buf.size()) ||
@@ -303,7 +182,9 @@ ManifestJournal::append(const ManifestRecord &record)
     if (fd_ < 0)
         return Status::error(ErrorCode::InvalidInput,
                              "session manifest is not open");
-    const std::vector<std::uint8_t> frame = frameRecord(record);
+    ByteWriter framed;
+    frameRecord(record, framed);
+    const std::vector<std::uint8_t> &frame = framed.buf;
     std::size_t keep = 0;
     if (faults_ && faults_->onManifestAppend(frame.size(), keep)) {
         // Model the crash-mid-write: a prefix of the frame reaches
@@ -333,22 +214,17 @@ Result<ManifestReplay>
 replayManifest(const std::string &path)
 {
     ManifestReplay replay;
-    std::FILE *fp = std::fopen(path.c_str(), "rb");
-    if (!fp)
+    const auto read = readWholeFile(path);
+    if (!read)
         return replay; // first boot: nothing to replay
-    std::vector<std::uint8_t> bytes;
-    std::uint8_t chunk[4096];
-    std::size_t n;
-    while ((n = std::fread(chunk, 1, sizeof(chunk), fp)) > 0)
-        bytes.insert(bytes.end(), chunk, chunk + n);
-    std::fclose(fp);
+    const std::vector<std::uint8_t> &bytes = *read;
 
     if (bytes.size() < kHeaderSize ||
         std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0)
         return Status::error(ErrorCode::CheckpointCorrupt,
                              "session manifest '", path,
                              "' has a bad header");
-    Reader head{bytes.data() + sizeof(kMagic), 4};
+    ByteReader head{bytes.data() + sizeof(kMagic), 4};
     if (head.u32() != kManifestVersion)
         return Status::error(ErrorCode::CheckpointCorrupt,
                              "session manifest '", path,
@@ -366,14 +242,14 @@ replayManifest(const std::string &path)
             break;
         }
         const std::uint8_t kind_byte = bytes[pos];
-        Reader len_reader{bytes.data() + pos + 1, 4};
+        ByteReader len_reader{bytes.data() + pos + 1, 4};
         const std::uint32_t len = len_reader.u32();
         if (bytes.size() - pos < 5 + static_cast<std::size_t>(len) + 4) {
             replay.torn = 1;
             break;
         }
         const std::uint8_t *payload = bytes.data() + pos + 5;
-        Reader crc_reader{payload + len, 4};
+        ByteReader crc_reader{payload + len, 4};
         const std::uint32_t stored = crc_reader.u32();
         if (crc32(bytes.data() + pos, 5 + len) != stored) {
             replay.torn = 1;
@@ -422,8 +298,8 @@ replayManifest(const std::string &path)
 Status
 compactManifest(const std::string &path, const ManifestReplay &replay)
 {
-    Writer file;
-    file.buf.insert(file.buf.end(), kMagic, kMagic + sizeof(kMagic));
+    ByteWriter file;
+    file.bytes(kMagic, sizeof(kMagic));
     file.u32(kManifestVersion);
     // Pin the generation floor first so a later torn tail can never
     // roll generations backwards across a double crash.
@@ -431,8 +307,7 @@ compactManifest(const std::string &path, const ManifestReplay &replay)
         ManifestRecord rec;
         rec.kind = ManifestRecordKind::SwapGeneration;
         rec.generation = replay.maxGeneration;
-        const auto frame = frameRecord(rec);
-        file.buf.insert(file.buf.end(), frame.begin(), frame.end());
+        frameRecord(rec, file);
     }
     for (const auto &entry : replay.live) {
         ManifestRecord admit;
@@ -441,9 +316,7 @@ compactManifest(const std::string &path, const ManifestReplay &replay)
         admit.generation = entry.second.generation;
         admit.tenant = entry.first.first;
         admit.key = entry.first.second;
-        const auto admit_frame = frameRecord(admit);
-        file.buf.insert(file.buf.end(), admit_frame.begin(),
-                        admit_frame.end());
+        frameRecord(admit, file);
         if (entry.second.checkpointed) {
             ManifestRecord ckpt;
             ckpt.kind = ManifestRecordKind::CheckpointWritten;
@@ -451,40 +324,12 @@ compactManifest(const std::string &path, const ManifestReplay &replay)
             ckpt.chunks = entry.second.chunks;
             ckpt.tenant = entry.first.first;
             ckpt.key = entry.first.second;
-            const auto ckpt_frame = frameRecord(ckpt);
-            file.buf.insert(file.buf.end(), ckpt_frame.begin(),
-                            ckpt_frame.end());
+            frameRecord(ckpt, file);
         }
     }
 
-    const std::string tmp = path + ".compact.tmp";
-    std::FILE *fp = std::fopen(tmp.c_str(), "wb");
-    if (!fp)
-        return Status::error(ErrorCode::InvalidInput,
-                             "cannot open manifest temp file '", tmp,
-                             "' for writing");
-    const std::size_t written =
-        std::fwrite(file.buf.data(), 1, file.buf.size(), fp);
-    const bool flushed = std::fflush(fp) == 0;
-    const bool synced = flushed && ::fsync(::fileno(fp)) == 0;
-    std::fclose(fp);
-    if (written != file.buf.size() || !synced) {
-        std::remove(tmp.c_str());
-        return Status::error(ErrorCode::InvalidInput,
-                             "short write on manifest temp file '", tmp,
-                             "'");
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        std::remove(tmp.c_str());
-        return Status::error(ErrorCode::InvalidInput,
-                             "cannot rename manifest into place at '",
-                             path, "'");
-    }
-    if (!syncParentDir(path))
-        return Status::error(ErrorCode::InvalidInput,
-                             "cannot fsync manifest directory of '",
-                             path, "'");
-    return Status();
+    return replaceFileDurably(path, path + ".compact.tmp", file.buf,
+                              "manifest");
 }
 
 } // namespace serve

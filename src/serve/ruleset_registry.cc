@@ -2,10 +2,18 @@
 
 #include <algorithm>
 
+#include "nfa/analysis.h"
 #include "obs/metrics.h"
 
 namespace pap {
 namespace serve {
+
+CompiledRuleset::CompiledRuleset(const Nfa &nfa, const PapOptions &options)
+    : nfa(nfa), prepared(this->nfa), digest(automatonDigest(this->nfa)),
+      rangeSizes(RangeAnalysis(this->nfa).rangeSizes()),
+      plans(prepared, options, "serve.plans.built")
+{
+}
 
 Result<std::shared_ptr<const CompiledRuleset>>
 RulesetRegistry::install(const Nfa &nfa)
@@ -17,13 +25,7 @@ RulesetRegistry::install(const Nfa &nfa)
 
     // Compile outside the lock: installs are rare but expensive, and
     // open()/current() must never wait on a compilation.
-    auto ruleset = std::make_shared<CompiledRuleset>();
-    ruleset->nfa = nfa;
-    ruleset->cnfa = std::make_unique<const CompiledNfa>(ruleset->nfa);
-    ruleset->digest = automatonDigest(ruleset->nfa);
-    ruleset->comps = connectedComponents(ruleset->nfa);
-    ruleset->asg = alwaysActiveStates(ruleset->nfa);
-    ruleset->rangeSizes = RangeAnalysis(ruleset->nfa).rangeSizes();
+    auto ruleset = std::make_shared<CompiledRuleset>(nfa, options_);
 
     std::shared_ptr<const CompiledRuleset> published;
     {

@@ -2,11 +2,12 @@
  * @file
  * Refcounted ruleset registry with atomic hot-swap for the serve
  * daemon. A CompiledRuleset bundles everything a stream needs to run
- * PAP composition against one automaton — the compiled NFA, its
- * structural digest, connected components, Active State Group, and
- * the range profile that guides chunk-boundary placement — compiled
- * once at install time and shared immutably by every session bound to
- * it, plus the flow-plan table its chunks fill on first use.
+ * PAP composition against one automaton — the prepared automaton
+ * (compiled NFA, connected components, Active State Group), its
+ * structural digest, and the range profile that guides
+ * chunk-boundary placement — built once at install time and shared
+ * immutably by every session bound to it, plus the flow-plan table
+ * its chunks fill on first use.
  *
  * Hot-swap protocol: install() compiles the new automaton *outside*
  * the registry lock, then publishes it as the current generation.
@@ -30,10 +31,10 @@
 
 #include "common/error.h"
 #include "common/types.h"
-#include "engine/compiled_nfa.h"
-#include "nfa/analysis.h"
 #include "nfa/nfa.h"
 #include "pap/flow_plan.h"
+#include "pap/options.h"
+#include "pap/prepared.h"
 
 namespace pap {
 namespace serve {
@@ -41,36 +42,39 @@ namespace serve {
 /** One immutable, shareable compilation of a ruleset automaton. */
 struct CompiledRuleset
 {
+    /** Copy and prepare @p nfa (finalized); plans use the merge flags
+        of @p options. */
+    CompiledRuleset(const Nfa &nfa, const PapOptions &options);
+
+    CompiledRuleset(const CompiledRuleset &) = delete;
+    CompiledRuleset &operator=(const CompiledRuleset &) = delete;
+
     /** Monotone install counter; 1 is the ruleset the daemon booted with. */
     std::uint64_t generation = 0;
     /** Owned copy of the automaton (sessions outlive the caller's). */
-    Nfa nfa;
+    const Nfa nfa;
+    /** Compiled form, components and ASG the chunks run on. */
+    const PreparedAutomaton prepared;
     /** automatonDigest(nfa): what every checkpoint identity of this
         ruleset's sessions is built on. */
-    std::uint64_t digest = 0;
-    /** Compiled form the chunks' engines run. */
-    std::unique_ptr<const CompiledNfa> cnfa;
-    /** Connected components (composition needs the path masks). */
-    Components comps;
-    /** Sorted Active State Group states. */
-    std::vector<StateId> asg;
+    const std::uint64_t digest;
     /** Per-symbol range sizes: the chunker prefers cutting after the
         symbol with the smallest range (fewest enumeration flows). */
-    std::array<std::uint32_t, kAlphabetSize> rangeSizes{};
+    const std::array<std::uint32_t, kAlphabetSize> rangeSizes;
     /** Flow plans by chunk-boundary symbol, built on first use and
-        shared by every chunk of every session bound to this ruleset
-        (lookups pass the server's merge flags, which never change). */
-    mutable FlowPlanTable plans{"serve.plans.built"};
-
-    CompiledRuleset() = default;
-    CompiledRuleset(const CompiledRuleset &) = delete;
-    CompiledRuleset &operator=(const CompiledRuleset &) = delete;
+        shared by every chunk of every session bound to this ruleset. */
+    mutable FlowPlanTable plans;
 };
 
 /** Thread-safe holder of the current ruleset generation. */
 class RulesetRegistry
 {
   public:
+    /** Rulesets whose flow plans use the merge flags of @p options. */
+    explicit RulesetRegistry(const PapOptions &options) : options_(options)
+    {
+    }
+
     /**
      * Compile @p nfa (which must be finalized) and publish it as the
      * new current generation. Returns the installed ruleset; existing
@@ -102,6 +106,7 @@ class RulesetRegistry
     void setNextGeneration(std::uint64_t next);
 
   private:
+    const PapOptions options_;
     mutable std::mutex mutex_;
     std::shared_ptr<const CompiledRuleset> current_;
     std::uint64_t nextGeneration_ = 1;

@@ -9,6 +9,7 @@
 #include <dirent.h>
 
 #include "common/hash.h"
+#include "obs/attrib.h"
 #include "obs/metrics.h"
 #include "pap/composer.h"
 #include "pap/exec/checkpoint.h"
@@ -58,12 +59,11 @@ sanitize(const std::string &name)
     return out;
 }
 
-double
-msSince(std::chrono::steady_clock::time_point t0)
+/** The checkpoint file of a keyed stream: "<tenant>-<key>.papckpt". */
+std::string
+checkpointFileName(const std::string &tenant, const std::string &key)
 {
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
+    return sanitize(tenant) + "-" + sanitize(key) + ".papckpt";
 }
 
 } // namespace
@@ -144,7 +144,7 @@ struct Server::Session
 };
 
 Server::Server(const ServeOptions &options, const Nfa &ruleset)
-    : opts_(options)
+    : opts_(options), registry_(opts_.pap)
 {
     threads_ = exec::WorkerPool::resolveThreads(opts_.threads);
     execPap_ = opts_.pap;
@@ -221,12 +221,14 @@ Result<SessionId>
 Server::open(const std::string &tenant, const std::string &key,
              std::int64_t checkpointInterval)
 {
-    return openImpl(tenant, key, checkpointInterval, /*journal=*/true);
+    return openImpl(tenant, key, checkpointInterval, /*journal=*/true,
+                    nullptr);
 }
 
 Result<SessionId>
 Server::openImpl(const std::string &tenant, const std::string &key,
-                 std::int64_t checkpointInterval, bool journal)
+                 std::int64_t checkpointInterval, bool journal,
+                 exec::CheckpointFrontier *resumeFrom)
 {
     if (!status_.ok())
         return status_;
@@ -243,13 +245,32 @@ Server::openImpl(const std::string &tenant, const std::string &key,
     if (tenantSessions_[tenant] >= opts_.tenantSessionCap)
         return shed("tenant session limit reached; retry later");
 
+    std::shared_ptr<const CompiledRuleset> ruleset = registry_.current();
+    const std::uint64_t identity =
+        sessionIdentity(ruleset->digest, tenant, key);
+    // A checkpoint of a different ruleset or stream must not silently
+    // start fresh; it is refused before anything is admitted.
+    if (resumeFrom && resumeFrom->identity != identity)
+        return Status::error(ErrorCode::InvalidInput, "checkpoint '",
+                             checkpointPath(tenant, key),
+                             "' belongs to a different ruleset or "
+                             "stream");
+
     auto s = std::make_shared<Session>();
     s->id = nextSession_++;
     s->tenant = tenant;
     s->key = key;
-    s->ruleset = registry_.current();
-    s->frontier.identity =
-        sessionIdentity(s->ruleset->digest, tenant, key);
+    s->ruleset = std::move(ruleset);
+    s->frontier.identity = identity;
+    if (resumeFrom) {
+        s->resumed = true;
+        s->frontier = std::move(*resumeFrom);
+        s->nextChunk = s->frontier.nextSegment;
+        s->lastCkptChunk = s->frontier.nextSegment;
+        s->forceOracleNext = s->frontier.nextSegment > 0;
+        for (const exec::SegmentCheckpoint &cp : s->frontier.segments)
+            s->resumedSymbols += cp.timing.segLen;
+    }
     s->ckptIntervalChunks =
         checkpointInterval >= 0
             ? static_cast<std::uint64_t>(checkpointInterval)
@@ -279,9 +300,7 @@ Server::resume(const std::string &tenant, const std::string &key)
     if (key.empty())
         return Status::error(ErrorCode::InvalidInput,
                              "resume needs a stream key");
-    const std::string path = opts_.checkpointDir + "/" +
-                             sanitize(tenant) + "-" + sanitize(key) +
-                             ".papckpt";
+    const std::string path = checkpointPath(tenant, key);
     const SessionCoord coord{tenant, key};
     auto loaded = exec::loadCheckpoint(path);
     if (!loaded.ok()) {
@@ -300,44 +319,13 @@ Server::resume(const std::string &tenant, const std::string &key)
             return loaded.status();
         if (loaded.status().code() == ErrorCode::CheckpointCorrupt)
             std::remove(path.c_str());
-        const auto opened = openImpl(tenant, key, -1, false);
-        if (!opened.ok())
-            return opened.status();
-        std::lock_guard<std::mutex> lock(mutex_);
-        const SessionPtr s = findLocked(opened.value());
-        recoveredLive_.erase(coord);
-        ++counters_.resumed;
-        ++counters_.sessionsRecovered;
-        auto &m = obs::metrics();
-        m.add("serve.sessions.resumed");
-        m.add("serve.recovery.sessions_recovered");
-        journalAdmitLocked(*s);
-        return ResumeInfo{s->id, 0};
     }
-    const auto opened = openImpl(tenant, key, -1, false);
+    const auto opened = openImpl(tenant, key, -1, false,
+                                 loaded.ok() ? &loaded.value() : nullptr);
     if (!opened.ok())
         return opened.status();
     std::lock_guard<std::mutex> lock(mutex_);
     const SessionPtr s = findLocked(opened.value());
-    if (loaded.value().identity != s->frontier.identity) {
-        // Undo the admission: the checkpoint belongs to a different
-        // ruleset or stream and must not silently start fresh. The
-        // manifest is left untouched — openImpl did not journal.
-        closeAccountingLocked(*s);
-        sessions_.erase(s->id);
-        --counters_.admitted;
-        return Status::error(ErrorCode::InvalidInput, "checkpoint '",
-                             path,
-                             "' belongs to a different ruleset or "
-                             "stream");
-    }
-    s->resumed = true;
-    s->frontier = std::move(loaded.value());
-    s->nextChunk = s->frontier.nextSegment;
-    s->lastCkptChunk = s->frontier.nextSegment;
-    s->forceOracleNext = s->frontier.nextSegment > 0;
-    for (const exec::SegmentCheckpoint &cp : s->frontier.segments)
-        s->resumedSymbols += cp.timing.segLen;
     ++counters_.resumed;
     auto &m = obs::metrics();
     m.add("serve.sessions.resumed");
@@ -372,7 +360,7 @@ Server::checkDeadlineLocked(Session &s)
 {
     if (opts_.sessionDeadlineMs <= 0.0 || s.done)
         return;
-    if (msSince(s.openedAt) > opts_.sessionDeadlineMs) {
+    if (obs::msSince(s.openedAt) > opts_.sessionDeadlineMs) {
         ++counters_.aborted;
         terminateLocked(
             s,
@@ -584,8 +572,7 @@ Server::executeChunk(Session &s, Chunk &chunk)
     if (chunk.oracle)
         return; // composed sequentially from the frontier
     if (!chunk.first)
-        chunk.plan = &rs.plans.get(rs.nfa, rs.comps, rs.asg,
-                                   chunk.boundary, execPap_);
+        chunk.plan = &rs.plans.get(chunk.boundary);
 
     // Worker-fault coordinate: the session id, so a selected session
     // has *every* chunk attempt faulted — that is what drives it up
@@ -599,8 +586,8 @@ Server::executeChunk(Session &s, Chunk &chunk)
         execOpt_, watchdog_, site,
         [&](const exec::CancellationToken &cancel) -> Status {
             SegmentRun run = executeSegment(
-                *rs.cnfa, chunk.plan, rs.asg, chunk.data.data(),
-                chunk.begin, chunk.data.size(), execPap_, &cancel);
+                rs.prepared, chunk.plan, chunk.data.data(), chunk.begin,
+                chunk.data.size(), execPap_, &cancel);
             if (cancel.cancelled())
                 return Status::error(ErrorCode::DeadlineExceeded,
                                      "chunk ", chunk.index,
@@ -648,9 +635,8 @@ Server::composeReady(std::unique_lock<std::mutex> &lock, SessionPtr s)
         // The truth is computed outside the lock: only this composer
         // writes the frontier, and it writes under the lock.
         lock.unlock();
-        const CompiledRuleset &rs = *s->ruleset;
-        SegmentTruth truth =
-            composeStep(*rs.cnfa, rs.comps, s->frontier, seg, chunk->run);
+        SegmentTruth truth = composeStep(s->ruleset->prepared, s->frontier,
+                                         seg, chunk->run);
         lock.lock();
         if (s->done)
             break; // terminated while composing; result discarded
@@ -715,7 +701,7 @@ Server::finalizeLocked(Session &s)
     ++counters_.completed;
     auto &m = obs::metrics();
     m.add("serve.sessions.completed");
-    m.observe("serve.session.latency_ms", msSince(s.openedAt));
+    m.observe("serve.session.latency_ms", obs::msSince(s.openedAt));
     journalCompleteLocked(s);
     doneCv_.notify_all();
     idleCv_.notify_all();
@@ -798,7 +784,7 @@ Server::buildReportLocked(Session &s)
     report.chunksRecovered = s.frontier.segmentsRecovered;
     report.generation = s.ruleset->generation;
     report.resumedSymbols = s.resumedSymbols;
-    report.latencyMs = msSince(s.openedAt);
+    report.latencyMs = obs::msSince(s.openedAt);
     return report;
 }
 
@@ -921,16 +907,17 @@ Server::drainPendingSwap()
 }
 
 std::string
-Server::checkpointPath(const Session &s) const
+Server::checkpointPath(const std::string &tenant,
+                       const std::string &key) const
 {
-    return opts_.checkpointDir + "/" + sanitize(s.tenant) + "-" +
-           sanitize(s.key) + ".papckpt";
+    return opts_.checkpointDir + "/" + checkpointFileName(tenant, key);
 }
 
 Status
 Server::checkpointLocked(Session &s)
 {
-    const Status saved = exec::saveCheckpoint(checkpointPath(s), s.frontier);
+    const Status saved =
+        exec::saveCheckpoint(checkpointPath(s.tenant, s.key), s.frontier);
     if (saved.ok()) {
         ++counters_.checkpointed;
         obs::metrics().add("serve.sessions.checkpointed");
@@ -978,7 +965,7 @@ Server::journalCompleteLocked(const Session &s)
         return;
     CkptOp op;
     op.kind = CkptOp::Kind::Complete;
-    op.path = checkpointPath(s);
+    op.path = checkpointPath(s.tenant, s.key);
     op.record.kind = ManifestRecordKind::Complete;
     op.record.tenant = s.tenant;
     op.record.key = s.key;
@@ -990,7 +977,7 @@ Server::enqueuePeriodicCheckpointLocked(const Session &s)
 {
     CkptOp op;
     op.kind = CkptOp::Kind::Save;
-    op.path = checkpointPath(s);
+    op.path = checkpointPath(s.tenant, s.key);
     op.frontier = s.frontier;
     op.record.kind = ManifestRecordKind::CheckpointWritten;
     op.record.symbols = s.resumedSymbols + s.symbolsComposed;
@@ -1149,9 +1136,8 @@ Server::recoverColdStart(const Nfa &ruleset)
     const std::uint64_t digest = automatonDigest(ruleset);
     std::set<std::string> liveFiles;
     for (const auto &entry : replay.live) {
-        const std::string file = sanitize(entry.first.first) + "-" +
-                                 sanitize(entry.first.second) +
-                                 ".papckpt";
+        const std::string file =
+            checkpointFileName(entry.first.first, entry.first.second);
         liveFiles.insert(file);
         const std::string path = opts_.checkpointDir + "/" + file;
         auto loaded = exec::loadCheckpoint(path);

@@ -306,10 +306,14 @@ class Server
     };
 
     SessionPtr findLocked(SessionId id) const;
+    /** Admit a session. With @p resumeFrom, admit it only when that
+        checkpoint belongs to it (same ruleset, tenant and key), and
+        continue the stream from it. */
     Result<SessionId> openImpl(const std::string &tenant,
                                const std::string &key,
                                std::int64_t checkpointInterval,
-                               bool journal);
+                               bool journal,
+                               exec::CheckpointFrontier *resumeFrom);
     Status sessionGateLocked(const Session &s) const;
     void checkDeadlineLocked(Session &s);
     void terminateLocked(Session &s, Status why, const char *metric);
@@ -324,7 +328,9 @@ class Server
     void composeReady(std::unique_lock<std::mutex> &lock, SessionPtr s);
     void finalizeLocked(Session &s);
     SessionReport buildReportLocked(Session &s);
-    std::string checkpointPath(const Session &s) const;
+    /** Where the keyed stream (@p tenant, @p key) checkpoints. */
+    std::string checkpointPath(const std::string &tenant,
+                               const std::string &key) const;
     Status checkpointLocked(Session &s);
     void drainPendingSwap();
 

@@ -237,27 +237,31 @@ expectSamePlan(const FlowPlan &a, const FlowPlan &b)
 TEST(FlowPlanTable, BuildsEachSymbolOnceAsBuildFlowPlanWould)
 {
     const PlanFixture f({{"ab.*cd", 1}, {"abx", 2}, {"c[de]f", 3}});
-    FlowPlanTable table("test.flow_plans.built");
-    const PapOptions opt;
+    const PreparedAutomaton prepared(f.nfa);
+    PapOptions opt;
+    opt.enableCcMerging = false;
+    FlowPlanTable table(prepared, opt, "test.flow_plans.built");
     const std::uint64_t before =
         obs::metrics().counter("test.flow_plans.built");
-    const FlowPlan &a = table.get(f.nfa, f.comps, f.asg, 'a', opt);
-    EXPECT_EQ(&table.get(f.nfa, f.comps, f.asg, 'a', opt), &a);
+    const FlowPlan &a = table.get('a');
+    EXPECT_EQ(&table.get('a'), &a);
     EXPECT_EQ(table.built(), 1u);
-    const FlowPlan &c = table.get(f.nfa, f.comps, f.asg, 'c', opt);
-    EXPECT_EQ(&table.get(f.nfa, f.comps, f.asg, 'a', opt), &a);
+    const FlowPlan &c = table.get('c');
+    EXPECT_EQ(&table.get('a'), &a);
     EXPECT_EQ(table.built(), 2u);
     EXPECT_EQ(obs::metrics().counter("test.flow_plans.built") - before,
               2u);
+    // The table builds with the merge flags it was given.
     expectSamePlan(a, f.plan('a', opt));
     expectSamePlan(c, f.plan('c', opt));
+    EXPECT_NE(a.flows.size(), f.plan('a').flows.size());
 }
 
 TEST(FlowPlanTable, ConcurrentFirstUsesShareOnePlanPerSymbol)
 {
     const PlanFixture f({{"ab.*cd", 1}, {"abx", 2}, {"c[de]f", 3}});
-    FlowPlanTable table("test.flow_plans.built");
-    const PapOptions opt;
+    const PreparedAutomaton prepared(f.nfa);
+    FlowPlanTable table(prepared, PapOptions{}, "test.flow_plans.built");
     const std::string symbols = "abcdefxz";
     constexpr int kThreads = 4;
     std::vector<std::vector<const FlowPlan *>> seen(kThreads);
@@ -266,9 +270,8 @@ TEST(FlowPlanTable, ConcurrentFirstUsesShareOnePlanPerSymbol)
         threads.emplace_back([&, t] {
             for (int round = 0; round < 50; ++round)
                 for (const char sym : symbols)
-                    seen[t].push_back(&table.get(
-                        f.nfa, f.comps, f.asg,
-                        static_cast<Symbol>(sym), opt));
+                    seen[t].push_back(
+                        &table.get(static_cast<Symbol>(sym)));
         });
     }
     for (auto &th : threads)

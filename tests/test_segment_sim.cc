@@ -43,8 +43,9 @@ TEST(SegmentSim, GoldenSegmentMatchesSequentialActivity)
 {
     SimFixture f({{"ab", 1}});
     const InputTrace t = InputTrace::fromString("abxab");
-    const SegmentRun run = runGoldenSegment(*f.cnfa, t.begin(), 0,
-                                            t.size(), *f.scratch);
+    const SegmentRun run =
+        runGoldenSegment(*f.cnfa, f.cnfa->initialActive(), t.begin(), 0,
+                         t.size(), *f.scratch);
     ASSERT_EQ(run.flows.size(), 1u);
     const FlowRecord &rec = run.flows[0];
     EXPECT_EQ(rec.kind, FlowKind::Golden);

@@ -685,11 +685,17 @@ TEST(Serve, ResumeRejectsForeignCheckpoint)
     // A daemon serving a different ruleset must refuse the checkpoint
     // instead of silently composing garbage on top of it.
     Server other(opt, otherRuleset());
+    const std::uint64_t admitted_before =
+        obs::metrics().counter("serve.sessions.admitted");
     const auto resumed = other.resume("t", "k2");
     ASSERT_FALSE(resumed.ok());
     EXPECT_EQ(resumed.status().code(), ErrorCode::InvalidInput);
-    // The failed resume must not leak its admission slot.
+    // The failed resume must not leak its admission slot, nor count
+    // an admission in the metrics that the stats do not count.
     EXPECT_EQ(other.stats().openSessions, 0u);
+    EXPECT_EQ(obs::metrics().counter("serve.sessions.admitted") -
+                  admitted_before,
+              other.stats().admitted);
 }
 
 TEST(Serve, ResumeWithoutCheckpointDirIsTyped)
