@@ -8,14 +8,15 @@
  *  - *wall* buckets partition the caller (composer) thread's measured
  *    wall time: analyze, partition, plan, device.execute (time blocked
  *    waiting for segment execution), compose.decode, compose.recover,
- *    checkpoint.io, baseline.wait (time blocked joining the sequential
- *    oracle), verify, timeline. finalize() charges the unattributed
+ *    checkpoint.io, baseline.wait (time blocked on the sequential
+ *    execution), verify, timeline. finalize() charges the unattributed
  *    remainder to "other", so the wall buckets sum to the measured
  *    wall time by construction — the tested invariant of
  *    `papsim run --attrib`.
  *  - *aux* buckets are informational charges from other threads that
- *    overlap the caller's wall clock (the concurrent sequential oracle
- *    "baseline", per-segment device execution, modeled SVC re-uploads,
+ *    overlap the caller's wall clock (the per-segment golden checks of
+ *    the sequential execution, "baseline"; per-segment device execution,
+ *    modeled SVC re-uploads,
  *    retry backoff). They are reported alongside the wall buckets but
  *    excluded from the sum-to-wall invariant: they deliberately run
  *    concurrently with it.

@@ -121,6 +121,18 @@ MetricsRegistry::observe(const std::string &name, double value)
     histograms_[name].record(value);
 }
 
+void
+MetricsRegistry::observeAll(const std::string &name,
+                            const std::vector<double> &values)
+{
+    if (values.empty())
+        return;
+    std::lock_guard<std::mutex> lock(mutex_);
+    Histogram &h = histograms_[name];
+    for (const double v : values)
+        h.record(v);
+}
+
 std::uint64_t
 MetricsRegistry::counter(const std::string &name) const
 {

@@ -90,6 +90,13 @@ class MetricsRegistry
     /** Record one sample into histogram @p name. */
     void observe(const std::string &name, double value);
 
+    /**
+     * Record every sample of @p values into histogram @p name under one
+     * lock: the batched observe() for per-flow samples.
+     */
+    void observeAll(const std::string &name,
+                    const std::vector<double> &values);
+
     /** Read a counter; 0 if never touched. */
     std::uint64_t counter(const std::string &name) const;
 

@@ -1,8 +1,6 @@
 #include "pap/composer.h"
 
 #include <algorithm>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "common/logging.h"
 #include "obs/metrics.h"
@@ -30,13 +28,40 @@ composeGolden(const SegmentRun &run)
 
 namespace {
 
-/** A contributor to a flow's event stream after convergence merging. */
+/** A flow that joined a record's event stream by converging into it. */
 struct Contributor
 {
     /** Local symbol index from which the contribution starts. */
     std::uint64_t fromSymbol;
     /** Index of the contributing flow's record in run.flows. */
     std::uint32_t recordIndex;
+};
+
+/**
+ * A set of component ids over a reused, epoch-stamped array: clear()
+ * is O(1), so one instance serves every flow record of a segment.
+ */
+class ComponentSet
+{
+  public:
+    explicit ComponentSet(std::size_t components) : stamp(components, 0) {}
+
+    void
+    clear()
+    {
+        if (++epoch == 0) {
+            std::fill(stamp.begin(), stamp.end(), 0);
+            epoch = 1;
+        }
+    }
+
+    void insert(ComponentId cc) { stamp[cc] = epoch; }
+
+    bool contains(ComponentId cc) const { return stamp[cc] == epoch; }
+
+  private:
+    std::vector<std::uint32_t> stamp;
+    std::uint32_t epoch = 1;
 };
 
 } // namespace
@@ -72,48 +97,61 @@ composeEnum(const CompiledNfa &cnfa, const Components &comps,
         truth.pathTrue[i] = ok ? 1 : 0;
     }
 
-    // Record lookup by flow id.
-    std::unordered_map<FlowId, std::uint32_t> record_of;
-    for (std::uint32_t i = 0; i < run.flows.size(); ++i)
-        record_of[run.flows[i].id] = i;
-
     truth.flowTrue.assign(plan.flows.size(), 0);
     for (std::size_t f = 0; f < plan.flows.size(); ++f)
         for (const std::uint32_t p : plan.flows[f].pathIdx)
             if (truth.pathTrue[p])
                 truth.flowTrue[f] = 1;
 
-    // 2. Convergence lineage: walk every enumeration flow's merge
-    // chain; the flow contributes to each chain node's event stream
-    // from its landing time there onward.
-    std::vector<std::vector<Contributor>> contributors(run.flows.size());
+    // Record index of each enumeration flow. Flow ids are dense: the
+    // plan's flows are 0..F-1 (the ASG flow, F, never merges).
+    constexpr std::uint32_t kNoRecord = ~0u;
+    std::vector<std::uint32_t> record_of(plan.flows.size(), kNoRecord);
     for (std::uint32_t i = 0; i < run.flows.size(); ++i) {
         const FlowRecord &rec = run.flows[i];
         if (rec.kind != FlowKind::Enum)
             continue;
-        contributors[i].push_back(Contributor{0, i});
+        PAP_ASSERT(rec.id < plan.flows.size(), "flow ", rec.id,
+                   " outside its plan");
+        record_of[rec.id] = i;
+    }
+    auto merge_target = [&](std::uint32_t i) {
+        const FlowId into = run.flows[i].mergedInto;
+        PAP_ASSERT(into < record_of.size() && record_of[into] != kNoRecord,
+                   "dangling merge target");
+        return record_of[into];
+    };
+
+    // 2. Convergence lineage: every record contributes to its own
+    // event stream from symbol 0, and a flow with a true path also to
+    // each record down its merge chain, from its landing time there
+    // onward. Only merge targets keep a list; a flow without a true
+    // path contributes nothing and is not walked.
+    std::vector<std::vector<Contributor>> landed(run.flows.size());
+    for (std::uint32_t i = 0; i < run.flows.size(); ++i) {
+        const FlowRecord &rec = run.flows[i];
+        if (rec.kind != FlowKind::Enum || !truth.flowTrue[rec.id])
+            continue;
         std::uint32_t node = i;
         std::uint64_t landing = 0;
         while (run.flows[node].cause == DeathCause::Converged) {
             landing = std::max(landing, run.flows[node].mergeSymbol);
-            const auto it = record_of.find(run.flows[node].mergedInto);
-            PAP_ASSERT(it != record_of.end(), "dangling merge target");
-            node = it->second;
-            contributors[node].push_back(Contributor{landing, i});
+            node = merge_target(node);
+            landed[node].push_back(Contributor{landing, i});
         }
     }
-    for (auto &list : contributors)
+    for (auto &list : landed)
         std::sort(list.begin(), list.end(),
                   [](const Contributor &a, const Contributor &b) {
                       return a.fromSymbol < b.fromSymbol;
                   });
 
     // True component set carried by a flow record (its own true paths).
-    auto true_ccs_of = [&](const FlowRecord &rec,
-                           std::unordered_set<ComponentId> &out) {
-        for (const std::uint32_t p : rec.pathIdx)
+    ComponentSet true_ccs(comps.count);
+    auto add_true_ccs_of = [&](const FlowRecord &rec) {
+        for (const std::uint32_t p : plan.flows[rec.id].pathIdx)
             if (truth.pathTrue[p])
-                out.insert(plan.paths[p].cc);
+                true_ccs.insert(plan.paths[p].cc);
     };
 
     // 3. Filter reports. An event emitted by record r at local time t
@@ -129,16 +167,20 @@ composeEnum(const CompiledNfa &cnfa, const Components &comps,
                                      rec.reports.end());
             continue;
         }
-        std::unordered_set<ComponentId> true_ccs;
-        std::size_t next_contrib = 0;
+        if (!truth.flowTrue[rec.id] && landed[i].empty()) {
+            truth.falseEntries += rec.reports.size();
+            continue;
+        }
+        true_ccs.clear();
+        add_true_ccs_of(rec);
+        const std::vector<Contributor> &joined = landed[i];
+        std::size_t next_joined = 0;
         for (const ReportEvent &e : rec.reports) {
             const std::uint64_t local = e.offset - run.segBegin;
-            while (next_contrib < contributors[i].size() &&
-                   contributors[i][next_contrib].fromSymbol <= local) {
-                true_ccs_of(
-                    run.flows[contributors[i][next_contrib].recordIndex],
-                    true_ccs);
-                ++next_contrib;
+            while (next_joined < joined.size() &&
+                   joined[next_joined].fromSymbol <= local) {
+                add_true_ccs_of(run.flows[joined[next_joined].recordIndex]);
+                ++next_joined;
             }
             if (true_ccs.contains(comps.of[e.state]))
                 truth.trueReports.push_back(e);
@@ -149,14 +191,9 @@ composeEnum(const CompiledNfa &cnfa, const Components &comps,
     sortAndDedupReports(truth.trueReports);
 
     // 4. Assemble this segment's true final active set. Resolve each
-    // flow to its surviving record; merged flows share the survivor's
-    // final snapshot, separable per component.
+    // flow with a true path to its surviving record; merged flows
+    // share the survivor's final snapshot, separable per component.
     std::vector<bool> t_next(cnfa.size(), false);
-    auto survivor_of = [&](std::uint32_t i) {
-        while (run.flows[i].cause == DeathCause::Converged)
-            i = record_of.at(run.flows[i].mergedInto);
-        return i;
-    };
     for (std::uint32_t i = 0; i < run.flows.size(); ++i) {
         const FlowRecord &rec = run.flows[i];
         if (rec.kind == FlowKind::Asg) {
@@ -164,14 +201,14 @@ composeEnum(const CompiledNfa &cnfa, const Components &comps,
                 t_next[q] = true;
             continue;
         }
-        if (rec.kind != FlowKind::Enum)
+        if (rec.kind != FlowKind::Enum || !truth.flowTrue[rec.id])
             continue;
-        std::unordered_set<ComponentId> true_ccs;
-        true_ccs_of(rec, true_ccs);
-        if (true_ccs.empty())
-            continue;
-        const FlowRecord &surv = run.flows[survivor_of(i)];
-        for (const StateId q : surv.finalSnapshot)
+        true_ccs.clear();
+        add_true_ccs_of(rec);
+        std::uint32_t survivor = i;
+        while (run.flows[survivor].cause == DeathCause::Converged)
+            survivor = merge_target(survivor);
+        for (const StateId q : run.flows[survivor].finalSnapshot)
             if (true_ccs.contains(comps.of[q]))
                 t_next[q] = true;
     }

@@ -213,6 +213,14 @@ SegmentPipeline::await(std::size_t index)
 }
 
 void
+SegmentPipeline::post(std::function<void()> task)
+{
+    PAP_ASSERT(pool_, "post on a pipeline with nothing to run");
+    const bool accepted = pool_->submit(std::move(task));
+    PAP_ASSERT(accepted, "pipeline pool rejected a posted task");
+}
+
+void
 SegmentPipeline::cancelRemaining()
 {
     // Every task is already submitted: one that has not started sees

@@ -188,9 +188,19 @@ class SegmentPipeline
     const TaskReport &await(std::size_t index);
 
     /**
+     * Run @p task once on the pipeline's workers, after everything
+     * queued before it and outside the attempt ladder: no fault draws,
+     * no watchdog, no retries, no cancellation. The task must not
+     * throw; the destructor waits for it. Needs a task left to run
+     * (first < count at construction).
+     */
+    void post(std::function<void()> task);
+
+    /**
      * Cancel every task that has not started (they report
      * ErrorCode::Cancelled without running) and cancel the tokens of
-     * in-flight attempts (no further retries). Idempotent.
+     * in-flight attempts (no further retries). Posted tasks still run.
+     * Idempotent.
      */
     void cancelRemaining();
 

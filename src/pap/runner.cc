@@ -3,8 +3,9 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
+#include <condition_variable>
 #include <cstring>
-#include <future>
+#include <mutex>
 #include <optional>
 
 #include "ap/placement.h"
@@ -29,6 +30,22 @@
 
 namespace pap {
 
+namespace {
+
+/**
+ * Baseline cycles of a sequential run: one per symbol plus the host's
+ * report processing, charged once over every output-buffer entry.
+ */
+Cycles
+baselineCycles(std::uint64_t symbols, std::uint64_t entries,
+               const PapOptions &options)
+{
+    return symbols + static_cast<Cycles>(options.reportCostCyclesPerEvent *
+                                         static_cast<double>(entries));
+}
+
+} // namespace
+
 SequentialResult
 runSequential(const Nfa &nfa, const InputTrace &input,
               const PapOptions &options)
@@ -41,20 +58,27 @@ SequentialResult
 runSequential(const CompiledNfa &cnfa, const InputTrace &input,
               const PapOptions &options)
 {
+    return runSequential(cnfa, cnfa.initialActive(), input.begin(), 0,
+                         input.size(), options);
+}
+
+SequentialResult
+runSequential(const CompiledNfa &cnfa, const std::vector<StateId> &initial,
+              const Symbol *data, std::uint64_t offset,
+              std::uint64_t length, const PapOptions &options)
+{
     PAP_TRACE_SCOPE("pap.sequential");
     FunctionalEngine engine(cnfa, /*starts=*/true);
-    engine.reset(cnfa.initialActive(), 0);
-    engine.run(input.begin(), input.size());
+    engine.reset(initial, offset);
+    engine.run(data, length);
 
     SequentialResult result;
     result.matches = engine.counters().matches;
+    result.finalActive = engine.snapshot();
     result.reports = engine.takeReports();
-    const std::uint64_t entries = result.reports.size();
+    result.entries = result.reports.size();
     sortAndDedupReports(result.reports);
-    result.cycles =
-        input.size() +
-        static_cast<Cycles>(options.reportCostCyclesPerEvent *
-                            static_cast<double>(entries));
+    result.cycles = baselineCycles(length, result.entries, options);
     return result;
 }
 
@@ -211,10 +235,40 @@ checkpointIdentity(const Nfa &nfa, const InputTrace &input,
     return hashCombine(h, boundary);
 }
 
+/** True iff sorted sets @p a and @p b agree outside @p cnfa's AllInput
+    starts. */
+bool
+sameOutsideAllInput(const CompiledNfa &cnfa, const std::vector<StateId> &a,
+                    const std::vector<StateId> &b)
+{
+    const auto keep = [&](StateId q) { return !cnfa.isAllInputStart(q); };
+    auto i = a.begin(), j = b.begin();
+    while (true) {
+        i = std::find_if(i, a.end(), keep);
+        j = std::find_if(j, b.end(), keep);
+        if (i == a.end() || j == b.end())
+            return i == a.end() && j == b.end();
+        if (*i++ != *j++)
+            return false;
+    }
+}
+
+/**
+ * One segment's golden check: the sequential run over the segment,
+ * start machinery live, from the composed true set entering it.
+ */
+struct GoldenCheck
+{
+    /** The composed true set entering the segment (initial at 0). */
+    std::vector<StateId> seed;
+    /** Empty until the run returns (and for good, if it threw). */
+    std::optional<SequentialResult> run;
+};
+
 /**
  * One runPap call, split into its stages. Each stage returns false
  * once the run is settled (failed, stopped, or answered by the
- * sequential oracle) and the later stages are skipped; finish() is
+ * sequential execution) and the later stages are skipped; finish() is
  * the single exit every call takes.
  */
 class PapRun
@@ -225,7 +279,7 @@ class PapRun
     PapRun(const Nfa &nfa, const PreparedAutomaton *prepared,
            const InputTrace &input, const ApConfig &config,
            const PapOptions &options);
-    PapRun(const PapRun &) = delete; // the oracle thread holds `this`
+    PapRun(const PapRun &) = delete; // the golden checks hold `this`
     PapRun &operator=(const PapRun &) = delete;
 
     bool analyze();
@@ -238,7 +292,10 @@ class PapRun
     PapResult finish();
 
   private:
-    void awaitOracle();
+    void postCheck(exec::SegmentPipeline &pipe, std::size_t j);
+    void awaitChecks();
+    bool checksAgree() const;
+    void settleSequential(bool verifying);
     bool adoptSequential(bool degraded);
     Status executeTask(std::size_t j, const exec::CancellationToken &cancel);
     bool composeSegment(std::size_t j, const exec::TaskReport &tr);
@@ -256,7 +313,9 @@ class PapRun
     const std::chrono::steady_clock::time_point t0;
     obs::AttribLedger ledger;
     PapResult result;
+    /** The sequential execution, once settleSequential() has run. */
     SequentialResult seq;
+    bool seqSettled = false;
 
     /** The preparation the run uses: the caller's, or `owned`. */
     const PreparedAutomaton *automaton;
@@ -279,8 +338,15 @@ class PapRun
     /** Exclusive hold on the checkpoint for the whole run. */
     std::optional<FileLock> checkpointLock;
 
-    /** Declared last: destroyed (joined) before what it reads. */
-    std::future<SequentialResult> oracle;
+    /**
+     * One golden check per segment, posted by the composer on the
+     * segment workers; empty on a resumed run. Each check writes only
+     * its own slot, then counts itself out of checksPending.
+     */
+    std::vector<GoldenCheck> checks;
+    std::mutex checkMutex;
+    std::condition_variable checkDone;
+    std::size_t checksPending = 0;
 };
 
 PapRun::PapRun(const Nfa &nfa, const PreparedAutomaton *prepared,
@@ -292,15 +358,108 @@ PapRun::PapRun(const Nfa &nfa, const PreparedAutomaton *prepared,
 {
 }
 
-/** Join the oracle (once) and take what the result needs from it. */
+/**
+ * Post segment @p j's golden check on @p pipe's workers. The composer
+ * calls it once it has folded segment j-1, so the check starts from
+ * the composed true set entering the segment. The check's own time is
+ * the aux bucket "baseline"; it catches what it throws and is then
+ * missing.
+ */
 void
-PapRun::awaitOracle()
+PapRun::postCheck(exec::SegmentPipeline &pipe, std::size_t j)
 {
-    if (!oracle.valid())
-        return;
+    checks[j].seed = j == 0 ? automaton->cnfa.initialActive()
+                            : frontier.finalActive;
+    {
+        std::lock_guard<std::mutex> lock(checkMutex);
+        ++checksPending;
+    }
+    pipe.post([this, j] {
+        GoldenCheck &check = checks[j];
+        try {
+            obs::Phase phase(sink, "pap.baseline", &ledger, "baseline",
+                             /*aux=*/true);
+            const Segment &s = segs[j];
+            check.run = runSequential(automaton->cnfa, check.seed,
+                                      input.ptr(s.begin), s.begin,
+                                      s.length(), options);
+        } catch (...) {
+            // Left missing: verify() runs the whole input instead.
+        }
+        {
+            std::lock_guard<std::mutex> lock(checkMutex);
+            --checksPending;
+        }
+        checkDone.notify_all();
+    });
+}
+
+/** The composer's wait for the checks still running: "baseline.wait". */
+void
+PapRun::awaitChecks()
+{
     obs::Phase wait(sink, "pap.baseline.wait", &ledger, "baseline.wait");
-    seq = oracle.get();
-    wait.close();
+    std::unique_lock<std::mutex> lock(checkMutex);
+    checkDone.wait(lock, [this] { return checksPending == 0; });
+}
+
+/**
+ * True when the checks stand in for the whole-input sequential run:
+ * every segment's check ran and ended on the composed set leaving its
+ * segment (the next check's seed; the frontier's final set after the
+ * last). By induction from segment 0, whose check starts from the
+ * initial set, each check then started from the true set entering
+ * its segment. AllInput starts are set aside on both sides: an
+ * enumeration flow, which has no start machinery, keeps one it
+ * reaches over an edge, and a start-enabled run never holds one.
+ */
+bool
+PapRun::checksAgree() const
+{
+    if (checks.empty() || checks.size() != segs.size() ||
+        frontier.nextSegment != segs.size())
+        return false;
+    for (std::size_t j = 0; j < checks.size(); ++j) {
+        const std::vector<StateId> &leaving =
+            j + 1 < checks.size() ? checks[j + 1].seed
+                                  : frontier.finalActive;
+        if (!checks[j].run ||
+            !sameOutsideAllInput(automaton->cnfa,
+                                 checks[j].run->finalActive, leaving))
+            return false;
+    }
+    return true;
+}
+
+/**
+ * Settle the sequential execution (once): concatenate the golden
+ * checks when they agree, else run the whole input sequentially here
+ * (counted in runner.verify.whole_input_runs when @p verifying).
+ */
+void
+PapRun::settleSequential(bool verifying)
+{
+    if (seqSettled)
+        return;
+    seqSettled = true;
+    if (checksAgree()) {
+        // The segments' sorted reports concatenate in input order.
+        for (const GoldenCheck &check : checks) {
+            seq.reports.insert(seq.reports.end(), check.run->reports.begin(),
+                               check.run->reports.end());
+            seq.matches += check.run->matches;
+            seq.entries += check.run->entries;
+        }
+        seq.cycles = baselineCycles(input.size(), seq.entries, options);
+    } else {
+        if (verifying)
+            obs::metrics().add("runner.verify.whole_input_runs");
+        obs::Phase wait(sink, "pap.baseline.wait", &ledger,
+                        "baseline.wait");
+        obs::Phase run(sink, "pap.baseline", &ledger, "baseline",
+                       /*aux=*/true);
+        seq = runSequential(automaton->cnfa, input, options);
+    }
     result.baselineCycles = seq.cycles;
     result.seqReportEvents = seq.reports.size();
 }
@@ -310,7 +469,7 @@ bool
 PapRun::adoptSequential(bool degraded)
 {
     obs::metrics().add("runner.sequential_fallbacks");
-    awaitOracle();
+    settleSequential(/*verifying=*/false);
     result.papCycles = seq.cycles;
     result.speedup = 1.0;
     result.reports = seq.reports;
@@ -320,30 +479,13 @@ PapRun::adoptSequential(bool degraded)
     return false;
 }
 
-/**
- * Prepare the automaton unless the caller did, start the oracle on
- * its compiled form, then place it.
- */
+/** Prepare the automaton unless the caller did, then place it. */
 bool
 PapRun::analyze()
 {
     obs::Phase phase(sink, "pap.analyze", &ledger, "analyze");
     if (!automaton)
         automaton = &owned.emplace(nfa);
-    // The golden sequential execution (Section 3.4) verifies the
-    // composed reports and supplies the baseline cycles. It runs on
-    // its own thread beside partitioning, planning and execution; its
-    // own time is the aux bucket "baseline", the composer's wait for
-    // it the wall bucket "baseline.wait". Starting it after the whole
-    // preparation rather than right after the compile measured even on
-    // anmlzoo_suite (4-vCPU x86, seed 5, 6 alternating 25 s pairs, 3
-    // won each way: 0.421 -> 0.430 Msym/s, p50 49.8 -> 48.0 ms). Also
-    // building RangeAnalysis first cost p50 55.1 -> 59.6 ms.
-    oracle = std::async(std::launch::async, [this] {
-        obs::Phase oracle_phase(sink, "pap.baseline", &ledger, "baseline",
-                                /*aux=*/true);
-        return runSequential(automaton->cnfa, input, options);
-    });
     const Placement placement = placeAutomaton(
         nfa, automaton->comps, config, options.routingMinHalfCores);
 
@@ -532,7 +674,10 @@ PapRun::executeTask(std::size_t j, const exec::CancellationToken &cancel)
  * (the wall bucket "device.execute") and composes it (its own
  * "pap.compose" span) while later segments still execute. Every
  * cross-segment reduction runs here, in segment order, so scheduling
- * cannot leak into the results.
+ * cannot leak into the results. Unless the run resumed, the composer
+ * posts each segment's golden check behind the segments, as soon as
+ * the check's start set is composed, and waits for the last ones at
+ * the end.
  */
 bool
 PapRun::executeAndCompose()
@@ -553,7 +698,13 @@ PapRun::executeAndCompose()
             return executeTask(j, cancel);
         },
         first);
+    // A resumed run's restored prefix has no per-segment true sets.
+    const bool checking = first == 0;
+    if (checking)
+        checks.resize(segs.size());
     for (std::size_t j = first; j < segs.size(); ++j) {
+        if (checking)
+            postCheck(pipe, j);
         obs::Phase execute(sink, "pap.execute", &ledger, "device.execute");
         const exec::TaskReport &tr = pipe.await(j);
         execute.close({{"segment", static_cast<double>(j)}});
@@ -587,6 +738,8 @@ PapRun::executeAndCompose()
     compose.close({{"entries", static_cast<double>(frontier.papEntries)},
                    {"true_reports",
                     static_cast<double>(result.reports.size())}});
+    if (checking)
+        awaitChecks();
     return true;
 }
 
@@ -684,13 +837,14 @@ PapRun::composeSegment(std::size_t j, const exec::TaskReport &tr)
     return true;
 }
 
-/** Join the oracle, then verify the composed reports against it. */
+/** Settle the sequential execution, then verify the composed reports
+    against it. */
 bool
 PapRun::verify()
 {
     // Everything below compares against or scales by the sequential
     // execution.
-    awaitOracle();
+    settleSequential(/*verifying=*/true);
     if (!result.status.ok())
         return false;
     result.transitionRatio =
@@ -849,16 +1003,16 @@ PapRun::timeline()
 }
 
 /**
- * The single exit: join the oracle and finalize the attribution
- * ledger against the run's measured wall time, so the wall buckets
- * (plus the "other" residual) sum to attrib.wallMs on success and
- * failure alike; then record the run's metrics and trace its
- * simulated timeline.
+ * The single exit: settle the sequential execution, so every exit
+ * carries its fields, and finalize the attribution ledger against the
+ * run's measured wall time, so the wall buckets (plus the "other"
+ * residual) sum to attrib.wallMs on success and failure alike; then
+ * record the run's metrics and trace its simulated timeline.
  */
 PapResult
 PapRun::finish()
 {
-    awaitOracle();
+    settleSequential(/*verifying=*/false);
     // The chain's census, as far as it got (zero if it never began).
     result.flowSymbolCycles = frontier.flowSymbolCycles;
     result.segmentsRetried = frontier.segmentsRetried;

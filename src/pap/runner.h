@@ -3,9 +3,19 @@
  * End-to-end PAP run: analysis, placement, range-guided partitioning,
  * per-segment flow enumeration and TDM execution, host composition,
  * timeline simulation, and (optionally) verification of the composed
- * reports against a sequential execution, which runs on its own
- * thread beside the rest. This is the public entry point the examples
- * and benches use.
+ * reports against the sequential execution. This is the public entry
+ * point the examples and benches use.
+ *
+ * The sequential execution is the paper's golden execution (Section
+ * 3.4), run one segment at a time: as soon as segment j-1 is composed,
+ * a golden check of segment j runs on the segment workers, a
+ * start-enabled sequential run from the composed true set entering the
+ * segment. When every check ends on the composed set leaving its
+ * segment, induction from segment 0 (which starts from the initial
+ * active set) makes each check's start the true one, so the checks
+ * together are the whole-input sequential run. Otherwise, and on a run
+ * resumed from a checkpoint, the whole input runs sequentially once
+ * more.
  */
 
 #ifndef PAP_PAP_RUNNER_H
@@ -37,9 +47,24 @@ struct SequentialResult
     Cycles cycles = 0;
     /** State matches (transitions) performed. */
     std::uint64_t matches = 0;
+    /** Output-buffer entries, before deduplication. */
+    std::uint64_t entries = 0;
+    /** Active set after the last symbol, sorted. */
+    std::vector<StateId> finalActive;
 };
 
-/** Run @p cnfa sequentially over @p input. */
+/**
+ * Run @p cnfa sequentially, start machinery live, over the @p length
+ * symbols at @p data, the first of which sits at input offset
+ * @p offset, from the active set @p initial.
+ */
+SequentialResult runSequential(const CompiledNfa &cnfa,
+                               const std::vector<StateId> &initial,
+                               const Symbol *data, std::uint64_t offset,
+                               std::uint64_t length,
+                               const PapOptions &options = {});
+
+/** Run @p cnfa sequentially over @p input from its initial set. */
 SequentialResult runSequential(const CompiledNfa &cnfa,
                                const InputTrace &input,
                                const PapOptions &options = {});

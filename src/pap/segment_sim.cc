@@ -142,7 +142,6 @@ runEnumSegment(const CompiledNfa &cnfa, const FlowPlan &plan,
         LiveFlow &lf = live.emplace_back(spec.seed, /*starts=*/false);
         lf.record.id = spec.id;
         lf.record.kind = FlowKind::Enum;
-        lf.record.pathIdx = spec.pathIdx;
     }
 
     // A flow's engine, built and seeded on its first step.
@@ -298,15 +297,18 @@ runEnumSegment(const CompiledNfa &cnfa, const FlowPlan &plan,
         m.add("segment_sim.deactivations", deaths.deactivated);
     if (deaths.converged)
         m.add("segment_sim.convergence_merges", deaths.converged);
+    // One registry lock per segment, not two per flow.
+    std::vector<double> flow_symbols, merge_symbols;
+    flow_symbols.reserve(plan.flows.size());
     for (const auto &rec : run.flows) {
         if (rec.kind != FlowKind::Enum)
             continue;
         if (rec.cause == DeathCause::Converged)
-            m.observe("segment_sim.merge_symbol",
-                      static_cast<double>(rec.mergeSymbol));
-        m.observe("segment_sim.flow_symbols",
-                  static_cast<double>(rec.symbolsProcessed));
+            merge_symbols.push_back(static_cast<double>(rec.mergeSymbol));
+        flow_symbols.push_back(static_cast<double>(rec.symbolsProcessed));
     }
+    m.observeAll("segment_sim.flow_symbols", flow_symbols);
+    m.observeAll("segment_sim.merge_symbol", merge_symbols);
     return run;
 }
 

@@ -48,10 +48,13 @@ enum class DeathCause : std::uint8_t
 /** Everything recorded about one flow's execution of a segment. */
 struct FlowRecord
 {
+    /**
+     * An enumeration flow's FlowSpec::id, its index in the plan (the
+     * composer reads its paths there); the ASG flow's is the plan's
+     * flow count, a golden flow's 0.
+     */
     FlowId id = kInvalidFlow;
     FlowKind kind = FlowKind::Enum;
-    /** Paths carried by this flow (indices into the FlowPlan). */
-    std::vector<std::uint32_t> pathIdx;
     /**
      * Local symbols processed before stopping, rounded up to the
      * check boundary where the stop was detected (what the timing

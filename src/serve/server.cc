@@ -642,6 +642,12 @@ Server::composeReady(std::unique_lock<std::mutex> &lock, SessionPtr s)
             break; // terminated while composing; result discarded
 
         foldSegment(s->frontier, seg, chunk->run, std::move(truth));
+        // A resume reads only a composed chunk's length. Its per-flow
+        // timing records would grow the chunk's checkpoint record,
+        // copied under the lock into every later checkpoint of the
+        // stream, with its plan's flow count.
+        std::vector<FlowTimingInfo>().swap(
+            s->frontier.segments.back().timing.flows);
         s->symbolsComposed += chunk->data.size();
         ++counters_.chunksExecuted;
         auto &m = obs::metrics();

@@ -57,7 +57,6 @@ struct ComposeFixture
         FlowRecord rec;
         rec.id = 0;
         rec.kind = FlowKind::Enum;
-        rec.pathIdx = {0, 1};
         rec.cause = DeathCause::RanToEnd;
         rec.symbolsProcessed = 10;
         rec.finalSnapshot = {2, 5}; // both 'z' tails active
@@ -133,7 +132,6 @@ TEST(Composer, ConvergedFlowInheritsSurvivorResults)
     FlowRecord loser;
     loser.id = 1;
     loser.kind = FlowKind::Enum;
-    loser.pathIdx = {2};
     loser.cause = DeathCause::Converged;
     loser.mergedInto = 0;
     loser.mergeSymbol = 4;
@@ -170,7 +168,6 @@ TEST(Composer, SurvivorReportBeforeMergeIsNotAttributedToLoser)
     FlowRecord loser;
     loser.id = 1;
     loser.kind = FlowKind::Enum;
-    loser.pathIdx = {2};
     loser.cause = DeathCause::Converged;
     loser.mergedInto = 0;
     loser.mergeSymbol = 8; // merge AFTER the survivor's reports

@@ -26,7 +26,9 @@
 #include "obs/metrics.h"
 #include "obs/trace_sink.h"
 #include "pap/runner.h"
+#include "pap/segment_sim.h"
 #include "workload_helpers.h"
+#include "workloads/benchmarks.h"
 
 // Global allocation counter so tests can assert that disabled tracing
 // never touches the heap. Counting relaxed is fine: the tests that
@@ -180,6 +182,59 @@ TEST(ObsRegistry, JsonShapeAndClear)
     reg.clear();
     EXPECT_EQ(reg.counter("runs"), 0u);
     EXPECT_EQ(reg.histogram("cycles").count, 0u);
+}
+
+TEST(ObsRegistry, FlowHistogramsCountEveryEnumerationFlow)
+{
+    // The per-flow samples are recorded in one batch per segment, from
+    // the worker threads: after a run, each histogram holds exactly one
+    // sample per enumeration flow (per merge) the counters saw.
+    obs::MetricsRegistry &m = obs::metrics();
+    const auto flows0 = m.counter("segment_sim.flows.enum");
+    const auto merges0 = m.counter("segment_sim.convergence_merges");
+    const auto flow_samples0 = m.histogram("segment_sim.flow_symbols").count;
+    const auto merge_samples0 =
+        m.histogram("segment_sim.merge_symbol").count;
+
+    const Nfa nfa = buildBenchmark("Dotstar03");
+    const InputTrace input = buildBenchmarkTrace(nfa, "Dotstar03", 8192);
+    PapOptions opt;
+    opt.threads = 4;
+    const PapResult r = runPap(nfa, input, ApConfig::d480(4), opt);
+    ASSERT_TRUE(r.verified);
+
+    // Table-1 traces this short merge no flows, so one segment also
+    // runs two flows seeded at the two 'b' states of "(ab|cb)x*y":
+    // after one 'b' both hold {x-star, y} and merge at the first check.
+    const Nfa merging = compileRuleset({{"(ab|cb)x*y", 1}}, "merge");
+    const PreparedAutomaton prepared(merging);
+    FlowPlan plan;
+    for (StateId q = 0; q < merging.size(); ++q) {
+        if (!merging[q].label.test('b'))
+            continue;
+        const auto f = static_cast<FlowId>(plan.flows.size());
+        plan.paths.push_back(EnumPath{q, prepared.comps.of[q], {q}});
+        plan.flows.push_back(FlowSpec{f, {f}, {q}});
+    }
+    ASSERT_EQ(plan.flows.size(), 2u);
+    const InputTrace text =
+        InputTrace::fromString("b" + std::string(2000, 'x'));
+    PapOptions merge_opt;
+    merge_opt.tdmQuantum = 20;
+    EngineScratch scratch(merging.size());
+    runEnumSegment(prepared.cnfa, plan, prepared.asg, text.begin(), 0,
+                   text.size(), merge_opt, scratch);
+
+    const auto flows = m.counter("segment_sim.flows.enum") - flows0;
+    const auto merges =
+        m.counter("segment_sim.convergence_merges") - merges0;
+    EXPECT_GT(flows, 0u);
+    EXPECT_GT(merges, 0u);
+    EXPECT_EQ(m.histogram("segment_sim.flow_symbols").count - flow_samples0,
+              flows);
+    EXPECT_EQ(m.histogram("segment_sim.merge_symbol").count -
+                  merge_samples0,
+              merges);
 }
 
 // --- Trace sink ----------------------------------------------------

@@ -594,6 +594,9 @@ TEST(Serve, SvcOverflowStreamMatchesSequentialAfterResume)
             opt.ap.svcEntriesPerDevice = 2;
         else
             opt.pap.svcCapacity = 2;
+        obs::MetricsRegistry &m = obs::metrics();
+        const auto enum_flows0 = m.counter("segment_sim.flows.enum");
+        const auto enum_chunks0 = m.counter("segment_sim.flows.asg");
         {
             Server server(opt, nfa);
             const auto id = server.open("t", "k");
@@ -602,13 +605,14 @@ TEST(Serve, SvcOverflowStreamMatchesSequentialAfterResume)
                 server.feed(id.value(), trace.ptr(0), trace.size()).ok());
             ASSERT_TRUE(server.drain().ok());
         }
-        const auto drained =
-            exec::loadCheckpoint(opt.checkpointDir + "/t-k.papckpt");
-        ASSERT_TRUE(drained.ok()) << drained.status().toString();
-        std::size_t max_flows = 0;
-        for (const auto &seg : drained.value().segments)
-            max_flows = std::max(max_flows, seg.timing.flows.size());
-        EXPECT_GT(max_flows, 2u) << "a chunk's plan was split";
+        // Every enumeration chunk ran its ASG flow beside at least its
+        // two enumeration flows: three contexts on two SVC entries.
+        const auto enum_chunks =
+            m.counter("segment_sim.flows.asg") - enum_chunks0;
+        EXPECT_GT(enum_chunks, 0u);
+        EXPECT_GE(m.counter("segment_sim.flows.enum") - enum_flows0,
+                  2 * enum_chunks)
+            << "a chunk's plan was split";
 
         Server server(opt, nfa);
         const auto resumed = server.resume("t", "k");
@@ -664,6 +668,103 @@ TEST(Serve, DrainCheckpointResumeRoundTrip)
         EXPECT_EQ(report.value().resumedSymbols, offset);
         EXPECT_EQ(server.stats().resumed, 1u);
     }
+}
+
+/** What a drained keyed stream's checkpoint spends on its chunks. */
+struct ChunkBytes
+{
+    /** The file less the same frontier saved without chunk records. */
+    std::uintmax_t bytes = 0;
+    std::size_t chunks = 0;
+    /** Enumeration flows the stream's chunks ran. */
+    std::uint64_t enumFlows = 0;
+};
+
+/** Drain one keyed stream of @p trace through @p nfa into @p dir. */
+ChunkBytes
+chunkBytes(const Nfa &nfa, const InputTrace &trace, const std::string &dir)
+{
+    ServeOptions opt = smallOptions();
+    opt.checkpointDir = dir;
+    const auto flows0 = obs::metrics().counter("segment_sim.flows.enum");
+    {
+        Server server(opt, nfa);
+        const auto id = server.open("t", "k");
+        EXPECT_TRUE(id.ok());
+        EXPECT_TRUE(server.feed(id.value(), trace.ptr(0), trace.size()).ok());
+        EXPECT_TRUE(server.drain().ok());
+    }
+    ChunkBytes out;
+    out.enumFlows =
+        obs::metrics().counter("segment_sim.flows.enum") - flows0;
+    const std::string path = dir + "/t-k.papckpt";
+    auto frontier = exec::loadCheckpoint(path);
+    EXPECT_TRUE(frontier.ok()) << frontier.status().toString();
+    if (!frontier.ok())
+        return out;
+    out.chunks = frontier.value().segments.size();
+    frontier.value().segments.clear();
+    const std::string bare = dir + "/bare.papckpt";
+    EXPECT_TRUE(exec::saveCheckpoint(bare, frontier.value()).ok());
+    out.bytes = std::filesystem::file_size(path) -
+                std::filesystem::file_size(bare);
+    return out;
+}
+
+TEST(Serve, CheckpointBytesPerChunkDoNotDependOnFlowCount)
+{
+    // A resume reads only each composed chunk's length, so a chunk's
+    // record keeps no per-flow timing: every chunk adds the same bytes
+    // to a keyed stream's checkpoint, however many flows its plan runs.
+    const UniqueTempDir scratch("serve_ckpt_bytes");
+    const InputTrace trace = serveTrace(8000, 67);
+    const ChunkBytes few = chunkBytes(otherRuleset(), trace, scratch.path());
+    const ChunkBytes many = chunkBytes(serveRuleset(), trace, scratch.path());
+    ASSERT_GT(few.chunks, 4u);
+    ASSERT_GT(many.chunks, 4u);
+    ASSERT_LT(few.enumFlows * many.chunks, many.enumFlows * few.chunks)
+        << "the two rulesets must run different flow counts per chunk";
+    EXPECT_EQ(few.bytes % few.chunks, 0u);
+    EXPECT_EQ(many.bytes % many.chunks, 0u);
+    EXPECT_EQ(few.bytes / few.chunks, many.bytes / many.chunks);
+}
+
+TEST(Serve, ResumesFromACheckpointThatKeepsFlowRecords)
+{
+    // A checkpoint whose chunks carry flow records (the runPap layout)
+    // still loads, and the stream resumes byte-identically.
+    const Nfa nfa = serveRuleset();
+    const InputTrace trace = serveTrace(10000, 61);
+    const UniqueTempDir scratch("serve_ckpt_flows");
+    ServeOptions opt = smallOptions();
+    opt.checkpointDir = scratch.path();
+    {
+        Server server(opt, nfa);
+        const auto id = server.open("t", "k");
+        ASSERT_TRUE(id.ok());
+        ASSERT_TRUE(server.feed(id.value(), trace.ptr(0), 6000).ok());
+        ASSERT_TRUE(server.drain().ok());
+    }
+    const std::string path = scratch.path() + "/t-k.papckpt";
+    auto frontier = exec::loadCheckpoint(path);
+    ASSERT_TRUE(frontier.ok()) << frontier.status().toString();
+    for (exec::SegmentCheckpoint &cp : frontier.value().segments)
+        cp.timing.flows.assign(3, FlowTimingInfo{FlowKind::Enum,
+                                                 cp.timing.segLen, false});
+    ASSERT_TRUE(exec::saveCheckpoint(path, frontier.value()).ok());
+
+    Server server(opt, nfa);
+    const auto resumed = server.resume("t", "k");
+    ASSERT_TRUE(resumed.ok()) << resumed.status().toString();
+    const std::uint64_t offset = resumed.value().offset;
+    EXPECT_EQ(offset, 6000u);
+    ASSERT_TRUE(server
+                    .feed(resumed.value().id, trace.ptr(offset),
+                          trace.size() - offset)
+                    .ok());
+    const auto report = server.finish(resumed.value().id);
+    ASSERT_TRUE(report.ok()) << report.status().toString();
+    EXPECT_EQ(report.value().reports, sequentialReports(nfa, trace));
 }
 
 TEST(Serve, ResumeRejectsForeignCheckpoint)
