@@ -154,8 +154,6 @@ SegmentPipeline::SegmentPipeline(const Options &options,
         std::max<std::uint32_t>(1, opts_.exec.threads);
     obs::metrics().setGauge("exec.pool.threads",
                             static_cast<double>(threads));
-    if (first >= count)
-        return;
     pool_ = std::make_unique<WorkerPool>(threads);
     obs::TraceSink *sink = obs::tracer();
     std::lock_guard<std::mutex> lock(mutex_);
@@ -180,8 +178,6 @@ SegmentPipeline::SegmentPipeline(const Options &options,
 
 SegmentPipeline::~SegmentPipeline()
 {
-    if (!pool_)
-        return;
     cancelRemaining();
     pool_->drain();
 }
@@ -215,9 +211,14 @@ SegmentPipeline::await(std::size_t index)
 void
 SegmentPipeline::post(std::function<void()> task)
 {
-    PAP_ASSERT(pool_, "post on a pipeline with nothing to run");
     const bool accepted = pool_->submit(std::move(task));
     PAP_ASSERT(accepted, "pipeline pool rejected a posted task");
+}
+
+void
+SegmentPipeline::drain()
+{
+    pool_->drain();
 }
 
 void

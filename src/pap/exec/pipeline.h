@@ -191,10 +191,12 @@ class SegmentPipeline
      * Run @p task once on the pipeline's workers, after everything
      * queued before it and outside the attempt ladder: no fault draws,
      * no watchdog, no retries, no cancellation. The task must not
-     * throw; the destructor waits for it. Needs a task left to run
-     * (first < count at construction).
+     * throw; drain() and the destructor wait for it.
      */
     void post(std::function<void()> task);
+
+    /** Block until every submitted and posted task has finished. */
+    void drain();
 
     /**
      * Cancel every task that has not started (they report

@@ -168,8 +168,10 @@ struct PapOptions
 
     /**
      * Host threads running per-segment simulation (0 = one per
-     * hardware thread). Reports and per-figure metrics are
-     * byte-identical for every thread count; only wall-clock changes.
+     * hardware thread). While they are fewer than the host's hardware
+     * threads, runPap's golden checks run on one more thread of their
+     * own. Reports and per-figure metrics are byte-identical for every
+     * thread count; only wall-clock changes.
      */
     std::uint32_t threads = 1;
 

@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
-#include <condition_variable>
 #include <cstring>
-#include <mutex>
+#include <functional>
 #include <optional>
+#include <thread>
 
 #include "ap/placement.h"
 #include "common/file_lock.h"
@@ -254,12 +254,14 @@ sameOutsideAllInput(const CompiledNfa &cnfa, const std::vector<StateId> &a,
 }
 
 /**
- * One segment's golden check: the sequential run over the segment,
- * start machinery live, from the composed true set entering it.
+ * One golden check: the sequential run over a slice of the input,
+ * start machinery live, from the composed true set entering it. The
+ * slice is a segment, or a resumed run's restored prefix.
  */
 struct GoldenCheck
 {
-    /** The composed true set entering the segment (initial at 0). */
+    Segment slice;
+    /** The composed true set entering the slice (initial at 0). */
     std::vector<StateId> seed;
     /** Empty until the run returns (and for good, if it threw). */
     std::optional<SequentialResult> run;
@@ -292,8 +294,10 @@ class PapRun
     PapResult finish();
 
   private:
-    void postCheck(exec::SegmentPipeline &pipe, std::size_t j);
-    void awaitChecks();
+    void startCheck(exec::SegmentPipeline &pipe,
+                    std::optional<exec::WorkerPool> &worker, std::size_t k,
+                    const Segment &slice);
+    void runCheck(std::size_t k);
     bool checksAgree() const;
     void settleSequential(bool verifying);
     bool adoptSequential(bool degraded);
@@ -339,14 +343,11 @@ class PapRun
     std::optional<FileLock> checkpointLock;
 
     /**
-     * One golden check per segment, posted by the composer on the
-     * segment workers; empty on a resumed run. Each check writes only
-     * its own slot, then counts itself out of checksPending.
+     * The golden checks in input order: on a resumed run, one over the
+     * restored prefix, then one per segment still to run. Each check
+     * writes only its own slot.
      */
     std::vector<GoldenCheck> checks;
-    std::mutex checkMutex;
-    std::condition_variable checkDone;
-    std::size_t checksPending = 0;
 };
 
 PapRun::PapRun(const Nfa &nfa, const PreparedAutomaton *prepared,
@@ -359,65 +360,66 @@ PapRun::PapRun(const Nfa &nfa, const PreparedAutomaton *prepared,
 }
 
 /**
- * Post segment @p j's golden check on @p pipe's workers. The composer
- * calls it once it has folded segment j-1, so the check starts from
- * the composed true set entering the segment. The check's own time is
- * the aux bucket "baseline"; it catches what it throws and is then
- * missing.
+ * Start golden check @p k over @p slice on the checks' own @p worker,
+ * or, when there is none, on @p pipe's workers. The composer calls it
+ * once the composed true set entering the slice is known: the initial
+ * set at input offset 0, else the frontier's final set, so a segment's
+ * check starts once its predecessor is folded.
  */
 void
-PapRun::postCheck(exec::SegmentPipeline &pipe, std::size_t j)
+PapRun::startCheck(exec::SegmentPipeline &pipe,
+                   std::optional<exec::WorkerPool> &worker, std::size_t k,
+                   const Segment &slice)
 {
-    checks[j].seed = j == 0 ? automaton->cnfa.initialActive()
-                            : frontier.finalActive;
-    {
-        std::lock_guard<std::mutex> lock(checkMutex);
-        ++checksPending;
+    checks[k].slice = slice;
+    checks[k].seed = slice.begin == 0 ? automaton->cnfa.initialActive()
+                                      : frontier.finalActive;
+    std::function<void()> task = [this, k] { runCheck(k); };
+    if (!worker) {
+        pipe.post(std::move(task));
+        return;
     }
-    pipe.post([this, j] {
-        GoldenCheck &check = checks[j];
-        try {
-            obs::Phase phase(sink, "pap.baseline", &ledger, "baseline",
-                             /*aux=*/true);
-            const Segment &s = segs[j];
-            check.run = runSequential(automaton->cnfa, check.seed,
-                                      input.ptr(s.begin), s.begin,
-                                      s.length(), options);
-        } catch (...) {
-            // Left missing: verify() runs the whole input instead.
-        }
-        {
-            std::lock_guard<std::mutex> lock(checkMutex);
-            --checksPending;
-        }
-        checkDone.notify_all();
-    });
+    const bool accepted = worker->submit(std::move(task));
+    PAP_ASSERT(accepted, "the check worker rejected a check");
 }
 
-/** The composer's wait for the checks still running: "baseline.wait". */
+/**
+ * Run golden check @p k: its own time is the aux bucket "baseline".
+ * It catches what it throws, which must never end a pool thread, and
+ * is then missing.
+ */
 void
-PapRun::awaitChecks()
+PapRun::runCheck(std::size_t k)
 {
-    obs::Phase wait(sink, "pap.baseline.wait", &ledger, "baseline.wait");
-    std::unique_lock<std::mutex> lock(checkMutex);
-    checkDone.wait(lock, [this] { return checksPending == 0; });
+    GoldenCheck &check = checks[k];
+    try {
+        obs::Phase phase(sink, "pap.baseline", &ledger, "baseline",
+                         /*aux=*/true);
+        check.run = runSequential(automaton->cnfa, check.seed,
+                                  input.ptr(check.slice.begin),
+                                  check.slice.begin, check.slice.length(),
+                                  options);
+    } catch (...) {
+        // Left missing: verify() runs the whole input instead.
+    }
 }
 
 /**
  * True when the checks stand in for the whole-input sequential run:
- * every segment's check ran and ended on the composed set leaving its
- * segment (the next check's seed; the frontier's final set after the
- * last). By induction from segment 0, whose check starts from the
- * initial set, each check then started from the true set entering
- * its segment. AllInput starts are set aside on both sides: an
+ * every segment was composed, so the checks tile the input, and every
+ * check ran and ended on the composed set leaving its slice (the next
+ * check's seed; the frontier's final set after the last). By induction
+ * from the first check, which starts from the initial set at offset 0,
+ * each check then started from the true set entering its slice. On a
+ * resumed run the prefix check thereby also vouches for the restored
+ * frontier set. AllInput starts are set aside on both sides: an
  * enumeration flow, which has no start machinery, keeps one it
  * reaches over an edge, and a start-enabled run never holds one.
  */
 bool
 PapRun::checksAgree() const
 {
-    if (checks.empty() || checks.size() != segs.size() ||
-        frontier.nextSegment != segs.size())
+    if (checks.empty() || frontier.nextSegment != segs.size())
         return false;
     for (std::size_t j = 0; j < checks.size(); ++j) {
         const std::vector<StateId> &leaving =
@@ -674,10 +676,9 @@ PapRun::executeTask(std::size_t j, const exec::CancellationToken &cancel)
  * (the wall bucket "device.execute") and composes it (its own
  * "pap.compose" span) while later segments still execute. Every
  * cross-segment reduction runs here, in segment order, so scheduling
- * cannot leak into the results. Unless the run resumed, the composer
- * posts each segment's golden check behind the segments, as soon as
- * the check's start set is composed, and waits for the last ones at
- * the end.
+ * cannot leak into the results. The composer starts each segment's
+ * golden check as soon as the check's start set is composed, a resumed
+ * run's prefix check first, and waits for the last ones at the end.
  */
 bool
 PapRun::executeAndCompose()
@@ -698,13 +699,23 @@ PapRun::executeAndCompose()
             return executeTask(j, cancel);
         },
         first);
-    // A resumed run's restored prefix has no per-segment true sets.
-    const bool checking = first == 0;
-    if (checking)
-        checks.resize(segs.size());
+    // While the segment workers leave a hardware thread idle, the
+    // checks run on one worker of their own, as the whole-input oracle
+    // did: behind a lone segment worker they would start only once
+    // every segment had executed. Once the segment workers fill the
+    // host, the checks share them and split the oracle's work.
+    std::optional<exec::WorkerPool> check_worker;
+    if (result.threadsUsed < std::thread::hardware_concurrency())
+        check_worker.emplace(1);
+    // A resumed run's restored prefix has no per-segment true sets: it
+    // is checked as one slice from the initial set.
+    checks.resize(segs.size() - first + (first > 0 ? 1 : 0));
+    std::size_t k = 0;
+    if (first > 0)
+        startCheck(pipe, check_worker, k++,
+                   Segment{0, segs[first - 1].end});
     for (std::size_t j = first; j < segs.size(); ++j) {
-        if (checking)
-            postCheck(pipe, j);
+        startCheck(pipe, check_worker, k++, segs[j]);
         obs::Phase execute(sink, "pap.execute", &ledger, "device.execute");
         const exec::TaskReport &tr = pipe.await(j);
         execute.close({{"segment", static_cast<double>(j)}});
@@ -738,8 +749,10 @@ PapRun::executeAndCompose()
     compose.close({{"entries", static_cast<double>(frontier.papEntries)},
                    {"true_reports",
                     static_cast<double>(result.reports.size())}});
-    if (checking)
-        awaitChecks();
+    obs::Phase wait(sink, "pap.baseline.wait", &ledger, "baseline.wait");
+    if (check_worker)
+        check_worker->drain();
+    pipe.drain();
     return true;
 }
 

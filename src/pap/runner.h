@@ -8,14 +8,16 @@
  *
  * The sequential execution is the paper's golden execution (Section
  * 3.4), run one segment at a time: as soon as segment j-1 is composed,
- * a golden check of segment j runs on the segment workers, a
+ * a golden check of segment j runs on the segment workers (on one
+ * worker of its own while they leave a hardware thread idle), a
  * start-enabled sequential run from the composed true set entering the
- * segment. When every check ends on the composed set leaving its
- * segment, induction from segment 0 (which starts from the initial
- * active set) makes each check's start the true one, so the checks
- * together are the whole-input sequential run. Otherwise, and on a run
- * resumed from a checkpoint, the whole input runs sequentially once
- * more.
+ * segment. A run resumed from a checkpoint checks its restored prefix
+ * as one more slice, from the initial set. When every check ends on
+ * the composed set leaving its slice, induction from offset 0 (where
+ * the first check starts from the initial active set) makes each
+ * check's start the true one, so the checks together are the
+ * whole-input sequential run. Otherwise the whole input runs
+ * sequentially once more.
  */
 
 #ifndef PAP_PAP_RUNNER_H

@@ -230,6 +230,35 @@ TEST(SegmentPipeline, CancelRemainingStopsUnstartedTasks)
     EXPECT_LE(ran.load(), 2);
 }
 
+TEST(SegmentPipeline, DrainWaitsForPostedTasks)
+{
+    // A pipeline whose tasks were all composed before (first == count)
+    // still runs posted tasks, and drain() returns only once they end.
+    SegmentPipeline::Options opt;
+    opt.exec.threads = 2;
+    CancellationToken started, release;
+    std::atomic<int> finished{0};
+    SegmentPipeline pipe(
+        opt, 3, [](std::size_t, const CancellationToken &) {
+            return Status();
+        },
+        /*first=*/3);
+    pipe.post([&] {
+        started.cancel();
+        release.waitCancelledFor(std::chrono::milliseconds(10000));
+        finished.fetch_add(1);
+    });
+    pipe.post([&] { finished.fetch_add(1); });
+    ASSERT_TRUE(started.waitCancelledFor(std::chrono::milliseconds(10000)));
+    std::thread releaser([&] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        release.cancel();
+    });
+    pipe.drain();
+    EXPECT_EQ(finished.load(), 2);
+    releaser.join();
+}
+
 // --- CancellationToken -----------------------------------------------
 
 TEST(Cancellation, StickyAndObservable)

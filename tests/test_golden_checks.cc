@@ -9,7 +9,8 @@
  * automata, that an AllInput start held in a composed set does not
  * send verification to the whole input, that faults are repaired
  * whichever route catches them, and that a resumed run verifies
- * against the whole input.
+ * through one more check, over its restored prefix, which also vouches
+ * for the restored frontier set.
  */
 
 #include <gtest/gtest.h>
@@ -231,47 +232,115 @@ INSTANTIATE_TEST_SUITE_P(ComposedSetFaults, GoldenCheckFaults,
                              return name;
                          });
 
-TEST(GoldenChecks, ResumedRunVerifiesAgainstTheWholeInput)
+/** A run to kill and resume: three or more segments on a small board. */
+struct ResumeCase
 {
-    Rng rng(77);
-    const Nfa nfa = compileRuleset({{"ab.*cd", 1}, {"fgh", 2}}, "m");
-    const InputTrace input = randomTextTrace(rng, 16384, "abcdfgh ");
-    const ApConfig board = smallBoard(8);
-    const PapResult full = runPap(nfa, input, board);
+    Nfa nfa = compileRuleset({{"ab.*cd", 1}, {"fgh", 2}}, "m");
+    InputTrace input;
+    ApConfig board = smallBoard(8);
+    std::string path = uniqueTempPath("resume.ckpt");
+
+    ResumeCase()
+    {
+        Rng rng(77);
+        input = randomTextTrace(rng, 16384, "abcdfgh ");
+        exec::removeCheckpoint(path);
+    }
+    ~ResumeCase() { exec::removeCheckpoint(path); }
+
+    /** Run with the checkpoint, stopping after segment @p stop. */
+    PapResult kill(std::int64_t stop, std::uint32_t threads) const
+    {
+        PapOptions opt;
+        opt.threads = threads;
+        opt.checkpointPath = path;
+        opt.stopAfterSegment = stop;
+        return runPap(nfa, input, board, opt);
+    }
+
+    PapResult resume(std::uint32_t threads) const
+    {
+        PapOptions opt;
+        opt.threads = threads;
+        opt.checkpointPath = path;
+        return runPap(nfa, input, board, opt);
+    }
+};
+
+void
+expectSameRun(const PapResult &r, const PapResult &full,
+              const std::string &what)
+{
+    EXPECT_TRUE(r.verified) << what;
+    EXPECT_EQ(r.reports, full.reports) << what;
+    EXPECT_EQ(r.papCycles, full.papCycles) << what;
+    EXPECT_EQ(r.baselineCycles, full.baselineCycles) << what;
+    EXPECT_EQ(r.seqReportEvents, full.seqReportEvents) << what;
+    EXPECT_EQ(r.seqTransitions, full.seqTransitions) << what;
+    EXPECT_DOUBLE_EQ(r.transitionRatio, full.transitionRatio) << what;
+    EXPECT_DOUBLE_EQ(r.reportInflation, full.reportInflation) << what;
+    EXPECT_DOUBLE_EQ(r.speedup, full.speedup) << what;
+}
+
+TEST(GoldenChecks, ResumedRunVerifiesThroughThePrefixCheck)
+{
+    const ResumeCase c;
+    const PapResult full = runPap(c.nfa, c.input, c.board);
     ASSERT_TRUE(full.verified);
     ASSERT_GE(full.numSegments, 3u);
 
-    const std::string path = uniqueTempPath("resume.ckpt");
-    exec::removeCheckpoint(path);
-    PapOptions killed;
-    killed.checkpointPath = path;
-    killed.stopAfterSegment = 1;
-    const std::uint64_t before = wholeInputRuns();
-    const PapResult dead = runPap(nfa, input, board, killed);
-    EXPECT_EQ(dead.status.code(), ErrorCode::Cancelled);
-    // A killed run still carries the sequential fields.
-    EXPECT_EQ(dead.seqReportEvents, full.seqReportEvents);
-    EXPECT_EQ(wholeInputRuns(), before);
+    for (const std::uint32_t threads : {1u, 4u}) {
+        // Killed after segment 1, and after the last segment, whose
+        // resume composes nothing and checks the whole input as its
+        // prefix.
+        for (const std::int64_t stop :
+             {std::int64_t{1}, std::int64_t{full.numSegments} - 1}) {
+            const std::string what = "threads=" + std::to_string(threads) +
+                                     " stop=" + std::to_string(stop);
+            const std::uint64_t before = wholeInputRuns();
+            const PapResult dead = c.kill(stop, threads);
+            EXPECT_EQ(dead.status.code(), ErrorCode::Cancelled) << what;
+            // A killed run still carries the sequential fields.
+            EXPECT_EQ(dead.seqReportEvents, full.seqReportEvents) << what;
 
-    // The restored prefix has no per-segment true sets to check from,
-    // so the resumed run verifies against the whole input, once.
-    PapOptions resume;
-    resume.checkpointPath = path;
-    const PapResult r = runPap(nfa, input, board, resume);
+            const PapResult r = c.resume(threads);
+            ASSERT_TRUE(r.status.ok()) << what;
+            EXPECT_TRUE(r.resumedFromCheckpoint) << what;
+            EXPECT_EQ(r.resumedSegments, stop + 1) << what;
+            EXPECT_EQ(wholeInputRuns(), before) << what;
+            expectSameRun(r, full, what);
+        }
+    }
+}
+
+TEST(GoldenChecks, ATamperedFrontierSetSendsTheResumeToTheWholeInput)
+{
+    // A restored final set that is not the true one: the prefix check
+    // ends elsewhere, so verification runs the whole input, and the
+    // run's answer is still the sequential one.
+    const ResumeCase c;
+    const PapResult full = runPap(c.nfa, c.input, c.board);
+    ASSERT_TRUE(full.verified);
+    c.kill(1, 1);
+    auto frontier = exec::loadCheckpoint(c.path);
+    ASSERT_TRUE(frontier.ok()) << frontier.status().toString();
+    exec::CheckpointFrontier tampered = frontier.value();
+    const CompiledNfa cnfa(c.nfa);
+    tampered.finalActive.clear();
+    for (StateId q = 0; q < c.nfa.size(); ++q)
+        if (!cnfa.isAllInputStart(q))
+            tampered.finalActive.push_back(q);
+    ASSERT_NE(tampered.finalActive, frontier.value().finalActive);
+    ASSERT_TRUE(exec::saveCheckpoint(c.path, tampered).ok());
+
+    const std::uint64_t before = wholeInputRuns();
+    const PapResult r = c.resume(4);
     ASSERT_TRUE(r.status.ok());
     EXPECT_TRUE(r.resumedFromCheckpoint);
-    EXPECT_EQ(r.resumedSegments, 2u);
     EXPECT_EQ(wholeInputRuns(), before + 1);
-    EXPECT_TRUE(r.verified);
     EXPECT_EQ(r.reports, full.reports);
-    EXPECT_EQ(r.papCycles, full.papCycles);
-    EXPECT_EQ(r.baselineCycles, full.baselineCycles);
     EXPECT_EQ(r.seqReportEvents, full.seqReportEvents);
     EXPECT_EQ(r.seqTransitions, full.seqTransitions);
-    EXPECT_DOUBLE_EQ(r.transitionRatio, full.transitionRatio);
-    EXPECT_DOUBLE_EQ(r.reportInflation, full.reportInflation);
-    EXPECT_DOUBLE_EQ(r.speedup, full.speedup);
-    exec::removeCheckpoint(path);
 }
 
 } // namespace
