@@ -238,12 +238,11 @@ composeStep(const PreparedAutomaton &automaton,
     if (seg.recover()) {
         // Recompute exactly the segment's slice of input from the
         // frontier. Timing degrades to a single golden-like flow.
-        EngineScratch scratch(cnfa.size());
         run = runGoldenSegment(cnfa,
                                frontier.nextSegment == 0
                                    ? cnfa.initialActive()
                                    : frontier.finalActive,
-                               seg.data, seg.begin, seg.length, scratch);
+                               seg.data, seg.begin, seg.length);
         return composeGolden(run);
     }
     if (!seg.plan)

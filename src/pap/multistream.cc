@@ -3,13 +3,12 @@
 #include <algorithm>
 
 #include "common/logging.h"
-#include "engine/functional_engine.h"
 #include "obs/metrics.h"
 #include "obs/trace_sink.h"
 #include "pap/exec/pipeline.h"
 #include "pap/exec/worker_pool.h"
 #include "pap/run_common.h"
-#include "pap/runner.h"
+#include "pap/segment_sim.h"
 
 namespace pap {
 
@@ -20,48 +19,39 @@ runMultiStream(const Nfa &nfa, const std::vector<InputTrace> &streams,
     PAP_TRACE_SCOPE("multistream.run");
     PAP_ASSERT(nfa.finalized(), "runMultiStream on unfinalized NFA");
     PAP_ASSERT(!streams.empty(), "no streams given");
-    if (streams.size() > config.svcEntriesPerDevice) {
-        MultiStreamResult failed;
-        failed.status = Status::error(
+    MultiStreamResult result;
+    result.status = checkOptions(options);
+    if (result.status.ok() && streams.size() > config.svcEntriesPerDevice) {
+        result.status = Status::error(
             ErrorCode::CapacityExceeded, "cannot multiplex ",
             streams.size(), " streams: the State Vector Cache holds ",
             config.svcEntriesPerDevice, " flow contexts");
         obs::metrics().add("multistream.capacity_failures");
-        return failed;
     }
+    if (!result.status.ok())
+        return result;
 
     const CompiledNfa cnfa(nfa);
     std::uint64_t total_symbols = 0;
     for (const auto &stream : streams)
         total_symbols += stream.size();
 
-    MultiStreamResult result;
     result.streamDone.assign(streams.size(), 0);
     result.reports.resize(streams.size());
 
-    // Functional execution: each stream's engine only ever consumes
-    // its own input, so the engines run fully in parallel on the
-    // hardened pool (the round-robin interleaving below is pure
-    // timing arithmetic and never touches an engine). Each task
-    // writes only its own raw[i] slot.
-    std::vector<std::vector<ReportEvent>> raw(streams.size());
+    // Functional execution: each stream is one golden run over its own
+    // input, so the streams run fully in parallel on the hardened pool
+    // (the round-robin interleaving below is pure timing arithmetic and
+    // never touches an engine). Each task writes only its own
+    // result.reports[i] slot.
     const auto run_stream =
         [&](std::size_t i, const exec::CancellationToken *cancel) {
-            EngineScratch scratch(nfa.size());
-            FunctionalEngine engine(cnfa, /*starts=*/true, &scratch);
-            engine.reset(cnfa.initialActive(), 0);
-            constexpr std::uint64_t kCancelCheckChunk = 4096;
-            const std::uint64_t len = streams[i].size();
-            std::uint64_t pos = 0;
-            while (pos < len) {
-                if (cancel && cancel->cancelled())
-                    return false;
-                const std::uint64_t n =
-                    std::min(kCancelCheckChunk, len - pos);
-                engine.run(streams[i].ptr(pos), n);
-                pos += n;
-            }
-            raw[i] = engine.takeReports();
+            SequentialResult run =
+                runSequential(cnfa, cnfa.initialActive(), streams[i].begin(),
+                              0, streams[i].size(), options, cancel);
+            if (cancel && cancel->cancelled())
+                return false;
+            result.reports[i] = std::move(run.reports);
             return true;
         };
 
@@ -120,37 +110,19 @@ runMultiStream(const Nfa &nfa, const std::vector<InputTrace> &streams,
                             static_cast<double>(total_symbols)
                       : 1.0;
 
-    // Collect reports and verify each stream against its standalone
-    // sequential execution; a diverged stream is repaired from it.
-    result.verified = true;
+    // Handoff: the timing arithmetic above never touches a report
+    // slot, so the first wait on each stream is here. A stream whose
+    // retries were exhausted is recomputed inline.
     for (std::size_t i = 0; i < streams.size(); ++i) {
-        // Handoff: the timing arithmetic above never touches raw[i],
-        // so the first wait on stream i is here, right before its
-        // reports are consumed. A slot whose retries were exhausted
-        // is recomputed inline (standalone oracle continuation).
         const exec::TaskReport &tr = pipe.await(i);
-        if (!tr.status.ok()) {
-            warn("multiplexed stream ", i, " failed (",
-                 tr.status.message(), "); recomputing it inline");
-            obs::metrics().add("exec.segments.recovered");
-            run_stream(i, nullptr);
-            if (options.faultInjector && tr.faultsInjected > 0)
-                options.faultInjector->markRecovered(
-                    tr.faultsInjected);
-        }
-        result.reports[i] = std::move(raw[i]);
-        sortAndDedupReports(result.reports[i]);
-        const SequentialResult solo =
-            runSequential(cnfa, streams[i], options);
-        if (result.reports[i] != solo.reports) {
-            warn("multiplexed stream ", i, " diverged from its "
-                 "standalone execution; recovering the standalone "
-                 "result");
-            obs::metrics().add("multistream.stream_divergence");
-            result.reports[i] = solo.reports;
-            result.verified = false;
-            result.recovered = true;
-        }
+        if (tr.status.ok())
+            continue;
+        warn("multiplexed stream ", i, " failed (", tr.status.message(),
+             "); recomputing it inline");
+        obs::metrics().add("exec.segments.recovered");
+        run_stream(i, nullptr);
+        if (options.faultInjector && tr.faultsInjected > 0)
+            options.faultInjector->markRecovered(tr.faultsInjected);
     }
 
     auto &m = obs::metrics();

@@ -41,16 +41,10 @@ struct MultiStreamResult
      * (1.0 + switching overhead; round-robin adds no symbol work).
      */
     double overheadRatio = 1.0;
-    /** True when every stream reproduced its standalone run. */
-    bool verified = false;
     /**
-     * True when at least one stream diverged and was repaired from
-     * its standalone execution (only possible under fault injection).
-     */
-    bool recovered = false;
-    /**
+     * InvalidInput when checkOptions refuses the options, or
      * CapacityExceeded when more streams were given than the State
-     * Vector Cache holds contexts (nothing executes in that case).
+     * Vector Cache holds contexts (nothing executes in either case).
      */
     Status status;
     /** Host threads the functional execution ran on. */
@@ -60,8 +54,10 @@ struct MultiStreamResult
 /**
  * Run each stream of @p streams as an independent flow over @p nfa on
  * one simulated half-core, round-robin with the TDM quantum and
- * flow-switch cost of @p options. A stream count beyond the State
- * Vector Cache of @p config yields a CapacityExceeded status.
+ * flow-switch cost of @p options. Each stream's reports are those of
+ * runSequential over it: the flow is that run. A stream count beyond
+ * the State Vector Cache of @p config yields a CapacityExceeded
+ * status.
  */
 MultiStreamResult runMultiStream(const Nfa &nfa,
                                  const std::vector<InputTrace> &streams,

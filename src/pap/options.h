@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <string>
 
+#include "common/error.h"
 #include "common/types.h"
 
 namespace pap {
@@ -124,9 +125,6 @@ struct PapOptions
      */
     bool applyGoldenCap = true;
 
-    /** Cross-check composed reports against a sequential run. */
-    bool verifyAgainstSequential = true;
-
     /**
      * Hard ceiling on enumeration flows per segment, far above any
      * realistic SVC pressure. Runs needing more are treated per
@@ -213,6 +211,23 @@ struct PapOptions
      */
     std::int64_t stopAfterSegment = -1;
 };
+
+/**
+ * InvalidInput when @p options holds a zero divisor: a tdmQuantum or
+ * a convergenceCheckPeriod of 0. runPap, runMultiStream and
+ * serve::Server refuse such options before they run anything.
+ */
+inline Status
+checkOptions(const PapOptions &options)
+{
+    if (options.tdmQuantum == 0)
+        return Status::error(ErrorCode::InvalidInput,
+                             "tdmQuantum must be at least 1");
+    if (options.convergenceCheckPeriod == 0)
+        return Status::error(ErrorCode::InvalidInput,
+                             "convergenceCheckPeriod must be at least 1");
+    return Status();
+}
 
 } // namespace pap
 

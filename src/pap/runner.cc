@@ -12,7 +12,6 @@
 #include "common/file_lock.h"
 #include "common/hash.h"
 #include "common/logging.h"
-#include "engine/functional_engine.h"
 #include "nfa/analysis.h"
 #include "obs/attrib.h"
 #include "obs/metrics.h"
@@ -30,22 +29,6 @@
 
 namespace pap {
 
-namespace {
-
-/**
- * Baseline cycles of a sequential run: one per symbol plus the host's
- * report processing, charged once over every output-buffer entry.
- */
-Cycles
-baselineCycles(std::uint64_t symbols, std::uint64_t entries,
-               const PapOptions &options)
-{
-    return symbols + static_cast<Cycles>(options.reportCostCyclesPerEvent *
-                                         static_cast<double>(entries));
-}
-
-} // namespace
-
 SequentialResult
 runSequential(const Nfa &nfa, const InputTrace &input,
               const PapOptions &options)
@@ -58,28 +41,9 @@ SequentialResult
 runSequential(const CompiledNfa &cnfa, const InputTrace &input,
               const PapOptions &options)
 {
+    PAP_TRACE_SCOPE("pap.sequential");
     return runSequential(cnfa, cnfa.initialActive(), input.begin(), 0,
                          input.size(), options);
-}
-
-SequentialResult
-runSequential(const CompiledNfa &cnfa, const std::vector<StateId> &initial,
-              const Symbol *data, std::uint64_t offset,
-              std::uint64_t length, const PapOptions &options)
-{
-    PAP_TRACE_SCOPE("pap.sequential");
-    FunctionalEngine engine(cnfa, /*starts=*/true);
-    engine.reset(initial, offset);
-    engine.run(data, length);
-
-    SequentialResult result;
-    result.matches = engine.counters().matches;
-    result.finalActive = engine.snapshot();
-    result.reports = engine.takeReports();
-    result.entries = result.reports.size();
-    sortAndDedupReports(result.reports);
-    result.cycles = baselineCycles(length, result.entries, options);
-    return result;
 }
 
 namespace {
@@ -395,6 +359,7 @@ PapRun::runCheck(std::size_t k)
     try {
         obs::Phase phase(sink, "pap.baseline", &ledger, "baseline",
                          /*aux=*/true);
+        PAP_TRACE_SCOPE("pap.sequential");
         check.run = runSequential(automaton->cnfa, check.seed,
                                   input.ptr(check.slice.begin),
                                   check.slice.begin, check.slice.length(),
@@ -445,11 +410,12 @@ PapRun::settleSequential(bool verifying)
         return;
     seqSettled = true;
     if (checksAgree()) {
-        // The segments' sorted reports concatenate in input order.
+        // The segments' sorted reports concatenate in input order; of
+        // the counters, the run reads the matches alone.
         for (const GoldenCheck &check : checks) {
             seq.reports.insert(seq.reports.end(), check.run->reports.begin(),
                                check.run->reports.end());
-            seq.matches += check.run->matches;
+            seq.counters.matches += check.run->counters.matches;
             seq.entries += check.run->entries;
         }
         seq.cycles = baselineCycles(input.size(), seq.entries, options);
@@ -481,13 +447,17 @@ PapRun::adoptSequential(bool degraded)
     return false;
 }
 
-/** Prepare the automaton unless the caller did, then place it. */
+/** Prepare the automaton unless the caller did, refuse options the
+    later stages cannot run with, then place it. */
 bool
 PapRun::analyze()
 {
     obs::Phase phase(sink, "pap.analyze", &ledger, "analyze");
     if (!automaton)
         automaton = &owned.emplace(nfa);
+    result.status = checkOptions(options);
+    if (!result.status.ok())
+        return false;
     const Placement placement = placeAutomaton(
         nfa, automaton->comps, config, options.routingMinHalfCores);
 
@@ -860,20 +830,19 @@ PapRun::verify()
     settleSequential(/*verifying=*/true);
     if (!result.status.ok())
         return false;
+    const std::uint64_t seq_matches = seq.counters.matches;
     result.transitionRatio =
-        seq.matches ? static_cast<double>(frontier.flowTransitions) /
-                          static_cast<double>(seq.matches)
+        seq_matches ? static_cast<double>(frontier.flowTransitions) /
+                          static_cast<double>(seq_matches)
                     : 1.0;
     result.flowTransitions = frontier.flowTransitions;
-    result.seqTransitions = seq.matches;
+    result.seqTransitions = seq_matches;
     const std::uint64_t pap_entries = result.papReportEvents;
     result.reportInflation =
         result.seqReportEvents
             ? static_cast<double>(pap_entries) /
                   static_cast<double>(result.seqReportEvents)
             : (pap_entries ? static_cast<double>(pap_entries) : 1.0);
-    if (!options.verifyAgainstSequential)
-        return true;
 
     obs::Phase phase(sink, "pap.verify", &ledger, "verify");
     if (result.reports == seq.reports) {
@@ -915,10 +884,8 @@ PapRun::timeline()
     for (auto &cp : frontier.segments)
         timing_in.push_back(std::move(cp.timing));
     const TimelineResult timeline =
-        simulateTimeline(timing_in, result.seqReportEvents, input.size(),
-                         options, config);
+        simulateTimeline(timing_in, seq.cycles, options, config);
     result.papCycles = timeline.papCycles;
-    result.baselineCycles = timeline.baselineCycles;
     result.speedup = timeline.speedup;
     result.goldenCapped = timeline.goldenCapped;
     result.avgActiveFlows = timeline.avgActiveFlows;

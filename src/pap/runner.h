@@ -2,9 +2,9 @@
  * @file
  * End-to-end PAP run: analysis, placement, range-guided partitioning,
  * per-segment flow enumeration and TDM execution, host composition,
- * timeline simulation, and (optionally) verification of the composed
- * reports against the sequential execution. This is the public entry
- * point the examples and benches use.
+ * timeline simulation, and verification of the composed reports
+ * against the sequential execution. This is the public entry point
+ * the examples and benches use.
  *
  * The sequential execution is the paper's golden execution (Section
  * 3.4), run one segment at a time: as soon as segment j-1 is composed,
@@ -37,36 +37,14 @@
 #include "obs/attrib.h"
 #include "pap/options.h"
 #include "pap/prepared.h"
+#include "pap/segment_sim.h" // SequentialResult, runSequential on a slice
 
 namespace pap {
 
-/** Result of a plain sequential AP execution (the baseline). */
-struct SequentialResult
-{
-    /** Sorted, deduplicated report events. */
-    std::vector<ReportEvent> reports;
-    /** Baseline cycles: symbols plus host report processing. */
-    Cycles cycles = 0;
-    /** State matches (transitions) performed. */
-    std::uint64_t matches = 0;
-    /** Output-buffer entries, before deduplication. */
-    std::uint64_t entries = 0;
-    /** Active set after the last symbol, sorted. */
-    std::vector<StateId> finalActive;
-};
-
 /**
- * Run @p cnfa sequentially, start machinery live, over the @p length
- * symbols at @p data, the first of which sits at input offset
- * @p offset, from the active set @p initial.
+ * Run @p cnfa sequentially over @p input from its initial set: the
+ * whole-input golden execution, traced as one pap.sequential span.
  */
-SequentialResult runSequential(const CompiledNfa &cnfa,
-                               const std::vector<StateId> &initial,
-                               const Symbol *data, std::uint64_t offset,
-                               std::uint64_t length,
-                               const PapOptions &options = {});
-
-/** Run @p cnfa sequentially over @p input from its initial set. */
 SequentialResult runSequential(const CompiledNfa &cnfa,
                                const InputTrace &input,
                                const PapOptions &options = {});
@@ -169,11 +147,14 @@ struct PapResult
     bool recovered = false;
     /**
      * Non-Ok only when the run could not produce a result at all:
+     * options checkOptions refuses → InvalidInput,
      * OverflowPolicy::Fail with an over-capacity plan →
      * CapacityExceeded, a checkpointPath another run holds →
      * LockHeld, or the stopAfterSegment test hook → Cancelled
-     * (checkpoint left on disk). All other fields are defaulted in
-     * that case.
+     * (checkpoint left on disk). The run then carries no reports, but
+     * its single exit still settles the sequential fields
+     * (baselineCycles, seqReportEvents), the attribution ledger and
+     * the census of what ran before it stopped.
      */
     Status status;
 
@@ -254,8 +235,9 @@ struct PapResult
  * injection, otherwise a PAPsim bug) is repaired from the sequential
  * oracle (result.recovered), an over-capacity flow plan is handled
  * per options.overflowPolicy, and the only non-Ok result.status is
- * CapacityExceeded under OverflowPolicy::Fail or LockHeld on a
- * checkpoint another run holds.
+ * InvalidInput for options checkOptions refuses, CapacityExceeded
+ * under OverflowPolicy::Fail, LockHeld on a checkpoint another run
+ * holds, or Cancelled from the stopAfterSegment test hook.
  */
 PapResult runPap(const PreparedAutomaton &automaton,
                  const InputTrace &input, const ApConfig &config,

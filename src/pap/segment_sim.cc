@@ -27,39 +27,61 @@ tallyDeaths(const SegmentRun &run)
     return tally;
 }
 
+Cycles
+baselineCycles(std::uint64_t symbols, std::uint64_t entries,
+               const PapOptions &options)
+{
+    return symbols + static_cast<Cycles>(options.reportCostCyclesPerEvent *
+                                         static_cast<double>(entries));
+}
+
+SequentialResult
+runSequential(const CompiledNfa &cnfa, const std::vector<StateId> &initial,
+              const Symbol *data, std::uint64_t offset,
+              std::uint64_t length, const PapOptions &options,
+              const exec::CancellationToken *cancel)
+{
+    FunctionalEngine engine(cnfa, /*starts=*/true);
+    engine.reset(initial, offset);
+    // Chunked so a watchdog cancellation is honored promptly.
+    constexpr std::uint64_t kCancelCheckChunk = 4096;
+    for (std::uint64_t pos = 0;
+         pos < length && !(cancel && cancel->cancelled());
+         pos += kCancelCheckChunk)
+        engine.run(data + pos, std::min(kCancelCheckChunk, length - pos));
+
+    SequentialResult result;
+    result.counters = engine.counters();
+    result.finalActive = engine.snapshot();
+    result.reports = engine.takeReports();
+    result.entries = result.reports.size();
+    sortAndDedupReports(result.reports);
+    result.cycles = baselineCycles(length, result.entries, options);
+    return result;
+}
+
 SegmentRun
 runGoldenSegment(const CompiledNfa &cnfa,
                  const std::vector<StateId> &initial, const Symbol *data,
                  std::uint64_t seg_begin, std::uint64_t seg_len,
-                 EngineScratch &scratch, FaultInjector *injector,
+                 FaultInjector *injector,
                  const exec::CancellationToken *cancel)
 {
     PAP_TRACE_SCOPE("segment.golden");
     obs::metrics().add("segment_sim.flows.golden");
-    FunctionalEngine engine(cnfa, /*starts=*/true, &scratch);
-    engine.reset(initial, seg_begin);
-    if (!cancel) {
-        engine.run(data, seg_len);
-    } else {
-        // Chunked so a watchdog cancellation is honored promptly.
-        constexpr std::uint64_t kCancelCheckChunk = 4096;
-        std::uint64_t pos = 0;
-        while (pos < seg_len && !cancel->cancelled()) {
-            const std::uint64_t n =
-                std::min(kCancelCheckChunk, seg_len - pos);
-            engine.run(data + pos, n);
-            pos += n;
-        }
-    }
+    SequentialResult seq =
+        runSequential(cnfa, initial, data, seg_begin, seg_len, {}, cancel);
 
     FlowRecord rec;
     rec.id = 0;
     rec.kind = FlowKind::Golden;
     rec.symbolsProcessed = seg_len;
     rec.cause = DeathCause::RanToEnd;
-    rec.finalSnapshot = engine.snapshot();
-    rec.counters = engine.counters();
-    rec.reports = engine.takeReports();
+    rec.finalSnapshot = std::move(seq.finalActive);
+    rec.counters = seq.counters;
+    // Every output-buffer entry, sorted: a start-enabled run never
+    // emits one (offset, state) twice, so deduplication dropped none.
+    rec.reports = std::move(seq.reports);
     if (injector)
         injector->onReportDrain(rec.reports, seg_begin);
     SegmentRun run;
@@ -326,11 +348,11 @@ executeSegment(const PreparedAutomaton &automaton, const FlowPlan *plan,
                const exec::CancellationToken *cancel)
 {
     const CompiledNfa &cnfa = automaton.cnfa;
-    EngineScratch scratch(cnfa.size());
     if (!plan)
         return runGoldenSegment(cnfa, cnfa.initialActive(), data,
-                                seg_begin, seg_len, scratch,
-                                options.faultInjector, cancel);
+                                seg_begin, seg_len, options.faultInjector,
+                                cancel);
+    EngineScratch scratch(cnfa.size());
     return runEnumSegment(cnfa, *plan, automaton.asg, data, seg_begin,
                           seg_len, options, scratch, cancel);
 }

@@ -8,10 +8,12 @@
  * TDM steps and merge flows whose state vectors are bitwise equal
  * (Section 3.3.3). executeSegment() on top is the one segment
  * executor that runPap and serve share: golden/enumeration dispatch.
- * The oracle continuation of a failed segment is runGoldenSegment
- * started from the true active set entering it. SVC capacity never
- * splits a segment: every flow of the plan runs, and the timeline
- * alone models residency.
+ * runSequential is the golden execution (Section 3.4) of any input
+ * slice: the golden flow, the oracle continuation of a failed segment
+ * (started from the true active set entering it), runPap's golden
+ * checks and the extensions' start-enabled runs are all that one run.
+ * SVC capacity never splits a segment: every flow of the plan runs,
+ * and the timeline alone models residency.
  */
 
 #ifndef PAP_PAP_SEGMENT_SIM_H
@@ -22,12 +24,51 @@
 
 #include "ap/ap_config.h"
 #include "engine/functional_engine.h"
+#include "engine/report.h"
 #include "pap/exec/cancellation.h"
 #include "pap/flow_plan.h"
 #include "pap/options.h"
 #include "pap/prepared.h"
 
 namespace pap {
+
+/** Result of a plain sequential AP execution (the baseline). */
+struct SequentialResult
+{
+    /** Sorted, deduplicated report events. */
+    std::vector<ReportEvent> reports;
+    /** Baseline cycles: symbols plus host report processing. */
+    Cycles cycles = 0;
+    /** The engine's counters (matches: state transitions). */
+    EngineCounters counters;
+    /** Output-buffer entries, before deduplication. */
+    std::uint64_t entries = 0;
+    /** Active set after the last symbol, sorted. */
+    std::vector<StateId> finalActive;
+};
+
+/**
+ * Baseline cycles of a sequential run over @p symbols symbols: one per
+ * symbol plus the host's report processing, charged once over all
+ * @p entries output-buffer entries.
+ */
+Cycles baselineCycles(std::uint64_t symbols, std::uint64_t entries,
+                      const PapOptions &options);
+
+/**
+ * Run @p cnfa sequentially, start machinery live, over the @p length
+ * symbols at @p data, the first of which sits at input offset
+ * @p offset, from the active set @p initial. @p cancel, when non-null,
+ * is polled every 4,096 symbols; a cancelled run returns early with a
+ * partial result the caller must discard.
+ */
+SequentialResult runSequential(const CompiledNfa &cnfa,
+                               const std::vector<StateId> &initial,
+                               const Symbol *data, std::uint64_t offset,
+                               std::uint64_t length,
+                               const PapOptions &options = {},
+                               const exec::CancellationToken *cancel =
+                                   nullptr);
 
 /** Role of a flow within a segment. */
 enum class FlowKind : std::uint8_t
@@ -101,21 +142,19 @@ struct DeathTally
 DeathTally tallyDeaths(const SegmentRun &run);
 
 /**
- * Run a golden flow: one flow over @p cnfa with full start-state
- * machinery, seeded with @p initial, the true active set entering
- * the segment. The first segment starts from cnfa.initialActive();
- * the per-segment oracle continuation (Section 3.4) of a segment
- * whose attempts all failed starts from its predecessor's true final
- * active set. @p injector, when non-null, may drop or truncate the
- * flow's report buffer. @p cancel, when non-null, is polled
- * cooperatively (the run is chunked); a cancelled run returns early
- * with a partial record the caller must discard.
+ * Run a golden flow: runSequential over the segment from @p initial,
+ * the true active set entering it, as the segment's one flow. The
+ * first segment starts from cnfa.initialActive(); the per-segment
+ * oracle continuation (Section 3.4) of a segment whose attempts all
+ * failed starts from its predecessor's true final active set.
+ * @p injector, when non-null, may drop or truncate the flow's report
+ * buffer. @p cancel is as for runSequential; a cancelled run returns
+ * early with a partial record the caller must discard.
  */
 SegmentRun runGoldenSegment(const CompiledNfa &cnfa,
                             const std::vector<StateId> &initial,
                             const Symbol *data,
                             std::uint64_t seg_begin, std::uint64_t seg_len,
-                            EngineScratch &scratch,
                             FaultInjector *injector = nullptr,
                             const exec::CancellationToken *cancel =
                                 nullptr);

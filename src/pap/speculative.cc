@@ -75,8 +75,6 @@ runSpeculative(const PreparedAutomaton &automaton, const InputTrace &input,
         begin = end;
     }
 
-    EngineScratch scratch(nfa.size());
-
     // Phase 1 (all segments concurrently): warm up on the last W
     // symbols before the segment, predict the start set, and run the
     // segment speculatively from the prediction. Segments are
@@ -92,38 +90,30 @@ runSpeculative(const PreparedAutomaton &automaton, const InputTrace &input,
     };
     std::vector<SegmentSpec> spec(segs.size());
 
-    const auto speculate = [&](std::size_t j, EngineScratch &s,
+    const auto speculate = [&](std::size_t j,
                                const exec::CancellationToken *cancel) {
         spec[j] = SegmentSpec{}; // retries start from a clean slot
-        FunctionalEngine engine(cnfa, /*starts=*/true, &s);
-        if (j == 0) {
-            // The first segment needs no speculation.
-            engine.reset(cnfa.initialActive(), 0);
-            engine.run(input.ptr(segs[0].begin), segs[0].length());
-            if (cancel && cancel->cancelled())
-                return false;
-            spec[0].specFinal = engine.snapshot();
-            spec[0].specReports = engine.takeReports();
-            return true;
+        const Segment &seg = segs[j];
+        if (j > 0) {
+            const std::uint64_t from = std::max(
+                segs[j - 1].begin, seg.begin >= options.warmupWindow
+                                       ? seg.begin - options.warmupWindow
+                                       : 0);
+            spec[j].warmupSymbols = seg.begin - from;
+            spec[j].predicted =
+                runSequential(cnfa, {}, input.ptr(from), from,
+                              spec[j].warmupSymbols, base, cancel)
+                    .finalActive;
         }
-        const std::uint64_t from =
-            std::max(segs[j - 1].begin,
-                     segs[j].begin >= options.warmupWindow
-                         ? segs[j].begin - options.warmupWindow
-                         : 0);
-        engine.reset({}, from);
-        engine.run(input.ptr(from), segs[j].begin - from);
-        spec[j].warmupSymbols = segs[j].begin - from;
-        spec[j].predicted = engine.snapshot();
-        // Fresh engine for the segment itself so counters and
-        // reports start clean; activity carries over via seed.
-        FunctionalEngine seg_engine(cnfa, /*starts=*/true, &s);
-        seg_engine.reset(spec[j].predicted, segs[j].begin);
-        seg_engine.run(input.ptr(segs[j].begin), segs[j].length());
+        // The first segment needs no speculation: it starts from the
+        // initial set. Every later one starts from its prediction.
+        SequentialResult run = runSequential(
+            cnfa, j == 0 ? cnfa.initialActive() : spec[j].predicted,
+            input.ptr(seg.begin), seg.begin, seg.length(), base, cancel);
         if (cancel && cancel->cancelled())
             return false;
-        spec[j].specFinal = seg_engine.snapshot();
-        spec[j].specReports = seg_engine.takeReports();
+        spec[j].specFinal = std::move(run.finalActive);
+        spec[j].specReports = std::move(run.reports);
         return true;
     };
 
@@ -136,8 +126,7 @@ runSpeculative(const PreparedAutomaton &automaton, const InputTrace &input,
         pipe_opt, segs.size(),
         [&](std::size_t j,
             const exec::CancellationToken &cancel) -> Status {
-            EngineScratch task_scratch(nfa.size());
-            if (!speculate(j, task_scratch, &cancel))
+            if (!speculate(j, &cancel))
                 return Status::error(ErrorCode::DeadlineExceeded,
                                      "speculative segment ", j,
                                      " cancelled by the watchdog");
@@ -153,7 +142,7 @@ runSpeculative(const PreparedAutomaton &automaton, const InputTrace &input,
         warn("speculative segment ", j, " failed (",
              tr.status.message(), "); recomputing it inline");
         obs::metrics().add("exec.segments.recovered");
-        speculate(j, scratch, nullptr);
+        speculate(j, nullptr);
     };
 
     // Phase 2 (truth chain): validate each prediction against the
@@ -180,7 +169,7 @@ runSpeculative(const PreparedAutomaton &automaton, const InputTrace &input,
             ++correct;
         } else {
             mispredicted[j] = true;
-            FunctionalEngine patch(cnfa, /*starts=*/false, &scratch);
+            FunctionalEngine patch(cnfa, /*starts=*/false);
             patch.reset(missing, segs[j].begin);
             patch.run(input.ptr(segs[j].begin), segs[j].length());
             const auto patch_final = patch.snapshot();
@@ -202,18 +191,15 @@ runSpeculative(const PreparedAutomaton &automaton, const InputTrace &input,
     result.accuracy =
         static_cast<double>(correct) / static_cast<double>(segs.size());
 
-    if (options.verifyAgainstSequential) {
-        if (result.reports == seq.reports) {
-            result.verified = true;
-        } else {
-            warn("speculative reports diverge from the sequential "
-                 "execution for '", nfa.name(),
-                 "'; recovering the golden result");
-            obs::metrics().add("speculative.verification_divergence");
-            result.reports = seq.reports;
-            result.verified = false;
-            result.recovered = true;
-        }
+    if (result.reports == seq.reports) {
+        result.verified = true;
+    } else {
+        warn("speculative reports diverge from the sequential "
+             "execution for '", nfa.name(),
+             "'; recovering the golden result");
+        obs::metrics().add("speculative.verification_divergence");
+        result.reports = seq.reports;
+        result.recovered = true;
     }
 
     // Phase 3: timeline. Warmup and the speculative pass run from

@@ -42,8 +42,6 @@ struct SpeculationOptions
     std::uint32_t warmupWindow = 256;
     /** Cap parallel time at the sequential baseline. */
     bool applyGoldenCap = true;
-    /** Cross-check composed reports against a sequential run. */
-    bool verifyAgainstSequential = true;
     /** Host cost per output-buffer entry drained. */
     double reportCostCyclesPerEvent = 0.05;
     /** Routing-constraint hint (see PapOptions). */

@@ -11,8 +11,8 @@ namespace pap {
 
 TimelineResult
 simulateTimeline(const std::vector<SegmentTimingInput> &segments,
-                 std::uint64_t seq_entries, std::uint64_t total_len,
-                 const PapOptions &options, const ApConfig &config)
+                 Cycles baseline_cycles, const PapOptions &options,
+                 const ApConfig &config)
 {
     PAP_ASSERT(!segments.empty(), "timeline needs at least one segment");
     PAP_TRACE_SCOPE("timeline.simulate");
@@ -24,9 +24,6 @@ simulateTimeline(const std::vector<SegmentTimingInput> &segments,
     const std::uint32_t svc_capacity = svcCapacity(options, config);
 
     TimelineResult result;
-    result.baselineCycles =
-        total_len + static_cast<Cycles>(options.reportCostCyclesPerEvent *
-                                        static_cast<double>(seq_entries));
 
     std::uint64_t rounds_total = 0;
     std::uint64_t alive_weighted = 0;
@@ -170,12 +167,11 @@ simulateTimeline(const std::vector<SegmentTimingInput> &segments,
     result.papCycles = 0;
     for (const Cycles t : result.tResolve)
         result.papCycles = std::max(result.papCycles, t);
-    if (options.applyGoldenCap &&
-        result.papCycles > result.baselineCycles) {
-        result.papCycles = result.baselineCycles;
+    if (options.applyGoldenCap && result.papCycles > baseline_cycles) {
+        result.papCycles = baseline_cycles;
         result.goldenCapped = true;
     }
-    result.speedup = static_cast<double>(result.baselineCycles) /
+    result.speedup = static_cast<double>(baseline_cycles) /
                      static_cast<double>(result.papCycles);
     result.avgActiveFlows =
         rounds_total

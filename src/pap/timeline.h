@@ -55,7 +55,6 @@ struct SegmentTimingInput
 struct TimelineResult
 {
     Cycles papCycles = 0;
-    Cycles baselineCycles = 0;
     double speedup = 1.0;
     /** True when the golden-execution cap engaged. */
     bool goldenCapped = false;
@@ -90,14 +89,14 @@ struct TimelineResult
  * re-uploads, and flow deaths (deactivation, convergence merges, FIV
  * kills) release their entries, so merging directly relieves
  * admission pressure.
- * @param segments   per-segment timing inputs, in input order.
- * @param seq_entries output events of the sequential baseline.
- * @param total_len  total input symbols.
+ * @param segments        per-segment timing inputs, in input order.
+ * @param baseline_cycles the sequential run's cycles: the golden cap
+ *                        and the speedup's numerator.
  */
 TimelineResult simulateTimeline(
     const std::vector<SegmentTimingInput> &segments,
-    std::uint64_t seq_entries, std::uint64_t total_len,
-    const PapOptions &options, const ApConfig &config);
+    Cycles baseline_cycles, const PapOptions &options,
+    const ApConfig &config);
 
 } // namespace pap
 

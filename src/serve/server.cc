@@ -151,6 +151,9 @@ Server::Server(const ServeOptions &options, const Nfa &ruleset)
     execPap_.faultInjector = nullptr;
     execOpt_ =
         makeHardenedOptions(opts_.pap, threads_, opts_.chunkSymbols);
+    status_ = checkOptions(opts_.pap);
+    if (!status_.ok())
+        return;
     if (!opts_.checkpointDir.empty()) {
         // Own the directory before touching it: a second server on it
         // would append to the same manifest and sweep our temp files.

@@ -183,8 +183,8 @@ class Server
   public:
     /**
      * Build a daemon serving @p ruleset. Check status() before use:
-     * a ruleset that fails to compile leaves the server inert (every
-     * call returns the install error).
+     * options checkOptions refuses, or a ruleset that fails to
+     * compile, leave the server inert (every call returns that error).
      */
     Server(const ServeOptions &options, const Nfa &ruleset);
 
@@ -194,7 +194,11 @@ class Server
     Server(const Server &) = delete;
     Server &operator=(const Server &) = delete;
 
-    /** OK unless the initial ruleset failed to install. */
+    /**
+     * OK unless construction failed: options checkOptions refuses, a
+     * checkpointDir another server holds, or a boot ruleset that
+     * failed to install.
+     */
     Status status() const;
 
     /**

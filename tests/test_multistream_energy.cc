@@ -28,9 +28,25 @@ TEST(MultiStream, EachStreamMatchesStandaloneRun)
                             "abcdefgh "));
     const MultiStreamResult r =
         runMultiStream(nfa, streams, ApConfig::d480(1));
-    EXPECT_TRUE(r.verified);
+    ASSERT_TRUE(r.status.ok());
     ASSERT_EQ(r.reports.size(), streams.size());
     ASSERT_EQ(r.streamDone.size(), streams.size());
+    for (std::size_t i = 0; i < streams.size(); ++i)
+        EXPECT_EQ(r.reports[i], runSequential(nfa, streams[i]).reports)
+            << "stream " << i;
+}
+
+TEST(MultiStream, ZeroQuantumIsInvalidInput)
+{
+    const Nfa nfa = compileRuleset({{"ab", 1}}, "m");
+    const std::vector<InputTrace> streams = {
+        InputTrace::fromString("abab"), InputTrace::fromString("ba")};
+    PapOptions opt;
+    opt.tdmQuantum = 0;
+    const MultiStreamResult r =
+        runMultiStream(nfa, streams, ApConfig::d480(1), opt);
+    EXPECT_EQ(r.status.code(), ErrorCode::InvalidInput);
+    EXPECT_TRUE(r.reports.empty());
 }
 
 TEST(MultiStream, SingleStreamHasNoSwitchOverhead)

@@ -33,7 +33,6 @@ testOptions()
 {
     PapOptions opt;
     opt.tdmQuantum = 16; // small quanta exercise many rounds
-    opt.verifyAgainstSequential = true;
     return opt;
 }
 

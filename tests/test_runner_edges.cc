@@ -255,5 +255,38 @@ TEST(RunnerEdges, MaxFlowsLimitFailsWhenAskedTo)
     EXPECT_TRUE(r.reports.empty());
 }
 
+/**
+ * A zero divisor in @p opt ends a multi-segment run with InvalidInput
+ * through the single exit, which still settles the sequential fields.
+ */
+void
+expectInvalidOptions(const PapOptions &opt)
+{
+    const Nfa nfa = compileRuleset({{"ab.*cd", 1}, {"fgh", 2}}, "m");
+    Rng rng(86);
+    const InputTrace input = randomTextTrace(rng, 8192, "abcdfgh ");
+    const PapResult r = runPap(nfa, input, tinyBoard(8), opt);
+    EXPECT_EQ(r.status.code(), ErrorCode::InvalidInput)
+        << r.status.toString();
+    EXPECT_TRUE(r.reports.empty());
+    const SequentialResult seq = runSequential(nfa, input, opt);
+    EXPECT_EQ(r.seqReportEvents, seq.reports.size());
+    EXPECT_EQ(r.baselineCycles, seq.cycles);
+}
+
+TEST(RunnerEdges, ZeroQuantumIsInvalidInput)
+{
+    PapOptions opt;
+    opt.tdmQuantum = 0;
+    expectInvalidOptions(opt);
+}
+
+TEST(RunnerEdges, ZeroConvergencePeriodIsInvalidInput)
+{
+    PapOptions opt;
+    opt.convergenceCheckPeriod = 0;
+    expectInvalidOptions(opt);
+}
+
 } // namespace
 } // namespace pap

@@ -1,6 +1,7 @@
 /**
  * @file
- * Segment simulation tests: golden segments, deactivation detection
+ * Segment simulation tests: golden segments (the sequential run of
+ * their slice, from any seed, polled or not), deactivation detection
  * (including the fine-grained checks before the first TDM step),
  * convergence merging, and the recorded flow metadata the composer
  * and timeline rely on.
@@ -8,9 +9,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "engine/trace.h"
 #include "nfa/glushkov.h"
 #include "pap/segment_sim.h"
+#include "workloads/benchmarks.h"
 
 namespace pap {
 namespace {
@@ -43,9 +47,8 @@ TEST(SegmentSim, GoldenSegmentMatchesSequentialActivity)
 {
     SimFixture f({{"ab", 1}});
     const InputTrace t = InputTrace::fromString("abxab");
-    const SegmentRun run =
-        runGoldenSegment(*f.cnfa, f.cnfa->initialActive(), t.begin(), 0,
-                         t.size(), *f.scratch);
+    const SegmentRun run = runGoldenSegment(
+        *f.cnfa, f.cnfa->initialActive(), t.begin(), 0, t.size());
     ASSERT_EQ(run.flows.size(), 1u);
     const FlowRecord &rec = run.flows[0];
     EXPECT_EQ(rec.kind, FlowKind::Golden);
@@ -54,6 +57,82 @@ TEST(SegmentSim, GoldenSegmentMatchesSequentialActivity)
     EXPECT_EQ(rec.reports.size(), 2u);
     EXPECT_EQ(rec.reports[0].offset, 1u);
     EXPECT_EQ(rec.reports[1].offset, 4u);
+}
+
+void
+expectSameCounters(const EngineCounters &a, const EngineCounters &b)
+{
+    EXPECT_EQ(a.symbols, b.symbols);
+    EXPECT_EQ(a.matches, b.matches);
+    EXPECT_EQ(a.enables, b.enables);
+    EXPECT_EQ(a.succRows, b.succRows);
+    EXPECT_EQ(a.maskWords, b.maskWords);
+    EXPECT_EQ(a.bytesTouched, b.bytesTouched);
+    EXPECT_EQ(a.shiftSteps, b.shiftSteps);
+    EXPECT_EQ(a.densityOctiles, b.densityOctiles);
+}
+
+TEST(SegmentSim, GoldenSegmentIsTheSequentialRunOfItsSlice)
+{
+    // A Table-1 automaton whose .* latches carry activity across the
+    // middle of the input, so the second slice starts from a live set.
+    const Nfa nfa = buildBenchmark("Dotstar03");
+    const InputTrace input = buildBenchmarkTrace(nfa, "Dotstar03", 16384);
+    const CompiledNfa cnfa(nfa);
+    const std::uint64_t mid = input.size() / 2;
+    const std::vector<StateId> at_mid =
+        runSequential(cnfa, cnfa.initialActive(), input.begin(), 0, mid)
+            .finalActive;
+    ASSERT_FALSE(at_mid.empty());
+
+    struct Slice
+    {
+        const std::vector<StateId> &initial;
+        std::uint64_t begin;
+        std::uint64_t length;
+    };
+    const exec::CancellationToken live;
+    for (const Slice &s : {Slice{cnfa.initialActive(), 0, mid},
+                           Slice{at_mid, mid, input.size() - mid}}) {
+        const SequentialResult seq = runSequential(
+            cnfa, s.initial, input.ptr(s.begin), s.begin, s.length);
+        for (const exec::CancellationToken *token :
+             {static_cast<const exec::CancellationToken *>(nullptr),
+              &live}) {
+            const std::string what = "begin=" + std::to_string(s.begin) +
+                                     (token ? " token" : "");
+            const SegmentRun run =
+                runGoldenSegment(cnfa, s.initial, input.ptr(s.begin),
+                                 s.begin, s.length, nullptr, token);
+            ASSERT_EQ(run.flows.size(), 1u) << what;
+            const FlowRecord &rec = run.flows[0];
+            EXPECT_EQ(rec.kind, FlowKind::Golden) << what;
+            EXPECT_EQ(rec.finalSnapshot, seq.finalActive) << what;
+            EXPECT_EQ(rec.reports.size(), seq.entries) << what;
+            std::vector<ReportEvent> reports = rec.reports;
+            sortAndDedupReports(reports);
+            EXPECT_EQ(reports, seq.reports) << what;
+            expectSameCounters(rec.counters, seq.counters);
+        }
+    }
+}
+
+TEST(SegmentSim, CancelledGoldenRunReturnsEarly)
+{
+    const Nfa nfa = buildBenchmark("Dotstar03");
+    const InputTrace input = buildBenchmarkTrace(nfa, "Dotstar03", 16384);
+    const CompiledNfa cnfa(nfa);
+    exec::CancellationToken cancelled;
+    cancelled.cancel();
+    const SequentialResult seq =
+        runSequential(cnfa, cnfa.initialActive(), input.begin(), 0,
+                      input.size(), {}, &cancelled);
+    EXPECT_LT(seq.counters.symbols, input.size());
+    const SegmentRun run =
+        runGoldenSegment(cnfa, cnfa.initialActive(), input.begin(), 0,
+                         input.size(), nullptr, &cancelled);
+    ASSERT_EQ(run.flows.size(), 1u);
+    EXPECT_LT(run.flows[0].counters.symbols, input.size());
 }
 
 TEST(SegmentSim, EnumFlowDeactivatesAtEarlyCheck)

@@ -1226,6 +1226,21 @@ TEST(Serve, ResumeRejectsCheckpointFromSwappedGeneration)
     ASSERT_TRUE(report.ok()) << report.status().toString();
 }
 
+TEST(Serve, ZeroConvergencePeriodIsInvalidInput)
+{
+    // Every enumerated chunk divides by the convergence period: the
+    // constructor refuses it, and the inert server runs no chunk.
+    const Nfa nfa = serveRuleset();
+    const InputTrace trace = serveTrace(4096, 97);
+    ServeOptions opt = smallOptions();
+    opt.pap.convergenceCheckPeriod = 0;
+    Server server(opt, nfa);
+    EXPECT_EQ(server.status().code(), ErrorCode::InvalidInput)
+        << server.status().toString();
+    const auto report = streamAll(server, "t", trace, trace.size());
+    EXPECT_EQ(report.status().code(), ErrorCode::InvalidInput);
+}
+
 } // namespace
 } // namespace serve
 } // namespace pap

@@ -2,12 +2,15 @@
  * @file
  * Timeline (cycle-accounting) model tests: single-flow segments pay
  * no switches, TDM cost accounting, FIV kills of false flows, the
- * Tcpu skip rules, drain costs, and the golden-execution cap.
+ * Tcpu skip rules, drain costs, the golden-execution cap, and the
+ * sequential baseline the cap and the speedup divide by.
  */
 
 #include <gtest/gtest.h>
 
 #include "ap/ap_config.h"
+#include "nfa/glushkov.h"
+#include "pap/runner.h"
 #include "pap/timeline.h"
 
 namespace pap {
@@ -42,8 +45,7 @@ TEST(Timeline, SingleGoldenSegmentHasNoOverhead)
     PapOptions opt;
     const std::vector<SegmentTimingInput> segs = {
         segment(1000, {flow(FlowKind::Golden, 1000)})};
-    const TimelineResult r = simulateTimeline(segs, 0, 1000, opt,
-                                              kConfig);
+    const TimelineResult r = simulateTimeline(segs, 1000, opt, kConfig);
     EXPECT_EQ(r.tDone[0], 1000u);
     EXPECT_EQ(r.switchCycles, 0u);
     EXPECT_EQ(r.papCycles, 1000u); // no enum flows anywhere: no tcpu
@@ -59,8 +61,7 @@ TEST(Timeline, TwoFlowsPaySwitches)
         segment(1000, {flow(FlowKind::Asg, 1000),
                        flow(FlowKind::Enum, 1000)},
                 0, 1)};
-    const TimelineResult r = simulateTimeline(segs, 0, 2000, opt,
-                                              kConfig);
+    const TimelineResult r = simulateTimeline(segs, 2000, opt, kConfig);
     // Segment 1: 10 rounds x (2 flows x 100 syms + 2 x 3 switch).
     EXPECT_EQ(r.tDone[1], 2000u + 60u);
     EXPECT_EQ(r.switchCycles, 60u);
@@ -74,8 +75,7 @@ TEST(Timeline, DeadFlowStopsCosting)
         segment(1000, {flow(FlowKind::Golden, 1000)}),
         segment(1000, {flow(FlowKind::Asg, 1000),
                        flow(FlowKind::Enum, 200)})};
-    const TimelineResult r = simulateTimeline(segs, 0, 2000, opt,
-                                              kConfig);
+    const TimelineResult r = simulateTimeline(segs, 2000, opt, kConfig);
     // Enum flow contributes 200 symbols + switches for 2 rounds.
     EXPECT_EQ(r.tDone[1], 1000u + 200u + 2u * 2u * 3u);
 }
@@ -96,12 +96,10 @@ TEST(Timeline, FivKillsFalseFlows)
                         flow(FlowKind::Enum, 10000, /*true*/ false)},
                 0, 2)};
 
-    TimelineResult with = simulateTimeline(segs, 0, 20000, opt,
-                                           kConfig);
+    TimelineResult with = simulateTimeline(segs, 20000, opt, kConfig);
     PapOptions no_fiv = opt;
     no_fiv.enableFiv = false;
-    TimelineResult without = simulateTimeline(segs, 0, 20000, no_fiv,
-                                              kConfig);
+    TimelineResult without = simulateTimeline(segs, 20000, no_fiv, kConfig);
     EXPECT_LT(with.tDone[1], without.tDone[1]);
     // Without FIV: 3 flows all the way: 30000 + 300 rounds... exactly
     // 100 rounds x (300 + 9).
@@ -115,8 +113,7 @@ TEST(Timeline, TrueFlowsSurviveFiv)
     const std::vector<SegmentTimingInput> segs = {
         segment(5000, {flow(FlowKind::Golden, 5000)}),
         segment(5000, {flow(FlowKind::Enum, 5000, true)})};
-    const TimelineResult r = simulateTimeline(segs, 0, 10000, opt,
-                                              kConfig);
+    const TimelineResult r = simulateTimeline(segs, 10000, opt, kConfig);
     // The single (true) enum flow runs to completion; one flow means
     // no switch cost either.
     EXPECT_EQ(r.tDone[1], 5000u);
@@ -129,8 +126,7 @@ TEST(Timeline, TcpuSkippedWithoutEnumFlows)
         segment(1000, {flow(FlowKind::Golden, 1000)}),
         segment(1000, {flow(FlowKind::Asg, 1000)}),
         segment(1000, {flow(FlowKind::Asg, 1000)})};
-    const TimelineResult r = simulateTimeline(segs, 0, 3000, opt,
-                                              kConfig);
+    const TimelineResult r = simulateTimeline(segs, 3000, opt, kConfig);
     for (const auto tcpu : r.tcpuCycles)
         EXPECT_EQ(tcpu, 0u);
     EXPECT_EQ(r.papCycles, 1000u);
@@ -144,8 +140,7 @@ TEST(Timeline, UploadChargedWhenNextSegmentNeedsT)
         segment(1000, {flow(FlowKind::Asg, 1000),
                        flow(FlowKind::Enum, 48)},
                 0, 0)};
-    const TimelineResult r = simulateTimeline(segs, 0, 2000, opt,
-                                              kConfig);
+    const TimelineResult r = simulateTimeline(segs, 2000, opt, kConfig);
     // Segment 0 pays the upload (segment 1 needs its T)...
     EXPECT_EQ(r.tcpuCycles[0], kConfig.timing.stateVectorUploadCycles);
     // ...and segment 1 pays upload (it has enum flows) but no
@@ -165,7 +160,7 @@ TEST(Timeline, DecodeChainsSeriallyButUploadsOverlap)
         segs.push_back(segment(
             1000, {flow(FlowKind::Enum, 1000, true)}, 0, 1));
     const TimelineResult r =
-        simulateTimeline(segs, 0, 5000, opt, kConfig);
+        simulateTimeline(segs, 5000, opt, kConfig);
     // All segments finish at 1000; uploads overlap; decodes chain:
     // truth_j = 1000 + 1668 + 50 * (j) ... segment 0 truth at
     // 1000+1668, then +50 per enumeration segment.
@@ -180,10 +175,26 @@ TEST(Timeline, DrainAddsReportCost)
     opt.applyGoldenCap = false; // pap drain exceeds baseline here
     const std::vector<SegmentTimingInput> segs = {
         segment(1000, {flow(FlowKind::Golden, 1000)}, /*entries=*/200)};
-    const TimelineResult r = simulateTimeline(segs, 100, 1000, opt,
-                                              kConfig);
+    const TimelineResult r = simulateTimeline(segs, 1050, opt, kConfig);
     EXPECT_EQ(r.papCycles, 1000u + 100u);
-    EXPECT_EQ(r.baselineCycles, 1000u + 50u);
+    EXPECT_DOUBLE_EQ(r.speedup, 1050.0 / 1100.0);
+}
+
+TEST(Timeline, SequentialBaselineChargesEveryEntry)
+{
+    // 1000 symbols, every tenth an 'a': 100 reports, each charged
+    // half a cycle of host processing on top of one cycle per symbol.
+    PapOptions opt;
+    opt.reportCostCyclesPerEvent = 0.5;
+    std::string text(1000, 'b');
+    for (std::size_t i = 0; i < text.size(); i += 10)
+        text[i] = 'a';
+    const SequentialResult seq =
+        runSequential(compileRuleset({{"a", 1}}, "a"),
+                      InputTrace::fromString(text), opt);
+    EXPECT_EQ(seq.entries, 100u);
+    EXPECT_EQ(seq.reports.size(), 100u);
+    EXPECT_EQ(seq.cycles, 1000u + 50u);
 }
 
 TEST(Timeline, GoldenCapBoundsSpeedupAtOne)
@@ -202,15 +213,13 @@ TEST(Timeline, GoldenCapBoundsSpeedupAtOne)
     const std::vector<SegmentTimingInput> segs = {
         segment(1000, {flow(FlowKind::Golden, 1000)}), heavy};
 
-    const TimelineResult r = simulateTimeline(segs, 0, 2000, opt,
-                                              kConfig);
+    const TimelineResult r = simulateTimeline(segs, 2000, opt, kConfig);
     EXPECT_TRUE(r.goldenCapped);
     EXPECT_DOUBLE_EQ(r.speedup, 1.0);
 
     PapOptions uncapped = opt;
     uncapped.applyGoldenCap = false;
-    const TimelineResult r2 = simulateTimeline(segs, 0, 2000, uncapped,
-                                               kConfig);
+    const TimelineResult r2 = simulateTimeline(segs, 2000, uncapped, kConfig);
     EXPECT_LT(r2.speedup, 1.0);
 }
 
@@ -222,8 +231,7 @@ TEST(Timeline, AvgActiveFlowsWeightsRounds)
         segment(1000, {flow(FlowKind::Golden, 1000)}),
         segment(1000, {flow(FlowKind::Asg, 1000),
                        flow(FlowKind::Enum, 500, true)})};
-    const TimelineResult r = simulateTimeline(segs, 0, 2000, opt,
-                                              kConfig);
+    const TimelineResult r = simulateTimeline(segs, 2000, opt, kConfig);
     // Rounds: seg0 2x1 flow; seg1 round0 2 flows, round1 1 flow.
     EXPECT_DOUBLE_EQ(r.avgActiveFlows, (1 + 1 + 2 + 1) / 4.0);
 }
