@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <ostream>
 #include <string>
 
 #include "ap/ap_config.h"
@@ -171,6 +172,17 @@ struct ComposedSetFault
     const char *kind;
     std::uint64_t wholeInputRuns;
 };
+
+/**
+ * Print the fault by its kind: gtest's default dumps the struct's
+ * bytes, which hold the address of @c kind, so under address-space
+ * randomisation the test's listed name would change from run to run.
+ */
+void
+PrintTo(const ComposedSetFault &f, std::ostream *os)
+{
+    *os << f.kind;
+}
 
 class GoldenCheckFaults : public ::testing::TestWithParam<ComposedSetFault>
 {};
