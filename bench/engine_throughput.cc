@@ -1,7 +1,8 @@
 /**
  * @file
  * Host-side throughput of the execution engine: symbols/sec for
- * FunctionalEngine across state counts and active densities, and the
+ * FunctionalEngine across state counts and active densities, with
+ * start machinery off and, on regex-shaped rulesets, on, and the
  * fraction of its steps that ran on the shift datapath. Emits
  * BENCH_engine.json (path overridable as argv[1]) so the numbers seed
  * the repo's perf trajectory. The bytes/symbol column shows the
@@ -82,6 +83,58 @@ randomTrace(Rng &rng, std::size_t len)
     for (auto &s : data)
         s = static_cast<Symbol>(
             static_cast<unsigned char>(kAlphabet[rng.nextBelow(8)]));
+    return InputTrace(std::move(data));
+}
+
+/** Symbols of the regex-shaped rows: 64 consecutive printable bytes. */
+constexpr Symbol kRegexFirst = '0';
+constexpr int kRegexSymbols = 64;
+
+Symbol
+regexSymbol(Rng &rng)
+{
+    return static_cast<Symbol>(kRegexFirst + rng.nextBelow(kRegexSymbols));
+}
+
+/**
+ * Shaped like a Regex-suite ruleset: chains of 16 states, each an
+ * AllInput start on one symbol followed by single-symbol states (one
+ * in eight a three-symbol class) and a reporting last state. Over a
+ * trace of the same 64 symbols the starts enable about one state per
+ * 64 chains on every symbol, and few chains get further, so the engine
+ * runs start-enabled steps on the sparse list, as sequential runs,
+ * golden checks and ASG flows of the Regex suite do.
+ */
+Nfa
+regexShapedNfa(std::size_t states, Rng &rng)
+{
+    constexpr std::size_t kChain = 16;
+    Nfa nfa("regex-shaped");
+    for (std::size_t q = 0; q < states; ++q) {
+        const std::size_t pos = q % kChain;
+        CharClass label = CharClass::single(regexSymbol(rng));
+        if (pos > 0 && rng.nextBool(0.125)) {
+            label.set(regexSymbol(rng));
+            label.set(regexSymbol(rng));
+        }
+        const bool last = pos == kChain - 1 || q + 1 == states;
+        nfa.addState(label,
+                     pos == 0 ? StartType::AllInput : StartType::None,
+                     last, static_cast<ReportCode>(q / kChain));
+        if (pos > 0)
+            nfa.addEdge(static_cast<StateId>(q - 1), static_cast<StateId>(q));
+    }
+    nfa.finalize();
+    return nfa;
+}
+
+/** A trace of random symbols from the regex-shaped rows' alphabet. */
+InputTrace
+regexTrace(Rng &rng, std::size_t len)
+{
+    std::vector<Symbol> data(len);
+    for (auto &s : data)
+        s = regexSymbol(rng);
     return InputTrace(std::move(data));
 }
 
@@ -207,6 +260,8 @@ main(int argc, char **argv)
         std::size_t seedStride;   // seed every seedStride-th state
         const char *workload;
         bool spmShaped = false;
+        /** Regex-shaped, engine with start machinery live. */
+        bool regexStarts = false;
     };
     // High density: wide labels, everything seeded. Low density: a
     // sparse core of always-matching drivers among narrow-label states
@@ -216,7 +271,9 @@ main(int argc, char **argv)
     // list, the datapath of regex_suite, serve_ids and trace
     // generation. SPM-shaped: self-loops and next-state edges only, at
     // about 7% density, near the 8% of SPM's 4-rank flows: the regime
-    // the shift datapath is for.
+    // the shift datapath is for. Regex-starts: the only rows with
+    // start machinery live, a ruleset of AllInput-started chains on
+    // the sparse list (regexShapedNfa).
     const std::vector<Config> configs = {
         {64, 7, 0, 1, "high-density"},
         {256, 7, 0, 1, "high-density"},
@@ -235,6 +292,10 @@ main(int argc, char **argv)
         {4096, 4, 64, 64, "spm-shaped", true},
         {16384, 4, 64, 64, "spm-shaped", true},
         {65536, 4, 64, 64, "spm-shaped", true},
+        {1024, 0, 0, 0, "regex-starts", false, true},
+        {4096, 0, 0, 0, "regex-starts", false, true},
+        {16384, 0, 0, 0, "regex-starts", false, true},
+        {65536, 0, 0, 0, "regex-starts", false, true},
     };
 
     std::vector<Row> rows;
@@ -242,15 +303,21 @@ main(int argc, char **argv)
                 "density", "sym/s", "B/sym", "shift");
     for (const Config &cfg : configs) {
         Rng rng(0xe47 + cfg.states + cfg.octiles);
-        const Nfa nfa = syntheticNfa(cfg.states, cfg.octiles,
-                                     cfg.driverStride, cfg.spmShaped, rng);
+        const Nfa nfa =
+            cfg.regexStarts
+                ? regexShapedNfa(cfg.states, rng)
+                : syntheticNfa(cfg.states, cfg.octiles, cfg.driverStride,
+                               cfg.spmShaped, rng);
         const CompiledNfa cnfa(nfa);
-        const InputTrace trace = randomTrace(rng, trace_len);
+        const InputTrace trace = cfg.regexStarts
+                                     ? regexTrace(rng, trace_len)
+                                     : randomTrace(rng, trace_len);
         const std::vector<StateId> seed =
-            seedStates(cfg.states, cfg.seedStride);
+            cfg.regexStarts ? cnfa.initialActive()
+                            : seedStates(cfg.states, cfg.seedStride);
 
         EngineScratch scratch(nfa.size());
-        FunctionalEngine engine(cnfa, /*starts=*/false, &scratch);
+        FunctionalEngine engine(cnfa, cfg.regexStarts, &scratch);
         const Measurement ms =
             measure(engine, seed, trace, cfg.states);
 

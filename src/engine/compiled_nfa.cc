@@ -216,6 +216,89 @@ CompiledNfa::CompiledNfa(const Nfa &source_nfa) : nfa(source_nfa)
         std::sort(v.begin(), v.end());
         v.erase(std::unique(v.begin(), v.end()), v.end());
     }
+    buildStartPairs();
+}
+
+/**
+ * Split each symbol's start successors by label width, and index the
+ * narrow ones by the next symbol: one block of offsets per symbol p
+ * with a narrow successor, whose span s lists the narrow successors
+ * of p that match s. A narrow state adds at most kNarrowLabelSymbols
+ * entries per symbol that enables it.
+ */
+void
+CompiledNfa::buildStartPairs()
+{
+    const std::size_t n = nfa.size();
+    // Per edge from an AllInput start: which successors are narrow,
+    // then the symbols that enable each (its starts' labels).
+    narrowBits = BitVector(n);
+    const auto for_each_start_edge = [&](auto &&f) {
+        for (const StateId q : nfa.startStates())
+            if (isAllInputStart(q))
+                for (const StateId t : nfa[q].succ)
+                    if (!isAllInputStart(t))
+                        f(q, t);
+    };
+    for_each_start_edge([&](StateId, StateId t) {
+        if (nfa[t].label.count() <= kNarrowLabelSymbols)
+            narrowBits.set(t);
+    });
+    narrowRank.assign(wordCount, 0);
+    std::uint32_t rank = 0;
+    for (std::size_t w = 0; w < wordCount; ++w) {
+        narrowRank[w] = rank;
+        rank += static_cast<std::uint32_t>(
+            popcount64(narrowBits.rawWords()[w]));
+    }
+    narrowEnablers.assign(rank, CharClass{});
+    coverBits = narrowBits;
+    coverBits |= allInputBits;
+    for_each_start_edge([&](StateId q, StateId t) {
+        if (narrowBits.test(t))
+            narrowEnablers[narrowSlot(t)] |= nfa[q].label;
+    });
+
+    pairBlock.fill(kNoPairBlock);
+    std::uint32_t blocks = 0;
+    for (int p = 0; p < kAlphabetSize; ++p) {
+        for (const StateId t : startNext[p])
+            (narrowBits.test(t) ? narrowNext : wideNext)[p].push_back(t);
+        if (!narrowNext[p].empty())
+            pairBlock[p] = blocks++;
+    }
+    // Visit every entry (p, s, t) once per pass, narrow states in
+    // state order, so each span comes out ascending and each label is
+    // read once per pass: span (p, s) of @p table is p's block at s.
+    constexpr std::size_t kSpan = kAlphabetSize + 1;
+    const auto for_each_entry = [&](std::uint32_t *table, auto &&f) {
+        narrowBits.forEachSet([&](std::size_t q) {
+            const auto t = static_cast<StateId>(q);
+            const CharClass &label = nfa[t].label;
+            narrowEnablers[narrowSlot(t)].forEachSymbol([&](Symbol p) {
+                std::uint32_t *block = table + pairBlock[p] * kSpan;
+                label.forEachSymbol([&](Symbol s) { f(block, s, t); });
+            });
+        });
+    };
+    // Count span s at block[s + 1]; the running sum then turns every
+    // block into the offsets of its spans.
+    pairOffsets.assign(blocks * kSpan, 0);
+    for_each_entry(pairOffsets.data(),
+                   [](std::uint32_t *block, Symbol s, StateId) {
+                       ++block[s + 1];
+                   });
+    std::uint32_t at = 0;
+    for (std::uint32_t &offset : pairOffsets) {
+        at += offset;
+        offset = at;
+    }
+    pairStates.resize(at);
+    std::vector<std::uint32_t> cursor = pairOffsets;
+    for_each_entry(cursor.data(),
+                   [&](std::uint32_t *block, Symbol s, StateId t) {
+                       pairStates[block[s]++] = t;
+                   });
 }
 
 /**

@@ -29,20 +29,6 @@ namespace {
 constexpr std::size_t kShiftActivePerWord = 1;
 
 /**
- * Population count without a library call: the x86-64 baseline the
- * project builds for has no popcnt instruction, and std::popcount
- * there calls into libgcc once per word.
- */
-inline std::uint64_t
-popcount64(std::uint64_t x)
-{
-    x = x - ((x >> 1) & 0x5555555555555555ull);
-    x = (x & 0x3333333333333333ull) + ((x >> 2) & 0x3333333333333333ull);
-    x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0full;
-    return (x * 0x0101010101010101ull) >> 56;
-}
-
-/**
  * dst |= (x & mask) moved @p offset states up (down when negative),
  * over @p n words. Bits moved past either end are dropped; a class
  * mask never holds a source whose target lies outside the automaton.
@@ -104,6 +90,8 @@ void
 SparseActiveList::assign(const std::vector<StateId> &states)
 {
     active.clear();
+    implicitAfter = -1;
+    implicitCount = 0;
     scratch->bump();
     for (const StateId q : states) {
         PAP_ASSERT(q < cnfa.size(), "state ", q, " out of range");
@@ -118,6 +106,8 @@ void
 SparseActiveList::assignBits(const BitVector &bits)
 {
     active.clear();
+    implicitAfter = -1;
+    implicitCount = 0;
     bits.forEachSet(
         [&](std::size_t q) { active.push_back(static_cast<StateId>(q)); });
 }
@@ -166,6 +156,66 @@ SparseActiveList::step(Symbol s, std::uint64_t offset,
     active.swap(next);
 }
 
+void
+SparseActiveList::stepImplicitStarts(Symbol s, std::uint64_t offset,
+                                     std::vector<ReportEvent> &events,
+                                     EngineCounters &stats)
+{
+    scratch->bump();
+    next.clear();
+    std::uint64_t matched = 0;
+    std::uint64_t edges = 0;
+    const auto fire = [&](StateId q) {
+        ++matched;
+        if (cnfa.reporting(q))
+            events.push_back(ReportEvent{offset, q, cnfa.reportCode(q)});
+        const auto [begin, end] = cnfa.successors(q);
+        edges += static_cast<std::uint64_t>(end - begin);
+        for (const StateId *t = begin; t != end; ++t) {
+            if (cnfa.coveredByStarts(*t, s))
+                continue;
+            if (scratch->claim(*t))
+                next.push_back(*t);
+        }
+    };
+    std::uint64_t pairs = 0;
+    if (implicitCount) {
+        const auto [begin, end] =
+            cnfa.startPairs(static_cast<Symbol>(implicitAfter), s);
+        pairs = static_cast<std::uint64_t>(end - begin);
+        for (const StateId *q = begin; q != end; ++q)
+            fire(*q);
+    }
+    const std::uint64_t *row = cnfa.matchRow(s);
+    for (const StateId q : active)
+        if ((row[q >> 6] >> (q & 63)) & 1)
+            fire(q);
+    stats.matches += cnfa.startMatchCount(s);
+    for (const auto &sr : cnfa.startReports(s))
+        events.push_back(ReportEvent{offset, sr.state, sr.code});
+    for (const StateId t : cnfa.wideStartEnables(s))
+        if (scratch->claim(t))
+            next.push_back(t);
+    stats.matches += matched;
+    stats.succRows += matched;
+    stats.maskWords += size();
+    // Datapath cost: the listed states probed, as in step(), plus the
+    // table entries read; the implicit states cost nothing.
+    stats.bytesTouched += 36ull * active.size() + 4ull * (pairs + edges);
+    active.swap(next);
+    implicitAfter = s;
+    implicitCount = cnfa.narrowStartEnables(s).size();
+}
+
+const std::vector<StateId> &
+SparseActiveList::implicitStates() const
+{
+    static const std::vector<StateId> none;
+    return implicitAfter < 0
+               ? none
+               : cnfa.narrowStartEnables(static_cast<Symbol>(implicitAfter));
+}
+
 FunctionalEngine::FunctionalEngine(const CompiledNfa &compiled,
                                    bool starts_enabled,
                                    EngineScratch *shared_scratch)
@@ -203,7 +253,9 @@ FunctionalEngine::promote()
     }
     for (const StateId q : list.states())
         bits.set(q);
-    bitCount = list.states().size();
+    for (const StateId q : list.implicitStates())
+        bits.set(q);
+    bitCount = list.size();
     onBits = true;
 }
 
@@ -226,6 +278,8 @@ FunctionalEngine::step(Symbol s)
         demote();
     if (onBits)
         shiftStep(s);
+    else if (startsEnabled)
+        list.stepImplicitStarts(s, offsetCursor, events, stats);
     else
         list.step(s, offsetCursor, events, stats);
     const std::size_t active = activeCount();
@@ -341,6 +395,9 @@ FunctionalEngine::sortedActive() const
             });
         } else {
             sortedCache = list.states();
+            sortedCache.insert(sortedCache.end(),
+                               list.implicitStates().begin(),
+                               list.implicitStates().end());
             std::sort(sortedCache.begin(), sortedCache.end());
         }
         sortedValid = true;

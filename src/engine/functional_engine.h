@@ -8,12 +8,20 @@
  * Group flow instead (Section 3.3.2 of the paper).
  *
  * Each step runs on one of two datapaths, chosen from the live active
- * count: a sparse list (one label probe per active state, one edge
+ * count: a sparse list (one label probe per listed state, one edge
  * walk per matched state) while activity is low, and a shift step
  * over a state bitset (the matched set moved along each offset class
  * of CompiledNfa with one shifted OR, the AP's routing matrix applied
  * to every enabled STE at once) while it is high. Which one ran is
  * invisible to every observer below.
+ *
+ * With start machinery live, the sparse list keeps the narrow start
+ * successors enabled after the previous symbol implicit: which of
+ * them match the next symbol depends on the symbol pair alone, so the
+ * step reads them from CompiledNfa's symbol-pair table instead of
+ * listing and probing every one, as the AP re-enables its AllInput
+ * starts without any work per cycle. Every observer below counts the
+ * implicit states as active.
  *
  * What the layers above rely on:
  *  - snapshot() returns the active set sorted ascending;
@@ -69,14 +77,16 @@ struct EngineCounters
     /** Successor edge lists a sparse step walks, one per matched
      *  state; counted the same on a shift step, so a result too. */
     std::uint64_t succRows = 0;
-    /** Label probes a sparse step makes, one per scanned active
-     *  state; counted the same on a shift step, so a result too. */
+    /** Active states a step scans, listed or implicit (one label
+     *  probe each on the list step that lists every start successor);
+     *  counted the same on a shift step, so a result too. */
     std::uint64_t maskWords = 0;
     /** Estimated automaton + state-vector bytes read. This is the
      *  measured form of the large-NFA cache cliff: when bytes per
      *  symbol outgrow the cache, throughput collapses. A sparse step
-     *  charges per active state and edge walked, a shift step the
-     *  bitset words it reads. */
+     *  charges per listed state it probes, symbol-pair table entry it
+     *  reads and edge it walks (never per implicit start successor),
+     *  a shift step the bitset words it reads. */
     std::uint64_t bytesTouched = 0;
     /** Steps that ran on the shift datapath. */
     std::uint64_t shiftSteps = 0;
@@ -137,9 +147,10 @@ class EngineScratch
  * one label probe per state and one edge walk per matched state, in
  * discovery order. FunctionalEngine runs it while activity is low.
  * generateTrace samples the list by index, so its traces (and every
- * benchmark input) depend on this order; it steps this type directly
- * rather than the engine, whose list order changes once the engine
- * has moved to the shift datapath and back.
+ * benchmark input) depend on step()'s order; it steps this type
+ * directly rather than the engine, whose list order changes once the
+ * engine has moved to the shift datapath and back, and which steps a
+ * start-enabled list with stepImplicitStarts().
  */
 class SparseActiveList
 {
@@ -155,23 +166,45 @@ class SparseActiveList
     /**
      * Replace the list with @p states, dropping duplicates and, when
      * start machinery is live, AllInput starts (they would be
-     * double-processed).
+     * double-processed). No state is implicit afterwards.
      */
     void assign(const std::vector<StateId> &states);
 
     /**
-     * Consume @p s: append the reports of matched reporting states to
-     * @p events at @p offset and add the step's matches, succRows,
-     * maskWords and bytesTouched to @p stats.
+     * Consume @p s, listing every state the step enables: append the
+     * reports of matched reporting states to @p events at @p offset
+     * and add the step's matches, succRows, maskWords and
+     * bytesTouched to @p stats. Requires no implicit state.
      */
     void step(Symbol s, std::uint64_t offset,
               std::vector<ReportEvent> &events, EngineCounters &stats);
 
-    /** Replace the list with the set bits of @p bits, ascending. */
+    /**
+     * step() with start machinery live and the narrow start
+     * successors implicit: the matched implicit states come from the
+     * symbol-pair table, only the listed states are probed, a
+     * successor the starts enable narrowly after @p s is not listed,
+     * and of the starts' enables only the wide ones are claimed; the
+     * narrow successors of @p s are implicit afterwards. The active
+     * set, reports and result counters equal step()'s; the list order
+     * and bytesTouched differ.
+     */
+    void stepImplicitStarts(Symbol s, std::uint64_t offset,
+                            std::vector<ReportEvent> &events,
+                            EngineCounters &stats);
+
+    /** Replace the list with the set bits of @p bits, ascending. No
+        state is implicit afterwards. */
     void assignBits(const BitVector &bits);
 
-    /** The active states in discovery order. */
+    /** The listed active states in discovery order. */
     const std::vector<StateId> &states() const { return active; }
+
+    /** The implicit active states, ascending; none of them is listed. */
+    const std::vector<StateId> &implicitStates() const;
+
+    /** Number of active states, listed and implicit. */
+    std::size_t size() const { return active.size() + implicitCount; }
 
   private:
     const CompiledNfa &cnfa;
@@ -180,6 +213,9 @@ class SparseActiveList
     EngineScratch *scratch;
     std::vector<StateId> active;
     std::vector<StateId> next;
+    /** The symbol whose narrow start successors are implicit, or -1. */
+    int implicitAfter = -1;
+    std::size_t implicitCount = 0;
 };
 
 /** One execution context over a CompiledNfa. */
@@ -227,7 +263,7 @@ class FunctionalEngine
     std::size_t
     activeCount() const
     {
-        return onBits ? bitCount : list.states().size();
+        return onBits ? bitCount : list.size();
     }
 
     /** Sorted copy of the active set (the flow's state vector). */
@@ -255,9 +291,11 @@ class FunctionalEngine
     const EngineCounters &counters() const { return stats; }
 
   private:
-    /** Move the active list into the bitset. */
+    /** Move the active list, implicit states included, into the
+        bitset. */
     void promote();
-    /** Move the bitset into the active list, in state order. */
+    /** Move the bitset into the active list, in state order, with no
+        state implicit. */
     void demote();
     /** One step on the bitset. */
     void shiftStep(Symbol s);

@@ -284,6 +284,8 @@ class PapRun
     /** The sequential execution, once settleSequential() has run. */
     SequentialResult seq;
     bool seqSettled = false;
+    /** Set once executeAndCompose() starts the pipeline. */
+    bool pipelineRan = false;
 
     /** The preparation the run uses: the caller's, or `owned`. */
     const PreparedAutomaton *automaton;
@@ -653,6 +655,7 @@ PapRun::executeTask(std::size_t j, const exec::CancellationToken &cancel)
 bool
 PapRun::executeAndCompose()
 {
+    pipelineRan = true;
     result.threadsUsed = exec::WorkerPool::resolveThreads(options.threads);
     runs.resize(segs.size());
     std::uint64_t longest = 0;
@@ -983,16 +986,18 @@ PapRun::timeline()
 }
 
 /**
- * The single exit: settle the sequential execution, so every exit
- * carries its fields, and finalize the attribution ledger against the
- * run's measured wall time, so the wall buckets (plus the "other"
- * residual) sum to attrib.wallMs on success and failure alike; then
- * record the run's metrics and trace its simulated timeline.
+ * The single exit: settle the sequential execution if the pipeline
+ * ran (an adopted result settled it already; a refused call runs
+ * nothing), and finalize the attribution ledger against the run's
+ * measured wall time, so the wall buckets (plus the "other" residual)
+ * sum to attrib.wallMs on success and failure alike; then record the
+ * run's metrics and trace its simulated timeline.
  */
 PapResult
 PapRun::finish()
 {
-    settleSequential(/*verifying=*/false);
+    if (pipelineRan)
+        settleSequential(/*verifying=*/false);
     // The chain's census, as far as it got (zero if it never began).
     result.flowSymbolCycles = frontier.flowSymbolCycles;
     result.segmentsRetried = frontier.segmentsRetried;

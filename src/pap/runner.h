@@ -151,10 +151,13 @@ struct PapResult
      * OverflowPolicy::Fail with an over-capacity plan →
      * CapacityExceeded, a checkpointPath another run holds →
      * LockHeld, or the stopAfterSegment test hook → Cancelled
-     * (checkpoint left on disk). The run then carries no reports, but
-     * its single exit still settles the sequential fields
-     * (baselineCycles, seqReportEvents), the attribution ledger and
-     * the census of what ran before it stopped.
+     * (checkpoint left on disk). The run then carries no reports.
+     * The sequential fields (baselineCycles, seqReportEvents) are
+     * settled on every exit that ran the pipeline or adopted the
+     * sequential result, so a Cancelled run carries them; a refused
+     * call (InvalidInput, LockHeld, CapacityExceeded) runs nothing
+     * and leaves them zero. Every exit settles the attribution ledger
+     * and the census of what ran before it stopped.
      */
     Status status;
 

@@ -5,9 +5,11 @@
  * on automata built to cross the shift-datapath threshold in both
  * directions, and must stay observationally identical to it: the
  * same active counts, snapshots, hashes, deadness, cursors, set
- * comparisons, result counters and reports. A table check pins the
- * CompiledNfa rows and classes the shift step reads to the labels and
- * edges they were built from.
+ * comparisons, result counters and reports. With starts on, the
+ * engine keeps narrow start successors implicit where the reference
+ * lists and probes every one. A table check pins the CompiledNfa
+ * rows, classes and symbol-pair table the engine reads to the labels
+ * and edges they were built from.
  */
 
 #include <gtest/gtest.h>
@@ -67,6 +69,15 @@ struct Lockstep
     std::uint64_t promotions = 0;
     std::uint64_t demotions = 0;
     bool lastShift = false;
+    /** Promotions from a sparse step that left narrow start successors
+        implicit, and sparse steps after a demotion that made some
+        implicit. */
+    std::uint64_t implicitPromotions = 0;
+    std::uint64_t implicitDemotions = 0;
+    /** Sparse steps that read implicit start successors. */
+    std::uint64_t implicitSteps = 0;
+    /** The last symbol since the last reset or overwrite, or -1. */
+    int lastSymbol = -1;
 
     Lockstep(const CompiledNfa &compiled, bool starts_enabled)
         : cnfa(compiled), starts(starts_enabled),
@@ -84,6 +95,8 @@ struct Lockstep
         refCursor = base;
         refEvents.clear();
         refStats = EngineCounters{};
+        lastShift = false;
+        lastSymbol = -1;
     }
 
     void
@@ -92,17 +105,33 @@ struct Lockstep
         engine.overwriteActive(vector);
         twin.overwriteActive(vector);
         reference.assign(vector);
+        lastShift = false;
+        lastSymbol = -1;
+    }
+
+    /** True if the start successors @p symbol enables narrowly are
+        implicit after a start-enabled sparse step over it. */
+    bool
+    leavesImplicit(int symbol) const
+    {
+        return starts && symbol >= 0 &&
+               !cnfa.narrowStartEnables(static_cast<Symbol>(symbol)).empty();
     }
 
     void
     step(Symbol s)
     {
         const std::uint64_t shift_steps = engine.counters().shiftSteps;
+        const bool implicit_before = !lastShift && leavesImplicit(lastSymbol);
         engine.step(s);
         const bool shifted = engine.counters().shiftSteps > shift_steps;
         promotions += shifted && !lastShift;
         demotions += !shifted && lastShift;
+        implicitPromotions += shifted && !lastShift && implicit_before;
+        implicitDemotions += !shifted && lastShift && leavesImplicit(s);
+        implicitSteps += !shifted && implicit_before;
         lastShift = shifted;
+        lastSymbol = s;
         twin.step(s);
         reference.step(s, refCursor, refEvents, refStats);
         const std::size_t active = reference.states().size();
@@ -259,17 +288,20 @@ spreadSeed(std::size_t states, std::size_t stride)
     return seed;
 }
 
-/** Datapath switches a lockstep run went through. */
+/** Datapath switches a lockstep run went through, and its sparse
+    steps that read implicit start successors. */
 struct Crossings
 {
     std::uint64_t promotions = 0;
     std::uint64_t demotions = 0;
+    std::uint64_t implicitSteps = 0;
 
     Crossings &
     operator+=(const Crossings &other)
     {
         promotions += other.promotions;
         demotions += other.demotions;
+        implicitSteps += other.implicitSteps;
         return *this;
     }
 };
@@ -306,7 +338,7 @@ lockstepRun(const Nfa &nfa, const InputTrace &input,
         }
         p.expectSame(where + " at end");
         p.expectSameReports(where);
-        crossings += Crossings{p.promotions, p.demotions};
+        crossings += Crossings{p.promotions, p.demotions, p.implicitSteps};
     }
     return crossings;
 }
@@ -515,6 +547,248 @@ TEST(EngineLockstep, SixteenKStates)
         lockstepRun(nfa, swellAndCollapse(rng, 600), "16K", 31));
 }
 
+// --- Implicit start successors -------------------------------------
+
+/** Letters every label draws from; 'z' matches no state. */
+const std::string kStartLetters = "abcdefgh";
+
+/**
+ * AllInput starts whose successors have narrow labels (one to three
+ * letters) or wide ones (the alphabet, or about a tenth of it plus
+ * half the letters), a body of such states with random edges, self
+ * loops and edges back into the starts, and reporting states on both
+ * sides. No label holds 'z', so a 'z' empties the active set.
+ */
+Nfa
+startPairNfa(Rng &rng, std::size_t starts, std::size_t body)
+{
+    Nfa nfa("start-pairs");
+    const auto narrow = [&] {
+        CharClass c;
+        const std::uint64_t k = 1 + rng.nextBelow(3);
+        for (std::uint64_t i = 0; i < k; ++i)
+            c.set(static_cast<Symbol>(kStartLetters[rng.nextBelow(8)]));
+        return c;
+    };
+    const auto wide = [&] {
+        CharClass c = CharClass::all();
+        if (rng.nextBool(0.7)) {
+            c = CharClass();
+            for (int s = 0; s < kAlphabetSize; ++s)
+                if (rng.nextBool(0.1))
+                    c.set(static_cast<Symbol>(s));
+            for (const char l : kStartLetters)
+                if (rng.nextBool(0.5))
+                    c.set(static_cast<Symbol>(l));
+        }
+        c.reset('z');
+        return c;
+    };
+    const auto label = [&](double narrow_rate) {
+        return rng.nextBool(narrow_rate) ? narrow() : wide();
+    };
+    for (std::size_t i = 0; i < starts; ++i) {
+        const bool reporting = rng.nextBool(0.1);
+        nfa.addState(label(0.7), StartType::AllInput, reporting,
+                     static_cast<ReportCode>(i % 5));
+    }
+    for (std::size_t i = 0; i < body; ++i) {
+        const bool reporting = rng.nextBool(0.1);
+        nfa.addState(label(0.75), StartType::None, reporting,
+                     static_cast<ReportCode>(i % 7));
+    }
+    const auto body_state = [&] {
+        return static_cast<StateId>(starts + rng.nextBelow(body));
+    };
+    for (StateId q = 0; q < starts; ++q) {
+        const std::uint64_t fan = 1 + rng.nextBelow(4);
+        for (std::uint64_t i = 0; i < fan; ++i)
+            nfa.addEdge(q, body_state());
+        if (rng.nextBool(0.1))
+            nfa.addEdge(q, static_cast<StateId>(rng.nextBelow(starts)));
+    }
+    for (StateId q = static_cast<StateId>(starts); q < starts + body; ++q) {
+        const std::uint64_t fan = rng.nextBelow(3);
+        for (std::uint64_t i = 0; i < fan; ++i)
+            nfa.addEdge(q, body_state());
+        if (rng.nextBool(0.05))
+            nfa.addEdge(q, q);
+        if (rng.nextBool(0.05))
+            nfa.addEdge(q, static_cast<StateId>(rng.nextBelow(starts)));
+    }
+    nfa.finalize();
+    return nfa;
+}
+
+/** Bursts of letters between runs of 'z'. */
+InputTrace
+burstsAndGaps(Rng &rng, std::size_t len)
+{
+    std::vector<Symbol> data;
+    while (data.size() < len) {
+        const bool gap = rng.nextBool(0.3);
+        const std::size_t run = 1 + rng.nextBelow(gap ? 4 : 30);
+        for (std::size_t i = 0; i < run && data.size() < len; ++i)
+            data.push_back(static_cast<Symbol>(
+                gap ? 'z' : kStartLetters[rng.nextBelow(8)]));
+    }
+    return InputTrace(std::move(data));
+}
+
+/** Symbols whose start successors are both narrow and wide. */
+std::size_t
+mixedStartSymbols(const CompiledNfa &cnfa)
+{
+    std::size_t mixed = 0;
+    for (int p = 0; p < kAlphabetSize; ++p)
+        mixed += !cnfa.narrowStartEnables(static_cast<Symbol>(p)).empty() &&
+                 !cnfa.wideStartEnables(static_cast<Symbol>(p)).empty();
+    return mixed;
+}
+
+TEST(EngineLockstep, NarrowAndWideStartSuccessors)
+{
+    Rng rng(109);
+    std::uint64_t implicit_steps = 0;
+    for (int iter = 0; iter < 8; ++iter) {
+        const Nfa nfa = startPairNfa(rng, 4 + rng.nextBelow(30),
+                                     40 + rng.nextBelow(1500));
+        const CompiledNfa cnfa(nfa);
+        EXPECT_GT(mixedStartSymbols(cnfa), 0u) << "iter " << iter;
+        EXPECT_GT(cnfa.startPairCount(), 0u) << "iter " << iter;
+        implicit_steps +=
+            lockstepRun(nfa, burstsAndGaps(rng, 600),
+                        "start pairs iter " + std::to_string(iter), 5)
+                .implicitSteps;
+    }
+    EXPECT_GT(implicit_steps, 0u);
+}
+
+TEST(EngineLockstep, StartSuccessorAlsoReachedOverAnEdge)
+{
+    // Start 0 ('a') enables narrow 2 ('b') and wide 3 (all but 'z');
+    // start 1 ('b') enables narrow 5 ('b'). State 4 ('a', self loop)
+    // reaches 2 and 3 over edges on the same 'a' that the start
+    // enables them, and 2 reaches 5 on the same 'b' that start 1
+    // enables it. Each of 2, 3 and 5 reports once per cycle.
+    Nfa nfa("overlap");
+    nfa.addState(CharClass::single('a'), StartType::AllInput);
+    nfa.addState(CharClass::single('b'), StartType::AllInput);
+    CharClass wide = CharClass::all();
+    wide.reset('z');
+    nfa.addState(CharClass::single('b'), StartType::None, true, 2);
+    nfa.addState(wide, StartType::None, true, 3);
+    nfa.addState(CharClass::single('a'));
+    nfa.addState(CharClass::single('b'), StartType::None, true, 5);
+    nfa.addEdge(0, 2);
+    nfa.addEdge(0, 3);
+    nfa.addEdge(1, 5);
+    nfa.addEdge(4, 2);
+    nfa.addEdge(4, 3);
+    nfa.addEdge(4, 4);
+    nfa.addEdge(2, 5);
+    nfa.addEdge(3, 3);
+    // Inert padding: six words keep these few states on the sparse
+    // list.
+    for (int i = 0; i < 380; ++i)
+        nfa.addState(CharClass::single('y'));
+    nfa.finalize();
+    const CompiledNfa cnfa(nfa);
+    ASSERT_EQ(cnfa.narrowStartEnables('a'), std::vector<StateId>{2});
+    ASSERT_EQ(cnfa.wideStartEnables('a'), std::vector<StateId>{3});
+    ASSERT_EQ(cnfa.narrowStartEnables('b'), std::vector<StateId>{5});
+
+    Lockstep p(cnfa, /*starts=*/true);
+    p.reset({4}, 0);
+    for (const char c : std::string("aabbaabzaab")) {
+        p.step(static_cast<Symbol>(c));
+        p.expectSame(std::string("after '") + c + "'");
+    }
+    p.expectSameReports("overlap");
+
+    // Reseeding with 4 and running random letters keeps the overlap
+    // going.
+    Rng rng(110);
+    p.reset({4, 2, 5}, 100);
+    const InputTrace t = randomTextTrace(rng, 300, "aabz");
+    for (std::size_t i = 0; i < t.size(); ++i) {
+        p.step(t[i]);
+        p.expectSame("random at " + std::to_string(i));
+    }
+    p.expectSameReports("overlap random");
+    EXPECT_GT(p.implicitSteps, 0u);
+}
+
+TEST(EngineLockstep, PromotesAndDemotesWithImplicitStartSuccessors)
+{
+    Rng rng(111);
+    std::uint64_t implicit_promotions = 0, implicit_demotions = 0;
+    for (int iter = 0; iter < 6; ++iter) {
+        // 60 starts over 4-5 words: a burst of letters enables more
+        // than one state per word, a 'z' none.
+        const Nfa nfa = startPairNfa(rng, 60, 200 + rng.nextBelow(100));
+        const CompiledNfa cnfa(nfa);
+        Lockstep p(cnfa, /*starts=*/true);
+        p.reset(cnfa.initialActive(), 0);
+        const InputTrace t = burstsAndGaps(rng, 800);
+        for (std::size_t i = 0; i < t.size(); ++i) {
+            p.step(t[i]);
+            p.expectSame("iter " + std::to_string(iter) + " at " +
+                         std::to_string(i));
+        }
+        p.expectSameReports("iter " + std::to_string(iter));
+        implicit_promotions += p.implicitPromotions;
+        implicit_demotions += p.implicitDemotions;
+    }
+    EXPECT_GT(implicit_promotions, 0u);
+    EXPECT_GT(implicit_demotions, 0u);
+}
+
+TEST(EngineLockstep, OverwriteAndResetWithStartSuccessorsInTheSeed)
+{
+    Rng rng(112);
+    const Nfa nfa = startPairNfa(rng, 20, 1500);
+    const CompiledNfa cnfa(nfa);
+    // Every state some start enables after 'a' or 'b' (narrow and
+    // wide), two AllInput starts (dropped) and a few others.
+    const auto seed_of = [&](Symbol x, Symbol y) {
+        std::vector<StateId> seed = cnfa.startEnables(x);
+        seed.insert(seed.end(), cnfa.startEnables(y).begin(),
+                    cnfa.startEnables(y).end());
+        seed.push_back(0);
+        seed.push_back(1);
+        for (StateId q = 25; q < nfa.size(); q += 37)
+            seed.push_back(q);
+        return seed;
+    };
+    ASSERT_FALSE(cnfa.narrowStartEnables('a').empty());
+    for (const bool starts : {true, false}) {
+        Lockstep p(cnfa, starts);
+        p.reset(seed_of('a', 'b'), 0);
+        p.expectSame("after reset");
+        const InputTrace t = burstsAndGaps(rng, 200);
+        for (std::size_t i = 0; i < t.size(); ++i) {
+            p.step(t[i]);
+            if (i % 50 == 49) {
+                // Overwrite with the start successors of the symbol
+                // just consumed: the very states the engine holds
+                // implicit become listed.
+                p.overwrite(seed_of(t[i], 'c'));
+                p.expectSame("after overwrite at " + std::to_string(i));
+            }
+            if (i % 70 == 69) {
+                p.reset(seed_of(t[i], 'a'), 5000 + i);
+                p.expectSame("after reset at " + std::to_string(i));
+            }
+            p.expectSame("at " + std::to_string(i));
+        }
+        p.expectSameReports(starts ? "starts" : "no starts");
+        if (starts) {
+            EXPECT_GT(p.implicitSteps, 0u);
+        }
+    }
+}
+
 // --- CompiledNfa tables --------------------------------------------
 
 TEST(Engine, CompiledTablesMatchLabelsAndEdges)
@@ -547,6 +821,8 @@ TEST(Engine, CompiledTablesMatchLabelsAndEdges)
         wide.addEdge(q, q + 1);
     wide.finalize();
     automata.push_back(std::move(wide));
+    for (int i = 0; i < 3; ++i)
+        automata.push_back(startPairNfa(rng, 10 + 20 * i, 300));
 
     for (const Nfa &nfa : automata) {
         const CompiledNfa cnfa(nfa);
@@ -597,6 +873,43 @@ TEST(Engine, CompiledTablesMatchLabelsAndEdges)
                     << k.offset;
             }
         }
+
+        // The symbol-pair table: startEnables(p) splits by label
+        // width, and span (p, s) lists the narrow members matching s.
+        std::size_t enables = 0;
+        for (int p = 0; p < kAlphabetSize; ++p) {
+            const Symbol ps = static_cast<Symbol>(p);
+            std::vector<StateId> narrow, wide_members;
+            for (const StateId t : cnfa.startEnables(ps))
+                (nfa[t].label.count() <= CompiledNfa::kNarrowLabelSymbols
+                     ? narrow
+                     : wide_members)
+                    .push_back(t);
+            enables += cnfa.startEnables(ps).size();
+            ASSERT_EQ(cnfa.narrowStartEnables(ps), narrow)
+                << nfa.name() << " symbol " << p;
+            ASSERT_EQ(cnfa.wideStartEnables(ps), wide_members)
+                << nfa.name() << " symbol " << p;
+            for (int s = 0; s < kAlphabetSize; ++s) {
+                std::vector<StateId> expect;
+                for (const StateId t : narrow)
+                    if (nfa[t].label.test(static_cast<Symbol>(s)))
+                        expect.push_back(t);
+                const auto [begin, end] =
+                    cnfa.startPairs(ps, static_cast<Symbol>(s));
+                ASSERT_EQ(std::vector<StateId>(begin, end), expect)
+                    << nfa.name() << " pair " << p << "," << s;
+            }
+            for (StateId q = 0; q < nfa.size(); ++q)
+                ASSERT_EQ(cnfa.coveredByStarts(q, ps),
+                          cnfa.isAllInputStart(q) ||
+                              std::binary_search(narrow.begin(),
+                                                 narrow.end(), q))
+                    << nfa.name() << " state " << q << " symbol " << p;
+        }
+        EXPECT_LE(cnfa.startPairCount(),
+                  CompiledNfa::kNarrowLabelSymbols * enables)
+            << nfa.name();
     }
 }
 

@@ -450,6 +450,9 @@ TEST_F(CheckpointResume, SecondRunOnTheSameCheckpointIsLocked)
         EXPECT_EQ(r.status.code(), ErrorCode::LockHeld)
             << r.status.toString();
         EXPECT_TRUE(r.reports.empty());
+        // Refused before it ran anything: no sequential fields.
+        EXPECT_EQ(r.seqReportEvents, 0u);
+        EXPECT_EQ(r.baselineCycles, 0u);
         // The loser left the holder's checkpoint alone.
         auto kept = exec::loadCheckpoint(path_);
         ASSERT_TRUE(kept.ok()) << kept.status().toString();

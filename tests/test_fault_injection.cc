@@ -331,6 +331,9 @@ TEST(SvcOverflow, FailPolicyReturnsCapacityExceeded)
     EXPECT_EQ(r.status.code(), ErrorCode::CapacityExceeded);
     EXPECT_FALSE(r.verified);
     EXPECT_TRUE(r.reports.empty());
+    // Refused before it ran anything: no sequential fields.
+    EXPECT_EQ(r.seqReportEvents, 0u);
+    EXPECT_EQ(r.baselineCycles, 0u);
 }
 
 TEST(SvcOverflow, BatchingSurvivesFaultInjection)

@@ -269,9 +269,11 @@ expectInvalidOptions(const PapOptions &opt)
     EXPECT_EQ(r.status.code(), ErrorCode::InvalidInput)
         << r.status.toString();
     EXPECT_TRUE(r.reports.empty());
-    const SequentialResult seq = runSequential(nfa, input, opt);
-    EXPECT_EQ(r.seqReportEvents, seq.reports.size());
-    EXPECT_EQ(r.baselineCycles, seq.cycles);
+    // A refused call runs nothing: no sequential run settles its
+    // fields, although this input has reports.
+    ASSERT_FALSE(runSequential(nfa, input, opt).reports.empty());
+    EXPECT_EQ(r.seqReportEvents, 0u);
+    EXPECT_EQ(r.baselineCycles, 0u);
 }
 
 TEST(RunnerEdges, ZeroQuantumIsInvalidInput)

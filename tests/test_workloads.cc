@@ -163,6 +163,39 @@ TEST(Workloads, HigherPmDrivesMoreMatches)
     EXPECT_GT(count_reports(th), 4 * count_reports(tl));
 }
 
+/** FNV-1a over the symbols of @p t. */
+std::uint64_t
+traceHash(const InputTrace &t)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (const Symbol s : t.symbols()) {
+        h ^= s;
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+TEST(Workloads, BenchmarkTracesArePinned)
+{
+    // Every benchmark input comes from generateTrace, which samples
+    // the bare sparse list step (SparseActiveList) by index: a change
+    // to that step's start handling or discovery order moves these
+    // hashes. Ranges05 is a ruleset; Protomata has hundreds of
+    // AllInput starts enabling successors on every symbol.
+    const struct
+    {
+        const char *name;
+        std::uint64_t hash;
+    } pinned[] = {{"Ranges05", 17854547149490848717ull},
+                  {"Protomata", 14016350770496199054ull}};
+    for (const auto &p : pinned) {
+        const Nfa nfa = buildBenchmark(p.name, 5);
+        EXPECT_EQ(traceHash(buildBenchmarkTrace(nfa, p.name, 1 << 16, 5)),
+                  p.hash)
+            << p.name;
+    }
+}
+
 TEST(Workloads, BenchmarkTraceUsesBenchmarkAlphabet)
 {
     const Nfa nfa = buildBenchmark("RandomForest");
