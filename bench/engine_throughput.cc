@@ -2,8 +2,9 @@
  * @file
  * Host-side throughput of the execution engine: symbols/sec for
  * FunctionalEngine across state counts and active densities, with
- * start machinery off and, on regex-shaped rulesets, on, and the
- * fraction of its steps that ran on the shift datapath. Emits
+ * start machinery off and, on regex-shaped rulesets with and without
+ * `.*` gaps, on, and the fraction of its steps that ran on the shift
+ * datapath. Emits
  * BENCH_engine.json (path overridable as argv[1]) so the numbers seed
  * the repo's perf trajectory. The bytes/symbol column shows the
  * engine's per-step traffic independent of host speed.
@@ -104,25 +105,48 @@ regexSymbol(Rng &rng)
  * 64 chains on every symbol, and few chains get further, so the engine
  * runs start-enabled steps on the sparse list, as sequential runs,
  * golden checks and ASG flows of the Regex suite do.
+ *
+ * With @p gap_every set, every gap_every-th chain has a `.*` gap after
+ * its start, as Glushkov builds "x.*yz...": a sticky state (every
+ * symbol and a self-loop) whose one other successor is the chain's
+ * next state, which the start also enables directly. Once the start
+ * has matched, the sticky state stays active and enables its
+ * successor on every symbol, as in the Dotstar rulesets; at one gap
+ * per 16 chains that is below one active state per word, so the
+ * steps stay on the sparse list.
  */
 Nfa
-regexShapedNfa(std::size_t states, Rng &rng)
+regexShapedNfa(std::size_t states, Rng &rng, std::size_t gap_every = 0)
 {
     constexpr std::size_t kChain = 16;
-    Nfa nfa("regex-shaped");
+    Nfa nfa(gap_every ? "dotstar-shaped" : "regex-shaped");
+    const auto gap_at = [&](std::size_t q) {
+        return gap_every && q % kChain == 1 &&
+               (q / kChain) % gap_every == 0;
+    };
     for (std::size_t q = 0; q < states; ++q) {
         const std::size_t pos = q % kChain;
+        const auto id = static_cast<StateId>(q);
+        const bool last = pos == kChain - 1 || q + 1 == states;
+        if (gap_at(q)) {
+            nfa.addState(CharClass::all(), StartType::None, last,
+                         static_cast<ReportCode>(q / kChain));
+            nfa.addEdge(id - 1, id);
+            nfa.addEdge(id, id);
+            continue;
+        }
         CharClass label = CharClass::single(regexSymbol(rng));
         if (pos > 0 && rng.nextBool(0.125)) {
             label.set(regexSymbol(rng));
             label.set(regexSymbol(rng));
         }
-        const bool last = pos == kChain - 1 || q + 1 == states;
         nfa.addState(label,
                      pos == 0 ? StartType::AllInput : StartType::None,
                      last, static_cast<ReportCode>(q / kChain));
         if (pos > 0)
-            nfa.addEdge(static_cast<StateId>(q - 1), static_cast<StateId>(q));
+            nfa.addEdge(id - 1, id);
+        if (pos == 2 && gap_at(q - 1))
+            nfa.addEdge(id - 2, id);
     }
     nfa.finalize();
     return nfa;
@@ -262,6 +286,8 @@ main(int argc, char **argv)
         bool spmShaped = false;
         /** Regex-shaped, engine with start machinery live. */
         bool regexStarts = false;
+        /** With regexStarts, a `.*` gap in every gapEvery-th chain. */
+        std::size_t gapEvery = 0;
     };
     // High density: wide labels, everything seeded. Low density: a
     // sparse core of always-matching drivers among narrow-label states
@@ -271,9 +297,11 @@ main(int argc, char **argv)
     // list, the datapath of regex_suite, serve_ids and trace
     // generation. SPM-shaped: self-loops and next-state edges only, at
     // about 7% density, near the 8% of SPM's 4-rank flows: the regime
-    // the shift datapath is for. Regex-starts: the only rows with
-    // start machinery live, a ruleset of AllInput-started chains on
-    // the sparse list (regexShapedNfa).
+    // the shift datapath is for. Regex-starts: start machinery live,
+    // a ruleset of AllInput-started chains on the sparse list
+    // (regexShapedNfa). Dotstar: the same with a `.*` gap in one
+    // chain of 16, whose sticky states and successors the list holds
+    // implicit.
     const std::vector<Config> configs = {
         {64, 7, 0, 1, "high-density"},
         {256, 7, 0, 1, "high-density"},
@@ -296,6 +324,10 @@ main(int argc, char **argv)
         {4096, 0, 0, 0, "regex-starts", false, true},
         {16384, 0, 0, 0, "regex-starts", false, true},
         {65536, 0, 0, 0, "regex-starts", false, true},
+        {1024, 0, 0, 0, "dotstar", false, true, 16},
+        {4096, 0, 0, 0, "dotstar", false, true, 16},
+        {16384, 0, 0, 0, "dotstar", false, true, 16},
+        {65536, 0, 0, 0, "dotstar", false, true, 16},
     };
 
     std::vector<Row> rows;
@@ -305,7 +337,7 @@ main(int argc, char **argv)
         Rng rng(0xe47 + cfg.states + cfg.octiles);
         const Nfa nfa =
             cfg.regexStarts
-                ? regexShapedNfa(cfg.states, rng)
+                ? regexShapedNfa(cfg.states, rng, cfg.gapEvery)
                 : syntheticNfa(cfg.states, cfg.octiles, cfg.driverStride,
                                cfg.spmShaped, rng);
         const CompiledNfa cnfa(nfa);

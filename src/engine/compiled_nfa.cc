@@ -160,6 +160,7 @@ CompiledNfa::CompiledNfa(const Nfa &source_nfa) : nfa(source_nfa)
     reportCodes.assign(n, kNoReport);
     reportBits = BitVector(n);
     allInputBits = BitVector(n);
+    stickyBits = BitVector(n);
     rowOffset.assign(n + 1, 0);
     targets.reserve(nfa.edgeCount());
 
@@ -179,6 +180,12 @@ CompiledNfa::CompiledNfa(const Nfa &source_nfa) : nfa(source_nfa)
             allInputBits.set(q);
         if (s.start == StartType::StartOfData)
             startOfDataStates.push_back(q);
+        // Full label by its words: CharClass::count() would call into
+        // libgcc four times per state (see popcount64).
+        if ((s.label.word(0) & s.label.word(1) & s.label.word(2) &
+             s.label.word(3)) == ~std::uint64_t{0} &&
+            std::binary_search(s.succ.begin(), s.succ.end(), q))
+            stickyBits.set(q);
         rowOffset[q] = static_cast<std::uint32_t>(targets.size());
         targets.insert(targets.end(), s.succ.begin(), s.succ.end());
         for (const StateId t : s.succ)
@@ -188,6 +195,7 @@ CompiledNfa::CompiledNfa(const Nfa &source_nfa) : nfa(source_nfa)
             match_rows.flush(q >> 6);
     }
     rowOffset[n] = static_cast<std::uint32_t>(targets.size());
+    anySticky = stickyBits.any();
 
     // A class costs one pass over the words on every shift step, an
     // exception edge one bit scatter per match of its source, so a

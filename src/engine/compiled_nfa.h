@@ -13,6 +13,12 @@
  * whose label holds s. A start-enabled sparse step reads the states
  * that match from there instead of listing and probing every state
  * the starts enabled (FunctionalEngine).
+ *
+ * It also marks the *sticky* states: a full label and a self-loop,
+ * what Glushkov makes of `.*`. Once active, a sticky state matches
+ * every symbol and re-enables itself and its successors on every
+ * cycle, so the sparse step keeps it and its successors implicit from
+ * its first match on.
  */
 
 #ifndef PAP_ENGINE_COMPILED_NFA_H
@@ -118,6 +124,16 @@ class CompiledNfa
         return (allInputBits.rawWords()[q >> 6] >> (q & 63)) & 1;
     }
 
+    /**
+     * True if @p q is sticky: its label holds every symbol and it has
+     * a self-loop, so it stays active from its first match on.
+     */
+    bool
+    isSticky(StateId q) const
+    {
+        return (stickyBits.rawWords()[q >> 6] >> (q & 63)) & 1;
+    }
+
     /** Successors of @p q as a contiguous span. */
     std::pair<const StateId *, const StateId *>
     successors(StateId q) const
@@ -140,6 +156,9 @@ class CompiledNfa
 
     /** Bitset of the AllInput starts. */
     const BitVector &allInputMask() const { return allInputBits; }
+
+    /** True if some state is sticky. */
+    bool hasSticky() const { return anySticky; }
 
     /**
      * States enabled for the next cycle because an AllInput start
@@ -180,6 +199,17 @@ class CompiledNfa
 
     /** Entries of the symbol-pair table. */
     std::size_t startPairCount() const { return pairStates.size(); }
+
+    /**
+     * The symbols p with @p q in narrowStartEnables(p); none unless
+     * @p q is a narrow start successor.
+     */
+    CharClass
+    narrowStartEnablers(StateId q) const
+    {
+        return narrowBits.test(q) ? narrowEnablers[narrowSlot(q)]
+                                  : CharClass{};
+    }
 
     /**
      * True iff the start machinery keeps @p q active after symbol
@@ -233,6 +263,8 @@ class CompiledNfa
     std::vector<ReportCode> reportCodes;
     BitVector reportBits;
     BitVector allInputBits;
+    BitVector stickyBits;
+    bool anySticky = false;
     std::vector<std::uint32_t> rowOffset;
     std::vector<StateId> targets;
     std::vector<ShiftClass> classes;

@@ -87,11 +87,29 @@ SparseActiveList::SparseActiveList(const CompiledNfa &compiled,
 }
 
 void
+SparseActiveList::clearImplicit()
+{
+    implicitAfter = -1;
+    implicitCount = 0;
+    if (!sticky || sticky->states.empty())
+        return;
+    for (const StateId q : sticky->states)
+        sticky->implicit.reset(q);
+    for (const StateId q : sticky->successors)
+        sticky->implicit.reset(q);
+    sticky->states.clear();
+    sticky->reporting.clear();
+    sticky->successors.clear();
+    for (std::vector<StateId> &states : sticky->bySymbol)
+        states.clear();
+    sticky->startOverlap.fill(0);
+}
+
+void
 SparseActiveList::assign(const std::vector<StateId> &states)
 {
     active.clear();
-    implicitAfter = -1;
-    implicitCount = 0;
+    clearImplicit();
     scratch->bump();
     for (const StateId q : states) {
         PAP_ASSERT(q < cnfa.size(), "state ", q, " out of range");
@@ -106,8 +124,7 @@ void
 SparseActiveList::assignBits(const BitVector &bits)
 {
     active.clear();
-    implicitAfter = -1;
-    implicitCount = 0;
+    clearImplicit();
     bits.forEachSet(
         [&](std::size_t q) { active.push_back(static_cast<StateId>(q)); });
 }
@@ -151,69 +168,158 @@ SparseActiveList::step(Symbol s, std::uint64_t offset,
     // Datapath cost: one label probe per scanned active state (charged
     // as the 32-byte label it tests) plus the successor ids actually
     // walked — traffic proportional to activity, not to automaton size.
-    stats.maskWords += scanned;
     stats.bytesTouched += 32ull * scanned + 4ull * (edges + scanned);
     active.swap(next);
 }
 
 void
-SparseActiveList::stepImplicitStarts(Symbol s, std::uint64_t offset,
-                                     std::vector<ReportEvent> &events,
-                                     EngineCounters &stats)
+SparseActiveList::stepImplicit(Symbol s, std::uint64_t offset,
+                               std::vector<ReportEvent> &events,
+                               EngineCounters &stats)
+{
+    if (sticky && !sticky->states.empty())
+        stepImplicitWith<true, true>(s, offset, events, stats);
+    else if (cnfa.hasSticky())
+        stepImplicitWith<true, false>(s, offset, events, stats);
+    else
+        stepImplicitWith<false, false>(s, offset, events, stats);
+}
+
+/**
+ * stepImplicit() over an automaton with (@p kSticky) or without sticky
+ * states, and with (@p kHeld) or without sticky states held implicit:
+ * a flow runs no sticky test its automaton or its set cannot need.
+ */
+template <bool kSticky, bool kHeld>
+void
+SparseActiveList::stepImplicitWith(Symbol s, std::uint64_t offset,
+                                   std::vector<ReportEvent> &events,
+                                   EngineCounters &stats)
 {
     scratch->bump();
     next.clear();
+    const std::uint64_t *held =
+        kHeld ? sticky->implicit.rawWords().data() : nullptr;
+    const auto is_held = [&](StateId q) {
+        return kHeld && ((held[q >> 6] >> (q & 63)) & 1);
+    };
     std::uint64_t matched = 0;
     std::uint64_t edges = 0;
-    const auto fire = [&](StateId q) {
+    // Inlined at each call: an out-of-line call per fired state
+    // measured slower on Protomata's start-enabled run.
+    const auto fire = [&](StateId q) __attribute__((always_inline)) {
         ++matched;
         if (cnfa.reporting(q))
             events.push_back(ReportEvent{offset, q, cnfa.reportCode(q)});
         const auto [begin, end] = cnfa.successors(q);
         edges += static_cast<std::uint64_t>(end - begin);
         for (const StateId *t = begin; t != end; ++t) {
-            if (cnfa.coveredByStarts(*t, s))
+            if (startsEnabled && cnfa.coveredByStarts(*t, s))
+                continue;
+            if (is_held(*t))
                 continue;
             if (scratch->claim(*t))
                 next.push_back(*t);
         }
     };
-    std::uint64_t pairs = 0;
-    if (implicitCount) {
+    // Index entries and symbol-pair table entries read.
+    std::uint64_t reads = 0;
+    if constexpr (kHeld) {
+        // S matches every symbol and re-enables itself and T: no probe,
+        // no edge walk. Of T, only the members matching s fire.
+        matched += sticky->states.size();
+        for (const StateId q : sticky->reporting)
+            events.push_back(ReportEvent{offset, q, cnfa.reportCode(q)});
+        const std::vector<StateId> &fired = sticky->bySymbol[s];
+        reads += fired.size();
+        for (const StateId q : fired)
+            fire(q);
+    }
+    if (implicitAfter >= 0) {
         const auto [begin, end] =
             cnfa.startPairs(static_cast<Symbol>(implicitAfter), s);
-        pairs = static_cast<std::uint64_t>(end - begin);
+        reads += static_cast<std::uint64_t>(end - begin);
+        // A member of T fired from the index above.
         for (const StateId *q = begin; q != end; ++q)
-            fire(*q);
+            if (!is_held(*q))
+                fire(*q);
     }
+    if constexpr (kSticky)
+        joining.clear();
     const std::uint64_t *row = cnfa.matchRow(s);
-    for (const StateId q : active)
-        if ((row[q >> 6] >> (q & 63)) & 1)
+    for (const StateId q : active) {
+        if (!((row[q >> 6] >> (q & 63)) & 1))
+            continue;
+        if (!kSticky || !cnfa.isSticky(q)) {
             fire(q);
-    stats.matches += cnfa.startMatchCount(s);
-    for (const auto &sr : cnfa.startReports(s))
-        events.push_back(ReportEvent{offset, sr.state, sr.code});
-    for (const StateId t : cnfa.wideStartEnables(s))
-        if (scratch->claim(t))
-            next.push_back(t);
+            continue;
+        }
+        ++matched;
+        if (cnfa.reporting(q))
+            events.push_back(ReportEvent{offset, q, cnfa.reportCode(q)});
+        joining.push_back(q);
+    }
+    if (startsEnabled) {
+        stats.matches += cnfa.startMatchCount(s);
+        for (const auto &sr : cnfa.startReports(s))
+            events.push_back(ReportEvent{offset, sr.state, sr.code});
+        for (const StateId t : cnfa.wideStartEnables(s))
+            if (!is_held(t) && scratch->claim(t))
+                next.push_back(t);
+    }
+    if (kSticky && !joining.empty())
+        join(edges);
     stats.matches += matched;
     stats.succRows += matched;
-    stats.maskWords += size();
     // Datapath cost: the listed states probed, as in step(), plus the
-    // table entries read; the implicit states cost nothing.
-    stats.bytesTouched += 36ull * active.size() + 4ull * (pairs + edges);
+    // index and table entries read; the implicit states cost nothing.
+    stats.bytesTouched += 36ull * active.size() + 4ull * (reads + edges);
     active.swap(next);
-    implicitAfter = s;
-    implicitCount = cnfa.narrowStartEnables(s).size();
+    implicitAfter = startsEnabled ? s : -1;
+    implicitCount =
+        startsEnabled ? cnfa.narrowStartEnables(s).size() : 0;
+    if (sticky && !sticky->states.empty())
+        implicitCount += sticky->states.size() + sticky->successors.size() -
+                         (startsEnabled ? sticky->startOverlap[s] : 0);
 }
 
-const std::vector<StateId> &
-SparseActiveList::implicitStates() const
+void
+SparseActiveList::join(std::uint64_t &edges)
 {
-    static const std::vector<StateId> none;
-    return implicitAfter < 0
-               ? none
-               : cnfa.narrowStartEnables(static_cast<Symbol>(implicitAfter));
+    if (!sticky)
+        sticky = std::make_unique<StickySet>(cnfa.size());
+    StickySet &set = *sticky;
+    for (const StateId q : joining) {
+        set.states.push_back(q);
+        set.implicit.set(q);
+        if (cnfa.reporting(q))
+            set.reporting.push_back(q);
+    }
+    for (const StateId q : joining) {
+        const auto [begin, end] = cnfa.successors(q);
+        edges += static_cast<std::uint64_t>(end - begin);
+        for (const StateId *e = begin; e != end; ++e) {
+            const StateId t = *e;
+            if (set.implicit.test(t) ||
+                (startsEnabled && cnfa.isAllInputStart(t)))
+                continue;
+            // A sticky successor stays listed until its own first
+            // match, one step on, makes it join.
+            if (cnfa.isSticky(t)) {
+                if (scratch->claim(t))
+                    next.push_back(t);
+                continue;
+            }
+            set.implicit.set(t);
+            set.successors.push_back(t);
+            cnfa.label(t).forEachSymbol(
+                [&](Symbol c) { set.bySymbol[c].push_back(t); });
+            if (startsEnabled)
+                cnfa.narrowStartEnablers(t).forEachSymbol(
+                    [&](Symbol p) { ++set.startOverlap[p]; });
+        }
+    }
+    std::erase_if(next, [&](StateId t) { return set.implicit.test(t); });
 }
 
 FunctionalEngine::FunctionalEngine(const CompiledNfa &compiled,
@@ -253,8 +359,7 @@ FunctionalEngine::promote()
     }
     for (const StateId q : list.states())
         bits.set(q);
-    for (const StateId q : list.implicitStates())
-        bits.set(q);
+    list.forEachImplicit([&](StateId q) { bits.set(q); });
     bitCount = list.size();
     onBits = true;
 }
@@ -278,10 +383,8 @@ FunctionalEngine::step(Symbol s)
         demote();
     if (onBits)
         shiftStep(s);
-    else if (startsEnabled)
-        list.stepImplicitStarts(s, offsetCursor, events, stats);
     else
-        list.step(s, offsetCursor, events, stats);
+        list.stepImplicit(s, offsetCursor, events, stats);
     const std::size_t active = activeCount();
     stats.enables += active;
     ++stats.densityOctiles[densityOctile(active, cnfa.size())];
@@ -369,7 +472,6 @@ FunctionalEngine::shiftStep(Symbol s)
     }
     stats.matches += matched;
     stats.succRows += matched;
-    stats.maskWords += bitCount;
     stats.bytesTouched += 8ull * words * passes +
                           4ull * (exception_rows + exception_edges);
     ++stats.shiftSteps;
@@ -395,9 +497,8 @@ FunctionalEngine::sortedActive() const
             });
         } else {
             sortedCache = list.states();
-            sortedCache.insert(sortedCache.end(),
-                               list.implicitStates().begin(),
-                               list.implicitStates().end());
+            list.forEachImplicit(
+                [&](StateId q) { sortedCache.push_back(q); });
             std::sort(sortedCache.begin(), sortedCache.end());
         }
         sortedValid = true;

@@ -15,13 +15,21 @@
  * to every enabled STE at once) while it is high. Which one ran is
  * invisible to every observer below.
  *
- * With start machinery live, the sparse list keeps the narrow start
- * successors enabled after the previous symbol implicit: which of
- * them match the next symbol depends on the symbol pair alone, so the
- * step reads them from CompiledNfa's symbol-pair table instead of
- * listing and probing every one, as the AP re-enables its AllInput
- * starts without any work per cycle. Every observer below counts the
- * implicit states as active.
+ * The sparse list keeps two kinds of always-enabled activity
+ * implicit instead of listing and probing it on every symbol, as the
+ * AP re-enables its AllInput starts without any work per cycle:
+ *  - with start machinery live, the narrow start successors enabled
+ *    after the previous symbol: which of them match the next symbol
+ *    depends on the symbol pair alone, so the step reads them from
+ *    CompiledNfa's symbol-pair table;
+ *  - in every flow, the active sticky states (the `.*` states, see
+ *    CompiledNfa::isSticky) and their successors: a sticky state
+ *    matches every symbol and re-enables itself and its successors, so
+ *    from its first match on the step counts it matched without a
+ *    probe or an edge walk, and fires only the successors whose label
+ *    holds the symbol, read from a per-flow symbol index.
+ * A state implicit both ways counts once. Every observer below counts
+ * the implicit states as active.
  *
  * What the layers above rely on:
  *  - snapshot() returns the active set sorted ascending;
@@ -56,13 +64,13 @@ namespace pap {
  * so they stay on in every build.
  *
  * symbols/matches/enables are *result* counters: set cardinalities,
- * never visit orders. succRows and maskWords count the sparse step's
- * work, which is a set cardinality too (matched and scanned states),
- * so both datapaths produce the same values. bytesTouched and
- * shiftSteps estimate the *cost* of the datapath that actually ran:
- * how much automaton and state-vector memory the engine touches to
- * produce that result. densityOctiles derives from the per-step
- * active-set cardinality, so it is a result too.
+ * never visit orders. succRows counts the matched states, whose
+ * successor rows the reference sparse step walks, which is a set
+ * cardinality too, so every datapath produces the same value.
+ * bytesTouched and shiftSteps estimate the *cost* of the datapath
+ * that actually ran: how much automaton and state-vector memory the
+ * engine touches to produce that result. densityOctiles derives from
+ * the per-step active-set cardinality, so it is a result too.
  */
 struct EngineCounters
 {
@@ -74,19 +82,16 @@ struct EngineCounters
     std::uint64_t enables = 0;
 
     // --- Datapath introspection (cost estimates) ---
-    /** Successor edge lists a sparse step walks, one per matched
-     *  state; counted the same on a shift step, so a result too. */
+    /** Successor edge lists the reference sparse step walks, one per
+     *  matched state, implicit or listed; counted the same on every
+     *  datapath, so a result too. */
     std::uint64_t succRows = 0;
-    /** Active states a step scans, listed or implicit (one label
-     *  probe each on the list step that lists every start successor);
-     *  counted the same on a shift step, so a result too. */
-    std::uint64_t maskWords = 0;
     /** Estimated automaton + state-vector bytes read. This is the
      *  measured form of the large-NFA cache cliff: when bytes per
      *  symbol outgrow the cache, throughput collapses. A sparse step
-     *  charges per listed state it probes, symbol-pair table entry it
-     *  reads and edge it walks (never per implicit start successor),
-     *  a shift step the bitset words it reads. */
+     *  charges per listed state it probes, symbol-pair table or
+     *  sticky index entry it reads and edge it walks (never per
+     *  implicit state), a shift step the bitset words it reads. */
     std::uint64_t bytesTouched = 0;
     /** Steps that ran on the shift datapath. */
     std::uint64_t shiftSteps = 0;
@@ -145,12 +150,11 @@ class EngineScratch
 /**
  * The sparse datapath: an unsorted list of active states, stepped with
  * one label probe per state and one edge walk per matched state, in
- * discovery order. FunctionalEngine runs it while activity is low.
- * generateTrace samples the list by index, so its traces (and every
- * benchmark input) depend on step()'s order; it steps this type
- * directly rather than the engine, whose list order changes once the
- * engine has moved to the shift datapath and back, and which steps a
- * start-enabled list with stepImplicitStarts().
+ * discovery order, beside the implicit states (see the file comment).
+ * FunctionalEngine runs it, through stepImplicit(), while activity is
+ * low. step() lists every active state: it is the lockstep reference,
+ * and generateTrace samples its list by index, so its traces (and
+ * every benchmark input) depend on step()'s order.
  */
 class SparseActiveList
 {
@@ -173,25 +177,27 @@ class SparseActiveList
     /**
      * Consume @p s, listing every state the step enables: append the
      * reports of matched reporting states to @p events at @p offset
-     * and add the step's matches, succRows, maskWords and
-     * bytesTouched to @p stats. Requires no implicit state.
+     * and add the step's matches, succRows and bytesTouched to
+     * @p stats. Requires no implicit state.
      */
     void step(Symbol s, std::uint64_t offset,
               std::vector<ReportEvent> &events, EngineCounters &stats);
 
     /**
-     * step() with start machinery live and the narrow start
-     * successors implicit: the matched implicit states come from the
-     * symbol-pair table, only the listed states are probed, a
-     * successor the starts enable narrowly after @p s is not listed,
-     * and of the starts' enables only the wide ones are claimed; the
-     * narrow successors of @p s are implicit afterwards. The active
+     * step() with the implicit states of the file comment: the active
+     * sticky states count as matched, the matched sticky successors
+     * come from the per-flow symbol index and, with start machinery
+     * live, the matched narrow start successors from the symbol-pair
+     * table; only the listed states are probed. No state implicit
+     * after @p s is listed: not a successor the starts enable narrowly
+     * after @p s, nor a sticky state or successor of one. A listed
+     * sticky state joins the implicit set on its match. The active
      * set, reports and result counters equal step()'s; the list order
      * and bytesTouched differ.
      */
-    void stepImplicitStarts(Symbol s, std::uint64_t offset,
-                            std::vector<ReportEvent> &events,
-                            EngineCounters &stats);
+    void stepImplicit(Symbol s, std::uint64_t offset,
+                      std::vector<ReportEvent> &events,
+                      EngineCounters &stats);
 
     /** Replace the list with the set bits of @p bits, ascending. No
         state is implicit afterwards. */
@@ -200,19 +206,86 @@ class SparseActiveList
     /** The listed active states in discovery order. */
     const std::vector<StateId> &states() const { return active; }
 
-    /** The implicit active states, ascending; none of them is listed. */
-    const std::vector<StateId> &implicitStates() const;
+    /** Call @p f once per implicit active state, in no particular
+        order; none of them is listed. */
+    template <typename F>
+    void
+    forEachImplicit(F &&f) const
+    {
+        if (sticky) {
+            for (const StateId q : sticky->states)
+                f(q);
+            for (const StateId q : sticky->successors)
+                f(q);
+        }
+        if (implicitAfter < 0)
+            return;
+        for (const StateId q :
+             cnfa.narrowStartEnables(static_cast<Symbol>(implicitAfter)))
+            if (!isStickyImplicit(q))
+                f(q);
+    }
 
     /** Number of active states, listed and implicit. */
     std::size_t size() const { return active.size() + implicitCount; }
 
   private:
+    /**
+     * The active sticky states S and their successors T, held
+     * implicit. Allocated on a flow's first sticky match, so a flow
+     * that never meets one pays nothing.
+     */
+    struct StickySet
+    {
+        explicit StickySet(std::size_t states) : implicit(states) {}
+
+        /** S, in join order. */
+        std::vector<StateId> states;
+        /** The reporting members of S. */
+        std::vector<StateId> reporting;
+        /** T: the successors of S that are neither sticky nor, with
+            start machinery live, AllInput starts; in join order. */
+        std::vector<StateId> successors;
+        /** S and T as a bitset. */
+        BitVector implicit;
+        /** Per symbol s, the members of T whose label holds s. */
+        std::array<std::vector<StateId>, kAlphabetSize> bySymbol;
+        /** Per symbol p, the members of T in narrowStartEnables(p). */
+        std::array<std::uint32_t, kAlphabetSize> startOverlap{};
+    };
+
+    /** True iff @p q is a sticky state or successor held implicit. */
+    bool
+    isStickyImplicit(StateId q) const
+    {
+        return sticky && sticky->implicit.test(q);
+    }
+
+    template <bool kSticky, bool kHeld>
+    void stepImplicitWith(Symbol s, std::uint64_t offset,
+                          std::vector<ReportEvent> &events,
+                          EngineCounters &stats);
+
+    /** Drop every implicit state. */
+    void clearImplicit();
+
+    /**
+     * Make the sticky states in @p joining (matched this step) and
+     * their successors implicit, list their sticky successors not yet
+     * in the set, and unlist whatever became implicit. Adds the edges
+     * walked to @p edges.
+     */
+    void join(std::uint64_t &edges);
+
     const CompiledNfa &cnfa;
     const bool startsEnabled;
     std::unique_ptr<EngineScratch> ownedScratch;
     EngineScratch *scratch;
     std::vector<StateId> active;
     std::vector<StateId> next;
+    /** The listed sticky states the current step matched. */
+    std::vector<StateId> joining;
+    std::unique_ptr<StickySet> sticky;
     /** The symbol whose narrow start successors are implicit, or -1. */
     int implicitAfter = -1;
     std::size_t implicitCount = 0;

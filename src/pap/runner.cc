@@ -104,7 +104,6 @@ recordRunMetrics(const PapResult &result)
     }
     // Engine introspection totals (datapath cost across all flows).
     m.add("engine.counters.succ_rows", result.engineSuccRows);
-    m.add("engine.counters.mask_words", result.engineMaskWords);
     m.add("engine.counters.bytes_touched", result.engineBytesTouched);
     m.add("engine.counters.shift_steps", result.engineShiftSteps);
     if (result.engineBytesPerSymbol > 0.0)
@@ -769,7 +768,6 @@ PapRun::composeSegment(std::size_t j, const exec::TaskReport &tr)
     std::array<std::uint64_t, 8> seg_octiles{};
     for (const auto &rec : runs[j].flows) {
         result.engineSuccRows += rec.counters.succRows;
-        result.engineMaskWords += rec.counters.maskWords;
         result.engineBytesTouched += rec.counters.bytesTouched;
         result.engineShiftSteps += rec.counters.shiftSteps;
         for (std::size_t k = 0; k < seg_octiles.size(); ++k) {

@@ -196,7 +196,6 @@ struct PapResult
     // Engine introspection totals, summed over every flow the run
     // executed (EngineCounters; estimated datapath cost).
     std::uint64_t engineSuccRows = 0;
-    std::uint64_t engineMaskWords = 0;
     std::uint64_t engineBytesTouched = 0;
     /** Flow steps that ran on the engine's shift datapath. */
     std::uint64_t engineShiftSteps = 0;

@@ -5,11 +5,12 @@
  * on automata built to cross the shift-datapath threshold in both
  * directions, and must stay observationally identical to it: the
  * same active counts, snapshots, hashes, deadness, cursors, set
- * comparisons, result counters and reports. With starts on, the
- * engine keeps narrow start successors implicit where the reference
- * lists and probes every one. A table check pins the CompiledNfa
- * rows, classes and symbol-pair table the engine reads to the labels
- * and edges they were built from.
+ * comparisons, result counters and reports. The engine keeps sticky
+ * states and their successors implicit, and with starts on the narrow
+ * start successors too, where the reference lists and probes every
+ * one. A table check pins the CompiledNfa rows, classes, sticky mask
+ * and symbol-pair table the engine reads to the labels and edges they
+ * were built from.
  */
 
 #include <gtest/gtest.h>
@@ -76,6 +77,14 @@ struct Lockstep
     std::uint64_t implicitDemotions = 0;
     /** Sparse steps that read implicit start successors. */
     std::uint64_t implicitSteps = 0;
+    /** Sparse steps that held a sticky state implicit (one matched on
+        the sparse step before), promotions from such a step, and
+        demotions of a set holding a sticky state, which rejoins. */
+    std::uint64_t stickySteps = 0;
+    std::uint64_t stickyPromotions = 0;
+    std::uint64_t stickyDemotions = 0;
+    /** A sticky state was active before the last step. */
+    bool stickyBefore = false;
     /** The last symbol since the last reset or overwrite, or -1. */
     int lastSymbol = -1;
 
@@ -96,6 +105,7 @@ struct Lockstep
         refEvents.clear();
         refStats = EngineCounters{};
         lastShift = false;
+        stickyBefore = false;
         lastSymbol = -1;
     }
 
@@ -106,6 +116,7 @@ struct Lockstep
         twin.overwriteActive(vector);
         reference.assign(vector);
         lastShift = false;
+        stickyBefore = false;
         lastSymbol = -1;
     }
 
@@ -123,6 +134,12 @@ struct Lockstep
     {
         const std::uint64_t shift_steps = engine.counters().shiftSteps;
         const bool implicit_before = !lastShift && leavesImplicit(lastSymbol);
+        const bool sticky_now =
+            std::any_of(reference.states().begin(), reference.states().end(),
+                        [&](StateId q) { return cnfa.isSticky(q); });
+        // A sticky state active before a sparse step matched there, so
+        // the engine holds it implicit now.
+        const bool sticky_held = lastSymbol >= 0 && !lastShift && stickyBefore;
         engine.step(s);
         const bool shifted = engine.counters().shiftSteps > shift_steps;
         promotions += shifted && !lastShift;
@@ -130,7 +147,11 @@ struct Lockstep
         implicitPromotions += shifted && !lastShift && implicit_before;
         implicitDemotions += !shifted && lastShift && leavesImplicit(s);
         implicitSteps += !shifted && implicit_before;
+        stickySteps += !shifted && sticky_held;
+        stickyPromotions += shifted && !lastShift && sticky_held;
+        stickyDemotions += !shifted && lastShift && sticky_now;
         lastShift = shifted;
+        stickyBefore = sticky_now;
         lastSymbol = s;
         twin.step(s);
         reference.step(s, refCursor, refEvents, refStats);
@@ -181,7 +202,6 @@ struct Lockstep
         EXPECT_EQ(a.matches, refStats.matches) << where;
         EXPECT_EQ(a.enables, refStats.enables) << where;
         EXPECT_EQ(a.succRows, refStats.succRows) << where;
-        EXPECT_EQ(a.maskWords, refStats.maskWords) << where;
         EXPECT_EQ(a.densityOctiles, refStats.densityOctiles) << where;
         EXPECT_EQ(a.shiftSteps, twin.counters().shiftSteps) << where;
     }
@@ -289,12 +309,13 @@ spreadSeed(std::size_t states, std::size_t stride)
 }
 
 /** Datapath switches a lockstep run went through, and its sparse
-    steps that read implicit start successors. */
+    steps that read implicit start successors or held sticky states. */
 struct Crossings
 {
     std::uint64_t promotions = 0;
     std::uint64_t demotions = 0;
     std::uint64_t implicitSteps = 0;
+    std::uint64_t stickySteps = 0;
 
     Crossings &
     operator+=(const Crossings &other)
@@ -302,6 +323,7 @@ struct Crossings
         promotions += other.promotions;
         demotions += other.demotions;
         implicitSteps += other.implicitSteps;
+        stickySteps += other.stickySteps;
         return *this;
     }
 };
@@ -338,7 +360,8 @@ lockstepRun(const Nfa &nfa, const InputTrace &input,
         }
         p.expectSame(where + " at end");
         p.expectSameReports(where);
-        crossings += Crossings{p.promotions, p.demotions, p.implicitSteps};
+        crossings += Crossings{p.promotions, p.demotions, p.implicitSteps,
+                               p.stickySteps};
     }
     return crossings;
 }
@@ -557,10 +580,14 @@ const std::string kStartLetters = "abcdefgh";
  * letters) or wide ones (the alphabet, or about a tenth of it plus
  * half the letters), a body of such states with random edges, self
  * loops and edges back into the starts, and reporting states on both
- * sides. No label holds 'z', so a 'z' empties the active set.
+ * sides. No label holds 'z', so a 'z' empties the active set, down to
+ * the @p sticky sticky states appended last and their successors:
+ * each of them has one body successor and one body predecessor, and
+ * some an edge to the next sticky state or a reporting code.
  */
 Nfa
-startPairNfa(Rng &rng, std::size_t starts, std::size_t body)
+startPairNfa(Rng &rng, std::size_t starts, std::size_t body,
+             std::size_t sticky = 0)
 {
     Nfa nfa("start-pairs");
     const auto narrow = [&] {
@@ -615,6 +642,16 @@ startPairNfa(Rng &rng, std::size_t starts, std::size_t body)
             nfa.addEdge(q, q);
         if (rng.nextBool(0.05))
             nfa.addEdge(q, static_cast<StateId>(rng.nextBelow(starts)));
+    }
+    for (std::size_t i = 0; i < sticky; ++i) {
+        const bool reporting = rng.nextBool(0.3);
+        const StateId q = nfa.addState(CharClass::all(), StartType::None,
+                                       reporting, static_cast<ReportCode>(i));
+        nfa.addEdge(q, q);
+        nfa.addEdge(q, body_state());
+        nfa.addEdge(body_state(), q);
+        if (i > 0 && rng.nextBool(0.3))
+            nfa.addEdge(q - 1, q);
     }
     nfa.finalize();
     return nfa;
@@ -789,6 +826,348 @@ TEST(EngineLockstep, OverwriteAndResetWithStartSuccessorsInTheSeed)
     }
 }
 
+// --- Implicit sticky states ---------------------------------------
+
+/** A sticky state: the whole alphabet and a self-loop. */
+StateId
+addSticky(Nfa &nfa, bool reporting = false, ReportCode code = 0)
+{
+    const StateId q =
+        nfa.addState(CharClass::all(), StartType::None, reporting, code);
+    nfa.addEdge(q, q);
+    return q;
+}
+
+/** Inert states that keep a few active states on the sparse list. */
+void
+padInert(Nfa &nfa)
+{
+    for (int i = 0; i < 380; ++i)
+        nfa.addState(CharClass::single('y'));
+}
+
+/**
+ * Compile @p rules with inert rules beside them (no input holds 'y'),
+ * which keep a few active states on the sparse list.
+ */
+Nfa
+paddedRuleset(std::vector<RegexRule> rules, const std::string &name)
+{
+    for (int i = 0; i < 48; ++i)
+        rules.push_back(
+            RegexRule{"yyyyyyyy", static_cast<ReportCode>(100 + i)});
+    return compileRuleset(rules, name);
+}
+
+/**
+ * Run @p cnfa over @p input in lockstep from @p seed (plus the
+ * StartOfData states), with starts on and off, checking every step.
+ */
+Lockstep
+stickyRun(const CompiledNfa &cnfa, bool starts,
+          const std::vector<StateId> &seed, const InputTrace &input,
+          const std::string &where)
+{
+    Lockstep p(cnfa, starts);
+    std::vector<StateId> initial = seed;
+    initial.insert(initial.end(), cnfa.initialActive().begin(),
+                   cnfa.initialActive().end());
+    p.reset(initial, 0);
+    p.expectSame(where + " after reset");
+    for (std::size_t i = 0; i < input.size(); ++i) {
+        p.step(input[i]);
+        p.expectSame(where + " at " + std::to_string(i));
+    }
+    p.expectSameReports(where);
+    return p;
+}
+
+TEST(EngineLockstep, StickySeedAndStickyReachedOverAnEdge)
+{
+    // 4 is a sticky seed; 1 is sticky, reached from start 0 on 'a'.
+    // Their successors 2 and 5 fire on 'b' and 'c' and feed 3 and 6.
+    Nfa nfa("sticky");
+    nfa.addState(CharClass::single('a'), StartType::AllInput);
+    addSticky(nfa);
+    nfa.addState(CharClass::single('b'));
+    nfa.addState(CharClass::single('c'), StartType::None, true, 1);
+    addSticky(nfa);
+    nfa.addState(CharClass::fromString("cd"));
+    nfa.addState(CharClass::single('d'), StartType::None, true, 2);
+    nfa.addEdge(0, 1);
+    nfa.addEdge(1, 2);
+    nfa.addEdge(2, 3);
+    nfa.addEdge(4, 5);
+    nfa.addEdge(5, 6);
+    padInert(nfa);
+    nfa.finalize();
+    const CompiledNfa cnfa(nfa);
+    ASSERT_TRUE(cnfa.isSticky(1));
+    ASSERT_TRUE(cnfa.isSticky(4));
+    Rng rng(113);
+    const InputTrace t = randomTextTrace(rng, 400, "abcdz");
+    for (const bool starts : {true, false}) {
+        // Without starts, 0 is only live when seeded.
+        const Lockstep p = stickyRun(cnfa, starts, {4, 0}, t,
+                                     starts ? "starts" : "no starts");
+        EXPECT_GT(p.stickySteps, 300u);
+    }
+}
+
+TEST(EngineLockstep, StickySuccessorThatIsSticky)
+{
+    // a.*.*b: the first .* (1) enables the second (2), which joins
+    // one step after it; the ruleset compiler builds the same shape.
+    Nfa nfa("dotstar-dotstar");
+    nfa.addState(CharClass::single('a'), StartType::AllInput);
+    addSticky(nfa);
+    addSticky(nfa);
+    nfa.addState(CharClass::single('b'), StartType::None, true, 1);
+    nfa.addEdge(0, 1);
+    nfa.addEdge(0, 2);
+    nfa.addEdge(0, 3);
+    nfa.addEdge(1, 2);
+    nfa.addEdge(1, 3);
+    nfa.addEdge(2, 3);
+    padInert(nfa);
+    nfa.finalize();
+    const Nfa &hand = nfa;
+    const Nfa compiled = paddedRuleset(
+        {RegexRule{"a.*.*b", 1}, RegexRule{"c.*d.*.*e", 2}}, "dotstars");
+    Rng rng(114);
+    for (const Nfa *automaton : {&hand, &compiled}) {
+        const CompiledNfa cnfa(*automaton);
+        std::size_t sticky_to_sticky = 0;
+        for (StateId q = 0; q < automaton->size(); ++q)
+            for (const StateId t : (*automaton)[q].succ)
+                sticky_to_sticky += q != t && cnfa.isSticky(q) &&
+                                    cnfa.isSticky(t);
+        ASSERT_GT(sticky_to_sticky, 0u) << automaton->name();
+        const InputTrace t = randomTextTrace(rng, 300, "abcdez");
+        for (const bool starts : {true, false}) {
+            std::vector<StateId> seed;
+            if (!starts)
+                for (const StateId q : automaton->startStates())
+                    seed.push_back(q);
+            const Lockstep p =
+                stickyRun(cnfa, starts, seed, t, automaton->name());
+            EXPECT_GT(p.stickySteps, 0u)
+                << automaton->name() << (starts ? " starts" : " no starts");
+        }
+    }
+}
+
+TEST(EngineLockstep, ReportingStickyState)
+{
+    // 1 reports on every symbol from its first match on; 2 reports
+    // too, and is both sticky and reached from the sticky 1.
+    Nfa nfa("reporting-sticky");
+    nfa.addState(CharClass::single('a'), StartType::AllInput);
+    addSticky(nfa, true, 7);
+    addSticky(nfa, true, 8);
+    nfa.addState(CharClass::single('b'), StartType::None, true, 9);
+    nfa.addEdge(0, 1);
+    nfa.addEdge(1, 2);
+    nfa.addEdge(1, 3);
+    padInert(nfa);
+    nfa.finalize();
+    const CompiledNfa cnfa(nfa);
+    Rng rng(115);
+    const InputTrace t = randomTextTrace(rng, 200, "abz");
+    for (const bool starts : {true, false}) {
+        Lockstep p(cnfa, starts);
+        p.reset({0, 1}, 0);
+        std::size_t reports = 0;
+        for (std::size_t i = 0; i < t.size(); ++i) {
+            p.step(t[i]);
+            p.expectSame("at " + std::to_string(i));
+            reports += p.refEvents.size();
+            p.expectSameReports("at " + std::to_string(i));
+        }
+        // 1 reports at every offset, 2 from the second on.
+        EXPECT_GE(reports, 2 * t.size() - 1);
+        EXPECT_GT(p.stickySteps, 0u);
+    }
+}
+
+TEST(EngineLockstep, StickySuccessorThatIsAStartSuccessor)
+{
+    // Start 0 ('a') enables narrow 2 ('b') and wide 4 (all but 'z');
+    // the sticky 1 enables both on every symbol, so with starts on 2
+    // is implicit twice over after an 'a' and 4 is a wide start
+    // successor the sticky set already holds. 4 is also a wide-label
+    // sticky successor, as ClamAV has: it fires on every letter.
+    Nfa nfa("sticky-and-start");
+    nfa.addState(CharClass::single('a'), StartType::AllInput);
+    addSticky(nfa);
+    nfa.addState(CharClass::single('b'), StartType::None, true, 2);
+    nfa.addState(CharClass::single('c'), StartType::None, true, 3);
+    CharClass wide = CharClass::all();
+    wide.reset('z');
+    nfa.addState(wide, StartType::None, true, 4);
+    nfa.addState(CharClass::fromString("ab").complement(), StartType::None,
+                 true, 5);
+    nfa.addEdge(0, 2);
+    nfa.addEdge(0, 4);
+    nfa.addEdge(1, 2);
+    nfa.addEdge(1, 4);
+    nfa.addEdge(1, 5);
+    nfa.addEdge(2, 3);
+    nfa.addEdge(4, 3);
+    nfa.addEdge(5, 2);
+    padInert(nfa);
+    nfa.finalize();
+    const CompiledNfa cnfa(nfa);
+    ASSERT_EQ(cnfa.narrowStartEnables('a'), std::vector<StateId>{2});
+    ASSERT_EQ(cnfa.wideStartEnables('a'), std::vector<StateId>{4});
+    ASSERT_TRUE(cnfa.narrowStartEnablers(2).test('a'));
+    Rng rng(116);
+    const InputTrace t = randomTextTrace(rng, 400, "aabcdz");
+    for (const bool starts : {true, false}) {
+        const Lockstep p = stickyRun(cnfa, starts, {1}, t,
+                                     starts ? "starts" : "no starts");
+        EXPECT_GT(p.stickySteps, 300u);
+        if (starts) {
+            EXPECT_GT(p.implicitSteps, 0u);
+        }
+    }
+}
+
+TEST(EngineLockstep, DotStarRulesets)
+{
+    // Random Regex-suite-like rules with .* gaps and the odd .+, over
+    // the letters they use: Glushkov sticky states with every kind of
+    // successor, including start successors.
+    static const char *atoms[] = {"a", "b", "c", "[ab]", "[^a]", "d",
+                                  "(ab|c)", "[a-h]"};
+    static const char *gaps[] = {".*", ".*", ".+", ".*.*", ""};
+    Rng rng(117);
+    std::uint64_t sticky_steps = 0;
+    for (int iter = 0; iter < 12; ++iter) {
+        std::vector<RegexRule> rules;
+        const std::uint64_t n = 1 + rng.nextBelow(6);
+        for (std::uint64_t i = 0; i < n; ++i) {
+            std::string pattern;
+            const std::uint64_t parts = 2 + rng.nextBelow(4);
+            for (std::uint64_t k = 0; k < parts; ++k) {
+                pattern += atoms[rng.nextBelow(std::size(atoms))];
+                if (k + 1 < parts)
+                    pattern += gaps[rng.nextBelow(std::size(gaps))];
+            }
+            rules.push_back(RegexRule{pattern, static_cast<ReportCode>(i),
+                                      rng.nextBool(0.2)});
+        }
+        const Nfa nfa = paddedRuleset(rules, "dotstar");
+        sticky_steps +=
+            lockstepRun(nfa, randomTextTrace(rng, 400, "abcdefgh "),
+                        "dotstar iter " + std::to_string(iter), 3)
+                .stickySteps;
+    }
+    EXPECT_GT(sticky_steps, 0u);
+}
+
+TEST(EngineLockstep, PromotesAndDemotesWithStickyStatesHeld)
+{
+    Rng rng(118);
+    std::uint64_t promotions = 0, demotions = 0;
+    for (int iter = 0; iter < 6; ++iter) {
+        // 60 starts over six words, as above, and two sticky states
+        // with one successor each: a 'z' leaves at most four states,
+        // under one per word.
+        const Nfa nfa = startPairNfa(rng, 60, 300 + rng.nextBelow(60), 2);
+        const CompiledNfa cnfa(nfa);
+        const auto first = static_cast<StateId>(nfa.size() - 2);
+        const InputTrace t = burstsAndGaps(rng, 800);
+        for (const bool starts : {true, false}) {
+            const Lockstep p = stickyRun(
+                cnfa, starts, {first, static_cast<StateId>(first + 1)}, t,
+                "iter " + std::to_string(iter));
+            promotions += p.stickyPromotions;
+            demotions += p.stickyDemotions;
+            EXPECT_GT(p.stickySteps, 0u);
+        }
+    }
+    EXPECT_GT(promotions, 0u);
+    EXPECT_GT(demotions, 0u);
+}
+
+TEST(EngineLockstep, OverwriteAndResetWithStickyStatesHeld)
+{
+    // 0 and 1 are sticky; 0's successor 2 leads to 1. Once both were
+    // held, a vector without 1 must let 1 join again over that edge.
+    Nfa rejoin("rejoin");
+    addSticky(rejoin);
+    addSticky(rejoin);
+    rejoin.addState(CharClass::single('a'));
+    rejoin.addEdge(0, 2);
+    rejoin.addEdge(2, 1);
+    padInert(rejoin);
+    rejoin.finalize();
+    const CompiledNfa rejoin_cnfa(rejoin);
+    for (const bool starts : {true, false}) {
+        Lockstep p(rejoin_cnfa, starts);
+        p.reset({0, 1}, 0);
+        for (const char c : std::string("bbbb"))
+            p.step(static_cast<Symbol>(c));
+        p.overwrite({0});
+        for (const char c : std::string("babab")) {
+            p.step(static_cast<Symbol>(c));
+            p.expectSame(std::string("after overwrite, '") + c + "'");
+        }
+        p.reset({0}, 100);
+        for (const char c : std::string("babab")) {
+            p.step(static_cast<Symbol>(c));
+            p.expectSame(std::string("after reset, '") + c + "'");
+        }
+        p.expectSameReports("rejoin");
+    }
+
+    Rng rng(119);
+    const Nfa nfa = startPairNfa(rng, 20, 3000, 6);
+    const CompiledNfa cnfa(nfa);
+    // Every successor of the sticky states, the sticky states of
+    // parity @p half (both when negative), the start successors of
+    // @p x, and a few others: states the engine holds implicit become
+    // listed, and a sticky state it held and the seed leaves out must
+    // join again over an edge.
+    const auto seed_of = [&](Symbol x, int half) {
+        std::vector<StateId> seed = cnfa.startEnables(x);
+        for (StateId q = static_cast<StateId>(nfa.size() - 6);
+             q < nfa.size(); ++q) {
+            if (half < 0 || static_cast<int>(q % 2) == half)
+                seed.push_back(q);
+            seed.insert(seed.end(), nfa[q].succ.begin(), nfa[q].succ.end());
+        }
+        for (StateId q = 25; q < nfa.size(); q += 149)
+            seed.push_back(q);
+        return seed;
+    };
+    for (const bool starts : {true, false}) {
+        Lockstep p(cnfa, starts);
+        p.reset(seed_of('a', -1), 0);
+        p.expectSame("after reset");
+        const InputTrace t = burstsAndGaps(rng, 300);
+        for (std::size_t i = 0; i < t.size(); ++i) {
+            p.step(t[i]);
+            if (i % 50 == 49) {
+                p.overwrite(seed_of(t[i], static_cast<int>(i / 50 % 2)));
+                p.expectSame("after overwrite at " + std::to_string(i));
+            }
+            if (i % 70 == 69) {
+                p.reset(seed_of(t[i], i % 140 == 69 ? 1 : -1), 5000 + i);
+                p.expectSame("after reset at " + std::to_string(i));
+            }
+            if (i % 90 == 89) {
+                p.overwrite({});
+                p.expectSame("after evict at " + std::to_string(i));
+            }
+            p.expectSame("at " + std::to_string(i));
+        }
+        p.expectSameReports(starts ? "starts" : "no starts");
+        EXPECT_GT(p.stickySteps, 100u);
+    }
+}
+
 // --- CompiledNfa tables --------------------------------------------
 
 TEST(Engine, CompiledTablesMatchLabelsAndEdges)
@@ -822,11 +1201,30 @@ TEST(Engine, CompiledTablesMatchLabelsAndEdges)
     wide.finalize();
     automata.push_back(std::move(wide));
     for (int i = 0; i < 3; ++i)
-        automata.push_back(startPairNfa(rng, 10 + 20 * i, 300));
+        automata.push_back(startPairNfa(rng, 10 + 20 * i, 300, 2 * i));
+    // Sticky states of every kind: .*, .+, a .* whose successor is
+    // one, and an AllInput .* (no predecessor).
+    automata.push_back(compileRuleset({RegexRule{"a.*b.+c", 1},
+                                       RegexRule{".*d", 2},
+                                       RegexRule{"e.*.*f", 3, true}},
+                                      "dotstars"));
 
+    std::size_t sticky = 0;
     for (const Nfa &nfa : automata) {
         const CompiledNfa cnfa(nfa);
         ASSERT_EQ(cnfa.words(), (nfa.size() + 63) / 64);
+        // A sticky state has the whole alphabet and a self-loop.
+        std::size_t sticky_here = 0;
+        for (StateId q = 0; q < nfa.size(); ++q) {
+            const bool expect =
+                nfa[q].label.full() &&
+                std::binary_search(nfa[q].succ.begin(), nfa[q].succ.end(), q);
+            ASSERT_EQ(cnfa.isSticky(q), expect)
+                << nfa.name() << " state " << q;
+            sticky_here += expect;
+        }
+        EXPECT_EQ(cnfa.hasSticky(), sticky_here > 0) << nfa.name();
+        sticky += sticky_here;
         for (int s = 0; s < kAlphabetSize; ++s) {
             const Symbol sym = static_cast<Symbol>(s);
             const std::uint64_t *row = cnfa.matchRow(sym);
@@ -900,17 +1298,21 @@ TEST(Engine, CompiledTablesMatchLabelsAndEdges)
                 ASSERT_EQ(std::vector<StateId>(begin, end), expect)
                     << nfa.name() << " pair " << p << "," << s;
             }
-            for (StateId q = 0; q < nfa.size(); ++q)
+            for (StateId q = 0; q < nfa.size(); ++q) {
+                const bool in_narrow =
+                    std::binary_search(narrow.begin(), narrow.end(), q);
                 ASSERT_EQ(cnfa.coveredByStarts(q, ps),
-                          cnfa.isAllInputStart(q) ||
-                              std::binary_search(narrow.begin(),
-                                                 narrow.end(), q))
+                          cnfa.isAllInputStart(q) || in_narrow)
                     << nfa.name() << " state " << q << " symbol " << p;
+                ASSERT_EQ(cnfa.narrowStartEnablers(q).test(ps), in_narrow)
+                    << nfa.name() << " state " << q << " symbol " << p;
+            }
         }
         EXPECT_LE(cnfa.startPairCount(),
                   CompiledNfa::kNarrowLabelSymbols * enables)
             << nfa.name();
     }
+    EXPECT_GE(sticky, 10u);
 }
 
 } // namespace

@@ -66,7 +66,6 @@ expectSameCounters(const EngineCounters &a, const EngineCounters &b)
     EXPECT_EQ(a.matches, b.matches);
     EXPECT_EQ(a.enables, b.enables);
     EXPECT_EQ(a.succRows, b.succRows);
-    EXPECT_EQ(a.maskWords, b.maskWords);
     EXPECT_EQ(a.bytesTouched, b.bytesTouched);
     EXPECT_EQ(a.shiftSteps, b.shiftSteps);
     EXPECT_EQ(a.densityOctiles, b.densityOctiles);
