@@ -1,7 +1,5 @@
 #include "common/bitvector.h"
 
-#include <bit>
-
 namespace pap {
 
 void
@@ -40,7 +38,7 @@ BitVector::count() const
 {
     std::size_t total = 0;
     for (const auto w : words)
-        total += static_cast<std::size_t>(std::popcount(w));
+        total += static_cast<std::size_t>(popcount64(w));
     return total;
 }
 

@@ -18,6 +18,21 @@
 namespace pap {
 
 /**
+ * Population count without a library call: the x86-64 baseline the
+ * project builds for has no popcnt instruction, and std::popcount
+ * there calls into libgcc once per word. Every population count in
+ * PAPsim goes through this one.
+ */
+inline std::uint64_t
+popcount64(std::uint64_t x)
+{
+    x = x - ((x >> 1) & 0x5555555555555555ull);
+    x = (x & 0x3333333333333333ull) + ((x >> 2) & 0x3333333333333333ull);
+    x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0full;
+    return (x * 0x0101010101010101ull) >> 56;
+}
+
+/**
  * Fixed-capacity-after-construction bit vector. All binary operations
  * require both operands to have the same size; this is asserted because
  * mixing vectors from different automata is always a bug.

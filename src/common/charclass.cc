@@ -4,6 +4,7 @@
 #include <cctype>
 #include <sstream>
 
+#include "common/bitvector.h"
 #include "common/logging.h"
 
 namespace pap {
@@ -47,7 +48,7 @@ CharClass::count() const
 {
     int total = 0;
     for (const auto w : words)
-        total += std::popcount(w);
+        total += static_cast<int>(popcount64(w));
     return total;
 }
 

@@ -70,7 +70,11 @@ class CharClass
     bool empty() const;
 
     /** True if the class matches all 256 symbols. */
-    bool full() const { return count() == kAlphabetSize; }
+    bool full() const
+    {
+        return (words[0] & words[1] & words[2] & words[3]) ==
+               ~std::uint64_t{0};
+    }
 
     /** Complement (match everything this class does not). */
     CharClass complement() const;

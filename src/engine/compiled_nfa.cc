@@ -1,7 +1,6 @@
 #include "engine/compiled_nfa.h"
 
 #include <algorithm>
-#include <bit>
 
 #include "common/logging.h"
 
@@ -180,10 +179,7 @@ CompiledNfa::CompiledNfa(const Nfa &source_nfa) : nfa(source_nfa)
             allInputBits.set(q);
         if (s.start == StartType::StartOfData)
             startOfDataStates.push_back(q);
-        // Full label by its words: CharClass::count() would call into
-        // libgcc four times per state (see popcount64).
-        if ((s.label.word(0) & s.label.word(1) & s.label.word(2) &
-             s.label.word(3)) == ~std::uint64_t{0} &&
+        if (s.label.full() &&
             std::binary_search(s.succ.begin(), s.succ.end(), q))
             stickyBits.set(q);
         rowOffset[q] = static_cast<std::uint32_t>(targets.size());

@@ -53,20 +53,6 @@ struct ShiftClass
     BitVector sources;
 };
 
-/**
- * Population count without a library call: the x86-64 baseline the
- * project builds for has no popcnt instruction, and std::popcount
- * there calls into libgcc once per word.
- */
-inline std::uint64_t
-popcount64(std::uint64_t x)
-{
-    x = x - ((x >> 1) & 0x5555555555555555ull);
-    x = (x & 0x3333333333333333ull) + ((x >> 2) & 0x3333333333333333ull);
-    x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0full;
-    return (x * 0x0101010101010101ull) >> 56;
-}
-
 /** Immutable compiled form of a homogeneous NFA. */
 class CompiledNfa
 {

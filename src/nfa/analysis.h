@@ -54,12 +54,6 @@ class RangeAnalysis
     /** Number of states in the range of @p s. */
     std::uint32_t rangeSize(Symbol s) const { return sizes[s]; }
 
-    /** All 256 range sizes. */
-    const std::array<std::uint32_t, kAlphabetSize> &rangeSizes() const
-    {
-        return sizes;
-    }
-
     /** Materialize the sorted range member list of @p s. */
     std::vector<StateId> computeRange(Symbol s) const;
 

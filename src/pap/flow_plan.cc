@@ -4,7 +4,6 @@
 #include <unordered_map>
 
 #include "common/logging.h"
-#include "obs/metrics.h"
 
 namespace pap {
 
@@ -146,28 +145,6 @@ buildFlowPlan(const Nfa &nfa, const Components &comps,
     }
     plan.flowsAfterParent = flow_count;
     return plan;
-}
-
-const FlowPlan &
-FlowPlanTable::get(Symbol boundary)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::unique_ptr<const FlowPlan> &slot = plans_[boundary];
-    if (!slot) {
-        slot = std::make_unique<const FlowPlan>(
-            buildFlowPlan(automaton_.nfa, automaton_.comps,
-                          automaton_.asg, boundary, options_));
-        ++built_;
-        obs::metrics().add(builtCounter_);
-    }
-    return *slot;
-}
-
-std::size_t
-FlowPlanTable::built() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return built_;
 }
 
 } // namespace pap

@@ -10,22 +10,22 @@
  * paths from different connected components are packed into the same
  * flow ("vertical lines" of Figure 4), with at most one path per
  * component per flow so results remain separable by component masks.
+ *
+ * Runs do not call buildFlowPlan themselves: they read plans through
+ * PreparedAutomaton::plan (pap/prepared.h), which builds each one
+ * once per preparation.
  */
 
 #ifndef PAP_PAP_FLOW_PLAN_H
 #define PAP_PAP_FLOW_PLAN_H
 
-#include <array>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <vector>
 
 #include "common/types.h"
 #include "nfa/analysis.h"
 #include "nfa/nfa.h"
 #include "pap/options.h"
-#include "pap/prepared.h"
 
 namespace pap {
 
@@ -71,57 +71,13 @@ struct FlowPlan
 /**
  * Build the flow plan for a segment whose predecessor ends with
  * @p boundary. @p asg_states must be sorted (from alwaysActiveStates).
+ * Of @p options it reads the three merge flags alone
+ * (enableCcMerging, enableParentMerging, enableAsgMerging), which
+ * PreparedAutomaton::plan keys its plans by.
  */
 FlowPlan buildFlowPlan(const Nfa &nfa, const Components &comps,
                        const std::vector<StateId> &asg_states,
                        Symbol boundary, const PapOptions &options);
-
-/**
- * One flow plan per boundary symbol, built by buildFlowPlan on first
- * use and shared by every segment (or serve chunk) cut after that
- * symbol. A plan depends only on the automaton, its analysis, the
- * merge flags and the boundary symbol, and range-guided partitioning
- * cuts almost every segment after the same symbol, so a run needs a
- * handful of plans rather than one per segment. A table is bound to
- * one prepared automaton and one set of merge flags, so get() takes
- * the symbol alone.
- *
- * Thread-safe: plans are built under the table's lock, so concurrent
- * first uses of a symbol build it exactly once. Returned references
- * stay valid for the table's lifetime.
- */
-class FlowPlanTable
-{
-  public:
-    /**
-     * Plans of @p automaton (which must outlive the table) under the
-     * merge flags of @p options. @p built_counter is the metrics
-     * counter bumped per plan built.
-     */
-    FlowPlanTable(const PreparedAutomaton &automaton,
-                  const PapOptions &options, const char *built_counter)
-        : automaton_(automaton), options_(options),
-          builtCounter_(built_counter)
-    {
-    }
-
-    FlowPlanTable(const FlowPlanTable &) = delete;
-    FlowPlanTable &operator=(const FlowPlanTable &) = delete;
-
-    /** The plan for @p boundary, built now if this is its first use. */
-    const FlowPlan &get(Symbol boundary);
-
-    /** Plans built so far: the distinct boundary symbols looked up. */
-    std::size_t built() const;
-
-  private:
-    const PreparedAutomaton &automaton_;
-    const PapOptions options_;
-    const char *const builtCounter_;
-    mutable std::mutex mutex_;
-    std::array<std::unique_ptr<const FlowPlan>, kAlphabetSize> plans_;
-    std::size_t built_ = 0;
-};
 
 } // namespace pap
 

@@ -2,8 +2,7 @@
  * @file
  * Tunables of the Parallel Automata Processor framework. Defaults
  * follow the paper: 3-cycle flow switches, convergence checks every 10
- * TDM steps, extra deactivation checks before the first TDM step
- * completes, and host-side costs calibrated to Section 4.2 / Fig. 11.
+ * TDM steps, and host-side costs calibrated to Section 4.2 / Fig. 11.
  */
 
 #ifndef PAP_PAP_OPTIONS_H
@@ -69,12 +68,6 @@ struct PapOptions
 
     /** Convergence checks run every this many TDM steps (Sec. 3.3.3). */
     std::uint32_t convergenceCheckPeriod = 10;
-
-    /**
-     * Granularity of the extra deactivation checks performed before
-     * the first TDM step completes (Section 3.3.4).
-     */
-    std::uint32_t earlyCheckGranularity = 16;
 
     /** Merge enumeration paths of disjoint connected components. */
     bool enableCcMerging = true;
@@ -185,13 +178,13 @@ struct PapOptions
     std::uint32_t maxSegmentRetries = 2;
 
     /**
-     * First retry backoff in ms; doubles per retry, capped below.
-     * Each sleep is jittered by a pure hash of the fault seed and the
-     * segment (exec::retryBackoff), so workers that fail together do
-     * not retry together. Timing only.
+     * First retry backoff in ms; doubles per retry up to
+     * exec::HardenedExecOptions::backoffCapMs. Each sleep is jittered
+     * by a pure hash of the fault seed and the segment
+     * (exec::retryBackoff), so workers that fail together do not
+     * retry together. Timing only.
      */
     std::uint32_t retryBackoffBaseMs = 1;
-    std::uint32_t retryBackoffCapMs = 64;
 
     /**
      * Crash-consistent checkpoint file. When non-empty the runner

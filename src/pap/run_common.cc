@@ -11,7 +11,6 @@ makeHardenedOptions(const PapOptions &options,
     opt.threads = threads_resolved;
     opt.maxRetries = options.maxSegmentRetries;
     opt.backoffBaseMs = options.retryBackoffBaseMs;
-    opt.backoffCapMs = options.retryBackoffCapMs;
     opt.injector = options.faultInjector;
     if (options.faultInjector)
         opt.jitterSeed = options.faultInjector->seed();

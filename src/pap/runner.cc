@@ -12,7 +12,6 @@
 #include "common/file_lock.h"
 #include "common/hash.h"
 #include "common/logging.h"
-#include "nfa/analysis.h"
 #include "obs/attrib.h"
 #include "obs/metrics.h"
 #include "obs/trace_sink.h"
@@ -290,7 +289,6 @@ class PapRun
     const PreparedAutomaton *automaton;
     std::optional<PreparedAutomaton> owned;
     std::vector<Segment> segs;
-    std::optional<FlowPlanTable> planTable;
     /** Per segment; null for the golden segment 0. */
     std::vector<const FlowPlan *> plans;
     /**
@@ -488,7 +486,7 @@ PapRun::partitionAndPlan()
 {
     obs::Phase partition(sink, "pap.partition", &ledger, "partition");
     const PartitionProfile profile = choosePartitionSymbol(
-        RangeAnalysis(nfa), input, result.numSegments);
+        automaton->ranges, input, result.numSegments);
     result.boundarySymbol = profile.symbol;
     result.boundaryRangeSize = profile.rangeSize;
     segs = partitionInput(input, profile.symbol, result.numSegments);
@@ -501,12 +499,11 @@ PapRun::partitionAndPlan()
                       static_cast<double>(profile.rangeSize)}});
 
     obs::Phase plan(sink, "pap.plan", &ledger, "plan");
-    planTable.emplace(*automaton, options, "runner.plans.built");
     plans.assign(segs.size(), nullptr);
     double sum_in_range = 0, sum_after_cc = 0, sum_after_parent = 0;
     for (std::size_t j = 1; j < segs.size(); ++j) {
         const Symbol boundary = input[segs[j].begin - 1];
-        plans[j] = &planTable->get(boundary);
+        plans[j] = &automaton->plan(boundary, options);
         sum_in_range += plans[j]->flowsInRange;
         sum_after_cc += plans[j]->flowsAfterCc;
         sum_after_parent += plans[j]->flowsAfterParent;
@@ -519,7 +516,6 @@ PapRun::partitionAndPlan()
     result.flowsAfterCc = sum_after_cc / enum_segments;
     result.flowsAfterParent = sum_after_parent / enum_segments;
     plan.close({{"segments", static_cast<double>(segs.size())},
-                {"plans_built", static_cast<double>(planTable->built())},
                 {"max_flows_per_segment",
                  static_cast<double>(result.maxFlowsPerSegment)}});
     return true;

@@ -132,6 +132,12 @@ struct LiveFlow
     bool alive = true;
 };
 
+/**
+ * Symbols between the extra deactivation checks an enumeration flow
+ * gets before its first TDM step completes (Section 3.3.4).
+ */
+constexpr std::uint64_t kEarlyCheckGranularity = 16;
+
 } // namespace
 
 SegmentRun
@@ -177,8 +183,6 @@ runEnumSegment(const CompiledNfa &cnfa, const FlowPlan &plan,
     };
 
     const std::uint64_t quantum = options.tdmQuantum;
-    const std::uint64_t early_gran =
-        std::max<std::uint32_t>(1, options.earlyCheckGranularity);
 
     std::uint64_t processed = 0;
     std::uint64_t round = 0;
@@ -210,7 +214,7 @@ runEnumSegment(const CompiledNfa &cnfa, const FlowPlan &plan,
                 // first TDM step completes.
                 while (pos < round_end) {
                     const std::uint64_t chunk_end =
-                        std::min(pos + early_gran, round_end);
+                        std::min(pos + kEarlyCheckGranularity, round_end);
                     engine.run(data + pos, chunk_end - pos);
                     pos = chunk_end;
                     if (engine.dead()) {

@@ -2,16 +2,13 @@
 
 #include <algorithm>
 
-#include "nfa/analysis.h"
 #include "obs/metrics.h"
 
 namespace pap {
 namespace serve {
 
-CompiledRuleset::CompiledRuleset(const Nfa &nfa, const PapOptions &options)
-    : nfa(nfa), prepared(this->nfa), digest(automatonDigest(this->nfa)),
-      rangeSizes(RangeAnalysis(this->nfa).rangeSizes()),
-      plans(prepared, options, "serve.plans.built")
+CompiledRuleset::CompiledRuleset(const Nfa &nfa)
+    : nfa(nfa), prepared(this->nfa), digest(automatonDigest(this->nfa))
 {
 }
 
@@ -25,7 +22,7 @@ RulesetRegistry::install(const Nfa &nfa)
 
     // Compile outside the lock: installs are rare but expensive, and
     // open()/current() must never wait on a compilation.
-    auto ruleset = std::make_shared<CompiledRuleset>(nfa, options_);
+    auto ruleset = std::make_shared<CompiledRuleset>(nfa);
 
     std::shared_ptr<const CompiledRuleset> published;
     {

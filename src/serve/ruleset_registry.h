@@ -3,11 +3,10 @@
  * Refcounted ruleset registry with atomic hot-swap for the serve
  * daemon. A CompiledRuleset bundles everything a stream needs to run
  * PAP composition against one automaton — the prepared automaton
- * (compiled NFA, connected components, Active State Group), its
- * structural digest, and the range profile that guides
- * chunk-boundary placement — built once at install time and shared
- * immutably by every session bound to it, plus the flow-plan table
- * its chunks fill on first use.
+ * (compiled NFA, connected components, Active State Group, the symbol
+ * ranges that guide chunk-boundary placement, and the flow plans its
+ * chunks fill on first use) and its structural digest — built once at
+ * install time and shared by every session bound to it.
  *
  * Hot-swap protocol: install() compiles the new automaton *outside*
  * the registry lock, then publishes it as the current generation.
@@ -23,28 +22,23 @@
 #ifndef PAP_SERVE_RULESET_REGISTRY_H
 #define PAP_SERVE_RULESET_REGISTRY_H
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <vector>
 
 #include "common/error.h"
-#include "common/types.h"
 #include "nfa/nfa.h"
-#include "pap/flow_plan.h"
-#include "pap/options.h"
 #include "pap/prepared.h"
 
 namespace pap {
 namespace serve {
 
-/** One immutable, shareable compilation of a ruleset automaton. */
+/** One shareable compilation of a ruleset automaton. */
 struct CompiledRuleset
 {
-    /** Copy and prepare @p nfa (finalized); plans use the merge flags
-        of @p options. */
-    CompiledRuleset(const Nfa &nfa, const PapOptions &options);
+    /** Copy and prepare @p nfa (finalized). */
+    explicit CompiledRuleset(const Nfa &nfa);
 
     CompiledRuleset(const CompiledRuleset &) = delete;
     CompiledRuleset &operator=(const CompiledRuleset &) = delete;
@@ -53,28 +47,20 @@ struct CompiledRuleset
     std::uint64_t generation = 0;
     /** Owned copy of the automaton (sessions outlive the caller's). */
     const Nfa nfa;
-    /** Compiled form, components and ASG the chunks run on. */
+    /** What the chunks run on: the compiled form, components and ASG,
+        the range sizes the chunker cuts by, and the flow plans by
+        chunk-boundary symbol, shared by every chunk of every session
+        bound to this ruleset. */
     const PreparedAutomaton prepared;
     /** automatonDigest(nfa): what every checkpoint identity of this
         ruleset's sessions is built on. */
     const std::uint64_t digest;
-    /** Per-symbol range sizes: the chunker prefers cutting after the
-        symbol with the smallest range (fewest enumeration flows). */
-    const std::array<std::uint32_t, kAlphabetSize> rangeSizes;
-    /** Flow plans by chunk-boundary symbol, built on first use and
-        shared by every chunk of every session bound to this ruleset. */
-    mutable FlowPlanTable plans;
 };
 
 /** Thread-safe holder of the current ruleset generation. */
 class RulesetRegistry
 {
   public:
-    /** Rulesets whose flow plans use the merge flags of @p options. */
-    explicit RulesetRegistry(const PapOptions &options) : options_(options)
-    {
-    }
-
     /**
      * Compile @p nfa (which must be finalized) and publish it as the
      * new current generation. Returns the installed ruleset; existing
@@ -106,7 +92,6 @@ class RulesetRegistry
     void setNextGeneration(std::uint64_t next);
 
   private:
-    const PapOptions options_;
     mutable std::mutex mutex_;
     std::shared_ptr<const CompiledRuleset> current_;
     std::uint64_t nextGeneration_ = 1;

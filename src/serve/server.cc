@@ -144,7 +144,7 @@ struct Server::Session
 };
 
 Server::Server(const ServeOptions &options, const Nfa &ruleset)
-    : opts_(options), registry_(opts_.pap)
+    : opts_(options)
 {
     threads_ = exec::WorkerPool::resolveThreads(opts_.threads);
     execPap_ = opts_.pap;
@@ -430,7 +430,7 @@ Server::cutLocked(Session &s, bool flush, bool *slow)
     while (!s.done && s.chunks.size() < opts_.sessionWindow) {
         std::size_t cut = 0;
         if (s.buffer.size() >= opts_.chunkSymbols) {
-            const auto &sizes = s.ruleset->rangeSizes;
+            const RangeAnalysis &ranges = s.ruleset->prepared.ranges;
             const std::size_t target = opts_.chunkSymbols;
             const std::size_t lo =
                 target > opts_.boundaryLookback
@@ -440,7 +440,7 @@ Server::cutLocked(Session &s, bool flush, bool *slow)
             std::uint32_t best_range =
                 std::numeric_limits<std::uint32_t>::max();
             for (std::size_t p = target; p >= lo; --p) {
-                const std::uint32_t r = sizes[s.buffer[p - 1]];
+                const std::uint32_t r = ranges.rangeSize(s.buffer[p - 1]);
                 if (r < best_range) {
                     best_range = r;
                     best = p;
@@ -575,7 +575,7 @@ Server::executeChunk(Session &s, Chunk &chunk)
     if (chunk.oracle)
         return; // composed sequentially from the frontier
     if (!chunk.first)
-        chunk.plan = &rs.plans.get(chunk.boundary);
+        chunk.plan = &rs.prepared.plan(chunk.boundary, execPap_);
 
     // Worker-fault coordinate: the session id, so a selected session
     // has *every* chunk attempt faulted — that is what drives it up

@@ -70,7 +70,6 @@
 #include <utility>
 #include <vector>
 
-#include "ap/ap_config.h"
 #include "common/error.h"
 #include "common/file_lock.h"
 #include "engine/report.h"
@@ -78,7 +77,6 @@
 #include "pap/exec/pipeline.h"
 #include "pap/exec/watchdog.h"
 #include "pap/exec/worker_pool.h"
-#include "pap/flow_plan.h"
 #include "pap/options.h"
 #include "pap/segment_sim.h"
 #include "pap/exec/checkpoint.h"
@@ -116,8 +114,6 @@ struct ServeOptions
     /** Checkpoint a keyed session every N composed chunks (0 = only
         on drain). Sessions may override per-OPEN. */
     std::uint32_t checkpointIntervalChunks = 0;
-    /** Modeled AP board (SVC capacity bounds flows per chunk). */
-    ApConfig ap;
     /** TDM, retry, deadline, and fault-injection knobs. */
     PapOptions pap;
 };

@@ -3,7 +3,8 @@
  * Flow-plan construction tests: enumeration-path building per parent,
  * ASG stripping, the vertical-line packing invariant (at most one
  * path per connected component per flow), path coverage of the range,
- * deduplication, and the Figure-9 statistics under each ablation.
+ * deduplication, the Figure-9 statistics under each ablation, and
+ * the plan table of a PreparedAutomaton.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include "nfa/glushkov.h"
 #include "obs/metrics.h"
 #include "pap/flow_plan.h"
+#include "pap/prepared.h"
 #include "workload_helpers.h"
 
 namespace pap {
@@ -236,33 +238,52 @@ expectSamePlan(const FlowPlan &a, const FlowPlan &b)
 
 TEST(FlowPlanTable, BuildsEachSymbolOnceAsBuildFlowPlanWould)
 {
+    // PreparedAutomaton::plan keeps one table per merge-flag set. Per
+    // flag, the set without it and the default set share one
+    // preparation, interleaved merged, unmerged, merged: each plan is
+    // built once and equals buildFlowPlan under its own flags.
     const PlanFixture f({{"ab.*cd", 1}, {"abx", 2}, {"c[de]f", 3}});
-    const PreparedAutomaton prepared(f.nfa);
-    PapOptions opt;
-    opt.enableCcMerging = false;
-    FlowPlanTable table(prepared, opt, "test.flow_plans.built");
-    const std::uint64_t before =
-        obs::metrics().counter("test.flow_plans.built");
-    const FlowPlan &a = table.get('a');
-    EXPECT_EQ(&table.get('a'), &a);
-    EXPECT_EQ(table.built(), 1u);
-    const FlowPlan &c = table.get('c');
-    EXPECT_EQ(&table.get('a'), &a);
-    EXPECT_EQ(table.built(), 2u);
-    EXPECT_EQ(obs::metrics().counter("test.flow_plans.built") - before,
-              2u);
-    // The table builds with the merge flags it was given.
-    expectSamePlan(a, f.plan('a', opt));
-    expectSamePlan(c, f.plan('c', opt));
-    EXPECT_NE(a.flows.size(), f.plan('a').flows.size());
+    const PapOptions merged;
+    PapOptions no_cc, no_parent, no_asg;
+    no_cc.enableCcMerging = false;
+    no_parent.enableParentMerging = false;
+    no_asg.enableAsgMerging = false;
+    const auto built = [] {
+        return obs::metrics().counter("prepared.plans.built");
+    };
+    for (const PapOptions *unmerged : {&no_cc, &no_parent, &no_asg}) {
+        SCOPED_TRACE(unmerged == &no_cc       ? "no CC merging"
+                     : unmerged == &no_parent ? "no parent merging"
+                                              : "no ASG merging");
+        const PreparedAutomaton prepared(f.nfa);
+        const std::uint64_t before = built();
+
+        const FlowPlan &a = prepared.plan('a', merged);
+        EXPECT_EQ(&prepared.plan('a', merged), &a);
+        EXPECT_EQ(built() - before, 1u);
+        const FlowPlan &a_unmerged = prepared.plan('a', *unmerged);
+        const FlowPlan &c_unmerged = prepared.plan('c', *unmerged);
+        EXPECT_EQ(built() - before, 3u);
+        EXPECT_EQ(&prepared.plan('a', merged), &a);
+        const FlowPlan &c = prepared.plan('c', merged);
+        EXPECT_EQ(&prepared.plan('a', *unmerged), &a_unmerged);
+        EXPECT_EQ(&prepared.plan('c', *unmerged), &c_unmerged);
+        EXPECT_EQ(built() - before, 4u);
+
+        expectSamePlan(a, f.plan('a', merged));
+        expectSamePlan(c, f.plan('c', merged));
+        expectSamePlan(a_unmerged, f.plan('a', *unmerged));
+        expectSamePlan(c_unmerged, f.plan('c', *unmerged));
+    }
 }
 
 TEST(FlowPlanTable, ConcurrentFirstUsesShareOnePlanPerSymbol)
 {
     const PlanFixture f({{"ab.*cd", 1}, {"abx", 2}, {"c[de]f", 3}});
     const PreparedAutomaton prepared(f.nfa);
-    FlowPlanTable table(prepared, PapOptions{}, "test.flow_plans.built");
     const std::string symbols = "abcdefxz";
+    const std::uint64_t before =
+        obs::metrics().counter("prepared.plans.built");
     constexpr int kThreads = 4;
     std::vector<std::vector<const FlowPlan *>> seen(kThreads);
     std::vector<std::thread> threads;
@@ -270,13 +291,14 @@ TEST(FlowPlanTable, ConcurrentFirstUsesShareOnePlanPerSymbol)
         threads.emplace_back([&, t] {
             for (int round = 0; round < 50; ++round)
                 for (const char sym : symbols)
-                    seen[t].push_back(
-                        &table.get(static_cast<Symbol>(sym)));
+                    seen[t].push_back(&prepared.plan(
+                        static_cast<Symbol>(sym), PapOptions{}));
         });
     }
     for (auto &th : threads)
         th.join();
-    EXPECT_EQ(table.built(), symbols.size());
+    EXPECT_EQ(obs::metrics().counter("prepared.plans.built") - before,
+              symbols.size());
     for (int t = 1; t < kThreads; ++t)
         EXPECT_EQ(seen[t], seen[0]);
 }

@@ -1,9 +1,9 @@
 /**
  * @file
  * The prepared entry points: one PreparedAutomaton run at several
- * rank counts and option settings, by two threads at once, killed and
- * resumed through the Nfa entry, and under speculation, must give
- * exactly what the Nfa entry points give.
+ * rank counts and option settings, twice in a row, by two threads at
+ * once, killed and resumed through the Nfa entry, and under
+ * speculation, must give exactly what the Nfa entry points give.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +14,7 @@
 #include "ap/ap_config.h"
 #include "common/rng.h"
 #include "nfa/glushkov.h"
+#include "obs/metrics.h"
 #include "pap/exec/checkpoint.h"
 #include "pap/runner.h"
 #include "pap/speculative.h"
@@ -109,6 +110,27 @@ TEST(PreparedAutomaton, EveryRunEqualsTheNfaEntry)
         expectSameRun(runPap(prepared, input, board, call.options),
                       from_nfa);
     }
+}
+
+TEST(PreparedAutomaton, SecondRunBuildsNoPlan)
+{
+    // The first run on a preparation builds its boundary symbols'
+    // plans; a second run finds them there and equals the first.
+    const Nfa nfa = preparedRuleset();
+    const InputTrace input = preparedTrace();
+    const PreparedAutomaton prepared(nfa);
+    const ApConfig board = ApConfig::d480(4);
+    const auto built = [] {
+        return obs::metrics().counter("prepared.plans.built");
+    };
+    const std::uint64_t before = built();
+    const PapResult first = runPap(prepared, input, board);
+    ASSERT_GT(first.numSegments, 1u);
+    const std::uint64_t after_first = built();
+    EXPECT_GT(after_first, before);
+    const PapResult second = runPap(prepared, input, board);
+    EXPECT_EQ(built(), after_first);
+    expectSameRun(second, first);
 }
 
 TEST(PreparedAutomaton, TwoThreadsShareOnePreparation)

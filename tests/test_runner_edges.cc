@@ -179,11 +179,11 @@ TEST(RunnerEdges, BuildsOnePlanPerDistinctBoundarySymbol)
     const InputTrace input =
         randomTextTrace(rng, 16384, "abcdefgh ");
     const std::uint64_t before =
-        obs::metrics().counter("runner.plans.built");
+        obs::metrics().counter("prepared.plans.built");
     const PapResult r = runPap(nfa, input, tinyBoard(16));
     ASSERT_TRUE(r.verified);
     ASSERT_GT(r.segments.size(), 2u);
-    EXPECT_EQ(obs::metrics().counter("runner.plans.built") - before,
+    EXPECT_EQ(obs::metrics().counter("prepared.plans.built") - before,
               boundarySymbols(r, input).size());
 }
 
@@ -197,13 +197,13 @@ TEST(RunnerEdges, SingleSymbolPartitionBuildsOnePlan)
         text += (i % 5 == 4) ? 'z' : "abc"[i % 3];
     const InputTrace input = InputTrace::fromString(text);
     const std::uint64_t before =
-        obs::metrics().counter("runner.plans.built");
+        obs::metrics().counter("prepared.plans.built");
     const PapResult r = runPap(nfa, input, tinyBoard(16));
     ASSERT_TRUE(r.verified);
     EXPECT_EQ(r.segments.size(), 16u);
     EXPECT_EQ(boundarySymbols(r, input),
               std::set<Symbol>{r.boundarySymbol});
-    EXPECT_EQ(obs::metrics().counter("runner.plans.built") - before, 1u);
+    EXPECT_EQ(obs::metrics().counter("prepared.plans.built") - before, 1u);
 }
 
 TEST(RunnerEdges, ReportCostAffectsBaseline)

@@ -277,7 +277,7 @@ TEST(Serve, BuildsOneFlowPlanPerRulesetAndBoundarySymbol)
     opt.threads = 4;
     Server server(opt, nfa);
     const auto built = [] {
-        return obs::metrics().counter("serve.plans.built");
+        return obs::metrics().counter("prepared.plans.built");
     };
     const std::uint64_t built0 = built();
 
@@ -577,51 +577,44 @@ TEST(Serve, SwapDuringStreamFaultBumpsGenerationHarmlessly)
 TEST(Serve, SvcOverflowStreamMatchesSequentialAfterResume)
 {
     // Every chunk after the first needs 2 enumeration flows plus the
-    // ASG flow, so a 2-entry SVC (from the board or from the
-    // pap.svcCapacity override alike) overflows: the chunks still run
-    // their whole plans, and only the modeled timing evicts.
+    // ASG flow, so a 2-entry SVC (pap.svcCapacity = 2) overflows. The
+    // capacity never splits a plan, and serve models no timing, so
+    // the chunks run their whole plans as at any capacity.
     Rng rng(64);
     const Nfa nfa = compileRuleset({{"ab.*cd.*ef", 1}}, "m");
     const InputTrace trace = randomTextTrace(rng, 8192, "abcdefgh");
     const auto expected = sequentialReports(nfa, trace);
-    for (const bool board : {true, false}) {
-        SCOPED_TRACE(board ? "ap.svcEntriesPerDevice = 2"
-                           : "pap.svcCapacity = 2");
-        const UniqueTempDir scratch(board ? "serve_svc_board" : "serve_svc_pap");
-        ServeOptions opt = smallOptions();
-        opt.checkpointDir = scratch.path();
-        if (board)
-            opt.ap.svcEntriesPerDevice = 2;
-        else
-            opt.pap.svcCapacity = 2;
-        obs::MetricsRegistry &m = obs::metrics();
-        const auto enum_flows0 = m.counter("segment_sim.flows.enum");
-        const auto enum_chunks0 = m.counter("segment_sim.flows.asg");
-        {
-            Server server(opt, nfa);
-            const auto id = server.open("t", "k");
-            ASSERT_TRUE(id.ok());
-            ASSERT_TRUE(
-                server.feed(id.value(), trace.ptr(0), trace.size()).ok());
-            ASSERT_TRUE(server.drain().ok());
-        }
-        // Every enumeration chunk ran its ASG flow beside at least its
-        // two enumeration flows: three contexts on two SVC entries.
-        const auto enum_chunks =
-            m.counter("segment_sim.flows.asg") - enum_chunks0;
-        EXPECT_GT(enum_chunks, 0u);
-        EXPECT_GE(m.counter("segment_sim.flows.enum") - enum_flows0,
-                  2 * enum_chunks)
-            << "a chunk's plan was split";
-
+    const UniqueTempDir scratch("serve_svc_pap");
+    ServeOptions opt = smallOptions();
+    opt.checkpointDir = scratch.path();
+    opt.pap.svcCapacity = 2;
+    obs::MetricsRegistry &m = obs::metrics();
+    const auto enum_flows0 = m.counter("segment_sim.flows.enum");
+    const auto enum_chunks0 = m.counter("segment_sim.flows.asg");
+    {
         Server server(opt, nfa);
-        const auto resumed = server.resume("t", "k");
-        ASSERT_TRUE(resumed.ok()) << resumed.status().toString();
-        EXPECT_EQ(resumed.value().offset, trace.size());
-        const auto report = server.finish(resumed.value().id);
-        ASSERT_TRUE(report.ok()) << report.status().toString();
-        EXPECT_EQ(report.value().reports, expected);
+        const auto id = server.open("t", "k");
+        ASSERT_TRUE(id.ok());
+        ASSERT_TRUE(
+            server.feed(id.value(), trace.ptr(0), trace.size()).ok());
+        ASSERT_TRUE(server.drain().ok());
     }
+    // Every enumeration chunk ran its ASG flow beside at least its
+    // two enumeration flows: three contexts on two SVC entries.
+    const auto enum_chunks =
+        m.counter("segment_sim.flows.asg") - enum_chunks0;
+    EXPECT_GT(enum_chunks, 0u);
+    EXPECT_GE(m.counter("segment_sim.flows.enum") - enum_flows0,
+              2 * enum_chunks)
+        << "a chunk's plan was split";
+
+    Server server(opt, nfa);
+    const auto resumed = server.resume("t", "k");
+    ASSERT_TRUE(resumed.ok()) << resumed.status().toString();
+    EXPECT_EQ(resumed.value().offset, trace.size());
+    const auto report = server.finish(resumed.value().id);
+    ASSERT_TRUE(report.ok()) << report.status().toString();
+    EXPECT_EQ(report.value().reports, expected);
 }
 
 // ---------------------------------------------------------------------
