@@ -112,14 +112,13 @@ main(int argc, char **argv)
     const Nfa nfa = buildChains();
     const PreparedAutomaton automaton(nfa);
     const InputTrace input = buildTrace(len);
-    const ApConfig cfg = ApConfig::d480(1);
 
-    PapOptions base;
-    base.threads = bench::hostThreads();
+    PapOptions opt;
+    opt.threads = bench::hostThreads();
     // One flow per rule: component merging would pack the independent
     // chains into a single flow and hide the SVC pressure this bench
     // exists to measure.
-    base.enableCcMerging = false;
+    opt.enableCcMerging = false;
 
     const std::uint32_t capacities[] = {64, 128, 256, 384, 512};
 
@@ -132,8 +131,8 @@ main(int argc, char **argv)
                 kRules, static_cast<unsigned long long>(len));
 
     for (const std::uint32_t capacity : capacities) {
-        PapOptions opt = base;
-        opt.svcCapacity = capacity;
+        ApConfig cfg = ApConfig::d480(1);
+        cfg.svcEntriesPerDevice = capacity;
         const PapResult r = runPap(automaton, input, cfg, opt);
         if (!r.status.ok() || !r.verified) {
             std::fprintf(stderr, "FAIL: run did not verify (%s)\n",

@@ -33,7 +33,7 @@ enum class ErrorCode : std::uint8_t
     VerificationFailed,
     /** A (possibly injected) hardware fault corrupted machine state. */
     HardwareFault,
-    /** A watchdog deadline expired before the work completed. */
+    /** An attempt's deadline expired before the work completed. */
     DeadlineExceeded,
     /** The operation was cancelled before it completed. */
     Cancelled,

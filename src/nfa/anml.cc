@@ -367,13 +367,4 @@ loadAnml(std::istream &is)
     return nfa;
 }
 
-Nfa
-loadAnmlFile(const std::string &path)
-{
-    std::ifstream is(path);
-    if (!is)
-        PAP_FATAL("cannot open '", path, "' for reading");
-    return loadAnml(is);
-}
-
 } // namespace pap

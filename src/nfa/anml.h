@@ -42,9 +42,6 @@ void saveAnmlFile(const Nfa &nfa, const std::string &path);
  */
 Nfa loadAnml(std::istream &is);
 
-/** Read from a file; fatal if the file cannot be opened. */
-Nfa loadAnmlFile(const std::string &path);
-
 } // namespace pap
 
 #endif // PAP_NFA_ANML_H

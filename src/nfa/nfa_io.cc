@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "common/logging.h"
+#include "nfa/anml.h"
 
 namespace pap {
 
@@ -126,7 +127,7 @@ loadNfa(std::istream &is)
         } else if (kind == 'e') {
             StateId from, to;
             ls >> from >> to;
-            if (!ls || from >= seen || to >= count)
+            if (!ls || from >= seen || to >= seen)
                 parseFail("bad edge record");
             nfa.addEdge(from, to);
         } else {
@@ -140,13 +141,23 @@ loadNfa(std::istream &is)
     return nfa;
 }
 
-Nfa
-loadNfaFile(const std::string &path)
+Result<Nfa>
+loadAutomatonFile(const std::string &path)
 {
     std::ifstream is(path);
     if (!is)
-        PAP_FATAL("cannot open '", path, "' for reading");
-    return loadNfa(is);
+        return Status::error(ErrorCode::InvalidInput,
+                             "cannot open automaton file '", path, "'");
+    try {
+        return path.ends_with(".anml") ? loadAnml(is) : loadNfa(is);
+    } catch (const std::runtime_error &e) {
+        return Status::error(ErrorCode::InvalidInput, "automaton file '",
+                             path, "': ", e.what());
+    } catch (const std::logic_error &e) {
+        // std::stoul on a count or report code that is not a number.
+        return Status::error(ErrorCode::InvalidInput, "automaton file '",
+                             path, "': ", e.what());
+    }
 }
 
 } // namespace pap

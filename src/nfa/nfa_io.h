@@ -18,6 +18,7 @@
 #include <iosfwd>
 #include <string>
 
+#include "common/error.h"
 #include "nfa/nfa.h"
 
 namespace pap {
@@ -34,8 +35,12 @@ void saveNfaFile(const Nfa &nfa, const std::string &path);
  */
 Nfa loadNfa(std::istream &is);
 
-/** Read an NFA from a file; fatal if the file cannot be opened. */
-Nfa loadNfaFile(const std::string &path);
+/**
+ * Read an automaton file: ANML when @p path ends in ".anml", else the
+ * papsim text format. A file that cannot be opened or parsed is
+ * InvalidInput.
+ */
+Result<Nfa> loadAutomatonFile(const std::string &path);
 
 } // namespace pap
 

@@ -13,28 +13,6 @@
 namespace pap {
 namespace exec {
 
-namespace {
-
-/**
- * Park an injected stall until the watchdog cancels it. Bounded even
- * with the watchdog disabled, so a stall fault can never hang a run.
- */
-Status
-parkStalled(const CancellationToken &token, bool watchdog_armed,
-            double deadline_ms)
-{
-    const auto bound =
-        watchdog_armed
-            ? std::chrono::milliseconds(
-                  static_cast<std::int64_t>(deadline_ms * 20.0) + 1000)
-            : std::chrono::milliseconds(25);
-    token.waitCancelledFor(bound);
-    return Status::error(ErrorCode::DeadlineExceeded,
-                         "injected worker stall");
-}
-
-} // namespace
-
 std::chrono::milliseconds
 retryBackoff(const HardenedExecOptions &options, std::size_t index,
              std::uint32_t retry)
@@ -56,17 +34,24 @@ retryBackoff(const HardenedExecOptions &options, std::size_t index,
 }
 
 TaskReport
-runAttempts(const HardenedExecOptions &options, Watchdog &watchdog,
-            const AttemptSite &site, const AttemptFn &attempt_fn)
+runAttempts(const HardenedExecOptions &options, const AttemptSite &site,
+            const AttemptFn &attempt_fn)
 {
+    using Clock = CancellationToken::Clock;
     // Without an owner hook nobody can cancel the task.
     const auto track = [&](const std::shared_ptr<CancellationToken> &t) {
         return !site.track || site.track(t);
     };
+    const bool has_deadline = options.deadlineMs > 0.0;
+    const auto deadline_span = std::chrono::microseconds(
+        static_cast<std::int64_t>(options.deadlineMs * 1000.0));
     TaskReport report;
     const std::uint32_t max_attempts = options.maxRetries + 1;
     for (std::uint32_t attempt = 0; attempt < max_attempts; ++attempt) {
-        auto token = std::make_shared<CancellationToken>();
+        const Clock::time_point deadline =
+            has_deadline ? Clock::now() + deadline_span
+                         : Clock::time_point::max();
+        auto token = std::make_shared<CancellationToken>(deadline);
         if (!track(token)) {
             if (report.attempts == 0)
                 report.status = Status::error(
@@ -82,18 +67,15 @@ runAttempts(const HardenedExecOptions &options, Watchdog &watchdog,
         if (fault != FaultInjector::WorkerFault::None)
             ++report.faultsInjected;
 
-        const bool armed = options.deadlineMs > 0.0;
-        Watchdog::Handle handle = 0;
-        if (armed)
-            handle = watchdog.arm(
-                token, Watchdog::Clock::now() +
-                           std::chrono::microseconds(
-                               static_cast<std::int64_t>(
-                                   options.deadlineMs * 1000.0)));
-
         Status status;
         if (fault == FaultInjector::WorkerFault::Stall) {
-            status = parkStalled(*token, armed, options.deadlineMs);
+            // Park until the deadline trips the token; without one the
+            // stall ends after 25 ms, so it can never hang a run.
+            token->waitCancelledFor(has_deadline
+                                        ? deadline - Clock::now()
+                                        : std::chrono::milliseconds(25));
+            status = Status::error(ErrorCode::DeadlineExceeded,
+                                   "injected worker stall");
         } else if (fault == FaultInjector::WorkerFault::Crash) {
             status = Status::error(ErrorCode::HardwareFault,
                                    "injected worker crash");
@@ -108,8 +90,8 @@ runAttempts(const HardenedExecOptions &options, Watchdog &watchdog,
                                        "worker crashed");
             }
         }
-        if (armed)
-            watchdog.disarm(handle);
+        if (Clock::now() >= deadline)
+            obs::metrics().add("exec.watchdog.timeouts");
         const bool live = track(nullptr);
 
         if (status.ok()) {
@@ -270,7 +252,7 @@ SegmentPipeline::runTask(std::size_t index)
         return !cancelled_;
     };
     const TaskReport report = runAttempts(
-        opts_.exec, watchdog_, site,
+        opts_.exec, site,
         [&](const CancellationToken &cancel) {
             return fn_(index, cancel);
         });

@@ -3,10 +3,14 @@
  * Dependency-aware segment pipeline: the scheduler under the PAP run
  * drivers. A SegmentPipeline fans index-addressed tasks out over a
  * WorkerPool, runs each through the hardened attempt ladder
- * (runAttempts: watchdog, capped-exponential retry, fault-injection
- * hooks, structured TaskReport per task) and hands results to the
- * caller one index at a time through await(), so a composer stage can
- * consume segment i while segments > i still execute.
+ * (runAttempts: attempt deadline, capped-exponential retry,
+ * fault-injection hooks, structured TaskReport per task) and hands
+ * results to the caller one index at a time through await(), so a
+ * composer stage can consume segment i while segments > i still
+ * execute. Work posted beside the tasks (the runner's golden checks)
+ * runs on the same workers, first-in first-out behind the tasks
+ * queued before it; the pool's workers are the only threads a
+ * pipeline starts.
  *
  * One schedule: the constructor submits every task and returns; the
  * caller composes in index order, each await(i) blocking until task i
@@ -38,7 +42,6 @@
 
 #include "common/error.h"
 #include "pap/exec/cancellation.h"
-#include "pap/exec/watchdog.h"
 #include "pap/exec/worker_pool.h"
 #include "pap/fault_injector.h"
 
@@ -56,7 +59,10 @@ struct HardenedExecOptions
     std::uint32_t threads = 1;
     /** Extra attempts after the first (0 disables retry). */
     std::uint32_t maxRetries = 2;
-    /** Watchdog deadline per attempt; <= 0 disables the watchdog. */
+    /**
+     * Deadline of each attempt, from its start, carried by its
+     * CancellationToken; <= 0 sets none.
+     */
     double deadlineMs = 0.0;
     /** First retry backoff; doubles per retry up to backoffCapMs. */
     std::uint32_t backoffBaseMs = 1;
@@ -83,7 +89,7 @@ struct TaskReport
     std::uint32_t attempts = 0;
     /** True when any attempt after the first was needed. */
     bool retried = false;
-    /** True when any attempt hit the watchdog deadline. */
+    /** True when any attempt was cancelled or missed its deadline. */
     bool timedOut = false;
     /** True when any attempt crashed (injected or thrown). */
     bool crashed = false;
@@ -137,24 +143,25 @@ struct AttemptSite
 /**
  * Run one task up its hardened attempt ladder and report the outcome.
  * Every attempt draws the injector's worker fault at
- * (site.faultCoord, attempt), runs @p attempt on a fresh token armed
- * on @p watchdog for options.deadlineMs (an injected stall parks
- * until the watchdog fires; an injected crash or a thrown exception
- * becomes ErrorCode::HardwareFault), and a failed attempt retries
- * after retryBackoff(options, site.jitterIndex, retry) until
+ * (site.faultCoord, attempt) and runs @p attempt on a fresh token
+ * whose deadline is options.deadlineMs from the attempt's start (an
+ * injected stall parks until that deadline, or 25 ms without one; an
+ * injected crash or a thrown exception becomes
+ * ErrorCode::HardwareFault). An attempt that ends past its deadline
+ * counts in exec.watchdog.timeouts. A failed attempt retries after
+ * retryBackoff(options, site.jitterIndex, retry) until
  * options.maxRetries is exhausted. The report's terminal status lets
  * the caller recover the task from the sequential oracle.
  */
 TaskReport runAttempts(const HardenedExecOptions &options,
-                       Watchdog &watchdog, const AttemptSite &site,
-                       const AttemptFn &attempt);
+                       const AttemptSite &site, const AttemptFn &attempt);
 
 class SegmentPipeline
 {
   public:
     struct Options
     {
-        /** Hardening knobs (threads, retry, watchdog, injector). */
+        /** Hardening knobs (threads, retry, deadline, injector). */
         HardenedExecOptions exec;
         /**
          * Optional attribution ledger (not owned). Worker-side time
@@ -190,7 +197,7 @@ class SegmentPipeline
     /**
      * Run @p task once on the pipeline's workers, after everything
      * queued before it and outside the attempt ladder: no fault draws,
-     * no watchdog, no retries, no cancellation. The task must not
+     * no deadline, no retries, no cancellation. The task must not
      * throw; drain() and the destructor wait for it.
      */
     void post(std::function<void()> task);
@@ -217,7 +224,6 @@ class SegmentPipeline
 
     Options opts_;
     TaskFn fn_;
-    Watchdog watchdog_;
     std::vector<TaskReport> reports_;
     /** Per-task trace flow ids (admission -> execution -> consume). */
     std::vector<std::uint64_t> flowIds_;

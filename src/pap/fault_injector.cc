@@ -264,6 +264,18 @@ FaultInjector::onFivDownload()
     return tryFire(FaultKind::DropFiv, rng);
 }
 
+bool
+FaultInjector::armsSegmentFaults() const
+{
+    std::lock_guard<std::mutex> lock(*mutex_);
+    for (const FaultKind kind :
+         {FaultKind::CorruptStateVector, FaultKind::EvictSvcEntry,
+          FaultKind::DropReport, FaultKind::TruncateReport})
+        if (budgets[static_cast<std::size_t>(kind)].remaining > 0)
+            return true;
+    return false;
+}
+
 FaultInjector::WorkerFault
 FaultInjector::onWorkerAttempt(std::uint64_t segment,
                                std::uint32_t attempt)

@@ -18,8 +18,9 @@
  * Two further kinds target the *host* execution layer (the hardened
  * worker pool of pap/exec) rather than the modeled hardware:
  *
- *  - stall-worker     a segment attempt hangs until the watchdog
- *                     deadline cancels it (exercises retry);
+ *  - stall-worker     a segment attempt hangs until its deadline
+ *                     trips its cancellation token (exercises
+ *                     retry);
  *  - crash-worker     a segment attempt dies outright (exercises
  *                     retry exhaustion and per-segment recovery).
  *
@@ -57,9 +58,11 @@
  * (drop-fiv) is drawn from a dedicated stream consumed in composition
  * order — this is the stream rngState()/restoreRngState() checkpoint,
  * since composition order is exactly the checkpoint frontier. Only
- * the shared injection *budgets* couple segments; with a
- * non-exhausted budget a given (spec, seed) pair injects the exact
- * same faults for every thread count. Worker faults are decided
+ * the shared injection *budgets* couple segments: once one runs out,
+ * which faults it allowed depends on the order segments drew in. So
+ * runPap executes a run that armsSegmentFaults() on one worker, in
+ * segment order, and a given (spec, seed) pair injects the exact same
+ * faults for every thread count. Worker faults are decided
  * *functionally* from a hash of (seed, kind, segment) — no RNG stream
  * at all — so they strike the same segments for any thread count,
  * scheduling order or resume point; for them, count means "faulted
@@ -184,6 +187,14 @@ class FaultInjector
      * dedicated FIV stream the checkpoint serializes.
      */
     bool onFivDownload();
+
+    /**
+     * True while a kind drawn inside segment execution (corrupt-sv,
+     * evict-svc, drop-report, truncate-report) has budget left. Those
+     * budgets are shared by every segment, so the faults they allow
+     * depend on the order in which segments draw.
+     */
+    bool armsSegmentFaults() const;
 
     /** Host-execution fault to apply to one segment attempt. */
     enum class WorkerFault : std::uint8_t { None, Stall, Crash };

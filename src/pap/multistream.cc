@@ -71,7 +71,7 @@ runMultiStream(const Nfa &nfa, const std::vector<InputTrace> &streams,
             if (!run_stream(i, &cancel))
                 return Status::error(ErrorCode::DeadlineExceeded,
                                      "stream ", i,
-                                     " cancelled by the watchdog");
+                                     " missed its deadline");
             return Status();
         });
 

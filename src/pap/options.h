@@ -135,13 +135,6 @@ struct PapOptions
     OverflowPolicy overflowPolicy = OverflowPolicy::Evict;
 
     /**
-     * Override of the modeled SVC capacity, in flow contexts
-     * (0 = the device's svcEntriesPerDevice, 512 on the D480): the
-     * knob the capacity-sensitivity sweep turns.
-     */
-    std::uint32_t svcCapacity = 0;
-
-    /**
      * Optional deterministic fault-injection harness (not owned).
      * When set, the runner and segment simulator consult it at
      * context switches, report drains, and FIV downloads.
@@ -159,18 +152,20 @@ struct PapOptions
 
     /**
      * Host threads running per-segment simulation (0 = one per
-     * hardware thread). While they are fewer than the host's hardware
-     * threads, runPap's golden checks run on one more thread of their
-     * own. Reports and per-figure metrics are byte-identical for every
-     * thread count; only wall-clock changes.
+     * hardware thread). runPap runs its segments and golden checks on
+     * one pool of this many workers, and of one more while this is
+     * below the host's hardware threads (of one when faultInjector
+     * arms an in-segment kind). Reports and per-figure metrics are
+     * byte-identical for every thread count; only wall-clock changes.
      */
     std::uint32_t threads = 1;
 
     /**
-     * Watchdog deadline per segment attempt, in wall-clock
-     * milliseconds. 0 derives a generous default from the segment
-     * length (10 us per symbol with a 5 s floor); negative disables
-     * the watchdog entirely.
+     * Deadline per segment attempt, in wall-clock milliseconds: the
+     * attempt's cancellation token trips once it passes, and the
+     * attempt fails at its next poll. 0 derives a generous default
+     * from the segment length (10 us per symbol with a 5 s floor);
+     * negative sets no deadline.
      */
     double segmentDeadlineMs = 0.0;
 

@@ -21,7 +21,7 @@ makeHardenedOptions(const PapOptions &options,
         // simulation never trips it (10 us/symbol with a 5 s floor).
         opt.deadlineMs =
             5000.0 + 0.01 * static_cast<double>(longest_unit);
-    } // negative: watchdog disabled (deadlineMs stays 0)
+    } // negative: no deadline (deadlineMs stays 0)
     return opt;
 }
 

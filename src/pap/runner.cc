@@ -4,7 +4,6 @@
 #include <array>
 #include <chrono>
 #include <cstring>
-#include <functional>
 #include <optional>
 #include <thread>
 
@@ -256,8 +255,7 @@ class PapRun
     PapResult finish();
 
   private:
-    void startCheck(exec::SegmentPipeline &pipe,
-                    std::optional<exec::WorkerPool> &worker, std::size_t k,
+    void startCheck(exec::SegmentPipeline &pipe, std::size_t k,
                     const Segment &slice);
     void runCheck(std::size_t k);
     bool checksAgree() const;
@@ -323,27 +321,20 @@ PapRun::PapRun(const Nfa &nfa, const PreparedAutomaton *prepared,
 }
 
 /**
- * Start golden check @p k over @p slice on the checks' own @p worker,
- * or, when there is none, on @p pipe's workers. The composer calls it
- * once the composed true set entering the slice is known: the initial
- * set at input offset 0, else the frontier's final set, so a segment's
- * check starts once its predecessor is folded.
+ * Post golden check @p k over @p slice to @p pipe's workers, behind
+ * the segments queued before it. The composer calls it once the
+ * composed true set entering the slice is known: the initial set at
+ * input offset 0, else the frontier's final set, so a segment's check
+ * starts once its predecessor is folded.
  */
 void
-PapRun::startCheck(exec::SegmentPipeline &pipe,
-                   std::optional<exec::WorkerPool> &worker, std::size_t k,
+PapRun::startCheck(exec::SegmentPipeline &pipe, std::size_t k,
                    const Segment &slice)
 {
     checks[k].slice = slice;
     checks[k].seed = slice.begin == 0 ? automaton->cnfa.initialActive()
                                       : frontier.finalActive;
-    std::function<void()> task = [this, k] { runCheck(k); };
-    if (!worker) {
-        pipe.post(std::move(task));
-        return;
-    }
-    const bool accepted = worker->submit(std::move(task));
-    PAP_ASSERT(accepted, "the check worker rejected a check");
+    pipe.post([this, k] { runCheck(k); });
 }
 
 /**
@@ -523,13 +514,13 @@ PapRun::partitionAndPlan()
 
 /**
  * The overflow policy. The ASG flow occupies one SVC entry alongside
- * the enumeration flows, so a segment fits iff flows + asg <= SVC
- * capacity (the device's, or --svc-capacity for sensitivity sweeps).
+ * the enumeration flows, so a segment fits iff flows + asg <= the
+ * device's SVC capacity.
  */
 bool
 PapRun::checkOverflow()
 {
-    const std::uint32_t capacity = svcCapacity(options, config);
+    const std::uint32_t capacity = config.svcEntriesPerDevice;
     const std::uint32_t asg_slots = automaton->asg.empty() ? 0u : 1u;
     result.svcOverflow =
         std::uint64_t{result.maxFlowsPerSegment} + asg_slots > capacity;
@@ -631,7 +622,7 @@ PapRun::executeTask(std::size_t j, const exec::CancellationToken &cancel)
                                     s.length(), options, &cancel);
     if (cancel.cancelled())
         return Status::error(ErrorCode::DeadlineExceeded, "segment ", j,
-                             " cancelled by the watchdog");
+                             " missed its deadline");
     runs[j] = std::move(run);
     return Status();
 }
@@ -656,9 +647,21 @@ PapRun::executeAndCompose()
     std::uint64_t longest = 0;
     for (const Segment &s : segs)
         longest = std::max(longest, s.length());
+    // Segments and golden checks share one pool. While the segment
+    // workers leave a hardware thread idle, it takes one worker more:
+    // t workers and a check worker of its own would end no sooner than
+    // max(S/t, C) for segment work S and check work C, and t + 1
+    // shared ones need about (S + C)/(t + 1). A run whose segments
+    // draw faults from shared budgets runs on one worker, so they
+    // draw in segment order and the same faults strike at every
+    // thread count.
+    std::uint32_t pool_threads =
+        result.threadsUsed +
+        (result.threadsUsed < std::thread::hardware_concurrency() ? 1 : 0);
+    if (injector && injector->armsSegmentFaults())
+        pool_threads = 1;
     exec::SegmentPipeline::Options pipe_opt;
-    pipe_opt.exec =
-        makeHardenedOptions(options, result.threadsUsed, longest);
+    pipe_opt.exec = makeHardenedOptions(options, pool_threads, longest);
     pipe_opt.attrib = &ledger;
     const auto region_t0 = std::chrono::steady_clock::now();
     exec::SegmentPipeline pipe(
@@ -667,23 +670,14 @@ PapRun::executeAndCompose()
             return executeTask(j, cancel);
         },
         first);
-    // While the segment workers leave a hardware thread idle, the
-    // checks run on one worker of their own, as the whole-input oracle
-    // did: behind a lone segment worker they would start only once
-    // every segment had executed. Once the segment workers fill the
-    // host, the checks share them and split the oracle's work.
-    std::optional<exec::WorkerPool> check_worker;
-    if (result.threadsUsed < std::thread::hardware_concurrency())
-        check_worker.emplace(1);
     // A resumed run's restored prefix has no per-segment true sets: it
     // is checked as one slice from the initial set.
     checks.resize(segs.size() - first + (first > 0 ? 1 : 0));
     std::size_t k = 0;
     if (first > 0)
-        startCheck(pipe, check_worker, k++,
-                   Segment{0, segs[first - 1].end});
+        startCheck(pipe, k++, Segment{0, segs[first - 1].end});
     for (std::size_t j = first; j < segs.size(); ++j) {
-        startCheck(pipe, check_worker, k++, segs[j]);
+        startCheck(pipe, k++, segs[j]);
         obs::Phase execute(sink, "pap.execute", &ledger, "device.execute");
         const exec::TaskReport &tr = pipe.await(j);
         execute.close({{"segment", static_cast<double>(j)}});
@@ -718,8 +712,6 @@ PapRun::executeAndCompose()
                    {"true_reports",
                     static_cast<double>(result.reports.size())}});
     obs::Phase wait(sink, "pap.baseline.wait", &ledger, "baseline.wait");
-    if (check_worker)
-        check_worker->drain();
     pipe.drain();
     return true;
 }

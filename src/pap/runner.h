@@ -8,15 +8,18 @@
  *
  * The sequential execution is the paper's golden execution (Section
  * 3.4), run one segment at a time: as soon as segment j-1 is composed,
- * a golden check of segment j runs on the segment workers (on one
- * worker of its own while they leave a hardware thread idle), a
- * start-enabled sequential run from the composed true set entering the
- * segment. A run resumed from a checkpoint checks its restored prefix
- * as one more slice, from the initial set. When every check ends on
- * the composed set leaving its slice, induction from offset 0 (where
- * the first check starts from the initial active set) makes each
- * check's start the true one, so the checks together are the
- * whole-input sequential run. Otherwise the whole input runs
+ * a golden check of segment j is queued on the segment workers, behind
+ * the segments queued before it: a start-enabled sequential run from
+ * the composed true set entering the segment. The workers are the
+ * call's only threads besides the caller's: `threads` of them, and one
+ * more, shared by segments and checks, while `threads` is below the
+ * host's hardware threads; one, when the fault injector arms a kind
+ * drawn inside segments. A run resumed from a checkpoint checks its
+ * restored prefix as one more slice, from the initial set. When every
+ * check ends on the composed set leaving its slice, induction from
+ * offset 0 (where the first check starts from the initial active set)
+ * makes each check's start the true one, so the checks together are
+ * the whole-input sequential run. Otherwise the whole input runs
  * sequentially once more.
  */
 
@@ -115,7 +118,10 @@ struct PapResult
     // Live-cache census (ap/state_vector_cache.h), all zero when every
     // segment fit the SVC. Timing-only facts: reports are
     // byte-identical across capacities.
-    /** Modeled SVC capacity the run used (flow contexts). */
+    /**
+     * The board's svcEntriesPerDevice (flow contexts), echoed because
+     * the benchmark of record's digests read it.
+     */
     std::uint32_t svcCapacity = 0;
     /** Contexts evicted by the live cache. */
     std::uint64_t svcEvictions = 0;
@@ -162,7 +168,10 @@ struct PapResult
     Status status;
 
     // Hardened host-execution census (pap/exec).
-    /** Host threads the execute phase ran on. */
+    /**
+     * The resolved `threads` option. The metrics gauge
+     * exec.pool.threads reads the width of the execute phase's pool.
+     */
     std::uint32_t threadsUsed = 1;
     /** Segments that needed at least one retry attempt. */
     std::uint32_t segmentsRetried = 0;

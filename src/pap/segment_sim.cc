@@ -43,7 +43,8 @@ runSequential(const CompiledNfa &cnfa, const std::vector<StateId> &initial,
 {
     FunctionalEngine engine(cnfa, /*starts=*/true);
     engine.reset(initial, offset);
-    // Chunked so a watchdog cancellation is honored promptly.
+    // Chunked so a cancellation or a passed deadline is honored
+    // promptly.
     constexpr std::uint64_t kCancelCheckChunk = 4096;
     for (std::uint64_t pos = 0;
          pos < length && !(cancel && cancel->cancelled());
@@ -336,13 +337,6 @@ runEnumSegment(const CompiledNfa &cnfa, const FlowPlan &plan,
     m.observeAll("segment_sim.flow_symbols", flow_symbols);
     m.observeAll("segment_sim.merge_symbol", merge_symbols);
     return run;
-}
-
-std::uint32_t
-svcCapacity(const PapOptions &options, const ApConfig &config)
-{
-    return options.svcCapacity > 0 ? options.svcCapacity
-                                   : config.svcEntriesPerDevice;
 }
 
 SegmentRun

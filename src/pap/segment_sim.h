@@ -22,7 +22,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "ap/ap_config.h"
 #include "engine/functional_engine.h"
 #include "engine/report.h"
 #include "pap/exec/cancellation.h"
@@ -179,13 +178,6 @@ SegmentRun runEnumSegment(const CompiledNfa &cnfa,
                           EngineScratch &scratch,
                           const exec::CancellationToken *cancel =
                               nullptr);
-
-/**
- * Modeled SVC capacity in flow contexts: options.svcCapacity when set,
- * else the device's svcEntriesPerDevice (512 on the D480).
- */
-std::uint32_t svcCapacity(const PapOptions &options,
-                          const ApConfig &config);
 
 /**
  * Execute one segment of @p automaton on the modeled device: the

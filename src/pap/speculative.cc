@@ -129,7 +129,7 @@ runSpeculative(const PreparedAutomaton &automaton, const InputTrace &input,
             if (!speculate(j, &cancel))
                 return Status::error(ErrorCode::DeadlineExceeded,
                                      "speculative segment ", j,
-                                     " cancelled by the watchdog");
+                                     " missed its deadline");
             return Status();
         });
     // Awaiting a slot also handles retry exhaustion: the slot is

@@ -21,7 +21,7 @@ simulateTimeline(const std::vector<SegmentTimingInput> &segments,
     const auto kNever = static_cast<Cycles>(-1);
     const ApTiming &timing = config.timing;
     const Cycles upload = timing.stateVectorUploadCycles;
-    const std::uint32_t svc_capacity = svcCapacity(options, config);
+    const std::uint32_t svc_capacity = config.svcEntriesPerDevice;
 
     TimelineResult result;
 

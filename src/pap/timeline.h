@@ -82,7 +82,7 @@ struct TimelineResult
 
 /**
  * Simulate the cross-segment timeline. A segment whose flows, the ASG
- * flow included, exceed svcCapacity(options, config) replays its flow
+ * flow included, exceed config.svcEntriesPerDevice replays its flow
  * schedule through a live State Vector Cache: each TDM round looks up
  * every live flow's context, a miss on a previously evicted flow
  * stalls the half-core for the state-vector upload while the context

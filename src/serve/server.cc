@@ -562,7 +562,7 @@ Server::dispatchLoop()
 
 /**
  * Execute one chunk on the shared segment executor, up the hardened
- * attempt ladder: watchdog deadline, injected worker faults,
+ * attempt ladder: attempt deadline, injected worker faults,
  * capped-exponential retry with seeded jitter. Retries exhausting
  * marks the chunk failed — the composer recovers it from the
  * sequential oracle, so a poisoned chunk degrades the stream instead
@@ -586,7 +586,7 @@ Server::executeChunk(Session &s, Chunk &chunk)
     site.faultCoord = s.id;
     site.jitterIndex = static_cast<std::size_t>(s.id ^ (chunk.index << 20));
     chunk.report = exec::runAttempts(
-        execOpt_, watchdog_, site,
+        execOpt_, site,
         [&](const exec::CancellationToken &cancel) -> Status {
             SegmentRun run = executeSegment(
                 rs.prepared, chunk.plan, chunk.data.data(), chunk.begin,
@@ -594,7 +594,7 @@ Server::executeChunk(Session &s, Chunk &chunk)
             if (cancel.cancelled())
                 return Status::error(ErrorCode::DeadlineExceeded,
                                      "chunk ", chunk.index,
-                                     " cancelled by the watchdog");
+                                     " missed its deadline");
             chunk.run = std::move(run);
             return Status();
         });

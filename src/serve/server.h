@@ -20,8 +20,8 @@
  *    in flight; feed() blocks (and tryFeed() returns would-block, so
  *    the socket loop stops reading that client) until composition
  *    frees a slot. Memory per session is bounded by window * chunk.
- *  - Fault ladder: a chunk attempt that stalls is cancelled by the
- *    watchdog, retried with seeded-jitter backoff, and — if retries
+ *  - Fault ladder: a chunk attempt that stalls is cancelled at its
+ *    deadline, retried with seeded-jitter backoff, and — if retries
  *    exhaust — recovered at composition time from the sequential
  *    oracle, exactly like a one-shot run. A stream whose chunks keep
  *    needing the oracle is quarantined: terminated with
@@ -75,7 +75,6 @@
 #include "engine/report.h"
 #include "pap/composer.h"
 #include "pap/exec/pipeline.h"
-#include "pap/exec/watchdog.h"
 #include "pap/exec/worker_pool.h"
 #include "pap/options.h"
 #include "pap/segment_sim.h"
@@ -375,7 +374,6 @@ class Server
     std::unordered_map<std::string, std::uint32_t> tenantSessions_;
     FairQueue queue_;
     std::unique_ptr<exec::WorkerPool> pool_;
-    exec::Watchdog watchdog_;
     std::uint32_t dispatchers_ = 0;
     SessionId nextSession_ = 1;
     bool draining_ = false;

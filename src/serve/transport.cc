@@ -10,11 +10,9 @@
 #include <cerrno>
 #include <csignal>
 #include <cstring>
-#include <fstream>
 #include <sstream>
 #include <unordered_map>
 
-#include "nfa/anml.h"
 #include "nfa/nfa_io.h"
 
 namespace pap {
@@ -267,19 +265,12 @@ handleLine(Server &server, Conn &c, const std::string &line)
     } else if (verb == "SWAP") {
         std::string path;
         is >> path;
-        std::ifstream probe(path, std::ios::binary);
-        if (!probe) {
-            sayError(c, Status::error(ErrorCode::InvalidInput,
-                                      "cannot open automaton file '",
-                                      path, "'"));
+        const Result<Nfa> loaded = loadAutomatonFile(path);
+        if (!loaded.ok()) {
+            sayError(c, loaded.status());
             return;
         }
-        probe.close();
-        const bool anml = path.size() > 5 &&
-                          path.compare(path.size() - 5, 5, ".anml") ==
-                              0;
-        const Nfa nfa = anml ? loadAnmlFile(path) : loadNfaFile(path);
-        const Result<std::uint64_t> swapped = server.swap(nfa);
+        const Result<std::uint64_t> swapped = server.swap(loaded.value());
         if (!swapped.ok()) {
             sayError(c, swapped.status());
             return;

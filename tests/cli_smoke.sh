@@ -75,4 +75,19 @@ if "$PAPSIM" run m.nfa t.bin --overflow=wat 2>/dev/null; then exit 1; fi
 printf '# nothing\n' > empty_rules.txt
 if "$PAPSIM" compile empty_rules.txt e.nfa 2>/dev/null; then exit 1; fi
 
+# Malformed automaton and rule files are typed errors: exit 1, never
+# an abort.
+printf 'papsim-nfa 1\nname bad\nstates 1\ns 0 abc 1 0 0\nend\n' > bad.nfa
+printf '<anml-network id="bad">\n<state-transition-element id="q0" symbol-set="[a" start="all-input"/>\n</anml-network>\n' \
+    > bad.anml
+printf 'a[b\n' > bad_rules.txt
+for cmd in "run bad.nfa t.bin" "analyze bad.anml" \
+           "compile bad_rules.txt b.nfa"; do
+    rc=0
+    # shellcheck disable=SC2086 # $cmd is a command line
+    "$PAPSIM" $cmd 2> bad.err || rc=$?
+    test "$rc" -eq 1
+    grep -q "papsim: error: InvalidInput" bad.err
+done
+
 echo "cli smoke ok"

@@ -93,6 +93,14 @@ grep -q "shed=0" stats.txt
 if "$PAPSIM" ctl "$SOCK" swap "$WORK/missing.nfa" 2>/dev/null; then
     exit 1
 fi
+# A malformed automaton is refused with ERR InvalidInput; the daemon
+# keeps serving.
+printf 'papsim-nfa 1\nname bad\nstates 1\ns 0 abc 1 0 0\nend\n' > bad.nfa
+if "$PAPSIM" ctl "$SOCK" swap "$WORK/bad.nfa" 2>bad_swap.err; then
+    exit 1
+fi
+grep -q "papsim: error: InvalidInput" bad_swap.err
+"$PAPSIM" ctl "$SOCK" ping | grep -q PONG
 
 kill -TERM "$DAEMON_PID"
 wait "$DAEMON_PID"

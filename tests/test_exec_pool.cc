@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests of the hardened-execution primitives: WorkerPool,
- * CancellationToken, Watchdog, the retry/deadline attempt ladder (on
+ * CancellationToken and its deadline, the retry/deadline attempt ladder (on
  * its own and under a SegmentPipeline), and the checkpoint file format
  * (roundtrip, corruption, identity).
  */
@@ -17,10 +17,10 @@
 #include <vector>
 
 #include "common/error.h"
+#include "obs/metrics.h"
 #include "pap/exec/cancellation.h"
 #include "pap/exec/checkpoint.h"
 #include "pap/exec/pipeline.h"
-#include "pap/exec/watchdog.h"
 #include "pap/exec/worker_pool.h"
 #include "pap/fault_injector.h"
 #include "test_util.h"
@@ -286,31 +286,39 @@ TEST(Cancellation, WaitWakesOnCrossThreadCancel)
     canceller.join();
 }
 
-// --- Watchdog --------------------------------------------------------
-
-TEST(Watchdog, CancelsOverrunningAttempt)
+TEST(Cancellation, PassedDeadlineTripsTheToken)
 {
-    Watchdog dog;
-    auto token = std::make_shared<CancellationToken>();
-    dog.arm(token, Watchdog::Clock::now() +
-                       std::chrono::milliseconds(5));
-    EXPECT_TRUE(
-        token->waitCancelledFor(std::chrono::milliseconds(5000)));
-    EXPECT_EQ(dog.expiries(), 1u);
+    using Clock = CancellationToken::Clock;
+    const Clock::time_point t0 = Clock::now();
+    const Clock::time_point deadline = t0 + std::chrono::milliseconds(20);
+    const CancellationToken token(deadline);
+    // The wait ends at the deadline, long before its own timeout.
+    EXPECT_TRUE(token.waitCancelledFor(std::chrono::seconds(60)));
+    EXPECT_GE(Clock::now(), deadline);
+    EXPECT_LT(Clock::now() - t0, std::chrono::seconds(30));
+    EXPECT_TRUE(token.cancelled());
 }
 
-TEST(Watchdog, DisarmedAttemptIsNeverCancelled)
+TEST(Cancellation, FarDeadlineLeavesTheTokenLive)
 {
-    Watchdog dog;
-    auto token = std::make_shared<CancellationToken>();
-    const Watchdog::Handle h = dog.arm(
-        token,
-        Watchdog::Clock::now() + std::chrono::milliseconds(50));
-    dog.disarm(h);
-    dog.disarm(h); // idempotent
-    std::this_thread::sleep_for(std::chrono::milliseconds(80));
-    EXPECT_FALSE(token->cancelled());
-    EXPECT_EQ(dog.expiries(), 0u);
+    const CancellationToken token(CancellationToken::Clock::now() +
+                                  std::chrono::hours(1));
+    EXPECT_FALSE(token.waitCancelledFor(std::chrono::milliseconds(20)));
+    EXPECT_FALSE(token.cancelled());
+}
+
+TEST(Cancellation, CancelWakesAWaiterBeforeTheDeadline)
+{
+    using Clock = CancellationToken::Clock;
+    CancellationToken token(Clock::now() + std::chrono::hours(1));
+    const Clock::time_point t0 = Clock::now();
+    std::thread canceller([&token] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        token.cancel();
+    });
+    EXPECT_TRUE(token.waitCancelledFor(std::chrono::minutes(30)));
+    EXPECT_LT(Clock::now() - t0, std::chrono::seconds(30));
+    canceller.join();
 }
 
 // --- Attempt ladder --------------------------------------------------
@@ -405,11 +413,13 @@ TEST(RunHardened, WatchdogCancelsStalledTaskThenRetrySucceeds)
     opt.maxRetries = 1;
     opt.deadlineMs = 10.0;
     opt.backoffBaseMs = 0;
+    const std::uint64_t timeouts0 =
+        obs::metrics().counter("exec.watchdog.timeouts");
     std::atomic<std::uint32_t> tries{0};
     const auto reports = runAll(
         opt, 1, [&](std::size_t, const CancellationToken &cancel) {
             if (tries.fetch_add(1) == 0) {
-                // Stall: park until the watchdog cancels us.
+                // Stall: park until the deadline trips the token.
                 EXPECT_TRUE(cancel.waitCancelledFor(
                     std::chrono::milliseconds(10000)));
                 return Status::error(ErrorCode::DeadlineExceeded,
@@ -421,6 +431,9 @@ TEST(RunHardened, WatchdogCancelsStalledTaskThenRetrySucceeds)
     EXPECT_TRUE(reports[0].timedOut);
     EXPECT_TRUE(reports[0].retried);
     EXPECT_EQ(reports[0].attempts, 2u);
+    // One stalled attempt, one expired deadline.
+    EXPECT_EQ(obs::metrics().counter("exec.watchdog.timeouts") - timeouts0,
+              1u);
 }
 
 TEST(RunHardened, CaughtExceptionBecomesHardwareFault)
@@ -537,7 +550,6 @@ TEST(AttemptLadder, FaultsFollowTheSiteCoordinateNotTheTaskIndex)
     opt.maxRetries = 2;
     opt.backoffBaseMs = 0;
     opt.injector = &fi;
-    Watchdog dog;
     constexpr std::uint64_t kSessions = 8, kChunks = 4;
     std::uint64_t faulted_sessions = 0;
     for (std::uint64_t session = 1; session <= kSessions; ++session) {
@@ -549,7 +561,7 @@ TEST(AttemptLadder, FaultsFollowTheSiteCoordinateNotTheTaskIndex)
                 static_cast<std::size_t>(session ^ (chunk << 20));
             std::uint32_t ran = 0;
             const TaskReport r = runAttempts(
-                opt, dog, site, [&](const CancellationToken &) {
+                opt, site, [&](const CancellationToken &) {
                     ++ran;
                     return Status();
                 });

@@ -2,7 +2,7 @@
  * @file
  * Resilience contract of host-parallel execution: byte-identical
  * results for every thread count (clean and under injected worker
- * faults), the watchdog -> retry -> sequential-oracle escalation,
+ * faults), the deadline -> retry -> sequential-oracle escalation,
  * crash-consistent checkpoint/resume equivalence, and the same
  * contracts on a 16K-state automaton.
  */
@@ -13,6 +13,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "ap/ap_config.h"
@@ -25,6 +26,7 @@
 #include "engine/trace.h"
 #include "nfa/analysis.h"
 #include "nfa/glushkov.h"
+#include "obs/metrics.h"
 #include "pap/exec/checkpoint.h"
 #include "pap/fault_injector.h"
 #include "pap/multistream.h"
@@ -168,6 +170,52 @@ TEST(ThreadDeterminism, CleanRunIsByteIdenticalAcrossThreads)
     }
 }
 
+TEST(ThreadDeterminism, OneThreadRunSharesAPoolOfTwoWithItsChecks)
+{
+    if (std::thread::hardware_concurrency() < 2)
+        GTEST_SKIP() << "needs at least 2 hardware threads";
+    const Workload w = robustWorkload();
+    const ApConfig board = smallBoard(8);
+    auto &m = obs::metrics();
+    const std::uint64_t whole0 =
+        m.counter("runner.verify.whole_input_runs");
+    PapOptions one;
+    one.threads = 1;
+    const PapResult r = runPap(w.nfa, w.input, board, one);
+    ASSERT_TRUE(r.status.ok());
+    EXPECT_TRUE(r.verified);
+    EXPECT_EQ(r.threadsUsed, 1u);
+    EXPECT_EQ(m.gauge("exec.threads_used"), 1.0);
+    // The segment worker plus the one a check pool of its own would
+    // have taken, shared by segments and golden checks.
+    EXPECT_EQ(m.gauge("exec.pool.threads"), 2.0);
+    EXPECT_EQ(m.counter("runner.verify.whole_input_runs"), whole0);
+    PapOptions all;
+    all.threads = 0;
+    expectSameRun(runPap(w.nfa, w.input, board, all), r);
+}
+
+TEST(ThreadDeterminism, SharedFaultBudgetsStrikeAlikeAtEveryThreadCount)
+{
+    // corrupt-sv:32 at rate 1 runs out of budget mid-run, so which
+    // context switches it strikes depends on the order the segments
+    // draw in: the run executes on one worker, in segment order.
+    const Workload w = robustWorkload();
+    const ApConfig board = smallBoard(8);
+    std::vector<PapResult> runs;
+    for (const std::uint32_t threads : {1u, 4u}) {
+        auto fi = FaultInjector::fromSpec("corrupt-sv:32", 11).value();
+        PapOptions opt;
+        opt.threads = threads;
+        opt.faultInjector = &fi;
+        runs.push_back(runPap(w.nfa, w.input, board, opt));
+        ASSERT_TRUE(runs.back().status.ok());
+        EXPECT_EQ(fi.remaining(FaultKind::CorruptStateVector), 0u);
+        EXPECT_EQ(obs::metrics().gauge("exec.pool.threads"), 1.0);
+    }
+    expectSameRun(runs[0], runs[1]);
+}
+
 TEST(ThreadDeterminism, StallFaultsAreByteIdenticalAcrossThreads)
 {
     const Workload w = robustWorkload();
@@ -185,8 +233,8 @@ TEST(ThreadDeterminism, StallFaultsAreByteIdenticalAcrossThreads)
         opt.faultInjector = &fi;
         runs.push_back(runPap(w.nfa, w.input, board, opt));
         ASSERT_TRUE(runs.back().status.ok());
-        // Stalls are detected by the watchdog and healed by retry, so
-        // the run still verifies.
+        // Stalls trip their attempts' deadlines and are healed by
+        // retry, so the run still verifies.
         EXPECT_TRUE(runs.back().verified);
         EXPECT_GT(runs.back().segmentsRetried, 0u);
         EXPECT_EQ(fi.recovered(), fi.injected());
@@ -218,7 +266,7 @@ TEST(ThreadDeterminism, CrashFaultsAreByteIdenticalAcrossThreads)
     expectSameRun(runs[0], runs[2]);
 }
 
-// --- Watchdog -> retry -> oracle escalation --------------------------
+// --- Deadline -> retry -> oracle escalation --------------------------
 
 TEST(Escalation, TransientCrashHealsByRetryWithoutDegrading)
 {
@@ -641,14 +689,14 @@ TEST_F(CheckpointResume, EvictRunResumesThroughTheLiveCache)
         text.append(255, 'c');
     }
     const InputTrace input = InputTrace::fromString(text);
-    const ApConfig board = smallBoard(8);
+    ApConfig board = smallBoard(8);
+    board.svcEntriesPerDevice = 8;
     PapOptions opt;
     opt.enableCcMerging = false;
-    opt.svcCapacity = 8;
     const PapResult full = runPap(nfa, input, board, opt);
     ASSERT_TRUE(full.status.ok());
     ASSERT_GE(full.numSegments, 3u);
-    ASSERT_LT(opt.svcCapacity, full.maxFlowsPerSegment);
+    ASSERT_LT(board.svcEntriesPerDevice, full.maxFlowsPerSegment);
     ASSERT_GT(full.svcEvictions, 0u);
 
     for (std::uint32_t stop = 0; stop + 1 < full.numSegments; ++stop) {

@@ -46,9 +46,36 @@ TEST(IoMisc, NfaFileRoundTrip)
     const Nfa nfa = compileRuleset({{"ab+c", 5}}, "file-rt");
     const std::string path = dir.file("m.nfa");
     saveNfaFile(nfa, path);
-    const Nfa back = loadNfaFile(path);
+    const Nfa back = loadAutomatonFile(path).value();
     EXPECT_EQ(back.size(), nfa.size());
     EXPECT_EQ(back.name(), "file-rt");
+}
+
+TEST(IoMisc, MalformedAutomatonFilesAreInvalidInput)
+{
+    TempDir dir;
+    const auto write = [&](const char *name, const char *text) {
+        const std::string path = dir.file(name);
+        std::ofstream(path) << text;
+        return path;
+    };
+    const std::string paths[] = {
+        write("label.nfa", "papsim-nfa 1\nname bad\nstates 1\n"
+                           "s 0 abc 1 0 0\nend\n"),
+        write("count.nfa", "papsim-nfa 1\nname bad\nstates many\nend\n"),
+        write("set.anml",
+              "<anml-network id=\"bad\">\n"
+              "<state-transition-element id=\"q0\" symbol-set=\"[a\"\n"
+              "    start=\"all-input\"/>\n</anml-network>\n"),
+        dir.file("missing.nfa"),
+    };
+    for (const std::string &path : paths) {
+        const Result<Nfa> loaded = loadAutomatonFile(path);
+        ASSERT_FALSE(loaded.ok()) << path;
+        EXPECT_EQ(loaded.status().code(), ErrorCode::InvalidInput) << path;
+        EXPECT_NE(loaded.status().message().find(path), std::string::npos)
+            << loaded.status().toString();
+    }
 }
 
 TEST(IoMisc, TraceFileRoundTrip)

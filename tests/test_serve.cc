@@ -3,7 +3,7 @@
  * Robustness contract of the serve subsystem: per-stream results are
  * byte-identical to one-shot runs for any chunking and thread count,
  * admission sheds with typed errors at the configured caps, faulty
- * streams ride the watchdog -> retry -> oracle ladder (and quarantine)
+ * streams ride the deadline -> retry -> oracle ladder (and quarantine)
  * without touching siblings, hot swaps keep in-flight streams on
  * their generation, and drain/resume round-trips through PAPCKPT.
  */
@@ -577,9 +577,10 @@ TEST(Serve, SwapDuringStreamFaultBumpsGenerationHarmlessly)
 TEST(Serve, SvcOverflowStreamMatchesSequentialAfterResume)
 {
     // Every chunk after the first needs 2 enumeration flows plus the
-    // ASG flow, so a 2-entry SVC (pap.svcCapacity = 2) overflows. The
+    // ASG flow: three contexts, more than a 2-entry SVC holds. SVC
     // capacity never splits a plan, and serve models no timing, so
-    // the chunks run their whole plans as at any capacity.
+    // the chunks run their whole plans, as a one-shot run does at any
+    // capacity.
     Rng rng(64);
     const Nfa nfa = compileRuleset({{"ab.*cd.*ef", 1}}, "m");
     const InputTrace trace = randomTextTrace(rng, 8192, "abcdefgh");
@@ -587,7 +588,6 @@ TEST(Serve, SvcOverflowStreamMatchesSequentialAfterResume)
     const UniqueTempDir scratch("serve_svc_pap");
     ServeOptions opt = smallOptions();
     opt.checkpointDir = scratch.path();
-    opt.pap.svcCapacity = 2;
     obs::MetricsRegistry &m = obs::metrics();
     const auto enum_flows0 = m.counter("segment_sim.flows.enum");
     const auto enum_chunks0 = m.counter("segment_sim.flows.asg");
@@ -600,7 +600,7 @@ TEST(Serve, SvcOverflowStreamMatchesSequentialAfterResume)
         ASSERT_TRUE(server.drain().ok());
     }
     // Every enumeration chunk ran its ASG flow beside at least its
-    // two enumeration flows: three contexts on two SVC entries.
+    // two enumeration flows.
     const auto enum_chunks =
         m.counter("segment_sim.flows.asg") - enum_chunks0;
     EXPECT_GT(enum_chunks, 0u);

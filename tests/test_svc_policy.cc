@@ -261,18 +261,18 @@ TEST(EvictRun, CapacityBoundaryUnderEvict)
 
     // Exactly flows + 1 ASG contexts: still no lookups (the 512th
     // flow of the paper's cache fits; only the 513th spills).
-    PapOptions fits = opt;
-    fits.svcCapacity = probe.maxFlowsPerSegment + 1;
-    const PapResult f = runPap(nfa, input, tinyBoard(4), fits);
+    ApConfig fits = tinyBoard(4);
+    fits.svcEntriesPerDevice = probe.maxFlowsPerSegment + 1;
+    const PapResult f = runPap(nfa, input, fits, opt);
     ASSERT_TRUE(f.verified);
     EXPECT_FALSE(f.svcOverflow);
     EXPECT_EQ(f.svcLoadHits + f.svcLoadMisses, 0u);
     EXPECT_EQ(f.papCycles, probe.papCycles);
 
     // One context short: the cache must evict.
-    PapOptions spills = opt;
-    spills.svcCapacity = probe.maxFlowsPerSegment;
-    const PapResult s = runPap(nfa, input, tinyBoard(4), spills);
+    ApConfig spills = tinyBoard(4);
+    spills.svcEntriesPerDevice = probe.maxFlowsPerSegment;
+    const PapResult s = runPap(nfa, input, spills, opt);
     ASSERT_TRUE(s.verified);
     EXPECT_TRUE(s.svcOverflow);
     EXPECT_GT(s.svcEvictions, 0u);
@@ -298,10 +298,11 @@ TEST(EvictRun, ReportsAreByteIdenticalAcrossPoliciesAndThreads)
 
     for (const std::uint32_t capacity : {8u, 2u, 1u}) {
         for (const std::uint32_t threads : {1u, 4u}) {
+            ApConfig board = tinyBoard(4);
+            board.svcEntriesPerDevice = capacity; // 20 flows + ASG
             PapOptions opt = ref_opt;
-            opt.svcCapacity = capacity; // overflows: 20 flows + ASG
             opt.threads = threads;
-            const PapResult r = runPap(nfa, input, tinyBoard(4), opt);
+            const PapResult r = runPap(nfa, input, board, opt);
             const std::string what = std::to_string(capacity) +
                                      " contexts, " +
                                      std::to_string(threads) + " threads";
@@ -322,9 +323,10 @@ TEST(EvictRun, ModeledCyclesAndCountersArePinned)
     // set replaced: the same order must give the same timeline.
     PapOptions opt;
     opt.enableCcMerging = false;
-    opt.svcCapacity = 8;
+    ApConfig board = tinyBoard(4);
+    board.svcEntriesPerDevice = 8;
     const PapResult r = runPap(chainRules(20, 120),
-                               chainTrace(8192, 511), tinyBoard(4), opt);
+                               chainTrace(8192, 511), board, opt);
     ASSERT_TRUE(r.verified);
     EXPECT_EQ(r.papCycles, 5277u);
     EXPECT_EQ(r.svcEvictions, 39u);
@@ -334,9 +336,9 @@ TEST(EvictRun, ModeledCyclesAndCountersArePinned)
 
     // Skewed lifetimes at half the flows' capacity re-upload contexts;
     // the golden cap hides papCycles, so pin the segment landmarks.
-    opt.svcCapacity = 24;
+    board.svcEntriesPerDevice = 24;
     const PapResult s = runPap(chainRules(48, 350),
-                               chainTrace(16384, 511), tinyBoard(4), opt);
+                               chainTrace(16384, 511), board, opt);
     ASSERT_TRUE(s.verified);
     EXPECT_EQ(s.svcEvictions, 96u);
     EXPECT_EQ(s.svcReuploads, 21u);

@@ -44,6 +44,7 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -180,28 +181,12 @@ parseF64(const std::string &s, double *out)
     return true;
 }
 
-bool
-hasExtension(const std::string &path, const char *ext)
-{
-    const std::string suffix = std::string(".") + ext;
-    return path.size() > suffix.size() &&
-           path.compare(path.size() - suffix.size(), suffix.size(),
-                        suffix) == 0;
-}
-
-/** Load .anml or papsim-text automata by extension. */
-Nfa
-loadAutomaton(const std::string &path)
-{
-    return hasExtension(path, "anml") ? loadAnmlFile(path)
-                                      : loadNfaFile(path);
-}
-
-/** Save .anml or papsim-text automata by extension. */
+/** Save .anml or papsim-text automata by extension, as
+    loadAutomatonFile reads them. */
 void
 saveAutomaton(const Nfa &nfa, const std::string &path)
 {
-    if (hasExtension(path, "anml"))
+    if (path.ends_with(".anml"))
         saveAnmlFile(nfa, path);
     else
         saveNfaFile(nfa, path);
@@ -270,7 +255,14 @@ cmdCompile(const std::vector<std::string> &args)
     if (rules.empty())
         return fail("no rules found in '" + args[0] +
                     "' (empty file or only comments)");
-    Nfa nfa = compileRuleset(rules, args[0]);
+    Nfa nfa;
+    try {
+        nfa = compileRuleset(rules, args[0]);
+    } catch (const std::runtime_error &e) { // RegexError
+        return fail(Status::error(ErrorCode::InvalidInput, "rules file '",
+                                  args[0], "': ", e.what())
+                        .toString());
+    }
     if (merge)
         nfa = commonPrefixMerge(nfa);
     saveAutomaton(nfa, args[1]);
@@ -285,9 +277,10 @@ cmdAnalyze(const std::vector<std::string> &args)
 {
     if (args.empty())
         return usage();
-    if (!readableFile(args[0]))
-        return fail("cannot open automaton file '" + args[0] + "'");
-    const Nfa nfa = loadAutomaton(args[0]);
+    const Result<Nfa> loaded = loadAutomatonFile(args[0]);
+    if (!loaded.ok())
+        return fail(loaded.status().toString());
+    const Nfa &nfa = loaded.value();
     const Components comps = connectedComponents(nfa);
     const RangeAnalysis ranges(nfa);
     const auto asg = alwaysActiveStates(nfa);
@@ -322,9 +315,10 @@ cmdGenTrace(const std::vector<std::string> &args)
 {
     if (args.size() < 3)
         return usage();
-    if (!readableFile(args[0]))
-        return fail("cannot open automaton file '" + args[0] + "'");
-    const Nfa nfa = loadAutomaton(args[0]);
+    const Result<Nfa> loaded = loadAutomatonFile(args[0]);
+    if (!loaded.ok())
+        return fail(loaded.status().toString());
+    const Nfa &nfa = loaded.value();
     std::uint64_t len = 0;
     if (!parseU64(args[2], &len) || len == 0)
         return fail("trace length must be a positive integer, got '" +
@@ -420,11 +414,12 @@ cmdRun(const std::vector<std::string> &args)
 {
     if (args.size() < 2)
         return usage();
-    if (!readableFile(args[0]))
-        return fail("cannot open automaton file '" + args[0] + "'");
+    const Result<Nfa> loaded = loadAutomatonFile(args[0]);
+    if (!loaded.ok())
+        return fail(loaded.status().toString());
+    const Nfa &nfa = loaded.value();
     if (!readableFile(args[1]))
         return fail("cannot open trace file '" + args[1] + "'");
-    const Nfa nfa = loadAutomaton(args[0]);
     const InputTrace trace = InputTrace::fromFile(args[1]);
     if (trace.empty())
         return fail("trace file '" + args[1] +
@@ -503,7 +498,7 @@ cmdRun(const std::vector<std::string> &args)
         if (flagValue(args, "--deadline-ms", &v) &&
             !parseF64(v, &opt.segmentDeadlineMs))
             return fail("--deadline-ms needs a number (negative "
-                        "disables the watchdog), got '" + v + "'");
+                        "sets no deadline), got '" + v + "'");
         if (flagValue(args, "--max-retries", &v) &&
             !parseU32(v, &opt.maxSegmentRetries))
             return fail("--max-retries needs an integer, got '" + v +
@@ -527,8 +522,10 @@ cmdRun(const std::vector<std::string> &args)
                 return fail("--overflow must be evict, sequential, "
                             "or fail; got '" + v + "'");
         }
+        ApConfig board = ApConfig::d480(ranks);
         if (flagValue(args, "--svc-capacity", &v) &&
-            (!parseU32(v, &opt.svcCapacity) || opt.svcCapacity == 0))
+            (!parseU32(v, &board.svcEntriesPerDevice) ||
+             board.svcEntriesPerDevice == 0))
             return fail("--svc-capacity needs a positive flow-context "
                         "count, got '" + v + "'");
         std::unique_ptr<FaultInjector> injector;
@@ -548,8 +545,7 @@ cmdRun(const std::vector<std::string> &args)
             opt.faultInjector = injector.get();
         }
         const bool verbose = flagValue(args, "--verbose", &v);
-        const PapResult r =
-            runPap(nfa, trace, ApConfig::d480(ranks), opt);
+        const PapResult r = runPap(nfa, trace, board, opt);
         if (!r.status.ok())
             return fail(r.status.toString());
         if (verbose) {
@@ -637,9 +633,10 @@ cmdConvert(const std::vector<std::string> &args)
 {
     if (args.size() < 2)
         return usage();
-    if (!readableFile(args[0]))
-        return fail("cannot open automaton file '" + args[0] + "'");
-    const Nfa nfa = loadAutomaton(args[0]);
+    const Result<Nfa> loaded = loadAutomatonFile(args[0]);
+    if (!loaded.ok())
+        return fail(loaded.status().toString());
+    const Nfa &nfa = loaded.value();
     saveAutomaton(nfa, args[1]);
     std::printf("converted %s (%zu states) -> %s\n", args[0].c_str(),
                 nfa.size(), args[1].c_str());
@@ -678,8 +675,10 @@ cmdServe(const std::vector<std::string> &args)
 {
     if (args.empty())
         return usage();
-    if (!readableFile(args[0]))
-        return fail("cannot open automaton file '" + args[0] + "'");
+    const Result<Nfa> loaded = loadAutomatonFile(args[0]);
+    if (!loaded.ok())
+        return fail(loaded.status().toString());
+    const Nfa &nfa = loaded.value();
     std::string socket_path;
     if (!pathFlag(args, "--socket", &socket_path) ||
         socket_path.empty())
@@ -747,7 +746,6 @@ cmdServe(const std::vector<std::string> &args)
         opt.pap.faultInjector = injector.get();
     }
 
-    const Nfa nfa = loadAutomaton(args[0]);
     serve::Server server(opt, nfa);
     if (!server.status().ok())
         return fail(server.status().toString());
