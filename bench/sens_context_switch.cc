@@ -44,9 +44,9 @@ main()
             PapOptions opt;
             opt.routingMinHalfCores = info.paper.halfCores;
             opt.threads = bench::hostThreads();
-            opt.contextSwitchCycles = costs[i];
-            speedups[i] =
-                runPap(automaton, input, ApConfig::d480(4), opt).speedup;
+            ApConfig board = ApConfig::d480(4);
+            board.timing.contextSwitchCycles = costs[i];
+            speedups[i] = runPap(automaton, input, board, opt).speedup;
         }
         const double l2 =
             100.0 * (1.0 - speedups[1] / speedups[0]);

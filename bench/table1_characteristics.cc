@@ -36,8 +36,9 @@ main()
         const Nfa nfa = buildBenchmark(info.name);
         const Components comps = connectedComponents(nfa);
         const RangeAnalysis ranges(nfa);
-        const Placement placement = placeAutomaton(
-            nfa, comps, four_ranks, info.paper.halfCores);
+        const Placement placement =
+            placeAutomaton(nfa, comps, four_ranks, info.paper.halfCores)
+                .value();
 
         // Profile the partition symbol on a representative trace at
         // the 4-rank segment count (the configuration the paper's

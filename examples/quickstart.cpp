@@ -48,7 +48,7 @@ main()
 
     // 3. Place one copy on a 1-rank D480 board.
     const ApConfig board = ApConfig::d480(1);
-    const Placement placement = placeAutomaton(nfa, comps, board);
+    const Placement placement = placeAutomaton(nfa, comps, board).value();
     std::printf("One copy occupies %u half-core(s); the board can run "
                 "%u input segments in parallel\n",
                 placement.halfCoresPerCopy,

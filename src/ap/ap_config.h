@@ -32,8 +32,6 @@ struct ApTiming
     Cycles stateVectorUploadCycles = 1668;
     /** Transfer of the 512-bit Flow Invalidation Vector to the AP. */
     Cycles fivDownloadCycles = 15;
-    /** Compare one SVC entry against another (overlapped with input). */
-    Cycles convergenceCheckCycles = 1;
 };
 
 /** Geometry and capacity of one AP board configuration. */

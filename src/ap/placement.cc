@@ -14,7 +14,7 @@ Placement::inputSegments(const ApConfig &config) const
     return config.totalHalfCores() / halfCoresPerCopy;
 }
 
-Placement
+Result<Placement>
 placeAutomaton(const Nfa &nfa, const Components &comps,
                const ApConfig &config, std::uint32_t min_half_cores)
 {
@@ -33,10 +33,11 @@ placeAutomaton(const Nfa &nfa, const Components &comps,
     for (const ComponentId cc : order) {
         const std::uint32_t need = comps.sizes[cc];
         if (need > config.stesPerHalfCore)
-            PAP_FATAL("connected component of ", need,
-                      " states exceeds a half-core (",
-                      config.stesPerHalfCore, " STEs); '", nfa.name(),
-                      "' cannot be placed");
+            return Status::error(ErrorCode::CapacityExceeded,
+                                 "connected component of ", need,
+                                 " states exceeds a half-core (",
+                                 config.stesPerHalfCore, " STEs); '",
+                                 nfa.name(), "' cannot be placed");
         bool placed = false;
         for (std::uint32_t hc = 0; hc < used.size(); ++hc) {
             if (used[hc] + need <= config.stesPerHalfCore) {
@@ -62,10 +63,11 @@ placeAutomaton(const Nfa &nfa, const Components &comps,
     placement.stesPerHalfCore = std::move(used);
 
     if (placement.halfCoresPerCopy > config.totalHalfCores())
-        PAP_FATAL("'", nfa.name(), "' needs ",
-                  placement.halfCoresPerCopy,
-                  " half-cores but the board has ",
-                  config.totalHalfCores());
+        return Status::error(ErrorCode::CapacityExceeded, "'",
+                             nfa.name(), "' needs ",
+                             placement.halfCoresPerCopy,
+                             " half-cores but the board has ",
+                             config.totalHalfCores());
 
     // Reporting-capacity check: each half-core sees half a device's
     // output regions.

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "ap/ap_config.h"
+#include "common/error.h"
 #include "nfa/analysis.h"
 #include "nfa/nfa.h"
 
@@ -40,9 +41,9 @@ struct Placement
 };
 
 /**
- * Pack the components of @p nfa into half-cores.
- * Fatal if any single component exceeds a half-core, or the whole
- * machine exceeds the board.
+ * Pack the components of @p nfa into half-cores. CapacityExceeded if
+ * a single component exceeds a half-core, or one copy needs more
+ * half-cores than the board has.
  *
  * @param min_half_cores lower bound on the footprint. Densely
  *        connected automata (Levenshtein, EntityResolution, ...) are
@@ -50,9 +51,9 @@ struct Placement
  *        their raw STE count would fit in fewer (Section 4.1); this
  *        hint models that physical distribution.
  */
-Placement placeAutomaton(const Nfa &nfa, const Components &comps,
-                         const ApConfig &config,
-                         std::uint32_t min_half_cores = 1);
+Result<Placement> placeAutomaton(const Nfa &nfa, const Components &comps,
+                                 const ApConfig &config,
+                                 std::uint32_t min_half_cores = 1);
 
 } // namespace pap
 

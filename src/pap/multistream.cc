@@ -48,7 +48,7 @@ runMultiStream(const Nfa &nfa, const std::vector<InputTrace> &streams,
         [&](std::size_t i, const exec::CancellationToken *cancel) {
             SequentialResult run =
                 runSequential(cnfa, cnfa.initialActive(), streams[i].begin(),
-                              0, streams[i].size(), options, cancel);
+                              0, streams[i].size(), cancel);
             if (cancel && cancel->cancelled())
                 return false;
             result.reports[i] = std::move(run.reports);
@@ -80,6 +80,7 @@ runMultiStream(const Nfa &nfa, const std::vector<InputTrace> &streams,
     // them. Depends only on stream lengths, so it is independent of
     // how the functional work above was scheduled.
     const std::uint64_t quantum = options.tdmQuantum;
+    const Cycles switch_cost = config.timing.contextSwitchCycles;
     std::vector<std::uint64_t> consumed(streams.size(), 0);
     std::vector<std::uint8_t> done(streams.size(), 0);
     Cycles now = 0;
@@ -94,8 +95,8 @@ runMultiStream(const Nfa &nfa, const std::vector<InputTrace> &streams,
             consumed[i] += chunk;
             now += chunk;
             if (live_this_round > 1) {
-                now += options.contextSwitchCycles;
-                result.switchCycles += options.contextSwitchCycles;
+                now += switch_cost;
+                result.switchCycles += switch_cost;
             }
             if (consumed[i] == streams[i].size()) {
                 done[i] = 1;

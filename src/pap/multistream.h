@@ -53,11 +53,11 @@ struct MultiStreamResult
 
 /**
  * Run each stream of @p streams as an independent flow over @p nfa on
- * one simulated half-core, round-robin with the TDM quantum and
- * flow-switch cost of @p options. Each stream's reports are those of
- * runSequential over it: the flow is that run. A stream count beyond
- * the State Vector Cache of @p config yields a CapacityExceeded
- * status.
+ * one simulated half-core, round-robin with the TDM quantum of
+ * @p options and the flow-switch cost of @p config. Each stream's
+ * reports are those of runSequential over it: the flow is that run. A
+ * stream count beyond the State Vector Cache of @p config yields a
+ * CapacityExceeded status.
  */
 MultiStreamResult runMultiStream(const Nfa &nfa,
                                  const std::vector<InputTrace> &streams,

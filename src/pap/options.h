@@ -1,8 +1,9 @@
 /**
  * @file
- * Tunables of the Parallel Automata Processor framework. Defaults
- * follow the paper: 3-cycle flow switches, convergence checks every 10
- * TDM steps, and host-side costs calibrated to Section 4.2 / Fig. 11.
+ * What a caller chooses about one Parallel Automata Processor run. The
+ * paper's fixed costs live elsewhere: the flow switch on the board
+ * (ApTiming), host decode and report costs as constants
+ * (pap/timeline.h, pap/segment_sim.h).
  */
 
 #ifndef PAP_PAP_OPTIONS_H
@@ -47,7 +48,7 @@ enum class OverflowPolicy : std::uint8_t
     Fail,
 };
 
-/** Knobs for one PAP run. Every optimization can be ablated. */
+/** Options of one PAP run. Every optimization can be ablated. */
 struct PapOptions
 {
     /**
@@ -65,9 +66,6 @@ struct PapOptions
      * reported worst case (ClamAV, Fig. 10).
      */
     std::uint32_t tdmQuantum = 125;
-
-    /** Convergence checks run every this many TDM steps (Sec. 3.3.3). */
-    std::uint32_t convergenceCheckPeriod = 10;
 
     /** Merge enumeration paths of disjoint connected components. */
     bool enableCcMerging = true;
@@ -89,34 +87,6 @@ struct PapOptions
 
     /** Propagate Flow Invalidation Vectors between segments. */
     bool enableFiv = true;
-
-    /** Flow context-switch cost (3 on D480; 6/12 for sensitivity). */
-    Cycles contextSwitchCycles = 3;
-
-    /**
-     * Host decode: fixed cost of interpreting an uploaded vector
-     * ("a few tens of symbol cycles", Section 3.4). Uploads of
-     * different segments' vectors proceed in parallel (separate
-     * devices); only this decode step chains serially.
-     */
-    Cycles decodeBaseCycles = 32;
-
-    /** Host decode: additional cost per live flow. */
-    Cycles decodePerFlowCycles = 2;
-
-    /**
-     * Host cost per output-buffer entry drained, in AP symbol cycles.
-     * The Xeon host filters an entry in a few CPU cycles while the AP
-     * streams at 7.5 ns/symbol, so one entry costs well under one
-     * symbol cycle (output reporting is ~1% of execution, Sec. 5.3).
-     */
-    double reportCostCyclesPerEvent = 0.05;
-
-    /**
-     * Cap parallel time at sequential time (the golden-execution
-     * guarantee of Section 5.1).
-     */
-    bool applyGoldenCap = true;
 
     /**
      * Hard ceiling on enumeration flows per segment, far above any
@@ -169,17 +139,11 @@ struct PapOptions
      */
     double segmentDeadlineMs = 0.0;
 
-    /** Extra attempts after a failed segment (0 disables retry). */
-    std::uint32_t maxSegmentRetries = 2;
-
     /**
-     * First retry backoff in ms; doubles per retry up to
-     * exec::HardenedExecOptions::backoffCapMs. Each sleep is jittered
-     * by a pure hash of the fault seed and the segment
-     * (exec::retryBackoff), so workers that fail together do not
-     * retry together. Timing only.
+     * Extra attempts after a failed segment (0 disables retry), each
+     * after the exec layer's jittered backoff (exec::retryBackoff).
      */
-    std::uint32_t retryBackoffBaseMs = 1;
+    std::uint32_t maxSegmentRetries = 2;
 
     /**
      * Crash-consistent checkpoint file. When non-empty the runner
@@ -201,9 +165,9 @@ struct PapOptions
 };
 
 /**
- * InvalidInput when @p options holds a zero divisor: a tdmQuantum or
- * a convergenceCheckPeriod of 0. runPap, runMultiStream and
- * serve::Server refuse such options before they run anything.
+ * InvalidInput when @p options holds a zero divisor: a tdmQuantum of
+ * 0. runPap, runMultiStream and serve::Server refuse such options
+ * before they run anything.
  */
 inline Status
 checkOptions(const PapOptions &options)
@@ -211,9 +175,6 @@ checkOptions(const PapOptions &options)
     if (options.tdmQuantum == 0)
         return Status::error(ErrorCode::InvalidInput,
                              "tdmQuantum must be at least 1");
-    if (options.convergenceCheckPeriod == 0)
-        return Status::error(ErrorCode::InvalidInput,
-                             "convergenceCheckPeriod must be at least 1");
     return Status();
 }
 

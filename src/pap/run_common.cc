@@ -10,7 +10,6 @@ makeHardenedOptions(const PapOptions &options,
     exec::HardenedExecOptions opt;
     opt.threads = threads_resolved;
     opt.maxRetries = options.maxSegmentRetries;
-    opt.backoffBaseMs = options.retryBackoffBaseMs;
     opt.injector = options.faultInjector;
     if (options.faultInjector)
         opt.jitterSeed = options.faultInjector->seed();

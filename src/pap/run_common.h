@@ -17,9 +17,9 @@ namespace pap {
 
 /**
  * Build the hardened-driver options every runner derives from
- * PapOptions: resolved thread count, retry/backoff knobs, injector,
- * and the attempt deadline — explicit when positive, auto-derived
- * from @p longest_unit (the longest segment or stream, in symbols; a
+ * PapOptions: resolved thread count, retry count, injector, and the
+ * attempt deadline — explicit when positive, auto-derived from
+ * @p longest_unit (the longest segment or stream, in symbols; a
  * generous 10 us/symbol with a 5 s floor) when zero, disabled when
  * negative.
  */

@@ -29,19 +29,18 @@ namespace pap {
 
 SequentialResult
 runSequential(const Nfa &nfa, const InputTrace &input,
-              const PapOptions &options)
+              const PapOptions & /*options*/)
 {
     const CompiledNfa cnfa(nfa);
-    return runSequential(cnfa, input, options);
+    return runSequential(cnfa, input);
 }
 
 SequentialResult
-runSequential(const CompiledNfa &cnfa, const InputTrace &input,
-              const PapOptions &options)
+runSequential(const CompiledNfa &cnfa, const InputTrace &input)
 {
     PAP_TRACE_SCOPE("pap.sequential");
     return runSequential(cnfa, cnfa.initialActive(), input.begin(), 0,
-                         input.size(), options);
+                         input.size());
 }
 
 namespace {
@@ -352,8 +351,7 @@ PapRun::runCheck(std::size_t k)
         PAP_TRACE_SCOPE("pap.sequential");
         check.run = runSequential(automaton->cnfa, check.seed,
                                   input.ptr(check.slice.begin),
-                                  check.slice.begin, check.slice.length(),
-                                  options);
+                                  check.slice.begin, check.slice.length());
     } catch (...) {
         // Left missing: verify() runs the whole input instead.
     }
@@ -408,7 +406,7 @@ PapRun::settleSequential(bool verifying)
             seq.counters.matches += check.run->counters.matches;
             seq.entries += check.run->entries;
         }
-        seq.cycles = baselineCycles(input.size(), seq.entries, options);
+        seq.cycles = baselineCycles(input.size(), seq.entries);
     } else {
         if (verifying)
             obs::metrics().add("runner.verify.whole_input_runs");
@@ -416,7 +414,7 @@ PapRun::settleSequential(bool verifying)
                         "baseline.wait");
         obs::Phase run(sink, "pap.baseline", &ledger, "baseline",
                        /*aux=*/true);
-        seq = runSequential(automaton->cnfa, input, options);
+        seq = runSequential(automaton->cnfa, input);
     }
     result.baselineCycles = seq.cycles;
     result.seqReportEvents = seq.reports.size();
@@ -448,12 +446,16 @@ PapRun::analyze()
     result.status = checkOptions(options);
     if (!result.status.ok())
         return false;
-    const Placement placement = placeAutomaton(
+    const Result<Placement> placement = placeAutomaton(
         nfa, automaton->comps, config, options.routingMinHalfCores);
+    if (!placement.ok()) {
+        result.status = placement.status();
+        return false;
+    }
 
     // Segments: limited by half-cores, and by the rule that a segment
     // should span at least a couple of TDM quanta to be worth a flow.
-    std::uint32_t num_segments = placement.inputSegments(config);
+    std::uint32_t num_segments = placement.value().inputSegments(config);
     const std::uint64_t min_seg = 2ull * options.tdmQuantum;
     num_segments = static_cast<std::uint32_t>(std::max<std::uint64_t>(
         1, std::min<std::uint64_t>(num_segments,
@@ -461,7 +463,7 @@ PapRun::analyze()
     result.name = nfa.name();
     result.numSegments = num_segments;
     result.idealSpeedup = num_segments;
-    result.halfCoresPerCopy = placement.halfCoresPerCopy;
+    result.halfCoresPerCopy = placement.value().halfCoresPerCopy;
     phase.close();
     return num_segments > 1 || adoptSequential(/*degraded=*/false);
 }
@@ -931,10 +933,9 @@ PapRun::timeline()
         diag.tResolve = timeline.tResolve[j];
     }
 
+    const Cycles switch_cost = config.timing.contextSwitchCycles;
     result.contextSwitches =
-        options.contextSwitchCycles
-            ? timeline.switchCycles / options.contextSwitchCycles
-            : 0;
+        switch_cost ? timeline.switchCycles / switch_cost : 0;
     for (const Cycles tcpu : timeline.tcpuCycles)
         if (tcpu >= config.timing.stateVectorUploadCycles)
             ++result.stateVectorUploads;

@@ -49,10 +49,14 @@ namespace pap {
  * whole-input golden execution, traced as one pap.sequential span.
  */
 SequentialResult runSequential(const CompiledNfa &cnfa,
-                               const InputTrace &input,
-                               const PapOptions &options = {});
+                               const InputTrace &input);
 
-/** Compile @p nfa and run it sequentially over @p input. */
+/**
+ * Compile @p nfa and run it sequentially over @p input. @p options is
+ * read by nothing: it stays only because the benchmark of record
+ * (papbench/) still passes one; drop it, with PapOptions::engine,
+ * once a benchmark change removes those arguments.
+ */
 SequentialResult runSequential(const Nfa &nfa, const InputTrace &input,
                                const PapOptions &options = {});
 
@@ -153,11 +157,12 @@ struct PapResult
     bool recovered = false;
     /**
      * Non-Ok only when the run could not produce a result at all:
-     * options checkOptions refuses → InvalidInput,
-     * OverflowPolicy::Fail with an over-capacity plan →
-     * CapacityExceeded, a checkpointPath another run holds →
-     * LockHeld, or the stopAfterSegment test hook → Cancelled
-     * (checkpoint left on disk). The run then carries no reports.
+     * options checkOptions refuses → InvalidInput, an automaton the
+     * board cannot place (placeAutomaton) or OverflowPolicy::Fail
+     * with an over-capacity plan → CapacityExceeded, a
+     * checkpointPath another run holds → LockHeld, or the
+     * stopAfterSegment test hook → Cancelled (checkpoint left on
+     * disk). The run then carries no reports.
      * The sequential fields (baselineCycles, seqReportEvents) are
      * settled on every exit that ran the pipeline or adopted the
      * sequential result, so a Cancelled run carries them; a refused
@@ -246,9 +251,10 @@ struct PapResult
  * injection, otherwise a PAPsim bug) is repaired from the sequential
  * oracle (result.recovered), an over-capacity flow plan is handled
  * per options.overflowPolicy, and the only non-Ok result.status is
- * InvalidInput for options checkOptions refuses, CapacityExceeded
- * under OverflowPolicy::Fail, LockHeld on a checkpoint another run
- * holds, or Cancelled from the stopAfterSegment test hook.
+ * InvalidInput for options checkOptions refuses, CapacityExceeded for
+ * an automaton the board cannot place or under OverflowPolicy::Fail,
+ * LockHeld on a checkpoint another run holds, or Cancelled from the
+ * stopAfterSegment test hook.
  */
 PapResult runPap(const PreparedAutomaton &automaton,
                  const InputTrace &input, const ApConfig &config,

@@ -28,18 +28,16 @@ tallyDeaths(const SegmentRun &run)
 }
 
 Cycles
-baselineCycles(std::uint64_t symbols, std::uint64_t entries,
-               const PapOptions &options)
+baselineCycles(std::uint64_t symbols, std::uint64_t entries)
 {
-    return symbols + static_cast<Cycles>(options.reportCostCyclesPerEvent *
+    return symbols + static_cast<Cycles>(kReportCostCyclesPerEvent *
                                          static_cast<double>(entries));
 }
 
 SequentialResult
 runSequential(const CompiledNfa &cnfa, const std::vector<StateId> &initial,
               const Symbol *data, std::uint64_t offset,
-              std::uint64_t length, const PapOptions &options,
-              const exec::CancellationToken *cancel)
+              std::uint64_t length, const exec::CancellationToken *cancel)
 {
     FunctionalEngine engine(cnfa, /*starts=*/true);
     engine.reset(initial, offset);
@@ -57,7 +55,7 @@ runSequential(const CompiledNfa &cnfa, const std::vector<StateId> &initial,
     result.reports = engine.takeReports();
     result.entries = result.reports.size();
     sortAndDedupReports(result.reports);
-    result.cycles = baselineCycles(length, result.entries, options);
+    result.cycles = baselineCycles(length, result.entries);
     return result;
 }
 
@@ -71,7 +69,7 @@ runGoldenSegment(const CompiledNfa &cnfa,
     PAP_TRACE_SCOPE("segment.golden");
     obs::metrics().add("segment_sim.flows.golden");
     SequentialResult seq =
-        runSequential(cnfa, initial, data, seg_begin, seg_len, {}, cancel);
+        runSequential(cnfa, initial, data, seg_begin, seg_len, cancel);
 
     FlowRecord rec;
     rec.id = 0;
@@ -139,6 +137,12 @@ struct LiveFlow
  */
 constexpr std::uint64_t kEarlyCheckGranularity = 16;
 
+/**
+ * TDM steps between dynamic convergence checks (Section 3.3.3); the
+ * timeline charges them nothing, as the SVC comparator overlaps input.
+ */
+constexpr std::uint64_t kConvergenceCheckPeriod = 10;
+
 } // namespace
 
 SegmentRun
@@ -159,12 +163,10 @@ runEnumSegment(const CompiledNfa &cnfa, const FlowPlan &plan,
 
     // The ASG flow carries all spontaneous (start-state) activity and
     // the always-active states; it is always a true flow.
-    int asg_live_index = -1;
     if (!asg_seed.empty()) {
         LiveFlow &lf = live.emplace_back(asg_seed, /*starts=*/true);
         lf.record.id = static_cast<FlowId>(plan.flows.size());
         lf.record.kind = FlowKind::Asg;
-        asg_live_index = 0;
     }
 
     for (const auto &spec : plan.flows) {
@@ -272,7 +274,7 @@ runEnumSegment(const CompiledNfa &cnfa, const FlowPlan &plan,
 
         // Dynamic convergence checks every N TDM steps.
         if (options.enableConvergenceChecks &&
-            round % options.convergenceCheckPeriod == 0 &&
+            round % kConvergenceCheckPeriod == 0 &&
             processed < seg_len) {
             std::unordered_map<std::uint64_t, std::vector<std::size_t>>
                 buckets;
@@ -313,11 +315,10 @@ runEnumSegment(const CompiledNfa &cnfa, const FlowPlan &plan,
             injector->onReportDrain(lf.record.reports, seg_begin);
         run.flows.push_back(std::move(lf.record));
     }
-    run.asgIndex = asg_live_index;
 
     auto &m = obs::metrics();
     m.add("segment_sim.flows.enum", plan.flows.size());
-    if (asg_live_index >= 0)
+    if (!asg_seed.empty())
         m.add("segment_sim.flows.asg");
     const DeathTally deaths = tallyDeaths(run);
     if (deaths.deactivated)

@@ -3,10 +3,10 @@
  * Functional execution of one input segment's flows, time-division
  * multiplexed exactly as the PAP architecture does it (Section 3.2):
  * every flow advances one TDM quantum per step; deactivation checks
- * run at context switches (plus finer-grained checks before the first
- * TDM step completes, Section 3.3.4); convergence checks run every N
- * TDM steps and merge flows whose state vectors are bitwise equal
- * (Section 3.3.3). executeSegment() on top is the one segment
+ * run at context switches (plus checks every 16 symbols before the
+ * first TDM step completes, Section 3.3.4); convergence checks run
+ * every 10 TDM steps and merge flows whose state vectors are bitwise
+ * equal (Section 3.3.3). executeSegment() on top is the one segment
  * executor that runPap and serve share: golden/enumeration dispatch.
  * runSequential is the golden execution (Section 3.4) of any input
  * slice: the golden flow, the oracle continuation of a failed segment
@@ -47,12 +47,18 @@ struct SequentialResult
 };
 
 /**
+ * Host cost per output-buffer entry drained, in symbol cycles: the
+ * Xeon filters an entry in a few CPU cycles, well under one 7.5 ns AP
+ * cycle (output reporting is ~1% of execution, Section 5.3).
+ */
+inline constexpr double kReportCostCyclesPerEvent = 0.05;
+
+/**
  * Baseline cycles of a sequential run over @p symbols symbols: one per
  * symbol plus the host's report processing, charged once over all
  * @p entries output-buffer entries.
  */
-Cycles baselineCycles(std::uint64_t symbols, std::uint64_t entries,
-                      const PapOptions &options);
+Cycles baselineCycles(std::uint64_t symbols, std::uint64_t entries);
 
 /**
  * Run @p cnfa sequentially, start machinery live, over the @p length
@@ -65,7 +71,6 @@ SequentialResult runSequential(const CompiledNfa &cnfa,
                                const std::vector<StateId> &initial,
                                const Symbol *data, std::uint64_t offset,
                                std::uint64_t length,
-                               const PapOptions &options = {},
                                const exec::CancellationToken *cancel =
                                    nullptr);
 
@@ -120,8 +125,6 @@ struct SegmentRun
     std::uint64_t segBegin = 0;
     std::uint64_t segLen = 0;
     std::vector<FlowRecord> flows;
-    /** Index of the ASG flow in @c flows, or -1 if absent. */
-    int asgIndex = -1;
 };
 
 class FaultInjector;

@@ -10,6 +10,7 @@
 #include "pap/exec/worker_pool.h"
 #include "pap/partitioner.h"
 #include "pap/runner.h"
+#include "pap/timeline.h"
 
 namespace pap {
 
@@ -40,10 +41,14 @@ runSpeculative(const PreparedAutomaton &automaton, const InputTrace &input,
     SpeculationResult result;
     result.name = nfa.name();
 
-    const Placement placement = placeAutomaton(
+    const Result<Placement> placement = placeAutomaton(
         nfa, automaton.comps, config, options.routingMinHalfCores);
+    if (!placement.ok()) {
+        result.status = placement.status();
+        return result;
+    }
 
-    std::uint32_t num_segments = placement.inputSegments(config);
+    std::uint32_t num_segments = placement.value().inputSegments(config);
     num_segments = static_cast<std::uint32_t>(std::max<std::uint64_t>(
         1, std::min<std::uint64_t>(
                num_segments,
@@ -51,9 +56,7 @@ runSpeculative(const PreparedAutomaton &automaton, const InputTrace &input,
     result.numSegments = num_segments;
     result.idealSpeedup = num_segments;
 
-    PapOptions base;
-    base.reportCostCyclesPerEvent = options.reportCostCyclesPerEvent;
-    const SequentialResult seq = runSequential(cnfa, input, base);
+    const SequentialResult seq = runSequential(cnfa, input);
     result.baselineCycles = seq.cycles;
 
     if (num_segments == 1) {
@@ -102,14 +105,14 @@ runSpeculative(const PreparedAutomaton &automaton, const InputTrace &input,
             spec[j].warmupSymbols = seg.begin - from;
             spec[j].predicted =
                 runSequential(cnfa, {}, input.ptr(from), from,
-                              spec[j].warmupSymbols, base, cancel)
+                              spec[j].warmupSymbols, cancel)
                     .finalActive;
         }
         // The first segment needs no speculation: it starts from the
         // initial set. Every later one starts from its prediction.
         SequentialResult run = runSequential(
             cnfa, j == 0 ? cnfa.initialActive() : spec[j].predicted,
-            input.ptr(seg.begin), seg.begin, seg.length(), base, cancel);
+            input.ptr(seg.begin), seg.begin, seg.length(), cancel);
         if (cancel && cancel->cancelled())
             return false;
         spec[j].specFinal = std::move(run.finalActive);
@@ -207,7 +210,6 @@ runSpeculative(const PreparedAutomaton &automaton, const InputTrace &input,
     // dependency exactly like the enumerative runner's decode chain;
     // a mispredicted segment reruns serially after the truth arrives.
     const Cycles upload = config.timing.stateVectorUploadCycles;
-    const Cycles decode = base.decodeBaseCycles;
     Cycles prev_truth = 0;
     Cycles completion = 0;
     for (std::size_t j = 0; j < segs.size(); ++j) {
@@ -223,16 +225,16 @@ runSpeculative(const PreparedAutomaton &automaton, const InputTrace &input,
         }
         const Cycles truth =
             (j == 0) ? done + upload
-                     : std::max(done + upload, prev_truth) + decode;
+                     : std::max(done + upload, prev_truth) +
+                           kDecodeBaseCycles;
         const Cycles drain = static_cast<Cycles>(
-            options.reportCostCyclesPerEvent *
+            kReportCostCyclesPerEvent *
             static_cast<double>(spec[j].specReports.size()));
         completion = std::max(completion, truth + drain);
         prev_truth = truth;
     }
     result.papCycles = completion;
-    if (options.applyGoldenCap &&
-        result.papCycles > result.baselineCycles) {
+    if (result.papCycles > result.baselineCycles) {
         result.papCycles = result.baselineCycles;
         result.goldenCapped = true;
     }

@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "ap/ap_config.h"
+#include "common/error.h"
 #include "engine/report.h"
 #include "engine/trace.h"
 #include "nfa/nfa.h"
@@ -35,15 +36,11 @@
 
 namespace pap {
 
-/** Knobs of the speculative runner. */
+/** Options of the speculative runner. */
 struct SpeculationOptions
 {
     /** Warmup window: symbols re-executed before each segment. */
     std::uint32_t warmupWindow = 256;
-    /** Cap parallel time at the sequential baseline. */
-    bool applyGoldenCap = true;
-    /** Host cost per output-buffer entry drained. */
-    double reportCostCyclesPerEvent = 0.05;
     /** Routing-constraint hint (see PapOptions). */
     std::uint32_t routingMinHalfCores = 1;
     /**
@@ -76,6 +73,8 @@ struct SpeculationResult
     bool recovered = false;
     /** Host threads the speculative phase ran on. */
     std::uint32_t threadsUsed = 1;
+    /** CapacityExceeded, with nothing run, for an unplaceable automaton. */
+    Status status;
 };
 
 /**

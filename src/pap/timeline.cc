@@ -17,9 +17,9 @@ simulateTimeline(const std::vector<SegmentTimingInput> &segments,
     PAP_ASSERT(!segments.empty(), "timeline needs at least one segment");
     PAP_TRACE_SCOPE("timeline.simulate");
     const std::uint64_t quantum = options.tdmQuantum;
-    const Cycles ctx = options.contextSwitchCycles;
     const auto kNever = static_cast<Cycles>(-1);
     const ApTiming &timing = config.timing;
+    const Cycles ctx = timing.contextSwitchCycles;
     const Cycles upload = timing.stateVectorUploadCycles;
     const std::uint32_t svc_capacity = config.svcEntriesPerDevice;
 
@@ -145,10 +145,9 @@ simulateTimeline(const std::vector<SegmentTimingInput> &segments,
         Cycles tcpu = 0;
         Cycles truth_avail = t;
         if (seg.hasEnumFlows) {
-            Cycles decode = options.decodeBaseCycles;
-            if (seg.aliveEnumFlowsAtEnd > 0)
-                decode += options.decodePerFlowCycles *
-                          seg.aliveEnumFlowsAtEnd;
+            const Cycles decode =
+                kDecodeBaseCycles +
+                kDecodePerFlowCycles * seg.aliveEnumFlowsAtEnd;
             const Cycles uploaded = t + timing.stateVectorUploadCycles;
             truth_avail = std::max(uploaded, prev_truth_avail) + decode;
             tcpu = timing.stateVectorUploadCycles + decode;
@@ -157,7 +156,7 @@ simulateTimeline(const std::vector<SegmentTimingInput> &segments,
             tcpu = timing.stateVectorUploadCycles;
         }
         const Cycles drain = static_cast<Cycles>(
-            options.reportCostCyclesPerEvent *
+            kReportCostCyclesPerEvent *
             static_cast<double>(seg.totalEntries));
         prev_truth_avail = truth_avail;
         result.tcpuCycles.push_back(tcpu);
@@ -167,7 +166,7 @@ simulateTimeline(const std::vector<SegmentTimingInput> &segments,
     result.papCycles = 0;
     for (const Cycles t : result.tResolve)
         result.papCycles = std::max(result.papCycles, t);
-    if (options.applyGoldenCap && result.papCycles > baseline_cycles) {
+    if (result.papCycles > baseline_cycles) {
         result.papCycles = baseline_cycles;
         result.goldenCapped = true;
     }

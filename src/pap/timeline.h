@@ -2,13 +2,14 @@
  * @file
  * Cycle-accounting model of a PAP run (Sections 3.4, 4.2 and 5 of the
  * paper). All segments start at wall-clock zero on their own
- * half-cores. A segment's rounds cost (live flows x (quantum + context
- * switch)); a single live flow pays no switch. When segment j-1 is
- * resolved at the host (state-vector upload + decode = Tcpu), a Flow
- * Invalidation Vector reaches segment j fifteen cycles later and kills
- * its false flows at the next round boundary; Tcpu is thereby
- * overlapped with the next segment's execution. The golden-execution
- * policy caps the parallel time at the sequential baseline.
+ * half-cores. A segment's rounds cost (live flows x (quantum + the
+ * board's context switch)); a single live flow pays no switch. When
+ * segment j-1 is resolved at the host (state-vector upload + decode =
+ * Tcpu), a Flow Invalidation Vector reaches segment j fifteen cycles
+ * later and kills its false flows at the next round boundary; Tcpu is
+ * thereby overlapped with the next segment's execution. The golden
+ * execution (Section 5.1) always caps the parallel time at the
+ * sequential baseline.
  */
 
 #ifndef PAP_PAP_TIMELINE_H
@@ -23,6 +24,15 @@
 #include "pap/segment_sim.h"
 
 namespace pap {
+
+/**
+ * Host decode of an uploaded vector, in symbol cycles: a fixed cost
+ * ("a few tens of symbol cycles", Section 3.4; Tcpu of Fig. 11) plus
+ * one per enumeration flow alive at segment end. Only the decode
+ * chains serially; uploads of different segments overlap.
+ */
+inline constexpr Cycles kDecodeBaseCycles = 32;
+inline constexpr Cycles kDecodePerFlowCycles = 2;
 
 /** Timing-relevant facts about one flow of one segment. */
 struct FlowTimingInfo

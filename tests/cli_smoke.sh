@@ -75,6 +75,27 @@ if "$PAPSIM" run m.nfa t.bin --overflow=wat 2>/dev/null; then exit 1; fi
 printf '# nothing\n' > empty_rules.txt
 if "$PAPSIM" compile empty_rules.txt e.nfa 2>/dev/null; then exit 1; fi
 
+# An automaton the board cannot place is a typed error too: a chain of
+# 25,000 states is one component, larger than a 24,576-STE half-core.
+awk 'BEGIN {
+    n = 25000; label = ""
+    for (i = 0; i < 64; ++i) label = label "f"
+    print "papsim-nfa 1"; print "name chain"; print "states " n
+    for (q = 0; q < n; ++q)
+        print "s " q " " label " " (q == 0 ? 2 : 0) " " (q == n - 1) " 0"
+    for (q = 0; q + 1 < n; ++q) print "e " q " " q + 1
+    print "end"
+}' > chain.nfa
+for cmd in "run chain.nfa t.bin" "run chain.nfa t.bin --spec" \
+           "analyze chain.nfa"; do
+    rc=0
+    # shellcheck disable=SC2086 # $cmd is a command line
+    "$PAPSIM" $cmd > /dev/null 2> chain.err || rc=$?
+    test "$rc" -eq 1
+    grep -q "papsim: error: CapacityExceeded" chain.err
+    if grep -q "fatal:" chain.err; then exit 1; fi
+done
+
 # Malformed automaton and rule files are typed errors: exit 1, never
 # an abort.
 printf 'papsim-nfa 1\nname bad\nstates 1\ns 0 abc 1 0 0\nend\n' > bad.nfa

@@ -10,6 +10,7 @@
 #include "ap/ap_config.h"
 #include "ap/placement.h"
 #include "nfa/glushkov.h"
+#include "workload_helpers.h"
 #include "workloads/domain_gen.h"
 
 namespace pap {
@@ -33,7 +34,8 @@ TEST(Placement, SmallMachineUsesOneHalfCore)
 {
     const Nfa nfa = compileRuleset({{"abc", 1}, {"def", 2}}, "m");
     const Components comps = connectedComponents(nfa);
-    const Placement p = placeAutomaton(nfa, comps, ApConfig::d480(1));
+    const Placement p =
+        placeAutomaton(nfa, comps, ApConfig::d480(1)).value();
     EXPECT_EQ(p.halfCoresPerCopy, 1u);
     EXPECT_EQ(p.inputSegments(ApConfig::d480(1)), 16u);
     EXPECT_EQ(p.inputSegments(ApConfig::d480(4)), 64u);
@@ -45,10 +47,23 @@ TEST(Placement, RoutingHintForcesExtraHalfCores)
     const Nfa nfa = compileRuleset({{"abc", 1}}, "m");
     const Components comps = connectedComponents(nfa);
     const Placement p =
-        placeAutomaton(nfa, comps, ApConfig::d480(1), 3);
+        placeAutomaton(nfa, comps, ApConfig::d480(1), 3).value();
     EXPECT_EQ(p.halfCoresPerCopy, 3u);
     EXPECT_EQ(p.inputSegments(ApConfig::d480(1)), 5u);
     EXPECT_EQ(p.inputSegments(ApConfig::d480(4)), 21u);
+}
+
+TEST(Placement, ComponentLargerThanAHalfCoreIsCapacityExceeded)
+{
+    // 25,000 states in one component: above the 24,576 STEs of a
+    // half-core, which transitions cannot leave.
+    const Nfa nfa = chainNfa(25000);
+    const Components comps = connectedComponents(nfa);
+    ASSERT_EQ(comps.count, 1u);
+    const Result<Placement> p =
+        placeAutomaton(nfa, comps, ApConfig::d480(4));
+    ASSERT_FALSE(p.ok());
+    EXPECT_EQ(p.status().code(), ErrorCode::CapacityExceeded);
 }
 
 TEST(Placement, BinPacksComponents)
@@ -56,7 +71,8 @@ TEST(Placement, BinPacksComponents)
     // 45k single-component states of ~9 each need two half-cores.
     const Nfa nfa = buildSpm(5025, 7, 1);
     const Components comps = connectedComponents(nfa);
-    const Placement p = placeAutomaton(nfa, comps, ApConfig::d480(4));
+    const Placement p =
+        placeAutomaton(nfa, comps, ApConfig::d480(4)).value();
     EXPECT_EQ(p.halfCoresPerCopy, 2u);
     std::uint64_t total = 0;
     for (const auto used : p.stesPerHalfCore) {

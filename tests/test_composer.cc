@@ -191,7 +191,6 @@ TEST(Composer, AsgFlowAlwaysContributes)
     asg.finalSnapshot = {1};
     asg.reports = {{109, 2, 1}};
     f.run.flows.push_back(asg);
-    f.run.asgIndex = 1;
 
     const SegmentTruth truth =
         composeEnum(f.cnfa, f.comps, f.plan, f.run, {});

@@ -229,7 +229,6 @@ TEST(ThreadDeterminism, StallFaultsAreByteIdenticalAcrossThreads)
         // Each injected stall lasts one deadline; a healthy attempt
         // must never reach it, even under a sanitizer on a busy host.
         opt.segmentDeadlineMs = 200.0;
-        opt.retryBackoffBaseMs = 0;
         opt.faultInjector = &fi;
         runs.push_back(runPap(w.nfa, w.input, board, opt));
         ASSERT_TRUE(runs.back().status.ok());
@@ -255,7 +254,6 @@ TEST(ThreadDeterminism, CrashFaultsAreByteIdenticalAcrossThreads)
             FaultInjector::fromSpec("crash-worker:1:0.5", 33).value();
         PapOptions opt;
         opt.threads = threads;
-        opt.retryBackoffBaseMs = 0;
         opt.faultInjector = &fi;
         runs.push_back(runPap(w.nfa, w.input, board, opt));
         ASSERT_TRUE(runs.back().status.ok());
@@ -278,7 +276,6 @@ TEST(Escalation, TransientCrashHealsByRetryWithoutDegrading)
     // cleanly — no oracle fallback, no degradation.
     auto fi = FaultInjector::fromSpec("crash-worker:1", 5).value();
     PapOptions opt;
-    opt.retryBackoffBaseMs = 0;
     opt.faultInjector = &fi;
     const PapResult r = runPap(w.nfa, w.input, board, opt);
     ASSERT_TRUE(r.status.ok());
@@ -300,7 +297,6 @@ TEST(Escalation, PermanentCrashFallsBackToSegmentOracle)
     // the affected segments fall back to the sequential oracle.
     auto fi = FaultInjector::fromSpec("crash-worker:8", 5).value();
     PapOptions opt;
-    opt.retryBackoffBaseMs = 0;
     opt.faultInjector = &fi;
     const PapResult r = runPap(w.nfa, w.input, board, opt);
     ASSERT_TRUE(r.status.ok());
@@ -322,7 +318,6 @@ TEST(Escalation, WatchdogTimeoutEscalatesToOracleWhenStallPersists)
     PapOptions opt;
     opt.segmentDeadlineMs = 10.0;
     opt.maxSegmentRetries = 1;
-    opt.retryBackoffBaseMs = 0;
     opt.faultInjector = &fi;
     const PapResult r = runPap(w.nfa, w.input, board, opt);
     ASSERT_TRUE(r.status.ok());
@@ -643,7 +638,6 @@ TEST_F(CheckpointResume, ResumeUnderWorkerFaultsKeepsReportsExact)
     // those are must not depend on where the run was killed.
     const auto faulted = [&](PapOptions opt) {
         auto fi = FaultInjector::fromSpec("crash-worker:3:0.4", 11).value();
-        opt.retryBackoffBaseMs = 0;
         opt.faultInjector = &fi;
         return runPap(w.nfa, w.input, board, opt);
     };

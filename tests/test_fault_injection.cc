@@ -315,7 +315,7 @@ TEST(SvcOverflow, SequentialFallbackPolicyDegrades)
     EXPECT_TRUE(r.degraded);
     EXPECT_TRUE(r.verified);
     EXPECT_DOUBLE_EQ(r.speedup, 1.0);
-    const SequentialResult seq = runSequential(w.nfa, w.input, opt);
+    const SequentialResult seq = runSequential(w.nfa, w.input);
     EXPECT_EQ(r.reports, seq.reports);
 }
 

@@ -90,6 +90,43 @@ TEST(MultiStream, RoundRobinFinishesShortStreamsFirst)
     EXPECT_EQ(r.streamDone[1], r.totalCycles);
 }
 
+TEST(MultiStream, BoardSetsContextSwitchCost)
+{
+    // The board's timing owns the flow-switch cost: doubling it keeps
+    // every report and switch count of a PAP run and of a multiplexed
+    // one, and doubles the switch cycles they pay.
+    const std::vector<RegexRule> rules = {{"abr.*kad", 1},
+                                          {"abra", 2}};
+    const Nfa nfa = compileRuleset(rules, "m");
+    Rng rng(65);
+    const InputTrace input = randomTextTrace(rng, 16384, "abrkd ");
+    ApConfig board = ApConfig::d480(1);
+    board.devicesPerRank = 4;
+    board.halfCoresPerDevice = 1;
+    ApConfig slow = board;
+    slow.timing.contextSwitchCycles = 6;
+
+    const PapResult r3 = runPap(nfa, input, board);
+    const PapResult r6 = runPap(nfa, input, slow);
+    ASSERT_TRUE(r3.verified);
+    ASSERT_TRUE(r6.verified);
+    EXPECT_EQ(r6.reports, r3.reports);
+    EXPECT_GT(r3.contextSwitches, 0u);
+    EXPECT_EQ(r6.contextSwitches, r3.contextSwitches);
+    EXPECT_GT(r6.switchOverheadPct, r3.switchOverheadPct);
+
+    std::vector<InputTrace> streams;
+    for (int i = 0; i < 4; ++i)
+        streams.push_back(randomTextTrace(rng, 3000, "abrkd "));
+    const MultiStreamResult m3 = runMultiStream(nfa, streams, board);
+    const MultiStreamResult m6 = runMultiStream(nfa, streams, slow);
+    ASSERT_TRUE(m3.status.ok());
+    ASSERT_TRUE(m6.status.ok());
+    EXPECT_EQ(m6.reports, m3.reports);
+    EXPECT_GT(m3.switchCycles, 0u);
+    EXPECT_EQ(m6.switchCycles, 2 * m3.switchCycles);
+}
+
 TEST(Energy, BreakdownSumsAndScales)
 {
     EnergyActivity a;

@@ -136,7 +136,6 @@ TEST(PipelineIdentity, EveryFaultKindMatchesAcrossModes)
             // attempt must never reach it, even under a sanitizer on
             // a busy host.
             opt.segmentDeadlineMs = 200.0;
-            opt.retryBackoffBaseMs = 0;
             opt.faultInjector = &fi;
             runs.push_back(runPap(w.nfa, w.input, board, opt));
             ASSERT_TRUE(runs.back().status.ok())

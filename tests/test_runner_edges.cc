@@ -208,17 +208,15 @@ TEST(RunnerEdges, SingleSymbolPartitionBuildsOnePlan)
 
 TEST(RunnerEdges, ReportCostAffectsBaseline)
 {
+    // 5,000 reports at kReportCostCyclesPerEvent (0.05) add 250 cycles
+    // to the 5,000 symbol cycles.
     const Nfa nfa = compileRuleset({{"a", 1}}, "m");
     const InputTrace input =
         InputTrace::fromString(std::string(5000, 'a'));
-    PapOptions cheap, pricey;
-    cheap.reportCostCyclesPerEvent = 0.0;
-    pricey.reportCostCyclesPerEvent = 2.0;
-    const auto seq_cheap = runSequential(nfa, input, cheap);
-    const auto seq_pricey = runSequential(nfa, input, pricey);
-    EXPECT_EQ(seq_cheap.cycles, 5000u);
-    EXPECT_EQ(seq_pricey.cycles, 5000u + 10000u);
-    EXPECT_EQ(seq_cheap.reports.size(), 5000u);
+    const SequentialResult seq = runSequential(nfa, input);
+    EXPECT_EQ(seq.reports.size(), 5000u);
+    EXPECT_EQ(seq.cycles, 5000u + 250u);
+    EXPECT_EQ(seq.cycles, baselineCycles(5000, 5000));
 }
 
 TEST(RunnerEdges, MaxFlowsLimitDegradesToSequential)
@@ -236,7 +234,7 @@ TEST(RunnerEdges, MaxFlowsLimitDegradesToSequential)
     EXPECT_TRUE(r.degraded);
     EXPECT_TRUE(r.verified);
     EXPECT_DOUBLE_EQ(r.speedup, 1.0);
-    const SequentialResult seq = runSequential(nfa, input, opt);
+    const SequentialResult seq = runSequential(nfa, input);
     EXPECT_EQ(r.reports, seq.reports);
 }
 
@@ -255,39 +253,43 @@ TEST(RunnerEdges, MaxFlowsLimitFailsWhenAskedTo)
     EXPECT_TRUE(r.reports.empty());
 }
 
-/**
- * A zero divisor in @p opt ends a multi-segment run with InvalidInput
- * through the single exit, which still settles the sequential fields.
- */
-void
-expectInvalidOptions(const PapOptions &opt)
+TEST(RunnerEdges, UnplaceableAutomatonIsCapacityExceeded)
 {
+    // One copy spread over 17 half-cores does not fit the 16 of one
+    // rank: the call is refused before it runs anything.
+    const Nfa nfa = compileRuleset({{"ab.*cd", 1}}, "m");
+    Rng rng(87);
+    const InputTrace input = randomTextTrace(rng, 8192, "abcd ");
+    PapOptions opt;
+    opt.routingMinHalfCores = 17;
+    const PapResult r = runPap(nfa, input, ApConfig::d480(1), opt);
+    EXPECT_EQ(r.status.code(), ErrorCode::CapacityExceeded)
+        << r.status.toString();
+    EXPECT_TRUE(r.reports.empty());
+    EXPECT_FALSE(r.verified);
+    EXPECT_EQ(r.seqReportEvents, 0u);
+    EXPECT_EQ(r.baselineCycles, 0u);
+    opt.routingMinHalfCores = 16;
+    EXPECT_TRUE(runPap(nfa, input, ApConfig::d480(1), opt).status.ok());
+}
+
+TEST(RunnerEdges, ZeroQuantumIsInvalidInput)
+{
+    // A zero divisor ends a multi-segment run with InvalidInput.
     const Nfa nfa = compileRuleset({{"ab.*cd", 1}, {"fgh", 2}}, "m");
     Rng rng(86);
     const InputTrace input = randomTextTrace(rng, 8192, "abcdfgh ");
+    PapOptions opt;
+    opt.tdmQuantum = 0;
     const PapResult r = runPap(nfa, input, tinyBoard(8), opt);
     EXPECT_EQ(r.status.code(), ErrorCode::InvalidInput)
         << r.status.toString();
     EXPECT_TRUE(r.reports.empty());
     // A refused call runs nothing: no sequential run settles its
     // fields, although this input has reports.
-    ASSERT_FALSE(runSequential(nfa, input, opt).reports.empty());
+    ASSERT_FALSE(runSequential(nfa, input).reports.empty());
     EXPECT_EQ(r.seqReportEvents, 0u);
     EXPECT_EQ(r.baselineCycles, 0u);
-}
-
-TEST(RunnerEdges, ZeroQuantumIsInvalidInput)
-{
-    PapOptions opt;
-    opt.tdmQuantum = 0;
-    expectInvalidOptions(opt);
-}
-
-TEST(RunnerEdges, ZeroConvergencePeriodIsInvalidInput)
-{
-    PapOptions opt;
-    opt.convergenceCheckPeriod = 0;
-    expectInvalidOptions(opt);
 }
 
 } // namespace

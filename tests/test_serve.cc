@@ -1219,14 +1219,14 @@ TEST(Serve, ResumeRejectsCheckpointFromSwappedGeneration)
     ASSERT_TRUE(report.ok()) << report.status().toString();
 }
 
-TEST(Serve, ZeroConvergencePeriodIsInvalidInput)
+TEST(Serve, ZeroQuantumIsInvalidInput)
 {
-    // Every enumerated chunk divides by the convergence period: the
+    // A chunk's TDM rounds never advance by a zero quantum: the
     // constructor refuses it, and the inert server runs no chunk.
     const Nfa nfa = serveRuleset();
     const InputTrace trace = serveTrace(4096, 97);
     ServeOptions opt = smallOptions();
-    opt.pap.convergenceCheckPeriod = 0;
+    opt.pap.tdmQuantum = 0;
     Server server(opt, nfa);
     EXPECT_EQ(server.status().code(), ErrorCode::InvalidInput)
         << server.status().toString();

@@ -48,6 +48,20 @@ TEST(Speculative, VerifiesOnRandomAutomata)
     }
 }
 
+TEST(Speculative, UnplaceableAutomatonIsCapacityExceeded)
+{
+    // A 25,000-state component exceeds a half-core: no speculation.
+    const Nfa nfa = chainNfa(25000);
+    const InputTrace input =
+        InputTrace::fromString(std::string(4096, 'a'));
+    const SpeculationResult r =
+        runSpeculative(nfa, input, ApConfig::d480(4));
+    EXPECT_EQ(r.status.code(), ErrorCode::CapacityExceeded)
+        << r.status.toString();
+    EXPECT_TRUE(r.reports.empty());
+    EXPECT_FALSE(r.verified);
+}
+
 TEST(Speculative, MemorylessPatternsPredictPerfectly)
 {
     // Short exact-match patterns carry no state across a warmup

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "ap/ap_config.h"
 #include "nfa/glushkov.h"
 #include "pap/runner.h"
@@ -84,11 +86,9 @@ TEST(Timeline, FivKillsFalseFlows)
 {
     PapOptions opt;
     opt.tdmQuantum = 100;
-    opt.decodeBaseCycles = 0;
-    opt.decodePerFlowCycles = 0;
 
-    // Segment 0 finishes at 1000; FIV reaches segment 1 at
-    // 1000 + 1668 (upload) + 15 (download).
+    // Segment 0 (golden: no decode) finishes at 10000; the FIV reaches
+    // segment 1 at 10000 + 1668 (upload) + 15 (download) = 11683.
     const std::vector<SegmentTimingInput> segs = {
         segment(10000, {flow(FlowKind::Golden, 10000)}),
         segment(10000, {flow(FlowKind::Asg, 10000),
@@ -104,6 +104,9 @@ TEST(Timeline, FivKillsFalseFlows)
     // Without FIV: 3 flows all the way: 30000 + 300 rounds... exactly
     // 100 rounds x (300 + 9).
     EXPECT_EQ(without.tDone[1], 100u * 309u);
+    // With it: 38 rounds of 3 flows reach 11742 >= 11683, and the
+    // false flow dies at that boundary; 62 rounds of 2 flows remain.
+    EXPECT_EQ(with.tDone[1], 38u * 309u + 62u * (200u + 6u));
 }
 
 TEST(Timeline, TrueFlowsSurviveFiv)
@@ -146,14 +149,12 @@ TEST(Timeline, UploadChargedWhenNextSegmentNeedsT)
     // ...and segment 1 pays upload (it has enum flows) but no
     // per-flow decode since nothing survived to segment end.
     EXPECT_EQ(r.tcpuCycles[1], kConfig.timing.stateVectorUploadCycles +
-                                   opt.decodeBaseCycles);
+                                   kDecodeBaseCycles);
 }
 
 TEST(Timeline, DecodeChainsSeriallyButUploadsOverlap)
 {
     PapOptions opt;
-    opt.decodeBaseCycles = 50;
-    opt.decodePerFlowCycles = 0;
     std::vector<SegmentTimingInput> segs;
     segs.push_back(segment(1000, {flow(FlowKind::Golden, 1000)}));
     for (int j = 0; j < 4; ++j)
@@ -162,39 +163,44 @@ TEST(Timeline, DecodeChainsSeriallyButUploadsOverlap)
     const TimelineResult r =
         simulateTimeline(segs, 5000, opt, kConfig);
     // All segments finish at 1000; uploads overlap; decodes chain:
-    // truth_j = 1000 + 1668 + 50 * (j) ... segment 0 truth at
-    // 1000+1668, then +50 per enumeration segment.
+    // segment 0's truth at 1000 + 1668, then one decode of one live
+    // flow per enumeration segment.
+    const Cycles decode = kDecodeBaseCycles + kDecodePerFlowCycles;
+    EXPECT_EQ(decode, 34u);
     EXPECT_EQ(r.tResolve.back(),
-              1000u + kConfig.timing.stateVectorUploadCycles + 4u * 50u);
+              1000u + kConfig.timing.stateVectorUploadCycles +
+                  4u * decode);
 }
 
 TEST(Timeline, DrainAddsReportCost)
 {
+    // 2,000 entries at kReportCostCyclesPerEvent (0.05) drain in 100
+    // cycles after the segment's last symbol; the baseline does not
+    // bind.
     PapOptions opt;
-    opt.reportCostCyclesPerEvent = 0.5;
-    opt.applyGoldenCap = false; // pap drain exceeds baseline here
     const std::vector<SegmentTimingInput> segs = {
-        segment(1000, {flow(FlowKind::Golden, 1000)}, /*entries=*/200)};
-    const TimelineResult r = simulateTimeline(segs, 1050, opt, kConfig);
+        segment(1000, {flow(FlowKind::Golden, 1000)}, /*entries=*/2000)};
+    const TimelineResult r = simulateTimeline(segs, 1200, opt, kConfig);
+    EXPECT_EQ(r.tResolve[0], 1000u + 100u);
     EXPECT_EQ(r.papCycles, 1000u + 100u);
-    EXPECT_DOUBLE_EQ(r.speedup, 1050.0 / 1100.0);
+    EXPECT_FALSE(r.goldenCapped);
+    EXPECT_DOUBLE_EQ(r.speedup, 1200.0 / 1100.0);
 }
 
 TEST(Timeline, SequentialBaselineChargesEveryEntry)
 {
     // 1000 symbols, every tenth an 'a': 100 reports, each charged
-    // half a cycle of host processing on top of one cycle per symbol.
-    PapOptions opt;
-    opt.reportCostCyclesPerEvent = 0.5;
+    // kReportCostCyclesPerEvent (0.05) of host processing on top of
+    // one cycle per symbol.
     std::string text(1000, 'b');
     for (std::size_t i = 0; i < text.size(); i += 10)
         text[i] = 'a';
     const SequentialResult seq =
         runSequential(compileRuleset({{"a", 1}}, "a"),
-                      InputTrace::fromString(text), opt);
+                      InputTrace::fromString(text));
     EXPECT_EQ(seq.entries, 100u);
     EXPECT_EQ(seq.reports.size(), 100u);
-    EXPECT_EQ(seq.cycles, 1000u + 50u);
+    EXPECT_EQ(seq.cycles, 1000u + 5u);
 }
 
 TEST(Timeline, GoldenCapBoundsSpeedupAtOne)
@@ -215,12 +221,15 @@ TEST(Timeline, GoldenCapBoundsSpeedupAtOne)
 
     const TimelineResult r = simulateTimeline(segs, 2000, opt, kConfig);
     EXPECT_TRUE(r.goldenCapped);
+    EXPECT_EQ(r.papCycles, 2000u);
     EXPECT_DOUBLE_EQ(r.speedup, 1.0);
 
-    PapOptions uncapped = opt;
-    uncapped.applyGoldenCap = false;
-    const TimelineResult r2 = simulateTimeline(segs, 2000, uncapped, kConfig);
-    EXPECT_LT(r2.speedup, 1.0);
+    // Uncapped, segment 1 would resolve far later: 10 rounds of 50
+    // flows and 50 switches, the upload, and the decode of 50 flows.
+    EXPECT_EQ(*std::max_element(r.tResolve.begin(), r.tResolve.end()),
+              10u * (50u * 100u + 50u * 3u) +
+                  kConfig.timing.stateVectorUploadCycles +
+                  kDecodeBaseCycles + 50u * kDecodePerFlowCycles);
 }
 
 TEST(Timeline, AvgActiveFlowsWeightsRounds)

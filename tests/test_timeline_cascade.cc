@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "ap/ap_config.h"
 #include "pap/timeline.h"
 
@@ -15,6 +17,13 @@ namespace pap {
 namespace {
 
 const ApConfig kConfig;
+
+/** When the last segment resolved: the completion before the cap. */
+Cycles
+completion(const TimelineResult &r)
+{
+    return *std::max_element(r.tResolve.begin(), r.tResolve.end());
+}
 
 /** A segment with one true and @p false_flows immortal false flows. */
 SegmentTimingInput
@@ -35,9 +44,6 @@ TEST(TimelineCascade, FivPipelinesAcrossSegments)
 {
     PapOptions opt;
     opt.tdmQuantum = 100;
-    opt.decodeBaseCycles = 0;
-    opt.decodePerFlowCycles = 0;
-    opt.applyGoldenCap = false;
 
     const std::uint64_t len = 100000;
     std::vector<SegmentTimingInput> segs;
@@ -70,19 +76,28 @@ TEST(TimelineCascade, FivPipelinesAcrossSegments)
     for (std::size_t i = 1; i < deltas.size(); ++i)
         EXPECT_LT(deltas[i], deltas[i - 1]);
 
+    // Each segment resolves once its vector uploaded and its
+    // predecessor resolved, plus the decode of its 9 live flows.
+    const Cycles upload = kConfig.timing.stateVectorUploadCycles;
+    EXPECT_EQ(r.tResolve[0], r.tDone[0] + upload);
+    for (std::size_t j = 1; j < segs.size(); ++j)
+        EXPECT_EQ(r.tResolve[j],
+                  std::max(r.tDone[j] + upload, r.tResolve[j - 1]) +
+                      kDecodeBaseCycles + 9u * kDecodePerFlowCycles)
+            << "segment " << j;
+
     // And the cascade beats the no-FIV run.
     PapOptions no_fiv = opt;
     no_fiv.enableFiv = false;
     const TimelineResult r2 = simulateTimeline(
         segs, len * segs.size(), no_fiv, kConfig);
-    EXPECT_GT(r2.papCycles, r.papCycles);
+    EXPECT_GT(completion(r2), completion(r));
 }
 
 TEST(TimelineCascade, FirstSegmentAnchorsTheChain)
 {
     PapOptions opt;
     opt.tdmQuantum = 100;
-    opt.applyGoldenCap = false;
 
     const std::uint64_t len = 50000;
     std::vector<SegmentTimingInput> segs;
@@ -95,7 +110,8 @@ TEST(TimelineCascade, FirstSegmentAnchorsTheChain)
     const TimelineResult r =
         simulateTimeline(segs, 2 * len, opt, kConfig);
     // Segment 1's FIV cannot arrive before segment 0 resolved:
-    // t_done[0] + upload + decode + fivDownload.
+    // t_done[0] + upload + fivDownload (a golden segment decodes
+    // nothing).
     const Cycles fiv_min = r.tDone[0] +
                            kConfig.timing.stateVectorUploadCycles +
                            kConfig.timing.fivDownloadCycles;
@@ -103,13 +119,16 @@ TEST(TimelineCascade, FirstSegmentAnchorsTheChain)
     // earlier than the FIV arrival implies.
     EXPECT_GT(r.tDone[1], fiv_min);
     EXPECT_LT(r.tDone[1], 6 * len); // but far better than no-FIV
+    // Its own upload, then the decode of its 5 live flows.
+    EXPECT_EQ(r.tResolve[1],
+              r.tDone[1] + kConfig.timing.stateVectorUploadCycles +
+                  kDecodeBaseCycles + 5u * kDecodePerFlowCycles);
 }
 
 TEST(TimelineCascade, AllFalseFlowsSegmentIdlesAfterFiv)
 {
     PapOptions opt;
     opt.tdmQuantum = 100;
-    opt.applyGoldenCap = false;
     const std::uint64_t len = 50000;
 
     std::vector<SegmentTimingInput> segs;

@@ -1,6 +1,7 @@
 /**
  * @file
- * Shared helpers for tests: random automata and random traces.
+ * Shared helpers for tests: random automata and random traces, and a
+ * chain automaton of any size.
  */
 
 #ifndef PAP_TESTS_WORKLOAD_HELPERS_H
@@ -55,6 +56,24 @@ randomNfa(Rng &rng, int max_patterns)
                                   static_cast<ReportCode>(i),
                                   rng.nextBool(0.2)});
     return compileRuleset(rules, "random");
+}
+
+/**
+ * A chain of @p states 'a' states, from an AllInput start to a
+ * reporting end: one connected component of @p states states.
+ */
+inline Nfa
+chainNfa(std::size_t states)
+{
+    Nfa nfa("chain");
+    for (std::size_t i = 0; i < states; ++i)
+        nfa.addState(CharClass::single('a'),
+                     i == 0 ? StartType::AllInput : StartType::None,
+                     /*reporting=*/i + 1 == states, /*code=*/1);
+    for (std::size_t i = 0; i + 1 < states; ++i)
+        nfa.addEdge(static_cast<StateId>(i), static_cast<StateId>(i + 1));
+    nfa.finalize();
+    return nfa;
 }
 
 } // namespace pap

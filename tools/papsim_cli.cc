@@ -230,6 +230,39 @@ pathFlag(const std::vector<std::string> &args, const std::string &name,
     return false;
 }
 
+/**
+ * Fill @p opt from the flags `run` and `serve` share: --deadline-ms,
+ * --max-retries, and --inject-faults seeded by --fault-seed, whose
+ * injector @p injector then owns and opt.faultInjector points at.
+ * Returns the message for the first malformed flag, or an empty
+ * string.
+ */
+std::string
+parseExecFlags(const std::vector<std::string> &args, PapOptions &opt,
+               std::unique_ptr<FaultInjector> &injector)
+{
+    std::string v;
+    if (flagValue(args, "--deadline-ms", &v) &&
+        !parseF64(v, &opt.segmentDeadlineMs))
+        return "--deadline-ms needs a number (negative sets no "
+               "deadline), got '" + v + "'";
+    if (flagValue(args, "--max-retries", &v) &&
+        !parseU32(v, &opt.maxSegmentRetries))
+        return "--max-retries needs an integer, got '" + v + "'";
+    if (!flagValue(args, "--inject-faults", &v))
+        return "";
+    std::uint64_t fault_seed = 1;
+    std::string s;
+    if (flagValue(args, "--fault-seed", &s) && !parseU64(s, &fault_seed))
+        return "--fault-seed needs an integer, got '" + s + "'";
+    Result<FaultInjector> made = FaultInjector::fromSpec(v, fault_seed);
+    if (!made.ok())
+        return made.status().toString();
+    injector = std::make_unique<FaultInjector>(std::move(made.value()));
+    opt.faultInjector = injector.get();
+    return "";
+}
+
 int
 cmdCompile(const std::vector<std::string> &args)
 {
@@ -302,10 +335,13 @@ cmdAnalyze(const std::vector<std::string> &args)
                 ranges.maxRange());
     for (const std::uint32_t r : {1u, 4u}) {
         const ApConfig cfg = ApConfig::d480(r);
-        const Placement p = placeAutomaton(nfa, comps, cfg);
+        const Result<Placement> p = placeAutomaton(nfa, comps, cfg);
+        if (!p.ok())
+            return fail(p.status().toString());
         std::printf("D480 x%u ranks:     %u half-core(s)/copy, %u "
                     "parallel segments\n",
-                    r, p.halfCoresPerCopy, p.inputSegments(cfg));
+                    r, p.value().halfCoresPerCopy,
+                    p.value().inputSegments(cfg));
     }
     return 0;
 }
@@ -481,6 +517,8 @@ cmdRun(const std::vector<std::string> &args)
                         "'");
         const SpeculationResult r =
             runSpeculative(nfa, trace, ApConfig::d480(ranks), opt);
+        if (!r.status.ok())
+            return fail(r.status.toString());
         std::printf("speculative[sparse]: %zu matches, %u segments, "
                     "accuracy %.2f, speedup %.2fx%s\n",
                     r.reports.size(),
@@ -495,14 +533,10 @@ cmdRun(const std::vector<std::string> &args)
             (!parseU32(v, &opt.tdmQuantum) || opt.tdmQuantum == 0))
             return fail("--quantum needs a positive integer, got '" +
                         v + "'");
-        if (flagValue(args, "--deadline-ms", &v) &&
-            !parseF64(v, &opt.segmentDeadlineMs))
-            return fail("--deadline-ms needs a number (negative "
-                        "sets no deadline), got '" + v + "'");
-        if (flagValue(args, "--max-retries", &v) &&
-            !parseU32(v, &opt.maxSegmentRetries))
-            return fail("--max-retries needs an integer, got '" + v +
-                        "'");
+        std::unique_ptr<FaultInjector> injector;
+        if (const std::string bad = parseExecFlags(args, opt, injector);
+            !bad.empty())
+            return fail(bad);
         pathFlag(args, "--checkpoint", &opt.checkpointPath);
         if (flagValue(args, "--stop-after-segment", &v)) {
             std::uint64_t stop = 0;
@@ -528,22 +562,6 @@ cmdRun(const std::vector<std::string> &args)
              board.svcEntriesPerDevice == 0))
             return fail("--svc-capacity needs a positive flow-context "
                         "count, got '" + v + "'");
-        std::unique_ptr<FaultInjector> injector;
-        if (flagValue(args, "--inject-faults", &v)) {
-            std::uint64_t fault_seed = 1;
-            std::string s;
-            if (flagValue(args, "--fault-seed", &s) &&
-                !parseU64(s, &fault_seed))
-                return fail("--fault-seed needs an integer, got '" + s +
-                            "'");
-            Result<FaultInjector> made =
-                FaultInjector::fromSpec(v, fault_seed);
-            if (!made.ok())
-                return fail(made.status().toString());
-            injector =
-                std::make_unique<FaultInjector>(std::move(made.value()));
-            opt.faultInjector = injector.get();
-        }
         const bool verbose = flagValue(args, "--verbose", &v);
         const PapResult r = runPap(nfa, trace, board, opt);
         if (!r.status.ok())
@@ -722,29 +740,10 @@ cmdServe(const std::vector<std::string> &args)
         !parseU32(v, &opt.checkpointIntervalChunks))
         return fail("--checkpoint-interval needs an integer, got '" +
                     v + "'");
-    if (flagValue(args, "--deadline-ms", &v) &&
-        !parseF64(v, &opt.pap.segmentDeadlineMs))
-        return fail("--deadline-ms needs a number, got '" + v + "'");
-    if (flagValue(args, "--max-retries", &v) &&
-        !parseU32(v, &opt.pap.maxSegmentRetries))
-        return fail("--max-retries needs an integer, got '" + v + "'");
-
     std::unique_ptr<FaultInjector> injector;
-    if (flagValue(args, "--inject-faults", &v)) {
-        std::uint64_t fault_seed = 1;
-        std::string s;
-        if (flagValue(args, "--fault-seed", &s) &&
-            !parseU64(s, &fault_seed))
-            return fail("--fault-seed needs an integer, got '" + s +
-                        "'");
-        Result<FaultInjector> made =
-            FaultInjector::fromSpec(v, fault_seed);
-        if (!made.ok())
-            return fail(made.status().toString());
-        injector =
-            std::make_unique<FaultInjector>(std::move(made.value()));
-        opt.pap.faultInjector = injector.get();
-    }
+    if (const std::string bad = parseExecFlags(args, opt.pap, injector);
+        !bad.empty())
+        return fail(bad);
 
     serve::Server server(opt, nfa);
     if (!server.status().ok())
