@@ -80,8 +80,9 @@ struct ManifestRecord
  * Appender for the journal. Opens (creating + writing the header if
  * absent) an O_APPEND descriptor; every append() is one write + fsync
  * so records hit the disk in order and a crash tears at most the
- * final record. Not internally locked — the server serializes appends
- * through its checkpoint-writer thread.
+ * final record. Not internally locked: serve::Server makes every
+ * append on its one writer, a single-worker pool that also saves and
+ * removes the checkpoint files.
  */
 class ManifestJournal
 {

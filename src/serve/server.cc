@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <deque>
 #include <set>
 #include <thread>
 
@@ -179,7 +180,7 @@ Server::Server(const ServeOptions &options, const Nfa &ruleset)
     }
     pool_ = std::make_unique<exec::WorkerPool>(threads_);
     if (!opts_.checkpointDir.empty())
-        ckptThread_ = std::thread([this] { ckptWriterLoop(); });
+        writer_ = std::make_unique<exec::WorkerPool>(1);
     auto &m = obs::metrics();
     m.setGauge("serve.sessions.open", 0.0);
     m.setGauge("serve.queue.depth", 0.0);
@@ -202,8 +203,7 @@ Server::~Server()
     }
     if (pool_)
         pool_->drain();
-    stopCkptWriter();
-    std::lock_guard<std::mutex> lock(manifestMutex_);
+    writer_.reset(); // runs what is queued, then joins
     manifest_.close();
 }
 
@@ -224,18 +224,17 @@ Result<SessionId>
 Server::open(const std::string &tenant, const std::string &key,
              std::int64_t checkpointInterval)
 {
-    return openImpl(tenant, key, checkpointInterval, /*journal=*/true,
-                    nullptr);
+    return openImpl(tenant, key, checkpointInterval, nullptr);
 }
 
 Result<SessionId>
 Server::openImpl(const std::string &tenant, const std::string &key,
-                 std::int64_t checkpointInterval, bool journal,
+                 std::int64_t checkpointInterval,
                  exec::CheckpointFrontier *resumeFrom)
 {
     if (!status_.ok())
         return status_;
-    std::lock_guard<std::mutex> lock(mutex_);
+    std::unique_lock<std::mutex> lock(mutex_);
     const auto shed = [&](const char *what) -> Status {
         ++counters_.shed;
         obs::metrics().add("serve.sessions.shed");
@@ -282,13 +281,25 @@ Server::openImpl(const std::string &tenant, const std::string &key,
     sessions_.emplace(s->id, s);
     ++tenantSessions_[tenant];
     ++counters_.openSessions;
-    ++counters_.admitted;
     auto &m = obs::metrics();
-    m.add("serve.sessions.admitted");
     m.setGauge("serve.sessions.open",
                static_cast<double>(counters_.openSessions));
-    if (journal)
-        journalAdmitLocked(*s);
+    if (durable(*s)) {
+        // A keyed stream is admitted once its Admit record is
+        // durable, so a crash after the answer finds it in the
+        // manifest.
+        ManifestRecord admit;
+        admit.kind = ManifestRecordKind::Admit;
+        admit.identity = s->frontier.identity;
+        admit.generation = s->ruleset->generation;
+        admit.tenant = tenant;
+        admit.key = key;
+        lock.unlock();
+        queueWrite([this, admit] { appendManifest(admit); }).wait();
+        lock.lock();
+    }
+    ++counters_.admitted;
+    m.add("serve.sessions.admitted");
     return s->id;
 }
 
@@ -320,10 +331,11 @@ Server::resume(const std::string &tenant, const std::string &key)
         }
         if (!known)
             return loaded.status();
+        // Queued ahead of the stream's Admit and of its first save.
         if (loaded.status().code() == ErrorCode::CheckpointCorrupt)
-            std::remove(path.c_str());
+            queueWrite([path] { exec::removeCheckpoint(path); });
     }
-    const auto opened = openImpl(tenant, key, -1, false,
+    const auto opened = openImpl(tenant, key, -1,
                                  loaded.ok() ? &loaded.value() : nullptr);
     if (!opened.ok())
         return opened.status();
@@ -336,7 +348,6 @@ Server::resume(const std::string &tenant, const std::string &key)
         ++counters_.sessionsRecovered;
         m.add("serve.recovery.sessions_recovered");
     }
-    journalAdmitLocked(*s);
     return ResumeInfo{s->id, s->resumedSymbols};
 }
 
@@ -679,14 +690,13 @@ Server::composeReady(std::unique_lock<std::mutex> &lock, SessionPtr s)
 
         // Periodic incremental checkpoint: snapshot the frontier under
         // the lock, hand the (possibly large) serialization and fsync
-        // to the writer thread. The compose hot path pays only the
-        // copy, so clean-run latency is unchanged, and a kill -9
-        // replays at most ckptIntervalChunks chunks.
-        if (!opts_.checkpointDir.empty() && !s->key.empty() &&
-            s->ckptIntervalChunks > 0 &&
+        // to the writer. The compose hot path pays only the copy, so
+        // clean-run latency is unchanged, and a kill -9 replays at
+        // most ckptIntervalChunks chunks.
+        if (durable(*s) && s->ckptIntervalChunks > 0 &&
             s->frontier.nextSegment - s->lastCkptChunk >=
                 s->ckptIntervalChunks) {
-            enqueuePeriodicCheckpointLocked(*s);
+            queueSaveLocked(*s, /*periodic=*/true);
             s->lastCkptChunk = s->frontier.nextSegment;
         }
 
@@ -886,7 +896,15 @@ Server::swap(const Nfa &ruleset)
     if (!installed.ok())
         return installed.status();
     obs::metrics().add("serve.swaps");
-    return installed.value()->generation;
+    const std::uint64_t generation = installed.value()->generation;
+    if (writer_) {
+        // A restart continues above every journaled generation.
+        ManifestRecord record;
+        record.kind = ManifestRecordKind::SwapGeneration;
+        record.generation = generation;
+        queueWrite([this, record] { appendManifest(record); }).wait();
+    }
+    return generation;
 }
 
 void
@@ -922,31 +940,30 @@ Server::checkpointPath(const std::string &tenant,
     return opts_.checkpointDir + "/" + checkpointFileName(tenant, key);
 }
 
-Status
-Server::checkpointLocked(Session &s)
+// --- Crash tolerance -------------------------------------------------
+
+bool
+Server::durable(const Session &s) const
 {
-    const Status saved =
-        exec::saveCheckpoint(checkpointPath(s.tenant, s.key), s.frontier);
-    if (saved.ok()) {
-        ++counters_.checkpointed;
-        obs::metrics().add("serve.sessions.checkpointed");
-        ManifestRecord rec;
-        rec.kind = ManifestRecordKind::CheckpointWritten;
-        rec.symbols = s.resumedSymbols + s.symbolsComposed;
-        rec.chunks = s.frontier.nextSegment;
-        rec.tenant = s.tenant;
-        rec.key = s.key;
-        appendManifest(rec);
-    }
-    return saved;
+    return writer_ && !s.key.empty();
 }
 
-// --- Crash tolerance -------------------------------------------------
+template <typename Write>
+std::future<std::invoke_result_t<Write &>>
+Server::queueWrite(Write write)
+{
+    // std::function needs a copyable task; the packaged task is not.
+    auto task =
+        std::make_shared<std::packaged_task<std::invoke_result_t<Write &>()>>(
+            std::move(write));
+    auto done = task->get_future();
+    writer_->submit([task] { (*task)(); });
+    return done;
+}
 
 void
 Server::appendManifest(const ManifestRecord &record)
 {
-    std::lock_guard<std::mutex> lock(manifestMutex_);
     if (!manifest_.isOpen())
         return;
     if (!manifest_.append(record).ok())
@@ -954,132 +971,65 @@ Server::appendManifest(const ManifestRecord &record)
 }
 
 void
-Server::journalAdmitLocked(const Session &s)
-{
-    if (s.key.empty() || opts_.checkpointDir.empty())
-        return;
-    ManifestRecord rec;
-    rec.kind = ManifestRecordKind::Admit;
-    rec.identity = s.frontier.identity;
-    rec.generation = s.ruleset->generation;
-    rec.tenant = s.tenant;
-    rec.key = s.key;
-    appendManifest(rec);
-}
-
-void
 Server::journalCompleteLocked(const Session &s)
 {
-    if (s.key.empty() || opts_.checkpointDir.empty())
+    if (!durable(s))
         return;
-    CkptOp op;
-    op.kind = CkptOp::Kind::Complete;
-    op.path = checkpointPath(s.tenant, s.key);
-    op.record.kind = ManifestRecordKind::Complete;
-    op.record.tenant = s.tenant;
-    op.record.key = s.key;
-    enqueueCkptOp(std::move(op));
+    ManifestRecord record;
+    record.kind = ManifestRecordKind::Complete;
+    record.tenant = s.tenant;
+    record.key = s.key;
+    // Complete record first, then the file: a crash between the two
+    // leaves a stale checkpoint of a completed session, which the
+    // next boot's sweep removes.
+    queueWrite([this, record, path = checkpointPath(s.tenant, s.key)] {
+        appendManifest(record);
+        exec::removeCheckpoint(path);
+    });
 }
 
-void
-Server::enqueuePeriodicCheckpointLocked(const Session &s)
+std::future<Status>
+Server::queueSaveLocked(const Session &s, bool periodic)
 {
-    CkptOp op;
-    op.kind = CkptOp::Kind::Save;
-    op.path = checkpointPath(s.tenant, s.key);
-    op.frontier = s.frontier;
-    op.record.kind = ManifestRecordKind::CheckpointWritten;
-    op.record.symbols = s.resumedSymbols + s.symbolsComposed;
-    op.record.chunks = s.frontier.nextSegment;
-    op.record.tenant = s.tenant;
-    op.record.key = s.key;
-    enqueueCkptOp(std::move(op));
-}
-
-void
-Server::enqueueCkptOp(CkptOp op)
-{
-    std::lock_guard<std::mutex> lock(ckptMutex_);
-    if (!ckptThread_.joinable())
-        return; // no checkpoint dir: nothing to persist to
-    ckptOps_.push_back(std::move(op));
-    ++ckptQueued_;
-    ckptCv_.notify_all();
-}
-
-void
-Server::flushCkptOps()
-{
-    std::unique_lock<std::mutex> lock(ckptMutex_);
-    if (!ckptThread_.joinable())
-        return;
-    ckptCv_.wait(lock, [&] { return ckptDone_ == ckptQueued_; });
-}
-
-void
-Server::ckptWriterLoop()
-{
-    std::unique_lock<std::mutex> lock(ckptMutex_);
-    for (;;) {
-        ckptCv_.wait(lock,
-                     [&] { return ckptStop_ || !ckptOps_.empty(); });
-        if (ckptOps_.empty()) {
-            if (ckptStop_)
-                break;
-            continue;
-        }
-        CkptOp op = std::move(ckptOps_.front());
-        ckptOps_.pop_front();
-        lock.unlock();
-
+    ManifestRecord record;
+    record.kind = ManifestRecordKind::CheckpointWritten;
+    record.symbols = s.resumedSymbols + s.symbolsComposed;
+    record.chunks = s.frontier.nextSegment;
+    record.tenant = s.tenant;
+    record.key = s.key;
+    return queueWrite([this, periodic, record,
+                       path = checkpointPath(s.tenant, s.key),
+                       frontier = s.frontier]() -> Status {
         auto &m = obs::metrics();
-        if (op.kind == CkptOp::Kind::Save) {
-            FaultInjector *const inj = opts_.pap.faultInjector;
-            if (inj && inj->onCheckpointSave()) {
-                // Injected crash-at-checkpoint: the process "dies"
-                // after a partial temp write — the previous
-                // checkpoint file survives untouched and the stale
-                // .tmp is left for the next boot's sweep.
-                const std::string tmp = op.path + ".tmp";
-                if (std::FILE *fp = std::fopen(tmp.c_str(), "wb")) {
-                    std::fwrite("PAPCKPT\0torn", 1, 12, fp);
-                    std::fclose(fp);
-                }
-            } else if (exec::saveCheckpoint(op.path, op.frontier)
-                           .ok()) {
-                {
-                    std::lock_guard<std::mutex> counters(mutex_);
-                    ++counters_.periodicCheckpoints;
-                }
-                m.add("serve.checkpoints.periodic");
-                appendManifest(op.record);
-            } else {
-                m.add("serve.checkpoints.failed");
+        FaultInjector *const inj = opts_.pap.faultInjector;
+        if (periodic && inj && inj->onCheckpointSave()) {
+            // Injected crash-at-checkpoint: the process "dies" after a
+            // partial temp write — the previous checkpoint file
+            // survives untouched and the stale .tmp is left for the
+            // next boot's sweep.
+            const std::string tmp = path + ".tmp";
+            if (std::FILE *fp = std::fopen(tmp.c_str(), "wb")) {
+                std::fwrite("PAPCKPT\0torn", 1, 12, fp);
+                std::fclose(fp);
             }
-        } else {
-            // Complete record first, then the file: a crash between
-            // the two leaves a stale checkpoint of a completed
-            // session, which the next boot's sweep removes.
-            appendManifest(op.record);
-            exec::removeCheckpoint(op.path);
+            return Status();
         }
-
-        lock.lock();
-        ++ckptDone_;
-        ckptCv_.notify_all();
-    }
-}
-
-void
-Server::stopCkptWriter()
-{
-    {
-        std::lock_guard<std::mutex> lock(ckptMutex_);
-        ckptStop_ = true;
-        ckptCv_.notify_all();
-    }
-    if (ckptThread_.joinable())
-        ckptThread_.join();
+        const Status saved = exec::saveCheckpoint(path, frontier);
+        if (!saved.ok()) {
+            if (periodic)
+                m.add("serve.checkpoints.failed");
+            return saved;
+        }
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            ++(periodic ? counters_.periodicCheckpoints
+                        : counters_.checkpointed);
+        }
+        m.add(periodic ? "serve.checkpoints.periodic"
+                       : "serve.sessions.checkpointed");
+        appendManifest(record);
+        return saved;
+    });
 }
 
 void
@@ -1194,13 +1144,9 @@ Server::recoverColdStart(const Nfa &ruleset)
     // reopen it for appending.
     if (journalReadable)
         (void)compactManifest(mpath, replay);
-    {
-        std::lock_guard<std::mutex> lock(manifestMutex_);
-        auto opened =
-            ManifestJournal::open(mpath, opts_.pap.faultInjector);
-        if (opened.ok())
-            manifest_ = std::move(opened.value());
-    }
+    auto opened = ManifestJournal::open(mpath, opts_.pap.faultInjector);
+    if (opened.ok())
+        manifest_ = std::move(opened.value());
     recoveredLive_ = std::move(replay.live);
 }
 
@@ -1233,13 +1179,9 @@ Server::drain()
         }
         return true;
     });
-    // Settle the checkpoint writer before the final saves: a periodic
-    // save still queued carries an older frontier and must not land
-    // after (and thereby overwrite) the full drain checkpoint.
-    lock.unlock();
-    flushCkptOps();
-    lock.lock();
-    Status worst;
+    // A final save queues behind any periodic save still pending, so
+    // an older frontier never lands over it.
+    std::vector<std::future<Status>> saves;
     for (auto &entry : sessions_) {
         Session &s = *entry.second;
         if (s.done)
@@ -1247,30 +1189,26 @@ Server::drain()
         finalizeLocked(s);
         if (s.done)
             continue;
-        if (!s.key.empty() && !opts_.checkpointDir.empty()) {
-            const Status saved = checkpointLocked(s);
-            if (!saved.ok())
-                worst = saved;
-            terminateLocked(
-                s,
-                Status::error(ErrorCode::Cancelled,
-                              "daemon drained; stream checkpointed "
-                              "for resume"),
-                "serve.sessions.drained");
-        } else {
-            terminateLocked(
-                s,
-                Status::error(ErrorCode::Cancelled,
-                              "daemon drained; stream had no "
-                              "checkpoint key"),
-                "serve.sessions.drained");
-        }
+        const bool keyed = durable(s);
+        if (keyed)
+            saves.push_back(queueSaveLocked(s, /*periodic=*/false));
+        terminateLocked(
+            s,
+            Status::error(ErrorCode::Cancelled,
+                          keyed ? "daemon drained; stream checkpointed "
+                                  "for resume"
+                                : "daemon drained; stream had no "
+                                  "checkpoint key"),
+            "serve.sessions.drained");
     }
     drained_ = true;
     lock.unlock();
-    // Settle the writer thread so every periodic save and journal
-    // append queued before the drain is durable when we return.
-    flushCkptOps();
+    Status worst;
+    for (std::future<Status> &save : saves) {
+        Status saved = save.get();
+        if (!saved.ok())
+            worst = std::move(saved);
+    }
     return worst;
 }
 

@@ -36,14 +36,18 @@
  *    the PAPCKPT machinery so resume() can continue them after a
  *    restart (the caller re-feeds from the returned offset).
  *  - Hard-crash tolerance: keyed sessions checkpoint *periodically*
- *    (every checkpointIntervalChunks composed chunks, written off the
- *    hot path by a dedicated writer thread), and every lifecycle
- *    event is journaled to an append-only session manifest in
- *    checkpointDir. After a kill -9 the next boot replays the
- *    manifest, sweeps stale temp files, re-binds resumable sessions,
- *    and resume() continues each stream from its last durable
- *    checkpoint — replay is bounded by the checkpoint interval and
- *    the final reports are byte-identical to an uninterrupted run.
+ *    (every checkpointIntervalChunks composed chunks), and every
+ *    lifecycle event is journaled to an append-only session manifest
+ *    in checkpointDir. One writer, a single-worker pool, makes every
+ *    durable write in submission order: checkpoint saves and
+ *    removals and journal appends. No fsync runs under the session
+ *    lock; open() and resume() of a keyed stream and swap() answer
+ *    once their record is durable. After a kill -9 the next boot
+ *    replays the manifest, sweeps stale temp files, re-binds
+ *    resumable sessions, and resume() continues each stream from its
+ *    last durable checkpoint — replay is bounded by the checkpoint
+ *    interval and the final reports are byte-identical to an
+ *    uninterrupted run.
  *
  * Scheduling: chunk tasks from all sessions share one WorkerPool,
  * ordered by a weighted deficit-round-robin queue across tenants.
@@ -59,13 +63,13 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
+#include <future>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -183,7 +187,9 @@ class Server
      */
     Server(const ServeOptions &options, const Nfa &ruleset);
 
-    /** Terminates outstanding sessions (no checkpoint) and joins. */
+    /** Terminates outstanding sessions (no checkpoint, no journal
+        record), joins the workers, then stops the writer, which runs
+        what is queued, and closes the journal. */
     ~Server();
 
     Server(const Server &) = delete;
@@ -202,7 +208,9 @@ class Server
      * checkpointable). @p checkpointInterval overrides the server's
      * periodic checkpoint cadence for this session (-1: server
      * default; 0: drain-only). Sheds with ResourceExhausted at the
-     * global or tenant cap, or while draining.
+     * global or tenant cap, or while draining. With a key and a
+     * checkpointDir, answers once the stream's Admit record is
+     * durable.
      */
     Result<SessionId> open(const std::string &tenant,
                            const std::string &key = std::string(),
@@ -216,6 +224,7 @@ class Server
      * and reappear in the final SessionReport. A session the manifest
      * journal knows but that crashed before its first checkpoint (or
      * whose checkpoint file is corrupt) resumes fresh at offset 0.
+     * Answers once the stream's Admit record is durable.
      */
     Result<ResumeInfo> resume(const std::string &tenant,
                               const std::string &key);
@@ -259,7 +268,9 @@ class Server
     /**
      * Install @p ruleset as the new current generation. Streams
      * already open finish on their old generation; the swap never
-     * blocks on them.
+     * blocks on them. With a checkpointDir, answers once the
+     * SwapGeneration record is durable, so a restart continues above
+     * the new generation.
      */
     Result<std::uint64_t> swap(const Nfa &ruleset);
 
@@ -270,8 +281,9 @@ class Server
      * Graceful shutdown: stop admitting, flush and compose every
      * in-flight session, checkpoint keyed unfinished sessions to
      * checkpointDir, terminate the rest with Unavailable. Sessions
-     * whose finish() is already pending complete normally. Safe to
-     * call once; subsequent calls are no-ops.
+     * whose finish() is already pending complete normally. Returns
+     * the worst final-save status once those saves are durable. Safe
+     * to call once; subsequent calls are no-ops.
      */
     Status drain();
 
@@ -291,27 +303,14 @@ class Server
     using SessionPtr = std::shared_ptr<Session>;
     using SessionCoord = std::pair<std::string, std::string>;
 
-    /** One unit of work for the off-hot-path checkpoint writer. */
-    struct CkptOp
-    {
-        enum class Kind : std::uint8_t { Save, Complete };
-        Kind kind = Kind::Save;
-        /** Checkpoint file path (save target / removal target). */
-        std::string path;
-        /** Frontier snapshot to persist (Save only). */
-        exec::CheckpointFrontier frontier;
-        /** Manifest record appended once the file operation lands. */
-        ManifestRecord record;
-    };
-
     SessionPtr findLocked(SessionId id) const;
     /** Admit a session. With @p resumeFrom, admit it only when that
         checkpoint belongs to it (same ruleset, tenant and key), and
-        continue the stream from it. */
+        continue the stream from it. With a writer, a keyed session
+        is admitted once its Admit record is durable. */
     Result<SessionId> openImpl(const std::string &tenant,
                                const std::string &key,
                                std::int64_t checkpointInterval,
-                               bool journal,
                                exec::CheckpointFrontier *resumeFrom);
     Status sessionGateLocked(const Session &s) const;
     void checkDeadlineLocked(Session &s);
@@ -330,26 +329,28 @@ class Server
     /** Where the keyed stream (@p tenant, @p key) checkpoints. */
     std::string checkpointPath(const std::string &tenant,
                                const std::string &key) const;
-    Status checkpointLocked(Session &s);
     void drainPendingSwap();
 
-    // --- Crash tolerance (manifest journal + periodic checkpoints) --
+    // --- Crash tolerance (manifest journal + checkpoint files) ------
     /** Cold-start recovery: sweep temp files, replay the manifest,
         verify live checkpoints against @p ruleset, compact. */
     void recoverColdStart(const Nfa &ruleset);
-    /** Serialized, fsynced journal append; failures are tolerated. */
+    /** True when @p s has a key and the server a writer: its
+        lifecycle is journaled and its frontier checkpointed. */
+    bool durable(const Session &s) const;
+    /** Run @p write on the writer after every write queued before
+        it; the future is ready once it has run. Never wait on it
+        while holding mutex_: writer tasks take it to bump counters. */
+    template <typename Write>
+    std::future<std::invoke_result_t<Write &>> queueWrite(Write write);
+    /** Fsynced journal append (writer tasks only); failures are
+        counted and tolerated. */
     void appendManifest(const ManifestRecord &record);
-    /** Journal the Admit record for a freshly opened keyed session. */
-    void journalAdmitLocked(const Session &s);
-    /** Journal Complete + remove the checkpoint file (writer thread). */
+    /** Queue a save of @p s's frontier and its CheckpointWritten
+        record; the future carries the save's status. */
+    std::future<Status> queueSaveLocked(const Session &s, bool periodic);
+    /** Queue the Complete record, then the checkpoint's removal. */
     void journalCompleteLocked(const Session &s);
-    /** Queue a periodic checkpoint of @p s for the writer thread. */
-    void enqueuePeriodicCheckpointLocked(const Session &s);
-    void enqueueCkptOp(CkptOp op);
-    /** Block until every queued writer op has been processed. */
-    void flushCkptOps();
-    void ckptWriterLoop();
-    void stopCkptWriter();
 
     const ServeOptions opts_;
     /** Exclusive hold on checkpointDir for the server's lifetime
@@ -386,24 +387,21 @@ class Server
     /** An injected swap-during-stream fault waiting to be applied. */
     bool pendingSelfSwap_ = false;
 
-    /** Session manifest journal (open iff checkpointDir is set). */
+    /** Session manifest journal (open iff checkpointDir is set).
+        After the constructor only writer tasks touch it. */
     ManifestJournal manifest_;
-    std::mutex manifestMutex_;
     /** Live sessions the boot-time manifest replay promised; resume()
         falls back to a fresh admit for entries with no checkpoint. */
     std::map<SessionCoord, ManifestReplay::LiveSession> recoveredLive_;
 
-    /** Off-hot-path checkpoint writer (periodic saves + journaling). */
-    std::thread ckptThread_;
-    std::mutex ckptMutex_;
-    std::condition_variable ckptCv_;
-    std::deque<CkptOp> ckptOps_;
-    std::uint64_t ckptQueued_ = 0;
-    std::uint64_t ckptDone_ = 0;
-    bool ckptStop_ = false;
-
     // Counters mirrored into obs::metrics() as they change.
     ServerStats counters_;
+
+    /** The one durable writer (iff checkpointDir is set): a
+        single-worker pool, so journal appends and checkpoint saves and
+        removals land in the order they were queued. Declared last:
+        its tasks use the members above. */
+    std::unique_ptr<exec::WorkerPool> writer_;
 };
 
 } // namespace serve

@@ -770,40 +770,6 @@ finishStream(ClientStream &stream)
 } // namespace
 
 Result<StreamResult>
-streamToDaemon(const std::string &socket_path,
-               const std::string &tenant, const std::string &key,
-               const std::vector<Symbol> &data, bool resume,
-               std::int64_t checkpointInterval)
-{
-    Result<ClientStream> hello =
-        helloDaemon(socket_path, tenant, key, resume,
-                    checkpointInterval);
-    if (!hello.ok())
-        return hello.status();
-    ClientStream &stream = hello.value();
-    if (stream.skip > data.size()) {
-        ::close(stream.fd);
-        return Status::error(ErrorCode::InvalidInput,
-                             "checkpoint covers ", stream.skip,
-                             " symbols but the input has only ",
-                             data.size());
-    }
-    constexpr std::size_t kFrame = 64u << 10;
-    for (std::size_t at = stream.skip; at < data.size();
-         at += kFrame) {
-        const std::size_t len = std::min(kFrame, data.size() - at);
-        const Status st = sendFrame(
-            stream.fd,
-            reinterpret_cast<const char *>(data.data() + at), len);
-        if (!st.ok()) {
-            ::close(stream.fd);
-            return st;
-        }
-    }
-    return finishStream(stream);
-}
-
-Result<StreamResult>
 streamFdToDaemon(const std::string &socket_path,
                  const std::string &tenant, const std::string &key,
                  int input_fd, bool resume,
@@ -844,6 +810,13 @@ streamFdToDaemon(const std::string &socket_path,
             ::close(stream.fd);
             return st;
         }
+    }
+    if (to_skip > 0) {
+        // Hanging up without FIN aborts the resumed session.
+        ::close(stream.fd);
+        return Status::error(ErrorCode::InvalidInput, "checkpoint covers ",
+                             stream.skip, " symbols but the input has only ",
+                             stream.skip - to_skip);
     }
     return finishStream(stream);
 }

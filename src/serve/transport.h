@@ -74,24 +74,14 @@ struct StreamResult
 };
 
 /**
- * Stream @p data to the daemon at @p socket_path as @p tenant and
- * return the final report. With @p resume, continue the stream named
- * @p key from its drain checkpoint: the daemon returns the composed
- * offset and this client skips that prefix of @p data.
- */
-Result<StreamResult> streamToDaemon(const std::string &socket_path,
-                                    const std::string &tenant,
-                                    const std::string &key,
-                                    const std::vector<Symbol> &data,
-                                    bool resume,
-                                    std::int64_t checkpointInterval = -1);
-
-/**
- * Like streamToDaemon, but read the input incrementally from file
- * descriptor @p input_fd (e.g. stdin) and forward each piece as it
- * arrives, so a slow producer exercises the daemon's backpressure in
- * real time. EOF on @p input_fd closes the stream. With @p resume,
- * the first ResumeInfo::offset bytes read are skipped.
+ * Stream the input read from file descriptor @p input_fd (a trace
+ * file or stdin) to the daemon at @p socket_path as @p tenant and
+ * return the final report. Each piece is forwarded as it arrives, in
+ * frames of up to 64 KiB, so a slow producer exercises the daemon's
+ * backpressure in real time; EOF closes the stream. With @p resume,
+ * continue the stream named @p key from its checkpoint: the daemon
+ * returns the composed offset and this client skips that prefix of
+ * the input. An input shorter than that offset is InvalidInput.
  */
 Result<StreamResult> streamFdToDaemon(const std::string &socket_path,
                                       const std::string &tenant,

@@ -107,8 +107,15 @@ for cycle in $(seq 1 "$CYCLES"); do
     DAEMON_PID=""
 done
 
+# Read generation=<n> from STATS.
+generation() {
+    "$PAPSIM" ctl "$SOCK" stats | sed -n 's/.* generation=\([0-9]*\).*/\1/p'
+}
+
 # Kill before the first checkpoint: recovery falls back to a fresh
-# re-admit at offset 0 and the re-fed stream is still exact.
+# re-admit at offset 0 and the re-fed stream is still exact. A hot
+# swap before the kill is journaled before SWAP answers, so the
+# restarted daemon's generation continues above it.
 start_daemon early
 mkfifo early.pipe
 "$PAPSIM" stream "$SOCK" alice - --key=early < early.pipe \
@@ -117,6 +124,8 @@ CLIENT_PID=$!
 exec 8> early.pipe
 head -c 1024 t.bin >&8
 wait_for_stat "admitted=1"
+"$PAPSIM" ctl "$SOCK" swap "$WORK/m.nfa" | grep -q "^OK "
+GEN_BEFORE="$(generation)"
 kill -9 "$DAEMON_PID"
 wait "$DAEMON_PID" 2>/dev/null || true
 DAEMON_PID=""
@@ -125,6 +134,11 @@ wait "$CLIENT_PID" 2>/dev/null || true
 rm -f "$SOCK" early.pipe
 
 start_daemon rearly
+GEN_AFTER="$(generation)"
+if [ "$GEN_AFTER" -le "$GEN_BEFORE" ]; then
+    echo "generation $GEN_AFTER after the restart, $GEN_BEFORE before" >&2
+    exit 1
+fi
 "$PAPSIM" stream "$SOCK" alice t.bin --key=early --resume \
     --max-reports=100000 > early_resumed.txt
 grep "^  match" early_resumed.txt | diff - expected.txt

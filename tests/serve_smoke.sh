@@ -43,6 +43,18 @@ wait_for_daemon() {
     exit 1
 }
 
+# Poll STATS until $1 matches (daemon-side state is asynchronous).
+wait_for_stat() {
+    for _ in $(seq 1 100); do
+        if "$PAPSIM" ctl "$SOCK" stats 2>/dev/null | grep -q "$1"; then
+            return 0
+        fi
+        sleep 0.05
+    done
+    echo "daemon never reported $1" >&2
+    exit 1
+}
+
 # ctl against a dead socket is a typed error, not a hang.
 if "$PAPSIM" ctl "$SOCK" ping 2>/dev/null; then exit 1; fi
 
@@ -157,6 +169,15 @@ mkdir ckpt
     --checkpoint-dir="$WORK/ckpt" > drain1.log 2>&1 &
 DAEMON_PID=$!
 wait_for_daemon
+# Stream s2 composes at least one chunk before the drain, so its
+# checkpoint covers more than the short input it resumes with below.
+mkfifo short.pipe
+"$PAPSIM" stream "$SOCK" alice - --key=s2 < short.pipe \
+    > short_half.out 2>&1 &
+SHORT_PID=$!
+exec 7> short.pipe
+head -c 8192 t.bin >&7
+wait_for_stat " chunks=[1-9]"
 mkfifo drain.pipe
 "$PAPSIM" stream "$SOCK" alice - --key=s1 < drain.pipe \
     > half.out 2>half.err &
@@ -167,10 +188,11 @@ sleep 0.5
 kill -TERM "$DAEMON_PID"
 wait "$DAEMON_PID"
 DAEMON_PID=""
-exec 8>&-
-wait "$HALF_PID" 2>/dev/null || true
+exec 7>&- 8>&-
+wait "$SHORT_PID" "$HALF_PID" 2>/dev/null || true
 grep -q "drained" drain1.log
 ls ckpt | grep -q "alice-s1.papckpt"
+ls ckpt | grep -q "alice-s2.papckpt"
 
 "$PAPSIM" serve m.nfa --socket="$SOCK" --threads=2 --chunk=2048 \
     --checkpoint-dir="$WORK/ckpt" > drain2.log 2>&1 &
@@ -182,6 +204,22 @@ wait_for_daemon
     --max-reports=100000 > resumed.txt
 grep -q "resumed from checkpoint: [1-9]" resumed.txt
 grep "^  match" resumed.txt | diff - expected.txt
+
+# Resuming from an input shorter than the checkpoint fails typed on
+# stdin too. The client hangs up, which aborts the session and removes
+# its checkpoint: this is why s2 is a key of its own.
+if head -c 1000 t.bin | "$PAPSIM" stream "$SOCK" alice - --key=s2 \
+    --resume > short.txt 2> short.err; then
+    echo "a resume past the end of its input succeeded" >&2
+    exit 1
+fi
+grep -q "InvalidInput: checkpoint covers [0-9]* symbols" short.err
+grep -q "but the input has only 1000$" short.err
+for _ in $(seq 1 100); do
+    [ -e ckpt/alice-s2.papckpt ] || break
+    sleep 0.05
+done
+test ! -e ckpt/alice-s2.papckpt
 kill -TERM "$DAEMON_PID" && wait "$DAEMON_PID"
 DAEMON_PID=""
 

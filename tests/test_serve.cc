@@ -625,41 +625,48 @@ TEST(Serve, DrainCheckpointResumeRoundTrip)
     const Nfa nfa = serveRuleset();
     const InputTrace trace = serveTrace(10000, 61);
     const auto expected = sequentialReports(nfa, trace);
-    const UniqueTempDir scratch("serve_ckpt");
-    const std::string &dir = scratch.path();
-
-    ServeOptions opt = smallOptions();
-    opt.checkpointDir = dir;
-    std::uint64_t offset = 0;
-    {
-        Server server(opt, nfa);
-        const auto id = server.open("t", "k");
-        ASSERT_TRUE(id.ok());
-        ASSERT_TRUE(server.feed(id.value(), trace.ptr(0), 6000).ok());
-        ASSERT_TRUE(server.drain().ok());
-        EXPECT_EQ(server.stats().checkpointed, 1u);
-        // The drained session is terminal with a typed error.
-        const auto report = server.finish(id.value());
-        ASSERT_FALSE(report.ok());
-        EXPECT_EQ(report.status().code(), ErrorCode::Cancelled);
-    }
-    {
-        Server server(opt, nfa);
-        const auto resumed = server.resume("t", "k");
-        ASSERT_TRUE(resumed.ok()) << resumed.status().toString();
-        offset = resumed.value().offset;
-        EXPECT_EQ(offset, 6000u)
-            << "drain must flush and compose every fed symbol";
-        ASSERT_TRUE(server
-                        .feed(resumed.value().id, trace.ptr(offset),
-                              trace.size() - offset)
-                        .ok());
-        const auto report = server.finish(resumed.value().id);
-        ASSERT_TRUE(report.ok()) << report.status().toString();
-        EXPECT_EQ(report.value().reports, expected)
-            << "resumed stream must equal the unbroken run";
-        EXPECT_EQ(report.value().resumedSymbols, offset);
-        EXPECT_EQ(server.stats().resumed, 1u);
+    // At interval 1 periodic saves are still queued when drain()
+    // saves; its final save must land last.
+    for (const std::uint32_t interval : {0u, 1u}) {
+        SCOPED_TRACE("checkpointIntervalChunks " +
+                     std::to_string(interval));
+        const UniqueTempDir scratch("serve_ckpt" +
+                                    std::to_string(interval));
+        ServeOptions opt = smallOptions();
+        opt.checkpointDir = scratch.path();
+        opt.checkpointIntervalChunks = interval;
+        std::uint64_t offset = 0;
+        {
+            Server server(opt, nfa);
+            const auto id = server.open("t", "k");
+            ASSERT_TRUE(id.ok());
+            ASSERT_TRUE(
+                server.feed(id.value(), trace.ptr(0), 6000).ok());
+            ASSERT_TRUE(server.drain().ok());
+            EXPECT_EQ(server.stats().checkpointed, 1u);
+            // The drained session is terminal with a typed error.
+            const auto report = server.finish(id.value());
+            ASSERT_FALSE(report.ok());
+            EXPECT_EQ(report.status().code(), ErrorCode::Cancelled);
+        }
+        {
+            Server server(opt, nfa);
+            const auto resumed = server.resume("t", "k");
+            ASSERT_TRUE(resumed.ok()) << resumed.status().toString();
+            offset = resumed.value().offset;
+            EXPECT_EQ(offset, 6000u)
+                << "drain must flush and compose every fed symbol";
+            ASSERT_TRUE(server
+                            .feed(resumed.value().id, trace.ptr(offset),
+                                  trace.size() - offset)
+                            .ok());
+            const auto report = server.finish(resumed.value().id);
+            ASSERT_TRUE(report.ok()) << report.status().toString();
+            EXPECT_EQ(report.value().reports, expected)
+                << "resumed stream must equal the unbroken run";
+            EXPECT_EQ(report.value().resumedSymbols, offset);
+            EXPECT_EQ(server.stats().resumed, 1u);
+        }
     }
 }
 
@@ -1044,6 +1051,63 @@ TEST(Serve, SecondServerOnOneCheckpointDirIsLocked)
     const auto report = server.finish(resumed.value().id);
     ASSERT_TRUE(report.ok()) << report.status().toString();
     EXPECT_EQ(report.value().reports, expected);
+}
+
+TEST(Serve, KeyedOpenIsJournaledWhenItReturns)
+{
+    const Nfa nfa = serveRuleset();
+    const InputTrace trace = serveTrace(4000, 109);
+    ServeOptions opt = smallOptions();
+    const UniqueTempDir scratch("serve_admit");
+    opt.checkpointDir = scratch.path();
+    const std::string mpath = opt.checkpointDir + "/" + kManifestFileName;
+    const auto journaledLive = [&] {
+        const auto replay = replayManifest(mpath);
+        return replay.ok() && replay.value().live.count({"t", "k"}) == 1;
+    };
+    {
+        Server server(opt, nfa);
+        const auto id = server.open("t", "k");
+        ASSERT_TRUE(id.ok()) << id.status().toString();
+        EXPECT_TRUE(journaledLive())
+            << "OPEN answered before its Admit record was durable";
+        ASSERT_TRUE(server.feed(id.value(), trace.ptr(0), 2000).ok());
+        ASSERT_TRUE(server.drain().ok());
+    }
+    // Without a journal the next boot keeps the checkpoint but knows
+    // no live session: only resume's own Admit can list it.
+    ASSERT_EQ(std::remove(mpath.c_str()), 0);
+    Server server(opt, nfa);
+    ASSERT_FALSE(journaledLive());
+    const auto resumed = server.resume("t", "k");
+    ASSERT_TRUE(resumed.ok()) << resumed.status().toString();
+    EXPECT_EQ(resumed.value().offset, 2000u);
+    EXPECT_TRUE(journaledLive())
+        << "RESUME answered before its Admit record was durable";
+}
+
+TEST(Serve, GenerationsStayMonotoneAcrossACrash)
+{
+    const Nfa nfa = serveRuleset();
+    ServeOptions opt = smallOptions();
+    const UniqueTempDir scratch("serve_swap_gen");
+    opt.checkpointDir = scratch.path();
+    const std::string mpath = opt.checkpointDir + "/" + kManifestFileName;
+    {
+        Server server(opt, nfa);
+        ASSERT_TRUE(server.swap(otherRuleset()).ok());
+        const auto replay = replayManifest(mpath);
+        ASSERT_TRUE(replay.ok()) << replay.status().toString();
+        EXPECT_EQ(replay.value().maxGeneration, 2u)
+            << "SWAP answered before its record was durable";
+        const auto swapped = server.swap(nfa);
+        ASSERT_TRUE(swapped.ok()) << swapped.status().toString();
+        EXPECT_EQ(swapped.value(), 3u);
+        // Crash: no drain.
+    }
+    Server server(opt, nfa);
+    EXPECT_EQ(server.generation(), 4u)
+        << "a restart must continue above every journaled swap";
 }
 
 TEST(Serve, TornManifestTailToleratedOnBoot)

@@ -38,6 +38,9 @@
  *       Poke a running daemon.
  */
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -775,8 +778,6 @@ cmdStream(const std::vector<std::string> &args)
     if (args.size() < 3)
         return usage();
     const bool from_stdin = args[2] == "-";
-    if (!from_stdin && !readableFile(args[2]))
-        return fail("cannot open trace file '" + args[2] + "'");
     std::string v, key;
     flagValue(args, "--key", &key);
     const bool resume = flagValue(args, "--resume", &v);
@@ -798,18 +799,16 @@ cmdStream(const std::vector<std::string> &args)
         ckpt_interval = static_cast<std::int64_t>(n);
     }
 
-    Result<serve::StreamResult> streamed = [&] {
-        if (from_stdin)
-            // Forward stdin as it arrives, so a slow producer
-            // exercises the daemon's backpressure in real time.
-            return serve::streamFdToDaemon(args[0], args[1], key, 0,
-                                           resume, ckpt_interval);
-        const InputTrace trace = InputTrace::fromFile(args[2]);
-        const std::vector<Symbol> data(trace.begin(),
-                                       trace.begin() + trace.size());
-        return serve::streamToDaemon(args[0], args[1], key, data,
-                                     resume, ckpt_interval);
-    }();
+    // Forward the input as it is read, so a slow producer on stdin
+    // exercises the daemon's backpressure in real time.
+    const int input_fd =
+        from_stdin ? STDIN_FILENO : ::open(args[2].c_str(), O_RDONLY);
+    if (input_fd < 0)
+        return fail("cannot open trace file '" + args[2] + "'");
+    const Result<serve::StreamResult> streamed = serve::streamFdToDaemon(
+        args[0], args[1], key, input_fd, resume, ckpt_interval);
+    if (!from_stdin)
+        ::close(input_fd);
     if (!streamed.ok())
         return fail(streamed.status().toString());
     const serve::StreamResult &r = streamed.value();
